@@ -16,10 +16,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/archcmp"
 	"repro/internal/core"
@@ -579,70 +581,143 @@ func registryValue(b *testing.B, srv *server.Server, name string) float64 {
 	return 0
 }
 
-// BenchmarkPreteApply measures the parallel matcher's per-change cost
-// across worker counts (run with -benchmem: the allocation columns are
-// the tracked hot-path metric). Each iteration replays a fixed random
-// change script through a fresh matcher, so B/op and allocs/op cover
-// the whole activation path: scheduler submit/steal, join probes,
-// token-memory churn and conflict-set flush.
+// dispatchScript builds the bulk_prete shape (benchmark/README.md): the
+// frozen 300-production dispatch program — 10 stations x 30 rules that
+// all start from their station's job element, so one job change fans
+// out to 30 sibling joins below one beta memory — and request-sized
+// batches: 64 arrivals (192 elements) asserted, the 192 from eight
+// batches earlier retracted.
+func dispatchScript(b *testing.B, batches int) ([]*ops5.Production, [][]ops5.Change) {
+	src, err := os.ReadFile("benchmark/rules/dispatch.ops")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := ops5.Parse(string(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	pick := func(prefix string, n int) string { return prefix + strconv.Itoa(rng.Intn(n)) }
+	tag := 0
+	script := make([][]ops5.Change, batches)
+	for r := range script {
+		assert := func(w *ops5.WME) {
+			tag++
+			w.TimeTag = tag
+			script[r] = append(script[r], ops5.Change{Kind: ops5.Insert, WME: w})
+		}
+		for a := 0; a < 64; a++ {
+			job, station := r*64+a, pick("s", 10)
+			assert(ops5.NewWME("job", "id", job, "station", station, "kind", pick("k", 5), "prio", 1+rng.Intn(9)))
+			assert(ops5.NewWME("part", "job", job, "station", station, "type", pick("t", 6), "qty", 1+rng.Intn(20)))
+			assert(ops5.NewWME("slot", "job", job, "station", station, "lane", pick("l", 4), "cap", 1+rng.Intn(20)))
+		}
+		if r >= 8 {
+			for _, ch := range script[r-8][:192] {
+				script[r] = append(script[r], ops5.Change{Kind: ops5.Delete, WME: ch.WME})
+			}
+		}
+	}
+	return prog.Productions, script
+}
+
+// BenchmarkPreteApply measures the parallel matcher against the serial
+// one across worker counts, on two script shapes: "random" (40
+// index-stress productions, batches of 1-6 changes — every batch under
+// the serial bypass) and "fanout" (dispatchScript: 384-change batches
+// whose job changes each reach 30 sibling joins). Each iteration
+// replays the script through a fresh rete.Network, untimed, and then
+// through a fresh prete.Matcher, so ns/op, B/op and allocs/op (run with
+// -benchmem; the allocation columns are tracked) cover the whole
+// parallel activation path: scheduler submit/steal, join probes,
+// token-memory churn and conflict-set flush. true-speedup is the
+// paper's §6 definition — serial Rete's wall time over the parallel
+// matcher's, the two replays interleaved so machine drift cancels;
+// est-speedup is the matcher's own self-relative estimate
+// (LossReport.TrueSpeedup).
 func BenchmarkPreteApply(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	params := matchtest.IndexStressGenParams()
 	params.Productions = 40
-	prods := matchtest.RandomProgram(rng, params)
-	script := matchtest.RandomScript(rng, params, 60, 6)
-	var nChanges int
-	for _, batch := range script.Batches {
-		nChanges += len(batch)
+	randomProds := matchtest.RandomProgram(rng, params)
+	fanoutProds, fanoutScript := dispatchScript(b, 24)
+	shapes := []struct {
+		name   string
+		prods  []*ops5.Production
+		script [][]ops5.Change
+	}{
+		{"random", randomProds, matchtest.RandomScript(rng, params, 60, 6).Batches},
+		{"fanout", fanoutProds, fanoutScript},
 	}
 	counts := []int{1, 4, 16}
 	if g := runtime.GOMAXPROCS(0); g != 1 && g != 4 && g != 16 {
 		counts = append(counts, g)
 	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var last *prete.Matcher
-			for i := 0; i < b.N; i++ {
-				if last != nil {
-					last.Close()
+	nop := func(*ops5.Instantiation) {}
+	replay := func(apply func([]ops5.Change), script [][]ops5.Change) time.Duration {
+		t0 := time.Now()
+		for _, batch := range script {
+			apply(batch)
+		}
+		return time.Since(t0)
+	}
+	for _, sh := range shapes {
+		var nChanges int
+		for _, batch := range sh.script {
+			nChanges += len(batch)
+		}
+		for _, workers := range counts {
+			b.Run(fmt.Sprintf("%s/workers-%d", sh.name, workers), func(b *testing.B) {
+				var serial, parallel time.Duration
+				var last *prete.Matcher
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if last != nil {
+						last.Close()
+					}
+					net, err := rete.Compile(sh.prods)
+					if err != nil {
+						b.Fatal(err)
+					}
+					net.OnInsert, net.OnRemove = nop, nop
+					serial += replay(net.Apply, sh.script)
+					b.StartTimer()
+					m, err := prete.New(sh.prods, workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					m.OnInsert, m.OnRemove = nop, nop
+					parallel += replay(m.Apply, sh.script)
+					last = m
 				}
-				m, err := prete.New(prods, workers)
-				if err != nil {
-					b.Fatal(err)
+				defer last.Close()
+				b.ReportMetric(float64(nChanges*b.N)/parallel.Seconds(), "wme-changes/s")
+				b.ReportMetric(serial.Seconds()/parallel.Seconds(), "true-speedup")
+				// Loss-factor accounting from the final iteration's matcher
+				// (one full script): the paper-§6 numbers plus the budget
+				// share of each loss component. benchcmp records these as
+				// informational metrics in BENCH_prete.json, so the scaling
+				// behaviour is diffable PR-over-PR without being gated.
+				l := last.Loss()
+				b.ReportMetric(l.LossFactor, "loss-factor")
+				b.ReportMetric(l.TrueSpeedup, "est-speedup")
+				b.ReportMetric(l.NominalConcurrency, "nominal-conc")
+				for _, c := range l.Decomposition {
+					switch c.Name {
+					case "useful_match":
+						b.ReportMetric(c.Share, "match-frac")
+					case "memory_contention":
+						b.ReportMetric(c.Share, "lockwait-frac")
+					case "scheduling":
+						b.ReportMetric(c.Share, "sched-frac")
+					case "idle":
+						b.ReportMetric(c.Share, "idle-frac")
+					case "spawn":
+						b.ReportMetric(c.Share, "spawn-frac")
+					}
 				}
-				m.OnInsert = func(*ops5.Instantiation) {}
-				m.OnRemove = func(*ops5.Instantiation) {}
-				for _, batch := range script.Batches {
-					m.Apply(cloneBatch(batch))
-				}
-				last = m
-			}
-			defer last.Close()
-			b.ReportMetric(float64(nChanges*b.N)/b.Elapsed().Seconds(), "wme-changes/s")
-			// Loss-factor accounting from the final iteration's matcher
-			// (one full script): the paper-§6 numbers plus the budget
-			// share of each loss component. benchcmp records these as
-			// informational metrics in BENCH_prete.json, so the scaling
-			// pathology is diffable PR-over-PR without being gated.
-			l := last.Loss()
-			b.ReportMetric(l.LossFactor, "loss-factor")
-			b.ReportMetric(l.TrueSpeedup, "true-speedup")
-			b.ReportMetric(l.NominalConcurrency, "nominal-conc")
-			for _, c := range l.Decomposition {
-				switch c.Name {
-				case "useful_match":
-					b.ReportMetric(c.Share, "match-frac")
-				case "memory_contention":
-					b.ReportMetric(c.Share, "lockwait-frac")
-				case "scheduling":
-					b.ReportMetric(c.Share, "sched-frac")
-				case "idle":
-					b.ReportMetric(c.Share, "idle-frac")
-				case "spawn":
-					b.ReportMetric(c.Share, "spawn-frac")
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -29,8 +29,9 @@
 //   - B/op and allocs/op are printed for visibility but only gate when
 //     -gate-allocs is set (allocation counts are deterministic in Go,
 //     but byte sizes can shift with map growth thresholds).
-//   - true-speedup (the paper-§6 serial-estimate / apply-wall ratio
-//     recorded by BenchmarkPreteApply) gates when -gate-speedup is set,
+//   - true-speedup (the paper-§6 ratio recorded by BenchmarkPreteApply:
+//     serial Rete's wall time over the parallel matcher's on the same
+//     script) gates when -gate-speedup is set,
 //     and -speedup-floor additionally fails the run when any new
 //     true-speedup value sits below an absolute floor — the guard
 //     against the parallel matcher quietly falling behind the serial
@@ -165,7 +166,7 @@ func lowerIsBetter(unit string, gateAllocs, gateSpeedup bool) (lower, gated bool
 // lossColumns are the per-benchmark metrics of the -loss table, in
 // print order (recorded by BenchmarkPreteApply via b.ReportMetric).
 var lossColumns = []string{
-	"wme-changes/s", "loss-factor", "true-speedup", "nominal-conc",
+	"wme-changes/s", "true-speedup", "est-speedup", "nominal-conc", "loss-factor",
 	"match-frac", "lockwait-frac", "sched-frac", "idle-frac", "spawn-frac",
 }
 

@@ -39,20 +39,62 @@ func replayPrete(t *testing.T, prods []*ops5.Production, script *matchtest.Scrip
 	return matchtest.ReplayKeys(m, tr, script)
 }
 
+// schedulerMatrix is every combination the shared left memories must be
+// right under: one lane (inline on the caller), as many lanes as CPUs,
+// more lanes than CPUs, stealing on and off, serial bypass on and off.
+func schedulerMatrix() []prete.Config {
+	var cfgs []prete.Config
+	for _, workers := range []int{1, 2, 4, 16} {
+		for _, noSteal := range []bool{false, true} {
+			for _, threshold := range []int{0, -1} {
+				cfgs = append(cfgs, prete.Config{Workers: workers, NoSteal: noSteal, SerialThreshold: threshold})
+			}
+		}
+	}
+	return cfgs
+}
+
+// withChurn appends a batch that inserts n fresh elements and deletes
+// them all again: a no-op for the conflict set in which every token the
+// elements create is inserted and deleted within one batch, so on
+// several lanes a delete can reach a (shared) memory before its insert
+// and must cancel against it there.
+func withChurn(rng *rand.Rand, p matchtest.GenParams, s *matchtest.Script, n int) {
+	tag := 0
+	for _, batch := range s.Batches {
+		for _, ch := range batch {
+			tag = max(tag, ch.WME.TimeTag)
+		}
+	}
+	var ins, del []ops5.Change
+	for i := 0; i < n; i++ {
+		w := matchtest.RandomWME(rng, p)
+		tag++
+		w.TimeTag = tag
+		ins = append(ins, ops5.Change{Kind: ops5.Insert, WME: w})
+		del = append(del, ops5.Change{Kind: ops5.Delete, WME: w})
+	}
+	s.Batches = append(s.Batches, append(ins, del...))
+}
+
 // TestDifferentialPreteVsRete is the parallel-vs-serial property test:
 // random change sequences replayed through both matchers must yield
 // identical conflict sets after every batch. Unlike the brute-force
 // cross-checks, the serial Rete is the oracle here, so the programs and
 // scripts can be much larger (brute force is exponential in CE count).
+// The fan-out case generates sibling productions below one beta memory
+// (negated siblings among them) — the joins whose left memory the
+// parallel matcher shares — and runs the whole scheduler matrix.
 func TestDifferentialPreteVsRete(t *testing.T) {
 	cases := []struct {
-		name   string
-		params matchtest.GenParams
-		cfg    prete.Config
+		name    string
+		params  matchtest.GenParams
+		batches int
+		cfgs    []prete.Config
 	}{
-		{"default-w4", matchtest.DefaultGenParams(), prete.Config{Workers: 4}},
-		{"index-stress-w8", matchtest.IndexStressGenParams(), prete.Config{Workers: 8}},
-		{"no-steal-w8", matchtest.IndexStressGenParams(), prete.Config{Workers: 8, NoSteal: true}},
+		{"default", matchtest.DefaultGenParams(), 40, []prete.Config{{Workers: 4}}},
+		{"index-stress", matchtest.IndexStressGenParams(), 40, []prete.Config{{Workers: 8}, {Workers: 8, NoSteal: true}}},
+		{"fan-out", matchtest.FanOutGenParams(8), 16, schedulerMatrix()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,12 +103,15 @@ func TestDifferentialPreteVsRete(t *testing.T) {
 			for seed := int64(500); seed < 508; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				prods := matchtest.RandomProgram(rng, params)
-				script := matchtest.RandomScript(rng, params, 40, 12)
+				script := matchtest.RandomScript(rng, params, tc.batches, 12)
+				withChurn(rng, params, script, 24)
 				want := replayRete(t, prods, script)
-				got := replayPrete(t, prods, script, tc.cfg)
-				for b := range want {
-					if d := matchtest.Diff(want[b], got[b]); d != "" {
-						t.Fatalf("seed %d batch %d: prete diverges from rete:\n%s", seed, b, d)
+				for _, cfg := range tc.cfgs {
+					got := replayPrete(t, prods, script, cfg)
+					for b := range want {
+						if d := matchtest.Diff(want[b], got[b]); d != "" {
+							t.Fatalf("seed %d %+v batch %d: prete diverges from rete:\n%s", seed, cfg, b, d)
+						}
 					}
 				}
 			}
@@ -77,23 +122,31 @@ func TestDifferentialPreteVsRete(t *testing.T) {
 // FuzzDifferentialPreteVsRete explores the same property from fuzzed
 // seeds and shape parameters: any (program, script) pair the generators
 // can produce must match between the serial and parallel matchers.
+// fanOut sets the sibling run length (0 and 1: none); flags bit 0 turns
+// stealing off, bit 1 the serial bypass.
 func FuzzDifferentialPreteVsRete(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(2), uint8(8))
-	f.Add(int64(42), uint8(4), uint8(3), uint8(1))
-	f.Add(int64(7), uint8(2), uint8(4), uint8(16))
-	f.Fuzz(func(t *testing.T, seed int64, maxCEs, values, workers uint8) {
+	f.Add(int64(1), uint8(3), uint8(2), uint8(8), uint8(0), uint8(0))
+	f.Add(int64(42), uint8(4), uint8(3), uint8(1), uint8(6), uint8(2))
+	f.Add(int64(7), uint8(2), uint8(4), uint8(16), uint8(8), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, maxCEs, values, workers, fanOut, flags uint8) {
 		params := matchtest.DefaultGenParams()
 		params.MaxCEs = 1 + int(maxCEs)%4
 		params.Values = 2 + int(values)%5
 		params.NegProb = 0.3
+		params.FanOut = int(fanOut) % 9
+		cfg := prete.Config{Workers: 1 + int(workers)%16, NoSteal: flags&1 != 0}
+		if flags&2 != 0 {
+			cfg.SerialThreshold = -1
+		}
 		rng := rand.New(rand.NewSource(seed))
 		prods := matchtest.RandomProgram(rng, params)
 		script := matchtest.RandomScript(rng, params, 15, 8)
+		withChurn(rng, params, script, 8)
 		want := replayRete(t, prods, script)
-		got := replayPrete(t, prods, script, prete.Config{Workers: 1 + int(workers)%16})
+		got := replayPrete(t, prods, script, cfg)
 		for b := range want {
 			if d := matchtest.Diff(want[b], got[b]); d != "" {
-				t.Fatalf("seed %d batch %d: prete diverges from rete:\n%s", seed, b, d)
+				t.Fatalf("seed %d %+v batch %d: prete diverges from rete:\n%s", seed, cfg, b, d)
 			}
 		}
 	})
@@ -129,24 +182,28 @@ func skewedProgram(t testing.TB) []*ops5.Production {
 	return prods
 }
 
-// skewedBatch builds one large insert batch for skewedProgram: a goal,
-// many same-colored blocks (quadratic hot-join work) and a few markers.
-func skewedBatch(blocks int) []ops5.Change {
-	var batch []ops5.Change
+// skewedBatches builds two insert batches for skewedProgram: first many
+// same-colored blocks and a few markers, then the goal. The goal's one
+// change fans out into a token per block, each with a block-count scan
+// of hot-pair's second join behind it (quadratic work from a single
+// seed) — with no other seed to claim, the lane that runs it sheds those
+// activations onto its deque and the idle lanes must steal them.
+func skewedBatches(blocks int) [][]ops5.Change {
 	tag := 1
-	add := func(w *ops5.WME) {
+	add := func(batch []ops5.Change, w *ops5.WME) []ops5.Change {
 		w.TimeTag = tag
 		tag++
-		batch = append(batch, ops5.Change{Kind: ops5.Insert, WME: w})
+		return append(batch, ops5.Change{Kind: ops5.Insert, WME: w})
 	}
-	add(ops5.NewWME("goal", "type", "pick", "color", "red"))
+	var memory []ops5.Change
 	for i := 0; i < blocks; i++ {
-		add(ops5.NewWME("block", "id", i, "color", "red"))
+		memory = add(memory, ops5.NewWME("block", "id", i, "color", "red"))
 	}
 	for i := 0; i < 4; i++ {
-		add(ops5.NewWME("marker", "id", i))
+		memory = add(memory, ops5.NewWME("marker", "id", i))
 	}
-	return batch
+	goal := add(nil, ops5.NewWME("goal", "type", "pick", "color", "red"))
+	return [][]ops5.Change{memory, goal}
 }
 
 // TestStealsUnderSkewedWorkload asserts the scheduler counters surface
@@ -154,7 +211,8 @@ func skewedBatch(blocks int) []ops5.Change {
 // the per-worker executed counts must sum to the task total.
 func TestStealsUnderSkewedWorkload(t *testing.T) {
 	prods := skewedProgram(t)
-	m, err := prete.NewWithConfig(prods, prete.Config{Workers: 8})
+	// The goal batch seeds one activation: keep it off the serial bypass.
+	m, err := prete.NewWithConfig(prods, prete.Config{Workers: 8, SerialThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +220,9 @@ func TestStealsUnderSkewedWorkload(t *testing.T) {
 	tr := matchtest.NewTracker()
 	m.OnInsert = tr.Insert
 	m.OnRemove = tr.Remove
-	m.Apply(skewedBatch(64))
+	for _, batch := range skewedBatches(256) {
+		m.Apply(batch)
+	}
 
 	st := m.Stats()
 	if st.Tasks == 0 {
@@ -193,7 +253,7 @@ func TestStealsUnderSkewedWorkload(t *testing.T) {
 	// The conflict set must be right regardless of who ran what:
 	// hot-pair matches every ordered red (i, j) pair incl. i == j, and
 	// cold matches each marker.
-	if got, want := len(tr.Keys()), 64*64+4; got != want {
+	if got, want := len(tr.Keys()), 256*256+4; got != want {
 		t.Errorf("conflict set size = %d, want %d", got, want)
 	}
 }
@@ -202,7 +262,7 @@ func TestStealsUnderSkewedWorkload(t *testing.T) {
 // steals recorded.
 func TestNoStealDrainsViaOverflow(t *testing.T) {
 	prods := skewedProgram(t)
-	m, err := prete.NewWithConfig(prods, prete.Config{Workers: 8, NoSteal: true})
+	m, err := prete.NewWithConfig(prods, prete.Config{Workers: 8, NoSteal: true, SerialThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +270,9 @@ func TestNoStealDrainsViaOverflow(t *testing.T) {
 	tr := matchtest.NewTracker()
 	m.OnInsert = tr.Insert
 	m.OnRemove = tr.Remove
-	m.Apply(skewedBatch(32))
+	for _, batch := range skewedBatches(32) {
+		m.Apply(batch)
+	}
 	st := m.Stats()
 	if st.Steals != 0 {
 		t.Errorf("NoSteal matcher recorded %d steals", st.Steals)

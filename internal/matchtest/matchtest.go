@@ -24,6 +24,12 @@ type GenParams struct {
 	VarProb     float64
 	DisjProb    float64
 	PredProb    float64 // probability a bound-variable reuse is a predicate test
+	// FanOut > 1 generates the productions in runs of FanOut siblings
+	// that share their first CE and have at least one more: one beta
+	// memory read by many two-input nodes, with equal, differing and
+	// absent equality keys and negated readers among them — the shape
+	// whose left memory the parallel matcher shares between nodes.
+	FanOut int
 }
 
 // DefaultGenParams returns parameters that exercise most language
@@ -41,6 +47,14 @@ func DefaultGenParams() GenParams {
 		DisjProb:    0.1,
 		PredProb:    0.3,
 	}
+}
+
+// FanOutGenParams returns IndexStressGenParams with the productions in
+// sibling runs of fanOut (see GenParams.FanOut).
+func FanOutGenParams(fanOut int) GenParams {
+	p := IndexStressGenParams()
+	p.FanOut = fanOut
+	return p
 }
 
 // IndexStressGenParams returns parameters tuned to exercise the
@@ -69,19 +83,46 @@ func varName(i int) string {
 // RandomProgram generates a valid random production set.
 func RandomProgram(rng *rand.Rand, p GenParams) []*ops5.Production {
 	prods := make([]*ops5.Production, 0, p.Productions)
+	var head *ops5.CondElement
 	for i := 0; i < p.Productions; i++ {
-		prod := randomProduction(rng, p, fmt.Sprintf("p%d", i))
+		if p.FanOut > 1 && i%p.FanOut == 0 {
+			head = fanOutHead(rng, p)
+		}
+		prod := randomProduction(rng, p, fmt.Sprintf("p%d", i), head)
 		prod.Order = i
 		prods = append(prods, prod)
 	}
 	return prods
 }
 
-func randomProduction(rng *rand.Rand, p GenParams, name string) *ops5.Production {
+// fanOutHead builds the first CE a run of sibling productions shares:
+// it binds v0 on a0 always and further variables on further attributes
+// at random, so the siblings' later CEs can join on equal, different or
+// no equality keys.
+func fanOutHead(rng *rand.Rand, p GenParams) *ops5.CondElement {
+	el := &ops5.CondElement{Class: class(rng.Intn(p.Classes))}
+	for i := 0; i < min(p.Attrs, p.Vars); i++ {
+		if i == 0 || rng.Float64() < 0.5 {
+			el.Tests = append(el.Tests, ops5.AttrTest{Attr: attr(i),
+				Terms: []ops5.Term{{Kind: ops5.TermVar, Pred: ops5.PredEq, Var: varName(i)}}})
+		}
+	}
+	return el
+}
+
+// randomProduction generates one production; a non-nil head becomes (a
+// copy of) its first CE and is followed by at least one more.
+func randomProduction(rng *rand.Rand, p GenParams, name string, head *ops5.CondElement) *ops5.Production {
 	nCE := 1 + rng.Intn(p.MaxCEs)
 	prod := &ops5.Production{Name: name}
 	bound := map[string]bool{} // vars bound by earlier positive CEs
-	for ce := 0; ce < nCE; ce++ {
+	if head != nil {
+		nCE = max(nCE, 2)
+		first := *head
+		prod.LHS = append(prod.LHS, &first)
+		bound = head.Variables()
+	}
+	for ce := len(prod.LHS); ce < nCE; ce++ {
 		negated := ce > 0 && rng.Float64() < p.NegProb
 		el := &ops5.CondElement{Negated: negated, Class: class(rng.Intn(p.Classes))}
 		nTests := 1 + rng.Intn(p.Attrs)

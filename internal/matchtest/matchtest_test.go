@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/matchtest"
 	"repro/internal/ops5"
+	"repro/internal/rete"
 )
 
 func TestGeneratedProgramsParseRoundTrip(t *testing.T) {
@@ -25,6 +26,47 @@ func TestGeneratedProgramsParseRoundTrip(t *testing.T) {
 				t.Errorf("seed %d: round trip mismatch:\n%s\n---\n%s", seed, src, back.String())
 			}
 		}
+	}
+}
+
+// TestFanOutProgramsShareABetaMemory pins what the fan-out generator is
+// for: sibling productions whose first CE compiles to one beta memory
+// read by several two-input nodes — positive ones with and without an
+// equality key, and a not-node among them.
+func TestFanOutProgramsShareABetaMemory(t *testing.T) {
+	params := matchtest.FanOutGenParams(8)
+	params.Productions = 16
+	var keyed, unkeyed, negated bool
+	for seed := int64(500); seed < 508; seed++ {
+		prods := matchtest.RandomProgram(rand.New(rand.NewSource(seed)), params)
+		for i, p := range prods {
+			if head := prods[i-i%params.FanOut]; len(p.LHS) < 2 || p.LHS[0].String() != head.LHS[0].String() {
+				t.Fatalf("seed %d: %s does not extend its run's first CE:\n%s", seed, p.Name, p)
+			}
+		}
+		net, err := rete.Compile(prods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bm := range net.Betas() {
+			if bm == net.DummyTop() || len(bm.Joins) < 3 {
+				continue
+			}
+			for _, j := range bm.Joins {
+				eq, _ := rete.SplitJoinTests(j.Tests)
+				switch {
+				case j.Kind == rete.JoinNegative:
+					negated = true
+				case len(eq) > 0:
+					keyed = true
+				default:
+					unkeyed = true
+				}
+			}
+		}
+	}
+	if !keyed || !unkeyed || !negated {
+		t.Errorf("beta memories with 3+ readers: keyed %v, unkeyed %v, negated %v; want all", keyed, unkeyed, negated)
 	}
 }
 

@@ -14,15 +14,18 @@ package prete
 //
 // The stamping discipline: each worker's phaseClock carries `last`, the
 // instant through which its time has been accounted. stamp(p) charges
-// the interval [last, now] to phase p and advances last. Every code
-// path in workerLoop/run/findWork/park stamps before it hands off, so a
-// worker's phase totals sum (exactly, minus the final sub-microsecond
-// loop tail) to its time inside workerLoop — which is how the report
-// can promise that phases + seed + merge reconstruct Apply wall time.
+// the interval [last, now] to phase p and advances last. The clock is
+// read at task boundaries, not per activation: runTask stamps match
+// after a task's activations (inlined ones included) and submit after
+// its spawned tasks are pushed, a stripe lock stamps lock_wait only
+// when TryLock fails, and findWork/park stamp before they hand off. So
+// a worker's phase totals sum (exactly, minus the final sub-microsecond
+// loop tail) to its time inside the batch loop — which is how the
+// report can promise that phases + seed + merge reconstruct Apply wall
+// time.
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,16 +33,19 @@ import (
 type phase uint8
 
 const (
-	// phaseMatch is useful match work: executing a node activation —
-	// memory update plus opposite-memory scan — excluding lock wait.
-	// This is the work a serial matcher would also perform.
+	// phaseMatch is useful match work: executing a task's node
+	// activations — memory update plus opposite-memory scan — excluding
+	// contended lock waits. This is the work a serial matcher would
+	// also perform (a claim from the seed list or a pop from the own
+	// deque rides along; both are a few nanoseconds).
 	phaseMatch phase = iota
-	// phaseLockWait is time acquiring memory stripe locks (the paper's
-	// memory contention). Uncontended acquisitions are included; they
-	// cost tens of nanoseconds and vanish against real contention.
+	// phaseLockWait is time blocked on a contended memory stripe lock
+	// (the paper's memory contention). An uncontended acquisition is a
+	// TryLock that succeeds and is not timed apart from match.
 	phaseLockWait
-	// phaseSubmit is time pushing an activation's downstream tasks and
-	// conflict deltas (scheduling overhead on the producing side).
+	// phaseSubmit is time retiring a task: pushing its spawned
+	// downstream tasks and waking a sleeper (scheduling overhead on the
+	// producing side).
 	phaseSubmit
 	// phaseStealHit is time spent in steal attempts that found work;
 	// phaseStealMiss covers fruitless victim scans and empty overflow
@@ -78,28 +84,29 @@ var clockBase = time.Now()
 // nanotime returns monotonic nanoseconds since package init.
 func nanotime() int64 { return int64(time.Since(clockBase)) }
 
-// phaseClock is one worker's phase accumulator. last is owner-only
-// (a lane's successive batches, and Apply's own end-of-batch writes,
-// are ordered by the epoch gate and the batch barrier); the totals are
-// atomics so Loss and Stats may snapshot mid-batch under the race
-// detector.
+// phaseClock is one worker's phase accumulator. It is owner-only: a
+// lane's successive batches, and Apply's end-of-batch close and fold
+// into the matcher's totals, are ordered by the epoch gate and the
+// batch barrier.
 type phaseClock struct {
 	last int64
-	ns   [numPhases]atomic.Int64
+	ns   [numPhases]int64
 }
 
 // stamp charges the time since the previous stamp to phase p.
 func (c *phaseClock) stamp(p phase) {
 	now := nanotime()
-	c.ns[p].Add(now - c.last)
+	c.ns[p] += now - c.last
 	c.last = now
 }
 
-// Task-size histogram: activations bucketed by execution time. The
-// paper's premise is ~50-100 instructions per activation; tasks in the
-// lowest buckets are below the grain where stealing or even deque
+// Task-size histogram: scheduler tasks — an activation with the
+// downstream activations inlined into it — bucketed by execution time.
+// The paper's premise is ~50-100 instructions per activation; tasks in
+// the lowest buckets are below the grain where stealing or even deque
 // traffic pays, so the histogram shows how much of the workload is too
-// fine to parallelise profitably.
+// fine to parallelise profitably. inlineFanout, seedGrain, stealGrain
+// and serialBypassThreshold are read off it.
 var taskBucketNanos = [...]int64{256, 1024, 4096, 16384, 65536, 262144}
 
 // numTaskBuckets adds the open top bucket (> 262144ns).
@@ -171,10 +178,15 @@ type LossReport struct {
 
 	// SerialEstimateSeconds estimates one-processor time for the same
 	// work: seed + merge + summed useful match time. TrueSpeedup is
-	// that estimate over Apply wall time (the paper's true speedup);
-	// NominalConcurrency is mean busy workers during the active window
-	// (the paper's nominal speedup); LossFactor is nominal over true —
-	// the paper measures 1.93 at 32 processors.
+	// that estimate over Apply wall time. It is self-relative — this
+	// matcher's own match time against its own wall time — so it says
+	// how well the lanes were used, not whether the matcher beats
+	// serial Rete: the paper's true speed-up, against the best
+	// uniprocessor matcher, is BenchmarkPreteApply's true-speedup and
+	// psmbench's prete.true_speedup, which time rete.Network on the
+	// same script. NominalConcurrency is mean busy workers during the
+	// active window (the paper's nominal speedup); LossFactor is
+	// nominal over true — the paper measures 1.93 at 32 processors.
 	SerialEstimateSeconds float64
 	TrueSpeedup           float64
 	NominalConcurrency    float64
@@ -194,15 +206,16 @@ type LossReport struct {
 func secs(ns int64) float64 { return float64(ns) / float64(time.Second) }
 
 // Loss folds the accumulated phase clocks and Apply timings into a
-// LossReport. Safe to call concurrently with Apply; mid-batch numbers
-// are then a point-in-time sample.
+// LossReport. Safe to call concurrently with Apply; the numbers then
+// stand as of the last completed batch.
 func (m *Matcher) Loss() LossReport {
 	m.mu.Lock()
 	applyNs, seedNs, activeNs, mergeNs := m.applyNs, m.seedNs, m.activeNs, m.mergeNs
 	batches := m.batches
+	lanes := append([]laneBooks(nil), m.lanes...)
 	m.mu.Unlock()
 
-	workers := len(m.sched.workers)
+	workers := len(lanes)
 	r := LossReport{
 		Workers:       workers,
 		Batches:       batches,
@@ -214,20 +227,20 @@ func (m *Matcher) Loss() LossReport {
 
 	var phaseTot [numPhases]int64
 	var bucketTot [numTaskBuckets]int64
-	for wi := range m.sched.workers {
-		w := &m.sched.workers[wi]
+	for wi := range lanes {
+		w := &lanes[wi]
 		wl := WorkerLoss{
 			Worker: wi,
-			Tasks:  w.executed.Load(),
+			Tasks:  w.executed,
 			Phases: make([]PhaseSeconds, numPhases),
 		}
 		for p := phase(0); p < numPhases; p++ {
-			v := w.clock.ns[p].Load()
+			v := w.clock.ns[p]
 			phaseTot[p] += v
 			wl.Phases[p] = PhaseSeconds{Phase: phaseNames[p], Seconds: secs(v)}
 		}
 		for b := 0; b < numTaskBuckets; b++ {
-			bucketTot[b] += w.taskSizes[b].Load()
+			bucketTot[b] += w.taskSizes[b]
 		}
 		r.PerWorker = append(r.PerWorker, wl)
 	}

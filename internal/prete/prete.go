@@ -47,66 +47,66 @@
 package prete
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ops5"
 	"repro/internal/rete"
 )
 
-// side distinguishes the two inputs of a two-input node.
-type side uint8
-
-const (
-	leftSide side = iota
-	rightSide
-)
-
-// task is one node activation — or, for a seed task, one WME's
-// activations of every right-input successor of one alpha memory
-// (nodes non-nil, aliasing the matcher's roots slice; no per-task
-// allocation). Coarsening siblings into one task keeps the deques
-// carrying profitably sized work.
+// task is one unit of scheduler work: the left activation of one shared
+// left memory by a token (left non-nil), or a seed — one WM change's
+// right activations of every successor of the alpha memories in mems
+// (aliasing Apply's per-batch scratch; no per-task allocation).
 type task struct {
-	node  *pnode
-	nodes []*pnode
-	side  side
-	dir   ops5.ChangeKind
-	tok   *rete.Token // left activations
-	wme   *ops5.WME   // right activations
+	left *group
+	mems []*rete.AlphaMem
+	dir  ops5.ChangeKind
+	tok  *rete.Token // left activations
+	wme  *ops5.WME   // seeds
 }
 
 // maxInlineDepth and inlineFanout bound depth-first inlining of
-// downstream activations: when an activation's output would schedule at
-// most inlineFanout downstream tasks and the recursion is shallower
-// than maxInlineDepth, the producing worker runs them directly — the
-// PR 8 task-size histogram put most activations under ~1µs, below the
-// grain where a deque round-trip pays. Wider fan-outs still go through
-// the deque so thieves can share them, and the depth bound keeps the
-// recursion (and its per-depth emit scratch) small.
+// downstream activations. The task-size histogram puts a single
+// activation at a few hundred nanoseconds — below the grain where a
+// deque round-trip, two clock reads and a retire pay — so the producing
+// worker runs an activation's downstream activations itself, up to
+// maxInlineDepth deep (the bound keeps the recursion and its per-depth
+// emit scratch small). It sheds them onto its deque, for thieves to
+// share, only when that can shorten the batch: the batch runs on the
+// pool, no unclaimed seed is left to keep an idle lane busy
+// (scheduler.shed), and the activation fans out to more than
+// inlineFanout of them.
 const (
 	maxInlineDepth = 8
-	inlineFanout   = 4
+	inlineFanout   = 8
 )
+
+// seedGrain is the largest number of alpha memories one seed task
+// right-activates; a change that reaches more is split, so a single
+// change with a wide alpha fan-out still spreads over the lanes.
+const seedGrain = 16
 
 // serialBypassThreshold is the default seeded-activation count below
 // which a batch runs inline on the caller instead of waking the pool.
-// Calibrated from the loss report's serial estimate: a wake round-trip
-// costs a few µs and each activation averages a few hundred ns, so a
-// batch needs roughly fifty activations before the pool pays for its
-// own dispatch. BenchmarkPreteApply's allocs/op spread between
-// workers-1 and workers-16 doubles as the calibration check: the
-// threshold keeps sub-profitable batches off the reordering parallel
-// path, whose token churn is what separates the two columns.
-const serialBypassThreshold = 48
+// Re-derived on the 2-CPU box by re-cutting the fan-out script into
+// batches of 1 to 384 changes (see README, "Match performance"): a wake
+// round-trip plus the barrier costs about 30µs there and one seeded
+// activation with its downstream work 1-2µs, so two lanes draw level
+// with the caller running the batch alone between 70 and 150 seeded
+// activations (12 to 24 changes of that script). The threshold sits at
+// the top of that range so that a batch sent to the pool is not slower
+// than the same batch inline.
+const serialBypassThreshold = 128
 
-// emit is one output of an activation: a token headed for the node's
-// downstream inputs and terminals.
+// emit is one output of an activation: a token leaving node for its
+// downstream left memories and terminals.
 type emit struct {
-	tok *rete.Token
-	dir ops5.ChangeKind
+	node *pnode
+	tok  *rete.Token
+	dir  ops5.ChangeKind
 }
 
 // pendingDelta is one un-merged conflict-set delta, batched per worker
@@ -117,132 +117,103 @@ type pendingDelta struct {
 	dir  ops5.ChangeKind
 }
 
-// tokenEntry is a counted multiset entry for a token. For not-nodes,
+// leftEntry is a counted multiset entry for a token. For not-nodes,
 // matches tracks the number of matching right WMEs.
-type tokenEntry struct {
+type leftEntry struct {
 	tok     *rete.Token
-	count   int
-	matches int
+	id      uint64 // tok.IDHash(), so an identity lookup walks its chain without touching the tokens
+	count   int32
+	matches int32
 }
 
-// tokenSet is a counted token multiset, chained under the token's
-// identity hash (rete.TokenIDHash is not injective, so chains are
-// re-verified with EqualTo).
-type tokenSet map[uint64][]*tokenEntry
-
-// wmeEntry is a counted multiset entry for a right-memory WME.
-type wmeEntry struct {
+// rightEntry is a counted multiset entry for a right-memory WME.
+type rightEntry struct {
 	wme   *ops5.WME
-	count int
+	count int32
 }
 
-// stripes is the number of lock stripes per indexed node's memories.
+// stripes is the number of lock stripes per keyed left memory.
 const stripes = 16
 
-// bucketShard is one lock stripe of a node's memories: the left and
-// right hash buckets whose join keys hash to this stripe. Any (token,
-// WME) pair that can pass the node's equality tests computes the same
-// join key, hence lands in the same shard — so holding one stripe's
-// lock makes the update-memory-and-scan-opposite-bucket step atomic,
-// while activations with different keys proceed in parallel on other
-// stripes. A node with no equality tests has a single shard with
-// everything under key zero, which degenerates to the old
-// whole-node lock.
-//
-// freeTok and freeWME recycle this shard's memory entries so the
-// activation hot path allocates nothing for the common
-// insert-then-delete churn of the recognize-act cycle. They are owned
-// by the shard and touched only under its lock, which is already held
-// at every get/put site — unlike a global sync.Pool they are never
-// cleared by the GC, so the entry population is exactly the shard's
-// high-water mark regardless of worker count or allocation pressure.
-// Entries are reset on get and stripped of references before put; an
-// entry is never read after the drop that frees it (callers capture
-// the counts they need first).
-type bucketShard struct {
-	mu    sync.Mutex
-	left  map[uint64]tokenSet
-	right map[uint64]map[int]*wmeEntry // join key -> time tag -> entry
-
-	freeTok []*tokenEntry
-	freeWME []*wmeEntry
+// stripe is one lock stripe of a group's memories: the shared left
+// buckets whose join keys hash here and — in each member node's
+// right[i] for the same stripe index i — the right buckets for the same
+// keys. Any (token, WME) pair that can pass a member's equality tests
+// computes the same join key, hence lands in the same stripe — so
+// holding one stripe's lock makes the update-memory-and-scan-opposite-
+// bucket step atomic, while activations with different keys proceed in
+// parallel on other stripes. The tables are rete.Buckets: entries are
+// free-listed inside the table, so the insert-then-delete churn of the
+// recognize-act cycle allocates nothing and the entry population is
+// exactly the stripe's high-water mark.
+type stripe struct {
+	mu   sync.Mutex
+	left rete.Buckets[leftEntry]
+	_    [16]byte // pad to a cache line so neighbouring stripes' locks do not share one
 }
 
-// getTok takes a token entry from the shard freelist (or allocates).
-func (sh *bucketShard) getTok() *tokenEntry {
-	if n := len(sh.freeTok); n > 0 {
-		e := sh.freeTok[n-1]
-		sh.freeTok[n-1] = nil
-		sh.freeTok = sh.freeTok[:n-1]
-		return e
-	}
-	return new(tokenEntry)
+// group is one left memory and the two-input nodes that read it. The
+// positive joins below one rete.BetaMem with the same equality key
+// columns — what the serial network shares as one beta index — form one
+// group and share its memory: a token is stored once, under the stripe
+// lock for its join key, and each member's right bucket is probed under
+// that same lock. This is the node sharing the paper says parallel Rete
+// loses (§4), kept. A not-node is always a group of its own, because a
+// left entry's matches count is per node; so is a join below the dummy
+// top, whose left memory never changes.
+type group struct {
+	members []*pnode
+	// leftHash computes a token's join-key hash; nil for a group with no
+	// equality tests. An unkeyed group has one stripe, files tokens under
+	// their identity hash and WMEs under their time tag (O(1) updates),
+	// and scans every slot of the opposite table.
+	leftHash func(*rete.Token) uint64
+	stripes  []stripe
 }
 
-// getWME takes a WME entry from the shard freelist (or allocates).
-func (sh *bucketShard) getWME() *wmeEntry {
-	if n := len(sh.freeWME); n > 0 {
-		e := sh.freeWME[n-1]
-		sh.freeWME[n-1] = nil
-		sh.freeWME = sh.freeWME[:n-1]
-		return e
-	}
-	return new(wmeEntry)
-}
-
-// pnode mirrors one rete two-input node, owning private copies of its
-// left and right memories, hash-bucketed by equality join key and
-// guarded by striped locks.
-type pnode struct {
-	id    int
-	kind  rete.JoinKind
-	tests func(*rete.Token, *ops5.WME) bool
-	// leftHash/rightHash compute a task's join-key hash; nil on nodes
-	// with no equality tests (every task then uses key zero, stripe 0).
-	leftHash  func(*rete.Token) uint64
-	rightHash func(*ops5.WME) uint64
-
-	shards []bucketShard
-
-	// prof accumulates this node's activation work for live hot-node
-	// profiling; atomic because workers activate one node concurrently.
-	prof struct {
-		activations atomic.Int64
-		tested      atomic.Int64
-		emitted     atomic.Int64
-	}
-
-	// downstream nodes receive this node's output tokens on their left
-	// input; terminals announce conflict-set deltas.
-	downstream []*pnode
-	terminals  []*rete.Terminal
-}
-
-// key computes a task's join-key hash on this node.
-func (n *pnode) key(t task) uint64 {
-	if n.leftHash == nil {
-		return 0
-	}
-	if t.side == rightSide {
-		return n.rightHash(t.wme)
-	}
-	return n.leftHash(t.tok)
-}
-
-// shardOf maps a join-key hash to its lock stripe. The key is already
+// stripeOf maps a join-key hash to its stripe index. The key is already
 // an FNV-1a hash; folding the high bits keeps the stripe choice
 // sensitive to more than the low bits.
-func (n *pnode) shardOf(key uint64) *bucketShard {
-	if len(n.shards) == 1 {
-		return &n.shards[0]
+func (g *group) stripeOf(key uint64) int {
+	if len(g.stripes) == 1 {
+		return 0
 	}
-	key ^= key >> 33
-	return &n.shards[key%uint64(len(n.shards))]
+	return int((key ^ key>>33) % stripes)
 }
 
-// match applies the node's compiled join tests.
-func (n *pnode) match(tok *rete.Token, w *ops5.WME) bool {
-	return n.tests(tok, w)
+// pnode mirrors one rete two-input node: its tests, its right memory
+// (one table per stripe of its group, guarded by that stripe's lock)
+// and where its output goes.
+type pnode struct {
+	idx   int // position in Matcher.nodes and in the per-lane profiles
+	join  *rete.JoinNode
+	grp   *group
+	tests func(*rete.Token, *ops5.WME) bool
+	// rightHash computes a WME's join-key hash; nil in an unkeyed group.
+	rightHash func(*ops5.WME) uint64
+	right     []rete.Buckets[rightEntry]
+
+	// down are the left memories fed by this node's output tokens;
+	// terminals announce conflict-set deltas.
+	down      []*group
+	terminals []*rete.Terminal
+}
+
+// first and next walk the candidates of a probe: key's chain in a keyed
+// table, every slot of an unkeyed one (free slots hold a zero count and
+// are skipped with the cancelled entries).
+func first[E any](b *rete.Buckets[E], keyed bool, key uint64) int32 {
+	if keyed {
+		return b.Head(key)
+	}
+	return b.Slots() - 1
+}
+
+func next[E any](b *rete.Buckets[E], keyed bool, i int32) int32 {
+	if keyed {
+		return b.Next(i)
+	}
+	return i - 1
 }
 
 // WorkerStat is one scheduler lane's counters: activations it executed,
@@ -304,21 +275,25 @@ type Config struct {
 
 // Matcher is the parallel Rete matcher. It satisfies engine.Matcher.
 type Matcher struct {
-	net   *rete.Network
-	nodes map[*rete.JoinNode]*pnode
-	roots map[*rete.AlphaMem][]*pnode // alpha memory -> right-input nodes
-	sched *scheduler
+	net *rete.Network
+	// nodes mirrors net.Joins() in order (ascending node ID); groups are
+	// the left memories; roots maps an alpha memory's ID to the nodes on
+	// its right-input successor list.
+	nodes  []*pnode
+	groups []*group
+	roots  [][]*pnode
+	sched  *scheduler
 
 	// OnInsert and OnRemove receive conflict-set deltas at the end of
 	// each Apply batch, on the calling goroutine.
 	OnInsert func(*ops5.Instantiation)
 	OnRemove func(*ops5.Instantiation)
 
-	// cancellations and comparisons are atomic counters (hot path).
-	cancellations atomic.Int64
-	comparisons   atomic.Int64
-
-	mu      sync.Mutex // guards the batch-level counters below
+	// mu guards everything below: the books Apply closes at each batch
+	// barrier, which Stats, NodeProfile and Loss read. Workers never
+	// touch them — they count on their own lane (worker.laneBooks,
+	// worker.prof) and Apply folds the lanes in after the barrier.
+	mu      sync.Mutex
 	batches int
 	changes int64
 	confIns int64
@@ -330,15 +305,15 @@ type Matcher struct {
 	seedNs   int64
 	activeNs int64
 	mergeNs  int64
-	flushBuf []pendingDelta // flush scratch, reused across batches
+	lanes    []laneBooks     // per scheduler lane
+	prof     []rete.NodeProf // per node, indexed like nodes
 
 	// bypassBelow is the resolved serial-bypass threshold (0 disables).
 	bypassBelow int
-	// seedBuf and laneLoad are Apply-only scratch: the batch's seed
-	// tasks and the per-lane seed counts for the affinity load cap.
-	// Reused across batches so seeding allocates nothing steady-state.
-	seedBuf  []task
-	laneLoad []int32
+	// seedMems and flushBuf are Apply-only scratch, reused across
+	// batches so seeding and flushing allocate nothing steady-state.
+	seedMems []*rete.AlphaMem
+	flushBuf []pendingDelta
 }
 
 // New compiles the productions and builds the parallel node graph.
@@ -366,57 +341,102 @@ func NewWithConfig(prods []*ops5.Production, cfg Config) (*Matcher, error) {
 	}
 	m := &Matcher{
 		net:         net,
-		nodes:       make(map[*rete.JoinNode]*pnode),
-		roots:       make(map[*rete.AlphaMem][]*pnode),
-		sched:       newScheduler(workers, !cfg.NoSteal),
+		nodes:       make([]*pnode, len(net.Joins())),
+		prof:        make([]rete.NodeProf, len(net.Joins())),
+		lanes:       make([]laneBooks, workers),
 		bypassBelow: bypass,
 	}
-	m.laneLoad = make([]int32, workers)
+	m.sched = newScheduler(workers, !cfg.NoSteal, len(m.nodes))
+
+	maxID := 0
 	for _, j := range net.Joins() {
-		pn := &pnode{
-			id:    j.ID,
-			kind:  j.Kind,
-			tests: rete.CompileJoinTests(j.Tests),
-		}
-		nshards := 1
-		if eq, _ := rete.SplitJoinTests(j.Tests); len(eq) > 0 {
-			pn.leftHash, pn.rightHash = rete.JoinHashFuncs(eq)
-			nshards = stripes
-		}
-		pn.shards = make([]bucketShard, nshards)
-		for i := range pn.shards {
-			pn.shards[i].left = make(map[uint64]tokenSet)
-			pn.shards[i].right = make(map[uint64]map[int]*wmeEntry)
-		}
-		m.nodes[j] = pn
-	}
-	for _, j := range net.Joins() {
-		pn := m.nodes[j]
-		for _, dj := range j.Out.Joins {
-			pn.downstream = append(pn.downstream, m.nodes[dj])
-		}
-		pn.terminals = j.Out.Terminals
-	}
-	// Prime nodes fed by the dummy top with the empty token. These
-	// joins have no earlier CE to bind variables, hence no equality
-	// tests, a single shard, and join key zero.
-	for _, j := range net.DummyTop().Joins {
-		pn := m.nodes[j]
-		empty := &rete.Token{}
-		pn.shards[0].left[0] = tokenSet{
-			rete.TokenIDHash(empty): {&tokenEntry{tok: empty, count: 1}},
-		}
-		if j.Kind == rete.JoinNegative {
-			// matches is computed lazily against an initially empty
-			// right memory: zero.
-		}
+		maxID = max(maxID, j.ID)
 	}
 	for _, am := range net.Alphas() {
+		maxID = max(maxID, am.ID)
+	}
+	byID := make([]*pnode, maxID+1)
+	for i, j := range net.Joins() {
+		pn := &pnode{idx: i, join: j, tests: rete.CompileJoinTests(j.Tests), terminals: j.Out.Terminals}
+		m.nodes[i], byID[j.ID] = pn, pn
+	}
+	// Group the readers of each beta memory by equality key columns.
+	groupsOf := make(map[*rete.BetaMem][]*group, len(net.Betas()))
+	for _, bm := range net.Betas() {
+		var keyed []keyedGroup
+		for _, j := range bm.Joins {
+			eq, _ := rete.SplitJoinTests(j.Tests)
+			pn := byID[j.ID]
+			var leftHash func(*rete.Token) uint64
+			if len(eq) > 0 {
+				leftHash, pn.rightHash = rete.JoinHashFuncs(eq)
+			}
+			var g *group
+			shared := j.Kind == rete.JoinPositive && bm != net.DummyTop()
+			if shared {
+				g = findGroup(keyed, eq)
+			}
+			if g == nil {
+				g = &group{leftHash: leftHash, stripes: make([]stripe, 1)}
+				if leftHash != nil {
+					g.stripes = make([]stripe, stripes)
+				}
+				if shared {
+					keyed = append(keyed, keyedGroup{eq, g})
+				}
+				m.groups = append(m.groups, g)
+				groupsOf[bm] = append(groupsOf[bm], g)
+			}
+			pn.grp = g
+			pn.right = make([]rete.Buckets[rightEntry], len(g.stripes))
+			g.members = append(g.members, pn)
+		}
+	}
+	for _, pn := range m.nodes {
+		pn.down = groupsOf[pn.join.Out]
+	}
+	// Prime the memories fed by the dummy top with the empty token.
+	// These joins have no earlier CE to bind variables, hence no
+	// equality tests and a single stripe; a not-node's matches start at
+	// zero against its empty right memory.
+	for _, g := range groupsOf[net.DummyTop()] {
+		empty := &rete.Token{}
+		g.stripes[0].left.Add(empty.IDHash(), leftEntry{tok: empty, id: empty.IDHash(), count: 1})
+	}
+	m.roots = make([][]*pnode, maxID+1)
+	for _, am := range net.Alphas() {
 		for _, j := range am.Succs {
-			m.roots[am] = append(m.roots[am], m.nodes[j])
+			m.roots[am.ID] = append(m.roots[am.ID], byID[j.ID])
 		}
 	}
 	return m, nil
+}
+
+// keyedGroup pairs a shareable group with its equality key spec while
+// NewWithConfig sorts one beta memory's readers into groups.
+type keyedGroup struct {
+	eq []rete.JoinTest
+	g  *group
+}
+
+// findGroup returns the group among one beta memory's shareable groups
+// whose left key columns equal eq's (in SplitJoinTests' canonical
+// order, the same rule by which the serial network shares a beta
+// index), or nil when there is none yet.
+func findGroup(groups []keyedGroup, eq []rete.JoinTest) *group {
+search:
+	for _, kg := range groups {
+		if len(kg.eq) != len(eq) {
+			continue
+		}
+		for i := range eq {
+			if kg.eq[i].LeftIdx != eq[i].LeftIdx || kg.eq[i].LeftID != eq[i].LeftID {
+				continue search
+			}
+		}
+		return kg.g
+	}
+	return nil
 }
 
 // Network exposes the underlying compiled network (for statistics).
@@ -432,34 +452,30 @@ func (m *Matcher) Workers() int { return len(m.sched.workers) }
 // inline on the caller, as the serial bypass does.
 func (m *Matcher) Close() { m.sched.close() }
 
-// Stats returns a snapshot of the work counters.
+// Stats returns a snapshot of the work counters as of the last
+// completed batch (the pool counters are live).
 func (m *Matcher) Stats() Stats {
 	m.mu.Lock()
 	st := Stats{
-		Cancellations:   m.cancellations.Load(),
 		Batches:         m.batches,
 		Changes:         m.changes,
-		Comparisons:     m.comparisons.Load(),
 		ConflictInserts: m.confIns,
 		ConflictRemoves: m.confRem,
+		PerWorker:       make([]WorkerStat, len(m.lanes)),
+	}
+	for i := range m.lanes {
+		l := &m.lanes[i]
+		st.PerWorker[i] = WorkerStat{Executed: l.executed, Stolen: l.stolen, Parked: l.parked}
+		st.Tasks += l.executed
+		st.Steals += l.stolen
+		st.Parks += l.parked
+		st.Comparisons += l.comparisons
+		st.Cancellations += l.cancellations
 	}
 	m.mu.Unlock()
 	st.Wakeups = m.sched.wakeups.Load()
 	st.InlineBatches = m.sched.bypasses.Load()
 	st.ResidentWorkers = int(m.sched.resident.Load())
-	st.PerWorker = make([]WorkerStat, len(m.sched.workers))
-	for i := range m.sched.workers {
-		w := &m.sched.workers[i]
-		ws := WorkerStat{
-			Executed: w.executed.Load(),
-			Stolen:   w.stolen.Load(),
-			Parked:   w.parked.Load(),
-		}
-		st.PerWorker[i] = ws
-		st.Tasks += ws.Executed
-		st.Steals += ws.Stolen
-		st.Parks += ws.Parked
-	}
 	return st
 }
 
@@ -481,66 +497,57 @@ type IndexInfo struct {
 // of a moving target, not a consistent snapshot.
 func (m *Matcher) IndexInfo() IndexInfo {
 	var info IndexInfo
-	for _, pn := range m.nodes {
-		if pn.leftHash != nil {
-			info.IndexedNodes++
+	add := func(buckets, maxChain int) {
+		info.Buckets += buckets
+		info.MaxBucket = max(info.MaxBucket, maxChain)
+	}
+	for _, g := range m.groups {
+		if g.leftHash != nil {
+			info.IndexedNodes += len(g.members)
 		} else {
-			info.FallbackNodes++
+			info.FallbackNodes += len(g.members)
 		}
-		for i := range pn.shards {
-			sh := &pn.shards[i]
-			sh.mu.Lock()
-			for _, ts := range sh.left {
-				info.Buckets++
-				n := 0
-				for _, chain := range ts {
-					n += len(chain)
-				}
-				if n > info.MaxBucket {
-					info.MaxBucket = n
-				}
+		for i := range g.stripes {
+			st := &g.stripes[i]
+			st.mu.Lock()
+			add(st.left.Stats())
+			for _, pn := range g.members {
+				add(pn.right[i].Stats())
 			}
-			for _, wb := range sh.right {
-				info.Buckets++
-				if len(wb) > info.MaxBucket {
-					info.MaxBucket = len(wb)
-				}
-			}
-			sh.mu.Unlock()
+			st.mu.Unlock()
 		}
 	}
 	return info
 }
 
 // NodeProfile returns the accumulated per-node work of every activated
-// two-input node, in node-ID order, in the same shape as the serial
-// network's profile (rete.NodeProfEntry). Every activation of a keyed
-// node probes its join-key bucket, so IndexedProbes equals Activations
-// there and is zero on single-shard fallback nodes.
+// two-input node as of the last completed batch, in node-ID order, in
+// the same shape as the serial network's profile (rete.NodeProfEntry).
+// A left activation of a shared memory counts once for every member
+// whose right bucket it probed. Every activation of a keyed node probes
+// its join-key bucket, so IndexedProbes equals Activations there and is
+// zero on unkeyed fallback nodes.
 func (m *Matcher) NodeProfile() []rete.NodeProfEntry {
+	m.mu.Lock()
+	prof := append([]rete.NodeProf(nil), m.prof...)
+	m.mu.Unlock()
 	var out []rete.NodeProfEntry
-	for j, pn := range m.nodes {
-		acts := pn.prof.activations.Load()
-		if acts == 0 {
+	for i, pn := range m.nodes {
+		if prof[i].Activations == 0 {
 			continue
 		}
 		e := rete.NodeProfEntry{
-			NodeID:      j.ID,
-			Label:       j.Label(),
-			SharedBy:    j.SharedBy,
-			Productions: j.ProductionNames(),
-			NodeProf: rete.NodeProf{
-				Activations:  acts,
-				TokensTested: pn.prof.tested.Load(),
-				PairsEmitted: pn.prof.emitted.Load(),
-			},
+			NodeID:      pn.join.ID,
+			Label:       pn.join.Label(),
+			SharedBy:    pn.join.SharedBy,
+			Productions: pn.join.ProductionNames(),
+			NodeProf:    prof[i],
 		}
-		if pn.leftHash != nil {
-			e.IndexedProbes = acts
+		if pn.rightHash != nil {
+			e.IndexedProbes = e.Activations
 		}
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].NodeID < out[k].NodeID })
 	return out
 }
 
@@ -552,47 +559,44 @@ func (m *Matcher) NodeProfile() []rete.NodeProfEntry {
 func (m *Matcher) Apply(changes []ops5.Change) {
 	t0 := nanotime()
 	s := m.sched
-	lanes := len(s.workers)
 	// Dispatch every change through the (read-only) constant-test
-	// network. One WME's activations of one alpha memory's successors
-	// coarsen into a single seed task; the activation count under the
-	// seeds drives the bypass decision. All changes are injected up
-	// front: the paper's "multiple changes to working memory are
-	// processed in parallel".
-	seeds := m.seedBuf[:0]
+	// network. One change's right activations form one seed task (split
+	// at seedGrain alpha memories); the activation count under the seeds
+	// drives the bypass decision. All changes are injected up front: the
+	// paper's "multiple changes to working memory are processed in
+	// parallel". The lanes claim seeds from this list through a shared
+	// cursor, so seeding pushes nothing and the split between lanes
+	// balances itself.
+	mems := m.seedMems[:0]
+	seeds := s.seeds[:0]
 	activations := 0
 	for _, ch := range changes {
-		mems, _ := m.net.MatchAlphas(ch.WME)
-		for _, am := range mems {
-			roots := m.roots[am]
-			if len(roots) == 0 {
-				continue
-			}
-			seeds = append(seeds, task{nodes: roots, side: rightSide, dir: ch.Kind, wme: ch.WME})
-			activations += len(roots)
+		from := len(mems)
+		mems = m.net.AppendAlphas(mems, ch.WME)
+		for i := from; i < len(mems); i++ {
+			activations += len(m.roots[mems[i].ID])
+		}
+		for ; from < len(mems); from += seedGrain {
+			to := min(from+seedGrain, len(mems))
+			seeds = append(seeds, task{mems: mems[from:to:to], dir: ch.Kind, wme: ch.WME})
 		}
 	}
+	s.seeds = seeds
 	t1 := nanotime()
+	t2 := t1
 	if len(seeds) > 0 {
-		bypass := lanes == 1 || (m.bypassBelow > 0 && activations < m.bypassBelow)
-		if bypass {
-			m.seedLane(0, seeds)
+		s.nextSeed.Store(0)
+		s.outstanding.Store(int64(len(seeds)))
+		s.solo = len(s.workers) == 1 || activations < m.bypassBelow
+		// A pool closed under us refuses the wake: the caller drains.
+		if !s.solo && s.wake(m, t1) {
+			s.batchWG.Wait()
+		} else {
+			s.solo = true
 			s.bypasses.Add(1)
 			m.drainInline(t1)
-		} else {
-			m.distribute(seeds)
-			if s.wake(m, t1) {
-				s.batchWG.Wait()
-			} else {
-				// Pool closed between seeding and wake: the caller
-				// drains the spread-out seeds itself.
-				s.bypasses.Add(1)
-				m.drainInline(t1)
-			}
 		}
-	}
-	t2 := nanotime()
-	if len(seeds) > 0 {
+		t2 = nanotime()
 		// Close each lane's books to the barrier: a lane's own stamps
 		// stop at its batch-loop exit, but the active window ends only
 		// when the last lane is through the barrier. Charging the
@@ -604,23 +608,24 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 		// park too. batchWG.Wait orders these writes after every woken
 		// lane's last stamp.
 		for i := range s.workers {
-			w := &s.workers[i]
-			if w.clock.last < t1 {
-				w.clock.last = t1
-			}
-			w.clock.ns[phasePark].Add(t2 - w.clock.last)
-			w.clock.last = t2
+			c := &s.workers[i].clock
+			c.ns[phasePark] += t2 - max(c.last, t1)
+			c.last = t2
 		}
 	}
-	for i := range seeds {
-		seeds[i] = task{} // release WME references
-	}
-	m.seedBuf = seeds[:0]
-	m.flush()
+	clear(seeds) // release WME references
+	clear(mems)
+	m.seedMems = mems[:0]
+	ins, rem := m.flush()
 	t3 := nanotime()
 	m.mu.Lock()
+	for i := range s.workers {
+		s.workers[i].foldInto(&m.lanes[i], m.prof)
+	}
 	m.batches++
 	m.changes += int64(len(changes))
+	m.confIns += ins
+	m.confRem += rem
 	m.applyNs += t3 - t0
 	m.seedNs += t1 - t0
 	m.activeNs += t2 - t1
@@ -628,74 +633,42 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 	m.mu.Unlock()
 }
 
-// seedLane pushes every seed task onto one lane's deque.
-func (m *Matcher) seedLane(wi int, seeds []task) {
-	for _, t := range seeds {
-		m.sched.submit(wi, t)
-	}
-}
-
-// distribute spreads seed tasks across the worker deques by node-ID
-// hash — repeated activations of the same join nodes land on the same
-// lane, keeping that lane's memory stripes cache-warm — with a per-lane
-// load cap so a batch dominated by one alpha memory (one hash) still
-// spreads instead of serialising on a single lane. Capped overflow
-// round-robins across the lanes.
-func (m *Matcher) distribute(seeds []task) {
-	s := m.sched
-	lanes := len(s.workers)
-	cap32 := int32(2*len(seeds)/lanes + 1)
-	load := m.laneLoad
-	for i := range load {
-		load[i] = 0
-	}
-	next := 0
-	for _, t := range seeds {
-		h := uint64(t.nodes[0].id) * 0x9e3779b97f4a7c15
-		wi := int((h >> 33) % uint64(lanes))
-		if load[wi] >= cap32 {
-			for load[next] >= cap32 {
-				next++
-				if next == lanes {
-					next = 0
-				}
-			}
-			wi = next
-		}
-		load[wi]++
-		s.submit(wi, t)
-	}
-}
-
 // drainInline runs an already-seeded batch on the calling goroutine as
 // lane 0 — the serial bypass. With no pool woken there is no wake
 // round-trip, no barrier and no cross-lane traffic to pay for; the
-// caller simply retires tasks (lane 0's deque first, every deque for
-// the closed-pool fallback) until the batch is empty.
+// caller simply retires tasks (its own deque's spawned children first,
+// then the next seed) until the batch is empty.
 func (m *Matcher) drainInline(t1 int64) {
 	s := m.sched
 	w := &s.workers[0]
 	w.clock.last = t1
-	w.clock.stamp(phaseSubmit) // the seeding pushes
 	for {
-		t, ok := s.popAny()
+		t, ok := w.dq.popTail()
+		if !ok {
+			t, ok = s.claimSeed(w)
+		}
+		if !ok {
+			t, ok = s.popOverflow()
+		}
 		if !ok {
 			return
 		}
-		m.run(t, 0)
-		s.outstanding.Add(-1)
+		m.runTask(t, w)
 	}
 }
 
 // batchLoop is one scheduler lane's run loop for a single batch: drain
-// the own deque LIFO, then steal or take overflow, then park. The
-// worker that retires the batch's last activation wakes every parked
-// lane and all loops return to the epoch gate.
+// the own deque LIFO, then claim a seed, then steal or take overflow,
+// then park. The worker that retires the batch's last task wakes every
+// parked lane and all loops return to the epoch gate.
 func (m *Matcher) batchLoop(wi int) {
 	s := m.sched
 	w := &s.workers[wi]
 	for {
 		t, ok := w.dq.popTail()
+		if !ok {
+			t, ok = s.claimSeed(w)
+		}
 		if !ok {
 			t, ok = s.findWork(wi)
 		}
@@ -705,364 +678,301 @@ func (m *Matcher) batchLoop(wi int) {
 			}
 			continue
 		}
-		m.run(t, wi)
-		if s.outstanding.Add(-1) == 0 {
+		if m.runTask(t, w) {
 			s.wakeAll()
 			return
 		}
 	}
 }
 
-// run executes one scheduler task: a single node activation, or a
-// coarsened seed task's activation of every sibling right-input node.
-func (m *Matcher) run(t task, wi int) {
-	if t.nodes == nil {
-		m.runNode(t.node, t, wi, 0)
-		return
+// runTask executes one scheduler task on lane w — the activation, every
+// downstream activation small enough to inline, then the submission of
+// the rest — and reports whether it retired the batch's last task. The
+// lane's clock is read at the task's boundaries only: everything from
+// the previous stamp through the activations (deque pop, key hashes,
+// guarded sections, profile counts) is match work, the pushes that
+// follow are submit; a stripe lock costs a stamp only when it is
+// contended (lock). The match stamp also sizes the task for the
+// histogram.
+func (m *Matcher) runTask(t task, w *worker) (last bool) {
+	start := w.clock.last
+	if t.left != nil {
+		m.runLeft(t.left, t.tok, t.dir, w, 0)
+	} else {
+		for _, am := range t.mems {
+			for _, n := range m.roots[am.ID] {
+				m.runRight(n, t.wme, t.dir, w, 0)
+			}
+		}
 	}
-	for _, n := range t.nodes {
-		m.runNode(n, t, wi, 0)
-	}
+	w.clock.stamp(phaseMatch)
+	w.taskSizes[taskBucket(w.clock.last-start)]++
+	last = m.sched.retire(w)
+	w.clock.stamp(phaseSubmit)
+	return last
 }
 
-// runNode executes one node activation, batching conflict deltas on the
-// worker and either inlining the downstream activations (small fan-out,
-// shallow recursion — see inlineFanout/maxInlineDepth) or pushing them
-// onto the executing worker's deque. Only the task's own join-key
-// bucket (and its lock stripe) is touched: a matching pair always
-// shares the key, so the opposite bucket under the same stripe lock is
-// the complete candidate set.
-func (m *Matcher) runNode(n *pnode, t task, wi, depth int) {
-	w := &m.sched.workers[wi]
-	emits := w.emits[depth][:0]
-	key := n.key(t)
-	sh := n.shardOf(key)
-	tested := 0
-	// Loss accounting: the dispatch prefix (deque pop, key hash) counts
-	// as match work; the Lock() call is charged to lock_wait; the
-	// guarded section and profiling updates to match; the downstream
-	// submit loop to submit. start anchors the task-size histogram.
+// lock takes a stripe lock, stamping the lane's clock only when the
+// lock is contended.
+func (w *worker) lock(st *stripe) {
+	if st.mu.TryLock() {
+		return
+	}
 	w.clock.stamp(phaseMatch)
-	start := w.clock.last
-	sh.mu.Lock()
+	st.mu.Lock()
 	w.clock.stamp(phaseLockWait)
-	switch {
-	case t.side == rightSide && n.kind == rete.JoinPositive:
-		if cancelled := sh.updateRight(key, t); cancelled {
-			m.cancelled()
-			break
-		}
-		for _, chain := range sh.left[key] {
-			for _, e := range chain {
-				if e.count <= 0 {
-					continue
-				}
-				tested++
-				if n.match(e.tok, t.wme) {
-					emits = append(emits, emit{tok: e.tok.Extend(t.wme), dir: t.dir})
-				}
-			}
-		}
-	case t.side == rightSide && n.kind == rete.JoinNegative:
-		if cancelled := sh.updateRight(key, t); cancelled {
-			m.cancelled()
-			break
-		}
-		for _, chain := range sh.left[key] {
-			for _, e := range chain {
-				if e.count <= 0 {
-					continue
-				}
-				tested++
-				if !n.match(e.tok, t.wme) {
-					continue
-				}
-				switch t.dir {
-				case ops5.Insert:
-					e.matches++
-					if e.matches == 1 {
-						emits = append(emits, emit{tok: e.tok, dir: ops5.Delete})
-					}
-				case ops5.Delete:
-					e.matches--
-					if e.matches == 0 {
-						emits = append(emits, emit{tok: e.tok, dir: ops5.Insert})
-					}
-				}
-			}
-		}
-	case t.side == leftSide && n.kind == rete.JoinPositive:
-		if cancelled := sh.updateLeft(key, t); cancelled {
-			m.cancelled()
-			break
-		}
-		for _, e := range sh.right[key] {
+}
+
+// runRight executes the right activation of node n by WME wme: update
+// n's right bucket for the WME's join key and scan the shared left
+// bucket under the same stripe lock. A matching pair always shares the
+// key, so that bucket is the complete candidate set.
+func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *worker, depth int) {
+	g := n.grp
+	keyed := n.rightHash != nil
+	key, own := uint64(0), uint64(wme.TimeTag)
+	if keyed {
+		key = n.rightHash(wme)
+		own = key
+	}
+	si := g.stripeOf(key)
+	st := &g.stripes[si]
+	emits := w.emits[depth][:0]
+	tested := 0
+	w.lock(st)
+	if updateRight(&n.right[si], own, wme, dir) {
+		w.cancellations++
+	} else {
+		negated := n.join.Kind == rete.JoinNegative
+		for i := first(&st.left, keyed, key); i >= 0; i = next(&st.left, keyed, i) {
+			e := st.left.At(i)
 			if e.count <= 0 {
 				continue
 			}
 			tested++
-			if n.match(t.tok, e.wme) {
-				emits = append(emits, emit{tok: t.tok.Extend(e.wme), dir: t.dir})
+			if !n.tests(e.tok, wme) {
+				continue
 			}
-		}
-	case t.side == leftSide && n.kind == rete.JoinNegative:
-		switch t.dir {
-		case ops5.Insert:
-			e := sh.leftEntry(key, t.tok)
-			e.count++
-			c := e.count
-			if c == 0 {
-				sh.dropLeft(key, t.tok) // e is pooled; do not touch it again
-			}
-			if c <= 0 {
-				m.cancelled()
-				break // annihilated by an earlier delete
-			}
-			matches := 0
-			for _, re := range sh.right[key] {
-				if re.count <= 0 {
-					continue
+			// A token present c times stands for c copies: every copy
+			// pairs with the WME.
+			switch {
+			case !negated:
+				for c := e.count; c > 0; c-- {
+					emits = append(emits, emit{n, e.tok.Extend(wme), dir})
 				}
-				tested++
-				if n.match(t.tok, re.wme) {
-					matches += re.count
+			case dir == ops5.Insert:
+				if e.matches++; e.matches == 1 {
+					for c := e.count; c > 0; c-- {
+						emits = append(emits, emit{n, e.tok, ops5.Delete})
+					}
 				}
-			}
-			e.matches = matches
-			if matches == 0 {
-				emits = append(emits, emit{tok: t.tok, dir: ops5.Insert})
-			}
-		case ops5.Delete:
-			e := sh.leftEntry(key, t.tok)
-			hadMatches := e.matches
-			present := e.count > 0
-			e.count--
-			if e.count == 0 {
-				sh.dropLeft(key, t.tok) // e is pooled; do not touch it again
-			}
-			if !present {
-				m.cancelled()
-				break // delete arrived before insert; both annihilate
-			}
-			if hadMatches == 0 {
-				emits = append(emits, emit{tok: t.tok, dir: ops5.Delete})
+			default:
+				if e.matches--; e.matches == 0 {
+					for c := e.count; c > 0; c-- {
+						emits = append(emits, emit{n, e.tok, ops5.Insert})
+					}
+				}
 			}
 		}
 	}
-	sh.mu.Unlock()
-	m.comparisons.Add(int64(tested))
-	n.prof.activations.Add(1)
-	if tested > 0 {
-		n.prof.tested.Add(int64(tested))
-	}
-	if len(emits) > 0 {
-		n.prof.emitted.Add(int64(len(emits)))
-	}
-	w.executed.Add(1)
-	w.clock.stamp(phaseMatch)
-	w.taskSizes[taskBucket(w.clock.last-start)].Add(1)
+	st.mu.Unlock()
+	w.executed++
+	w.comparisons += int64(tested)
+	w.prof[n.idx].Activations++
+	w.prof[n.idx].TokensTested += int64(tested)
+	w.prof[n.idx].PairsEmitted += int64(len(emits))
+	m.propagate(emits, w, depth)
+}
 
+// runLeft executes the left activation of group g by token tok: update
+// the shared left bucket once, then scan each member's right bucket for
+// the token's join key, all under the one stripe lock.
+func (m *Matcher) runLeft(g *group, tok *rete.Token, dir ops5.ChangeKind, w *worker, depth int) {
+	keyed := g.leftHash != nil
+	key, own := uint64(0), tok.IDHash()
+	if keyed {
+		key = g.leftHash(tok)
+		own = key
+	}
+	si := g.stripeOf(key)
+	st := &g.stripes[si]
+	emits := w.emits[depth][:0]
+	w.lock(st)
+	e, hadMatches, cancelled := updateLeft(&st.left, own, tok, dir)
+	if cancelled {
+		w.cancellations++
+	}
+	for _, n := range g.members {
+		tested, from := 0, len(emits)
+		negated := n.join.Kind == rete.JoinNegative
+		if !cancelled {
+			// A not-node's token passes while no right WME matches: an
+			// insert counts its matches, a delete goes by the count the
+			// entry held.
+			matches := hadMatches
+			if !negated || dir == ops5.Insert {
+				matches = 0
+				right := &n.right[si]
+				for i := first(right, keyed, key); i >= 0; i = next(right, keyed, i) {
+					re := right.At(i)
+					if re.count <= 0 {
+						continue
+					}
+					tested++
+					if !n.tests(tok, re.wme) {
+						continue
+					}
+					matches += re.count
+					for c := re.count; c > 0 && !negated; c-- {
+						emits = append(emits, emit{n, tok.Extend(re.wme), dir})
+					}
+				}
+			}
+			if negated {
+				if dir == ops5.Insert {
+					e.matches = matches
+				}
+				if matches == 0 {
+					emits = append(emits, emit{n, tok, dir})
+				}
+			}
+		}
+		w.comparisons += int64(tested)
+		w.prof[n.idx].Activations++
+		w.prof[n.idx].TokensTested += int64(tested)
+		w.prof[n.idx].PairsEmitted += int64(len(emits) - from)
+	}
+	st.mu.Unlock()
+	w.executed++
+	m.propagate(emits, w, depth)
+}
+
+// propagate hands an activation's outputs on: conflict deltas batch on
+// the lane; downstream left activations either run depth-first right
+// here (small fan-out, shallow recursion — see inlineFanout and
+// maxInlineDepth) or queue on the lane for runTask to submit.
+func (m *Matcher) propagate(emits []emit, w *worker, depth int) {
+	fan := 0
 	for _, e := range emits {
-		for _, term := range n.terminals {
+		for _, term := range e.node.terminals {
 			w.pending = append(w.pending, pendingDelta{term: term, tok: e.tok, dir: e.dir})
 		}
+		fan += len(e.node.down)
 	}
-	// Small, shallow fan-outs run depth-first on this worker — the
-	// activation is cheaper than its deque round-trip; inlined children
-	// stamp their own phases, so the parent charges nothing here. Wider
-	// fan-outs go through the deque so thieves can share them.
-	downstream := len(emits) * len(n.downstream)
-	if downstream > 0 && downstream <= inlineFanout && depth < maxInlineDepth {
-		w.clock.stamp(phaseSubmit)
-		for _, e := range emits {
-			for _, dn := range n.downstream {
-				m.runNode(dn, task{side: leftSide, dir: e.dir, tok: e.tok}, wi, depth+1)
+	inline := depth < maxInlineDepth && (fan <= inlineFanout || !m.sched.shed())
+	for _, e := range emits {
+		for _, g := range e.node.down {
+			if inline {
+				m.runLeft(g, e.tok, e.dir, w, depth+1)
+			} else {
+				w.spawned = append(w.spawned, task{left: g, dir: e.dir, tok: e.tok})
 			}
 		}
-	} else {
-		for _, e := range emits {
-			for _, dn := range n.downstream {
-				m.sched.submit(wi, task{node: dn, side: leftSide, dir: e.dir, tok: e.tok})
-			}
-		}
-		w.clock.stamp(phaseSubmit)
 	}
 	w.emits[depth] = emits[:0]
 }
 
-// rightBucket returns the right bucket for a join key, creating it when
-// missing. Caller holds the stripe lock.
-func (sh *bucketShard) rightBucket(key uint64) map[int]*wmeEntry {
-	b := sh.right[key]
-	if b == nil {
-		b = make(map[int]*wmeEntry)
-		sh.right[key] = b
+// updateLeft applies a counted insert or delete of tok to a left table
+// under lookup key k. It reports whether the operation was annihilated
+// by an earlier opposite one (then neither propagates), the entry's
+// matches count before the update, and the entry itself when it remains
+// in the table (valid until the table's next Add).
+func updateLeft(b *rete.Buckets[leftEntry], k uint64, tok *rete.Token, dir ops5.ChangeKind) (e *leftEntry, hadMatches int32, cancelled bool) {
+	delta := int32(1)
+	if dir == ops5.Delete {
+		delta = -1
 	}
-	return b
-}
-
-// leftEntry returns the counted entry for a token in a key's bucket,
-// creating bucket and entry (from the pool) when missing. Caller holds
-// the stripe lock.
-func (sh *bucketShard) leftEntry(key uint64, tok *rete.Token) *tokenEntry {
-	ts := sh.left[key]
-	if ts == nil {
-		ts = tokenSet{}
-		sh.left[key] = ts
-	}
-	th := rete.TokenIDHash(tok)
-	for _, e := range ts[th] {
-		if e.tok.EqualTo(tok) {
-			return e
+	id := tok.IDHash()
+	prev := int32(-1)
+	for i := b.Head(k); i >= 0; prev, i = i, b.Next(i) {
+		e = b.At(i)
+		if e.id != id || !e.tok.EqualTo(tok) {
+			continue
 		}
-	}
-	e := sh.getTok()
-	e.tok, e.count, e.matches = tok, 0, 0
-	ts[th] = append(ts[th], e)
-	return e
-}
-
-// dropLeft removes a token's entry, returning it to the pool and
-// reclaiming the bucket when empty. The entry must not be used after
-// this call.
-func (sh *bucketShard) dropLeft(key uint64, tok *rete.Token) {
-	ts := sh.left[key]
-	th := rete.TokenIDHash(tok)
-	chain := ts[th]
-	for i, e := range chain {
-		if e.tok.EqualTo(tok) {
-			last := len(chain) - 1
-			chain[i] = chain[last]
-			chain[last] = nil
-			if last == 0 {
-				delete(ts, th)
-			} else {
-				ts[th] = chain[:last]
-			}
-			e.tok = nil
-			sh.freeTok = append(sh.freeTok, e)
-			break
-		}
-	}
-	if len(ts) == 0 {
-		delete(sh.left, key)
-	}
-}
-
-// updateRight applies a counted right-memory update, reporting whether
-// the operation was annihilated by an earlier opposite operation.
-func (sh *bucketShard) updateRight(key uint64, t task) (cancelled bool) {
-	b := sh.rightBucket(key)
-	e := b[t.wme.TimeTag]
-	if e == nil {
-		e = sh.getWME()
-		e.wme, e.count = t.wme, 0
-		b[t.wme.TimeTag] = e
-	}
-	switch t.dir {
-	case ops5.Insert:
-		e.count++
-		c := e.count
-		if c == 0 {
-			sh.dropRight(key, t.wme.TimeTag)
-		}
-		if c <= 0 {
-			return true
-		}
-	case ops5.Delete:
-		present := e.count > 0
-		e.count--
+		hadMatches = e.matches
+		cancelled = annihilated(&e.count, delta)
 		if e.count == 0 {
-			sh.dropRight(key, t.wme.TimeTag)
+			b.Unlink(k, prev, i)
+			e = nil
 		}
-		if !present {
-			return true
-		}
+		return e, hadMatches, cancelled
 	}
-	return false
+	i := b.Add(k, leftEntry{tok: tok, id: id, count: delta})
+	return b.At(i), 0, delta < 0
 }
 
-// dropRight removes a WME's entry, returning it to the pool and
-// reclaiming the bucket when empty.
-func (sh *bucketShard) dropRight(key uint64, tag int) {
-	b := sh.right[key]
-	if e := b[tag]; e != nil {
-		e.wme = nil
-		sh.freeWME = append(sh.freeWME, e)
+// annihilated applies delta to a multiset count and reports whether the
+// operation cancelled against an earlier opposite one: an insert takes
+// effect only if it leaves the count positive, a delete only if it
+// found it positive.
+func annihilated(count *int32, delta int32) bool {
+	*count += delta
+	if delta > 0 {
+		return *count <= 0
 	}
-	delete(b, tag)
-	if len(b) == 0 {
-		delete(sh.right, key)
-	}
+	return *count < 0
 }
 
-// updateLeft applies a counted left-memory update for positive nodes.
-func (sh *bucketShard) updateLeft(key uint64, t task) (cancelled bool) {
-	e := sh.leftEntry(key, t.tok)
-	switch t.dir {
-	case ops5.Insert:
-		e.count++
-		c := e.count
-		if c == 0 {
-			sh.dropLeft(key, t.tok)
+// updateRight is updateLeft for a right table: WMEs are identified by
+// time tag.
+func updateRight(b *rete.Buckets[rightEntry], k uint64, wme *ops5.WME, dir ops5.ChangeKind) (cancelled bool) {
+	delta := int32(1)
+	if dir == ops5.Delete {
+		delta = -1
+	}
+	prev := int32(-1)
+	for i := b.Head(k); i >= 0; prev, i = i, b.Next(i) {
+		e := b.At(i)
+		if e.wme.TimeTag != wme.TimeTag {
+			continue
 		}
-		if c <= 0 {
-			return true
-		}
-	case ops5.Delete:
-		present := e.count > 0
-		e.count--
+		cancelled = annihilated(&e.count, delta)
 		if e.count == 0 {
-			sh.dropLeft(key, t.tok)
+			b.Unlink(k, prev, i)
 		}
-		if !present {
-			return true
-		}
+		return cancelled
 	}
-	return false
+	b.Add(k, rightEntry{wme: wme, count: delta})
+	return delta < 0
 }
 
-func (m *Matcher) cancelled() {
-	m.cancellations.Add(1)
-}
-
-// deltaLess orders pending deltas by (terminal, token identity) so that
+// deltaCmp orders pending deltas by (terminal, token identity) so that
 // the flush merge can group equal instantiations with one sorted pass.
 // Equal elements (same terminal, same time-tag list) are exactly the
 // deltas that merge.
-func deltaLess(a, b pendingDelta) bool {
-	if a.term.ID != b.term.ID {
-		return a.term.ID < b.term.ID
+func deltaCmp(a, b pendingDelta) int {
+	if c := cmp.Compare(a.term.ID, b.term.ID); c != 0 {
+		return c
 	}
 	aw, bw := a.tok.WMEs, b.tok.WMEs
-	if len(aw) != len(bw) {
-		return len(aw) < len(bw)
+	if c := cmp.Compare(len(aw), len(bw)); c != 0 {
+		return c
 	}
 	for i := range aw {
-		if aw[i].TimeTag != bw[i].TimeTag {
-			return aw[i].TimeTag < bw[i].TimeTag
+		if c := cmp.Compare(aw[i].TimeTag, bw[i].TimeTag); c != 0 {
+			return c
 		}
 	}
-	return false
+	return 0
 }
 
 // flush merges the workers' batched deltas and applies the net changes
-// in a deterministic order. Instantiations are built only for the net
+// in a deterministic order, returning how many instantiations entered
+// and left the conflict set. Instantiations are built only for the net
 // survivors — insert/delete churn within a batch never materialises
 // one.
-func (m *Matcher) flush() {
+func (m *Matcher) flush() (ins, rem int64) {
 	buf := m.flushBuf[:0]
 	for wi := range m.sched.workers {
 		w := &m.sched.workers[wi]
 		buf = append(buf, w.pending...)
 		w.pending = w.pending[:0]
 	}
-	sort.Slice(buf, func(i, j int) bool { return deltaLess(buf[i], buf[j]) })
+	slices.SortFunc(buf, deltaCmp)
 
-	var ins, rem int64
 	for i := 0; i < len(buf); {
 		j, net := i, 0
-		for ; j < len(buf) && !deltaLess(buf[i], buf[j]); j++ {
+		for ; j < len(buf) && deltaCmp(buf[i], buf[j]) == 0; j++ {
 			if buf[j].dir == ops5.Insert {
 				net++
 			} else {
@@ -1083,13 +993,7 @@ func (m *Matcher) flush() {
 		}
 		i = j
 	}
-	m.mu.Lock()
-	m.confIns += ins
-	m.confRem += rem
-	m.mu.Unlock()
-
-	for i := range buf {
-		buf[i] = pendingDelta{} // release token references
-	}
+	clear(buf) // release token references
 	m.flushBuf = buf[:0]
+	return ins, rem
 }

@@ -171,3 +171,55 @@ func TestWorkerCountIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestApplySteadyStateAllocs bounds what Apply allocates once its tables
+// and scratch have grown: on a fan-out program (siblings sharing left
+// memories) a batch may allocate the tokens its joins emit and nothing
+// else — no memory entry, bucket, task, seed list or counter. With no
+// conflict-set callbacks wired, flush builds no instantiation, so the
+// per-node PairsEmitted count is the whole allowance (not-node emits pass
+// their input token on, which only leaves slack).
+func TestApplySteadyStateAllocs(t *testing.T) {
+	params := matchtest.FanOutGenParams(8)
+	params.Productions = 16
+	rng := rand.New(rand.NewSource(500))
+	prods := matchtest.RandomProgram(rng, params)
+	var ins, del []ops5.Change
+	for tag := 1; tag <= 96; tag++ {
+		w := matchtest.RandomWME(rng, params)
+		w.TimeTag = tag
+		ins = append(ins, ops5.Change{Kind: ops5.Insert, WME: w})
+		del = append(del, ops5.Change{Kind: ops5.Delete, WME: w})
+	}
+	for _, cfg := range []prete.Config{{Workers: 1}, {Workers: 4, SerialThreshold: -1}} {
+		m, err := prete.NewWithConfig(prods, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		cycle := func() {
+			m.Apply(ins)
+			m.Apply(del)
+		}
+		emitted := func() (n int64) {
+			for _, e := range m.NodeProfile() {
+				n += e.PairsEmitted
+			}
+			return n
+		}
+		for i := 0; i < 3; i++ {
+			cycle()
+		}
+		const runs = 10
+		before := emitted()
+		allocs := testing.AllocsPerRun(runs, cycle)
+		tokens := float64(emitted()-before) / (runs + 1) // AllocsPerRun warms up with one extra call
+		if tokens == 0 {
+			t.Fatalf("%+v: the script emitted no tokens", cfg)
+		}
+		if allocs > tokens+2 {
+			t.Errorf("%+v: %.0f allocs per insert+delete cycle, want at most the %.0f tokens emitted", cfg, allocs, tokens)
+		}
+		t.Logf("%+v: %.0f allocs, %.0f tokens per cycle", cfg, allocs, tokens)
+	}
+}

@@ -23,31 +23,41 @@ package prete
 //     their CPU-queueing to park. A per-epoch WaitGroup is the
 //     batch barrier. Close retires the pool; a closed matcher still
 //     works, running every batch inline on the caller.
+//   - A batch's seed tasks stay in one list that the lanes claim from
+//     through a shared cursor (claimSeed): nothing is pushed while
+//     seeding, and a lane that finishes early simply claims more.
 //   - A worker pushes the activations it generates onto its own deque
 //     tail and pops from the tail (LIFO), so a token's downstream
 //     activations run depth-first on the producing worker while their
 //     inputs are cache-hot. No lock is contended in steady state.
-//   - A worker whose deque runs dry steals the older half of a random
-//     victim's deque from the head (steal-half, FIFO end) — the classic
-//     work-stealing split that moves large, stale subtrees to idle
-//     workers while the victim keeps its hot tail.
+//   - A worker with an empty deque and no seed left steals the older
+//     half of a random victim's deque from the head (steal-half, FIFO
+//     end, at most stealGrain tasks) — the classic work-stealing split
+//     that moves large, stale subtrees to idle workers while the victim
+//     keeps its hot tail.
 //   - Deque overflow spills to a shared overflow list; it is drained
 //     after steals fail and before parking.
 //   - Only when every deque and the overflow list drain does a worker
 //     park on the in-batch condvar; pushers signal it only when
 //     sleepers are registered, so the hot path pays one atomic load. An
 //     outstanding-task count provides termination: the worker that
-//     retires the last activation broadcasts batch completion, and the
-//     lanes return to the epoch gate.
+//     retires the last task broadcasts batch completion, and the lanes
+//     return to the epoch gate.
 //
-// Per-worker executed/stolen/parked counters plus the pool's
-// wakeups/inline-batches/resident counters make the paper's
-// scheduling-overhead decomposition a measurable series (exported via
-// Stats, engine.MatchStats and psmd's /metrics).
+// A lane counts its work (executed/stolen/parked, comparisons,
+// cancellations, phase time, the per-node profile) in plain fields only
+// it writes; Apply folds every lane's books into the matcher's totals
+// after the batch barrier, so the activation path shares no counter
+// cache line between lanes. With the pool's wakeups/inline-batches/
+// resident counters they make the paper's scheduling-overhead
+// decomposition a measurable series (exported via Stats,
+// engine.MatchStats and psmd's /metrics).
 
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/rete"
 )
 
 // deqCap bounds each worker-local deque. Tasks are small, so 256 slots
@@ -94,18 +104,24 @@ func (d *wdeque) popTail() (task, bool) {
 	return t, true
 }
 
+// pushAll adds tasks at the tail under one lock acquisition and returns
+// how many fitted.
+func (d *wdeque) pushAll(ts []task) int {
+	d.mu.Lock()
+	k := min(len(ts), deqCap-d.n)
+	for _, t := range ts[:k] {
+		d.buf[(d.head+d.n)%deqCap] = t
+		d.n++
+	}
+	d.mu.Unlock()
+	return k
+}
+
 // stealHalf removes the older half of the deque (at least one task,
 // from the head) into out, returning the count taken.
 func (d *wdeque) stealHalf(out []task) int {
 	d.mu.Lock()
-	if d.n == 0 {
-		d.mu.Unlock()
-		return 0
-	}
-	k := (d.n + 1) / 2
-	if k > len(out) {
-		k = len(out)
-	}
+	k := min((d.n+1)/2, len(out))
 	for i := 0; i < k; i++ {
 		out[i] = d.buf[d.head]
 		d.buf[d.head] = task{}
@@ -124,34 +140,75 @@ func (d *wdeque) size() int {
 	return n
 }
 
-// worker is one scheduler lane: its deque, its counters, and the
+// laneBooks is one lane's accounting: the scheduler counters, the
+// matcher's comparison and cancellation counts, the phase clock and the
+// task-size histogram (loss.go). A worker writes its own books without
+// synchronisation during a batch; Matcher.lanes holds the totals Apply
+// folds them into at the barrier.
+type laneBooks struct {
+	executed      int64 // activations run
+	stolen        int64 // tasks taken from other lanes
+	parked        int64 // waits on the in-batch condvar
+	comparisons   int64 // (token, WME) pairs tested
+	cancellations int64 // out-of-order insert/delete annihilations
+	clock         phaseClock
+	taskSizes     [numTaskBuckets]int64
+}
+
+// worker is one scheduler lane: its deque, its books, and the
 // owner-only scratch buffers that keep the activation hot path free of
 // per-task allocations.
 type worker struct {
 	dq wdeque
 
-	// executed/stolen/parked are the per-worker scheduler counters
-	// (atomic: Stats may snapshot them mid-batch).
-	executed atomic.Int64
-	stolen   atomic.Int64
-	parked   atomic.Int64
+	laneBooks
+	// prof is this lane's share of the per-node profile, indexed like
+	// Matcher.nodes.
+	prof []rete.NodeProf
 
 	// emits holds one owner-only scratch buffer per inline depth for an
 	// activation's outputs — inlined downstream activations recurse, so
-	// each depth needs its own buffer; pending batches the worker's
-	// conflict-set deltas until the flush merge. Both retain capacity
-	// across batches.
+	// each depth needs its own buffer; spawned collects the downstream
+	// tasks of the task being run, until retire submits them; pending
+	// batches the worker's conflict-set deltas until the flush merge.
+	// All retain capacity across batches.
 	emits   [maxInlineDepth + 1][]emit
+	spawned []task
 	pending []pendingDelta
 
-	// clock attributes this lane's wall time to phases and taskSizes
-	// histograms activation execution times (loss.go) — the §6
-	// loss-factor instrument.
-	clock     phaseClock
-	taskSizes [numTaskBuckets]atomic.Int64
+	// seedLo and seedHi bound the run of seeds this lane has claimed
+	// and not yet run (claimSeed).
+	seedLo, seedHi int
 
 	// rng drives victim selection (xorshift; seeded per worker).
 	rng uint32
+}
+
+// foldInto moves the lane's books into the matcher's totals for the
+// lane and the per-node profile, leaving the lane zeroed. Apply calls
+// it after the batch barrier, under Matcher.mu.
+func (w *worker) foldInto(t *laneBooks, prof []rete.NodeProf) {
+	if w.executed > 0 {
+		for i := range w.prof {
+			p := &w.prof[i]
+			prof[i].Activations += p.Activations
+			prof[i].TokensTested += p.TokensTested
+			prof[i].PairsEmitted += p.PairsEmitted
+			*p = rete.NodeProf{}
+		}
+	}
+	t.executed += w.executed
+	t.stolen += w.stolen
+	t.parked += w.parked
+	t.comparisons += w.comparisons
+	t.cancellations += w.cancellations
+	for p := range w.clock.ns {
+		t.clock.ns[p] += w.clock.ns[p]
+	}
+	for b := range w.taskSizes {
+		t.taskSizes[b] += w.taskSizes[b]
+	}
+	w.laneBooks = laneBooks{clock: phaseClock{last: w.clock.last}}
 }
 
 // nextRand steps the worker's xorshift32 generator.
@@ -172,8 +229,16 @@ type scheduler struct {
 	workers []worker
 	steal   bool
 
-	// outstanding counts submitted-but-unretired tasks; the worker that
-	// takes it to zero ends the batch.
+	// seeds is the batch's seed tasks and solo whether the batch runs
+	// inline on the caller; Apply writes both before the wake and they
+	// are read-only until the barrier. nextSeed is the claim cursor.
+	seeds    []task
+	solo     bool
+	nextSeed atomic.Int64
+
+	// outstanding counts unretired tasks, claimed or not; the worker
+	// that takes it to zero ends the batch. Only Apply (seeding) and
+	// retire touch it.
 	outstanding atomic.Int64
 
 	overflow struct {
@@ -223,12 +288,13 @@ type scheduler struct {
 	resident atomic.Int32
 }
 
-func newScheduler(workers int, steal bool) *scheduler {
+func newScheduler(workers int, steal bool, nodes int) *scheduler {
 	s := &scheduler{workers: make([]worker, workers), steal: steal}
 	s.cond = sync.NewCond(&s.parkMu)
 	s.gateCond = sync.NewCond(&s.gateMu)
 	for i := range s.workers {
 		s.workers[i].rng = uint32(i)*2654435761 + 1
+		s.workers[i].prof = make([]rete.NodeProf, nodes)
 	}
 	return s
 }
@@ -318,26 +384,78 @@ func (m *Matcher) residentLoop(wi int) {
 	}
 }
 
-// submit enqueues a task on worker wi's deque (spilling to overflow
-// when full) and wakes an in-batch sleeper if any worker is parked.
-func (s *scheduler) submit(wi int, t task) {
-	s.outstanding.Add(1)
-	if !s.workers[wi].dq.pushTail(t) {
+// claimSeed takes worker w's next seed task, claiming a fresh run of
+// consecutive seeds from the shared cursor when the lane's last run is
+// used up. Runs shrink as the list drains (a share of what is left,
+// guided self-scheduling): long runs first keep neighbouring changes —
+// which tend to carry the same join keys, hence the same stripes — on
+// one lane instead of colliding on two, short runs at the end even out
+// the finish.
+func (s *scheduler) claimSeed(w *worker) (task, bool) {
+	for w.seedLo == w.seedHi {
+		cur := s.nextSeed.Load()
+		left := int64(len(s.seeds)) - cur
+		if left <= 0 {
+			return task{}, false
+		}
+		n := max(1, left/int64(2*len(s.workers)))
+		if s.nextSeed.CompareAndSwap(cur, cur+n) {
+			w.seedLo, w.seedHi = int(cur), int(cur+n)
+		}
+	}
+	w.seedLo++
+	return s.seeds[w.seedLo-1], true
+}
+
+// shed reports whether a lane with a wide fan-out should queue it for
+// thieves instead of running it inline: only when other lanes exist and
+// have no seed left to claim.
+func (s *scheduler) shed() bool {
+	return !s.solo && int(s.nextSeed.Load()) >= len(s.seeds)
+}
+
+// retire ends the task worker w just ran: the tasks it spawned go onto
+// w's deque (spilling to overflow when full), an in-batch sleeper is
+// woken if any lane is parked, and the outstanding count moves from the
+// task to its children in one step — none at all for a single child.
+// The children are counted before they are pushed, so no thief can
+// retire one early and end the batch. It reports whether the batch's
+// last task just retired.
+func (s *scheduler) retire(w *worker) (last bool) {
+	n := len(w.spawned)
+	if n == 0 {
+		return s.outstanding.Add(-1) == 0
+	}
+	if n > 1 {
+		s.outstanding.Add(int64(n - 1))
+	}
+	for _, t := range w.spawned[w.dq.pushAll(w.spawned):] {
 		s.spill(t)
 	}
-	if s.sleepers.Load() > 0 {
-		s.parkMu.Lock()
-		if s.steal {
-			// Any woken worker can reach the task by stealing.
-			s.cond.Signal()
-		} else {
-			// Without stealing only the deque's owner can run the task,
-			// and Signal might wake some other worker that would just go
-			// back to sleep — wake everyone.
-			s.cond.Broadcast()
-		}
-		s.parkMu.Unlock()
+	clear(w.spawned) // release token references
+	w.spawned = w.spawned[:0]
+	s.wakeSleeper()
+	return false
+}
+
+// wakeSleeper wakes an in-batch parked lane, if there is one, to share
+// tasks just pushed. Pushers pay one atomic load when every lane is
+// busy.
+func (s *scheduler) wakeSleeper() {
+	if s.sleepers.Load() == 0 {
+		return
 	}
+	s.parkMu.Lock()
+	if s.steal {
+		// Any woken worker can reach the tasks by stealing.
+		s.cond.Signal()
+	} else {
+		// Without stealing only the deque's owner can run them, and
+		// Signal might wake some other worker that would just go back
+		// to sleep — wake everyone.
+		s.cond.Broadcast()
+	}
+	s.parkMu.Unlock()
 }
 
 // spill pushes a task onto the shared overflow list.
@@ -362,32 +480,24 @@ func (s *scheduler) popOverflow() (task, bool) {
 	return t, true
 }
 
-// popAny drains in inline mode: lane 0's deque first (inline batches
-// submit only there), then — for the closed-pool fallback, whose seeds
-// were already spread across lanes — every other deque and the overflow
-// list.
-func (s *scheduler) popAny() (task, bool) {
-	for i := range s.workers {
-		if t, ok := s.workers[i].dq.popTail(); ok {
-			return t, true
-		}
-	}
-	return s.popOverflow()
-}
+// stealGrain caps one steal. Deques now hold only spawned downstream
+// activations (seeds are claimed from the shared list), a few hundred
+// nanoseconds to a few microseconds each by the task-size histogram, so
+// sixteen is several microseconds of work — enough to pay for the
+// victim's lock and the copy, small enough that the copy buffer stays
+// under a kilobyte of stack.
+const stealGrain = 16
 
-// findWork is the slow path for a worker whose own deque is empty:
-// steal half of a random victim's deque, else drain overflow. Its time
-// is charged to steal_hit (successful scan), overflow (a task from the
-// shared list) or steal_miss (nothing found; also the fruitless prefix
-// of a scan that ends at the overflow list).
+// findWork is the slow path for a worker with an empty deque and no
+// seed left to claim: steal half of a random victim's deque, else drain
+// overflow. Its time is charged to steal_hit (successful scan),
+// overflow (a task from the shared list) or steal_miss (nothing found;
+// also the fruitless prefix of a scan that ends at the overflow list).
 func (s *scheduler) findWork(wi int) (task, bool) {
 	w := &s.workers[wi]
 	if s.steal && len(s.workers) > 1 {
-		var buf [deqCap/2 + 1]task
-		off := int(w.nextRand()) % len(s.workers)
-		if off < 0 {
-			off = -off
-		}
+		var buf [stealGrain]task
+		off := int(w.nextRand() % uint32(len(s.workers)))
 		for i := 0; i < len(s.workers); i++ {
 			vi := off + i
 			if vi >= len(s.workers) {
@@ -400,11 +510,13 @@ func (s *scheduler) findWork(wi int) (task, bool) {
 			if k == 0 {
 				continue
 			}
-			w.stolen.Add(int64(k))
-			for j := 1; j < k; j++ {
-				if !w.dq.pushTail(buf[j]) {
-					s.spill(buf[j])
+			w.stolen += int64(k)
+			if k > 1 {
+				for _, t := range buf[1:k][w.dq.pushAll(buf[1:k]):] {
+					s.spill(t)
 				}
+				// More than this lane will run at once: pass the wake on.
+				s.wakeSleeper()
 			}
 			w.clock.stamp(phaseStealHit)
 			return buf[0], true
@@ -420,9 +532,10 @@ func (s *scheduler) findWork(wi int) (task, bool) {
 }
 
 // usableWork reports whether worker wi could obtain a task right now:
-// its own deque, the overflow list, or (with stealing on) any victim.
+// its own deque, an unclaimed seed, the overflow list, or (with stealing
+// on) any victim.
 func (s *scheduler) usableWork(wi int) bool {
-	if s.workers[wi].dq.size() > 0 {
+	if s.workers[wi].dq.size() > 0 || int(s.nextSeed.Load()) < len(s.seeds) {
 		return true
 	}
 	s.overflow.mu.Lock()
@@ -467,7 +580,7 @@ func (s *scheduler) park(wi int) bool {
 			w.clock.stamp(phasePark)
 			return true
 		}
-		w.parked.Add(1)
+		w.parked++
 		s.cond.Wait()
 		s.sleepers.Add(-1)
 	}

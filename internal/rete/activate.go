@@ -258,7 +258,7 @@ func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent 
 		n.Stats.Activations[KindJoinRight]++
 		tested, emitted := 0, 0
 		toks := j.Left.Tokens
-		indexed := j.leftIdx != nil && j.leftIdx.buckets != nil && len(toks) >= linearProbeMin
+		indexed := j.leftIdx != nil && j.leftIdx.buckets.Ready() && len(toks) >= linearProbeMin
 		if indexed {
 			toks = j.leftIdx.probe(j.rightHash(w), &j.leftScratch)
 			n.Stats.IndexedProbes++
@@ -284,7 +284,7 @@ func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent 
 	case JoinNegative:
 		n.Stats.Activations[KindNegRight]++
 		tested, emitted := 0, 0
-		indexed := j.negIndex != nil
+		indexed := j.negIndexed
 		adjust := func(rec *negRecord) {
 			tested++
 			if !j.evalJoin(rec.tok, w) {
@@ -310,10 +310,8 @@ func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent 
 			// Propagation from j.Out flows strictly downstream, so the
 			// chain is never appended to (entries never move) while we
 			// hold pointers into it.
-			if head, ok := j.negIndex[j.rightHash(w)]; ok {
-				for e := head; e >= 0; e = j.negEntries[e].next {
-					adjust(&j.negEntries[e].rec)
-				}
+			for e := j.negIndex.Head(j.rightHash(w)); e >= 0; e = j.negIndex.Next(e) {
+				adjust(j.negIndex.At(e))
 			}
 		} else {
 			for _, rec := range j.negRecords {
@@ -344,7 +342,7 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 		n.Stats.Activations[KindJoinLeft]++
 		tested, emitted := 0, 0
 		items := j.Right.Items
-		indexed := j.rightIdx != nil && j.rightIdx.buckets != nil && len(items) >= linearProbeMin
+		indexed := j.rightIdx != nil && j.rightIdx.buckets.Ready() && len(items) >= linearProbeMin
 		if indexed {
 			items = j.rightIdx.probe(j.leftHash(tok), &j.rightScratch)
 			n.Stats.IndexedProbes++
@@ -370,12 +368,12 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 	case JoinNegative:
 		n.Stats.Activations[KindNegLeft]++
 		tested, emitted := 0, 0
-		indexed := j.negIndex != nil
+		indexed := j.negIndexed
 		switch dir {
 		case ops5.Insert:
 			count := 0
 			items := j.Right.Items
-			if j.rightIdx != nil && j.rightIdx.buckets != nil && len(items) >= linearProbeMin {
+			if j.rightIdx != nil && j.rightIdx.buckets.Ready() && len(items) >= linearProbeMin {
 				items = j.rightIdx.probe(j.leftHash(tok), &j.rightScratch)
 				n.Stats.IndexedProbes++
 			}
@@ -386,7 +384,7 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 				}
 			}
 			if indexed {
-				j.negAdd(j.leftHash(tok), negRecord{tok: tok, count: count})
+				j.negIndex.Add(j.leftHash(tok), negRecord{tok: tok, count: count})
 				j.negCount++
 			} else {
 				j.negRecords = append(j.negRecords, &negRecord{tok: tok, count: count})
@@ -491,21 +489,16 @@ func (n *Network) betaDeleteExt(bm *BetaMem, base *Token, w *ops5.WME, ctx *appl
 func (n *Network) terminalActivate(t *Terminal, tok *Token, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
 	n.Stats.Activations[KindTerm]++
-	key := tokenIDHash(tok)
 	var inst *ops5.Instantiation
 	if dir == ops5.Insert {
 		inst = t.Instantiate(tok)
-		if t.live == nil {
-			t.live = make(map[uint64]int32)
-			t.liveFree = -1
-		}
-		t.liveAdd(key, tok, inst)
+		t.live.Add(tok.id, liveInst{tok: tok, inst: inst})
 		n.Stats.ConflictInserts++
 		if n.OnInsert != nil {
 			n.OnInsert(inst)
 		}
 	} else {
-		inst = t.liveTake(key, tok)
+		inst = t.liveTake(tok)
 		if inst == nil {
 			inst = t.Instantiate(tok)
 		}

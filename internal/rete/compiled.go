@@ -47,14 +47,14 @@ func compileConstTest(t *ConstTest) func(*ops5.WME) bool {
 	case ctAlways:
 		return func(*ops5.WME) bool { return true }
 	case ctConst:
-		attr, val := t.Attr, t.Val
+		attr, val := t.AttrID, t.Val
 		cmp := compilePred(t.Pred)
-		return func(w *ops5.WME) bool { return cmp(w.Get(attr), val) }
+		return func(w *ops5.WME) bool { return cmp(w.GetID(attr), val) }
 	case ctDisj:
-		attr := t.Attr
+		attr := t.AttrID
 		vals := t.Disj
 		return func(w *ops5.WME) bool {
-			v := w.Get(attr)
+			v := w.GetID(attr)
 			for _, d := range vals {
 				if v.Equal(d) {
 					return true
@@ -63,9 +63,9 @@ func compileConstTest(t *ConstTest) func(*ops5.WME) bool {
 			return false
 		}
 	case ctAttrRel:
-		a1, a2 := t.Attr, t.Attr2
+		a1, a2 := t.AttrID, t.Attr2ID
 		cmp := compilePred(t.Pred)
-		return func(w *ops5.WME) bool { return cmp(w.Get(a1), w.Get(a2)) }
+		return func(w *ops5.WME) bool { return cmp(w.GetID(a1), w.GetID(a2)) }
 	default:
 		tt := *t
 		return func(w *ops5.WME) bool { return tt.Eval(w) }
@@ -82,7 +82,7 @@ func CompileJoinTests(tests []JoinTest) func(*Token, *ops5.WME) bool {
 		jt := tests[0]
 		cmp := compilePred(jt.Pred)
 		return func(tok *Token, w *ops5.WME) bool {
-			return cmp(w.Get(jt.RightAttr), tok.WMEs[jt.LeftIdx].Get(jt.LeftAttr))
+			return cmp(w.GetID(jt.RightID), tok.WMEs[jt.LeftIdx].GetID(jt.LeftID))
 		}
 	}
 	compiled := make([]func(*Token, *ops5.WME) bool, len(tests))
@@ -90,7 +90,7 @@ func CompileJoinTests(tests []JoinTest) func(*Token, *ops5.WME) bool {
 		jt := tests[i]
 		cmp := compilePred(jt.Pred)
 		compiled[i] = func(tok *Token, w *ops5.WME) bool {
-			return cmp(w.Get(jt.RightAttr), tok.WMEs[jt.LeftIdx].Get(jt.LeftAttr))
+			return cmp(w.GetID(jt.RightID), tok.WMEs[jt.LeftIdx].GetID(jt.LeftID))
 		}
 	}
 	return func(tok *Token, w *ops5.WME) bool {

@@ -10,23 +10,18 @@ import (
 // This file implements equality-keyed hash indexes over alpha and beta
 // memories. At prepare time (the first Apply) the equality subset of
 // each two-input node's tests becomes a join key; the node's opposite
-// memories maintain chained hash buckets alongside their slices, and
-// activations probe the matching bucket instead of scanning the whole
-// memory. Both the serial matcher and the parallel matcher's
+// memories maintain hash buckets (bucket.go) alongside their slices,
+// and activations probe the matching bucket instead of scanning the
+// whole memory. Both the serial matcher and the parallel matcher's
 // lock-striped buckets key on the allocation-free uint64 hash
-// (JoinHashFuncs over ops5.HashValue); JoinKeyFuncs keeps the readable
-// string encoding for diagnostics. Both encodings are Equal-consistent
-// but not injective, so every candidate drawn from a bucket is still
+// (JoinHashFuncs over ops5.HashValue). The hash is Equal-consistent but
+// not injective, so every candidate drawn from a bucket is still
 // re-verified with the node's full test chain: a key collision can only
 // widen a bucket, never fabricate or lose a match.
 //
-// Buckets are singly-linked chains through one append-only entry array
-// per index (int32 links, free-listed on removal), not per-key slices:
-// steady-state insertion and removal touch only the entry array and the
-// map's inline int32 value, so index upkeep does not allocate. This is
-// safe against iteration-during-mutation because the network is a DAG:
-// propagation only ever mutates memories downstream of the one being
-// iterated.
+// Mutating a memory while one of its chains is being iterated would be
+// unsafe, but the network is a DAG: propagation only ever mutates
+// memories downstream of the one being iterated.
 //
 // Nodes with no equality tests (pure predicate joins) keep the linear
 // scan; indexed not-nodes keep their count semantics but store the
@@ -56,36 +51,13 @@ func SplitJoinTests(tests []JoinTest) (eq, rest []JoinTest) {
 	return eq, rest
 }
 
-// JoinKeyFuncs returns the two sides' key functions for an equality
-// test list (as returned by SplitJoinTests): leftKey over a token's
-// bound attributes, rightKey over a WME's. A (token, WME) pair that
-// passes every equality test always produces leftKey == rightKey.
-func JoinKeyFuncs(eq []JoinTest) (leftKey func(*Token) string, rightKey func(*ops5.WME) string) {
-	tests := append([]JoinTest(nil), eq...)
-	leftKey = func(tok *Token) string {
-		b := make([]byte, 0, 16*len(tests))
-		for _, t := range tests {
-			b = ops5.AppendValueKey(b, tok.WMEs[t.LeftIdx].GetID(t.LeftID))
-		}
-		return string(b)
-	}
-	rightKey = func(w *ops5.WME) string {
-		b := make([]byte, 0, 16*len(tests))
-		for _, t := range tests {
-			b = ops5.AppendValueKey(b, w.GetID(t.RightID))
-		}
-		return string(b)
-	}
-	return leftKey, rightKey
-}
-
-// JoinHashFuncs is the allocation-free counterpart of JoinKeyFuncs: the
-// returned functions fold the key columns into a uint64 with
-// ops5.HashValue. A (token, WME) pair passing every equality test
-// always produces leftHash == rightHash. The hash is Equal-consistent
-// but not injective, so callers (this package's indexes and the parallel
-// matcher's lock-striped buckets) re-verify bucket candidates with the
-// node's full test chain.
+// JoinHashFuncs returns the two sides' allocation-free key functions for
+// an equality test list (as returned by SplitJoinTests): they fold the
+// key columns into a uint64 with ops5.HashValue. A (token, WME) pair
+// passing every equality test always produces leftHash == rightHash.
+// The hash is Equal-consistent but not injective, so callers (this
+// package's indexes and the parallel matcher's lock-striped buckets)
+// re-verify bucket candidates with the node's full test chain.
 func JoinHashFuncs(eq []JoinTest) (leftHash func(*Token) uint64, rightHash func(*ops5.WME) uint64) {
 	tests := append([]JoinTest(nil), eq...)
 	leftHash = func(tok *Token) uint64 {
@@ -105,24 +77,14 @@ func JoinHashFuncs(eq []JoinTest) (leftHash func(*Token) uint64, rightHash func(
 	return leftHash, rightHash
 }
 
-// wmeEntry is one chain link of an alphaIndex: the WME and the entry
-// index of the next link (-1 ends the chain; free-listed entries reuse
-// next as the free link).
-type wmeEntry struct {
-	w    *ops5.WME
-	next int32
-}
-
 // alphaIndex is a hash index over an alpha memory's WMEs, keyed by the
-// values of attrs (the RightID columns of one equality key spec).
-// buckets stays nil — and insert/remove are no-ops — until the memory
+// values of attrs (the RightID columns of one equality key spec). The
+// buckets stay unbuilt — and insert/remove are no-ops — until the memory
 // first reaches linearProbeMin items, the size below which activations
 // scan linearly anyway; tiny memories then pay no key or map upkeep.
 type alphaIndex struct {
 	attrs   []sym.ID
-	buckets map[uint64]int32
-	entries []wmeEntry
-	free    int32
+	buckets Buckets[*ops5.WME]
 }
 
 func (ix *alphaIndex) key(w *ops5.WME) uint64 {
@@ -133,70 +95,37 @@ func (ix *alphaIndex) key(w *ops5.WME) uint64 {
 	return h
 }
 
-// add links w into the bucket for key k, reusing a free entry if any.
-func (ix *alphaIndex) add(k uint64, w *ops5.WME) {
-	head, ok := ix.buckets[k]
-	if !ok {
-		head = -1
+// build fills the buckets from the owning memory's full population.
+func (ix *alphaIndex) build(items []*ops5.WME) {
+	ix.buckets.Reserve(len(items))
+	for _, x := range items {
+		ix.buckets.Add(ix.key(x), x)
 	}
-	var i int32
-	if ix.free >= 0 {
-		i = ix.free
-		ix.free = ix.entries[i].next
-		ix.entries[i] = wmeEntry{w: w, next: head}
-	} else {
-		i = int32(len(ix.entries))
-		ix.entries = append(ix.entries, wmeEntry{w: w, next: head})
-	}
-	ix.buckets[k] = i
 }
 
 // insert adds w to its bucket. items is the owning memory's current
-// population (already including w); the bucket map is built from it in
+// population (already including w); the buckets are built from it in
 // full when the memory first reaches linearProbeMin.
 func (ix *alphaIndex) insert(w *ops5.WME, items []*ops5.WME) {
-	if ix.buckets == nil {
-		if len(items) < linearProbeMin {
-			return
-		}
-		ix.buckets = make(map[uint64]int32, len(items))
-		ix.entries = make([]wmeEntry, 0, 2*len(items))
-		ix.free = -1
-		for _, x := range items {
-			ix.add(ix.key(x), x)
-		}
-		return
+	switch {
+	case ix.buckets.Ready():
+		ix.buckets.Add(ix.key(w), w)
+	case len(items) >= linearProbeMin:
+		ix.build(items)
 	}
-	ix.add(ix.key(w), w)
 }
 
 func (ix *alphaIndex) remove(w *ops5.WME) {
-	if ix.buckets == nil {
+	if !ix.buckets.Ready() {
 		return
 	}
 	k := ix.key(w)
-	head, ok := ix.buckets[k]
-	if !ok {
-		return
-	}
 	prev := int32(-1)
-	for i := head; i >= 0; i = ix.entries[i].next {
-		if ix.entries[i].w == w {
-			next := ix.entries[i].next
-			if prev < 0 {
-				if next < 0 {
-					delete(ix.buckets, k)
-				} else {
-					ix.buckets[k] = next
-				}
-			} else {
-				ix.entries[prev].next = next
-			}
-			ix.entries[i] = wmeEntry{next: ix.free}
-			ix.free = i
+	for i := ix.buckets.Head(k); i >= 0; prev, i = i, ix.buckets.Next(i) {
+		if *ix.buckets.At(i) == w {
+			ix.buckets.Unlink(k, prev, i)
 			return
 		}
-		prev = i
 	}
 }
 
@@ -205,31 +134,11 @@ func (ix *alphaIndex) remove(w *ops5.WME) {
 // probing does not allocate) and returns the filled slice.
 func (ix *alphaIndex) probe(k uint64, scratch *[]*ops5.WME) []*ops5.WME {
 	out := (*scratch)[:0]
-	head, ok := ix.buckets[k]
-	if !ok {
-		*scratch = out
-		return out
-	}
-	for i := head; i >= 0; i = ix.entries[i].next {
-		out = append(out, ix.entries[i].w)
+	for i := ix.buckets.Head(k); i >= 0; i = ix.buckets.Next(i) {
+		out = append(out, *ix.buckets.At(i))
 	}
 	*scratch = out
 	return out
-}
-
-// bucketStats reports the live bucket count and largest chain length.
-func (ix *alphaIndex) bucketStats() (buckets, maxBucket int) {
-	for _, head := range ix.buckets {
-		buckets++
-		n := 0
-		for i := head; i >= 0; i = ix.entries[i].next {
-			n++
-		}
-		if n > maxBucket {
-			maxBucket = n
-		}
-	}
-	return buckets, maxBucket
 }
 
 // betaCol is one column of a beta index key: token position and attr.
@@ -238,21 +147,13 @@ type betaCol struct {
 	attr sym.ID
 }
 
-// tokEntry is one chain link of a betaIndex (see wmeEntry).
-type tokEntry struct {
-	tok  *Token
-	next int32
-}
-
 // betaIndex is a hash index over a beta memory's tokens, keyed by the
 // values of cols (the LeftIdx/LeftID columns of one equality spec).
-// As with alphaIndex, buckets stays nil until the memory first reaches
-// linearProbeMin tokens.
+// As with alphaIndex, the buckets stay unbuilt until the memory first
+// reaches linearProbeMin tokens.
 type betaIndex struct {
 	cols    []betaCol
-	buckets map[uint64]int32
-	entries []tokEntry
-	free    int32
+	buckets Buckets[*Token]
 }
 
 func (ix *betaIndex) key(tok *Token) uint64 {
@@ -263,70 +164,37 @@ func (ix *betaIndex) key(tok *Token) uint64 {
 	return h
 }
 
-// add links tok into the bucket for key k, reusing a free entry if any.
-func (ix *betaIndex) add(k uint64, tok *Token) {
-	head, ok := ix.buckets[k]
-	if !ok {
-		head = -1
+// build fills the buckets from the owning memory's full population.
+func (ix *betaIndex) build(tokens []*Token) {
+	ix.buckets.Reserve(len(tokens))
+	for _, x := range tokens {
+		ix.buckets.Add(ix.key(x), x)
 	}
-	var i int32
-	if ix.free >= 0 {
-		i = ix.free
-		ix.free = ix.entries[i].next
-		ix.entries[i] = tokEntry{tok: tok, next: head}
-	} else {
-		i = int32(len(ix.entries))
-		ix.entries = append(ix.entries, tokEntry{tok: tok, next: head})
-	}
-	ix.buckets[k] = i
 }
 
 // insert adds tok to its bucket. tokens is the owning memory's current
-// population (already including tok); the bucket map is built from it
-// in full when the memory first reaches linearProbeMin.
+// population (already including tok); the buckets are built from it in
+// full when the memory first reaches linearProbeMin.
 func (ix *betaIndex) insert(tok *Token, tokens []*Token) {
-	if ix.buckets == nil {
-		if len(tokens) < linearProbeMin {
-			return
-		}
-		ix.buckets = make(map[uint64]int32, len(tokens))
-		ix.entries = make([]tokEntry, 0, 2*len(tokens))
-		ix.free = -1
-		for _, x := range tokens {
-			ix.add(ix.key(x), x)
-		}
-		return
+	switch {
+	case ix.buckets.Ready():
+		ix.buckets.Add(ix.key(tok), tok)
+	case len(tokens) >= linearProbeMin:
+		ix.build(tokens)
 	}
-	ix.add(ix.key(tok), tok)
 }
 
 func (ix *betaIndex) remove(tok *Token) {
-	if ix.buckets == nil {
+	if !ix.buckets.Ready() {
 		return
 	}
 	k := ix.key(tok)
-	head, ok := ix.buckets[k]
-	if !ok {
-		return
-	}
 	prev := int32(-1)
-	for i := head; i >= 0; i = ix.entries[i].next {
-		if ix.entries[i].tok.EqualTo(tok) {
-			next := ix.entries[i].next
-			if prev < 0 {
-				if next < 0 {
-					delete(ix.buckets, k)
-				} else {
-					ix.buckets[k] = next
-				}
-			} else {
-				ix.entries[prev].next = next
-			}
-			ix.entries[i] = tokEntry{next: ix.free}
-			ix.free = i
+	for i := ix.buckets.Head(k); i >= 0; prev, i = i, ix.buckets.Next(i) {
+		if (*ix.buckets.At(i)).EqualTo(tok) {
+			ix.buckets.Unlink(k, prev, i)
 			return
 		}
-		prev = i
 	}
 }
 
@@ -334,31 +202,11 @@ func (ix *betaIndex) remove(tok *Token) {
 // alphaIndex.probe) and returns the filled slice.
 func (ix *betaIndex) probe(k uint64, scratch *[]*Token) []*Token {
 	out := (*scratch)[:0]
-	head, ok := ix.buckets[k]
-	if !ok {
-		*scratch = out
-		return out
-	}
-	for i := head; i >= 0; i = ix.entries[i].next {
-		out = append(out, ix.entries[i].tok)
+	for i := ix.buckets.Head(k); i >= 0; i = ix.buckets.Next(i) {
+		out = append(out, *ix.buckets.At(i))
 	}
 	*scratch = out
 	return out
-}
-
-// bucketStats reports the live bucket count and largest chain length.
-func (ix *betaIndex) bucketStats() (buckets, maxBucket int) {
-	for _, head := range ix.buckets {
-		buckets++
-		n := 0
-		for i := head; i >= 0; i = ix.entries[i].next {
-			n++
-		}
-		if n > maxBucket {
-			maxBucket = n
-		}
-	}
-	return buckets, maxBucket
 }
 
 // indexFor returns this alpha memory's index for the given equality
@@ -374,13 +222,9 @@ func (am *AlphaMem) indexFor(eq []JoinTest) *alphaIndex {
 			return ix
 		}
 	}
-	ix := &alphaIndex{attrs: attrs, free: -1}
+	ix := &alphaIndex{attrs: attrs}
 	if len(am.Items) >= linearProbeMin {
-		ix.buckets = make(map[uint64]int32, len(am.Items))
-		ix.entries = make([]wmeEntry, 0, 2*len(am.Items))
-		for _, w := range am.Items {
-			ix.add(ix.key(w), w)
-		}
+		ix.build(am.Items)
 	}
 	am.indexes = append(am.indexes, ix)
 	return ix
@@ -398,13 +242,9 @@ func (bm *BetaMem) indexFor(eq []JoinTest) *betaIndex {
 			return ix
 		}
 	}
-	ix := &betaIndex{cols: cols, free: -1}
+	ix := &betaIndex{cols: cols}
 	if len(bm.Tokens) >= linearProbeMin {
-		ix.buckets = make(map[uint64]int32, len(bm.Tokens))
-		ix.entries = make([]tokEntry, 0, 2*len(bm.Tokens))
-		for _, tok := range bm.Tokens {
-			ix.add(ix.key(tok), tok)
-		}
+		ix.build(bm.Tokens)
 	}
 	bm.indexes = append(bm.indexes, ix)
 	return ix
@@ -451,10 +291,7 @@ func (n *Network) prepare() {
 		j.leftHash, j.rightHash = JoinHashFuncs(eq)
 		j.rightIdx = j.Right.indexFor(eq)
 		j.leftIdx = j.Left.indexFor(eq)
-		if j.Kind == JoinNegative {
-			j.negIndex = make(map[uint64]int32)
-			j.negFree = -1
-		}
+		j.negIndexed = j.Kind == JoinNegative
 	}
 }
 
@@ -485,21 +322,16 @@ func (n *Network) IndexInfo() IndexInfo {
 		} else {
 			info.FallbackJoins++
 		}
-		for _, head := range j.negIndex {
-			info.Buckets++
-			b := 0
-			for e := head; e >= 0; e = j.negEntries[e].next {
-				b++
-			}
-			if b > info.MaxBucket {
-				info.MaxBucket = b
-			}
+		b, mx := j.negIndex.Stats()
+		info.Buckets += b
+		if mx > info.MaxBucket {
+			info.MaxBucket = mx
 		}
 	}
 	for _, am := range n.alphas {
 		info.AlphaIndexes += len(am.indexes)
 		for _, ix := range am.indexes {
-			b, mx := ix.bucketStats()
+			b, mx := ix.buckets.Stats()
 			info.Buckets += b
 			if mx > info.MaxBucket {
 				info.MaxBucket = mx
@@ -509,7 +341,7 @@ func (n *Network) IndexInfo() IndexInfo {
 	for _, bm := range n.betas {
 		info.BetaIndexes += len(bm.indexes)
 		for _, ix := range bm.indexes {
-			b, mx := ix.bucketStats()
+			b, mx := ix.buckets.Stats()
 			info.Buckets += b
 			if mx > info.MaxBucket {
 				info.MaxBucket = mx

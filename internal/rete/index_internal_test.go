@@ -14,6 +14,17 @@ import (
 	"repro/internal/ops5"
 )
 
+// chainCounts returns each live bucket's chain length by key.
+func chainCounts[E any](b *Buckets[E]) map[uint64]int {
+	counts := make(map[uint64]int)
+	for k, head := range b.heads {
+		for i := head - 1; i >= 0; i = b.Next(i) {
+			counts[k]++
+		}
+	}
+	return counts
+}
+
 // bucketSnapshot renders every hash bucket in the network — alpha
 // indexes, beta indexes, and not-node negation indexes — as
 // "owner key=count" lines, sorted. Equal snapshots mean equal
@@ -33,14 +44,10 @@ func bucketSnapshot(t *testing.T, n *Network) string {
 	for _, am := range n.alphas {
 		for ii, ix := range am.indexes {
 			counts := make(map[uint64]int)
-			if ix.buckets != nil {
+			if ix.buckets.Ready() {
+				counts = chainCounts(&ix.buckets)
 				total := 0
-				for k, head := range ix.buckets {
-					n := 0
-					for i := head; i >= 0; i = ix.entries[i].next {
-						n++
-					}
-					counts[k] = n
+				for _, n := range counts {
 					total += n
 				}
 				if total != len(am.Items) {
@@ -57,14 +64,10 @@ func bucketSnapshot(t *testing.T, n *Network) string {
 	for _, bm := range n.betas {
 		for ii, ix := range bm.indexes {
 			counts := make(map[uint64]int)
-			if ix.buckets != nil {
+			if ix.buckets.Ready() {
+				counts = chainCounts(&ix.buckets)
 				total := 0
-				for k, head := range ix.buckets {
-					n := 0
-					for i := head; i >= 0; i = ix.entries[i].next {
-						n++
-					}
-					counts[k] = n
+				for _, n := range counts {
 					total += n
 				}
 				if total != len(bm.Tokens) {
@@ -79,15 +82,9 @@ func bucketSnapshot(t *testing.T, n *Network) string {
 		}
 	}
 	for _, j := range n.joins {
-		if j.negIndex != nil {
+		if j.negIndexed {
 			lines = append(lines, fmt.Sprintf("join%d negCount=%d", j.ID, j.negCount))
-			for k, head := range j.negIndex {
-				b := 0
-				for e := head; e >= 0; e = j.negEntries[e].next {
-					b++
-				}
-				lines = append(lines, fmt.Sprintf("join%d %#x=%d", j.ID, k, b))
-			}
+			render(fmt.Sprintf("join%d", j.ID), chainCounts(&j.negIndex))
 		} else {
 			lines = append(lines, fmt.Sprintf("join%d negRecords=%d", j.ID, len(j.negRecords)))
 		}

@@ -204,16 +204,21 @@ func (am *AlphaMem) remove(w *ops5.WME) bool {
 // Token is a sequence of WMEs matching the positive condition elements
 // processed so far, in LHS order. Tokens are immutable; extension copies.
 // Short tokens (the overwhelmingly common case) store their WMEs in the
-// inline arr, so extension is a single allocation.
+// inline arr, so extension is a single allocation (the struct fills the
+// 80-byte size class exactly).
 type Token struct {
 	WMEs []*ops5.WME
 	arr  [6]*ops5.WME
+	// id is the identity hash: the WMEs' time tags folded in order, the
+	// parent's id extended by one tag at Extend, so no lookup ever walks
+	// the tag list again. The zero Token is the empty token.
+	id uint64
 }
 
 // Extend returns a new token with w appended.
 func (t *Token) Extend(w *ops5.WME) *Token {
 	n := len(t.WMEs) + 1
-	nt := &Token{}
+	nt := &Token{id: hashTag(t.id, w.TimeTag)}
 	if n <= len(nt.arr) {
 		nt.WMEs = nt.arr[:n]
 	} else {
@@ -223,6 +228,12 @@ func (t *Token) Extend(w *ops5.WME) *Token {
 	nt.WMEs[n-1] = w
 	return nt
 }
+
+// IDHash returns the token's identity hash, the key of every structural
+// token lookup in the serial and the parallel matcher. Equal tokens
+// (same WME sequence) always hash equal; collisions are possible, so
+// lookups re-verify candidates with EqualTo.
+func (t *Token) IDHash() uint64 { return t.id }
 
 // EqualTo reports structural equality (same WME pointers in order).
 func (t *Token) EqualTo(o *Token) bool {
@@ -260,26 +271,12 @@ type BetaMem struct {
 	// prepare time and shared between joins with the same key spec.
 	indexes []*betaIndex
 	// pos maps token identity hashes to slice positions for O(1)
-	// removal. A bucket is a chain through posEntries (time tags make
-	// chains unique, so buckets are single-entry in practice; EqualTo
-	// re-verifies either way). Chained int32 entries with a free list
-	// keep steady-state upkeep allocation-free.
-	pos        map[uint64]int32
-	posEntries []posEntry
-	posFree    int32
+	// removal (time tags make chains unique, so buckets are single-entry
+	// in practice; EqualTo re-verifies either way). Unbuilt until the
+	// memory first reaches linearProbeMin tokens.
+	pos Buckets[int32]
 	// Mu guards Tokens in the parallel runtime only.
 	Mu sync.Mutex
-}
-
-// tokenIDHash folds a token's identity — its WMEs' time tags in
-// order — into a uint64 map key for O(1) structural lookup. The hash is
-// not injective, so lookups re-verify candidates with EqualTo.
-func tokenIDHash(tok *Token) uint64 {
-	h := ops5.HashSeed
-	for _, w := range tok.WMEs {
-		h = hashTag(h, w.TimeTag)
-	}
-	return h
 }
 
 // hashTag folds one time tag into an identity hash.
@@ -293,82 +290,21 @@ func hashTag(h uint64, tag int) uint64 {
 	return h
 }
 
-// TokenIDHash is the exported token identity hash used by the parallel
-// matcher to key its counted token multisets. Equal tokens (same WME
-// sequence) always hash equal; collisions are possible, so callers
-// re-verify candidates with EqualTo.
-func TokenIDHash(tok *Token) uint64 { return tokenIDHash(tok) }
-
 // insert appends tok, recording its position under its identity key
 // once the memory is large enough that linear removal would cost more
-// than key computation and map upkeep. The position map is built lazily
-// at the linearProbeMin crossing and kept thereafter.
+// than map upkeep. The position map is built lazily at the
+// linearProbeMin crossing and kept thereafter.
 func (bm *BetaMem) insert(tok *Token) {
-	if bm.pos == nil && len(bm.Tokens) >= linearProbeMin {
-		bm.pos = make(map[uint64]int32, len(bm.Tokens)+1)
-		bm.posEntries = make([]posEntry, 0, 2*len(bm.Tokens))
-		bm.posFree = -1
+	if !bm.pos.Ready() && len(bm.Tokens) >= linearProbeMin {
+		bm.pos.Reserve(len(bm.Tokens) + 1)
 		for i, t := range bm.Tokens {
-			bm.posAdd(tokenIDHash(t), int32(i))
+			bm.pos.Add(t.id, int32(i))
 		}
 	}
-	if bm.pos != nil {
-		bm.posAdd(tokenIDHash(tok), int32(len(bm.Tokens)))
+	if bm.pos.Ready() {
+		bm.pos.Add(tok.id, int32(len(bm.Tokens)))
 	}
 	bm.Tokens = append(bm.Tokens, tok)
-}
-
-// posEntry is one chain link of the position map: a token position and
-// the entry index of the next link (-1 ends the chain; free-listed
-// entries reuse next as the free link).
-type posEntry struct {
-	pos  int32
-	next int32
-}
-
-// posAdd links position p under identity key k.
-func (bm *BetaMem) posAdd(k uint64, p int32) {
-	head, ok := bm.pos[k]
-	if !ok {
-		head = -1
-	}
-	var i int32
-	if bm.posFree >= 0 {
-		i = bm.posFree
-		bm.posFree = bm.posEntries[i].next
-		bm.posEntries[i] = posEntry{pos: p, next: head}
-	} else {
-		i = int32(len(bm.posEntries))
-		bm.posEntries = append(bm.posEntries, posEntry{pos: p, next: head})
-	}
-	bm.pos[k] = i
-}
-
-// posDelete unlinks the entry for key k holding position p.
-func (bm *BetaMem) posDelete(k uint64, p int32) {
-	head, ok := bm.pos[k]
-	if !ok {
-		return
-	}
-	prev := int32(-1)
-	for i := head; i >= 0; i = bm.posEntries[i].next {
-		if bm.posEntries[i].pos == p {
-			next := bm.posEntries[i].next
-			if prev < 0 {
-				if next < 0 {
-					delete(bm.pos, k)
-				} else {
-					bm.pos[k] = next
-				}
-			} else {
-				bm.posEntries[prev].next = next
-			}
-			bm.posEntries[i] = posEntry{next: bm.posFree}
-			bm.posFree = i
-			return
-		}
-		prev = i
-	}
 }
 
 // remove deletes one token structurally equal to tok, reporting
@@ -377,30 +313,8 @@ func (bm *BetaMem) posDelete(k uint64, p int32) {
 // swapping in the last token (token order carries no meaning), so
 // removal is O(1) instead of a linear EqualTo scan.
 func (bm *BetaMem) remove(tok *Token) bool {
-	if bm.pos == nil {
-		for i, t := range bm.Tokens {
-			if t.EqualTo(tok) {
-				bm.swapRemove(i)
-				return true
-			}
-		}
-		return false
-	}
-	key := tokenIDHash(tok)
-	head, ok := bm.pos[key]
-	if !ok {
-		return false
-	}
-	for e := head; e >= 0; e = bm.posEntries[e].next {
-		p := bm.posEntries[e].pos
-		if !bm.Tokens[p].EqualTo(tok) {
-			continue
-		}
-		bm.posDelete(key, p)
-		bm.swapRemove(int(p))
-		return true
-	}
-	return false
+	_, ok := bm.removeWhere(tok.id, func(t *Token) bool { return t.EqualTo(tok) })
+	return ok
 }
 
 // removeExt deletes the token formed by base's WMEs plus w without
@@ -408,28 +322,30 @@ func (bm *BetaMem) remove(tok *Token) bool {
 // propagate the removal downstream. It is the delete-path counterpart of
 // insert(base.Extend(w)) and saves one token allocation per removal.
 func (bm *BetaMem) removeExt(base *Token, w *ops5.WME) (*Token, bool) {
-	if bm.pos == nil {
+	return bm.removeWhere(hashTag(base.id, w.TimeTag), func(t *Token) bool { return extEqual(t, base, w) })
+}
+
+// removeWhere deletes and returns the token with identity hash id that
+// satisfies equal.
+func (bm *BetaMem) removeWhere(id uint64, equal func(*Token) bool) (*Token, bool) {
+	if !bm.pos.Ready() {
 		for i, t := range bm.Tokens {
-			if extEqual(t, base, w) {
+			if equal(t) {
 				bm.swapRemove(i)
 				return t, true
 			}
 		}
 		return nil, false
 	}
-	key := hashTag(tokenIDHash(base), w.TimeTag)
-	head, ok := bm.pos[key]
-	if !ok {
-		return nil, false
-	}
-	for e := head; e >= 0; e = bm.posEntries[e].next {
-		p := bm.posEntries[e].pos
+	prev := int32(-1)
+	for e := bm.pos.Head(id); e >= 0; prev, e = e, bm.pos.Next(e) {
+		p := int(*bm.pos.At(e))
 		t := bm.Tokens[p]
-		if !extEqual(t, base, w) {
+		if !equal(t) {
 			continue
 		}
-		bm.posDelete(key, p)
-		bm.swapRemove(int(p))
+		bm.pos.Unlink(id, prev, e)
+		bm.swapRemove(p)
 		return t, true
 	}
 	return nil, false
@@ -456,10 +372,10 @@ func (bm *BetaMem) swapRemove(i int) {
 	if i != last {
 		moved := bm.Tokens[last]
 		bm.Tokens[i] = moved
-		if bm.pos != nil {
-			for e := bm.pos[tokenIDHash(moved)]; e >= 0; e = bm.posEntries[e].next {
-				if int(bm.posEntries[e].pos) == last {
-					bm.posEntries[e].pos = int32(i)
+		if bm.pos.Ready() {
+			for e := bm.pos.Head(moved.id); e >= 0; e = bm.pos.Next(e) {
+				if p := bm.pos.At(e); int(*p) == last {
+					*p = int32(i)
 					break
 				}
 			}
@@ -501,61 +417,22 @@ const (
 	JoinNegative
 )
 
-// negRecord is a left token stored in a not-node with its count of
-// matching right WMEs.
-type negEntry struct {
-	rec  negRecord
-	next int32
-}
-
-// negAdd links rec under join-key hash k in the indexed not-node state.
-func (j *JoinNode) negAdd(k uint64, rec negRecord) {
-	head, ok := j.negIndex[k]
-	if !ok {
-		head = -1
-	}
-	var i int32
-	if j.negFree >= 0 {
-		i = j.negFree
-		j.negFree = j.negEntries[i].next
-		j.negEntries[i] = negEntry{rec: rec, next: head}
-	} else {
-		i = int32(len(j.negEntries))
-		j.negEntries = append(j.negEntries, negEntry{rec: rec, next: head})
-	}
-	j.negIndex[k] = i
-}
-
-// negDelete unlinks the record for a token equal to tok under hash k,
-// returning its match count.
+// negDelete unlinks the record for a token equal to tok under join-key
+// hash k in the indexed not-node state, returning its match count.
 func (j *JoinNode) negDelete(k uint64, tok *Token) (count int, found bool) {
-	head, ok := j.negIndex[k]
-	if !ok {
-		return 0, false
-	}
 	prev := int32(-1)
-	for i := head; i >= 0; i = j.negEntries[i].next {
-		if j.negEntries[i].rec.tok.EqualTo(tok) {
-			count = j.negEntries[i].rec.count
-			next := j.negEntries[i].next
-			if prev < 0 {
-				if next < 0 {
-					delete(j.negIndex, k)
-				} else {
-					j.negIndex[k] = next
-				}
-			} else {
-				j.negEntries[prev].next = next
-			}
-			j.negEntries[i] = negEntry{next: j.negFree}
-			j.negFree = i
+	for i := j.negIndex.Head(k); i >= 0; prev, i = i, j.negIndex.Next(i) {
+		if rec := j.negIndex.At(i); rec.tok.EqualTo(tok) {
+			count = rec.count
+			j.negIndex.Unlink(k, prev, i)
 			return count, true
 		}
-		prev = i
 	}
 	return 0, false
 }
 
+// negRecord is a left token stored in a not-node with its count of
+// matching right WMEs.
 type negRecord struct {
 	tok   *Token
 	count int
@@ -590,17 +467,14 @@ type JoinNode struct {
 	// while one of its own probes is still being iterated.
 	leftScratch  []*Token
 	rightScratch []*ops5.WME
-	// negIndex holds an indexed not-node's left records bucketed by
-	// join key hash; negCount tracks their number for StateSize.
-	// Buckets are chains through negEntries storing records by value
-	// (chained int32 entries with a free list), so steady-state upkeep
-	// allocates nothing. Entries are only appended on this node's own
-	// left activation, which never nests inside an iteration of the
-	// same node's chains (propagation flows strictly downstream), so
-	// pointers into negEntries taken during a walk stay valid.
-	negIndex   map[uint64]int32
-	negEntries []negEntry
-	negFree    int32
+	// negIndex holds an indexed not-node's (negIndexed) left records by
+	// value, bucketed by join key hash; negCount tracks their number for
+	// StateSize. Records are only added on this node's own left
+	// activation, which never nests inside an iteration of the same
+	// node's chains (propagation flows strictly downstream), so pointers
+	// into the buckets taken during a walk stay valid.
+	negIndexed bool
+	negIndex   Buckets[negRecord]
 	negCount   int
 	// compiled, when non-nil, is the closure-specialised test chain.
 	compiled func(*Token, *ops5.WME) bool
@@ -633,66 +507,26 @@ type Terminal struct {
 	// conflict set, keyed by token identity hash (chains re-verified
 	// with EqualTo), so removals don't rebuild variable bindings. Only
 	// the serial runtime touches it; the parallel runtime calls
-	// Instantiate directly, which stays pure. Chained int32 entries
-	// with a free list keep steady-state upkeep allocation-free.
-	live        map[uint64]int32
-	liveEntries []liveInst
-	liveFree    int32
+	// Instantiate directly, which stays pure.
+	live Buckets[liveInst]
 }
 
-// liveInst pairs a live token with its cached instantiation; next links
-// the hash chain (-1 ends it; free-listed entries reuse it as the free
-// link).
+// liveInst pairs a live token with its cached instantiation.
 type liveInst struct {
 	tok  *Token
 	inst *ops5.Instantiation
-	next int32
 }
 
-// liveAdd caches inst for tok in the terminal's live map.
-func (t *Terminal) liveAdd(k uint64, tok *Token, inst *ops5.Instantiation) {
-	head, ok := t.live[k]
-	if !ok {
-		head = -1
-	}
-	var i int32
-	if t.liveFree >= 0 {
-		i = t.liveFree
-		t.liveFree = t.liveEntries[i].next
-		t.liveEntries[i] = liveInst{tok: tok, inst: inst, next: head}
-	} else {
-		i = int32(len(t.liveEntries))
-		t.liveEntries = append(t.liveEntries, liveInst{tok: tok, inst: inst, next: head})
-	}
-	t.live[k] = i
-}
-
-// liveTake removes and returns the cached instantiation for a token
-// equal to tok, or nil when none is cached.
-func (t *Terminal) liveTake(k uint64, tok *Token) *ops5.Instantiation {
-	head, ok := t.live[k]
-	if !ok {
-		return nil
-	}
+// liveTake removes and returns the cached instantiation for tok, or nil
+// when none is cached.
+func (t *Terminal) liveTake(tok *Token) *ops5.Instantiation {
 	prev := int32(-1)
-	for i := head; i >= 0; i = t.liveEntries[i].next {
-		if t.liveEntries[i].tok.EqualTo(tok) {
-			inst := t.liveEntries[i].inst
-			next := t.liveEntries[i].next
-			if prev < 0 {
-				if next < 0 {
-					delete(t.live, k)
-				} else {
-					t.live[k] = next
-				}
-			} else {
-				t.liveEntries[prev].next = next
-			}
-			t.liveEntries[i] = liveInst{next: t.liveFree}
-			t.liveFree = i
+	for i := t.live.Head(tok.id); i >= 0; prev, i = i, t.live.Next(i) {
+		if e := t.live.At(i); e.tok.EqualTo(tok) {
+			inst := e.inst
+			t.live.Unlink(tok.id, prev, i)
 			return inst
 		}
-		prev = i
 	}
 	return nil
 }

@@ -4,28 +4,39 @@ import "repro/internal/ops5"
 
 // MatchAlphas runs the constant-test network for a WME without mutating
 // any memory, returning the alpha memories whose tests all pass and the
-// number of constant tests evaluated. The parallel runtime and the
-// statistics tools use this to dispatch WM changes.
+// number of constant tests evaluated. The statistics tools use this to
+// dispatch WM changes.
 func (n *Network) MatchAlphas(w *ops5.WME) (mems []*AlphaMem, tests int) {
-	root := n.roots[w.ClassID()]
-	if root == nil {
-		return nil, 0
+	if root := n.roots[w.ClassID()]; root != nil {
+		mems = root.appendAlphas(nil, w, &tests)
 	}
-	var visit func(node *ConstNode)
-	visit = func(node *ConstNode) {
-		tests++
-		if !node.Test.Eval(w) {
-			return
-		}
-		if node.Mem != nil {
-			mems = append(mems, node.Mem)
-		}
-		for _, c := range node.Children {
-			visit(c)
-		}
-	}
-	visit(root)
 	return mems, tests
+}
+
+// AppendAlphas is MatchAlphas appending to dst and not counting tests:
+// the parallel runtime's per-change dispatch, which then allocates
+// nothing once dst has grown.
+func (n *Network) AppendAlphas(dst []*AlphaMem, w *ops5.WME) []*AlphaMem {
+	if root := n.roots[w.ClassID()]; root != nil {
+		var tests int
+		dst = root.appendAlphas(dst, w, &tests)
+	}
+	return dst
+}
+
+// appendAlphas walks the constant-test chain below c for the WME.
+func (c *ConstNode) appendAlphas(dst []*AlphaMem, w *ops5.WME, tests *int) []*AlphaMem {
+	*tests++
+	if !c.Test.Eval(w) {
+		return dst
+	}
+	if c.Mem != nil {
+		dst = append(dst, c.Mem)
+	}
+	for _, ch := range c.Children {
+		dst = ch.appendAlphas(dst, w, tests)
+	}
+	return dst
 }
 
 // NodeCounts summarises the compiled network's size, used by README
@@ -94,7 +105,7 @@ func (n *Network) StateSize() int {
 		size += len(bm.Tokens)
 	}
 	for _, j := range n.joins {
-		if j.negIndex != nil {
+		if j.negIndexed {
 			size += j.negCount
 		} else {
 			size += len(j.negRecords)

@@ -91,7 +91,7 @@ func TestSessionEvictionStopsResidentWorkers(t *testing.T) {
 	c.must("POST", "/sessions", server.CreateRequest{
 		ID: "evict", Program: skewedSrc, Matcher: "parallel-rete", Workers: 4,
 	}, nil, http.StatusCreated)
-	c.must("POST", "/sessions/evict/changes", skewedChanges(32), nil, http.StatusOK)
+	c.must("POST", "/sessions/evict/changes", skewedChanges(96), nil, http.StatusOK)
 
 	if v := scrapeMetric(t, c, "psmd_sched_resident_workers"); v != 4 {
 		t.Fatalf("psmd_sched_resident_workers = %v after wake, want 4", v)
@@ -121,7 +121,7 @@ func TestDemoteStopsResidentWorkers(t *testing.T) {
 	c.must("POST", "/sessions", server.CreateRequest{
 		ID: "demote", Program: skewedSrc, Matcher: "parallel-rete", Workers: 4,
 	}, nil, http.StatusCreated)
-	c.must("POST", "/sessions/demote/changes", skewedChanges(32), nil, http.StatusOK)
+	c.must("POST", "/sessions/demote/changes", skewedChanges(96), nil, http.StatusOK)
 
 	if v := scrapeMetric(t, c, "psmd_sched_resident_workers"); v != 4 {
 		t.Fatalf("psmd_sched_resident_workers = %v after wake, want 4", v)

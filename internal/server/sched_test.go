@@ -54,19 +54,25 @@ func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
 		ID: "skew", Program: skewedSrc, Matcher: "parallel-rete", Workers: 8,
 	}, nil, http.StatusCreated)
 
-	changes := []server.WireChange{
-		{Op: "assert", Class: "goal", Attrs: map[string]any{"type": "pick", "color": "red"}},
-	}
-	for i := 0; i < 48; i++ {
+	// The goal comes last: by the time a lane claims it the seed list is
+	// drained, so the token-per-block fan-out behind it (each token with a
+	// scan of every block to do) is shed onto that lane's deque, and the
+	// lanes running out of block changes must steal it.
+	const blocks = 96
+	var changes []server.WireChange
+	for i := 0; i < blocks; i++ {
 		changes = append(changes, server.WireChange{
 			Op: "assert", Class: "block",
 			Attrs: map[string]any{"id": float64(i), "color": "red"},
 		})
 	}
+	changes = append(changes, server.WireChange{
+		Op: "assert", Class: "goal", Attrs: map[string]any{"type": "pick", "color": "red"},
+	})
 	var ch server.ChangesResponse
 	c.must("POST", "/sessions/skew/changes", server.ChangesRequest{Changes: changes}, &ch, http.StatusOK)
-	if ch.ConflictSize != 48*48 {
-		t.Fatalf("conflict size = %d, want %d", ch.ConflictSize, 48*48)
+	if ch.ConflictSize != blocks*blocks {
+		t.Fatalf("conflict size = %d, want %d", ch.ConflictSize, blocks*blocks)
 	}
 
 	resp, err := http.Get(c.raw + "/metrics")
