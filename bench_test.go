@@ -430,7 +430,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(payload))
+		req, err := http.NewRequest(method, ts.URL+server.APIVersion+path, bytes.NewReader(payload))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -516,7 +516,7 @@ func BenchmarkStreamThroughput(b *testing.B) {
 			cl := ts.Client()
 			post := func(path, contentType string, body []byte, out any) {
 				b.Helper()
-				resp, err := cl.Post(ts.URL+path, contentType, bytes.NewReader(body))
+				resp, err := cl.Post(ts.URL+server.APIVersion+path, contentType, bytes.NewReader(body))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -18,22 +18,22 @@
 //
 // Endpoints (see internal/server/http.go for the wire formats):
 //
-//	POST   /sessions                create a session (program in body)
-//	GET    /sessions                list sessions
-//	GET    /sessions/{id}           session stats
-//	DELETE /sessions/{id}           delete a session
-//	POST   /sessions/{id}/changes   batched assert/retract changes
-//	POST   /sessions/{id}/run       run N recognize-act cycles
-//	GET    /sessions/{id}/conflicts conflict set (LEX order)
-//	GET    /sessions/{id}/wm        working memory (?class= filters)
-//	GET    /sessions/{id}/trace     recent cycle spans (survives deletion)
-//	GET    /sessions/{id}/profile   hot-node profile (?top= truncates)
-//	GET    /metrics                 serving metrics, text exposition
-//	GET    /statusz                 human-readable session table
-//	GET    /healthz                 liveness
-//	GET    /readyz                  readiness (503 while recovering or draining)
-//	GET    /v1/cluster/status       membership, sessions, replication lag (cluster mode)
-//	GET    /debug/pprof/...         runtime profiles (disable with -no-pprof)
+//	POST   /v1/sessions                create a session (program in body)
+//	GET    /v1/sessions                list sessions
+//	GET    /v1/sessions/{id}           session stats
+//	DELETE /v1/sessions/{id}           delete a session
+//	POST   /v1/sessions/{id}/changes   batched assert/retract changes
+//	POST   /v1/sessions/{id}/run       run N recognize-act cycles
+//	GET    /v1/sessions/{id}/conflicts conflict set (LEX order)
+//	GET    /v1/sessions/{id}/wm        working memory (?class= filters)
+//	GET    /v1/sessions/{id}/trace     recent cycle spans (survives deletion)
+//	GET    /v1/sessions/{id}/profile   hot-node profile (?top= truncates)
+//	GET    /metrics                    serving metrics, text exposition
+//	GET    /statusz                    human-readable session table
+//	GET    /healthz                    liveness
+//	GET    /readyz                     readiness (503 while recovering or draining)
+//	GET    /v1/cluster/status          membership, sessions, replication lag (cluster mode)
+//	GET    /debug/pprof/...            runtime profiles (disable with -no-pprof)
 //
 // Every request carries a trace ID (X-Request-Id header, generated when
 // absent) that is echoed in the response, logged on the request line,

@@ -121,7 +121,7 @@ func (n *Node) route(inner http.Handler) http.Handler {
 			inner.ServeHTTP(w, r)
 			return
 		}
-		if r.Method == http.MethodPost && isSessionsRoot(r.URL.Path) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/sessions" {
 			n.routeCreate(w, r, inner)
 			return
 		}
@@ -536,12 +536,6 @@ func (n *Node) post(p *peer, path string, body []byte) (ackResponse, int, error)
 }
 
 // --- small helpers ---
-
-// isSessionsRoot matches the create-session path (versioned or the
-// deprecated alias).
-func isSessionsRoot(path string) bool {
-	return path == "/v1/sessions" || path == "/sessions"
-}
 
 // sessionIDFromPath extracts the {id} of a sessions API path ("" for
 // non-session paths).

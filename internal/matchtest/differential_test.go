@@ -3,12 +3,14 @@ package matchtest_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/matchtest"
 	"repro/internal/ops5"
 	"repro/internal/prete"
 	"repro/internal/rete"
+	"repro/internal/treat"
 )
 
 // replayRete runs a script through the serial Rete network and returns
@@ -37,6 +39,30 @@ func replayPrete(t *testing.T, prods []*ops5.Production, script *matchtest.Scrip
 	m.OnInsert = tr.Insert
 	m.OnRemove = tr.Remove
 	return matchtest.ReplayKeys(m, tr, script)
+}
+
+// replayTreat runs the same script through the TREAT matcher.
+func replayTreat(t *testing.T, prods []*ops5.Production, script *matchtest.Script) [][]string {
+	t.Helper()
+	m, err := treat.New(prods)
+	if err != nil {
+		t.Fatalf("treat new: %v", err)
+	}
+	tr := matchtest.NewTracker()
+	m.OnInsert = tr.Insert
+	m.OnRemove = tr.Remove
+	return matchtest.ReplayKeys(m, tr, script)
+}
+
+// diffBatches fails the test at the first batch where got's conflict set
+// differs from want's, the serial Rete's.
+func diffBatches(t *testing.T, label string, want, got [][]string) {
+	t.Helper()
+	for b := range want {
+		if d := matchtest.Diff(want[b], got[b]); d != "" {
+			t.Fatalf("%s batch %d: diverges from rete:\n%s", label, b, d)
+		}
+	}
 }
 
 // schedulerMatrix is every combination the shared left memories must be
@@ -107,12 +133,7 @@ func TestDifferentialPreteVsRete(t *testing.T) {
 				withChurn(rng, params, script, 24)
 				want := replayRete(t, prods, script)
 				for _, cfg := range tc.cfgs {
-					got := replayPrete(t, prods, script, cfg)
-					for b := range want {
-						if d := matchtest.Diff(want[b], got[b]); d != "" {
-							t.Fatalf("seed %d %+v batch %d: prete diverges from rete:\n%s", seed, cfg, b, d)
-						}
-					}
+					diffBatches(t, fmt.Sprintf("seed %d %+v prete", seed, cfg), want, replayPrete(t, prods, script, cfg))
 				}
 			}
 		})
@@ -150,6 +171,92 @@ func FuzzDifferentialPreteVsRete(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDifferentialTreatVsRete puts TREAT under the same generators: its
+// hash-bucketed condition-element memories must select the same
+// instantiations as the serial Rete over the default, the sibling
+// fan-out and the equality-heavy index-stress shapes.
+func TestDifferentialTreatVsRete(t *testing.T) {
+	cases := map[string]matchtest.GenParams{
+		"default":      matchtest.DefaultGenParams(),
+		"fan-out":      matchtest.FanOutGenParams(8),
+		"index-stress": matchtest.IndexStressGenParams(),
+	}
+	for name, params := range cases {
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(600); seed < 606; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				prods := matchtest.RandomProgram(rng, params)
+				script := matchtest.RandomScript(rng, params, 30, 6)
+				diffBatches(t, fmt.Sprintf("seed %d treat", seed), replayRete(t, prods, script), replayTreat(t, prods, script))
+			}
+		})
+	}
+}
+
+// FuzzDifferentialTreatVsRete explores TREAT against the serial Rete
+// from fuzzed seeds and shape parameters; shape picks the generator
+// (default, fan-out, index-stress).
+func FuzzDifferentialTreatVsRete(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(2), uint8(0))
+	f.Add(int64(42), uint8(4), uint8(3), uint8(1))
+	f.Add(int64(7), uint8(2), uint8(4), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, maxCEs, values, shape uint8) {
+		params := []matchtest.GenParams{
+			matchtest.DefaultGenParams(), matchtest.FanOutGenParams(4), matchtest.IndexStressGenParams(),
+		}[int(shape)%3]
+		params.MaxCEs = 1 + int(maxCEs)%4
+		params.Values = 2 + int(values)%5
+		rng := rand.New(rand.NewSource(seed))
+		prods := matchtest.RandomProgram(rng, params)
+		script := matchtest.RandomScript(rng, params, 15, 8)
+		diffBatches(t, fmt.Sprintf("seed %d treat", seed), replayRete(t, prods, script), replayTreat(t, prods, script))
+	})
+}
+
+// TestOnePlanManyExecutors pins the plan's immutability: one plan,
+// compiled once, is run at the same time by two serial networks and a
+// parallel matcher, each on its own goroutine with its own memories, and
+// all three must agree after every batch (under -race, any write through
+// the shared plan is reported).
+func TestOnePlanManyExecutors(t *testing.T) {
+	params := matchtest.FanOutGenParams(8)
+	params.Productions = 16
+	for seed := int64(700); seed < 704; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prods := matchtest.RandomProgram(rng, params)
+		script := matchtest.RandomScript(rng, params, 24, 12)
+		withChurn(rng, params, script, 24)
+		plan, err := rete.CompilePlan(prods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm := prete.NewOnPlan(plan, prete.Config{Workers: 4, SerialThreshold: -1})
+		t.Cleanup(pm.Close)
+		trackers := [3]*matchtest.Tracker{matchtest.NewTracker(), matchtest.NewTracker(), matchtest.NewTracker()}
+		var executors [3]matchtest.ApplyMatcher
+		for i := 0; i < 2; i++ {
+			net := rete.NewNetwork(plan)
+			net.OnInsert, net.OnRemove = trackers[i].Insert, trackers[i].Remove
+			executors[i] = net
+		}
+		pm.OnInsert, pm.OnRemove = trackers[2].Insert, trackers[2].Remove
+		executors[2] = pm
+
+		var got [3][][]string
+		var wg sync.WaitGroup
+		for i := range executors {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = matchtest.ReplayKeys(executors[i], trackers[i], script)
+			}(i)
+		}
+		wg.Wait()
+		diffBatches(t, fmt.Sprintf("seed %d second network", seed), got[0], got[1])
+		diffBatches(t, fmt.Sprintf("seed %d prete on the shared plan", seed), got[0], got[2])
+	}
 }
 
 // skewedProgram returns a program whose activations concentrate on one

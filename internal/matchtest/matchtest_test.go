@@ -44,20 +44,19 @@ func TestFanOutProgramsShareABetaMemory(t *testing.T) {
 				t.Fatalf("seed %d: %s does not extend its run's first CE:\n%s", seed, p.Name, p)
 			}
 		}
-		net, err := rete.Compile(prods)
+		plan, err := rete.CompilePlan(prods)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, bm := range net.Betas() {
-			if bm == net.DummyTop() || len(bm.Joins) < 3 {
+		for _, b := range plan.Betas {
+			if b.Index == 0 || len(b.Joins) < 3 {
 				continue
 			}
-			for _, j := range bm.Joins {
-				eq, _ := rete.SplitJoinTests(j.Tests)
+			for _, j := range b.Joins {
 				switch {
 				case j.Kind == rete.JoinNegative:
 					negated = true
-				case len(eq) > 0:
+				case j.LeftKey >= 0:
 					keyed = true
 				default:
 					unkeyed = true

@@ -136,40 +136,13 @@ func (v Value) String() string {
 	}
 }
 
-// AppendValueKey appends a deterministic byte encoding of v to b and
-// returns the extended slice. Equal values (per Equal) always encode
-// identically, so the encoding can key hash buckets for equality joins.
-// Symbols encode their fixed-width interned ID, so the encoding is
-// injective within a process; like the IDs themselves it is not stable
-// across processes and must never be persisted or shipped. Negative
-// zero encodes as zero to stay consistent with Equal.
-func AppendValueKey(b []byte, v Value) []byte {
-	switch v.Kind {
-	case SymValue:
-		id := v.sym
-		b = append(b, 's', byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	case NumValue:
-		n := v.Num
-		if n == 0 {
-			n = 0
-		}
-		bits := math.Float64bits(n)
-		b = append(b, 'n',
-			byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-			byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
-	default:
-		b = append(b, 'x')
-	}
-	return b
-}
-
 // HashSeed is the initial accumulator for HashValue chains (the FNV-1a
 // offset basis).
 const HashSeed uint64 = 14695981039346656037
 
-// HashValue folds v into the running FNV-1a hash h and returns it.
-// Like AppendValueKey it is Equal-consistent — equal values (per Equal)
-// always hash identically — but not injective, so callers keying hash
+// HashValue folds v into the running FNV-1a hash h and returns it. It
+// is Equal-consistent — equal values (per Equal) always hash
+// identically — but not injective, so callers keying hash
 // buckets by it must re-verify candidates with the full test; a
 // collision only widens a bucket, never loses a match. Symbols hash
 // their 4-byte interned ID, so the per-probe cost is constant — no

@@ -183,7 +183,7 @@ type LossReport struct {
 	// how well the lanes were used, not whether the matcher beats
 	// serial Rete: the paper's true speed-up, against the best
 	// uniprocessor matcher, is BenchmarkPreteApply's true-speedup and
-	// psmbench's prete.true_speedup, which time rete.Network on the
+	// psmbench's prete.true_speedup, which time the serial matcher on the
 	// same script. NominalConcurrency is mean busy workers during the
 	// active window (the paper's nominal speedup); LossFactor is
 	// nominal over true — the paper measures 1.93 at 32 processors.

@@ -2,19 +2,28 @@
 // Rete algorithm of §4-5, exploiting parallelism at the granularity of
 // individual node activations.
 //
+// The matcher is the parallel executor of a rete.Plan — the same
+// immutable compiled network the serial matcher of internal/rete runs.
+// It reads the plan's constant-test tree, node descriptors, memory keys,
+// join-key hashes and compiled test chains as they are, and owns only
+// what executing them in parallel needs: lock-striped counted-multiset
+// memories and a scheduler.
+//
 // Design (following Gupta's parallel Rete):
 //
 //   - The unit of work is one node activation: a (two-input node, token
 //     or WME, side, direction) tuple, typically 50-100 machine
 //     instructions of work (§4).
 //   - Memory nodes are merged into the two-input nodes: each node owns
-//     its own left (token) and right (WME) memory, so one lock per node
-//     makes the update-memory-and-scan-opposite-memory step atomic.
-//     This is exactly the structure the paper's hardware task scheduler
-//     assumes ("multiple node activations assigned to be processed in
-//     parallel cannot interfere with each other", §5). The cost is some
-//     duplication of memory between nodes — part of the paper's "loss
-//     of sharing" factor.
+//     its right (WME) memory, and the positive joins keying one beta
+//     memory of the plan alike share one left (token) memory, striped by
+//     join-key hash, so one stripe lock makes the
+//     update-memory-and-scan-opposite-memory step atomic. This is the
+//     structure the paper's hardware task scheduler assumes ("multiple
+//     node activations assigned to be processed in parallel cannot
+//     interfere with each other", §5). What duplication of memory
+//     between nodes remains is part of the paper's "loss of sharing"
+//     factor.
 //   - Multiple activations of different nodes, multiple activations of
 //     the same memory contents via distinct nodes, and multiple working
 //     memory changes are all processed in parallel (§4, the two
@@ -62,7 +71,7 @@ import (
 // (aliasing Apply's per-batch scratch; no per-task allocation).
 type task struct {
 	left *group
-	mems []*rete.AlphaMem
+	mems []*rete.AlphaNode
 	dir  ops5.ChangeKind
 	tok  *rete.Token // left activations
 	wme  *ops5.WME   // seeds
@@ -153,14 +162,14 @@ type stripe struct {
 }
 
 // group is one left memory and the two-input nodes that read it. The
-// positive joins below one rete.BetaMem with the same equality key
-// columns — what the serial network shares as one beta index — form one
-// group and share its memory: a token is stored once, under the stripe
-// lock for its join key, and each member's right bucket is probed under
-// that same lock. This is the node sharing the paper says parallel Rete
-// loses (§4), kept. A not-node is always a group of its own, because a
-// left entry's matches count is per node; so is a join below the dummy
-// top, whose left memory never changes.
+// positive joins reading one beta memory of the plan by the same key
+// (rete.JoinNode.LeftKey — what the serial network shares as one beta
+// index) form one group and share its memory: a token is stored once,
+// under the stripe lock for its join key, and each member's right bucket
+// is probed under that same lock. This is the node sharing the paper
+// says parallel Rete loses (§4), kept. A not-node is always a group of
+// its own, because a left entry's matches count is per node; so is a
+// join below the dummy top, whose left memory never changes.
 type group struct {
 	members []*pnode
 	// leftHash computes a token's join-key hash; nil for a group with no
@@ -181,11 +190,13 @@ func (g *group) stripeOf(key uint64) int {
 	return int((key ^ key>>33) % stripes)
 }
 
-// pnode mirrors one rete two-input node: its tests, its right memory
-// (one table per stripe of its group, guarded by that stripe's lock)
-// and where its output goes.
+// pnode is the state of one two-input node of the plan: its right
+// memory (one table per stripe of its group, guarded by that stripe's
+// lock) and where its output goes. idx, tests, rightHash and terminals
+// repeat what join says, so that an activation reads one struct instead
+// of chasing the plan's descriptors.
 type pnode struct {
-	idx   int // position in Matcher.nodes and in the per-lane profiles
+	idx   int // join.Index: position in Matcher.nodes and in the per-lane profiles
 	join  *rete.JoinNode
 	grp   *group
 	tests func(*rete.Token, *ops5.WME) bool
@@ -275,10 +286,10 @@ type Config struct {
 
 // Matcher is the parallel Rete matcher. It satisfies engine.Matcher.
 type Matcher struct {
-	net *rete.Network
-	// nodes mirrors net.Joins() in order (ascending node ID); groups are
-	// the left memories; roots maps an alpha memory's ID to the nodes on
-	// its right-input successor list.
+	plan *rete.Plan
+	// nodes mirrors plan.Joins (ascending node ID); groups are the left
+	// memories; roots maps an alpha memory's index to the nodes on its
+	// right-input successor list.
 	nodes  []*pnode
 	groups []*group
 	roots  [][]*pnode
@@ -312,7 +323,7 @@ type Matcher struct {
 	bypassBelow int
 	// seedMems and flushBuf are Apply-only scratch, reused across
 	// batches so seeding and flushing allocate nothing steady-state.
-	seedMems []*rete.AlphaMem
+	seedMems []*rete.AlphaNode
 	flushBuf []pendingDelta
 }
 
@@ -324,10 +335,17 @@ func New(prods []*ops5.Production, workers int) (*Matcher, error) {
 
 // NewWithConfig is New with full scheduler configuration.
 func NewWithConfig(prods []*ops5.Production, cfg Config) (*Matcher, error) {
-	net, err := rete.Compile(prods)
+	plan, err := rete.CompilePlan(prods)
 	if err != nil {
 		return nil, err
 	}
+	return NewOnPlan(plan, cfg), nil
+}
+
+// NewOnPlan builds a parallel matcher with empty memories over an
+// already compiled plan, which it only reads: any number of matchers
+// (and serial networks) may run one plan.
+func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -340,107 +358,62 @@ func NewWithConfig(prods []*ops5.Production, cfg Config) (*Matcher, error) {
 		bypass = 0
 	}
 	m := &Matcher{
-		net:         net,
-		nodes:       make([]*pnode, len(net.Joins())),
-		prof:        make([]rete.NodeProf, len(net.Joins())),
+		plan:        plan,
+		nodes:       make([]*pnode, len(plan.Joins)),
+		prof:        make([]rete.NodeProf, len(plan.Joins)),
 		lanes:       make([]laneBooks, workers),
 		bypassBelow: bypass,
 	}
 	m.sched = newScheduler(workers, !cfg.NoSteal, len(m.nodes))
 
-	maxID := 0
-	for _, j := range net.Joins() {
-		maxID = max(maxID, j.ID)
-	}
-	for _, am := range net.Alphas() {
-		maxID = max(maxID, am.ID)
-	}
-	byID := make([]*pnode, maxID+1)
-	for i, j := range net.Joins() {
-		pn := &pnode{idx: i, join: j, tests: rete.CompileJoinTests(j.Tests), terminals: j.Out.Terminals}
-		m.nodes[i], byID[j.ID] = pn, pn
-	}
-	// Group the readers of each beta memory by equality key columns.
-	groupsOf := make(map[*rete.BetaMem][]*group, len(net.Betas()))
-	for _, bm := range net.Betas() {
-		var keyed []keyedGroup
-		for _, j := range bm.Joins {
-			eq, _ := rete.SplitJoinTests(j.Tests)
-			pn := byID[j.ID]
-			var leftHash func(*rete.Token) uint64
-			if len(eq) > 0 {
-				leftHash, pn.rightHash = rete.JoinHashFuncs(eq)
-			}
-			var g *group
-			shared := j.Kind == rete.JoinPositive && bm != net.DummyTop()
-			if shared {
-				g = findGroup(keyed, eq)
-			}
-			if g == nil {
-				g = &group{leftHash: leftHash, stripes: make([]stripe, 1)}
-				if leftHash != nil {
+	// One left memory per key of each beta memory (and one for its
+	// unkeyed readers) for the positive joins; a private one for each
+	// not-node and each join below the dummy top.
+	groupsOf := make([][]*group, len(plan.Betas))
+	for _, b := range plan.Betas {
+		shared := make([]*group, len(b.Keys)+1) // by LeftKey+1
+		for _, j := range b.Joins {
+			shareable := j.Kind == rete.JoinPositive && b.Index != 0
+			g := shared[j.LeftKey+1]
+			if !shareable || g == nil {
+				g = &group{leftHash: j.LeftHash, stripes: make([]stripe, 1)}
+				if j.LeftHash != nil {
 					g.stripes = make([]stripe, stripes)
 				}
-				if shared {
-					keyed = append(keyed, keyedGroup{eq, g})
+				if shareable {
+					shared[j.LeftKey+1] = g
 				}
 				m.groups = append(m.groups, g)
-				groupsOf[bm] = append(groupsOf[bm], g)
+				groupsOf[b.Index] = append(groupsOf[b.Index], g)
 			}
-			pn.grp = g
-			pn.right = make([]rete.Buckets[rightEntry], len(g.stripes))
+			pn := &pnode{
+				idx: j.Index, join: j, grp: g,
+				tests: j.Match, rightHash: j.RightHash, terminals: j.Out.Terminals,
+				right: make([]rete.Buckets[rightEntry], len(g.stripes)),
+			}
+			m.nodes[j.Index] = pn
 			g.members = append(g.members, pn)
 		}
 	}
 	for _, pn := range m.nodes {
-		pn.down = groupsOf[pn.join.Out]
+		pn.down = groupsOf[pn.join.Out.Index]
 	}
 	// Prime the memories fed by the dummy top with the empty token.
 	// These joins have no earlier CE to bind variables, hence no
 	// equality tests and a single stripe; a not-node's matches start at
 	// zero against its empty right memory.
-	for _, g := range groupsOf[net.DummyTop()] {
+	for _, g := range groupsOf[0] {
 		empty := &rete.Token{}
 		g.stripes[0].left.Add(empty.IDHash(), leftEntry{tok: empty, id: empty.IDHash(), count: 1})
 	}
-	m.roots = make([][]*pnode, maxID+1)
-	for _, am := range net.Alphas() {
-		for _, j := range am.Succs {
-			m.roots[am.ID] = append(m.roots[am.ID], byID[j.ID])
+	m.roots = make([][]*pnode, len(plan.Alphas))
+	for _, a := range plan.Alphas {
+		for _, j := range a.Succs {
+			m.roots[a.Index] = append(m.roots[a.Index], m.nodes[j.Index])
 		}
 	}
-	return m, nil
+	return m
 }
-
-// keyedGroup pairs a shareable group with its equality key spec while
-// NewWithConfig sorts one beta memory's readers into groups.
-type keyedGroup struct {
-	eq []rete.JoinTest
-	g  *group
-}
-
-// findGroup returns the group among one beta memory's shareable groups
-// whose left key columns equal eq's (in SplitJoinTests' canonical
-// order, the same rule by which the serial network shares a beta
-// index), or nil when there is none yet.
-func findGroup(groups []keyedGroup, eq []rete.JoinTest) *group {
-search:
-	for _, kg := range groups {
-		if len(kg.eq) != len(eq) {
-			continue
-		}
-		for i := range eq {
-			if kg.eq[i].LeftIdx != eq[i].LeftIdx || kg.eq[i].LeftID != eq[i].LeftID {
-				continue search
-			}
-		}
-		return kg.g
-	}
-	return nil
-}
-
-// Network exposes the underlying compiled network (for statistics).
-func (m *Matcher) Network() *rete.Network { return m.net }
 
 // Workers returns the scheduler lane count.
 func (m *Matcher) Workers() int { return len(m.sched.workers) }
@@ -572,9 +545,9 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 	activations := 0
 	for _, ch := range changes {
 		from := len(mems)
-		mems = m.net.AppendAlphas(mems, ch.WME)
+		mems = m.plan.AppendAlphas(mems, ch.WME)
 		for i := from; i < len(mems); i++ {
-			activations += len(m.roots[mems[i].ID])
+			activations += len(m.roots[mems[i].Index])
 		}
 		for ; from < len(mems); from += seedGrain {
 			to := min(from+seedGrain, len(mems))
@@ -700,7 +673,7 @@ func (m *Matcher) runTask(t task, w *worker) (last bool) {
 		m.runLeft(t.left, t.tok, t.dir, w, 0)
 	} else {
 		for _, am := range t.mems {
-			for _, n := range m.roots[am.ID] {
+			for _, n := range m.roots[am.Index] {
 				m.runRight(n, t.wme, t.dir, w, 0)
 			}
 		}

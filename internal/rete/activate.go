@@ -154,8 +154,6 @@ type applyCtx struct {
 // serially, in order. Insert WMEs must already carry their time tags
 // (working memory assigns them).
 func (n *Network) Apply(changes []ops5.Change) {
-	n.started = true
-	n.prepare()
 	for i, ch := range changes {
 		ctx := &applyCtx{change: i, dir: ch.Kind, affected: make(map[*ops5.Production]int)}
 		root := n.roots[ch.WME.ClassID()]
@@ -196,7 +194,7 @@ func (n *Network) emit(ev ActivationEvent) {
 // visitConst walks the constant-test chain below node for the WME.
 func (n *Network) visitConst(node *ConstNode, w *ops5.WME, ctx *applyCtx, parent int64, tests *int) {
 	*tests++
-	if !node.evalConst(w) {
+	if !n.evalConst(node, w) {
 		return
 	}
 	if node.Mem != nil {
@@ -208,42 +206,43 @@ func (n *Network) visitConst(node *ConstNode, w *ops5.WME, ctx *applyCtx, parent
 }
 
 // alphaActivate updates an alpha memory and right-activates successors.
-func (n *Network) alphaActivate(am *AlphaMem, w *ops5.WME, ctx *applyCtx, parent int64) {
+func (n *Network) alphaActivate(a *AlphaNode, w *ops5.WME, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
 	n.Stats.Activations[KindAlpha]++
-	for _, ref := range am.ProdRefs {
+	for _, ref := range a.ProdRefs {
 		if _, ok := ctx.affected[ref.Production]; !ok {
 			ctx.affected[ref.Production] = 0
 		}
 	}
+	am := &n.alphas[a.Index]
 	switch ctx.dir {
 	case ops5.Insert:
 		am.insert(w)
-		for _, ix := range am.indexes {
-			ix.insert(w, am.Items)
+		for i := range am.indexes {
+			am.indexes[i].insert(w, am.items)
 		}
 	case ops5.Delete:
 		if !am.remove(w) {
 			n.Stats.Anomalies++
 			return
 		}
-		for _, ix := range am.indexes {
-			ix.remove(w)
+		for i := range am.indexes {
+			am.indexes[i].remove(w)
 		}
 	}
 	n.emit(ActivationEvent{
 		Seq: seq, Parent: parent, Change: ctx.change, Kind: KindAlpha,
-		NodeID: am.ID, Dir: ctx.dir, SharedBy: len(am.ProdRefs),
+		NodeID: a.ID, Dir: ctx.dir, SharedBy: len(a.ProdRefs),
 	})
-	for _, j := range am.Succs {
+	for _, j := range a.Succs {
 		n.rightActivate(j, w, ctx, seq)
 	}
 }
 
 // creditAffected attributes a two-input activation to the productions
 // sharing the node, for the per-production variance histogram.
-func (n *Network) creditAffected(ctx *applyCtx, am *AlphaMem) {
-	for _, ref := range am.ProdRefs {
+func (n *Network) creditAffected(ctx *applyCtx, a *AlphaNode) {
+	for _, ref := range a.ProdRefs {
 		ctx.affected[ref.Production]++
 	}
 }
@@ -253,19 +252,21 @@ func (n *Network) creditAffected(ctx *applyCtx, am *AlphaMem) {
 func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
 	n.creditAffected(ctx, j.Right)
+	st := &n.joins[j.Index]
 	switch j.Kind {
 	case JoinPositive:
 		n.Stats.Activations[KindJoinRight]++
 		tested, emitted := 0, 0
-		toks := j.Left.Tokens
-		indexed := j.leftIdx != nil && j.leftIdx.buckets.Ready() && len(toks) >= linearProbeMin
+		left := &n.betas[j.Left.Index]
+		toks := left.tokens
+		indexed := st.leftIdx != nil && st.leftIdx.buckets.Ready() && len(toks) >= linearProbeMin
 		if indexed {
-			toks = j.leftIdx.probe(j.rightHash(w), &j.leftScratch)
+			toks = st.leftIdx.probe(j.RightHash(w), &st.leftScratch)
 			n.Stats.IndexedProbes++
 		}
 		for _, tok := range toks {
 			tested++
-			if j.evalJoin(tok, w) {
+			if n.evalJoin(j, tok, w) {
 				emitted++
 				if ctx.dir == ops5.Insert {
 					n.betaInsert(j.Out, tok.Extend(w), ctx, seq)
@@ -275,19 +276,19 @@ func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent 
 			}
 		}
 		n.Stats.TokenComparisons += int64(tested)
-		j.Prof.add(tested, emitted, indexed)
+		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
 			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindJoinRight,
 			NodeID: j.ID, Dir: ctx.dir, TokensTested: tested, PairsEmitted: emitted,
-			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(j.Left.Tokens),
+			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(left.tokens),
 		})
 	case JoinNegative:
 		n.Stats.Activations[KindNegRight]++
 		tested, emitted := 0, 0
-		indexed := j.negIndexed
+		indexed := j.RightHash != nil
 		adjust := func(rec *negRecord) {
 			tested++
-			if !j.evalJoin(rec.tok, w) {
+			if !n.evalJoin(j, rec.tok, w) {
 				return
 			}
 			switch ctx.dir {
@@ -310,24 +311,20 @@ func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent 
 			// Propagation from j.Out flows strictly downstream, so the
 			// chain is never appended to (entries never move) while we
 			// hold pointers into it.
-			for e := j.negIndex.Head(j.rightHash(w)); e >= 0; e = j.negIndex.Next(e) {
-				adjust(j.negIndex.At(e))
+			for e := st.negIndex.Head(j.RightHash(w)); e >= 0; e = st.negIndex.Next(e) {
+				adjust(st.negIndex.At(e))
 			}
 		} else {
-			for _, rec := range j.negRecords {
+			for _, rec := range st.negRecords {
 				adjust(rec)
 			}
 		}
-		opp := len(j.negRecords)
-		if indexed {
-			opp = j.negCount
-		}
 		n.Stats.TokenComparisons += int64(tested)
-		j.Prof.add(tested, emitted, indexed)
+		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
 			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindNegRight,
 			NodeID: j.ID, Dir: ctx.dir, TokensTested: tested, PairsEmitted: emitted,
-			SharedBy: j.SharedBy, Indexed: indexed, OppSize: opp,
+			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(st.negRecords) + st.negCount,
 		})
 	}
 }
@@ -337,19 +334,21 @@ func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent 
 func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
 	n.creditAffected(ctx, j.Right)
+	st := &n.joins[j.Index]
+	right := &n.alphas[j.Right.Index]
 	switch j.Kind {
 	case JoinPositive:
 		n.Stats.Activations[KindJoinLeft]++
 		tested, emitted := 0, 0
-		items := j.Right.Items
-		indexed := j.rightIdx != nil && j.rightIdx.buckets.Ready() && len(items) >= linearProbeMin
+		items := right.items
+		indexed := st.rightIdx != nil && st.rightIdx.buckets.Ready() && len(items) >= linearProbeMin
 		if indexed {
-			items = j.rightIdx.probe(j.leftHash(tok), &j.rightScratch)
+			items = st.rightIdx.probe(j.LeftHash(tok), &st.rightScratch)
 			n.Stats.IndexedProbes++
 		}
 		for _, w := range items {
 			tested++
-			if j.evalJoin(tok, w) {
+			if n.evalJoin(j, tok, w) {
 				emitted++
 				if dir == ops5.Insert {
 					n.betaInsert(j.Out, tok.Extend(w), ctx, seq)
@@ -359,35 +358,35 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 			}
 		}
 		n.Stats.TokenComparisons += int64(tested)
-		j.Prof.add(tested, emitted, indexed)
+		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
 			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindJoinLeft,
 			NodeID: j.ID, Dir: dir, TokensTested: tested, PairsEmitted: emitted,
-			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(j.Right.Items),
+			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(right.items),
 		})
 	case JoinNegative:
 		n.Stats.Activations[KindNegLeft]++
 		tested, emitted := 0, 0
-		indexed := j.negIndexed
+		indexed := j.LeftHash != nil
 		switch dir {
 		case ops5.Insert:
 			count := 0
-			items := j.Right.Items
-			if j.rightIdx != nil && j.rightIdx.buckets.Ready() && len(items) >= linearProbeMin {
-				items = j.rightIdx.probe(j.leftHash(tok), &j.rightScratch)
+			items := right.items
+			if st.rightIdx != nil && st.rightIdx.buckets.Ready() && len(items) >= linearProbeMin {
+				items = st.rightIdx.probe(j.LeftHash(tok), &st.rightScratch)
 				n.Stats.IndexedProbes++
 			}
 			for _, w := range items {
 				tested++
-				if j.evalJoin(tok, w) {
+				if n.evalJoin(j, tok, w) {
 					count++
 				}
 			}
 			if indexed {
-				j.negIndex.Add(j.leftHash(tok), negRecord{tok: tok, count: count})
-				j.negCount++
+				st.negIndex.Add(j.LeftHash(tok), negRecord{tok: tok, count: count})
+				st.negCount++
 			} else {
-				j.negRecords = append(j.negRecords, &negRecord{tok: tok, count: count})
+				st.negRecords = append(st.negRecords, &negRecord{tok: tok, count: count})
 			}
 			if count == 0 {
 				emitted++
@@ -396,9 +395,9 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 		case ops5.Delete:
 			found := false
 			if indexed {
-				if count, ok := j.negDelete(j.leftHash(tok), tok); ok {
+				if count, ok := st.negDelete(j.LeftHash(tok), tok); ok {
 					tested++
-					j.negCount--
+					st.negCount--
 					if count == 0 {
 						emitted++
 						n.betaDelete(j.Out, tok, ctx, seq)
@@ -406,11 +405,11 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 					found = true
 				}
 			} else {
-				for idx, rec := range j.negRecords {
+				for idx, rec := range st.negRecords {
 					tested++
 					if rec.tok.EqualTo(tok) {
 						count := rec.count
-						j.negRecords = append(j.negRecords[:idx], j.negRecords[idx+1:]...)
+						st.negRecords = append(st.negRecords[:idx], st.negRecords[idx+1:]...)
 						if count == 0 {
 							emitted++
 							n.betaDelete(j.Out, tok, ctx, seq)
@@ -425,63 +424,62 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 			}
 		}
 		n.Stats.TokenComparisons += int64(tested)
-		j.Prof.add(tested, emitted, indexed)
+		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
 			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindNegLeft,
 			NodeID: j.ID, Dir: dir, TokensTested: tested, PairsEmitted: emitted,
-			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(j.Right.Items),
+			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(right.items),
 		})
 	}
 }
 
 // betaInsert stores a token and propagates to joins and terminals.
-func (n *Network) betaInsert(bm *BetaMem, tok *Token, ctx *applyCtx, parent int64) {
+func (n *Network) betaInsert(b *BetaNode, tok *Token, ctx *applyCtx, parent int64) {
+	bm := &n.betas[b.Index]
 	bm.insert(tok)
-	for _, ix := range bm.indexes {
-		ix.insert(tok, bm.Tokens)
+	for i := range bm.indexes {
+		bm.indexes[i].insert(tok, bm.tokens)
 	}
-	for _, j := range bm.Joins {
-		n.leftActivate(j, tok, ops5.Insert, ctx, parent)
-	}
-	for _, t := range bm.Terminals {
-		n.terminalActivate(t, tok, ops5.Insert, ctx, parent)
-	}
+	n.propagate(b, tok, ops5.Insert, ctx, parent)
 }
 
 // betaDelete removes a token and propagates the removal.
-func (n *Network) betaDelete(bm *BetaMem, tok *Token, ctx *applyCtx, parent int64) {
-	if !bm.remove(tok) {
-		n.Stats.Anomalies++
-		return
-	}
-	for _, ix := range bm.indexes {
-		ix.remove(tok)
-	}
-	for _, j := range bm.Joins {
-		n.leftActivate(j, tok, ops5.Delete, ctx, parent)
-	}
-	for _, t := range bm.Terminals {
-		n.terminalActivate(t, tok, ops5.Delete, ctx, parent)
-	}
+func (n *Network) betaDelete(b *BetaNode, tok *Token, ctx *applyCtx, parent int64) {
+	bm := &n.betas[b.Index]
+	stored, ok := bm.removeWhere(tok.id, tok.EqualTo)
+	n.betaRemoved(b, stored, ok, ctx, parent)
 }
 
 // betaDeleteExt removes the token formed by base plus w and propagates
 // the removal using the stored token, so the delete path never
-// materialises an extended token (see BetaMem.removeExt).
-func (n *Network) betaDeleteExt(bm *BetaMem, base *Token, w *ops5.WME, ctx *applyCtx, parent int64) {
-	tok, ok := bm.removeExt(base, w)
+// materialises an extended token (see betaMem.removeExt).
+func (n *Network) betaDeleteExt(b *BetaNode, base *Token, w *ops5.WME, ctx *applyCtx, parent int64) {
+	stored, ok := n.betas[b.Index].removeExt(base, w)
+	n.betaRemoved(b, stored, ok, ctx, parent)
+}
+
+// betaRemoved finishes a token removal: the stored token leaves the
+// memory's indexes — by the pointer they hold — and the removal
+// propagates.
+func (n *Network) betaRemoved(b *BetaNode, stored *Token, ok bool, ctx *applyCtx, parent int64) {
 	if !ok {
 		n.Stats.Anomalies++
 		return
 	}
-	for _, ix := range bm.indexes {
-		ix.remove(tok)
+	indexes := n.betas[b.Index].indexes
+	for i := range indexes {
+		indexes[i].remove(stored)
 	}
-	for _, j := range bm.Joins {
-		n.leftActivate(j, tok, ops5.Delete, ctx, parent)
+	n.propagate(b, stored, ops5.Delete, ctx, parent)
+}
+
+// propagate left-activates the joins and terminals below a beta memory.
+func (n *Network) propagate(b *BetaNode, tok *Token, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
+	for _, j := range b.Joins {
+		n.leftActivate(j, tok, dir, ctx, parent)
 	}
-	for _, t := range bm.Terminals {
-		n.terminalActivate(t, tok, ops5.Delete, ctx, parent)
+	for _, t := range b.Terminals {
+		n.terminalActivate(t, tok, dir, ctx, parent)
 	}
 }
 
@@ -489,16 +487,17 @@ func (n *Network) betaDeleteExt(bm *BetaMem, base *Token, w *ops5.WME, ctx *appl
 func (n *Network) terminalActivate(t *Terminal, tok *Token, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
 	n.Stats.Activations[KindTerm]++
+	live := &n.live[t.Index]
 	var inst *ops5.Instantiation
 	if dir == ops5.Insert {
 		inst = t.Instantiate(tok)
-		t.live.Add(tok.id, liveInst{tok: tok, inst: inst})
+		live.Add(tok.id, liveInst{tok: tok, inst: inst})
 		n.Stats.ConflictInserts++
 		if n.OnInsert != nil {
 			n.OnInsert(inst)
 		}
 	} else {
-		inst = t.liveTake(tok)
+		inst = liveTake(live, tok)
 		if inst == nil {
 			inst = t.Instantiate(tok)
 		}

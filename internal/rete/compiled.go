@@ -8,8 +8,9 @@ import "repro/internal/ops5"
 // (Lisp 8 → Bliss 40 → compiled OPS83 200 wme-changes/sec). The Go
 // equivalent of that step is specialising each node's test chain into
 // a closure, eliminating the per-test kind/predicate switch dispatch.
-// EnableCompiledDispatch builds the closures; Apply uses them when
-// present. BenchmarkDispatch in bench_test.go measures the difference.
+// CompilePlan builds the closures; the parallel matcher always runs
+// them, the serial network once EnableCompiledDispatch is called, so
+// that BenchmarkDispatch in bench_test.go can measure the difference.
 
 // compilePred specialises one predicate comparison.
 func compilePred(p ops5.Predicate) func(a, b ops5.Value) bool {
@@ -73,7 +74,7 @@ func compileConstTest(t *ConstTest) func(*ops5.WME) bool {
 }
 
 // CompileJoinTests specialises a two-input node's full test chain into
-// one closure (used by the parallel matcher and EnableCompiledDispatch).
+// one closure.
 func CompileJoinTests(tests []JoinTest) func(*Token, *ops5.WME) bool {
 	if len(tests) == 0 {
 		return func(*Token, *ops5.WME) bool { return true }
@@ -103,37 +104,28 @@ func CompileJoinTests(tests []JoinTest) func(*Token, *ops5.WME) bool {
 	}
 }
 
-// EnableCompiledDispatch specialises every node's tests into closures,
-// replacing interpreted per-test switch dispatch during Apply. It may
-// be called once, any time before or between Apply calls.
-func (n *Network) EnableCompiledDispatch() {
-	var visit func(c *ConstNode)
-	visit = func(c *ConstNode) {
-		c.compiled = compileConstTest(&c.Test)
-		for _, ch := range c.Children {
-			visit(ch)
-		}
-	}
-	for _, root := range n.roots {
-		visit(root)
-	}
-	for _, j := range n.joins {
-		j.compiled = CompileJoinTests(j.Tests)
-	}
-}
+// EnableCompiledDispatch switches Apply from interpreted per-test
+// switch dispatch to the closures the plan carries. It may be called
+// any time before or between Apply calls.
+func (n *Network) EnableCompiledDispatch() { n.compiled = true }
 
-// evalConst applies a constant node's test, compiled when available.
-func (c *ConstNode) evalConst(w *ops5.WME) bool {
-	if c.compiled != nil {
+// evalConst applies a constant node's test.
+func (n *Network) evalConst(c *ConstNode, w *ops5.WME) bool {
+	if n.compiled {
 		return c.compiled(w)
 	}
 	return c.Test.Eval(w)
 }
 
-// evalJoin applies a join node's tests, compiled when available.
-func (j *JoinNode) evalJoin(tok *Token, w *ops5.WME) bool {
-	if j.compiled != nil {
-		return j.compiled(tok, w)
+// evalJoin applies a join node's tests.
+func (n *Network) evalJoin(j *JoinNode, tok *Token, w *ops5.WME) bool {
+	if n.compiled {
+		return j.Match(tok, w)
 	}
-	return j.match(tok, w)
+	for i := range j.Tests {
+		if !j.Tests[i].Eval(tok, w) {
+			return false
+		}
+	}
+	return true
 }

@@ -13,17 +13,17 @@ import (
 // the constant-test chains per class, each alpha memory with its
 // successors, the two-input nodes with their join tests, and the
 // terminals — the topology Figure 2-2 of the paper draws.
-func (n *Network) Dump(w io.Writer) {
-	classes := make([]string, 0, len(n.roots))
-	byName := make(map[string]sym.ID, len(n.roots))
-	for c := range n.roots {
+func (p *Plan) Dump(w io.Writer) {
+	classes := make([]string, 0, len(p.roots))
+	byName := make(map[string]sym.ID, len(p.roots))
+	for c := range p.roots {
 		name := sym.Name(c)
 		classes = append(classes, name)
 		byName[name] = c
 	}
 	sort.Strings(classes)
 	fmt.Fprintf(w, "rete network: %d const nodes, %d alpha memories, %d two-input nodes, %d beta memories, %d terminals\n",
-		n.Counts().ConstNodes, len(n.alphas), len(n.joins), len(n.betas), len(n.terms))
+		p.Counts().ConstNodes, len(p.Alphas), len(p.Joins), len(p.Betas), len(p.Terminals))
 
 	for _, class := range classes {
 		fmt.Fprintf(w, "class %s:\n", class)
@@ -46,25 +46,14 @@ func (n *Network) Dump(w io.Writer) {
 				visit(ch, depth+1)
 			}
 		}
-		visit(n.roots[byName[class]], 0)
+		visit(p.roots[byName[class]], 0)
 	}
 
 	fmt.Fprintln(w, "two-input nodes:")
-	for _, j := range n.joins {
-		kind := "and"
-		if j.Kind == JoinNegative {
-			kind = "not"
-		}
-		var tests []string
-		for i := range j.Tests {
-			tests = append(tests, j.Tests[i].key())
-		}
-		testStr := "(no tests)"
-		if len(tests) > 0 {
-			testStr = strings.Join(tests, " & ")
-		}
+	for _, j := range p.Joins {
+		kind, testStr := j.describe()
 		left := "dummy-top"
-		if j.Left != n.dummyTop {
+		if j.Left.Index != 0 {
 			left = fmt.Sprintf("beta#%d", j.Left.ID)
 		}
 		fmt.Fprintf(w, "  %s#%d: %s + alpha#%d %s -> beta#%d", kind, j.ID, left, j.Right.ID, testStr, j.Out.ID)
@@ -75,7 +64,7 @@ func (n *Network) Dump(w io.Writer) {
 	}
 
 	fmt.Fprintln(w, "terminals:")
-	for _, t := range n.terms {
+	for _, t := range p.Terminals {
 		fmt.Fprintf(w, "  term#%d: %s\n", t.ID, t.Production.Name)
 	}
 }

@@ -25,14 +25,13 @@ func chainCounts[E any](b *Buckets[E]) map[uint64]int {
 	return counts
 }
 
-// bucketSnapshot renders every hash bucket in the network — alpha
-// indexes, beta indexes, and not-node negation indexes — as
-// "owner key=count" lines, sorted. Equal snapshots mean equal
-// per-bucket populations everywhere. Indexes are built lazily at the
-// linearProbeMin crossing, so an index may be unbuilt in one snapshot
-// and built in the other; both render the same effective populations —
-// actual buckets when built (cross-checked against the memory they
-// index), populations derived from the memory when not.
+// bucketSnapshot renders every memory's population and every hash
+// bucket in the network — alpha indexes, beta indexes, and not-node
+// negation indexes — as "owner key=count" lines, sorted. Equal
+// snapshots mean equal per-memory and per-bucket populations
+// everywhere. Indexes are built lazily at the linearProbeMin crossing,
+// so an index may be unbuilt in one snapshot and built in the other;
+// both render the same effective populations (indexCounts).
 func bucketSnapshot(t *testing.T, n *Network) string {
 	t.Helper()
 	var lines []string
@@ -41,76 +40,61 @@ func bucketSnapshot(t *testing.T, n *Network) string {
 			lines = append(lines, fmt.Sprintf("%s %#x=%d", owner, k, c))
 		}
 	}
-	for _, am := range n.alphas {
-		for ii, ix := range am.indexes {
-			counts := make(map[uint64]int)
-			if ix.buckets.Ready() {
-				counts = chainCounts(&ix.buckets)
-				total := 0
-				for _, n := range counts {
-					total += n
-				}
-				if total != len(am.Items) {
-					t.Errorf("alpha%d.%d: %d bucketed items, memory holds %d", am.ID, ii, total, len(am.Items))
-				}
-			} else {
-				for _, w := range am.Items {
-					counts[ix.key(w)]++
-				}
-			}
-			render(fmt.Sprintf("alpha%d.%d", am.ID, ii), counts)
+	for _, a := range n.Alphas {
+		am := &n.alphas[a.Index]
+		lines = append(lines, fmt.Sprintf("alpha%d items=%d", a.ID, len(am.items)))
+		for ii := range am.indexes {
+			render(fmt.Sprintf("alpha%d.%d", a.ID, ii), indexCounts(t, &am.indexes[ii], am.items))
 		}
 	}
-	for _, bm := range n.betas {
-		for ii, ix := range bm.indexes {
-			counts := make(map[uint64]int)
-			if ix.buckets.Ready() {
-				counts = chainCounts(&ix.buckets)
-				total := 0
-				for _, n := range counts {
-					total += n
-				}
-				if total != len(bm.Tokens) {
-					t.Errorf("beta%d.%d: %d bucketed tokens, memory holds %d", bm.ID, ii, total, len(bm.Tokens))
-				}
-			} else {
-				for _, tok := range bm.Tokens {
-					counts[ix.key(tok)]++
-				}
-			}
-			render(fmt.Sprintf("beta%d.%d", bm.ID, ii), counts)
+	for _, b := range n.Betas {
+		bm := &n.betas[b.Index]
+		lines = append(lines, fmt.Sprintf("beta%d tokens=%d", b.ID, len(bm.tokens)))
+		for ii := range bm.indexes {
+			render(fmt.Sprintf("beta%d.%d", b.ID, ii), indexCounts(t, &bm.indexes[ii], bm.tokens))
 		}
 	}
-	for _, j := range n.joins {
-		if j.negIndexed {
-			lines = append(lines, fmt.Sprintf("join%d negCount=%d", j.ID, j.negCount))
-			render(fmt.Sprintf("join%d", j.ID), chainCounts(&j.negIndex))
+	for _, j := range n.Joins {
+		st := &n.joins[j.Index]
+		if j.Kind == JoinNegative && j.LeftHash != nil {
+			lines = append(lines, fmt.Sprintf("join%d negCount=%d", j.ID, st.negCount))
+			render(fmt.Sprintf("join%d", j.ID), chainCounts(&st.negIndex))
 		} else {
-			lines = append(lines, fmt.Sprintf("join%d negRecords=%d", j.ID, len(j.negRecords)))
+			lines = append(lines, fmt.Sprintf("join%d negRecords=%d", j.ID, len(st.negRecords)))
 		}
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
 }
 
-// countIndexes reports how many alpha/beta indexes exist, so the test
-// can assert it exercised the indexed path at all.
-func countIndexes(n *Network) int {
+// indexCounts returns an index's per-bucket populations: the actual
+// buckets when built (cross-checked against the memory they index),
+// populations derived from the memory when not.
+func indexCounts[E comparable](t *testing.T, ix *index[E], items []E) map[uint64]int {
+	t.Helper()
+	counts := make(map[uint64]int)
+	if !ix.buckets.Ready() {
+		for _, x := range items {
+			counts[ix.hash(x)]++
+		}
+		return counts
+	}
+	counts = chainCounts(&ix.buckets)
 	total := 0
-	for _, am := range n.alphas {
-		total += len(am.indexes)
+	for _, n := range counts {
+		total += n
 	}
-	for _, bm := range n.betas {
-		total += len(bm.indexes)
+	if total != len(items) {
+		t.Errorf("%d bucketed entries, memory holds %d", total, len(items))
 	}
-	return total
+	return counts
 }
 
 // TestInsertDeleteRestoresBuckets is the hash-index counterpart of
 // TestInsertDeleteRestoresMemories: inserting a batch of WMEs and
-// deleting it again must restore every bucket of every index — alpha,
-// beta, and negation — to exactly its previous population, leaving no
-// empty-but-present buckets and no strays.
+// deleting it again must restore every memory and every bucket of every
+// index — alpha, beta, and negation — to exactly its previous
+// population, leaving no empty-but-present buckets and no strays.
 func TestInsertDeleteRestoresBuckets(t *testing.T) {
 	params := matchtest.IndexStressGenParams()
 	totalIndexes := 0
@@ -152,7 +136,8 @@ func TestInsertDeleteRestoresBuckets(t *testing.T) {
 			t.Errorf("seed %d: buckets not restored after insert+delete:\nbefore:\n%s\nafter:\n%s",
 				seed, before, after)
 		}
-		totalIndexes += countIndexes(n)
+		info := n.IndexInfo()
+		totalIndexes += info.AlphaIndexes + info.BetaIndexes
 		if during == before {
 			t.Logf("seed %d: churn batch did not change any bucket (weak seed)", seed)
 		}

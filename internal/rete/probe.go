@@ -2,12 +2,11 @@ package rete
 
 import "repro/internal/ops5"
 
-// MatchAlphas runs the constant-test network for a WME without mutating
-// any memory, returning the alpha memories whose tests all pass and the
-// number of constant tests evaluated. The statistics tools use this to
-// dispatch WM changes.
-func (n *Network) MatchAlphas(w *ops5.WME) (mems []*AlphaMem, tests int) {
-	if root := n.roots[w.ClassID()]; root != nil {
+// MatchAlphas runs the constant-test network for a WME, returning the
+// alpha memories whose tests all pass and the number of constant tests
+// evaluated. The statistics tools use this to dispatch WM changes.
+func (p *Plan) MatchAlphas(w *ops5.WME) (mems []*AlphaNode, tests int) {
+	if root := p.roots[w.ClassID()]; root != nil {
 		mems = root.appendAlphas(nil, w, &tests)
 	}
 	return mems, tests
@@ -16,8 +15,8 @@ func (n *Network) MatchAlphas(w *ops5.WME) (mems []*AlphaMem, tests int) {
 // AppendAlphas is MatchAlphas appending to dst and not counting tests:
 // the parallel runtime's per-change dispatch, which then allocates
 // nothing once dst has grown.
-func (n *Network) AppendAlphas(dst []*AlphaMem, w *ops5.WME) []*AlphaMem {
-	if root := n.roots[w.ClassID()]; root != nil {
+func (p *Plan) AppendAlphas(dst []*AlphaNode, w *ops5.WME) []*AlphaNode {
+	if root := p.roots[w.ClassID()]; root != nil {
 		var tests int
 		dst = root.appendAlphas(dst, w, &tests)
 	}
@@ -25,7 +24,7 @@ func (n *Network) AppendAlphas(dst []*AlphaMem, w *ops5.WME) []*AlphaMem {
 }
 
 // appendAlphas walks the constant-test chain below c for the WME.
-func (c *ConstNode) appendAlphas(dst []*AlphaMem, w *ops5.WME, tests *int) []*AlphaMem {
+func (c *ConstNode) appendAlphas(dst []*AlphaNode, w *ops5.WME, tests *int) []*AlphaNode {
 	*tests++
 	if !c.Test.Eval(w) {
 		return dst
@@ -56,7 +55,7 @@ type NodeCounts struct {
 }
 
 // Counts walks the network and tallies node counts and sharing savings.
-func (n *Network) Counts() NodeCounts {
+func (p *Plan) Counts() NodeCounts {
 	var c NodeCounts
 	seen := make(map[*ConstNode]bool)
 	var visit func(node *ConstNode)
@@ -73,11 +72,11 @@ func (n *Network) Counts() NodeCounts {
 			visit(ch)
 		}
 	}
-	for _, r := range n.roots {
+	for _, r := range p.roots {
 		visit(r)
 	}
-	c.AlphaMems = len(n.alphas)
-	for _, j := range n.joins {
+	c.AlphaMems = len(p.Alphas)
+	for _, j := range p.Joins {
 		if j.Kind == JoinNegative {
 			c.NegNodes++
 		} else {
@@ -87,8 +86,8 @@ func (n *Network) Counts() NodeCounts {
 			c.SharedJoinSavings += j.SharedBy - 1
 		}
 	}
-	c.BetaMems = len(n.betas)
-	c.Terminals = len(n.terms)
+	c.BetaMems = len(p.Betas)
+	c.Terminals = len(p.Terminals)
 	return c
 }
 
@@ -98,18 +97,14 @@ func (n *Network) Counts() NodeCounts {
 // only) and the full-state scheme (all CE combinations).
 func (n *Network) StateSize() int {
 	size := 0
-	for _, am := range n.alphas {
-		size += len(am.Items)
+	for i := range n.alphas {
+		size += len(n.alphas[i].items)
 	}
-	for _, bm := range n.betas {
-		size += len(bm.Tokens)
+	for i := range n.betas {
+		size += len(n.betas[i].tokens)
 	}
-	for _, j := range n.joins {
-		if j.negIndexed {
-			size += j.negCount
-		} else {
-			size += len(j.negRecords)
-		}
+	for i := range n.joins {
+		size += n.joins[i].negCount + len(n.joins[i].negRecords)
 	}
 	// The dummy top's permanent empty token is not match state.
 	return size - 1

@@ -8,9 +8,8 @@ import (
 
 // NodeProf accumulates one two-input node's activation work for live
 // hot-node profiling. The serial runtime bumps the counters without
-// synchronization (it owns the network); the parallel runtime
-// (internal/prete) keeps its own atomic per-node counters and reports
-// them in the same shape.
+// synchronization (it owns them); the parallel runtime (internal/prete)
+// counts per lane and reports the folded totals in the same shape.
 type NodeProf struct {
 	// Activations counts node activations (left and right combined).
 	Activations int64
@@ -47,22 +46,28 @@ type NodeProfEntry struct {
 // heavily shared nodes would otherwise dominate the report's size.
 const maxProfileProds = 8
 
-// Label renders the node's kind and join tests for diagnostics and
-// profiles, e.g. "and#12 c|dest|=|<r> & ..." or "not#7 (no tests)".
-func (j *JoinNode) Label() string {
-	kind := "and"
+// describe names the node's kind and renders its join tests.
+func (j *JoinNode) describe() (kind, tests string) {
+	kind = "and"
 	if j.Kind == JoinNegative {
 		kind = "not"
 	}
-	tests := make([]string, len(j.Tests))
+	parts := make([]string, len(j.Tests))
 	for i := range j.Tests {
-		tests[i] = j.Tests[i].key()
+		parts[i] = j.Tests[i].key()
 	}
-	testStr := "(no tests)"
-	if len(tests) > 0 {
-		testStr = strings.Join(tests, " & ")
+	tests = "(no tests)"
+	if len(parts) > 0 {
+		tests = strings.Join(parts, " & ")
 	}
-	return fmt.Sprintf("%s#%d %s", kind, j.ID, testStr)
+	return kind, tests
+}
+
+// Label renders the node's kind and join tests for diagnostics and
+// profiles, e.g. "and#12 c|dest|=|<r> & ..." or "not#7 (no tests)".
+func (j *JoinNode) Label() string {
+	kind, tests := j.describe()
+	return fmt.Sprintf("%s#%d %s", kind, j.ID, tests)
 }
 
 // ProductionNames returns the distinct productions reading the node's
@@ -90,8 +95,9 @@ func (j *JoinNode) ProductionNames() []string {
 // cost model they apply (see internal/cost and the core adapters).
 func (n *Network) NodeProfile() []NodeProfEntry {
 	var out []NodeProfEntry
-	for _, j := range n.joins {
-		if j.Prof.Activations == 0 {
+	for _, j := range n.Joins {
+		prof := n.joins[j.Index].prof
+		if prof.Activations == 0 {
 			continue
 		}
 		out = append(out, NodeProfEntry{
@@ -99,7 +105,7 @@ func (n *Network) NodeProfile() []NodeProfEntry {
 			Label:       j.Label(),
 			SharedBy:    j.SharedBy,
 			Productions: j.ProductionNames(),
-			NodeProf:    j.Prof,
+			NodeProf:    prof,
 		})
 	}
 	return out

@@ -197,8 +197,8 @@ func TestNodeSharing(t *testing.T) {
 	if c.SharedJoinSavings == 0 {
 		t.Errorf("expected the first join to be shared, counts = %+v", c)
 	}
-	if len(n.Alphas()) != 3 {
-		t.Errorf("alpha memories = %d, want 3 (goal, block-red, block-blue)", len(n.Alphas()))
+	if len(n.Alphas) != 3 {
+		t.Errorf("alpha memories = %d, want 3 (goal, block-red, block-blue)", len(n.Alphas))
 	}
 }
 
@@ -246,8 +246,9 @@ func TestRandomizedCrossCheckIndexStress(t *testing.T) {
 }
 
 func TestInsertDeleteRestoresMemories(t *testing.T) {
-	// Inserting a batch and deleting it again must restore every memory
-	// to its previous token/item counts.
+	// Inserting a batch and deleting it again must restore the stored
+	// state and the conflict set (TestInsertDeleteRestoresBuckets checks
+	// memory by memory).
 	params := matchtest.DefaultGenParams()
 	rng := rand.New(rand.NewSource(42))
 	prods := matchtest.RandomProgram(rng, params)
@@ -269,14 +270,7 @@ func TestInsertDeleteRestoresMemories(t *testing.T) {
 	for _, w := range half {
 		n.Apply([]ops5.Change{{Kind: ops5.Insert, WME: w}})
 	}
-	alphaCounts := make([]int, len(n.Alphas()))
-	for i, am := range n.Alphas() {
-		alphaCounts[i] = len(am.Items)
-	}
-	betaCounts := make([]int, len(n.Betas()))
-	for i, bm := range n.Betas() {
-		betaCounts[i] = len(bm.Tokens)
-	}
+	stateBefore := n.StateSize()
 	csBefore := tr.Keys()
 
 	for _, w := range wmes[15:] {
@@ -286,38 +280,14 @@ func TestInsertDeleteRestoresMemories(t *testing.T) {
 		n.Apply([]ops5.Change{{Kind: ops5.Delete, WME: w}})
 	}
 
-	for i, am := range n.Alphas() {
-		if len(am.Items) != alphaCounts[i] {
-			t.Errorf("alpha %d: items = %d, want %d", am.ID, len(am.Items), alphaCounts[i])
-		}
-	}
-	for i, bm := range n.Betas() {
-		if len(bm.Tokens) != betaCounts[i] {
-			t.Errorf("beta %d: tokens = %d, want %d", bm.ID, len(bm.Tokens), betaCounts[i])
-		}
+	if got := n.StateSize(); got != stateBefore {
+		t.Errorf("stored state = %d entries, want %d", got, stateBefore)
 	}
 	if d := matchtest.Diff(csBefore, tr.Keys()); d != "" {
 		t.Errorf("conflict set not restored:\n%s", d)
 	}
 	if n.Stats.Anomalies != 0 {
 		t.Errorf("anomalies = %d", n.Stats.Anomalies)
-	}
-}
-
-func TestAddProductionAfterStartFails(t *testing.T) {
-	p, err := ops5.ParseProduction(`(p x (a ^v 1) --> (halt))`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := rete.Compile([]*ops5.Production{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := ops5.NewWME("a", "v", 1)
-	w.TimeTag = 1
-	n.Apply([]ops5.Change{{Kind: ops5.Insert, WME: w}})
-	if err := n.AddProduction(p); err == nil {
-		t.Fatal("expected error adding a production after matching started")
 	}
 }
 
@@ -413,4 +383,52 @@ func TestDump(t *testing.T) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestJoinKeyCanonicalOrder pins the canonical key order: whatever order
+// a production writes its equality tests in, the key comes out sorted.
+func TestJoinKeyCanonicalOrder(t *testing.T) {
+	for _, perm := range []string{"abc", "acb", "bac", "bca", "cab", "cba"} {
+		var tests []rete.JoinTest
+		for _, c := range perm {
+			tests = append(tests, rete.JoinTest{Pred: ops5.PredEq, RightAttr: string(c), LeftAttr: "x"})
+		}
+		// A residual predicate test must stay out of the key.
+		tests = append(tests, rete.JoinTest{Pred: ops5.PredGt, RightAttr: "0", LeftAttr: "x"})
+		var got string
+		for _, jt := range rete.SplitJoinTests(tests) {
+			got += jt.RightAttr
+		}
+		if got != "abc" {
+			t.Errorf("key of tests written %s = %s, want abc", perm, got)
+		}
+	}
+}
+
+// TestSameKeyColumnsShareAKey checks that two joins keying one beta
+// memory by the same three columns share one of its keys (one index in
+// the serial network, one shared left memory in the parallel one)
+// although their productions write the attributes in different orders.
+func TestSameKeyColumnsShareAKey(t *testing.T) {
+	prog, err := ops5.Parse(`
+(p one (a ^x <x> ^y <y> ^z <z>) (b ^p <x> ^q <y> ^r <z>) --> (halt))
+(p two (a ^x <x> ^y <y> ^z <z>) (c ^r <z> ^p <x> ^q <y>) --> (halt))
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := rete.CompilePlan(prog.Productions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range plan.Betas {
+		if len(b.Joins) == 2 {
+			if len(b.Keys) != 1 || b.Joins[0].LeftKey != 0 || b.Joins[1].LeftKey != 0 {
+				t.Errorf("beta#%d: its 2 joins use keys %d and %d of %d, want both on the one key",
+					b.ID, b.Joins[0].LeftKey, b.Joins[1].LeftKey, len(b.Keys))
+			}
+			return
+		}
+	}
+	t.Fatal("no beta memory with two readers; the productions no longer share their first CE")
 }

@@ -301,9 +301,7 @@ type ProfileResponse struct {
 	Loss           *WireLoss         `json:"loss,omitempty"`
 }
 
-// APIVersion is the current HTTP API version prefix. Unversioned
-// paths still work as deprecated aliases and answer with a
-// Deprecation header pointing at the /v1 successor.
+// APIVersion is the HTTP API version prefix of every session route.
 const APIVersion = "/v1"
 
 // ErrorResponse is the single JSON error envelope returned by every
@@ -330,9 +328,7 @@ type HandlerConfig struct {
 func (s *Server) Handler() http.Handler { return s.HandlerWith(HandlerConfig{}) }
 
 // HandlerWith returns the HTTP API. The sessions API is versioned
-// under /v1; the unversioned paths remain as deprecated aliases that
-// answer with a Deprecation header and a Link to the /v1 successor.
-// Every error body is the ErrorResponse envelope.
+// under /v1. Every error body is the ErrorResponse envelope.
 //
 //	POST   /v1/sessions                create a session (program in body)
 //	GET    /v1/sessions                list sessions
@@ -378,21 +374,13 @@ func (s *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 			}
 		}
 	}
-	// api registers pattern ("METHOD /path") under /v1 and keeps the
-	// unversioned path as a deprecated alias.
+	// api registers pattern ("METHOD /path") under /v1.
 	api := func(pattern string, fn func(w http.ResponseWriter, r *http.Request) error) {
 		method, path, ok := strings.Cut(pattern, " ")
 		if !ok {
 			panic("server: route pattern must be \"METHOD /path\": " + pattern)
 		}
-		handler := h(fn)
-		mux.HandleFunc(method+" "+APIVersion+path, handler)
-		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			s.deprecated.Add(1)
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", "<"+APIVersion+r.URL.Path+`>; rel="successor-version"`)
-			handler(w, r)
-		})
+		mux.HandleFunc(method+" "+APIVersion+path, h(fn))
 	}
 
 	api("POST /sessions", s.handleCreate)

@@ -58,7 +58,7 @@ func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
 	// drained, so the token-per-block fan-out behind it (each token with a
 	// scan of every block to do) is shed onto that lane's deque, and the
 	// lanes running out of block changes must steal it.
-	const blocks = 96
+	const blocks = 256
 	var changes []server.WireChange
 	for i := 0; i < blocks; i++ {
 		changes = append(changes, server.WireChange{

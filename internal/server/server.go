@@ -117,7 +117,6 @@ type Server struct {
 	sessions     *stats.Gauge
 	requests     *stats.Counter
 	rejected     *stats.Counter
-	deprecated   *stats.Counter
 	panics       *stats.Counter
 	wmeChanges   *stats.Counter
 	firings      *stats.Counter
@@ -177,9 +176,7 @@ func New(cfg Config) *Server {
 		sessions: r.Gauge("psmd_sessions", "live sessions"),
 		requests: r.Counter("psmd_requests_total", "session operations dispatched to shards"),
 		rejected: r.Counter("psmd_rejected_total", "operations rejected by shard backpressure"),
-		deprecated: r.Counter("psmd_deprecated_requests_total",
-			"requests served via deprecated unversioned path aliases"),
-		panics: r.Counter("psmd_panics_total", "session operations recovered from panic"),
+		panics:   r.Counter("psmd_panics_total", "session operations recovered from panic"),
 		wmeChanges: r.Counter("psmd_wme_changes_total",
 			"working-memory changes processed (submitted and fired)"),
 		firings: r.Counter("psmd_firings_total", "production firings"),

@@ -210,39 +210,36 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-// TestAPIVersioningAndErrorEnvelope pins the redesigned HTTP surface:
-// unversioned paths still work but are marked deprecated with a Link
-// to the /v1 successor, and every error body is the uniform
+// TestAPIVersioningAndErrorEnvelope pins the HTTP surface: session
+// routes exist under /v1 only, and every error body is the uniform
 // {code, message, retryable} envelope.
 func TestAPIVersioningAndErrorEnvelope(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
 	c.must("POST", "/sessions", server.CreateRequest{ID: "v", Program: counterSrc}, nil, http.StatusCreated)
 
-	// The deprecated unversioned alias serves the same resource and
-	// advertises its successor.
-	resp, err := http.Get(c.raw + "/sessions/v")
+	resp, err := http.Get(c.base + "/sessions/v")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unversioned alias: status %d, want 200", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Deprecation"); got != "true" {
-		t.Errorf("alias Deprecation header = %q, want \"true\"", got)
-	}
-	if got := resp.Header.Get("Link"); got != `</v1/sessions/v>; rel="successor-version"` {
-		t.Errorf("alias Link header = %q", got)
+		t.Errorf("/v1 route: status %d, want 200", resp.StatusCode)
 	}
 
-	// The versioned route answers without deprecation marks.
-	resp2, err := http.Get(c.base + "/sessions/v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("Deprecation") != "" {
-		t.Errorf("/v1 route: status %d, Deprecation %q", resp2.StatusCode, resp2.Header.Get("Deprecation"))
+	// The unversioned spellings are gone.
+	for _, probe := range []struct{ method, path string }{{"GET", "/sessions/v"}, {"POST", "/sessions"}} {
+		req, err := http.NewRequest(probe.method, c.raw+probe.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.http.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusNotFound {
+			t.Errorf("unversioned %s %s: status %d, want 404", probe.method, probe.path, r.StatusCode)
+		}
 	}
 
 	// Errors carry the envelope with a stable code. Exercise three

@@ -15,41 +15,42 @@ import (
 //
 // When the CE tests attributes for equality against variables bound by
 // earlier positive CEs (keyAttrs/keyVars, parallel slices), the memory
-// also buckets its WMEs by the encoded values of those attributes, so
-// the per-cycle joins probe one bucket instead of scanning the whole
-// memory. The key encoding (ops5.AppendValueKey) is Equal-consistent
-// but not injective; every candidate still goes through the full
-// MatchCE check, so a collision only widens a bucket.
+// also buckets its WMEs by the hash of those attributes' values — the
+// same ops5.HashValue fold the Rete matchers key their join memories by
+// — so the per-cycle joins probe one bucket instead of scanning the
+// whole memory. The hash is Equal-consistent but not injective; every
+// candidate still goes through the full MatchCE check, so a collision
+// only widens a bucket.
 type ceMem struct {
 	ce    *ops5.CondElement
 	items map[int]*ops5.WME // by time tag
 
 	keyAttrs []sym.ID
 	keyVars  []string
-	buckets  map[string]map[int]*ops5.WME // nil when the CE has no key
+	buckets  map[uint64]map[int]*ops5.WME // nil when the CE has no key
 }
 
-// wmeKey encodes a stored WME's key attribute values.
-func (mem *ceMem) wmeKey(w *ops5.WME) string {
-	b := make([]byte, 0, 16*len(mem.keyAttrs))
+// wmeKey hashes a stored WME's key attribute values.
+func (mem *ceMem) wmeKey(w *ops5.WME) uint64 {
+	h := ops5.HashSeed
 	for _, a := range mem.keyAttrs {
-		b = ops5.AppendValueKey(b, w.GetID(a))
+		h = ops5.HashValue(h, w.GetID(a))
 	}
-	return string(b)
+	return h
 }
 
-// bindKey encodes the probe key from accumulated bindings; ok is false
+// bindKey hashes the probe key from accumulated bindings; ok is false
 // when a key variable is unbound (probe falls back to the full memory).
-func (mem *ceMem) bindKey(bind ops5.Bindings) (string, bool) {
-	b := make([]byte, 0, 16*len(mem.keyVars))
+func (mem *ceMem) bindKey(bind ops5.Bindings) (uint64, bool) {
+	h := ops5.HashSeed
 	for _, v := range mem.keyVars {
 		val, ok := bind[v]
 		if !ok {
-			return "", false
+			return 0, false
 		}
-		b = ops5.AppendValueKey(b, val)
+		h = ops5.HashValue(h, val)
 	}
-	return string(b), true
+	return h, true
 }
 
 // candidates returns the subset of items that could extend bind: the
@@ -160,7 +161,7 @@ func New(prods []*ops5.Production) (*Matcher, error) {
 				}
 			}
 			if len(mem.keyAttrs) > 0 {
-				mem.buckets = make(map[string]map[int]*ops5.WME)
+				mem.buckets = make(map[uint64]map[int]*ops5.WME)
 			}
 			ps.mems = append(ps.mems, mem)
 			if !ce.Negated {
