@@ -43,9 +43,11 @@ bench:
 	$(GO) test -json -run '^$$' -bench BenchmarkPreteApply -benchmem . > BENCH_prete.json
 	$(GO) test -json -run '^$$' -bench BenchmarkStreamThroughput -benchmem . > BENCH_stream.json
 
-# bench-all runs every benchmark with human-readable output.
+# bench-all runs every benchmark with human-readable output: the
+# end-to-end ones at the root and the per-layer ones of the memory layer
+# (bucket.Buckets) and the conflict set.
 bench-all:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -bench=. -benchmem . ./internal/bucket ./internal/conflict
 
 # bench-compare reruns the tracked benchmarks and gates them against
 # the checked-in baselines in bench/baseline/ (>10% regression fails;

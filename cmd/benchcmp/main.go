@@ -37,8 +37,12 @@
 //     against the parallel matcher quietly falling behind the serial
 //     matcher it is supposed to beat.
 //
+// Two records taken at different GOMAXPROCS are refused, not compared:
+// a 1-CPU baseline says nothing about a 2-CPU run.
+//
 // Exit status: 0 when no gated metric regresses beyond the threshold,
-// 1 on regression, 2 on usage or parse errors.
+// 1 on regression, 2 on usage or parse errors and on records that are
+// not comparable.
 package main
 
 import (
@@ -67,9 +71,10 @@ var resultLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 var metricPair = regexp.MustCompile(`^([0-9.eE+-]+)\s+(\S+)$`)
 
 // parseFile reassembles benchmark result lines from a go-test-JSON file
-// and returns benchmark -> metric unit -> value. Benchmark names are
-// normalized by stripping the -N GOMAXPROCS suffix so records from
-// machines with different core counts still compare.
+// and returns benchmark -> metric unit -> value. Benchmark names keep
+// go test's -N GOMAXPROCS suffix: two records compare only when taken at
+// the same GOMAXPROCS (see procs), and then their names agree as they
+// are.
 func parseFile(path string) (map[string]map[string]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -102,7 +107,7 @@ func parseFile(path string) (map[string]map[string]float64, error) {
 		if m == nil {
 			continue
 		}
-		name := trimProcSuffix(m[1])
+		name := m[1]
 		metrics := map[string]float64{}
 		for _, cell := range strings.Split(m[3], "\t") {
 			pm := metricPair.FindStringSubmatch(strings.TrimSpace(cell))
@@ -122,23 +127,22 @@ func parseFile(path string) (map[string]map[string]float64, error) {
 	return out, nil
 }
 
-// trimProcSuffix drops a trailing -N GOMAXPROCS suffix (Benchmark-8)
-// from top-level benchmark names. Sub-benchmark names keep theirs: a
-// trailing number there can be part of the case name (workers-16), and
-// single-CPU runs emit no suffix at all, so stripping would collide
-// distinct cases.
-func trimProcSuffix(name string) string {
-	if strings.ContainsRune(name, '/') {
-		return name
+// procs returns the GOMAXPROCS a record was taken at, read off its
+// benchmark names: go test appends -N to every name when N > 1 and
+// nothing when N is 1. A case name can end in a number of its own
+// (workers-16), so only a suffix common to every name in the record
+// counts.
+func procs(rec map[string]map[string]float64) int {
+	n := 0
+	for name := range rec {
+		i := strings.LastIndexByte(name, '-')
+		v, err := strconv.Atoi(name[i+1:])
+		if i < 0 || err != nil || v < 2 || (n != 0 && v != n) {
+			return 1
+		}
+		n = v
 	}
-	i := strings.LastIndexByte(name, '-')
-	if i < 0 {
-		return name
-	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
-	}
-	return name[:i]
+	return max(n, 1)
 }
 
 // lowerIsBetter reports the regression direction for a metric unit.
@@ -289,6 +293,12 @@ func main() {
 	cur, err := parseFile(flag.Arg(1))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchcmp: %v\n", err)
+		os.Exit(2)
+	}
+
+	if o, c := procs(old), procs(cur); o != c {
+		fmt.Fprintf(os.Stderr, "benchcmp: %s was taken at GOMAXPROCS=%d, %s at GOMAXPROCS=%d: not comparable\n",
+			flag.Arg(0), o, flag.Arg(1), c)
 		os.Exit(2)
 	}
 

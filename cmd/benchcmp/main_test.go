@@ -38,26 +38,39 @@ func TestParseFile(t *testing.T) {
 	if manners["ns/op"] != 2342632 || manners["allocs/op"] != 11896 {
 		t.Errorf("manners metrics = %v", manners)
 	}
-	// The -8 GOMAXPROCS suffix must be stripped.
-	srv, ok := got["BenchmarkServerThroughput"]
+	srv, ok := got["BenchmarkServerThroughput-8"]
 	if !ok {
-		t.Fatalf("BenchmarkServerThroughput missing from %v", got)
+		t.Fatalf("BenchmarkServerThroughput-8 missing from %v", got)
 	}
 	if srv["wme-changes/s"] != 55878 {
 		t.Errorf("server metrics = %v", srv)
 	}
 }
 
-func TestTrimProcSuffix(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkFoo":              "BenchmarkFoo",
-		"BenchmarkFoo-8":            "BenchmarkFoo",
-		"BenchmarkFoo/workers-16":   "BenchmarkFoo/workers-16",
-		"BenchmarkFoo/workers-16-8": "BenchmarkFoo/workers-16-8",
+func TestProcs(t *testing.T) {
+	rec := func(names ...string) map[string]map[string]float64 {
+		m := map[string]map[string]float64{}
+		for _, n := range names {
+			m[n] = nil
+		}
+		return m
 	}
-	for in, want := range cases {
-		if got := trimProcSuffix(in); got != want {
-			t.Errorf("trimProcSuffix(%q) = %q, want %q", in, got, want)
+	cases := []struct {
+		rec  map[string]map[string]float64
+		want int
+	}{
+		{rec("BenchmarkFoo"), 1},
+		{rec("BenchmarkFoo-2"), 2},
+		{rec("BenchmarkFoo/workers-1-2", "BenchmarkFoo/workers-16-2"), 2},
+		// One CPU: the trailing numbers are case names, and differ.
+		{rec("BenchmarkFoo/workers-4", "BenchmarkFoo/workers-16"), 1},
+		{rec("BenchmarkFoo/fraud", "BenchmarkFoo/monitor"), 1},
+		{rec("BenchmarkFoo", "BenchmarkBar-8"), 1},
+		{rec(), 1},
+	}
+	for _, c := range cases {
+		if got := procs(c.rec); got != c.want {
+			t.Errorf("procs(%v) = %d, want %d", c.rec, got, c.want)
 		}
 	}
 }

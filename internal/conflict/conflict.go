@@ -6,8 +6,10 @@ package conflict
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/bucket"
 	"repro/internal/ops5"
 )
 
@@ -50,69 +52,182 @@ func ParseStrategy(name string) (Strategy, error) {
 // productions. It supports the deltas emitted by matchers and the
 // selection rules of LEX and MEA, including refraction (an instantiation
 // that has fired cannot fire again while it remains in the set).
+//
+// An instantiation's identity is its production's name plus its
+// positive-CE time tags in LHS order — what Instantiation.Key spells as
+// a string. The set never builds that string on a conflict-set delta:
+// entries sit by value in hash buckets keyed by a uint64 fold of the
+// same name and tags (identity), and a chain walk re-verifies name and
+// tags (same). The string exists only where it leaves the process —
+// FiredKeys, the log's refraction marks, the server's instantiation
+// listing — and in the last tie-break of the ordering.
 type Set struct {
 	strategy Strategy
-	items    map[string]*entry
+	items    bucket.Buckets[entry]
+	n        int
 }
 
 // entry caches an instantiation's ordering features at insert time —
 // instantiations are immutable, so recency tags, the MEA goal tag and
-// specificity never need recomputing during selection.
+// specificity never need recomputing during selection. The zero entry
+// (nil inst) is a free slot of the bucket table.
 type entry struct {
 	inst  *ops5.Instantiation
 	fired bool
-	key   string
 	mea   int
-	tags  []int // time tags sorted descending
 	spec  int
-	// tagArr is tags' inline storage for typical LHS sizes.
+	// The time tags sorted descending are tagArr[:ntags], or more when
+	// the LHS has more positive CEs than tagArr holds.
+	ntags  int
 	tagArr [8]int
+	more   []int
+}
+
+func (e *entry) tags() []int {
+	if e.more != nil {
+		return e.more
+	}
+	return e.tagArr[:e.ntags]
 }
 
 // NewSet returns an empty conflict set using the given strategy.
 func NewSet(strategy Strategy) *Set {
-	return &Set{strategy: strategy, items: make(map[string]*entry)}
+	return &Set{strategy: strategy}
 }
 
 // Strategy returns the set's conflict-resolution strategy.
 func (s *Set) Strategy() Strategy { return s.strategy }
 
 // Len returns the number of instantiations currently in the set.
-func (s *Set) Len() int { return len(s.items) }
+func (s *Set) Len() int { return s.n }
+
+const fnvPrime = 1099511628211
+
+// hashName starts an identity hash with a production name.
+func hashName(name string) uint64 {
+	h := ops5.HashSeed
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * fnvPrime
+	}
+	return h
+}
+
+// hashTag folds one time tag into an identity hash.
+func hashTag(h uint64, tag int) uint64 { return (h ^ uint64(tag)) * fnvPrime }
+
+// identity folds an instantiation's production name and positive-CE
+// time tags, in order, into the key its entry is bucketed under.
+func identity(in *ops5.Instantiation) uint64 {
+	h := hashName(in.Production.Name)
+	for _, w := range in.WMEs {
+		if w != nil {
+			h = hashTag(h, w.TimeTag)
+		}
+	}
+	return h
+}
+
+// same reports whether a and b are the same instantiation, i.e. whether
+// their Keys would be equal: one production name, and position for
+// position the same time tag or the same absence of one.
+func same(a, b *ops5.Instantiation) bool {
+	if a.Production != b.Production && a.Production.Name != b.Production.Name {
+		return false
+	}
+	if len(a.WMEs) != len(b.WMEs) {
+		return false
+	}
+	for i, w := range a.WMEs {
+		if o := b.WMEs[i]; w != o && (w == nil || o == nil || w.TimeTag != o.TimeTag) {
+			return false
+		}
+	}
+	return true
+}
+
+// find returns the bucket index of the entry for in under identity id,
+// and the entry preceding it in the chain; -1 when in is not in the set.
+func (s *Set) find(id uint64, in *ops5.Instantiation) (prev, i int32) {
+	prev = -1
+	for i = s.items.Head(id); i >= 0; prev, i = i, s.items.Next(i) {
+		if same(s.items.At(i).inst, in) {
+			break
+		}
+	}
+	return prev, i
+}
 
 // Insert adds an instantiation. Re-inserting an identical instantiation
 // (same production, same time tags) is a no-op that preserves its fired
 // flag, so matchers may be idempotent.
-func (s *Set) Insert(in *ops5.Instantiation) {
-	k := in.Key()
-	if _, ok := s.items[k]; ok {
-		return
-	}
-	e := &entry{
-		inst: in,
-		key:  k,
-		mea:  meaTag(in),
-		spec: specificity(in.Production),
-	}
-	e.tags = sortedTagsDesc(in, e.tagArr[:0])
-	s.items[k] = e
-}
+func (s *Set) Insert(in *ops5.Instantiation) { s.insert(identity(in), in) }
 
 // Remove deletes an instantiation by identity. Removing an absent
 // instantiation is a no-op.
-func (s *Set) Remove(in *ops5.Instantiation) {
-	delete(s.items, in.Key())
-}
+func (s *Set) Remove(in *ops5.Instantiation) { s.remove(identity(in), in) }
 
 // MarkFired sets the refraction flag on the entry with the given key
 // (as produced by Instantiation.Key). Marking an absent key is a no-op.
 // Crash recovery (internal/durable) replays selection decisions through
 // this, so a recovered set refuses to re-fire exactly the
-// instantiations the original run already fired.
-func (s *Set) MarkFired(key string) {
-	if e, ok := s.items[key]; ok {
-		e.fired = true
+// instantiations the original run already fired. The key's name and
+// tags are folded into the identity hash Insert filed the entry under,
+// so marking costs one probe; only the candidates on that chain have
+// their keys spelled out to be compared.
+func (s *Set) MarkFired(key string) { s.markFired(keyIdentity(key), key) }
+
+// insert, remove and markFired do the work of their exported namesakes
+// on the chain of identity hash id (which the collision tests choose
+// themselves, to put unlike instantiations on one chain).
+func (s *Set) insert(id uint64, in *ops5.Instantiation) {
+	if _, i := s.find(id, in); i >= 0 {
+		return
 	}
+	e := s.items.At(s.items.Add(id, entry{
+		inst: in,
+		mea:  meaTag(in),
+		spec: specificity(in.Production),
+	}))
+	tags := sortedTagsDesc(in, e.tagArr[:0])
+	if e.ntags = len(tags); e.ntags > len(e.tagArr) {
+		e.more = tags
+	}
+	s.n++
+}
+
+func (s *Set) remove(id uint64, in *ops5.Instantiation) {
+	if prev, i := s.find(id, in); i >= 0 {
+		s.items.Unlink(id, prev, i)
+		s.n--
+	}
+}
+
+func (s *Set) markFired(id uint64, key string) {
+	for i := s.items.Head(id); i >= 0; i = s.items.Next(i) {
+		if e := s.items.At(i); e.inst.Key() == key {
+			e.fired = true
+			return
+		}
+	}
+}
+
+// keyIdentity computes from an Instantiation.Key string — a production
+// name followed by one "|tag" or "|-" per condition element — the hash
+// identity gives the instantiation itself. The name ends at the first
+// '|': Production.Validate admits none inside a name. A segment that is
+// no number folds in as zero: a key no instantiation spells lands on
+// some chain, matches nothing there, and marks nothing.
+func keyIdentity(key string) uint64 {
+	name, rest, _ := strings.Cut(key, "|")
+	h := hashName(name)
+	for rest != "" {
+		var seg string
+		if seg, rest, _ = strings.Cut(rest, "|"); seg != "-" {
+			tag, _ := strconv.Atoi(seg)
+			h = hashTag(h, tag)
+		}
+	}
+	return h
 }
 
 // FiredKeys returns the keys of the instantiations still in the set
@@ -120,9 +235,9 @@ func (s *Set) MarkFired(key string) {
 // persist these alongside working memory.
 func (s *Set) FiredKeys() []string {
 	var keys []string
-	for k, e := range s.items {
-		if e.fired {
-			keys = append(keys, k)
+	for i := int32(0); i < s.items.Slots(); i++ {
+		if e := s.items.At(i); e.inst != nil && e.fired {
+			keys = append(keys, e.inst.Key())
 		}
 	}
 	sort.Strings(keys)
@@ -131,14 +246,22 @@ func (s *Set) FiredKeys() []string {
 
 // Contains reports whether an identical instantiation is in the set.
 func (s *Set) Contains(in *ops5.Instantiation) bool {
-	_, ok := s.items[in.Key()]
-	return ok
+	_, i := s.find(identity(in), in)
+	return i >= 0
 }
 
 // Instantiations returns the current instantiations in a deterministic
-// order (the LEX order, best first).
+// order (the set's strategy order, best first).
 func (s *Set) Instantiations() []*ops5.Instantiation {
-	entries := s.sorted()
+	entries := make([]*entry, 0, s.n)
+	for i := int32(0); i < s.items.Slots(); i++ {
+		if e := s.items.At(i); e.inst != nil {
+			entries = append(entries, e)
+		}
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		return s.better(entries[i], entries[j])
+	})
 	out := make([]*ops5.Instantiation, len(entries))
 	for i, e := range entries {
 		out[i] = e.inst
@@ -151,12 +274,13 @@ func (s *Set) Instantiations() []*ops5.Instantiation {
 // the halting condition of the recognize-act cycle. The chosen
 // instantiation is marked fired (refraction). Selection is a linear
 // scan for the best unfired entry — better is a total order (the final
-// tie-break is the unique key), so map iteration order cannot change
-// the outcome.
+// tie-break is the unique key), so the entries' storage order cannot
+// change the outcome.
 func (s *Set) Select() *ops5.Instantiation {
 	var best *entry
-	for _, e := range s.items {
-		if e.fired {
+	for i := int32(0); i < s.items.Slots(); i++ {
+		e := s.items.At(i)
+		if e.inst == nil || e.fired {
 			continue
 		}
 		if best == nil || s.better(e, best) {
@@ -170,18 +294,6 @@ func (s *Set) Select() *ops5.Instantiation {
 	return best.inst
 }
 
-// sorted returns entries best-first under the strategy.
-func (s *Set) sorted() []*entry {
-	entries := make([]*entry, 0, len(s.items))
-	for _, e := range s.items {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		return s.better(entries[i], entries[j])
-	})
-	return entries
-}
-
 // better reports whether a should fire before b, comparing the
 // features cached at insert time.
 func (s *Set) better(a, b *entry) bool {
@@ -191,7 +303,7 @@ func (s *Set) better(a, b *entry) bool {
 		}
 	}
 	// Recency: compare sorted-descending time tags lexicographically.
-	at, bt := a.tags, b.tags
+	at, bt := a.tags(), b.tags()
 	for i := 0; i < len(at) && i < len(bt); i++ {
 		if at[i] != bt[i] {
 			return at[i] > bt[i]
@@ -209,7 +321,7 @@ func (s *Set) better(a, b *entry) bool {
 	if ap.Order != bp.Order {
 		return ap.Order < bp.Order
 	}
-	return a.key < b.key
+	return a.inst.Key() < b.inst.Key()
 }
 
 // meaTag returns the time tag of the WME matching the first positive CE.

@@ -365,12 +365,18 @@ func (p *Production) PositiveCEs() []int {
 	return out
 }
 
-// Validate checks structural well-formedness: at least one positive CE,
-// modify/remove indices referencing positive CEs, and RHS variables bound
-// somewhere in the LHS (or by a preceding bind action).
+// Validate checks structural well-formedness: a name without '|' (the
+// separator of Instantiation.Key, which the lexer keeps out of parsed
+// names and this keeps out of hand-built ones, so that a key names one
+// production and one tag list), at least one positive CE, modify/remove
+// indices referencing positive CEs, and RHS variables bound somewhere in
+// the LHS (or by a preceding bind action).
 func (p *Production) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("ops5: production has no name")
+	}
+	if strings.Contains(p.Name, "|") {
+		return fmt.Errorf("ops5: production name %q contains '|'", p.Name)
 	}
 	p.Intern()
 	if len(p.LHS) == 0 {

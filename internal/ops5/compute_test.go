@@ -119,6 +119,21 @@ func TestComputeUnboundVariableCaughtByValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBarInName: '|' separates the name from the tags in
+// Instantiation.Key, so "p" over tags (1, 2) and "p|1" over tag (2) would
+// spell one key. The lexer cannot produce such a name; a hand-built
+// production is stopped at Validate, which every matcher calls.
+func TestValidateRejectsBarInName(t *testing.T) {
+	p, err := ParseProduction(`(p ok (a ^v 1) --> (halt))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Name = "ok|1"
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "contains '|'") {
+		t.Errorf("err = %v, want the name rejected", err)
+	}
+}
+
 func TestLiteralize(t *testing.T) {
 	good := `
 (literalize goal type color)

@@ -52,7 +52,9 @@
 //     annihilates the late insert, and neither is propagated. The
 //     conflict set is likewise updated with counted deltas and flushed
 //     at the end of the batch — the batch boundary is the paper's
-//     synchronization step between recognize-act phases.
+//     synchronization step between recognize-act phases. A batch the
+//     caller ran alone and in order has nothing to cancel: its deltas
+//     are the serial matcher's and are announced as they stand (flush).
 package prete
 
 import (
@@ -61,6 +63,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/bucket"
 	"repro/internal/ops5"
 	"repro/internal/rete"
 )
@@ -118,11 +121,13 @@ type emit struct {
 	dir  ops5.ChangeKind
 }
 
-// pendingDelta is one un-merged conflict-set delta, batched per worker
-// during a batch and merged (and only then instantiated) at flush.
+// pendingDelta is one conflict-set delta, batched per worker during a
+// batch and instantiated at flush — every one of an in-order inline
+// batch, the net survivors of the merge otherwise.
 type pendingDelta struct {
 	term *rete.Terminal
 	tok  *rete.Token
+	key  uint64 // mergeKey(term, tok): the merge sorts on it without touching either
 	dir  ops5.ChangeKind
 }
 
@@ -151,13 +156,13 @@ const stripes = 16
 // computes the same join key, hence lands in the same stripe — so
 // holding one stripe's lock makes the update-memory-and-scan-opposite-
 // bucket step atomic, while activations with different keys proceed in
-// parallel on other stripes. The tables are rete.Buckets: entries are
+// parallel on other stripes. The tables are bucket.Buckets: entries are
 // free-listed inside the table, so the insert-then-delete churn of the
 // recognize-act cycle allocates nothing and the entry population is
 // exactly the stripe's high-water mark.
 type stripe struct {
 	mu   sync.Mutex
-	left rete.Buckets[leftEntry]
+	left bucket.Buckets[leftEntry]
 	_    [16]byte // pad to a cache line so neighbouring stripes' locks do not share one
 }
 
@@ -202,7 +207,7 @@ type pnode struct {
 	tests func(*rete.Token, *ops5.WME) bool
 	// rightHash computes a WME's join-key hash; nil in an unkeyed group.
 	rightHash func(*ops5.WME) uint64
-	right     []rete.Buckets[rightEntry]
+	right     []bucket.Buckets[rightEntry]
 
 	// down are the left memories fed by this node's output tokens;
 	// terminals announce conflict-set deltas.
@@ -213,14 +218,14 @@ type pnode struct {
 // first and next walk the candidates of a probe: key's chain in a keyed
 // table, every slot of an unkeyed one (free slots hold a zero count and
 // are skipped with the cancelled entries).
-func first[E any](b *rete.Buckets[E], keyed bool, key uint64) int32 {
+func first[E any](b *bucket.Buckets[E], keyed bool, key uint64) int32 {
 	if keyed {
 		return b.Head(key)
 	}
 	return b.Slots() - 1
 }
 
-func next[E any](b *rete.Buckets[E], keyed bool, i int32) int32 {
+func next[E any](b *bucket.Buckets[E], keyed bool, i int32) int32 {
 	if keyed {
 		return b.Next(i)
 	}
@@ -389,7 +394,7 @@ func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
 			pn := &pnode{
 				idx: j.Index, join: j, grp: g,
 				tests: j.Match, rightHash: j.RightHash, terminals: j.Out.Terminals,
-				right: make([]rete.Buckets[rightEntry], len(g.stripes)),
+				right: make([]bucket.Buckets[rightEntry], len(g.stripes)),
 			}
 			m.nodes[j.Index] = pn
 			g.members = append(g.members, pn)
@@ -557,6 +562,7 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 	s.seeds = seeds
 	t1 := nanotime()
 	t2 := t1
+	inOrder := false
 	if len(seeds) > 0 {
 		s.nextSeed.Store(0)
 		s.outstanding.Store(int64(len(seeds)))
@@ -567,7 +573,7 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 		} else {
 			s.solo = true
 			s.bypasses.Add(1)
-			m.drainInline(t1)
+			inOrder = m.drainInline(t1)
 		}
 		t2 = nanotime()
 		// Close each lane's books to the barrier: a lane's own stamps
@@ -589,7 +595,7 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 	clear(seeds) // release WME references
 	clear(mems)
 	m.seedMems = mems[:0]
-	ins, rem := m.flush()
+	ins, rem := m.flush(inOrder)
 	t3 := nanotime()
 	m.mu.Lock()
 	for i := range s.workers {
@@ -610,21 +616,25 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 // lane 0 — the serial bypass. With no pool woken there is no wake
 // round-trip, no barrier and no cross-lane traffic to pay for; the
 // caller simply retires tasks (its own deque's spawned children first,
-// then the next seed) until the batch is empty.
-func (m *Matcher) drainInline(t1 int64) {
+// then the next seed) until the batch is empty. It reports whether the
+// batch ran in the serial matcher's order: every task a seed, taken in
+// change order, each activation's downstream activations run depth-first
+// inside it. One activation queued for later (past maxInlineDepth) and
+// a delete may reach a node before the insert it undoes.
+func (m *Matcher) drainInline(t1 int64) (inOrder bool) {
 	s := m.sched
 	w := &s.workers[0]
 	w.clock.last = t1
+	inOrder = true
 	for {
 		t, ok := w.dq.popTail()
 		if !ok {
-			t, ok = s.claimSeed(w)
-		}
-		if !ok {
 			t, ok = s.popOverflow()
 		}
-		if !ok {
-			return
+		if ok {
+			inOrder = false
+		} else if t, ok = s.claimSeed(w); !ok {
+			return inOrder
 		}
 		m.runTask(t, w)
 	}
@@ -828,7 +838,7 @@ func (m *Matcher) propagate(emits []emit, w *worker, depth int) {
 	fan := 0
 	for _, e := range emits {
 		for _, term := range e.node.terminals {
-			w.pending = append(w.pending, pendingDelta{term: term, tok: e.tok, dir: e.dir})
+			w.pending = append(w.pending, pendingDelta{term: term, tok: e.tok, key: mergeKey(term, e.tok), dir: e.dir})
 		}
 		fan += len(e.node.down)
 	}
@@ -850,7 +860,7 @@ func (m *Matcher) propagate(emits []emit, w *worker, depth int) {
 // by an earlier opposite one (then neither propagates), the entry's
 // matches count before the update, and the entry itself when it remains
 // in the table (valid until the table's next Add).
-func updateLeft(b *rete.Buckets[leftEntry], k uint64, tok *rete.Token, dir ops5.ChangeKind) (e *leftEntry, hadMatches int32, cancelled bool) {
+func updateLeft(b *bucket.Buckets[leftEntry], k uint64, tok *rete.Token, dir ops5.ChangeKind) (e *leftEntry, hadMatches int32, cancelled bool) {
 	delta := int32(1)
 	if dir == ops5.Delete {
 		delta = -1
@@ -888,7 +898,7 @@ func annihilated(count *int32, delta int32) bool {
 
 // updateRight is updateLeft for a right table: WMEs are identified by
 // time tag.
-func updateRight(b *rete.Buckets[rightEntry], k uint64, wme *ops5.WME, dir ops5.ChangeKind) (cancelled bool) {
+func updateRight(b *bucket.Buckets[rightEntry], k uint64, wme *ops5.WME, dir ops5.ChangeKind) (cancelled bool) {
 	delta := int32(1)
 	if dir == ops5.Delete {
 		delta = -1
@@ -909,11 +919,25 @@ func updateRight(b *rete.Buckets[rightEntry], k uint64, wme *ops5.WME, dir ops5.
 	return delta < 0
 }
 
-// deltaCmp orders pending deltas by (terminal, token identity) so that
-// the flush merge can group equal instantiations with one sorted pass.
-// Equal elements (same terminal, same time-tag list) are exactly the
-// deltas that merge.
+// mergeKey folds a terminal into a token's identity hash: one word that
+// differs between any two deltas of different instantiations, hash
+// collisions apart.
+func mergeKey(term *rete.Terminal, tok *rete.Token) uint64 {
+	return tok.IDHash() ^ uint64(term.ID)
+}
+
+// deltaCmp orders pending deltas by (merge key, terminal, token identity)
+// so that the flush merge can group equal instantiations with one sorted
+// pass. Equal elements (same terminal, same time-tag list) are exactly
+// the deltas that merge; terminal and time tags are read only to tell a
+// key collision from a repeat.
 func deltaCmp(a, b pendingDelta) int {
+	if a.key != b.key {
+		if a.key < b.key {
+			return -1
+		}
+		return 1
+	}
 	if c := cmp.Compare(a.term.ID, b.term.ID); c != 0 {
 		return c
 	}
@@ -929,16 +953,38 @@ func deltaCmp(a, b pendingDelta) int {
 	return 0
 }
 
-// flush merges the workers' batched deltas and applies the net changes
-// in a deterministic order, returning how many instantiations entered
-// and left the conflict set. Instantiations are built only for the net
-// survivors — insert/delete churn within a batch never materialises
-// one.
-func (m *Matcher) flush() (ins, rem int64) {
+// flush applies the batch's conflict-set deltas through OnInsert and
+// OnRemove and returns how many instantiations entered and left the
+// conflict set.
+//
+// A batch that ran in order on the caller (drainInline) produced its
+// deltas as the serial matcher would have, each instantiation's insert
+// ahead of its delete, so they are announced one by one as they stand.
+// Any other batch may hold a delete ahead of the insert it undoes, or
+// the two on different lanes: the lanes' deltas are merged — sorted, so
+// that equal instantiations sit together and the order is the same on
+// every run — and only the net survivors are instantiated; insert/delete
+// churn within the batch never materialises one.
+func (m *Matcher) flush(inOrder bool) (ins, rem int64) {
+	if inOrder {
+		w := &m.sched.workers[0]
+		for _, d := range w.pending {
+			if d.dir == ops5.Insert {
+				ins++
+			} else {
+				rem++
+			}
+			m.announce(d, d.dir)
+		}
+		clear(w.pending) // release token references
+		w.pending = w.pending[:0]
+		return ins, rem
+	}
 	buf := m.flushBuf[:0]
 	for wi := range m.sched.workers {
 		w := &m.sched.workers[wi]
 		buf = append(buf, w.pending...)
+		clear(w.pending)
 		w.pending = w.pending[:0]
 	}
 	slices.SortFunc(buf, deltaCmp)
@@ -955,18 +1001,25 @@ func (m *Matcher) flush() (ins, rem int64) {
 		switch {
 		case net > 0:
 			ins++
-			if m.OnInsert != nil {
-				m.OnInsert(buf[i].term.Instantiate(buf[i].tok))
-			}
+			m.announce(buf[i], ops5.Insert)
 		case net < 0:
 			rem++
-			if m.OnRemove != nil {
-				m.OnRemove(buf[i].term.Instantiate(buf[i].tok))
-			}
+			m.announce(buf[i], ops5.Delete)
 		}
 		i = j
 	}
 	clear(buf) // release token references
 	m.flushBuf = buf[:0]
 	return ins, rem
+}
+
+// announce hands one conflict-set delta to its callback.
+func (m *Matcher) announce(d pendingDelta, dir ops5.ChangeKind) {
+	on := m.OnInsert
+	if dir == ops5.Delete {
+		on = m.OnRemove
+	}
+	if on != nil {
+		on(d.term.Instantiate(d.tok))
+	}
 }

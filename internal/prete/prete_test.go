@@ -1,6 +1,7 @@
 package prete_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -221,5 +222,121 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 			t.Errorf("%+v: %.0f allocs per insert+delete cycle, want at most the %.0f tokens emitted", cfg, allocs, tokens)
 		}
 		t.Logf("%+v: %.0f allocs, %.0f tokens per cycle", cfg, allocs, tokens)
+	}
+}
+
+// deepChain returns a production joining `depth` classes c0..c<depth-1>
+// on one variable, and the changes that insert one matching WME per
+// class, c0's last — so that c0's token runs the whole chain of joins
+// depth-first in one task.
+func deepChain(t *testing.T, depth int) (*ops5.Production, []ops5.Change) {
+	t.Helper()
+	src := "(p deep"
+	for i := 0; i < depth; i++ {
+		src += fmt.Sprintf(" (c%d ^a <x>)", i)
+	}
+	src += " --> (halt))"
+	p, err := ops5.ParseProduction(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []ops5.Change
+	for i := depth - 1; i >= 0; i-- {
+		w := ops5.NewWME(fmt.Sprintf("c%d", i), "a", 7)
+		w.TimeTag = depth - i
+		batch = append(batch, ops5.Change{Kind: ops5.Insert, WME: w})
+	}
+	return p, batch
+}
+
+// TestInlineBatchAnnouncesInOrder pins what a batch run inline on the
+// caller hands the conflict set: the serial matcher's deltas, one by one
+// — an instantiation made and unmade inside the batch is inserted and
+// removed — while the same batch on the pool is merged to its net effect.
+func TestInlineBatchAnnouncesInOrder(t *testing.T) {
+	p, batch := deepChain(t, 3)
+	batch = append(batch, ops5.Change{Kind: ops5.Delete, WME: batch[0].WME})
+	for _, tc := range []struct {
+		cfg      prete.Config
+		ins, rem int
+	}{
+		{prete.Config{Workers: 1}, 1, 1},
+		{prete.Config{Workers: 4}, 1, 1}, // under the bypass threshold: inline
+		{prete.Config{Workers: 4, SerialThreshold: -1}, 0, 0},
+	} {
+		m, err := prete.NewWithConfig([]*ops5.Production{p}, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		var order []ops5.ChangeKind
+		tr := matchtest.NewTracker()
+		m.OnInsert = func(in *ops5.Instantiation) { order = append(order, ops5.Insert); tr.Insert(in) }
+		m.OnRemove = func(in *ops5.Instantiation) { order = append(order, ops5.Delete); tr.Remove(in) }
+		m.Apply(batch)
+		if got := tr.Keys(); len(got) != 0 {
+			t.Errorf("%+v: conflict set %v, want empty", tc.cfg, got)
+		}
+		st := m.Stats()
+		if int(st.ConflictInserts) != tc.ins || int(st.ConflictRemoves) != tc.rem {
+			t.Errorf("%+v: %d inserts, %d removes, want %d and %d", tc.cfg, st.ConflictInserts, st.ConflictRemoves, tc.ins, tc.rem)
+		}
+		if tc.ins == 1 && (len(order) != 2 || order[0] != ops5.Insert || order[1] != ops5.Delete) {
+			t.Errorf("%+v: deltas announced as %v, want insert then delete", tc.cfg, order)
+		}
+	}
+}
+
+// TestInlineBatchPastInlineDepthIsMerged runs a join chain deeper than
+// the depth-first inlining bound inline on the caller: the activations
+// past the bound are queued, the batch is no longer in the serial order,
+// and its deltas must go through the merge like a pool batch's. The
+// second batch deletes and re-inserts the head of the chain twice over;
+// merged, it nets to nothing, so the counters show which way it went.
+func TestInlineBatchPastInlineDepthIsMerged(t *testing.T) {
+	const depth = 12
+	p, batch := deepChain(t, depth)
+	prods := []*ops5.Production{p}
+	head := batch[len(batch)-1].WME
+	again := ops5.NewWME("c0", "a", 7)
+	again.TimeTag = depth + 1
+	second := []ops5.Change{
+		{Kind: ops5.Delete, WME: head},
+		{Kind: ops5.Insert, WME: again},
+		{Kind: ops5.Delete, WME: again},
+		{Kind: ops5.Insert, WME: head},
+	}
+	for _, workers := range []int{1, 4} {
+		m, err := prete.New(prods, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		tr := matchtest.NewTracker()
+		m.OnInsert, m.OnRemove = tr.Insert, tr.Remove
+		live := map[*ops5.WME]bool{}
+		for bi, b := range [][]ops5.Change{batch, second} {
+			for _, ch := range b {
+				live[ch.WME] = ch.Kind == ops5.Insert
+			}
+			m.Apply(b)
+			var wmes []*ops5.WME
+			for w, ok := range live {
+				if ok {
+					wmes = append(wmes, w)
+				}
+			}
+			if d := matchtest.Diff(matchtest.BruteForceKeys(prods, wmes), tr.Keys()); d != "" {
+				t.Fatalf("workers=%d batch %d: conflict set mismatch:\n%s", workers, bi, d)
+			}
+		}
+		st := m.Stats()
+		if st.InlineBatches != 2 {
+			t.Fatalf("workers=%d: %d inline batches, want 2", workers, st.InlineBatches)
+		}
+		if st.ConflictInserts != 1 || st.ConflictRemoves != 0 {
+			t.Errorf("workers=%d: %d inserts, %d removes announced, want the merged 1 and 0",
+				workers, st.ConflictInserts, st.ConflictRemoves)
+		}
 	}
 }

@@ -136,26 +136,50 @@ func (s *Stats) AvgAffected() float64 {
 }
 
 // linearProbeMin is the opposite-memory population below which a join
-// activation scans linearly even when an index exists: computing the
-// join key and probing the map costs more than testing a handful of
+// activation scans linearly even though an index exists: fetching the
+// join key and collecting a bucket costs more than testing a handful of
 // candidates directly. Memories this small are also where most
 // activations of well-partitioned programs land, so the cutover
 // matters for constant factors while leaving the asymptotics indexed.
+// It decides only how an activation reads the opposite memory — every
+// index is maintained from the first entry — and with that what the
+// trace and Stats.TokenComparisons count.
 const linearProbeMin = 16
 
-// applyCtx threads per-change bookkeeping through the propagation.
+// applyCtx is the per-change bookkeeping threaded through the
+// propagation. A network owns one and reuses it for every change.
 type applyCtx struct {
-	change   int
-	dir      ops5.ChangeKind
-	affected map[*ops5.Production]int // production -> two-input activations
+	change int
+	dir    ops5.ChangeKind
+	// credits[p] is one more than the number of two-input activations
+	// the change in flight has caused for Plan.Productions[p], zero
+	// while the change has not reached p. touched lists the non-zero
+	// ones, so closing a change costs its affected productions, not the
+	// program's.
+	credits []int32
+	touched []int32
+}
+
+// credit marks the productions reading an alpha memory as affected by
+// the change in flight and attributes n two-input activations to each,
+// for the per-production variance histogram.
+func (ctx *applyCtx) credit(refs []ProdRef, n int32) {
+	for _, ref := range refs {
+		if ctx.credits[ref.Prod] == 0 {
+			ctx.credits[ref.Prod] = 1
+			ctx.touched = append(ctx.touched, int32(ref.Prod))
+		}
+		ctx.credits[ref.Prod] += n
+	}
 }
 
 // Apply processes a batch of working-memory changes through the network
 // serially, in order. Insert WMEs must already carry their time tags
 // (working memory assigns them).
 func (n *Network) Apply(changes []ops5.Change) {
+	ctx := &n.ctx
 	for i, ch := range changes {
-		ctx := &applyCtx{change: i, dir: ch.Kind, affected: make(map[*ops5.Production]int)}
+		ctx.change, ctx.dir = i, ch.Kind
 		root := n.roots[ch.WME.ClassID()]
 		tests := 0
 		rootSeq := n.nextSeq()
@@ -165,14 +189,12 @@ func (n *Network) Apply(changes []ops5.Change) {
 		n.Stats.ConstTests += int64(tests)
 		n.Stats.Changes++
 		n.Stats.Activations[KindRoot]++
-		n.Stats.AffectedProductions += int64(len(ctx.affected))
-		for _, cnt := range ctx.affected {
-			idx := cnt
-			if idx > 15 {
-				idx = 15
-			}
-			n.Stats.TwoInputPerProduction[idx]++
+		n.Stats.AffectedProductions += int64(len(ctx.touched))
+		for _, p := range ctx.touched {
+			n.Stats.TwoInputPerProduction[min(ctx.credits[p]-1, 15)]++
+			ctx.credits[p] = 0
 		}
+		ctx.touched = ctx.touched[:0]
 		n.emit(ActivationEvent{
 			Seq: rootSeq, Parent: 0, Change: i, Kind: KindRoot, NodeID: 0,
 			Dir: ch.Kind, TestsRun: tests,
@@ -209,25 +231,22 @@ func (n *Network) visitConst(node *ConstNode, w *ops5.WME, ctx *applyCtx, parent
 func (n *Network) alphaActivate(a *AlphaNode, w *ops5.WME, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
 	n.Stats.Activations[KindAlpha]++
-	for _, ref := range a.ProdRefs {
-		if _, ok := ctx.affected[ref.Production]; !ok {
-			ctx.affected[ref.Production] = 0
-		}
-	}
+	ctx.credit(a.ProdRefs, 0)
 	am := &n.alphas[a.Index]
+	m := keyMemo[*ops5.WME]{x: w, keys: a.Keys}
 	switch ctx.dir {
 	case ops5.Insert:
-		am.insert(w)
+		am.insert(wmeID(w), w)
 		for i := range am.indexes {
-			am.indexes[i].insert(w, am.items)
+			am.indexes[i].insert(&m, i)
 		}
 	case ops5.Delete:
-		if !am.remove(w) {
+		if _, ok := am.remove(wmeID(w), func(x *ops5.WME) bool { return x == w }, wmeID); !ok {
 			n.Stats.Anomalies++
 			return
 		}
 		for i := range am.indexes {
-			am.indexes[i].remove(w)
+			am.indexes[i].remove(&m, i)
 		}
 	}
 	n.emit(ActivationEvent{
@@ -235,33 +254,26 @@ func (n *Network) alphaActivate(a *AlphaNode, w *ops5.WME, ctx *applyCtx, parent
 		NodeID: a.ID, Dir: ctx.dir, SharedBy: len(a.ProdRefs),
 	})
 	for _, j := range a.Succs {
-		n.rightActivate(j, w, ctx, seq)
-	}
-}
-
-// creditAffected attributes a two-input activation to the productions
-// sharing the node, for the per-production variance histogram.
-func (n *Network) creditAffected(ctx *applyCtx, a *AlphaNode) {
-	for _, ref := range a.ProdRefs {
-		ctx.affected[ref.Production]++
+		n.rightActivate(j, &m, ctx, seq)
 	}
 }
 
 // rightActivate processes a WME arriving on the right input of a
-// two-input node.
-func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent int64) {
+// two-input node, on its way through the node's right memory (m).
+func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
-	n.creditAffected(ctx, j.Right)
+	ctx.credit(j.Right.ProdRefs, 1)
+	w := m.x
 	st := &n.joins[j.Index]
 	switch j.Kind {
 	case JoinPositive:
 		n.Stats.Activations[KindJoinRight]++
 		tested, emitted := 0, 0
 		left := &n.betas[j.Left.Index]
-		toks := left.tokens
-		indexed := st.leftIdx != nil && st.leftIdx.buckets.Ready() && len(toks) >= linearProbeMin
+		toks := left.items
+		indexed := st.leftIdx != nil && len(toks) >= linearProbeMin
 		if indexed {
-			toks = st.leftIdx.probe(j.RightHash(w), &st.leftScratch)
+			toks = st.leftIdx.probe(m.key(j.RightKey), &st.leftScratch)
 			n.Stats.IndexedProbes++
 		}
 		for _, tok := range toks {
@@ -280,7 +292,7 @@ func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent 
 		n.emit(ActivationEvent{
 			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindJoinRight,
 			NodeID: j.ID, Dir: ctx.dir, TokensTested: tested, PairsEmitted: emitted,
-			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(left.tokens),
+			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(left.items),
 		})
 	case JoinNegative:
 		n.Stats.Activations[KindNegRight]++
@@ -311,7 +323,7 @@ func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent 
 			// Propagation from j.Out flows strictly downstream, so the
 			// chain is never appended to (entries never move) while we
 			// hold pointers into it.
-			for e := st.negIndex.Head(j.RightHash(w)); e >= 0; e = st.negIndex.Next(e) {
+			for e := st.negIndex.Head(m.key(j.RightKey)); e >= 0; e = st.negIndex.Next(e) {
 				adjust(st.negIndex.At(e))
 			}
 		} else {
@@ -330,10 +342,12 @@ func (n *Network) rightActivate(j *JoinNode, w *ops5.WME, ctx *applyCtx, parent 
 }
 
 // leftActivate processes a token arriving on the left input of a
-// two-input node. dir gives whether the token is being added or removed.
-func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
+// two-input node, on its way through the node's left memory (m). dir
+// gives whether the token is being added or removed.
+func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
-	n.creditAffected(ctx, j.Right)
+	ctx.credit(j.Right.ProdRefs, 1)
+	tok := m.x
 	st := &n.joins[j.Index]
 	right := &n.alphas[j.Right.Index]
 	switch j.Kind {
@@ -341,9 +355,9 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 		n.Stats.Activations[KindJoinLeft]++
 		tested, emitted := 0, 0
 		items := right.items
-		indexed := st.rightIdx != nil && st.rightIdx.buckets.Ready() && len(items) >= linearProbeMin
+		indexed := st.rightIdx != nil && len(items) >= linearProbeMin
 		if indexed {
-			items = st.rightIdx.probe(j.LeftHash(tok), &st.rightScratch)
+			items = st.rightIdx.probe(m.key(j.LeftKey), &st.rightScratch)
 			n.Stats.IndexedProbes++
 		}
 		for _, w := range items {
@@ -372,8 +386,8 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 		case ops5.Insert:
 			count := 0
 			items := right.items
-			if st.rightIdx != nil && st.rightIdx.buckets.Ready() && len(items) >= linearProbeMin {
-				items = st.rightIdx.probe(j.LeftHash(tok), &st.rightScratch)
+			if st.rightIdx != nil && len(items) >= linearProbeMin {
+				items = st.rightIdx.probe(m.key(j.LeftKey), &st.rightScratch)
 				n.Stats.IndexedProbes++
 			}
 			for _, w := range items {
@@ -383,7 +397,7 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 				}
 			}
 			if indexed {
-				st.negIndex.Add(j.LeftHash(tok), negRecord{tok: tok, count: count})
+				st.negIndex.Add(m.key(j.LeftKey), negRecord{tok: tok, count: count})
 				st.negCount++
 			} else {
 				st.negRecords = append(st.negRecords, &negRecord{tok: tok, count: count})
@@ -395,7 +409,7 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 		case ops5.Delete:
 			found := false
 			if indexed {
-				if count, ok := st.negDelete(j.LeftHash(tok), tok); ok {
+				if count, ok := st.negDelete(m.key(j.LeftKey), tok); ok {
 					tested++
 					st.negCount--
 					if count == 0 {
@@ -436,25 +450,26 @@ func (n *Network) leftActivate(j *JoinNode, tok *Token, dir ops5.ChangeKind, ctx
 // betaInsert stores a token and propagates to joins and terminals.
 func (n *Network) betaInsert(b *BetaNode, tok *Token, ctx *applyCtx, parent int64) {
 	bm := &n.betas[b.Index]
-	bm.insert(tok)
+	bm.insert(tok.id, tok)
+	m := keyMemo[*Token]{x: tok, keys: b.Keys}
 	for i := range bm.indexes {
-		bm.indexes[i].insert(tok, bm.tokens)
+		bm.indexes[i].insert(&m, i)
 	}
-	n.propagate(b, tok, ops5.Insert, ctx, parent)
+	n.propagate(b, &m, ops5.Insert, ctx, parent)
 }
 
 // betaDelete removes a token and propagates the removal.
 func (n *Network) betaDelete(b *BetaNode, tok *Token, ctx *applyCtx, parent int64) {
-	bm := &n.betas[b.Index]
-	stored, ok := bm.removeWhere(tok.id, tok.EqualTo)
+	stored, ok := n.betas[b.Index].remove(tok.id, tok.EqualTo, (*Token).IDHash)
 	n.betaRemoved(b, stored, ok, ctx, parent)
 }
 
 // betaDeleteExt removes the token formed by base plus w and propagates
-// the removal using the stored token, so the delete path never
-// materialises an extended token (see betaMem.removeExt).
+// the removal using the stored token: the delete-path counterpart of
+// betaInsert(base.Extend(w)), without the token allocation.
 func (n *Network) betaDeleteExt(b *BetaNode, base *Token, w *ops5.WME, ctx *applyCtx, parent int64) {
-	stored, ok := n.betas[b.Index].removeExt(base, w)
+	stored, ok := n.betas[b.Index].remove(hashTag(base.id, w.TimeTag),
+		func(t *Token) bool { return extEqual(t, base, w) }, (*Token).IDHash)
 	n.betaRemoved(b, stored, ok, ctx, parent)
 }
 
@@ -466,20 +481,21 @@ func (n *Network) betaRemoved(b *BetaNode, stored *Token, ok bool, ctx *applyCtx
 		n.Stats.Anomalies++
 		return
 	}
+	m := keyMemo[*Token]{x: stored, keys: b.Keys}
 	indexes := n.betas[b.Index].indexes
 	for i := range indexes {
-		indexes[i].remove(stored)
+		indexes[i].remove(&m, i)
 	}
-	n.propagate(b, stored, ops5.Delete, ctx, parent)
+	n.propagate(b, &m, ops5.Delete, ctx, parent)
 }
 
 // propagate left-activates the joins and terminals below a beta memory.
-func (n *Network) propagate(b *BetaNode, tok *Token, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
+func (n *Network) propagate(b *BetaNode, m *keyMemo[*Token], dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
 	for _, j := range b.Joins {
-		n.leftActivate(j, tok, dir, ctx, parent)
+		n.leftActivate(j, m, dir, ctx, parent)
 	}
 	for _, t := range b.Terminals {
-		n.terminalActivate(t, tok, dir, ctx, parent)
+		n.terminalActivate(t, m.x, dir, ctx, parent)
 	}
 }
 

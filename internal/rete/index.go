@@ -3,6 +3,7 @@ package rete
 import (
 	"sort"
 
+	"repro/internal/bucket"
 	"repro/internal/ops5"
 )
 
@@ -69,42 +70,49 @@ func JoinHashFuncs(eq []JoinTest) (leftHash func(*Token) uint64, rightHash func(
 	return leftHash, rightHash
 }
 
+// keyMemo carries one element through one visit to a memory — the update
+// of the memory's own indexes, then the activation of every two-input
+// node below it — and computes each of the memory's join-key hashes at
+// most once on the way: the index a token is filed under and the probe
+// of the opposite memory one node further down use the same key.
+type keyMemo[E any] struct {
+	x    E
+	keys []func(E) uint64 // the visited memory's AlphaNode/BetaNode Keys
+	have uint8            // bit k: hash[k] is computed
+	hash [4]uint64
+}
+
+// key returns the element's hash under the memory's k-th key.
+func (m *keyMemo[E]) key(k int) uint64 {
+	if k >= len(m.hash) {
+		return m.keys[k](m.x)
+	}
+	if m.have&(1<<k) == 0 {
+		m.have |= 1 << k
+		m.hash[k] = m.keys[k](m.x)
+	}
+	return m.hash[k]
+}
+
 // index is a hash index over a serial memory's entries (WMEs of an alpha
-// memory, tokens of a beta memory), keyed by one key group's hash. The
-// buckets stay unbuilt — and insert/remove are no-ops — until the memory
-// first reaches linearProbeMin entries, the size below which activations
-// scan linearly anyway; tiny memories then pay no key or map upkeep.
-// Entries are identified by pointer: a token is removed through the very
-// pointer that was stored (see betaMem.removeWhere).
+// memory, tokens of a beta memory), keyed by one of the memory's key
+// hashes. Entries are identified by pointer: a token is removed through
+// the very pointer that was stored (the one memory.remove returned).
 type index[E comparable] struct {
-	hash    func(E) uint64
-	buckets Buckets[E]
+	buckets bucket.Buckets[E]
 }
 
-// insert adds x to its bucket. items is the owning memory's current
-// population (already including x); the buckets are built from it in
-// full when the memory first reaches linearProbeMin.
-func (ix *index[E]) insert(x E, items []E) {
-	switch {
-	case ix.buckets.Ready():
-		ix.buckets.Add(ix.hash(x), x)
-	case len(items) >= linearProbeMin:
-		ix.buckets.Reserve(len(items))
-		for _, x := range items {
-			ix.buckets.Add(ix.hash(x), x)
-		}
-	}
+// insert files m's element under the memory's k-th key.
+func (ix *index[E]) insert(m *keyMemo[E], k int) {
+	ix.buckets.Add(m.key(k), m.x)
 }
 
-func (ix *index[E]) remove(x E) {
-	if !ix.buckets.Ready() {
-		return
-	}
-	k := ix.hash(x)
+func (ix *index[E]) remove(m *keyMemo[E], k int) {
+	key := m.key(k)
 	prev := int32(-1)
-	for i := ix.buckets.Head(k); i >= 0; prev, i = i, ix.buckets.Next(i) {
-		if *ix.buckets.At(i) == x {
-			ix.buckets.Unlink(k, prev, i)
+	for i := ix.buckets.Head(key); i >= 0; prev, i = i, ix.buckets.Next(i) {
+		if *ix.buckets.At(i) == m.x {
+			ix.buckets.Unlink(key, prev, i)
 			return
 		}
 	}

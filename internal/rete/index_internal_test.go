@@ -1,7 +1,7 @@
 package rete
 
 // Internal regression test for the hash-indexed memories: it reaches
-// into the unexported bucket maps, which the black-box suite cannot.
+// into the unexported bucket tables, which the black-box suite cannot.
 
 import (
 	"fmt"
@@ -10,18 +10,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bucket"
 	"repro/internal/matchtest"
 	"repro/internal/ops5"
 )
 
 // chainCounts returns each live bucket's chain length by key.
-func chainCounts[E any](b *Buckets[E]) map[uint64]int {
+func chainCounts[E any](b *bucket.Buckets[E]) map[uint64]int {
 	counts := make(map[uint64]int)
-	for k, head := range b.heads {
-		for i := head - 1; i >= 0; i = b.Next(i) {
-			counts[k]++
-		}
-	}
+	b.Chains(func(k uint64, n int) { counts[k] = n })
 	return counts
 }
 
@@ -29,9 +26,7 @@ func chainCounts[E any](b *Buckets[E]) map[uint64]int {
 // bucket in the network — alpha indexes, beta indexes, and not-node
 // negation indexes — as "owner key=count" lines, sorted. Equal
 // snapshots mean equal per-memory and per-bucket populations
-// everywhere. Indexes are built lazily at the linearProbeMin crossing,
-// so an index may be unbuilt in one snapshot and built in the other;
-// both render the same effective populations (indexCounts).
+// everywhere.
 func bucketSnapshot(t *testing.T, n *Network) string {
 	t.Helper()
 	var lines []string
@@ -49,9 +44,9 @@ func bucketSnapshot(t *testing.T, n *Network) string {
 	}
 	for _, b := range n.Betas {
 		bm := &n.betas[b.Index]
-		lines = append(lines, fmt.Sprintf("beta%d tokens=%d", b.ID, len(bm.tokens)))
+		lines = append(lines, fmt.Sprintf("beta%d tokens=%d", b.ID, len(bm.items)))
 		for ii := range bm.indexes {
-			render(fmt.Sprintf("beta%d.%d", b.ID, ii), indexCounts(t, &bm.indexes[ii], bm.tokens))
+			render(fmt.Sprintf("beta%d.%d", b.ID, ii), indexCounts(t, &bm.indexes[ii], bm.items))
 		}
 	}
 	for _, j := range n.Joins {
@@ -67,19 +62,11 @@ func bucketSnapshot(t *testing.T, n *Network) string {
 	return strings.Join(lines, "\n")
 }
 
-// indexCounts returns an index's per-bucket populations: the actual
-// buckets when built (cross-checked against the memory they index),
-// populations derived from the memory when not.
+// indexCounts returns an index's per-bucket populations, cross-checked
+// against the memory it indexes.
 func indexCounts[E comparable](t *testing.T, ix *index[E], items []E) map[uint64]int {
 	t.Helper()
-	counts := make(map[uint64]int)
-	if !ix.buckets.Ready() {
-		for _, x := range items {
-			counts[ix.hash(x)]++
-		}
-		return counts
-	}
-	counts = chainCounts(&ix.buckets)
+	counts := chainCounts(&ix.buckets)
 	total := 0
 	for _, n := range counts {
 		total += n

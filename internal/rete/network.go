@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/bucket"
 	"repro/internal/ops5"
 )
 
@@ -74,128 +75,57 @@ func hashTag(h uint64, tag int) uint64 {
 	return h
 }
 
-// alphaMem is the serial contents of one alpha memory.
-type alphaMem struct {
-	items []*ops5.WME
-	// indexes are the equality-join hash indexes over items, one per
-	// key of the plan's AlphaNode.
-	indexes []index[*ops5.WME]
-	// pos maps each item to its slice position for O(1) removal.
-	pos map[*ops5.WME]int
+// memory is the serial contents of one alpha memory (E a WME) or beta
+// memory (E a token): the entries in a slice whose order carries no
+// meaning, a table from each entry's identity hash — a WME's time tag, a
+// token's IDHash — to its slice position, so removal never scans, and
+// one equality-join hash index per key of the plan's AlphaNode/BetaNode.
+// Identity hashes may collide; a removal re-verifies the chain with the
+// caller's equality.
+type memory[E comparable] struct {
+	items   []E
+	pos     bucket.Buckets[int32]
+	indexes []index[E]
 }
 
-// insert appends w, recording its position once the memory is large
-// enough that linear removal would cost more than map upkeep. The
-// position map is built lazily at the linearProbeMin crossing and kept
-// thereafter.
-func (am *alphaMem) insert(w *ops5.WME) {
-	if am.pos == nil && len(am.items) >= linearProbeMin {
-		am.pos = make(map[*ops5.WME]int, len(am.items)+1)
-		for i, x := range am.items {
-			am.pos[x] = i
-		}
-	}
-	if am.pos != nil {
-		am.pos[w] = len(am.items)
-	}
-	am.items = append(am.items, w)
+// wmeID is a WME's identity hash in an alpha memory.
+func wmeID(w *ops5.WME) uint64 { return uint64(w.TimeTag) }
+
+// insert appends x, filed under identity hash id.
+func (m *memory[E]) insert(id uint64, x E) {
+	m.pos.Add(id, int32(len(m.items)))
+	m.items = append(m.items, x)
 }
 
-// remove deletes one occurrence of w, reporting whether it was present.
-// The last item is swapped into the hole (memory order carries no
-// meaning), so removal is O(1) via the position map once it exists, and
-// a short scan before then.
-func (am *alphaMem) remove(w *ops5.WME) bool {
-	if am.pos == nil {
-		for i, x := range am.items {
-			if x == w {
-				last := len(am.items) - 1
-				am.items[i] = am.items[last]
-				am.items[last] = nil
-				am.items = am.items[:last]
-				return true
-			}
-		}
-		return false
-	}
-	i, ok := am.pos[w]
-	if !ok {
-		return false
-	}
-	delete(am.pos, w)
-	last := len(am.items) - 1
-	if i != last {
-		moved := am.items[last]
-		am.items[i] = moved
-		am.pos[moved] = i
-	}
-	am.items[last] = nil
-	am.items = am.items[:last]
-	return true
-}
-
-// betaMem is the serial contents of one beta memory.
-type betaMem struct {
-	tokens []*Token
-	// indexes are the equality-join hash indexes over tokens, one per
-	// key of the plan's BetaNode.
-	indexes []index[*Token]
-	// pos maps token identity hashes to slice positions for O(1)
-	// removal (time tags make chains unique, so buckets are single-entry
-	// in practice; EqualTo re-verifies either way). Unbuilt until the
-	// memory first reaches linearProbeMin tokens.
-	pos Buckets[int32]
-}
-
-// insert appends tok, recording its position under its identity key
-// once the memory is large enough that linear removal would cost more
-// than map upkeep. The position map is built lazily at the
-// linearProbeMin crossing and kept thereafter.
-func (bm *betaMem) insert(tok *Token) {
-	if !bm.pos.Ready() && len(bm.tokens) >= linearProbeMin {
-		bm.pos.Reserve(len(bm.tokens) + 1)
-		for i, t := range bm.tokens {
-			bm.pos.Add(t.id, int32(i))
-		}
-	}
-	if bm.pos.Ready() {
-		bm.pos.Add(tok.id, int32(len(bm.tokens)))
-	}
-	bm.tokens = append(bm.tokens, tok)
-}
-
-// removeExt deletes the token formed by base's WMEs plus w without
-// materialising it, returning the stored token so the caller can
-// propagate the removal downstream. It is the delete-path counterpart of
-// insert(base.Extend(w)) and saves one token allocation per removal.
-func (bm *betaMem) removeExt(base *Token, w *ops5.WME) (*Token, bool) {
-	return bm.removeWhere(hashTag(base.id, w.TimeTag), func(t *Token) bool { return extEqual(t, base, w) })
-}
-
-// removeWhere deletes and returns the token with identity hash id that
-// satisfies equal.
-func (bm *betaMem) removeWhere(id uint64, equal func(*Token) bool) (*Token, bool) {
-	if !bm.pos.Ready() {
-		for i, t := range bm.tokens {
-			if equal(t) {
-				bm.swapRemove(i)
-				return t, true
-			}
-		}
-		return nil, false
-	}
+// remove deletes and returns the entry filed under id that satisfies
+// equal. The last entry is swapped into the hole; idOf (the identity
+// hash insert was given for it) finds its position record.
+func (m *memory[E]) remove(id uint64, equal func(E) bool, idOf func(E) uint64) (x E, ok bool) {
 	prev := int32(-1)
-	for e := bm.pos.Head(id); e >= 0; prev, e = e, bm.pos.Next(e) {
-		p := int(*bm.pos.At(e))
-		t := bm.tokens[p]
-		if !equal(t) {
+	for e := m.pos.Head(id); e >= 0; prev, e = e, m.pos.Next(e) {
+		p := *m.pos.At(e)
+		if x = m.items[p]; !equal(x) {
 			continue
 		}
-		bm.pos.Unlink(id, prev, e)
-		bm.swapRemove(p)
-		return t, true
+		m.pos.Unlink(id, prev, e)
+		last := int32(len(m.items) - 1)
+		if p != last {
+			moved := m.items[last]
+			m.items[p] = moved
+			for e := m.pos.Head(idOf(moved)); e >= 0; e = m.pos.Next(e) {
+				if at := m.pos.At(e); *at == last {
+					*at = p
+					break
+				}
+			}
+		}
+		var zero E
+		m.items[last] = zero
+		m.items = m.items[:last]
+		return x, true
 	}
-	return nil, false
+	var zero E
+	return zero, false
 }
 
 // extEqual reports whether t equals base extended by w.
@@ -210,26 +140,6 @@ func extEqual(t, base *Token, w *ops5.WME) bool {
 		}
 	}
 	return true
-}
-
-// swapRemove deletes tokens[i] by moving the last token into the hole
-// and updating that token's position entry.
-func (bm *betaMem) swapRemove(i int) {
-	last := len(bm.tokens) - 1
-	if i != last {
-		moved := bm.tokens[last]
-		bm.tokens[i] = moved
-		if bm.pos.Ready() {
-			for e := bm.pos.Head(moved.id); e >= 0; e = bm.pos.Next(e) {
-				if p := bm.pos.At(e); int(*p) == last {
-					*p = int32(i)
-					break
-				}
-			}
-		}
-	}
-	bm.tokens[last] = nil
-	bm.tokens = bm.tokens[:last]
 }
 
 // negRecord is a left token stored in a not-node with its count of
@@ -259,7 +169,7 @@ type joinState struct {
 	// (propagation flows strictly downstream), so pointers into the
 	// buckets taken during a walk stay valid.
 	negRecords []*negRecord
-	negIndex   Buckets[negRecord]
+	negIndex   bucket.Buckets[negRecord]
 	negCount   int
 	// prof accumulates the node's activation work for live hot-node
 	// profiling.
@@ -288,7 +198,7 @@ type liveInst struct {
 
 // liveTake removes and returns the cached instantiation for tok, or nil
 // when none is cached.
-func liveTake(live *Buckets[liveInst], tok *Token) *ops5.Instantiation {
+func liveTake(live *bucket.Buckets[liveInst], tok *Token) *ops5.Instantiation {
 	prev := int32(-1)
 	for i := live.Head(tok.id); i >= 0; prev, i = i, live.Next(i) {
 		if e := live.At(i); e.tok.EqualTo(tok) {
@@ -305,13 +215,13 @@ func liveTake(live *Buckets[liveInst], tok *Token) *ops5.Instantiation {
 // goroutine. Any number of Networks may run one Plan.
 type Network struct {
 	*Plan
-	alphas []alphaMem // by AlphaNode.Index
-	betas  []betaMem  // by BetaNode.Index
+	alphas []memory[*ops5.WME] // by AlphaNode.Index
+	betas  []memory[*Token]    // by BetaNode.Index
 	joins  []joinState
 	// live caches, per terminal, the instantiation of each token
 	// currently in the conflict set, keyed by token identity hash (chains
 	// re-verified with EqualTo), so removals don't rebuild them.
-	live []Buckets[liveInst]
+	live []bucket.Buckets[liveInst]
 
 	// OnInsert and OnRemove receive conflict-set deltas. They must be
 	// set before Apply.
@@ -328,6 +238,7 @@ type Network struct {
 	// per-test switch dispatch (see EnableCompiledDispatch).
 	compiled bool
 	seq      int64
+	ctx      applyCtx // Apply's per-change bookkeeping, reused
 }
 
 // Compile builds a plan for the productions and a network to run it.
@@ -343,17 +254,18 @@ func Compile(prods []*ops5.Production) (*Network, error) {
 func NewNetwork(p *Plan) *Network {
 	n := &Network{
 		Plan:   p,
-		alphas: make([]alphaMem, len(p.Alphas)),
-		betas:  make([]betaMem, len(p.Betas)),
+		alphas: make([]memory[*ops5.WME], len(p.Alphas)),
+		betas:  make([]memory[*Token], len(p.Betas)),
 		joins:  make([]joinState, len(p.Joins)),
-		live:   make([]Buckets[liveInst], len(p.Terminals)),
+		live:   make([]bucket.Buckets[liveInst], len(p.Terminals)),
+		ctx:    applyCtx{credits: make([]int32, len(p.Productions))},
 	}
-	n.betas[0].insert(&Token{}) // the dummy top's permanent empty token
+	n.betas[0].insert(0, &Token{}) // the dummy top's permanent empty token
 	for _, a := range p.Alphas {
-		n.alphas[a.Index].indexes = newIndexes(a.Keys)
+		n.alphas[a.Index].indexes = make([]index[*ops5.WME], len(a.Keys))
 	}
 	for _, b := range p.Betas {
-		n.betas[b.Index].indexes = newIndexes(b.Keys)
+		n.betas[b.Index].indexes = make([]index[*Token], len(b.Keys))
 	}
 	for _, j := range p.Joins {
 		if j.LeftKey >= 0 {
@@ -362,13 +274,4 @@ func NewNetwork(p *Plan) *Network {
 		}
 	}
 	return n
-}
-
-// newIndexes returns one empty index per key hash of a memory.
-func newIndexes[E comparable](keys []func(E) uint64) []index[E] {
-	indexes := make([]index[E], len(keys))
-	for i, hash := range keys {
-		indexes[i].hash = hash
-	}
-	return indexes
 }

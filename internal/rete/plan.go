@@ -152,7 +152,9 @@ type AlphaNode struct {
 // ProdRef identifies one condition element of one production.
 type ProdRef struct {
 	Production *ops5.Production
-	CE         int
+	// Prod is Production's position in Plan.Productions.
+	Prod int
+	CE   int
 }
 
 // BetaNode describes a beta memory: the tokens matching a prefix of a
@@ -420,7 +422,7 @@ func (c *compiler) buildAlpha(p *ops5.Production, ceIdx int, ce *ops5.CondElemen
 		c.Alphas = append(c.Alphas, am)
 		cur.Mem = am
 	}
-	am.ProdRefs = append(am.ProdRefs, ProdRef{Production: p, CE: ceIdx})
+	am.ProdRefs = append(am.ProdRefs, ProdRef{Production: p, Prod: len(c.Productions), CE: ceIdx})
 	return am, local, nil
 }
 

@@ -101,7 +101,7 @@ func (n *Network) StateSize() int {
 		size += len(n.alphas[i].items)
 	}
 	for i := range n.betas {
-		size += len(n.betas[i].tokens)
+		size += len(n.betas[i].items)
 	}
 	for i := range n.joins {
 		size += n.joins[i].negCount + len(n.joins[i].negRecords)
