@@ -35,16 +35,17 @@ fmt-check:
 # race-mode runs of the concurrent layers (RACE_PKGS).
 check: vet fmt-check test race
 
-# bench runs the tier-1 headline benchmarks and records each as a
-# go test -json stream, for before/after comparisons across changes.
+# bench runs the deterministic in-process headline benchmarks and
+# records each as a go test -json stream, for before/after comparisons
+# across changes. Every over-HTTP, wall-clock number (server and stream
+# throughput) is psmbench's: chatter_http and stream_fraud in
+# benchmark/README.md.
 bench:
 	$(GO) test -json -run '^$$' -bench BenchmarkMissManners -benchmem . > BENCH_manners.json
-	$(GO) test -json -run '^$$' -bench BenchmarkServerThroughput -benchmem . > BENCH_server.json
 	$(GO) test -json -run '^$$' -bench BenchmarkPreteApply -benchmem . > BENCH_prete.json
-	$(GO) test -json -run '^$$' -bench BenchmarkStreamThroughput -benchmem . > BENCH_stream.json
 
 # bench-all runs every benchmark with human-readable output: the
-# end-to-end ones at the root and the per-layer ones of the memory layer
+# paper-figure and matcher ones at the root and the per-layer ones of the memory layer
 # (bucket.Buckets) and the conflict set.
 bench-all:
 	$(GO) test -bench=. -benchmem . ./internal/bucket ./internal/conflict
@@ -53,8 +54,7 @@ bench-all:
 # the checked-in baselines in bench/baseline/ (>10% regression fails;
 # see cmd/benchcmp). The single-process matcher benchmark also gates
 # allocs/op — allocation counts are deterministic there, so any
-# regression is a real code change, not noise. The server benchmark
-# (goroutines, HTTP buffers) gates time/throughput only. The parallel
+# regression is a real code change, not noise. The parallel
 # matcher benchmark gates the paper-§6 true-speedup — serial Rete's wall
 # time over the parallel matcher's on the same script: a regression
 # against baseline beyond the threshold fails, as does any value under
@@ -63,23 +63,17 @@ bench-all:
 # relative and leans on the absolute floor as the backstop: 1.0 on two
 # or more CPUs (the parallel matcher must not lose to the serial one at
 # any worker count or batch size), 0.65 on a single CPU, where extra
-# lanes can only add overhead. The streaming benchmark gates events/s
-# and allocs/op at 20% — ingest crosses the HTTP stack, so time-derived
-# numbers are noisier than the pure matcher runs, while allocation
-# counts stay deterministic. Run bench-baseline to accept current
+# lanes can only add overhead. Run bench-baseline to accept current
 # numbers as the new baseline.
 PRETE_SPEEDUP_FLOOR ?= $(shell [ "$$(nproc 2>/dev/null || echo 1)" -ge 2 ] && echo 1.0 || echo 0.65)
 bench-compare: bench
 	$(GO) run ./cmd/benchcmp -gate-allocs bench/baseline/BENCH_manners.json BENCH_manners.json
-	$(GO) run ./cmd/benchcmp bench/baseline/BENCH_server.json BENCH_server.json
 	$(GO) run ./cmd/benchcmp -threshold 20 -gate-speedup -speedup-floor $(PRETE_SPEEDUP_FLOOR) \
 		bench/baseline/BENCH_prete.json BENCH_prete.json
-	$(GO) run ./cmd/benchcmp -threshold 20 -gate-allocs \
-		bench/baseline/BENCH_stream.json BENCH_stream.json
 
 bench-baseline: bench
 	mkdir -p bench/baseline
-	cp BENCH_manners.json BENCH_server.json BENCH_prete.json BENCH_stream.json bench/baseline/
+	cp BENCH_manners.json BENCH_prete.json bench/baseline/
 
 # bench-smoke vets and short-tests the benchmark/ module (psmbench, its
 # load generator and the traced run). It is a module of its own, so
@@ -93,17 +87,18 @@ bench-smoke:
 
 # loc prints, per directory under internal/ and cmd/, the number of
 # non-test .go lines that are neither blank nor comment-only, then the
-# two subtotals ROADMAP items 2 and 3 set targets on (whole trees, so
-# internal/server includes internal/server/stats). CI prints it for a
-# PR's base and head, so a simplicity change is judged on a number the
-# pipeline produced.
+# subtotals the ROADMAP sets targets on (whole trees, so internal/server
+# includes internal/server/stats): the matchers, the serving stack, and
+# the packages a fact or a report crosses between a matcher and the
+# wire. CI prints it for a PR's base and head, so a simplicity change is
+# judged on a number the pipeline produced.
 LOC_COUNT = xargs -r cat | grep -v '^\s*//' | grep -cv '^\s*$$'
 loc:
 	@for d in $$(find internal cmd -type d | sort); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | $(LOC_COUNT)); \
 		[ "$$n" -eq 0 ] || printf '%7d  %s\n' "$$n" "$$d"; \
 	done; \
-	for set in "rete prete treat" "server durable rete prete"; do \
+	for set in "rete prete treat" "server durable rete prete" "core engine obs ops5"; do \
 		n=$$(for p in $$set; do find internal/$$p -name '*.go' ! -name '*_test.go'; done | $(LOC_COUNT)); \
 		printf '%7d  internal/{%s}\n' "$$n" "$$(echo $$set | tr ' ' ,)"; \
 	done

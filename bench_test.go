@@ -9,17 +9,11 @@
 package repro_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -32,8 +26,6 @@ import (
 	"repro/internal/prete"
 	"repro/internal/psm"
 	"repro/internal/rete"
-	"repro/internal/server"
-	"repro/internal/sym"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -407,178 +399,6 @@ func BenchmarkE16NodeExclusive(b *testing.B) {
 		}
 		b.ReportMetric(r.Concurrency, "concurrency")
 	})
-}
-
-// BenchmarkServerThroughput measures end-to-end wme-changes/sec through
-// the full service stack (HTTP JSON API -> shard mailbox -> engine):
-// the Miss Manners workload replayed against an in-process psmd server,
-// the serving-side counterpart of Figure 6-2's execution-speed metric.
-func BenchmarkServerThroughput(b *testing.B) {
-	srv := server.New(server.Config{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	p := workload.DefaultMannersParams()
-	wmes, err := workload.MannersWM(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	call := func(method, path string, body, out any) {
-		b.Helper()
-		payload, err := json.Marshal(body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		req, err := http.NewRequest(method, ts.URL+server.APIVersion+path, bytes.NewReader(payload))
-		if err != nil {
-			b.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.StatusCode/100 != 2 {
-			b.Fatalf("%s %s: %s: %s", method, path, resp.Status, data)
-		}
-		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	const batch = 8
-	var changes int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("bench-%d", i)
-		call("POST", "/sessions", server.CreateRequest{ID: id, Program: workload.MissManners}, nil)
-		for start := 0; start < len(wmes); start += batch {
-			req := server.ChangesRequest{}
-			for _, w := range wmes[start:min(start+batch, len(wmes))] {
-				fields := w.Fields()
-				attrs := make(map[string]any, len(fields))
-				for _, f := range fields {
-					if f.Val.Kind == ops5.NumValue {
-						attrs[sym.Name(f.Attr)] = f.Val.Num
-					} else {
-						attrs[sym.Name(f.Attr)] = f.Val.SymName()
-					}
-				}
-				req.Changes = append(req.Changes, server.WireChange{Op: "assert", Class: w.Class(), Attrs: attrs})
-			}
-			call("POST", "/sessions/"+id+"/changes", req, nil)
-		}
-		var run server.RunResponse
-		call("POST", "/sessions/"+id+"/run", server.RunRequest{}, &run)
-		if !run.Halted {
-			b.Fatal("manners did not finish")
-		}
-		var st server.SessionResponse
-		call("GET", "/sessions/"+id, nil, &st)
-		changes += st.TotalChanges
-		call("DELETE", "/sessions/"+id, nil, nil)
-	}
-	b.ReportMetric(float64(changes)/b.Elapsed().Seconds(), "wme-changes/s")
-}
-
-// BenchmarkStreamThroughput measures end-to-end NDJSON event ingest
-// through the stream endpoint (HTTP -> shard mailbox -> engine with
-// TTL expiry): the two windowed-join packs, each replaying its
-// calibration stream into a fresh session per iteration. events/s is
-// the gated throughput metric; expired/op pins down how much of the
-// work is window maintenance (engine-driven retraction through the
-// matcher delete path).
-func BenchmarkStreamThroughput(b *testing.B) {
-	cases := []struct {
-		name    string
-		program string
-		events  int
-		body    []byte
-	}{
-		{"fraud", workload.FraudRules, workload.DefaultFraudParams().Events,
-			workload.NDJSON(workload.FraudEvents(workload.DefaultFraudParams()))},
-		{"monitor", workload.MonitorRules, workload.DefaultMonitorParams().Events,
-			workload.NDJSON(workload.MonitorEvents(workload.DefaultMonitorParams()))},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			srv := server.New(server.Config{})
-			defer srv.Close()
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			cl := ts.Client()
-			post := func(path, contentType string, body []byte, out any) {
-				b.Helper()
-				resp, err := cl.Post(ts.URL+server.APIVersion+path, contentType, bytes.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer resp.Body.Close()
-				data, err := io.ReadAll(resp.Body)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if resp.StatusCode/100 != 2 {
-					b.Fatalf("POST %s: %s: %s", path, resp.Status, data)
-				}
-				if out != nil {
-					if err := json.Unmarshal(data, out); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			var expired int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := fmt.Sprintf("stream-%s-%d", tc.name, i)
-				create, err := json.Marshal(server.CreateRequest{ID: id, Program: tc.program})
-				if err != nil {
-					b.Fatal(err)
-				}
-				post("/sessions", "application/json", create, nil)
-				var res server.StreamResponse
-				post("/sessions/"+id+"/stream", "application/x-ndjson", tc.body, &res)
-				if res.Events != tc.events {
-					b.Fatalf("applied %d events, want %d", res.Events, tc.events)
-				}
-				expired += res.Expired
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(tc.events*b.N)/b.Elapsed().Seconds(), "events/s")
-			b.ReportMetric(float64(expired)/float64(b.N), "expired/op")
-			// The lag gauge must settle to zero once every batch is
-			// applied — a nonzero value here means the endpoint leaked
-			// in-flight accounting. Recorded so benchcmp -stream can
-			// print it next to the throughput numbers.
-			b.ReportMetric(registryValue(b, srv, "psmd_stream_lag_events"), "stream-lag")
-		})
-	}
-}
-
-// registryValue reads one metric's current value from a server's
-// metrics registry text exposition.
-func registryValue(b *testing.B, srv *server.Server, name string) float64 {
-	b.Helper()
-	var buf bytes.Buffer
-	srv.Registry().WriteText(&buf)
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			if err != nil {
-				b.Fatalf("metric %s: %v", name, err)
-			}
-			return v
-		}
-	}
-	b.Fatalf("metric %s not found", name)
-	return 0
 }
 
 // dispatchScript builds the bulk_prete shape (benchmark/README.md): the

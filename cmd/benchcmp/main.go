@@ -15,13 +15,6 @@
 // eats) from a single benchmark record — CI prints it on PRs that touch
 // the parallel matcher.
 //
-//	benchcmp -stream bench.json
-//
-// The third form prints the streaming-ingest table recorded by
-// BenchmarkStreamThroughput (per workload: event throughput, expiries
-// per run, and the final stream-lag gauge, which must be zero) — CI
-// prints it on PRs alongside the loss table.
-//
 // Regressions are judged per benchmark, per metric:
 //
 //   - ns/op: higher is worse
@@ -211,71 +204,24 @@ func printLossTable(path string) error {
 	return nil
 }
 
-// streamColumns are the per-benchmark metrics of the -stream table, in
-// print order (recorded by BenchmarkStreamThroughput).
-var streamColumns = []string{"events/s", "expired/op", "stream-lag", "ns/op", "allocs/op"}
-
-// printStreamTable renders the streaming-ingest metrics of one
-// benchmark record, one row per benchmark that carries an events/s
-// metric, sorted by name.
-func printStreamTable(path string) error {
-	rec, err := parseFile(path)
-	if err != nil {
-		return err
-	}
-	names := make([]string, 0, len(rec))
-	for name, metrics := range rec {
-		if _, ok := metrics["events/s"]; ok {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return fmt.Errorf("%s: no events/s metrics found", path)
-	}
-	sort.Strings(names)
-	fmt.Printf("%-40s", "benchmark")
-	for _, c := range streamColumns {
-		fmt.Printf(" %13s", c)
-	}
-	fmt.Println()
-	for _, name := range names {
-		fmt.Printf("%-40s", name)
-		for _, c := range streamColumns {
-			if v, ok := rec[name][c]; ok {
-				fmt.Printf(" %13.4g", v)
-			} else {
-				fmt.Printf(" %13s", "-")
-			}
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
 func main() {
 	threshold := flag.Float64("threshold", 10, "allowed regression in percent")
 	gateAllocs := flag.Bool("gate-allocs", false, "also fail on allocs/op and B/op regressions")
 	gateSpeedup := flag.Bool("gate-speedup", false, "also fail on true-speedup regressions beyond -threshold")
 	speedupFloor := flag.Float64("speedup-floor", 0, "fail when any true-speedup in the new record is below this absolute floor (0 disables; 1.0 = never slower than serial)")
 	loss := flag.Bool("loss", false, "print the loss-factor table from a single record instead of comparing two")
-	stream := flag.Bool("stream", false, "print the streaming-ingest table from a single record instead of comparing two")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchcmp [-threshold pct] [-gate-allocs] [-gate-speedup] [-speedup-floor F] old.json new.json\n"+
-			"       benchcmp -loss bench.json\n"+
-			"       benchcmp -stream bench.json\n")
+			"       benchcmp -loss bench.json\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *loss || *stream {
-		if flag.NArg() != 1 || (*loss && *stream) {
+	if *loss {
+		if flag.NArg() != 1 {
 			flag.Usage()
 			os.Exit(2)
 		}
-		print := printLossTable
-		if *stream {
-			print = printStreamTable
-		}
-		if err := print(flag.Arg(0)); err != nil {
+		if err := printLossTable(flag.Arg(0)); err != nil {
 			fmt.Fprintf(os.Stderr, "benchcmp: %v\n", err)
 			os.Exit(2)
 		}

@@ -75,28 +75,6 @@ func TestProcs(t *testing.T) {
 	}
 }
 
-// streamSample mimics a BenchmarkStreamThroughput record.
-const streamSample = `{"Action":"start","Package":"repro"}
-{"Action":"output","Package":"repro","Test":"BenchmarkStreamThroughput/fraud","Output":"BenchmarkStreamThroughput/fraud-8 \t"}
-{"Action":"output","Package":"repro","Test":"BenchmarkStreamThroughput/fraud","Output":"      26\t  42000000 ns/op\t     47000 events/s\t      2140 expired/op\t         0 stream-lag\t10500000 B/op\t  121000 allocs/op\n"}
-{"Action":"output","Package":"repro","Output":"PASS\n"}
-`
-
-func TestPrintStreamTable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stream.json")
-	if err := os.WriteFile(path, []byte(streamSample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := printStreamTable(path); err != nil {
-		t.Fatal(err)
-	}
-	// A record with no events/s metrics must be rejected, so CI cannot
-	// silently print an empty table.
-	if err := printStreamTable(writeSample(t)); err == nil {
-		t.Error("printStreamTable accepted a record without stream metrics")
-	}
-}
-
 func TestLowerIsBetter(t *testing.T) {
 	cases := []struct {
 		unit                    string

@@ -47,7 +47,7 @@ import (
 
 	"repro/internal/conflict"
 	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -126,7 +126,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "conflict ins/rem:      %d/%d\n", st.ConflictInserts, st.ConflictRemoves)
 		}
 		if p := caps.Index; p != nil {
-			ix := p.Indexed()
+			ix := p.IndexInfo()
 			fmt.Fprintf(os.Stderr, "indexed joins:         %d (%d fallback)\n", ix.IndexedNodes, ix.FallbackNodes)
 			fmt.Fprintf(os.Stderr, "hash buckets:          %d (max depth %d)\n", ix.Buckets, ix.MaxBucket)
 		}
@@ -145,13 +145,13 @@ func main() {
 		if p == nil {
 			fatal(fmt.Errorf("-loss requires a matcher with loss accounting (parallel-rete)"))
 		}
-		printLoss(os.Stderr, p.LossReport())
+		printLoss(os.Stderr, p.Loss())
 	}
 }
 
 // printLoss renders a loss report as the paper-§6 style table: speedup
 // numbers first, then the phase and decomposition breakdowns.
-func printLoss(w io.Writer, l engine.LossReport) {
+func printLoss(w io.Writer, l obs.LossReport) {
 	fmt.Fprintf(w, "loss-factor accounting (paper §6):\n")
 	fmt.Fprintf(w, "  workers:             %d\n", l.Workers)
 	fmt.Fprintf(w, "  batches:             %d\n", l.Batches)

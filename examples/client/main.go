@@ -249,7 +249,7 @@ func runObsDemo(base, api, matcher string) error {
 	if err != nil {
 		return err
 	}
-	err = post(lat, api+"/sessions", server.CreateRequest{
+	err = post(lat, api+"/sessions", server.CreateSpec{
 		ID: id, Program: workload.MissManners, Matcher: matcher,
 	}, nil)
 	if err != nil {
@@ -257,8 +257,8 @@ func runObsDemo(base, api, matcher string) error {
 	}
 	req := server.ChangesRequest{}
 	for _, w := range wmes {
-		req.Changes = append(req.Changes, server.WireChange{
-			Op: "assert", Class: w.Class(), Attrs: wireAttrs(w),
+		req.Changes = append(req.Changes, server.ChangeSpec{
+			Op: server.OpAssert, Class: w.Class(), Attrs: attrs(w),
 		})
 	}
 	if err := post(lat, api+"/sessions/"+id+"/changes", req, nil); err != nil {
@@ -269,19 +269,19 @@ func runObsDemo(base, api, matcher string) error {
 	}
 
 	fmt.Println("\nobservability walkthrough (session obs-probe):")
-	var tr server.TraceResponse
+	var tr server.TraceResult
 	if err := get(lat, api+"/sessions/"+id+"/trace", &tr); err != nil {
 		return err
 	}
 	fmt.Printf("  trace: %d spans retained of %d recorded\n", len(tr.Spans), tr.Total)
 	for _, sp := range tail(tr.Spans, 3) {
 		fmt.Printf("    cycle %3d [%s] trace=%s total %.3fms (match %.3f select %.3f act %.3f) fired=%d wm=%d\n",
-			sp.Cycle, sp.Kind, sp.TraceID, sp.TotalSeconds*1e3,
-			sp.MatchSeconds*1e3, sp.SelectSeconds*1e3, sp.ActSeconds*1e3,
+			sp.Cycle, sp.Kind, sp.TraceID, sp.Total().Seconds()*1e3,
+			sp.Match.Seconds()*1e3, sp.Select.Seconds()*1e3, sp.Act.Seconds()*1e3,
 			sp.Fired, sp.WMSize)
 	}
 
-	var prof server.ProfileResponse
+	var prof server.ProfileResult
 	if err := get(lat, api+"/sessions/"+id+"/profile?top=5", &prof); err != nil {
 		return err
 	}
@@ -295,12 +295,12 @@ func runObsDemo(base, api, matcher string) error {
 		fmt.Println("    (matcher reports no per-node counters; whole-matcher stats only)")
 	}
 
-	var loss server.LossResponse
+	var loss server.LossResult
 	if err := get(lat, api+"/sessions/"+id+"/loss", &loss); err != nil {
 		return err
 	}
-	if loss.Supported && loss.Loss != nil {
-		l := loss.Loss
+	if loss.Supported && loss.Report != nil {
+		l := loss.Report
 		fmt.Printf("  loss: workers=%d apply=%.3fms true-speedup=%.2f nominal=%.2f loss-factor=%.2f\n",
 			l.Workers, l.ApplySeconds*1e3, l.TrueSpeedup, l.NominalConcurrency, l.LossFactor)
 		for _, c := range l.Decomposition {
@@ -355,7 +355,7 @@ func runDurableDemo(dataDir, matcher string) error {
 	srv1 := server.New(cfg)
 	ts1 := httptest.NewServer(srv1.Handler())
 	api1 := ts1.URL + server.APIVersion
-	err = post(lat, api1+"/sessions", server.CreateRequest{
+	err = post(lat, api1+"/sessions", server.CreateSpec{
 		ID: id, Program: workload.MissManners, Matcher: matcher,
 	}, nil)
 	if err != nil {
@@ -363,8 +363,8 @@ func runDurableDemo(dataDir, matcher string) error {
 	}
 	req := server.ChangesRequest{}
 	for _, w := range wmes {
-		req.Changes = append(req.Changes, server.WireChange{
-			Op: "assert", Class: w.Class(), Attrs: wireAttrs(w),
+		req.Changes = append(req.Changes, server.ChangeSpec{
+			Op: server.OpAssert, Class: w.Class(), Attrs: attrs(w),
 		})
 	}
 	if err := post(lat, api1+"/sessions/"+id+"/changes", req, nil); err != nil {
@@ -373,7 +373,7 @@ func runDurableDemo(dataDir, matcher string) error {
 	if err := post(lat, api1+"/sessions/"+id+"/run", server.RunRequest{Cycles: 8}, nil); err != nil {
 		return err
 	}
-	var before server.SessionResponse
+	var before server.SessionInfo
 	if err := get(lat, api1+"/sessions/"+id, &before); err != nil {
 		return err
 	}
@@ -391,7 +391,7 @@ func runDurableDemo(dataDir, matcher string) error {
 	defer ts2.Close()
 	api2 := ts2.URL + server.APIVersion
 
-	var after server.SessionResponse
+	var after server.SessionInfo
 	if err := get(lat, api2+"/sessions/"+id, &after); err != nil {
 		return err
 	}
@@ -405,14 +405,14 @@ func runDurableDemo(dataDir, matcher string) error {
 		return fmt.Errorf("recovered state diverged: before=%+v after=%+v", before, after)
 	}
 
-	var snap server.SnapshotResponse
+	var snap server.SnapshotResult
 	if err := post(lat, api2+"/sessions/"+id+"/snapshot", struct{}{}, &snap); err != nil {
 		return err
 	}
 	fmt.Printf("  checkpoint:   seq=%d, %d wmes, %d bytes on disk\n", snap.Seq, snap.WMEs, snap.Bytes)
 
 	for {
-		var run server.RunResponse
+		var run server.RunResult
 		if err := post(lat, api2+"/sessions/"+id+"/run", server.RunRequest{Cycles: 64}, &run); err != nil {
 			return err
 		}
@@ -420,7 +420,7 @@ func runDurableDemo(dataDir, matcher string) error {
 			break
 		}
 	}
-	var final server.SessionResponse
+	var final server.SessionInfo
 	if err := get(lat, api2+"/sessions/"+id, &final); err != nil {
 		return err
 	}
@@ -430,7 +430,7 @@ func runDurableDemo(dataDir, matcher string) error {
 }
 
 // tail returns the last n elements of spans.
-func tail(spans []server.WireSpan, n int) []server.WireSpan {
+func tail(spans []obs.CycleSpan, n int) []obs.CycleSpan {
 	if len(spans) > n {
 		return spans[len(spans)-n:]
 	}
@@ -462,13 +462,13 @@ func capturePprof(base, path string) error {
 // replay drives one session to completion and returns its final stats.
 // base is the versioned API base; every request's round-trip time is
 // recorded in lat.
-func replay(base string, lat *latencies, id, matcher string, workers int, p workload.MannersParams, batch, chunk int) (server.SessionResponse, error) {
-	var stats server.SessionResponse
+func replay(base string, lat *latencies, id, matcher string, workers int, p workload.MannersParams, batch, chunk int) (server.SessionInfo, error) {
+	var stats server.SessionInfo
 	wmes, err := workload.MannersWM(p)
 	if err != nil {
 		return stats, err
 	}
-	err = post(lat, base+"/sessions", server.CreateRequest{
+	err = post(lat, base+"/sessions", server.CreateSpec{
 		ID: id, Program: workload.MissManners, Matcher: matcher, Workers: workers,
 	}, nil)
 	if err != nil {
@@ -485,8 +485,8 @@ func replay(base string, lat *latencies, id, matcher string, workers int, p work
 		end := min(start+batch, len(wmes))
 		req := server.ChangesRequest{}
 		for _, w := range wmes[start:end] {
-			req.Changes = append(req.Changes, server.WireChange{
-				Op: "assert", Class: w.Class(), Attrs: wireAttrs(w),
+			req.Changes = append(req.Changes, server.ChangeSpec{
+				Op: server.OpAssert, Class: w.Class(), Attrs: attrs(w),
 			})
 		}
 		if err := post(lat, base+"/sessions/"+id+"/changes", req, nil); err != nil {
@@ -495,7 +495,7 @@ func replay(base string, lat *latencies, id, matcher string, workers int, p work
 	}
 
 	for {
-		var run server.RunResponse
+		var run server.RunResult
 		if err := post(lat, base+"/sessions/"+id+"/run", server.RunRequest{Cycles: chunk}, &run); err != nil {
 			return stats, err
 		}
@@ -506,17 +506,12 @@ func replay(base string, lat *latencies, id, matcher string, workers int, p work
 	return stats, get(lat, base+"/sessions/"+id, &stats)
 }
 
-// wireAttrs converts a WME's attributes to the JSON wire form.
-func wireAttrs(w *ops5.WME) map[string]any {
+// attrs returns a WME's attributes by name, as a change carries them.
+func attrs(w *ops5.WME) map[string]ops5.Value {
 	fields := w.Fields()
-	attrs := make(map[string]any, len(fields))
+	attrs := make(map[string]ops5.Value, len(fields))
 	for _, f := range fields {
-		switch f.Val.Kind {
-		case ops5.SymValue:
-			attrs[sym.Name(f.Attr)] = f.Val.SymName()
-		case ops5.NumValue:
-			attrs[sym.Name(f.Attr)] = f.Val.Num
-		}
+		attrs[sym.Name(f.Attr)] = f.Val
 	}
 	return attrs
 }

@@ -74,7 +74,7 @@ func main() {
 	}
 
 	const id = "stream-demo"
-	create, err := json.Marshal(server.CreateRequest{ID: id, Program: program, Matcher: *matcher})
+	create, err := json.Marshal(server.CreateSpec{ID: id, Program: program, Matcher: *matcher})
 	if err != nil {
 		fatal(err)
 	}
@@ -108,7 +108,7 @@ func main() {
 
 // stream posts one NDJSON batch, sleeping out 429 backpressure
 // responses per their Retry-After header.
-func stream(api, id string, body []byte) server.StreamResponse {
+func stream(api, id string, body []byte) server.StreamResult {
 	for {
 		resp, err := http.Post(api+"/sessions/"+id+"/stream", "application/x-ndjson",
 			bytes.NewReader(body))
@@ -132,7 +132,7 @@ func stream(api, id string, body []byte) server.StreamResponse {
 		if resp.StatusCode != http.StatusOK {
 			fatal(fmt.Errorf("stream: %s: %s", resp.Status, data))
 		}
-		var res server.StreamResponse
+		var res server.StreamResult
 		if err := json.Unmarshal(data, &res); err != nil {
 			fatal(err)
 		}
@@ -147,7 +147,7 @@ func countClass(api, id, class string) int {
 		fatal(err)
 	}
 	defer resp.Body.Close()
-	var wmes []server.WireWME
+	var wmes []server.WMEInfo
 	if err := json.NewDecoder(resp.Body).Decode(&wmes); err != nil {
 		fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ops5"
 	"repro/internal/server"
 )
 
@@ -39,13 +40,13 @@ type sessionOps struct {
 	id string
 }
 
-func (o sessionOps) create() server.CreateRequest {
-	return server.CreateRequest{ID: o.id, Program: counterSrc, Matcher: "rete"}
+func (o sessionOps) create() server.CreateSpec {
+	return server.CreateSpec{ID: o.id, Program: counterSrc, Matcher: "rete"}
 }
 
 func (o sessionOps) seed() server.ChangesRequest {
-	return server.ChangesRequest{Changes: []server.WireChange{
-		{Op: "assert", Class: "counter", Attrs: map[string]any{"n": 0.0, "limit": 1000.0}},
+	return server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "counter", Attrs: map[string]ops5.Value{"n": ops5.Num(0), "limit": ops5.Num(1000)}},
 	}}
 }
 
@@ -125,7 +126,7 @@ func TestClusterFailover(t *testing.T) {
 	// request must be forwarded to the owner transparently.
 	driver := (owner + 1) % 3
 	c.MustJSON(driver, "POST", "/v1/sessions/"+ops.id+"/changes", ops.seed(), nil, http.StatusOK)
-	var run server.RunResponse
+	var run server.RunResult
 	c.MustJSON(driver, "POST", "/v1/sessions/"+ops.id+"/run", server.RunRequest{Cycles: 10}, &run, http.StatusOK)
 	if run.Fired != 10 {
 		t.Fatalf("run fired %d, want 10", run.Fired)
@@ -210,7 +211,7 @@ func TestClusterFailover(t *testing.T) {
 
 	// The promoted session must keep working — and still match the
 	// reference after more cycles.
-	var run2 server.RunResponse
+	var run2 server.RunResult
 	c.MustJSON(survivor, "POST", "/v1/sessions/"+ops.id+"/run", server.RunRequest{Cycles: 10}, &run2, http.StatusOK)
 	if run2.Fired != 10 {
 		t.Fatalf("post-failover run fired %d, want 10", run2.Fired)
@@ -296,9 +297,9 @@ func TestClusterDrain(t *testing.T) {
 	const target = 1
 	var moved []string
 	for i := 0; i < 30 && len(moved) == 0; i++ {
-		var out server.SessionResponse
+		var out server.SessionInfo
 		c.MustJSON(0, "POST", "/v1/sessions",
-			server.CreateRequest{Program: counterSrc, Matcher: "rete"}, &out, http.StatusCreated)
+			server.CreateSpec{Program: counterSrc, Matcher: "rete"}, &out, http.StatusCreated)
 		c.MustJSON(0, "POST", "/v1/sessions/"+out.ID+"/changes", sessionOps{id: out.ID}.seed(), nil, http.StatusOK)
 		if c.OwnerOf(out.ID) == target {
 			moved = append(moved, out.ID)
@@ -344,7 +345,7 @@ func TestClusterDrain(t *testing.T) {
 			wm = body
 			return code == http.StatusOK
 		})
-		var wmes []server.WireWME
+		var wmes []server.WMEInfo
 		if err := json.Unmarshal(wm, &wmes); err != nil {
 			t.Fatalf("session %s: bad wm %q: %v", id, wm, err)
 		}
@@ -396,13 +397,13 @@ func TestClusterRejoin(t *testing.T) {
 			return false
 		}
 		holder := c.OwnerOf(ops.id)
-		var wm []server.WireWME
+		var wm []server.WMEInfo
 		if c.JSON(holder, "GET", "/v1/sessions/"+ops.id+"/wm", nil, &wm) != http.StatusOK {
 			return false
 		}
 		// n == 10 is the post-failover state; the crashed copy stopped
 		// at n == 5. A stale lineage winning the rejoin would show 5.
-		return len(wm) == 1 && wm[0].Attrs["n"] == 10.0
+		return len(wm) == 1 && wm[0].Attrs["n"] == ops5.Num(10)
 	})
 }
 
@@ -502,14 +503,14 @@ func TestClusterRollingExit(t *testing.T) {
 		t.Fatalf("recipient recovered via failover (%d promotions), want adoption only", got)
 	}
 	// The adopted session still runs from exactly where it left off.
-	var run server.RunResponse
+	var run server.RunResult
 	c.MustJSON(rec, "POST", "/v1/sessions/"+ops.id+"/run", server.RunRequest{Cycles: 5}, &run, http.StatusOK)
 	if run.Fired != 5 {
 		t.Fatalf("post-exit run fired %d cycles, want 5: %+v", run.Fired, run)
 	}
-	var wm []server.WireWME
+	var wm []server.WMEInfo
 	c.MustJSON(rec, "GET", "/v1/sessions/"+ops.id+"/wm", nil, &wm, http.StatusOK)
-	if len(wm) != 1 || wm[0].Attrs["n"] != 10.0 {
+	if len(wm) != 1 || wm[0].Attrs["n"] != ops5.Num(10) {
 		t.Fatalf("post-exit working memory: %+v", wm)
 	}
 }

@@ -38,7 +38,7 @@ func TestClusterStreamSoak(t *testing.T) {
 	defer dumpSoakArtifacts(t, c, id)
 
 	c.MustJSON(0, "POST", "/v1/sessions",
-		server.CreateRequest{ID: id, Program: workload.FraudRules, Matcher: "parallel-rete", Workers: 2},
+		server.CreateSpec{ID: id, Program: workload.FraudRules, Matcher: "parallel-rete", Workers: 2},
 		nil, http.StatusCreated)
 
 	cl := c.Client()
@@ -122,7 +122,7 @@ func TestClusterStreamSoak(t *testing.T) {
 	// holds it until its first heartbeat learns of the promoted owner and
 	// demotes it, so for that long OwnerOf can name a node that answers
 	// 404 a moment later: resolve the owner afresh for every attempt.
-	var info server.SessionResponse
+	var info server.SessionInfo
 	c.WaitFor(10*time.Second, "a live owner answering at soak end", func() bool {
 		owner := c.OwnerOf(id)
 		return owner >= 0 && c.JSON(owner, "GET", "/v1/sessions/"+id, nil, &info) == http.StatusOK

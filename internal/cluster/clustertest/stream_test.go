@@ -15,19 +15,19 @@ import (
 
 // streamTo posts NDJSON to one node's stream endpoint and returns the
 // status plus decoded summary (zero on non-200).
-func streamTo(t *testing.T, cl *http.Client, base, id string, body []byte) (int, server.StreamResponse) {
+func streamTo(t *testing.T, cl *http.Client, base, id string, body []byte) (int, server.StreamResult) {
 	t.Helper()
 	resp, err := cl.Post(base+"/v1/sessions/"+id+"/stream", "application/x-ndjson",
 		bytes.NewReader(body))
 	if err != nil {
-		return 0, server.StreamResponse{}
+		return 0, server.StreamResult{}
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatalf("stream read: %v", err)
 	}
-	var res server.StreamResponse
+	var res server.StreamResult
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(raw, &res); err != nil {
 			t.Fatalf("stream response %q: %v", raw, err)
@@ -46,7 +46,7 @@ func streamReference(t *testing.T, id string, halves [][]byte) (wm []string, clo
 	ts := httptest.NewServer(srv.HandlerWith(server.HandlerConfig{DisablePprof: true}))
 	t.Cleanup(ts.Close)
 	cl := ts.Client()
-	buf, err := json.Marshal(server.CreateRequest{ID: id, Program: workload.FraudRules, Matcher: "rete"})
+	buf, err := json.Marshal(server.CreateSpec{ID: id, Program: workload.FraudRules, Matcher: "rete"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func streamReference(t *testing.T, id string, halves [][]byte) (wm []string, clo
 			t.Fatalf("reference stream: %d", code)
 		}
 		_, w := rawGet(t, cl, ts.URL+"/v1/sessions/"+id+"/wm")
-		var info server.SessionResponse
+		var info server.SessionInfo
 		_, st := rawGet(t, cl, ts.URL+"/v1/sessions/"+id)
 		if err := json.Unmarshal(st, &info); err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestClusterStreamFailoverExpiryParity(t *testing.T) {
 
 	c := Start(t, 3, true)
 	c.MustJSON(0, "POST", "/v1/sessions",
-		server.CreateRequest{ID: id, Program: workload.FraudRules, Matcher: "rete"},
+		server.CreateSpec{ID: id, Program: workload.FraudRules, Matcher: "rete"},
 		nil, http.StatusCreated)
 	owner := c.OwnerOf(id)
 	if owner < 0 {
@@ -117,7 +117,7 @@ func TestClusterStreamFailoverExpiryParity(t *testing.T) {
 	if string(wm) != refWM[0] {
 		t.Fatalf("promoted WM diverged:\n got %s\nwant %s", wm, refWM[0])
 	}
-	var info server.SessionResponse
+	var info server.SessionInfo
 	c.MustJSON(survivor, "GET", "/v1/sessions/"+id, nil, &info, http.StatusOK)
 	if info.Clock != refClock[0] || info.Expired != refExpired[0] {
 		t.Fatalf("promoted clock/expired = %d/%d, reference %d/%d",

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/server"
 )
 
 // The intra-cluster wire protocol, all under /v1/internal (never
@@ -555,7 +556,7 @@ func sessionIDFromPath(path string) string {
 // path speaks.
 func writeRedirect(w http.ResponseWriter, target *peer, r *http.Request) {
 	w.Header().Set("Location", target.url+r.URL.RequestURI())
-	writeJSON(w, http.StatusTemporaryRedirect, errorEnvelope{
+	writeJSON(w, http.StatusTemporaryRedirect, server.ErrorResponse{
 		Code:      "wrong_node",
 		Message:   "session is owned by " + target.id + "; retry at the Location header",
 		Retryable: true,
@@ -568,19 +569,10 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	json.NewEncoder(w).Encode(body)
 }
 
-// errorEnvelope is the {code,message,retryable} error shape, identical
-// to the server package's ErrorResponse (duplicated to avoid an import
-// cycle; the golden-surface test pins both).
-type errorEnvelope struct {
-	Code      string `json:"code"`
-	Message   string `json:"message"`
-	Retryable bool   `json:"retryable"`
-}
-
-// writeClusterError mirrors the server's error envelope.
+// writeClusterError answers in the server's error envelope.
 func writeClusterError(w http.ResponseWriter, status int, code, msg string) {
 	retryable := status == http.StatusBadGateway || status == http.StatusServiceUnavailable
-	writeJSON(w, status, errorEnvelope{Code: code, Message: msg, Retryable: retryable})
+	writeJSON(w, status, server.ErrorResponse{Code: code, Message: msg, Retryable: retryable})
 }
 
 // sortStatus orders status slices for deterministic output.

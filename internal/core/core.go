@@ -16,10 +16,10 @@ import (
 	"io"
 
 	"repro/internal/conflict"
-	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/fullstate"
 	"repro/internal/naive"
+	"repro/internal/obs"
 	"repro/internal/ops5"
 	"repro/internal/prete"
 	"repro/internal/rete"
@@ -190,47 +190,19 @@ func NewSystemFromProgram(prog *ops5.Program, opts Options) (*System, error) {
 	return sys, nil
 }
 
-// The adapters below bind each matcher to engine.Matcher and to the
-// optional capability interfaces (engine.StatsProvider and, for the
-// matchers with hash-indexed memories, engine.IndexProvider). The
-// matcher packages stay free of engine imports; the capability
-// surface lives here.
+// The matchers satisfy engine.Matcher and the profile, index, loss and
+// close capabilities as they stand. What differs between them is where
+// the work counters live — rete.Network.Stats is a field,
+// prete.Matcher.Stats a method, and each matcher counts its own unit of
+// match work — so each gets one adapter whose only method is MatchStats,
+// translating the native counters into the matcher-neutral report. The
+// matcher packages stay free of engine imports.
 
-// nodeProfile converts a matcher's per-node counters into engine
-// profile entries, pricing each node's accumulated work with the
-// paper-calibrated cost model so reports rank by cumulative cost.
-func nodeProfile(entries []rete.NodeProfEntry) []engine.NodeProfileEntry {
-	model := cost.Default()
-	out := make([]engine.NodeProfileEntry, len(entries))
-	for i, e := range entries {
-		out[i] = engine.NodeProfileEntry{
-			NodeID:        e.NodeID,
-			Label:         e.Label,
-			SharedBy:      e.SharedBy,
-			Productions:   e.Productions,
-			Activations:   e.Activations,
-			TokensTested:  e.TokensTested,
-			PairsEmitted:  e.PairsEmitted,
-			IndexedProbes: e.IndexedProbes,
-			Cost: float64(e.Activations)*model.JoinBase +
-				float64(e.TokensTested)*model.PerTokenTest +
-				float64(e.PairsEmitted)*model.PerPairEmit +
-				float64(e.IndexedProbes)*model.HashProbe,
-		}
-	}
-	return out
-}
+type netMatcher struct{ *rete.Network }
 
-// netMatcher adapts *rete.Network to engine.Matcher.
-type netMatcher struct{ net *rete.Network }
-
-// Apply forwards the batch to the network.
-func (m netMatcher) Apply(changes []ops5.Change) { m.net.Apply(changes) }
-
-// MatchStats reports the network's match work.
-func (m netMatcher) MatchStats() engine.MatchStats {
-	s := m.net.Stats
-	return engine.MatchStats{
+func (m netMatcher) MatchStats() obs.MatchStats {
+	s := m.Network.Stats
+	return obs.MatchStats{
 		Changes:         int64(s.Changes),
 		Comparisons:     s.TokenComparisons,
 		ConflictInserts: s.ConflictInserts,
@@ -238,30 +210,12 @@ func (m netMatcher) MatchStats() engine.MatchStats {
 	}
 }
 
-// NodeProfile reports the network's per-node activation work.
-func (m netMatcher) NodeProfile() []engine.NodeProfileEntry {
-	return nodeProfile(m.net.NodeProfile())
-}
-
-// Indexed reports the network's hash-index state.
-func (m netMatcher) Indexed() engine.IndexReport {
-	info := m.net.IndexInfo()
-	return engine.IndexReport{
-		IndexedNodes:  info.IndexedJoins,
-		FallbackNodes: info.FallbackJoins,
-		Buckets:       info.Buckets,
-		MaxBucket:     info.MaxBucket,
-	}
-}
-
-// preteMatcher adapts *prete.Matcher with its capabilities.
 type preteMatcher struct{ *prete.Matcher }
 
-// MatchStats reports the parallel matcher's work, including the
-// work-stealing scheduler's counters.
-func (m preteMatcher) MatchStats() engine.MatchStats {
+// MatchStats includes the work-stealing scheduler's counters.
+func (m preteMatcher) MatchStats() obs.MatchStats {
 	s := m.Matcher.Stats()
-	ms := engine.MatchStats{
+	return obs.MatchStats{
 		Changes:         s.Changes,
 		Comparisons:     s.Comparisons,
 		ConflictInserts: s.ConflictInserts,
@@ -272,79 +226,15 @@ func (m preteMatcher) MatchStats() engine.MatchStats {
 		Wakeups:         s.Wakeups,
 		InlineBatches:   s.InlineBatches,
 		ResidentWorkers: s.ResidentWorkers,
-	}
-	if len(s.PerWorker) > 0 {
-		ms.Workers = make([]engine.WorkerStat, len(s.PerWorker))
-		for i, w := range s.PerWorker {
-			ms.Workers[i] = engine.WorkerStat{Executed: w.Executed, Stolen: w.Stolen, Parked: w.Parked}
-		}
-	}
-	return ms
-}
-
-// NodeProfile reports the parallel matcher's per-node work.
-func (m preteMatcher) NodeProfile() []engine.NodeProfileEntry {
-	return nodeProfile(m.Matcher.NodeProfile())
-}
-
-// LossReport converts the parallel matcher's loss-factor accounting to
-// the engine-neutral shape.
-func (m preteMatcher) LossReport() engine.LossReport {
-	l := m.Matcher.Loss()
-	r := engine.LossReport{
-		Workers:               l.Workers,
-		Batches:               l.Batches,
-		ApplySeconds:          l.ApplySeconds,
-		SeedSeconds:           l.SeedSeconds,
-		ActiveSeconds:         l.ActiveSeconds,
-		MergeSeconds:          l.MergeSeconds,
-		SerialEstimateSeconds: l.SerialEstimateSeconds,
-		TrueSpeedup:           l.TrueSpeedup,
-		NominalConcurrency:    l.NominalConcurrency,
-		LossFactor:            l.LossFactor,
-	}
-	conv := func(ps []prete.PhaseSeconds) []engine.PhaseSeconds {
-		out := make([]engine.PhaseSeconds, len(ps))
-		for i, p := range ps {
-			out[i] = engine.PhaseSeconds{Phase: p.Phase, Seconds: p.Seconds}
-		}
-		return out
-	}
-	r.Phases = conv(l.Phases)
-	for _, w := range l.PerWorker {
-		r.PerWorker = append(r.PerWorker, engine.WorkerLoss{
-			Worker: w.Worker, Tasks: w.Tasks, Phases: conv(w.Phases),
-		})
-	}
-	for _, b := range l.TaskSizes {
-		r.TaskSizes = append(r.TaskSizes, engine.TaskBucket{UpToNanos: b.UpToNanos, Count: b.Count})
-	}
-	for _, c := range l.Decomposition {
-		r.Decomposition = append(r.Decomposition, engine.LossComponent{
-			Name: c.Name, Seconds: c.Seconds, Share: c.Share,
-		})
-	}
-	return r
-}
-
-// Indexed reports the parallel matcher's bucket state.
-func (m preteMatcher) Indexed() engine.IndexReport {
-	info := m.Matcher.IndexInfo()
-	return engine.IndexReport{
-		IndexedNodes:  info.IndexedNodes,
-		FallbackNodes: info.FallbackNodes,
-		Buckets:       info.Buckets,
-		MaxBucket:     info.MaxBucket,
+		Workers:         s.PerWorker,
 	}
 }
 
-// treatMatcher adapts *treat.Matcher with its capabilities.
 type treatMatcher struct{ *treat.Matcher }
 
-// MatchStats reports the TREAT matcher's work.
-func (m treatMatcher) MatchStats() engine.MatchStats {
+func (m treatMatcher) MatchStats() obs.MatchStats {
 	s := m.Matcher.Stats
-	return engine.MatchStats{
+	return obs.MatchStats{
 		Changes:         int64(s.Changes),
 		Comparisons:     s.JoinTuplesTested,
 		ConflictInserts: s.ConflictInserts,
@@ -352,25 +242,11 @@ func (m treatMatcher) MatchStats() engine.MatchStats {
 	}
 }
 
-// Indexed reports the TREAT matcher's bucket state.
-func (m treatMatcher) Indexed() engine.IndexReport {
-	info := m.Matcher.IndexInfo()
-	return engine.IndexReport{
-		IndexedNodes:  info.IndexedCEs,
-		FallbackNodes: info.FallbackCEs,
-		Buckets:       info.Buckets,
-		MaxBucket:     info.MaxBucket,
-	}
-}
-
-// fullstateMatcher adapts *fullstate.Matcher (stats only: the
-// full-state scheme stores every CE combination, nothing is indexed).
 type fullstateMatcher struct{ *fullstate.Matcher }
 
-// MatchStats reports the full-state matcher's work.
-func (m fullstateMatcher) MatchStats() engine.MatchStats {
+func (m fullstateMatcher) MatchStats() obs.MatchStats {
 	s := m.Matcher.Stats
-	return engine.MatchStats{
+	return obs.MatchStats{
 		Changes:         int64(s.Changes),
 		Comparisons:     s.ConsistencyChecks,
 		ConflictInserts: s.ConflictInserts,
@@ -378,16 +254,11 @@ func (m fullstateMatcher) MatchStats() engine.MatchStats {
 	}
 }
 
-// naiveMatcher adapts *naive.Matcher (stats only).
 type naiveMatcher struct{ *naive.Matcher }
 
-// MatchStats reports the naive matcher's work.
-func (m naiveMatcher) MatchStats() engine.MatchStats {
+func (m naiveMatcher) MatchStats() obs.MatchStats {
 	s := m.Matcher.Stats
-	return engine.MatchStats{
-		Changes:     int64(s.Changes),
-		Comparisons: s.ElementsMatched,
-	}
+	return obs.MatchStats{Changes: int64(s.Changes), Comparisons: s.ElementsMatched}
 }
 
 // Productions returns the compiled productions.

@@ -9,7 +9,10 @@
 // parallel work — run 50-100 instructions each (§4).
 package cost
 
-import "repro/internal/rete"
+import (
+	"repro/internal/obs"
+	"repro/internal/rete"
+)
 
 // Model assigns instruction costs to node activations.
 type Model struct {
@@ -75,4 +78,14 @@ func (m Model) Cost(ev rete.ActivationEvent) float64 {
 	default:
 		return m.JoinBase
 	}
+}
+
+// NodeCost prices a two-input node's accumulated work from its profile
+// counters — the sum of Cost over the node's activation events — so a
+// live profile ranks nodes by the same model the simulator uses.
+func (m Model) NodeCost(e obs.NodeProfileEntry) float64 {
+	return float64(e.Activations)*m.JoinBase +
+		float64(e.TokensTested)*m.PerTokenTest +
+		float64(e.PairsEmitted)*m.PerPairEmit +
+		float64(e.IndexedProbes)*m.HashProbe
 }

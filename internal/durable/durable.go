@@ -158,11 +158,11 @@ type walWME struct {
 type SnapshotInfo struct {
 	// Seq is the WAL sequence the snapshot captures; records at or
 	// below it are dead.
-	Seq int64
+	Seq int64 `json:"seq"`
 	// Bytes is the serialized snapshot size.
-	Bytes int
+	Bytes int `json:"bytes"`
 	// WMEs is the number of working-memory elements captured.
-	WMEs int
+	WMEs int `json:"wmes"`
 }
 
 // Log is one session's durable state: an open WAL plus the latest

@@ -1,159 +1,21 @@
 package engine
 
+import "repro/internal/obs"
+
 // This file defines the optional matcher capability interfaces. The
 // core Matcher contract stays the single Apply method; matchers (or
 // their adapters in internal/core) may additionally implement the
-// provider interfaces below. Callers discover them through the single
-// Capabilities accessor — the engine, the server and tools such as
-// cmd/ops5run -stats all read capabilities from the returned Caps
-// bundle instead of type-asserting matcher types themselves.
-
-// MatchStats is a matcher-neutral summary of match work performed.
-type MatchStats struct {
-	// Changes is the number of WM changes processed.
-	Changes int64
-	// Comparisons counts element-versus-pattern or token-versus-WME
-	// tests, whatever the matcher's unit of match work is.
-	Comparisons int64
-	// ConflictInserts and ConflictRemoves count conflict-set deltas.
-	ConflictInserts int64
-	ConflictRemoves int64
-	// Tasks, Steals and Parks are scheduler counters, populated only by
-	// matchers with a work-stealing activation scheduler (the parallel
-	// Rete): activations executed, tasks moved between workers, and
-	// condvar waits. They decompose the paper's §6 scheduling overhead;
-	// zero for serial matchers.
-	Tasks  int64
-	Steals int64
-	Parks  int64
-	// Wakeups counts resident-pool wake broadcasts (batches run on the
-	// pool); InlineBatches counts batches the scheduler's serial bypass
-	// ran on the caller; ResidentWorkers is the number of live pool
-	// goroutines right now. All zero for serial matchers.
-	Wakeups         int64
-	InlineBatches   int64
-	ResidentWorkers int
-	// Workers breaks the scheduler counters down per worker lane; nil
-	// for matchers without a scheduler.
-	Workers []WorkerStat
-}
-
-// WorkerStat is one scheduler lane's counters.
-type WorkerStat struct {
-	// Executed counts activations this lane ran; Stolen the tasks it
-	// took from other lanes; Parked its condvar waits.
-	Executed int64
-	Stolen   int64
-	Parked   int64
-}
-
-// IndexReport summarises a matcher's equality-join hash indexes.
-type IndexReport struct {
-	// IndexedNodes and FallbackNodes partition the matcher's join
-	// points by whether they probe a hash bucket or scan linearly.
-	IndexedNodes  int
-	FallbackNodes int
-	// Buckets is the number of live hash buckets; MaxBucket the
-	// largest bucket's population (the worst-case probe scan).
-	Buckets   int
-	MaxBucket int
-}
-
-// NodeProfileEntry is one match-network node's accumulated work, for
-// live hot-node profiling (the serving analogue of internal/trace's
-// offline per-activation traces). Counters are cumulative since the
-// matcher was built.
-type NodeProfileEntry struct {
-	// NodeID identifies the node within the matcher's network.
-	NodeID int
-	// Label describes the node (kind, join tests) for humans.
-	Label string
-	// SharedBy is the number of productions sharing the node — the
-	// sharing that production-level parallelism loses (§4).
-	SharedBy int
-	// Productions names the productions reading the node (deduplicated,
-	// possibly truncated for very shared nodes).
-	Productions []string
-	// Activations counts node activations; TokensTested the
-	// opposite-memory entries examined; PairsEmitted the tokens sent
-	// downstream; IndexedProbes the activations answered from a hash
-	// bucket rather than a linear scan.
-	Activations   int64
-	TokensTested  int64
-	PairsEmitted  int64
-	IndexedProbes int64
-	// Cost is the accumulated instruction cost under the paper's cost
-	// model (internal/cost) — the ranking key for hot-node reports.
-	Cost float64
-}
-
-// LossReport is a matcher-neutral loss-factor accounting in the shape
-// of the paper's §6 table: where the wall time of parallel match work
-// went, and how measured (true) speedup relates to nominal concurrency.
-// Only matchers with a phase-instrumented scheduler (the parallel Rete)
-// provide one. All numbers are cumulative since the matcher was built.
-type LossReport struct {
-	// Workers is the scheduler lane count; Batches the Apply batches.
-	Workers int
-	Batches int
-	// ApplySeconds is total wall time inside Apply; SeedSeconds its
-	// serial dispatch prefix, ActiveSeconds the parallel worker window,
-	// MergeSeconds the serial conflict-set merge barrier.
-	ApplySeconds  float64
-	SeedSeconds   float64
-	ActiveSeconds float64
-	MergeSeconds  float64
-	// Phases aggregates per-phase worker wall time over all lanes;
-	// PerWorker breaks it down by lane.
-	Phases    []PhaseSeconds
-	PerWorker []WorkerLoss
-	// TaskSizes is the activation execution-time histogram (granularity
-	// below profitable task size shows up in the lowest buckets).
-	TaskSizes []TaskBucket
-	// SerialEstimateSeconds estimates single-processor time for the
-	// same work; TrueSpeedup = estimate / ApplySeconds;
-	// NominalConcurrency = mean busy workers during the active window;
-	// LossFactor = nominal / true (the paper measures 1.93).
-	SerialEstimateSeconds float64
-	TrueSpeedup           float64
-	NominalConcurrency    float64
-	LossFactor            float64
-	// Decomposition partitions the total processor budget
-	// (Workers x ApplySeconds) into named loss components whose shares
-	// sum to 1.
-	Decomposition []LossComponent
-}
-
-// PhaseSeconds is one named scheduler phase's accumulated wall time.
-type PhaseSeconds struct {
-	Phase   string
-	Seconds float64
-}
-
-// WorkerLoss is one scheduler lane's phase breakdown.
-type WorkerLoss struct {
-	Worker int
-	Tasks  int64
-	Phases []PhaseSeconds
-}
-
-// TaskBucket is one bar of the task-size histogram: tasks that executed
-// in at most UpToNanos (0 marks the open top bucket).
-type TaskBucket struct {
-	UpToNanos int64
-	Count     int64
-}
-
-// LossComponent is one term of the loss decomposition.
-type LossComponent struct {
-	Name    string
-	Seconds float64
-	Share   float64
-}
+// provider interfaces below, whose methods are the matchers' own —
+// rete.Network and prete.Matcher satisfy Profile, Index, Loss and Close
+// as they stand — and whose results are the report types of
+// internal/obs. Callers discover them through the single Capabilities
+// accessor — the engine, the server and tools such as cmd/ops5run
+// -stats all read capabilities from the returned Caps bundle instead of
+// type-asserting matcher types themselves.
 
 // StatsProvider is the optional capability of reporting match work.
 type StatsProvider interface {
-	MatchStats() MatchStats
+	MatchStats() obs.MatchStats
 }
 
 // Closer is the optional capability of releasing matcher-owned
@@ -167,20 +29,20 @@ type Closer interface {
 // LossProvider is the optional capability of reporting loss-factor
 // accounting; only phase-instrumented parallel matchers implement it.
 type LossProvider interface {
-	LossReport() LossReport
+	Loss() obs.LossReport
 }
 
 // ProfileProvider is the optional capability of reporting per-node
 // activation work. Matchers without a node network (naive, full-state)
 // simply do not implement it.
 type ProfileProvider interface {
-	NodeProfile() []NodeProfileEntry
+	NodeProfile() []obs.NodeProfileEntry
 }
 
 // IndexProvider is the optional capability of reporting hash-index
 // state; matchers without indexed memories simply do not implement it.
 type IndexProvider interface {
-	Indexed() IndexReport
+	IndexInfo() obs.IndexReport
 }
 
 // Caps bundles a matcher's optional capabilities. A nil field means the
@@ -230,30 +92,3 @@ func (e *Engine) Close() {
 
 // Capabilities returns the capability bundle of the engine's matcher.
 func (e *Engine) Capabilities() Caps { return Capabilities(e.Matcher) }
-
-// MatcherStats returns the matcher's work summary when the matcher
-// implements StatsProvider; ok is false otherwise.
-func (e *Engine) MatcherStats() (s MatchStats, ok bool) {
-	if p := e.Capabilities().Stats; p != nil {
-		return p.MatchStats(), true
-	}
-	return MatchStats{}, false
-}
-
-// MatcherIndex returns the matcher's index report when the matcher
-// implements IndexProvider; ok is false otherwise.
-func (e *Engine) MatcherIndex() (r IndexReport, ok bool) {
-	if p := e.Capabilities().Index; p != nil {
-		return p.Indexed(), true
-	}
-	return IndexReport{}, false
-}
-
-// MatcherProfile returns the matcher's per-node work profile when the
-// matcher implements ProfileProvider; ok is false otherwise.
-func (e *Engine) MatcherProfile() (entries []NodeProfileEntry, ok bool) {
-	if p := e.Capabilities().Profile; p != nil {
-		return p.NodeProfile(), true
-	}
-	return nil, false
-}

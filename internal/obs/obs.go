@@ -13,8 +13,14 @@
 // conflict-set size), and the spans are queryable per session while the
 // service runs.
 //
-// The package is a leaf: it imports only the standard library, so both
-// the engine and the server can depend on it without cycles.
+// It also owns the matcher report types (report.go) — match stats, index
+// report, node profile, the §6 loss table — declared once with their
+// /v1 JSON tags: the matchers fill them, the engine's capability
+// interfaces name them, the server returns them.
+//
+// The package is a leaf: it imports only the standard library, so the
+// matchers, the engine and the server can all depend on it without
+// cycles.
 package obs
 
 import (

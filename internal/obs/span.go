@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"log/slog"
+	"math"
 	"time"
 )
 
@@ -54,6 +56,51 @@ type CycleSpan struct {
 
 // Total returns the step's summed phase durations.
 func (s CycleSpan) Total() time.Duration { return s.Match + s.Select + s.Act }
+
+// spanJSON is CycleSpan as /v1 spells it. The span keeps
+// time.Durations — the engine measures them, the slow-cycle log compares
+// them — while the API reports float seconds and the derived total, a
+// change of unit that struct tags cannot express.
+type spanJSON struct {
+	TraceID       string    `json:"trace_id,omitempty"`
+	Kind          SpanKind  `json:"kind"`
+	Cycle         int       `json:"cycle"`
+	Start         time.Time `json:"start"`
+	TotalSeconds  float64   `json:"total_seconds"`
+	MatchSeconds  float64   `json:"match_seconds"`
+	SelectSeconds float64   `json:"select_seconds"`
+	ActSeconds    float64   `json:"act_seconds"`
+	Fired         int       `json:"fired"`
+	Changes       int       `json:"changes"`
+	WMSize        int       `json:"wm_size"`
+	ConflictSize  int       `json:"conflict_size"`
+}
+
+// MarshalJSON renders the span with its durations in seconds.
+func (s CycleSpan) MarshalJSON() ([]byte, error) {
+	return json.Marshal(spanJSON{
+		TraceID: s.TraceID, Kind: s.Kind, Cycle: s.Cycle, Start: s.Start,
+		TotalSeconds: s.Total().Seconds(), MatchSeconds: s.Match.Seconds(),
+		SelectSeconds: s.Select.Seconds(), ActSeconds: s.Act.Seconds(),
+		Fired: s.Fired, Changes: s.Changes, WMSize: s.WMSize, ConflictSize: s.ConflictSize,
+	})
+}
+
+// UnmarshalJSON reads a span back (to the nanosecond; total_seconds is
+// derived and ignored).
+func (s *CycleSpan) UnmarshalJSON(b []byte) error {
+	var j spanJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	dur := func(sec float64) time.Duration { return time.Duration(math.Round(sec * float64(time.Second))) }
+	*s = CycleSpan{
+		TraceID: j.TraceID, Kind: j.Kind, Cycle: j.Cycle, Start: j.Start,
+		Match: dur(j.MatchSeconds), Select: dur(j.SelectSeconds), Act: dur(j.ActSeconds),
+		Fired: j.Fired, Changes: j.Changes, WMSize: j.WMSize, ConflictSize: j.ConflictSize,
+	}
+	return nil
+}
 
 // LogAttrs renders the span as structured-log attributes, used by the
 // server's slow-cycle log to dump the offending cycle.

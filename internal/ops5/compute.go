@@ -110,6 +110,11 @@ func (c *ComputeExpr) Eval(resolve func(RHSTerm) (Value, error)) (Value, error) 
 			}
 			acc = math.Mod(left, acc)
 		}
+		// An overflowed number cannot be compared, logged or sent to a
+		// client; like a zero divisor it ends the firing.
+		if math.IsInf(acc, 0) || math.IsNaN(acc) {
+			return Value{}, fmt.Errorf("ops5: non-finite result in %s", c)
+		}
 	}
 	return Num(acc), nil
 }

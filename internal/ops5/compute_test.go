@@ -69,17 +69,39 @@ func TestComputeErrors(t *testing.T) {
 	}
 }
 
-func TestComputeDivisionByZero(t *testing.T) {
-	full := `(p c (a ^v <x>) --> (make b ^v (compute 1 // 0)))`
-	p, err := ParseProduction(full)
-	if err != nil {
-		t.Fatal(err)
+// A result no number can hold ends the firing with an error: a zero
+// divisor, or an overflow — even one a later operator would fold back
+// into range (1 // Inf is 0).
+func TestComputeRejectsUnrepresentableResults(t *testing.T) {
+	for _, c := range []struct{ expr, want string }{
+		{`(compute 1 // 0)`, "division by zero"},
+		{`(compute 1 \\ 0)`, "modulo by zero"},
+		{`(compute <x> * 1e308)`, "non-finite"},
+		{`(compute -1e308 - <x>)`, "non-finite"},
+		{`(compute 1 // <x> * 1e308)`, "non-finite"},
+	} {
+		p, err := ParseProduction(`(p c (a ^v <x>) --> (make b ^v ` + c.expr + `))`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := p.RHS[0].Pairs[0].Term.Compute.Eval(func(t RHSTerm) (Value, error) {
+			if t.IsVar {
+				return Num(1e308), nil
+			}
+			return t.Val, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s = %v, %v; want a %s error", c.expr, v, err, c.want)
+		}
 	}
-	_, err = p.RHS[0].Pairs[0].Term.Compute.Eval(func(t RHSTerm) (Value, error) {
-		return t.Val, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "division by zero") {
-		t.Errorf("err = %v, want division by zero", err)
+}
+
+// An out-of-range numeric literal lexes as a symbol, never as ±Inf.
+func TestNumericLiteralIsFinite(t *testing.T) {
+	for _, atom := range []string{"1e999", "-1e999", "0x1p2000"} {
+		if v := parseAtom(atom); v.Kind != SymValue {
+			t.Errorf("parseAtom(%s) = %v (kind %d), want a symbol", atom, v, v.Kind)
+		}
 	}
 }
 

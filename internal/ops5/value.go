@@ -20,10 +20,14 @@
 package ops5
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/sym"
 )
@@ -134,6 +138,54 @@ func (v Value) String() string {
 	default:
 		return "nil"
 	}
+}
+
+// MarshalJSON renders the value the way the /v1 API spells it: a symbol
+// is a JSON string, a number a JSON number, nil is null. The bytes are
+// encoding/json's own for the corresponding Go string or float64, so a
+// non-finite number is an encoding error here as it is there.
+func (v Value) MarshalJSON() ([]byte, error) {
+	switch v.Kind {
+	case SymValue:
+		return json.Marshal(sym.Name(v.sym))
+	case NumValue:
+		return json.Marshal(v.Num)
+	default:
+		return []byte("null"), nil
+	}
+}
+
+// UnmarshalJSON is MarshalJSON's inverse. OPS5 has no booleans, so true
+// and false become the symbols of the same spelling; arrays and objects
+// are not atoms and are rejected, as is a number float64 cannot hold.
+func (v *Value) UnmarshalJSON(b []byte) error {
+	switch b[0] {
+	case 'n':
+		*v = Value{}
+	case 't', 'f':
+		*v = Sym(string(b))
+	case '"':
+		// A string without escapes is its own bytes; the rest go
+		// through encoding/json's unquoting.
+		if s := b[1 : len(b)-1]; bytes.IndexByte(s, '\\') < 0 && utf8.Valid(s) {
+			*v = Sym(string(s))
+			return nil
+		}
+		var s string
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+		*v = Sym(s)
+	case '{', '[':
+		return errors.New("ops5: a JSON object or array is not an atomic value (want string, number, boolean or null)")
+	default:
+		n, err := strconv.ParseFloat(string(b), 64)
+		if err != nil {
+			return fmt.Errorf("ops5: unsupported JSON number %s", b)
+		}
+		*v = Num(n)
+	}
+	return nil
 }
 
 // HashSeed is the initial accumulator for HashValue chains (the FNV-1a

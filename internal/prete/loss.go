@@ -8,9 +8,9 @@ package prete
 // worker attributes its wall time to a small fixed set of phases with
 // cheap monotonic-clock deltas (no allocation, no locks on the hot
 // path), the matcher attributes the serial seed and merge regions of
-// each Apply, and Loss() folds the accumulated numbers into a
-// LossReport with paper-style nominal concurrency, true speedup and a
-// loss decomposition.
+// each Apply, and Loss() folds the accumulated numbers into an
+// obs.LossReport with paper-style nominal concurrency, true speedup and
+// a loss decomposition.
 //
 // The stamping discipline: each worker's phaseClock carries `last`, the
 // instant through which its time has been accounted. stamp(p) charges
@@ -27,6 +27,8 @@ package prete
 import (
 	"math"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // phase is one bucket of worker wall time.
@@ -122,93 +124,13 @@ func taskBucket(d int64) int {
 	return numTaskBuckets - 1
 }
 
-// PhaseSeconds is one named phase's accumulated wall time.
-type PhaseSeconds struct {
-	Phase   string
-	Seconds float64
-}
-
-// WorkerLoss is one scheduler lane's phase breakdown.
-type WorkerLoss struct {
-	Worker int
-	Tasks  int64
-	Phases []PhaseSeconds
-}
-
-// TaskBucket is one bar of the task-size histogram: activations whose
-// execution took at most UpToNanos (0 marks the open top bucket).
-type TaskBucket struct {
-	UpToNanos int64
-	Count     int64
-}
-
-// LossComponent is one term of the loss decomposition: Seconds of the
-// total processor budget (Workers x ApplySeconds) and its Share of it.
-type LossComponent struct {
-	Name    string
-	Seconds float64
-	Share   float64
-}
-
-// LossReport is the matcher's cumulative loss-factor accounting, the
-// software analogue of the paper's §6 table. All counters accumulate
-// since the matcher was built.
-type LossReport struct {
-	// Workers is the scheduler lane count; Batches the Apply calls.
-	Workers int
-	Batches int
-
-	// ApplySeconds is total wall time inside Apply; SeedSeconds the
-	// serial alpha-dispatch prefix, ActiveSeconds the parallel worker
-	// window, MergeSeconds the serial conflict-set merge barrier.
-	// Seed + Active + Merge ~= Apply.
-	ApplySeconds  float64
-	SeedSeconds   float64
-	ActiveSeconds float64
-	MergeSeconds  float64
-
-	// Phases aggregates worker phase time over all lanes; PerWorker
-	// breaks it down by lane. Summed phases ~= Workers' time inside
-	// the active window.
-	Phases    []PhaseSeconds
-	PerWorker []WorkerLoss
-
-	// TaskSizes is the activation execution-time histogram.
-	TaskSizes []TaskBucket
-
-	// SerialEstimateSeconds estimates one-processor time for the same
-	// work: seed + merge + summed useful match time. TrueSpeedup is
-	// that estimate over Apply wall time. It is self-relative — this
-	// matcher's own match time against its own wall time — so it says
-	// how well the lanes were used, not whether the matcher beats
-	// serial Rete: the paper's true speed-up, against the best
-	// uniprocessor matcher, is BenchmarkPreteApply's true-speedup and
-	// psmbench's prete.true_speedup, which time the serial matcher on the
-	// same script. NominalConcurrency is mean busy workers during the
-	// active window (the paper's nominal speedup); LossFactor is
-	// nominal over true — the paper measures 1.93 at 32 processors.
-	SerialEstimateSeconds float64
-	TrueSpeedup           float64
-	NominalConcurrency    float64
-	LossFactor            float64
-
-	// Decomposition partitions the total processor budget
-	// (Workers x ApplySeconds): useful_match, memory_contention
-	// (lock wait), scheduling (submit + steal hits + overflow), idle
-	// (fruitless steals + parking, including lanes a bypassed batch
-	// left parked), spawn (pool wake latency), serial_seed_merge (all
-	// lanes during the serial regions) and other (exit skew, loop
-	// tails). Shares sum to 1.
-	Decomposition []LossComponent
-}
-
 // secs converts accumulated nanoseconds for the report.
 func secs(ns int64) float64 { return float64(ns) / float64(time.Second) }
 
-// Loss folds the accumulated phase clocks and Apply timings into a
-// LossReport. Safe to call concurrently with Apply; the numbers then
+// Loss folds the accumulated phase clocks and Apply timings into the
+// loss report. Safe to call concurrently with Apply; the numbers then
 // stand as of the last completed batch.
-func (m *Matcher) Loss() LossReport {
+func (m *Matcher) Loss() obs.LossReport {
 	m.mu.Lock()
 	applyNs, seedNs, activeNs, mergeNs := m.applyNs, m.seedNs, m.activeNs, m.mergeNs
 	batches := m.batches
@@ -216,7 +138,7 @@ func (m *Matcher) Loss() LossReport {
 	m.mu.Unlock()
 
 	workers := len(lanes)
-	r := LossReport{
+	r := obs.LossReport{
 		Workers:       workers,
 		Batches:       batches,
 		ApplySeconds:  secs(applyNs),
@@ -229,32 +151,32 @@ func (m *Matcher) Loss() LossReport {
 	var bucketTot [numTaskBuckets]int64
 	for wi := range lanes {
 		w := &lanes[wi]
-		wl := WorkerLoss{
+		wl := obs.WorkerLoss{
 			Worker: wi,
 			Tasks:  w.executed,
-			Phases: make([]PhaseSeconds, numPhases),
+			Phases: make([]obs.PhaseSeconds, numPhases),
 		}
 		for p := phase(0); p < numPhases; p++ {
 			v := w.clock.ns[p]
 			phaseTot[p] += v
-			wl.Phases[p] = PhaseSeconds{Phase: phaseNames[p], Seconds: secs(v)}
+			wl.Phases[p] = obs.PhaseSeconds{Phase: phaseNames[p], Seconds: secs(v)}
 		}
 		for b := 0; b < numTaskBuckets; b++ {
 			bucketTot[b] += w.taskSizes[b]
 		}
 		r.PerWorker = append(r.PerWorker, wl)
 	}
-	r.Phases = make([]PhaseSeconds, numPhases)
+	r.Phases = make([]obs.PhaseSeconds, numPhases)
 	for p := phase(0); p < numPhases; p++ {
-		r.Phases[p] = PhaseSeconds{Phase: phaseNames[p], Seconds: secs(phaseTot[p])}
+		r.Phases[p] = obs.PhaseSeconds{Phase: phaseNames[p], Seconds: secs(phaseTot[p])}
 	}
-	r.TaskSizes = make([]TaskBucket, numTaskBuckets)
+	r.TaskSizes = make([]obs.TaskBucket, numTaskBuckets)
 	for b := 0; b < numTaskBuckets; b++ {
 		ub := int64(0) // open top bucket
 		if b < len(taskBucketNanos) {
 			ub = taskBucketNanos[b]
 		}
-		r.TaskSizes[b] = TaskBucket{UpToNanos: ub, Count: bucketTot[b]}
+		r.TaskSizes[b] = obs.TaskBucket{UpToNanos: ub, Count: bucketTot[b]}
 	}
 
 	matchNs := phaseTot[phaseMatch]
@@ -282,7 +204,7 @@ func (m *Matcher) Loss() LossReport {
 	if otherNs < 0 {
 		otherNs = 0
 	}
-	comps := []LossComponent{
+	comps := []obs.LossComponent{
 		{Name: "useful_match", Seconds: secs(matchNs)},
 		{Name: "memory_contention", Seconds: secs(lockNs)},
 		{Name: "scheduling", Seconds: secs(schedNs)},

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/matchtest"
+	"repro/internal/obs"
 	"repro/internal/ops5"
 )
 
@@ -43,7 +44,7 @@ func lossMatcher(t *testing.T, workers int, batches, maxBatch int) (*Matcher, *m
 }
 
 // phaseSum totals the aggregated phase seconds of a report.
-func phaseSum(l LossReport) float64 {
+func phaseSum(l obs.LossReport) float64 {
 	var s float64
 	for _, p := range l.Phases {
 		s += p.Seconds
@@ -100,7 +101,7 @@ func TestLossReportAccumulates(t *testing.T) {
 			t.Errorf("task bucket %d shrank: %d then %d", i, first.TaskSizes[i].Count, b.Count)
 		}
 	}
-	for _, l := range []LossReport{first, second} {
+	for _, l := range []obs.LossReport{first, second} {
 		var shares float64
 		for _, c := range l.Decomposition {
 			if c.Share < 0 {

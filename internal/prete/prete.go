@@ -64,6 +64,7 @@ import (
 	"sync"
 
 	"repro/internal/bucket"
+	"repro/internal/obs"
 	"repro/internal/ops5"
 	"repro/internal/rete"
 )
@@ -232,17 +233,6 @@ func next[E any](b *bucket.Buckets[E], keyed bool, i int32) int32 {
 	return i - 1
 }
 
-// WorkerStat is one scheduler lane's counters: activations it executed,
-// tasks it stole from other lanes, and times it parked on the condvar.
-// Together they decompose the paper's §6 scheduling overhead — executed
-// skew shows load imbalance, stolen shows how much the scheduler moved
-// to fix it, parked counts the synchronisation stalls that remained.
-type WorkerStat struct {
-	Executed int64
-	Stolen   int64
-	Parked   int64
-}
-
 // Stats reports work done by the parallel matcher.
 type Stats struct {
 	// Tasks counts node activations executed.
@@ -270,7 +260,7 @@ type Stats struct {
 	InlineBatches   int64
 	ResidentWorkers int
 	// PerWorker breaks the scheduler counters down by lane.
-	PerWorker []WorkerStat
+	PerWorker []obs.WorkerStat
 }
 
 // Config configures a parallel matcher.
@@ -439,11 +429,11 @@ func (m *Matcher) Stats() Stats {
 		Changes:         m.changes,
 		ConflictInserts: m.confIns,
 		ConflictRemoves: m.confRem,
-		PerWorker:       make([]WorkerStat, len(m.lanes)),
+		PerWorker:       make([]obs.WorkerStat, len(m.lanes)),
 	}
 	for i := range m.lanes {
 		l := &m.lanes[i]
-		st.PerWorker[i] = WorkerStat{Executed: l.executed, Stolen: l.stolen, Parked: l.parked}
+		st.PerWorker[i] = obs.WorkerStat{Executed: l.executed, Stolen: l.stolen, Parked: l.parked}
 		st.Tasks += l.executed
 		st.Steals += l.stolen
 		st.Parks += l.parked
@@ -457,24 +447,14 @@ func (m *Matcher) Stats() Stats {
 	return st
 }
 
-// IndexInfo summarises the hash-bucketed node memories.
-type IndexInfo struct {
-	// IndexedNodes and FallbackNodes partition the two-input nodes by
-	// whether they key their memories on an equality join key.
-	IndexedNodes  int
-	FallbackNodes int
-	// Buckets is the number of live (key, side) buckets; MaxBucket the
-	// largest bucket's population.
-	Buckets   int
-	MaxBucket int
-}
-
-// IndexInfo reports current bucket occupancy. It takes each stripe lock
-// in turn — never more than one at a time — so it is safe to call
-// concurrently with Apply; the numbers are then a point-in-time sample
-// of a moving target, not a consistent snapshot.
-func (m *Matcher) IndexInfo() IndexInfo {
-	var info IndexInfo
+// IndexInfo reports the hash-bucketed node memories: the two-input
+// nodes by whether they key their memories on an equality join key, and
+// the live (key, side) buckets. It takes each stripe lock in turn —
+// never more than one at a time — so it is safe to call concurrently
+// with Apply; the numbers are then a point-in-time sample of a moving
+// target, not a consistent snapshot.
+func (m *Matcher) IndexInfo() obs.IndexReport {
+	var info obs.IndexReport
 	add := func(buckets, maxChain int) {
 		info.Buckets += buckets
 		info.MaxBucket = max(info.MaxBucket, maxChain)
@@ -500,27 +480,21 @@ func (m *Matcher) IndexInfo() IndexInfo {
 
 // NodeProfile returns the accumulated per-node work of every activated
 // two-input node as of the last completed batch, in node-ID order, in
-// the same shape as the serial network's profile (rete.NodeProfEntry).
+// the same shape as the serial network's profile.
 // A left activation of a shared memory counts once for every member
 // whose right bucket it probed. Every activation of a keyed node probes
 // its join-key bucket, so IndexedProbes equals Activations there and is
 // zero on unkeyed fallback nodes.
-func (m *Matcher) NodeProfile() []rete.NodeProfEntry {
+func (m *Matcher) NodeProfile() []obs.NodeProfileEntry {
 	m.mu.Lock()
 	prof := append([]rete.NodeProf(nil), m.prof...)
 	m.mu.Unlock()
-	var out []rete.NodeProfEntry
+	var out []obs.NodeProfileEntry
 	for i, pn := range m.nodes {
 		if prof[i].Activations == 0 {
 			continue
 		}
-		e := rete.NodeProfEntry{
-			NodeID:      pn.join.ID,
-			Label:       pn.join.Label(),
-			SharedBy:    pn.join.SharedBy,
-			Productions: pn.join.ProductionNames(),
-			NodeProf:    prof[i],
-		}
+		e := prof[i].Entry(pn.join)
 		if pn.rightHash != nil {
 			e.IndexedProbes = e.Activations
 		}

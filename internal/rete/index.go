@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/bucket"
+	"repro/internal/obs"
 	"repro/internal/ops5"
 )
 
@@ -130,45 +131,29 @@ func (ix *index[E]) probe(k uint64, scratch *[]E) []E {
 	return out
 }
 
-// IndexInfo summarises the hash-index state of a network.
-type IndexInfo struct {
-	// IndexedJoins and FallbackJoins partition the two-input nodes by
-	// whether activations probe a hash bucket or scan linearly.
-	IndexedJoins  int
-	FallbackJoins int
-	// AlphaIndexes and BetaIndexes count distinct (possibly shared)
-	// indexes maintained over the memories.
-	AlphaIndexes int
-	BetaIndexes  int
-	// Buckets is the total number of live hash buckets; MaxBucket the
-	// largest bucket's population (the residual scan bound).
-	Buckets   int
-	MaxBucket int
-}
-
-// IndexInfo reports the current index topology and occupancy.
-func (n *Network) IndexInfo() IndexInfo {
-	var info IndexInfo
+// IndexInfo reports the current index topology and occupancy: the
+// two-input nodes by whether activations probe a hash bucket or scan
+// linearly, and the live buckets over every (possibly shared) index.
+func (n *Network) IndexInfo() obs.IndexReport {
+	var info obs.IndexReport
 	add := func(buckets, maxChain int) {
 		info.Buckets += buckets
 		info.MaxBucket = max(info.MaxBucket, maxChain)
 	}
 	for _, j := range n.Joins {
 		if j.LeftHash != nil {
-			info.IndexedJoins++
+			info.IndexedNodes++
 		} else {
-			info.FallbackJoins++
+			info.FallbackNodes++
 		}
 		add(n.joins[j.Index].negIndex.Stats())
 	}
 	for i := range n.alphas {
-		info.AlphaIndexes += len(n.alphas[i].indexes)
 		for k := range n.alphas[i].indexes {
 			add(n.alphas[i].indexes[k].buckets.Stats())
 		}
 	}
 	for i := range n.betas {
-		info.BetaIndexes += len(n.betas[i].indexes)
 		for k := range n.betas[i].indexes {
 			add(n.betas[i].indexes[k].buckets.Stats())
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // NodeProf accumulates one two-input node's activation work for live
@@ -32,14 +34,20 @@ func (p *NodeProf) add(tested, emitted int, indexed bool) {
 	}
 }
 
-// NodeProfEntry is one two-input node's accumulated work plus enough
-// topology to make the numbers legible.
-type NodeProfEntry struct {
-	NodeID      int
-	Label       string
-	SharedBy    int
-	Productions []string
-	NodeProf
+// Entry reports the counters as node j's profile entry, with enough
+// topology to make the numbers legible. Cost is left to the reader (see
+// cost.Model.NodeCost).
+func (p NodeProf) Entry(j *JoinNode) obs.NodeProfileEntry {
+	return obs.NodeProfileEntry{
+		NodeID:        j.ID,
+		Label:         j.Label(),
+		SharedBy:      j.SharedBy,
+		Productions:   j.ProductionNames(),
+		Activations:   p.Activations,
+		TokensTested:  p.TokensTested,
+		PairsEmitted:  p.PairsEmitted,
+		IndexedProbes: p.IndexedProbes,
+	}
 }
 
 // maxProfileProds caps the production list attached to a profile entry;
@@ -92,21 +100,13 @@ func (j *JoinNode) ProductionNames() []string {
 
 // NodeProfile returns the accumulated per-node work of every two-input
 // node activated so far, in node-ID order. Callers rank by whatever
-// cost model they apply (see internal/cost and the core adapters).
-func (n *Network) NodeProfile() []NodeProfEntry {
-	var out []NodeProfEntry
+// cost model they apply (see internal/cost).
+func (n *Network) NodeProfile() []obs.NodeProfileEntry {
+	var out []obs.NodeProfileEntry
 	for _, j := range n.Joins {
-		prof := n.joins[j.Index].prof
-		if prof.Activations == 0 {
-			continue
+		if prof := n.joins[j.Index].prof; prof.Activations > 0 {
+			out = append(out, prof.Entry(j))
 		}
-		out = append(out, NodeProfEntry{
-			NodeID:      j.ID,
-			Label:       j.Label(),
-			SharedBy:    j.SharedBy,
-			Productions: j.ProductionNames(),
-			NodeProf:    prof,
-		})
 	}
 	return out
 }

@@ -238,7 +238,7 @@ func TestRandomizedCrossCheckIndexStress(t *testing.T) {
 		prods := matchtest.RandomProgram(rng, params)
 		script := matchtest.RandomScript(rng, params, 30, 4)
 		n := runScript(t, prods, script)
-		indexed += n.IndexInfo().IndexedJoins
+		indexed += n.IndexInfo().IndexedNodes
 	}
 	if indexed == 0 {
 		t.Error("index-stress programs produced no indexed joins; generator drifted")

@@ -2,7 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -139,5 +143,34 @@ func waitFor(t *testing.T, cond func() bool) {
 		}
 		runtime.Gosched()
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// headerCounter counts WriteHeader calls.
+type headerCounter struct {
+	http.ResponseWriter
+	calls int
+}
+
+func (h *headerCounter) WriteHeader(status int) {
+	h.calls++
+	h.ResponseWriter.WriteHeader(status)
+}
+
+// TestWriteJSONEncodesBeforeStatus: a body that cannot be encoded is one
+// clean 500 envelope, not a 200 followed by an error body.
+func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
+	rec := httptest.NewRecorder()
+	w := &headerCounter{ResponseWriter: rec}
+	err := writeJSON(w, http.StatusOK, map[string]float64{"v": math.Inf(1)})
+	if err == nil || w.calls != 0 || rec.Body.Len() != 0 {
+		t.Fatalf("writeJSON(+Inf) = %v after %d WriteHeader calls and %q", err, w.calls, rec.Body)
+	}
+	writeError(w, err)
+	var env ErrorResponse
+	if jerr := json.Unmarshal(rec.Body.Bytes(), &env); jerr != nil || env.Code != "internal" ||
+		w.calls != 1 || rec.Code != http.StatusInternalServerError {
+		t.Errorf("reply = %d %q after %d WriteHeader calls (%v), want one 500 internal envelope",
+			rec.Code, rec.Body, w.calls, jerr)
 	}
 }

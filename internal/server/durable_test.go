@@ -35,22 +35,22 @@ func TestServerCrashRecovery(t *testing.T) {
 
 	// Life 1: one named and one auto-ID session, run partway.
 	c1, crash := crashableServer(t, cfg)
-	var sess, auto server.SessionResponse
-	c1.must("POST", "/sessions", server.CreateRequest{
+	var sess, auto server.SessionInfo
+	c1.must("POST", "/sessions", server.CreateSpec{
 		ID: "counter", Program: counterSrc, Matcher: "rete",
 	}, &sess, http.StatusCreated)
 	if !sess.Durable {
 		t.Fatalf("session on a durable server not durable: %+v", sess)
 	}
-	c1.must("POST", "/sessions", server.CreateRequest{Program: counterSrc}, &auto, http.StatusCreated)
-	c1.must("POST", "/sessions/counter/changes", server.ChangesRequest{Changes: []server.WireChange{
-		{Op: "assert", Class: "counter", Attrs: map[string]any{"n": 0.0, "limit": 5.0}},
+	c1.must("POST", "/sessions", server.CreateSpec{Program: counterSrc}, &auto, http.StatusCreated)
+	c1.must("POST", "/sessions/counter/changes", server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "counter", Attrs: attrs("n", 0.0, "limit", 5.0)},
 	}}, nil, http.StatusOK)
 	c1.must("POST", "/sessions/counter/run", server.RunRequest{Cycles: 3}, nil, http.StatusOK)
 
-	var before server.SessionResponse
-	var beforeWM []server.WireWME
-	var beforeCS []server.WireInst
+	var before server.SessionInfo
+	var beforeWM []server.WMEInfo
+	var beforeCS []server.InstInfo
 	c1.must("GET", "/sessions/counter", nil, &before, http.StatusOK)
 	c1.must("GET", "/sessions/counter/wm", nil, &beforeWM, http.StatusOK)
 	c1.must("GET", "/sessions/counter/conflicts", nil, &beforeCS, http.StatusOK)
@@ -61,14 +61,14 @@ func TestServerCrashRecovery(t *testing.T) {
 
 	// Life 2: recovery must reproduce both sessions exactly.
 	_, c2 := newTestServer(t, cfg)
-	var list []server.SessionResponse
+	var list []server.SessionInfo
 	c2.must("GET", "/sessions", nil, &list, http.StatusOK)
 	if len(list) != 2 {
 		t.Fatalf("recovered %d sessions, want 2: %+v", len(list), list)
 	}
-	var after server.SessionResponse
-	var afterWM []server.WireWME
-	var afterCS []server.WireInst
+	var after server.SessionInfo
+	var afterWM []server.WMEInfo
+	var afterCS []server.InstInfo
 	c2.must("GET", "/sessions/counter", nil, &after, http.StatusOK)
 	c2.must("GET", "/sessions/counter/wm", nil, &afterWM, http.StatusOK)
 	c2.must("GET", "/sessions/counter/conflicts", nil, &afterCS, http.StatusOK)
@@ -98,19 +98,19 @@ func TestServerCrashRecovery(t *testing.T) {
 	}
 
 	// Auto-assigned IDs must not collide with recovered ones.
-	var auto2 server.SessionResponse
-	c2.must("POST", "/sessions", server.CreateRequest{Program: counterSrc}, &auto2, http.StatusCreated)
+	var auto2 server.SessionInfo
+	c2.must("POST", "/sessions", server.CreateSpec{Program: counterSrc}, &auto2, http.StatusCreated)
 	if auto2.ID == auto.ID {
 		t.Fatalf("new auto ID %q collides with recovered session", auto2.ID)
 	}
 
 	// The forced checkpoint endpoint resets the WAL tail.
-	var snap server.SnapshotResponse
+	var snap server.SnapshotResult
 	c2.must("POST", "/sessions/counter/snapshot", nil, &snap, http.StatusOK)
 	if snap.SessionID != "counter" || snap.Seq != after.WALSeq || snap.WMEs != after.WMSize {
 		t.Fatalf("snapshot response %+v (session stats %+v)", snap, after)
 	}
-	var checked server.SessionResponse
+	var checked server.SessionInfo
 	c2.must("GET", "/sessions/counter", nil, &checked, http.StatusOK)
 	if checked.SnapshotSeq != snap.Seq || checked.WALRecords != 0 {
 		t.Fatalf("stats after checkpoint: %+v", checked)
@@ -118,9 +118,9 @@ func TestServerCrashRecovery(t *testing.T) {
 
 	// The recovered session still runs to the same halt as an
 	// uninterrupted one (6 cycles total for limit 5).
-	var run server.RunResponse
+	var run server.RunResult
 	c2.must("POST", "/sessions/counter/run", server.RunRequest{Cycles: 100}, &run, http.StatusOK)
-	var final server.SessionResponse
+	var final server.SessionInfo
 	c2.must("GET", "/sessions/counter", nil, &final, http.StatusOK)
 	if !final.Halted || final.Cycles != 6 || final.Fired != 6 {
 		t.Fatalf("resumed session final stats: %+v", final)
@@ -146,18 +146,18 @@ func TestServerGracefulShutdownSnapshots(t *testing.T) {
 	srv := server.New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	c := newClient(t, ts)
-	c.must("POST", "/sessions", server.CreateRequest{ID: "counter", Program: counterSrc}, nil, http.StatusCreated)
-	c.must("POST", "/sessions/counter/changes", server.ChangesRequest{Changes: []server.WireChange{
-		{Op: "assert", Class: "counter", Attrs: map[string]any{"n": 0.0, "limit": 5.0}},
+	c.must("POST", "/sessions", server.CreateSpec{ID: "counter", Program: counterSrc}, nil, http.StatusCreated)
+	c.must("POST", "/sessions/counter/changes", server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "counter", Attrs: attrs("n", 0.0, "limit", 5.0)},
 	}}, nil, http.StatusOK)
 	c.must("POST", "/sessions/counter/run", server.RunRequest{Cycles: 2}, nil, http.StatusOK)
-	var before server.SessionResponse
+	var before server.SessionInfo
 	c.must("GET", "/sessions/counter", nil, &before, http.StatusOK)
 	ts.Close()
 	srv.Close() // graceful: final snapshot per session
 
 	_, c2 := newTestServer(t, cfg)
-	var after server.SessionResponse
+	var after server.SessionInfo
 	c2.must("GET", "/sessions/counter", nil, &after, http.StatusOK)
 	if !after.Recovered || after.ReplayedRecords != 0 {
 		t.Fatalf("graceful restart should recover from snapshot alone: %+v", after)
@@ -178,9 +178,9 @@ func TestSnapshotRacesApply(t *testing.T) {
 	dataDir := t.TempDir()
 	cfg := server.Config{Shards: 2, DataDir: dataDir}
 	c, crash := crashableServer(t, cfg)
-	c.must("POST", "/sessions", server.CreateRequest{ID: "counter", Program: counterSrc}, nil, http.StatusCreated)
-	c.must("POST", "/sessions/counter/changes", server.ChangesRequest{Changes: []server.WireChange{
-		{Op: "assert", Class: "counter", Attrs: map[string]any{"n": 0.0, "limit": 1000000.0}},
+	c.must("POST", "/sessions", server.CreateSpec{ID: "counter", Program: counterSrc}, nil, http.StatusCreated)
+	c.must("POST", "/sessions/counter/changes", server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "counter", Attrs: attrs("n", 0.0, "limit", 1000000.0)},
 	}}, nil, http.StatusOK)
 
 	const rounds = 30
@@ -227,8 +227,8 @@ func TestSnapshotRacesApply(t *testing.T) {
 		t.FailNow()
 	}
 
-	var before server.SessionResponse
-	var beforeWM []server.WireWME
+	var before server.SessionInfo
+	var beforeWM []server.WMEInfo
 	c.must("GET", "/sessions/counter", nil, &before, http.StatusOK)
 	c.must("GET", "/sessions/counter/wm", nil, &beforeWM, http.StatusOK)
 	if before.Cycles != 5*rounds {
@@ -237,8 +237,8 @@ func TestSnapshotRacesApply(t *testing.T) {
 	crash()
 
 	_, c2 := newTestServer(t, cfg)
-	var after server.SessionResponse
-	var afterWM []server.WireWME
+	var after server.SessionInfo
+	var afterWM []server.WMEInfo
 	c2.must("GET", "/sessions/counter", nil, &after, http.StatusOK)
 	c2.must("GET", "/sessions/counter/wm", nil, &afterWM, http.StatusOK)
 	if after.Cycles != before.Cycles || after.WMSize != before.WMSize ||
@@ -293,11 +293,11 @@ func TestServerRecoversTornWAL(t *testing.T) {
 	cfg := server.Config{Shards: 1, DataDir: dataDir}
 
 	c1, crash := crashableServer(t, cfg)
-	c1.must("POST", "/sessions", server.CreateRequest{ID: "counter", Program: counterSrc}, nil, http.StatusCreated)
-	c1.must("POST", "/sessions/counter/changes", server.ChangesRequest{Changes: []server.WireChange{
-		{Op: "assert", Class: "counter", Attrs: map[string]any{"n": 0.0, "limit": 5.0}},
+	c1.must("POST", "/sessions", server.CreateSpec{ID: "counter", Program: counterSrc}, nil, http.StatusCreated)
+	c1.must("POST", "/sessions/counter/changes", server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "counter", Attrs: attrs("n", 0.0, "limit", 5.0)},
 	}}, nil, http.StatusOK)
-	var beforeCut server.SessionResponse
+	var beforeCut server.SessionInfo
 	c1.must("GET", "/sessions/counter", nil, &beforeCut, http.StatusOK)
 	c1.must("POST", "/sessions/counter/run", server.RunRequest{Cycles: 1}, nil, http.StatusOK)
 	crash()
@@ -318,7 +318,7 @@ func TestServerRecoversTornWAL(t *testing.T) {
 	}
 
 	_, c2 := newTestServer(t, cfg)
-	var after server.SessionResponse
+	var after server.SessionInfo
 	c2.must("GET", "/sessions/counter", nil, &after, http.StatusOK)
 	if !after.Recovered {
 		t.Fatalf("session not recovered: %+v", after)
@@ -327,9 +327,38 @@ func TestServerRecoversTornWAL(t *testing.T) {
 		t.Fatalf("torn-WAL recovery should land on the pre-run state:\nwant %+v\ngot  %+v", beforeCut, after)
 	}
 	// The lost cycle simply re-executes.
-	var run server.RunResponse
+	var run server.RunResult
 	c2.must("POST", "/sessions/counter/run", server.RunRequest{Cycles: 100}, &run, http.StatusOK)
 	if !run.Halted {
 		t.Fatalf("resumed run did not halt: %+v", run)
+	}
+}
+
+// TestComputeOverflowLeavesSessionDurable: a product past float64's
+// range used to put +Inf into working memory, after which /wm answered
+// 200 with an error body and the WAL, unable to encode the record,
+// stopped recording while writes kept answering 200. The firing now
+// fails like a division by zero and nothing unencodable is stored.
+func TestComputeOverflowLeavesSessionDurable(t *testing.T) {
+	_, c := newTestServer(t, server.Config{Shards: 1, DataDir: t.TempDir()})
+	c.must("POST", "/sessions", server.CreateSpec{
+		ID: "big", Program: `(p big (a ^v <x>) --> (make b ^v (compute <x> * 1e308)))`,
+	}, nil, http.StatusCreated)
+	assert := server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "a", Attrs: attrs("v", 1e308)},
+	}}
+	c.must("POST", "/sessions/big/changes", assert, nil, http.StatusOK)
+	c.must("POST", "/sessions/big/run", server.RunRequest{}, nil, http.StatusInternalServerError)
+
+	var wm []server.WMEInfo
+	c.must("GET", "/sessions/big/wm", nil, &wm, http.StatusOK)
+	if len(wm) != 1 || wm[0].Class != "a" {
+		t.Errorf("working memory after the failed firing = %+v, want the one asserted element", wm)
+	}
+	c.must("POST", "/sessions/big/changes", assert, nil, http.StatusOK)
+	var info server.SessionInfo
+	c.must("GET", "/sessions/big", nil, &info, http.StatusOK)
+	if info.WALError != "" || info.WALSeq != 2 {
+		t.Errorf("wal_error = %q, wal_seq = %d; want both asserts logged and no error", info.WALError, info.WALSeq)
 	}
 }

@@ -21,13 +21,13 @@ import (
 // activations exceed the serial-bypass threshold, so the session's
 // resident pool actually wakes.
 func skewedChanges(blocks int) server.ChangesRequest {
-	changes := []server.WireChange{
-		{Op: "assert", Class: "goal", Attrs: map[string]any{"type": "pick", "color": "red"}},
+	changes := []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "goal", Attrs: attrs("type", "pick", "color", "red")},
 	}
 	for i := 0; i < blocks; i++ {
-		changes = append(changes, server.WireChange{
-			Op: "assert", Class: "block",
-			Attrs: map[string]any{"id": float64(i), "color": "red"},
+		changes = append(changes, server.ChangeSpec{
+			Op: server.OpAssert, Class: "block",
+			Attrs: attrs("id", float64(i), "color", "red"),
 		})
 	}
 	return server.ChangesRequest{Changes: changes}
@@ -88,7 +88,7 @@ func TestSessionEvictionStopsResidentWorkers(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
 
 	base := quiesce(c)
-	c.must("POST", "/sessions", server.CreateRequest{
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "evict", Program: skewedSrc, Matcher: "parallel-rete", Workers: 4,
 	}, nil, http.StatusCreated)
 	c.must("POST", "/sessions/evict/changes", skewedChanges(96), nil, http.StatusOK)
@@ -118,7 +118,7 @@ func TestDemoteStopsResidentWorkers(t *testing.T) {
 	srv, c := newTestServer(t, server.Config{Shards: 1, DataDir: t.TempDir()})
 
 	base := quiesce(c)
-	c.must("POST", "/sessions", server.CreateRequest{
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "demote", Program: skewedSrc, Matcher: "parallel-rete", Workers: 4,
 	}, nil, http.StatusCreated)
 	c.must("POST", "/sessions/demote/changes", skewedChanges(96), nil, http.StatusOK)

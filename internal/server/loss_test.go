@@ -38,27 +38,27 @@ func labelledMetric(text, name, label string) float64 {
 func TestLossEndpointAndMetrics(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
 
-	c.must("POST", "/sessions", server.CreateRequest{
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "loss", Program: skewedSrc, Matcher: "parallel-rete", Workers: 4,
 	}, nil, http.StatusCreated)
 
-	changes := []server.WireChange{
-		{Op: "assert", Class: "goal", Attrs: map[string]any{"type": "pick", "color": "red"}},
+	changes := []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "goal", Attrs: attrs("type", "pick", "color", "red")},
 	}
 	for i := 0; i < 32; i++ {
-		changes = append(changes, server.WireChange{
-			Op: "assert", Class: "block",
-			Attrs: map[string]any{"id": float64(i), "color": "red"},
+		changes = append(changes, server.ChangeSpec{
+			Op: server.OpAssert, Class: "block",
+			Attrs: attrs("id", float64(i), "color", "red"),
 		})
 	}
 	c.must("POST", "/sessions/loss/changes", server.ChangesRequest{Changes: changes}, nil, http.StatusOK)
 
-	var lr server.LossResponse
+	var lr server.LossResult
 	c.must("GET", "/sessions/loss/loss", nil, &lr, http.StatusOK)
-	if !lr.Supported || lr.Loss == nil {
+	if !lr.Supported || lr.Report == nil {
 		t.Fatalf("loss response = %+v, want supported with a report", lr)
 	}
-	l := lr.Loss
+	l := lr.Report
 	if l.Workers != 4 || l.Batches == 0 || l.ApplySeconds <= 0 {
 		t.Fatalf("loss header = workers %d batches %d apply %gs, want 4/>0/>0",
 			l.Workers, l.Batches, l.ApplySeconds)
@@ -91,7 +91,7 @@ func TestLossEndpointAndMetrics(t *testing.T) {
 	}
 
 	// The same report rides the profile endpoint.
-	var prof server.ProfileResponse
+	var prof server.ProfileResult
 	c.must("GET", "/sessions/loss/profile", nil, &prof, http.StatusOK)
 	if prof.Loss == nil || prof.Loss.Batches != l.Batches {
 		t.Errorf("profile loss = %+v, want the /loss report", prof.Loss)
@@ -126,13 +126,13 @@ func TestLossEndpointAndMetrics(t *testing.T) {
 // so clients can probe capability with a plain GET.
 func TestLossUnsupportedMatcher(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
-	c.must("POST", "/sessions", server.CreateRequest{
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "serial", Program: skewedSrc, Matcher: "rete",
 	}, nil, http.StatusCreated)
 
-	var lr server.LossResponse
+	var lr server.LossResult
 	c.must("GET", "/sessions/serial/loss", nil, &lr, http.StatusOK)
-	if lr.Supported || lr.Loss != nil {
+	if lr.Supported || lr.Report != nil {
 		t.Errorf("loss on serial matcher = %+v, want unsupported and empty", lr)
 	}
 	if lr.Matcher != "rete" {

@@ -10,22 +10,22 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/engine"
+	"repro/internal/cost"
 	"repro/internal/obs"
 )
 
 // TraceResult is one session's retained cycle-span window.
 type TraceResult struct {
 	// SessionID names the traced session.
-	SessionID string
+	SessionID string `json:"session_id"`
 	// Evicted reports that the session is gone and the spans came from
 	// the post-deletion archive.
-	Evicted bool
+	Evicted bool `json:"evicted"`
 	// Total counts spans ever recorded; Total - len(Spans) spans have
 	// been overwritten by the ring.
-	Total int64
+	Total int64 `json:"total_spans"`
 	// Spans is the retained window, oldest first.
-	Spans []obs.CycleSpan
+	Spans []obs.CycleSpan `json:"spans"`
 }
 
 // archiveDepth bounds the trace archive: the most recently deleted
@@ -94,24 +94,26 @@ func (s *Server) Trace(ctx context.Context, id string) (TraceResult, error) {
 type ProfileResult struct {
 	// SessionID and Matcher identify what was profiled; Cycles and
 	// TotalChanges scale the numbers.
-	SessionID    string
-	Matcher      string
-	Cycles       int
-	TotalChanges int
+	SessionID    string `json:"session_id"`
+	Matcher      string `json:"matcher"`
+	Cycles       int    `json:"cycles"`
+	TotalChanges int    `json:"total_changes"`
 	// NodesSupported reports whether the matcher exposes per-node
 	// counters (the Rete variants do; naive and full-state do not).
-	NodesSupported bool
+	NodesSupported bool `json:"nodes_supported"`
 	// TotalCost sums the node costs under the paper's cost model.
-	TotalCost float64
-	// Nodes holds the activated nodes, costliest first.
-	Nodes []engine.NodeProfileEntry
+	TotalCost float64 `json:"total_cost"`
+	// Nodes holds the activated nodes, costliest first; Truncated counts
+	// the nodes a ?top= limit cut off the end.
+	Nodes     []obs.NodeProfileEntry `json:"nodes"`
+	Truncated int                    `json:"truncated,omitempty"`
 	// MatchStats and Index summarise whole-matcher work when the
 	// matcher reports them (nil otherwise).
-	MatchStats *engine.MatchStats
-	Index      *engine.IndexReport
+	MatchStats *obs.MatchStats  `json:"match_stats,omitempty"`
+	Index      *obs.IndexReport `json:"index,omitempty"`
 	// Loss carries the matcher's loss-factor accounting when the
 	// matcher reports one (nil otherwise).
-	Loss *engine.LossReport
+	Loss *obs.LossReport `json:"loss,omitempty"`
 }
 
 // Profile snapshots a session's live hot-node profile: per-node
@@ -129,11 +131,16 @@ func (s *Server) Profile(ctx context.Context, id string) (ProfileResult, error) 
 			Matcher:      sess.sys.MatcherKind().String(),
 			Cycles:       eng.Cycles,
 			TotalChanges: eng.TotalChanges,
+			Nodes:        []obs.NodeProfileEntry{}, // "nodes": [] on the wire, never null
 		}
 		caps := eng.Capabilities()
 		if p := caps.Profile; p != nil {
-			nodes := p.NodeProfile()
 			res.NodesSupported = true
+			res.Nodes = append(res.Nodes, p.NodeProfile()...)
+			nodes, model := res.Nodes, cost.Default()
+			for i := range nodes {
+				nodes[i].Cost = model.NodeCost(nodes[i])
+			}
 			sort.Slice(nodes, func(i, j int) bool {
 				if nodes[i].Cost != nodes[j].Cost {
 					return nodes[i].Cost > nodes[j].Cost
@@ -143,18 +150,22 @@ func (s *Server) Profile(ctx context.Context, id string) (ProfileResult, error) 
 			for i := range nodes {
 				res.TotalCost += nodes[i].Cost
 			}
-			res.Nodes = nodes
+			if res.TotalCost > 0 {
+				for i := range nodes {
+					nodes[i].CostShare = nodes[i].Cost / res.TotalCost
+				}
+			}
 		}
 		if p := caps.Stats; p != nil {
 			ms := p.MatchStats()
 			res.MatchStats = &ms
 		}
 		if p := caps.Index; p != nil {
-			ix := p.Indexed()
+			ix := p.IndexInfo()
 			res.Index = &ix
 		}
 		if p := caps.Loss; p != nil {
-			lr := p.LossReport()
+			lr := p.Loss()
 			res.Loss = &lr
 		}
 		return res, nil
@@ -166,13 +177,13 @@ func (s *Server) Profile(ctx context.Context, id string) (ProfileResult, error) 
 // nominal concurrency.
 type LossResult struct {
 	// SessionID and Matcher identify what was measured.
-	SessionID string
-	Matcher   string
+	SessionID string `json:"session_id"`
+	Matcher   string `json:"matcher"`
 	// Supported reports whether the matcher keeps phase accounting
 	// (only the parallel Rete does).
-	Supported bool
+	Supported bool `json:"supported"`
 	// Report is the accounting; nil when unsupported.
-	Report *engine.LossReport
+	Report *obs.LossReport `json:"loss,omitempty"`
 }
 
 // Loss snapshots a session's loss-factor accounting: the parallel
@@ -189,7 +200,7 @@ func (s *Server) Loss(ctx context.Context, id string) (LossResult, error) {
 			Matcher:   sess.sys.MatcherKind().String(),
 		}
 		if p := sess.sys.Engine.Capabilities().Loss; p != nil {
-			lr := p.LossReport()
+			lr := p.Loss()
 			res.Supported = true
 			res.Report = &lr
 		}

@@ -67,13 +67,13 @@ func waitFor(t *testing.T, cond func() bool) {
 // startCounter creates a counter session and runs it to halt.
 func startCounter(t *testing.T, c *client, id, matcher string, limit int) {
 	t.Helper()
-	c.must("POST", "/sessions", server.CreateRequest{
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: id, Program: counterSrc, Matcher: matcher,
 	}, nil, http.StatusCreated)
-	c.must("POST", "/sessions/"+id+"/changes", server.ChangesRequest{Changes: []server.WireChange{
-		{Op: "assert", Class: "counter", Attrs: map[string]any{"n": 0.0, "limit": float64(limit)}},
+	c.must("POST", "/sessions/"+id+"/changes", server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "counter", Attrs: attrs("n", 0.0, "limit", float64(limit))},
 	}}, nil, http.StatusOK)
-	var run server.RunResponse
+	var run server.RunResult
 	c.must("POST", "/sessions/"+id+"/run", server.RunRequest{}, &run, http.StatusOK)
 	if !run.Halted {
 		t.Fatalf("counter did not halt: %+v", run)
@@ -84,7 +84,7 @@ func TestTraceEndpointAndEvictionArchive(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 2})
 	startCounter(t, c, "traced", "rete", 5)
 
-	var tr server.TraceResponse
+	var tr server.TraceResult
 	c.must("GET", "/sessions/traced/trace", nil, &tr, http.StatusOK)
 	if tr.SessionID != "traced" || tr.Evicted {
 		t.Fatalf("trace = %+v, want live session traced", tr)
@@ -107,7 +107,7 @@ func TestTraceEndpointAndEvictionArchive(t *testing.T) {
 	}
 
 	// The session summary carries the trace's shape.
-	var sess server.SessionResponse
+	var sess server.SessionInfo
 	c.must("GET", "/sessions/traced", nil, &sess, http.StatusOK)
 	if sess.TraceSpans != 7 || sess.TraceTotal != 7 {
 		t.Errorf("session trace summary = %d/%d, want 7/7", sess.TraceSpans, sess.TraceTotal)
@@ -132,7 +132,7 @@ func TestTraceEndpointAndEvictionArchive(t *testing.T) {
 func TestTraceRingBoundsSpans(t *testing.T) {
 	_, c := newTestServer(t, server.Config{TraceDepth: 4})
 	startCounter(t, c, "bounded", "rete", 10)
-	var tr server.TraceResponse
+	var tr server.TraceResult
 	c.must("GET", "/sessions/bounded/trace", nil, &tr, http.StatusOK)
 	if len(tr.Spans) != 4 {
 		t.Fatalf("retained spans = %d, want ring depth 4", len(tr.Spans))
@@ -152,7 +152,7 @@ func TestProfileEndpoint(t *testing.T) {
 	for _, matcher := range []string{"rete", "parallel-rete"} {
 		id := "prof-" + matcher
 		startCounter(t, c, id, matcher, 6)
-		var prof server.ProfileResponse
+		var prof server.ProfileResult
 		c.must("GET", "/sessions/"+id+"/profile", nil, &prof, http.StatusOK)
 		if !prof.NodesSupported || len(prof.Nodes) == 0 {
 			t.Fatalf("%s: profile = %+v, want node entries", matcher, prof)
@@ -175,7 +175,7 @@ func TestProfileEndpoint(t *testing.T) {
 		}
 
 		// ?top= truncates and reports how much was dropped.
-		var top server.ProfileResponse
+		var top server.ProfileResult
 		c.must("GET", "/sessions/"+id+"/profile?top=1", nil, &top, http.StatusOK)
 		if len(top.Nodes) != 1 || top.Truncated != len(prof.Nodes)-1 {
 			t.Errorf("%s: top=1 gave %d nodes, truncated %d", matcher, len(top.Nodes), top.Truncated)
@@ -187,7 +187,7 @@ func TestProfileEndpoint(t *testing.T) {
 
 	// Matchers without a node network degrade to whole-matcher stats.
 	startCounter(t, c, "prof-naive", "naive", 3)
-	var prof server.ProfileResponse
+	var prof server.ProfileResult
 	c.must("GET", "/sessions/prof-naive/profile", nil, &prof, http.StatusOK)
 	if prof.NodesSupported || len(prof.Nodes) != 0 {
 		t.Errorf("naive: profile claims nodes: %+v", prof)
@@ -203,13 +203,13 @@ func TestRequestIDPropagatesToSpans(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	c := newClient(t, ts)
 
-	c.must("POST", "/sessions", server.CreateRequest{
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "rid", Program: counterSrc,
 	}, nil, http.StatusCreated)
 	// Apply the seed batch under its own caller-chosen request ID: the
 	// apply span must be attributed to the request that committed it.
-	chBody, _ := json.Marshal(server.ChangesRequest{Changes: []server.WireChange{
-		{Op: "assert", Class: "counter", Attrs: map[string]any{"n": 0.0, "limit": 3.0}},
+	chBody, _ := json.Marshal(server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "counter", Attrs: attrs("n", 0.0, "limit", 3.0)},
 	}})
 	chReq, err := http.NewRequest("POST", ts.URL+server.APIVersion+"/sessions/rid/changes", bytes.NewReader(chBody))
 	if err != nil {
@@ -241,7 +241,7 @@ func TestRequestIDPropagatesToSpans(t *testing.T) {
 		t.Errorf("echoed request ID = %q, want req-deadbeef", got)
 	}
 
-	var tr server.TraceResponse
+	var tr server.TraceResult
 	c.must("GET", "/sessions/rid/trace", nil, &tr, http.StatusOK)
 	cycles, applies := 0, 0
 	for _, sp := range tr.Spans {

@@ -50,7 +50,7 @@ func metricValue(text, name string) float64 {
 func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
 
-	c.must("POST", "/sessions", server.CreateRequest{
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "skew", Program: skewedSrc, Matcher: "parallel-rete", Workers: 8,
 	}, nil, http.StatusCreated)
 
@@ -59,17 +59,17 @@ func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
 	// scan of every block to do) is shed onto that lane's deque, and the
 	// lanes running out of block changes must steal it.
 	const blocks = 256
-	var changes []server.WireChange
+	var changes []server.ChangeSpec
 	for i := 0; i < blocks; i++ {
-		changes = append(changes, server.WireChange{
-			Op: "assert", Class: "block",
-			Attrs: map[string]any{"id": float64(i), "color": "red"},
+		changes = append(changes, server.ChangeSpec{
+			Op: server.OpAssert, Class: "block",
+			Attrs: attrs("id", float64(i), "color", "red"),
 		})
 	}
-	changes = append(changes, server.WireChange{
-		Op: "assert", Class: "goal", Attrs: map[string]any{"type": "pick", "color": "red"},
+	changes = append(changes, server.ChangeSpec{
+		Op: server.OpAssert, Class: "goal", Attrs: attrs("type", "pick", "color", "red"),
 	})
-	var ch server.ChangesResponse
+	var ch server.ApplyResult
 	c.must("POST", "/sessions/skew/changes", server.ChangesRequest{Changes: changes}, &ch, http.StatusOK)
 	if ch.ConflictSize != blocks*blocks {
 		t.Fatalf("conflict size = %d, want %d", ch.ConflictSize, blocks*blocks)
@@ -90,7 +90,7 @@ func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
 		t.Errorf("psmd_sched_park_total missing from /metrics:\n%s", text)
 	}
 
-	var prof server.ProfileResponse
+	var prof server.ProfileResult
 	c.must("GET", "/sessions/skew/profile", nil, &prof, http.StatusOK)
 	if prof.MatchStats == nil {
 		t.Fatal("profile has no match_stats")
@@ -119,20 +119,20 @@ func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
 func TestNoStealConfigDisablesStealing(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1, NoSteal: true, DefaultWorkers: 8})
 
-	c.must("POST", "/sessions", server.CreateRequest{
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "nosteal", Program: skewedSrc, Matcher: "parallel-rete",
 	}, nil, http.StatusCreated)
 
-	changes := []server.WireChange{
-		{Op: "assert", Class: "goal", Attrs: map[string]any{"type": "pick", "color": "red"}},
+	changes := []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "goal", Attrs: attrs("type", "pick", "color", "red")},
 	}
 	for i := 0; i < 16; i++ {
-		changes = append(changes, server.WireChange{
-			Op: "assert", Class: "block",
-			Attrs: map[string]any{"id": float64(i), "color": "red"},
+		changes = append(changes, server.ChangeSpec{
+			Op: server.OpAssert, Class: "block",
+			Attrs: attrs("id", float64(i), "color", "red"),
 		})
 	}
-	var ch server.ChangesResponse
+	var ch server.ApplyResult
 	c.must("POST", "/sessions/nosteal/changes", server.ChangesRequest{Changes: changes}, &ch, http.StatusOK)
 	if want := 16 * 16; ch.ConflictSize != want {
 		t.Fatalf("conflict size = %d, want %d", ch.ConflictSize, want)
@@ -148,7 +148,7 @@ func TestNoStealConfigDisablesStealing(t *testing.T) {
 		t.Errorf("psmd_steals_total = %v with stealing disabled, want 0", v)
 	}
 
-	var prof server.ProfileResponse
+	var prof server.ProfileResult
 	c.must("GET", "/sessions/nosteal/profile", nil, &prof, http.StatusOK)
 	if prof.MatchStats == nil || prof.MatchStats.Tasks == 0 {
 		t.Fatalf("profile match_stats = %+v, want tasks > 0", prof.MatchStats)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -343,8 +342,8 @@ func (s *Server) recoverSession(dir string) (*session, durable.RecoverStats, err
 	if err != nil {
 		return nil, durable.RecoverStats{}, err
 	}
-	var spec CreateSpec
-	if err := json.Unmarshal(manifest, &spec); err != nil {
+	spec, err := decodeManifest(manifest)
+	if err != nil {
 		return nil, durable.RecoverStats{}, fmt.Errorf("decode manifest: %w", err)
 	}
 	sess, err := newSession(spec, s.cfg.DefaultQuota, time.Now(), true)
@@ -498,7 +497,7 @@ func (s *Server) CreateSession(ctx context.Context, spec CreateSpec) (SessionInf
 			// The manifest records the fully defaulted spec, so a
 			// restart under different server flags reproduces the
 			// session exactly as created.
-			manifest, err := json.Marshal(spec)
+			manifest, err := encodeManifest(spec)
 			if err != nil {
 				sess.sys.Engine.Close()
 				return SessionInfo{}, err
@@ -518,18 +517,25 @@ func (s *Server) CreateSession(ctx context.Context, spec CreateSpec) (SessionInf
 	})
 }
 
+// SnapshotResult reports a forced checkpoint.
+type SnapshotResult struct {
+	SessionID string `json:"session_id"`
+	durable.SnapshotInfo
+}
+
 // Snapshot forces a durable checkpoint of one session: the WAL resets
 // and recovery restarts from the state at this moment.
-func (s *Server) Snapshot(ctx context.Context, id string) (durable.SnapshotInfo, error) {
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (durable.SnapshotInfo, error) {
+func (s *Server) Snapshot(ctx context.Context, id string) (SnapshotResult, error) {
+	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (SnapshotResult, error) {
 		sess, err := sh.get(id)
 		if err != nil {
-			return durable.SnapshotInfo{}, err
+			return SnapshotResult{}, err
 		}
 		if sess.log == nil {
-			return durable.SnapshotInfo{}, badReqf("server: session %q is not durable (start psmd with -data-dir)", id)
+			return SnapshotResult{}, badReqf("server: session %q is not durable (start psmd with -data-dir)", id)
 		}
-		return sess.log.Snapshot()
+		info, err := sess.log.Snapshot()
+		return SnapshotResult{SessionID: id, SnapshotInfo: info}, err
 	})
 }
 
@@ -784,9 +790,10 @@ func (s *Server) Conflicts(ctx context.Context, id string) ([]InstInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		var out []InstInfo
-		for _, inst := range sess.sys.CS.Instantiations() {
-			info := InstInfo{Production: inst.Production.Name, Key: inst.Key()}
+		insts := sess.sys.CS.Instantiations()
+		out := make([]InstInfo, 0, len(insts))
+		for _, inst := range insts {
+			info := InstInfo{Production: inst.Production.Name, Key: inst.Key(), WMEs: make([]WMEInfo, 0, len(inst.WMEs))}
 			for _, w := range inst.WMEs {
 				if w != nil {
 					info.WMEs = append(info.WMEs, wmeInfo(w))
@@ -831,7 +838,7 @@ func (s *Server) SessionStats(ctx context.Context, id string) (SessionInfo, erro
 
 // Sessions snapshots every live session, shard by shard.
 func (s *Server) Sessions(ctx context.Context) ([]SessionInfo, error) {
-	var out []SessionInfo
+	out := []SessionInfo{} // no sessions lists as [], not null
 	for _, sh := range s.shards {
 		infos, err := dispatchShard(s, ctx, sh, func(sh *shard) ([]SessionInfo, error) {
 			now := time.Now()

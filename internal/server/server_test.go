@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -102,38 +101,38 @@ const counterSrc = `
 func TestHTTPEndToEnd(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 2})
 
-	var sess server.SessionResponse
-	c.must("POST", "/sessions", server.CreateRequest{
+	var sess server.SessionInfo
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "counter", Program: counterSrc, Matcher: "rete",
 	}, &sess, http.StatusCreated)
 	if sess.Productions != 2 || sess.ID != "counter" {
 		t.Fatalf("create response = %+v", sess)
 	}
 
-	var ch server.ChangesResponse
-	c.must("POST", "/sessions/counter/changes", server.ChangesRequest{Changes: []server.WireChange{
-		{Op: "assert", Class: "counter", Attrs: map[string]any{"n": 0.0, "limit": 5.0}},
+	var ch server.ApplyResult
+	c.must("POST", "/sessions/counter/changes", server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "counter", Attrs: attrs("n", 0.0, "limit", 5.0)},
 	}}, &ch, http.StatusOK)
 	if ch.Applied != 1 || len(ch.Tags) != 1 || ch.WMSize != 1 || ch.ConflictSize != 1 {
 		t.Fatalf("changes response = %+v", ch)
 	}
 
-	var run server.RunResponse
+	var run server.RunResult
 	c.must("POST", "/sessions/counter/run", server.RunRequest{Cycles: 100}, &run, http.StatusOK)
 	if !run.Halted || run.Fired != 6 || run.Cycles != 6 {
 		t.Fatalf("run response = %+v", run)
 	}
 
-	var wm []server.WireWME
+	var wm []server.WMEInfo
 	c.must("GET", "/sessions/counter/wm?class=result", nil, &wm, http.StatusOK)
-	if len(wm) != 1 || wm[0].Attrs["n"] != 5.0 {
+	if len(wm) != 1 || wm[0].Attrs["n"] != ops5.Num(5) {
 		t.Fatalf("result WM = %+v", wm)
 	}
 
-	var insts []server.WireInst
+	var insts []server.InstInfo
 	c.must("GET", "/sessions/counter/conflicts", nil, &insts, http.StatusOK)
 
-	var stats server.SessionResponse
+	var stats server.SessionInfo
 	c.must("GET", "/sessions/counter", nil, &stats, http.StatusOK)
 	if !stats.Halted || stats.Fired != 6 || stats.TotalChanges == 0 {
 		t.Fatalf("stats = %+v", stats)
@@ -172,11 +171,11 @@ func TestHTTPErrors(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 2})
 
 	// Bad program.
-	if got := c.do("POST", "/sessions", server.CreateRequest{Program: "(p broken"}, nil); got != http.StatusBadRequest {
+	if got := c.do("POST", "/sessions", server.CreateSpec{Program: "(p broken"}, nil); got != http.StatusBadRequest {
 		t.Errorf("bad program: status %d, want 400", got)
 	}
 	// Unknown matcher.
-	if got := c.do("POST", "/sessions", server.CreateRequest{Program: counterSrc, Matcher: "quantum"}, nil); got != http.StatusBadRequest {
+	if got := c.do("POST", "/sessions", server.CreateSpec{Program: counterSrc, Matcher: "quantum"}, nil); got != http.StatusBadRequest {
 		t.Errorf("bad matcher: status %d, want 400", got)
 	}
 	// Unknown session.
@@ -184,26 +183,26 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("unknown session: status %d, want 404", got)
 	}
 	// Duplicate ID.
-	c.must("POST", "/sessions", server.CreateRequest{ID: "dup", Program: counterSrc}, nil, http.StatusCreated)
-	if got := c.do("POST", "/sessions", server.CreateRequest{ID: "dup", Program: counterSrc}, nil); got != http.StatusConflict {
+	c.must("POST", "/sessions", server.CreateSpec{ID: "dup", Program: counterSrc}, nil, http.StatusCreated)
+	if got := c.do("POST", "/sessions", server.CreateSpec{ID: "dup", Program: counterSrc}, nil); got != http.StatusConflict {
 		t.Errorf("duplicate session: status %d, want 409", got)
 	}
 	// Bad retract tag.
-	if got := c.do("POST", "/sessions/dup/changes", server.ChangesRequest{Changes: []server.WireChange{
-		{Op: "retract", Tag: 99},
+	if got := c.do("POST", "/sessions/dup/changes", server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpRetract, Tag: 99},
 	}}, nil); got != http.StatusBadRequest {
 		t.Errorf("bad retract: status %d, want 400", got)
 	}
 	// WM quota: a batch that would exceed MaxWMEs is rejected whole.
-	c.must("POST", "/sessions", server.CreateRequest{ID: "small", Program: counterSrc, MaxWMEs: 2}, nil, http.StatusCreated)
+	c.must("POST", "/sessions", server.CreateSpec{ID: "small", Program: counterSrc, Quota: server.Quota{MaxWMEs: 2}}, nil, http.StatusCreated)
 	big := server.ChangesRequest{}
 	for i := 0; i < 3; i++ {
-		big.Changes = append(big.Changes, server.WireChange{Op: "assert", Class: "c", Attrs: map[string]any{"n": float64(i)}})
+		big.Changes = append(big.Changes, server.ChangeSpec{Op: server.OpAssert, Class: "c", Attrs: attrs("n", float64(i))})
 	}
 	if got := c.do("POST", "/sessions/small/changes", big, nil); got != http.StatusRequestEntityTooLarge {
 		t.Errorf("quota: status %d, want 413", got)
 	}
-	var wm []server.WireWME
+	var wm []server.WMEInfo
 	c.must("GET", "/sessions/small/wm", nil, &wm, http.StatusOK)
 	if len(wm) != 0 {
 		t.Errorf("rejected batch partially applied: %d WMEs", len(wm))
@@ -215,7 +214,7 @@ func TestHTTPErrors(t *testing.T) {
 // {code, message, retryable} envelope.
 func TestAPIVersioningAndErrorEnvelope(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
-	c.must("POST", "/sessions", server.CreateRequest{ID: "v", Program: counterSrc}, nil, http.StatusCreated)
+	c.must("POST", "/sessions", server.CreateSpec{ID: "v", Program: counterSrc}, nil, http.StatusCreated)
 
 	resp, err := http.Get(c.base + "/sessions/v")
 	if err != nil {
@@ -274,64 +273,108 @@ func TestAPIVersioningAndErrorEnvelope(t *testing.T) {
 		env.Code != "not_found" || env.Retryable || env.Message == "" {
 		t.Errorf("not found: status %d, envelope %+v", st, env)
 	}
-	if st, env := envelope("POST", "/sessions", server.CreateRequest{ID: "v", Program: counterSrc}); st != http.StatusConflict ||
+	if st, env := envelope("POST", "/sessions", server.CreateSpec{ID: "v", Program: counterSrc}); st != http.StatusConflict ||
 		env.Code != "already_exists" || env.Retryable {
 		t.Errorf("conflict: status %d, envelope %+v", st, env)
 	}
-	if st, env := envelope("POST", "/sessions", server.CreateRequest{Program: "(p broken"}); st != http.StatusBadRequest ||
+	if st, env := envelope("POST", "/sessions", server.CreateSpec{Program: "(p broken"}); st != http.StatusBadRequest ||
 		env.Code != "bad_request" || env.Retryable {
 		t.Errorf("bad request: status %d, envelope %+v", st, env)
 	}
 }
 
+// TestRequestBodiesAreStrictAndBounded pins the decoding contract of the
+// JSON request bodies: exactly one value, no unknown fields, only atoms
+// as attribute values, at most 8 MiB — each violation answered in the
+// error envelope.
+func TestRequestBodiesAreStrictAndBounded(t *testing.T) {
+	_, c := newTestServer(t, server.Config{Shards: 1})
+	c.must("POST", "/sessions", server.CreateSpec{ID: "s", Program: counterSrc}, nil, http.StatusCreated)
+	huge := `{"id":"huge","program":"` + strings.Repeat(";", 8<<20) + `"}`
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+		code             string
+	}{
+		{"one value", "/sessions/s/run", `{"cycles":1}`, http.StatusOK, ""},
+		{"trailing whitespace", "/sessions/s/run", "{\"cycles\":1}\n \t\n", http.StatusOK, ""},
+		{"trailing garbage", "/sessions/s/changes", `{"changes":[]} trailing garbage`, http.StatusBadRequest, "bad_request"},
+		{"second value", "/sessions/s/run", `{"cycles":1}{"cycles":2}`, http.StatusBadRequest, "bad_request"},
+		{"stray bracket", "/sessions/s/run", `{"cycles":1}]`, http.StatusBadRequest, "bad_request"},
+		{"unknown field", "/sessions/s/run", `{"cycles":1,"bogus":2}`, http.StatusBadRequest, "bad_request"},
+		{"empty body", "/sessions/s/run", ``, http.StatusBadRequest, "bad_request"},
+		{"object attribute", "/sessions/s/changes", `{"changes":[{"op":"assert","class":"c","attrs":{"v":{"x":1}}}]}`, http.StatusBadRequest, "bad_request"},
+		{"array attribute", "/sessions/s/changes", `{"changes":[{"op":"assert","class":"c","attrs":{"v":[1]}}]}`, http.StatusBadRequest, "bad_request"},
+		{"number out of range", "/sessions/s/changes", `{"changes":[{"op":"assert","class":"c","attrs":{"v":1e999}}]}`, http.StatusBadRequest, "bad_request"},
+		{"stream line with a second value", "/sessions/s/stream", `{"class":"c"} {"class":"c"}`, http.StatusBadRequest, "bad_request"},
+		{"body over the cap", "/sessions", huge, http.StatusRequestEntityTooLarge, "too_large"},
+		{"garbage past the cap", "/sessions/s/run", `{"cycles":1}` + strings.Repeat(" ", 8<<20) + `x`, http.StatusRequestEntityTooLarge, "too_large"},
+	} {
+		resp, err := c.http.Post(c.base+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var env server.ErrorResponse
+		if resp.StatusCode >= 300 {
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Errorf("%s: error body is not the envelope: %v", tc.name, err)
+			}
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || env.Code != tc.code {
+			t.Errorf("%s: status %d code %q (%s), want %d %q", tc.name, resp.StatusCode, env.Code, env.Message, tc.status, tc.code)
+		}
+	}
+	// Nothing a rejected body carried was applied.
+	var wm []server.WMEInfo
+	c.must("GET", "/sessions/s/wm", nil, &wm, http.StatusOK)
+	if len(wm) != 0 {
+		t.Errorf("rejected bodies left %d elements in working memory", len(wm))
+	}
+}
+
 func TestRunQuotaTruncatesGracefully(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
-	c.must("POST", "/sessions", server.CreateRequest{
-		ID: "capped", Program: counterSrc, MaxCycles: 3,
+	c.must("POST", "/sessions", server.CreateSpec{
+		ID: "capped", Program: counterSrc, Quota: server.Quota{MaxCyclesPerRequest: 3},
 	}, nil, http.StatusCreated)
-	c.must("POST", "/sessions/capped/changes", server.ChangesRequest{Changes: []server.WireChange{
-		{Op: "assert", Class: "counter", Attrs: map[string]any{"n": 0.0, "limit": 100.0}},
+	c.must("POST", "/sessions/capped/changes", server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "counter", Attrs: attrs("n", 0.0, "limit", 100.0)},
 	}}, nil, http.StatusOK)
-	var run server.RunResponse
+	var run server.RunResult
 	c.must("POST", "/sessions/capped/run", server.RunRequest{Cycles: 50}, &run, http.StatusOK)
 	if run.Cycles != 3 || !run.LimitHit || run.Halted || run.Quiesced {
 		t.Fatalf("quota-capped run = %+v, want 3 cycles with limit_hit", run)
 	}
 }
 
-// scriptChanges converts a matchtest script batch into wire changes.
-func scriptChanges(batch []ops5.Change) []server.WireChange {
-	out := make([]server.WireChange, len(batch))
+// scriptChanges converts a matchtest script batch into API changes.
+func scriptChanges(batch []ops5.Change) []server.ChangeSpec {
+	out := make([]server.ChangeSpec, len(batch))
 	for i, ch := range batch {
 		if ch.Kind == ops5.Insert {
-			out[i] = server.WireChange{Op: "assert", Class: ch.WME.Class(), Attrs: wmeAttrsJSON(ch.WME)}
+			out[i] = server.ChangeSpec{Op: server.OpAssert, Class: ch.WME.Class(), Attrs: wmeAttrs(ch.WME)}
 		} else {
-			out[i] = server.WireChange{Op: "retract", Tag: ch.WME.TimeTag}
+			out[i] = server.ChangeSpec{Op: server.OpRetract, Tag: ch.WME.TimeTag}
 		}
 	}
 	return out
 }
 
-// wmeAttrsJSON converts a WME's fields to the JSON wire attribute map.
-func wmeAttrsJSON(w *ops5.WME) map[string]any {
+// wmeAttrs returns a WME's fields as a change's attribute map.
+func wmeAttrs(w *ops5.WME) map[string]ops5.Value {
 	fields := w.Fields()
-	attrs := make(map[string]any, len(fields))
+	attrs := make(map[string]ops5.Value, len(fields))
 	for _, f := range fields {
-		attrs[sym.Name(f.Attr)] = valueJSON(f.Val)
+		attrs[sym.Name(f.Attr)] = f.Val
 	}
 	return attrs
 }
 
-// valueJSON mirrors the server's value mapping for test comparisons.
-func valueJSON(v ops5.Value) any {
-	switch v.Kind {
-	case ops5.SymValue:
-		return v.SymName()
-	case ops5.NumValue:
-		return v.Num
-	default:
-		return nil
-	}
+// attrs builds an attribute map from name/value pairs, ops5.NewWME
+// style: strings are symbols, Go numbers are numbers.
+func attrs(pairs ...any) map[string]ops5.Value {
+	return wmeAttrs(ops5.NewWME("attrs", pairs...))
 }
 
 // programSource renders productions back to OPS5 source.
@@ -376,12 +419,12 @@ func TestConcurrentSessionsMatchSerialReplay(t *testing.T) {
 				errs <- fmt.Errorf("session %s (%s): %s", id, matcher, fmt.Sprintf(format, args...))
 			}
 
-			if got := c.do("POST", "/sessions", server.CreateRequest{ID: id, Program: src, Matcher: matcher}, nil); got != http.StatusCreated {
+			if got := c.do("POST", "/sessions", server.CreateSpec{ID: id, Program: src, Matcher: matcher}, nil); got != http.StatusCreated {
 				report("create status %d", got)
 				return
 			}
 			for bi, batch := range script.Batches {
-				var ch server.ChangesResponse
+				var ch server.ApplyResult
 				if got := c.do("POST", "/sessions/"+id+"/changes",
 					server.ChangesRequest{Changes: scriptChanges(batch)}, &ch); got != http.StatusOK {
 					report("batch %d status %d", bi, got)
@@ -400,17 +443,17 @@ func TestConcurrentSessionsMatchSerialReplay(t *testing.T) {
 					return
 				}
 			}
-			var run server.RunResponse
+			var run server.RunResult
 			if got := c.do("POST", "/sessions/"+id+"/run", server.RunRequest{Cycles: 500}, &run); got != http.StatusOK {
 				report("run status %d", got)
 				return
 			}
-			var insts []server.WireInst
+			var insts []server.InstInfo
 			if got := c.do("GET", "/sessions/"+id+"/conflicts", nil, &insts); got != http.StatusOK {
 				report("conflicts status %d", got)
 				return
 			}
-			var stats server.SessionResponse
+			var stats server.SessionInfo
 			if got := c.do("GET", "/sessions/"+id, nil, &stats); got != http.StatusOK {
 				report("stats status %d", got)
 				return
@@ -471,46 +514,28 @@ func contentKey(production string, wmes []string) string {
 	return production + "::" + strings.Join(wmes, "|")
 }
 
-// wireWMEContent renders a wire WME's content canonically.
-func wireWMEContent(w server.WireWME) string {
-	keys := make([]string, 0, len(w.Attrs))
-	for k := range w.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(w.Class)
-	for _, k := range keys {
-		b.WriteString(" ^" + k + " " + anyString(w.Attrs[k]))
-	}
-	return b.String()
+// wmeInfoContent renders a reported WME's content canonically.
+func wmeInfoContent(w server.WMEInfo) string {
+	return attrsContent(w.Class, w.Attrs)
 }
 
 // wmeContent renders an in-process WME's content in the same form.
 func wmeContent(w *ops5.WME) string {
-	attrs := wmeAttrsJSON(w)
+	return attrsContent(w.Class(), wmeAttrs(w))
+}
+
+func attrsContent(class string, attrs map[string]ops5.Value) string {
 	keys := make([]string, 0, len(attrs))
 	for k := range attrs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var b strings.Builder
-	b.WriteString(w.Class())
+	b.WriteString(class)
 	for _, k := range keys {
-		b.WriteString(" ^" + k + " " + anyString(attrs[k]))
+		b.WriteString(" ^" + k + " " + attrs[k].String())
 	}
 	return b.String()
-}
-
-func anyString(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	default:
-		return "nil"
-	}
 }
 
 // TestConcurrentPostersOneSession hammers a single session with K
@@ -541,7 +566,7 @@ func TestConcurrentPostersOneSession(t *testing.T) {
 	}
 
 	_, c := newTestServer(t, server.Config{Shards: 2, QueueDepth: 1024})
-	c.must("POST", "/sessions", server.CreateRequest{ID: "shared", Program: src}, nil, http.StatusCreated)
+	c.must("POST", "/sessions", server.CreateSpec{ID: "shared", Program: src}, nil, http.StatusCreated)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, posters)
@@ -550,9 +575,9 @@ func TestConcurrentPostersOneSession(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for b, wmes := range scripts[p] {
-				changes := make([]server.WireChange, len(wmes))
+				changes := make([]server.ChangeSpec, len(wmes))
 				for i, w := range wmes {
-					changes[i] = server.WireChange{Op: "assert", Class: w.Class(), Attrs: wmeAttrsJSON(w)}
+					changes[i] = server.ChangeSpec{Op: server.OpAssert, Class: w.Class(), Attrs: wmeAttrs(w)}
 				}
 				if got := c.do("POST", "/sessions/shared/changes",
 					server.ChangesRequest{Changes: changes}, nil); got != http.StatusOK {
@@ -568,13 +593,13 @@ func TestConcurrentPostersOneSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var insts []server.WireInst
+	var insts []server.InstInfo
 	c.must("GET", "/sessions/shared/conflicts", nil, &insts, http.StatusOK)
 	gotKeys := make([]string, len(insts))
 	for i, inst := range insts {
 		wmes := make([]string, len(inst.WMEs))
 		for j, w := range inst.WMEs {
-			wmes[j] = wireWMEContent(w)
+			wmes[j] = wmeInfoContent(w)
 		}
 		gotKeys[i] = contentKey(inst.Production, wmes)
 	}

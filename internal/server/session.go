@@ -16,7 +16,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -31,41 +33,88 @@ import (
 	"repro/internal/sym"
 )
 
+// The types below with JSON tags are the /v1 request and reply bodies:
+// the Go API takes and returns the same structs the HTTP handlers decode
+// and encode, so a fact or a report has one representation from the
+// wire to the engine (ops5.Value carries its own JSON form).
+
 // Quota bounds a session's resource use so one hot or runaway program
 // degrades gracefully instead of starving its shard.
 type Quota struct {
 	// MaxWMEs caps working-memory size; change batches that would
 	// exceed it are rejected whole (0 = unlimited).
-	MaxWMEs int
+	MaxWMEs int `json:"max_wmes,omitempty"`
 	// MaxCyclesPerRequest caps the recognize-act cycles a single run
 	// request may execute; larger asks are truncated, reported via
 	// RunResult.LimitHit (0 = unlimited).
-	MaxCyclesPerRequest int
+	MaxCyclesPerRequest int `json:"max_cycles_per_request,omitempty"`
 }
 
-// CreateSpec describes a session to create.
+// CreateSpec describes a session to create: the body of
+// POST /v1/sessions. A durable session records it, fully defaulted, as
+// its manifest.
 type CreateSpec struct {
 	// ID names the session; empty means the server assigns one.
-	ID string
+	ID string `json:"id,omitempty"`
 	// Program is the OPS5 source text (productions plus optional
 	// top-level make forms).
-	Program string
+	Program string `json:"program"`
 	// Matcher selects the match algorithm by name (core.ParseMatcherKind
 	// spelling; empty = serial rete).
-	Matcher string
+	Matcher string `json:"matcher,omitempty"`
 	// Strategy selects conflict resolution ("lex" default, or "mea").
-	Strategy string
+	Strategy string `json:"strategy,omitempty"`
 	// Workers sets the parallel matcher's goroutine count (parallel
 	// rete only; 0 = the server default, else GOMAXPROCS).
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// NoSteal disables the parallel matcher's work stealing (parallel
 	// rete only).
-	NoSteal bool
+	NoSteal bool `json:"no_steal,omitempty"`
 	// ParallelFirings fires up to N non-conflicting instantiations per
 	// cycle (default 1).
-	ParallelFirings int
+	ParallelFirings int `json:"parallel_firings,omitempty"`
 	// Quota overrides the server default when any field is non-zero.
-	Quota Quota
+	Quota
+}
+
+// manifest is CreateSpec as manifest.json stores it. Like durable's
+// wal* types it is an on-disk format: the keys are these untagged Go
+// field names in this order, which data directories and cluster peers
+// written before CreateSpec carried the /v1 tags already hold.
+type manifest struct {
+	ID              string
+	Program         string
+	Matcher         string
+	Strategy        string
+	Workers         int
+	NoSteal         bool
+	ParallelFirings int
+	Quota           struct{ MaxWMEs, MaxCyclesPerRequest int }
+}
+
+// encodeManifest renders spec as manifest.json bytes.
+func encodeManifest(spec CreateSpec) ([]byte, error) {
+	m := manifest{
+		ID: spec.ID, Program: spec.Program, Matcher: spec.Matcher, Strategy: spec.Strategy,
+		Workers: spec.Workers, NoSteal: spec.NoSteal, ParallelFirings: spec.ParallelFirings,
+	}
+	m.Quota.MaxWMEs, m.Quota.MaxCyclesPerRequest = spec.MaxWMEs, spec.MaxCyclesPerRequest
+	return json.Marshal(m)
+}
+
+// decodeManifest is encodeManifest's inverse. It is strict, so a
+// manifest in any other spelling is refused rather than recovered with
+// the misnamed fields silently zeroed.
+func decodeManifest(data []byte) (CreateSpec, error) {
+	var m manifest
+	if err := decodeStrict(bytes.NewReader(data), &m); err != nil {
+		return CreateSpec{}, err
+	}
+	return CreateSpec{
+		ID: m.ID, Program: m.Program, Matcher: m.Matcher, Strategy: m.Strategy,
+		Workers: m.Workers, NoSteal: m.NoSteal, ParallelFirings: m.ParallelFirings,
+		Quota: Quota{MaxWMEs: m.Quota.MaxWMEs, MaxCyclesPerRequest: m.Quota.MaxCyclesPerRequest},
+	}, nil
 }
 
 // session is one hosted production system. It is owned by its shard's
@@ -128,133 +177,138 @@ const (
 // ChangeSpec is one submitted working-memory change: an assert carries
 // a class and attributes, a retract the time tag to remove.
 type ChangeSpec struct {
-	Op    ChangeOp
-	Class string
-	Attrs map[string]ops5.Value
-	Tag   int
+	Op    ChangeOp              `json:"op"`
+	Class string                `json:"class,omitempty"`
+	Attrs map[string]ops5.Value `json:"attrs,omitempty"`
+	Tag   int                   `json:"tag,omitempty"`
 }
 
-// EventSpec is one streaming-ingest event: an assert of an event fact,
-// optionally stamped with an ingest timestamp (advances the session's
-// logical clock) and a TTL in logical ticks (injected as the reserved
-// ^__ttl attribute; the engine retracts the fact once the clock passes
-// insert + TTL).
+// EventSpec is one streaming-ingest event — one NDJSON line of
+// POST /v1/sessions/{id}/stream: an assert of an event fact, optionally
+// stamped with an ingest timestamp and a TTL. TS, when set, advances the
+// session's logical clock to at least that value before the event lands
+// (monotone — out-of-order timestamps never move the clock backward).
+// TTL, in logical ticks, is injected as the reserved ^__ttl attribute;
+// the engine retracts the fact once the clock passes insert + TTL.
 type EventSpec struct {
-	Class string
-	Attrs map[string]ops5.Value
-	TS    int64
-	TTL   int
+	Class string                `json:"class"`
+	Attrs map[string]ops5.Value `json:"attrs,omitempty"`
+	TS    int64                 `json:"ts,omitempty"`
+	TTL   int                   `json:"ttl,omitempty"`
 }
 
-// StreamResult aggregates one applied stream batch (or a whole stream —
-// the handler sums batches).
+// StreamResult reports applied stream batches: one (StreamApply) or a
+// whole connection's (the stream handler sums them). Clock, WMSize and
+// ConflictSize reflect the session after the last batch.
 type StreamResult struct {
-	// Events is the number of event facts asserted.
-	Events int
-	// Fired and Cycles count the recognize-act work the batch triggered.
-	Fired  int
-	Cycles int
+	SessionID string `json:"session_id"`
+	// Events is the number of event facts asserted, in Batches batches.
+	Events  int `json:"events"`
+	Batches int `json:"batches"`
+	// Fired and Cycles count the recognize-act work the batches triggered.
+	Fired  int `json:"fired"`
+	Cycles int `json:"cycles"`
 	// Expired is the number of event facts the engine retracted by TTL
-	// during the batch (clock advance plus triggered cycles).
-	Expired int
-	// Clock is the session's logical clock after the batch.
-	Clock int64
-	// WMSize and ConflictSize snapshot the session after the batch.
-	WMSize       int
-	ConflictSize int
+	// (clock advance plus triggered cycles).
+	Expired int `json:"expired"`
+	// Clock is the session's logical clock.
+	Clock        int64 `json:"clock"`
+	WMSize       int   `json:"wm_size"`
+	ConflictSize int   `json:"conflict_size"`
 }
 
 // ApplyResult reports a committed change batch.
 type ApplyResult struct {
 	// Applied is the number of changes committed.
-	Applied int
+	Applied int `json:"applied"`
 	// Tags holds the time tags assigned to asserts, in submission
 	// order (retracts contribute no entry).
-	Tags []int
+	Tags []int `json:"tags,omitempty"`
 	// WMSize and ConflictSize snapshot the session after the batch.
-	WMSize       int
-	ConflictSize int
+	WMSize       int `json:"wm_size"`
+	ConflictSize int `json:"conflict_size"`
 }
 
 // RunResult reports a run-cycles request.
 type RunResult struct {
 	// Cycles is the number of recognize-act cycles executed.
-	Cycles int
+	Cycles int `json:"cycles"`
 	// Fired is the number of production firings during those cycles.
-	Fired int
+	Fired int `json:"fired"`
 	// Halted reports whether the program executed (halt).
-	Halted bool
+	Halted bool `json:"halted"`
 	// Quiesced reports whether the run stopped because no production
 	// could fire.
-	Quiesced bool
+	Quiesced bool `json:"quiesced"`
 	// LimitHit reports that the cycle cap (requested or quota) stopped
 	// the run before quiescence or halt.
-	LimitHit bool
+	LimitHit bool `json:"limit_hit"`
 	// WMSize and ConflictSize snapshot the session after the run.
-	WMSize       int
-	ConflictSize int
+	WMSize       int `json:"wm_size"`
+	ConflictSize int `json:"conflict_size"`
 }
 
 // SessionInfo is a session's externally visible state.
 type SessionInfo struct {
-	ID              string
-	Shard           int
-	Matcher         string
-	Strategy        string
-	Productions     int
-	ParallelFirings int
-	Quota           Quota
-	WMSize          int
-	ConflictSize    int
-	Cycles          int
-	Fired           int
-	TotalChanges    int
-	Halted          bool
-	Requests        int64
-	Age             time.Duration
+	ID              string `json:"id"`
+	Shard           int    `json:"shard"`
+	Matcher         string `json:"matcher"`
+	Strategy        string `json:"strategy"`
+	Productions     int    `json:"productions"`
+	ParallelFirings int    `json:"parallel_firings,omitempty"`
+	Quota
+	WMSize       int     `json:"wm_size"`
+	ConflictSize int     `json:"conflict_size"`
+	Cycles       int     `json:"cycles"`
+	Fired        int     `json:"fired"`
+	TotalChanges int     `json:"total_changes"`
+	Halted       bool    `json:"halted"`
+	Requests     int64   `json:"requests"`
+	AgeSeconds   float64 `json:"age_seconds"`
+	// TraceSpans and TraceTotal summarise the session's trace ring
+	// (buffered spans and spans ever recorded); LastCycleSeconds is the
+	// most recent span's total duration.
+	TraceSpans       int     `json:"trace_spans"`
+	TraceTotal       int64   `json:"trace_total"`
+	LastCycleSeconds float64 `json:"last_cycle_seconds,omitempty"`
 	// Clock is the session's logical clock; Expired counts TTL
 	// retractions over its lifetime, and PendingExpiries the live event
 	// facts still awaiting their deadline.
-	Clock           int64
-	Expired         int
-	PendingExpiries int
-	// TraceSpans and TraceTotal summarise the session's trace ring
-	// (buffered spans and spans ever recorded); LastCycle is the most
-	// recent span's total duration.
-	TraceSpans int
-	TraceTotal int64
-	LastCycle  time.Duration
-	// Durable reports whether the session has a write-ahead log;
-	// Recovered that this incarnation was rebuilt from disk, replaying
-	// ReplayedRecords WAL records past its snapshot. WALSeq /
-	// SnapshotSeq / WALRecords / WALBytes describe the live log, and
-	// WALError carries the first append failure (durability degraded).
-	Durable         bool
-	Recovered       bool
-	ReplayedRecords int64
-	WALSeq          int64
-	SnapshotSeq     int64
-	WALRecords      int64
-	WALBytes        int64
-	WALError        string
+	Clock           int64 `json:"clock,omitempty"`
+	Expired         int   `json:"expired,omitempty"`
+	PendingExpiries int   `json:"pending_expiries,omitempty"`
+	// Durable reports whether the session has a write-ahead log (the
+	// server runs with -data-dir); Recovered that this incarnation was
+	// rebuilt from disk, replaying ReplayedRecords WAL records past its
+	// snapshot. WALSeq / SnapshotSeq / WALRecords / WALBytes describe
+	// the live log, and WALError carries the first append failure
+	// (durability degraded).
+	Durable         bool   `json:"durable,omitempty"`
+	Recovered       bool   `json:"recovered,omitempty"`
+	ReplayedRecords int64  `json:"replayed_records,omitempty"`
+	WALSeq          int64  `json:"wal_seq,omitempty"`
+	SnapshotSeq     int64  `json:"snapshot_seq,omitempty"`
+	WALRecords      int64  `json:"wal_records,omitempty"`
+	WALBytes        int64  `json:"wal_bytes,omitempty"`
+	WALError        string `json:"wal_error,omitempty"`
 }
 
 // InstInfo describes one conflict-set instantiation.
 type InstInfo struct {
 	// Production is the satisfied production's name.
-	Production string
+	Production string `json:"production"`
 	// Key is the canonical identity (production plus time tags).
-	Key string
+	Key string `json:"key"`
 	// WMEs are the matched working-memory elements in LHS order
 	// (negated condition elements contribute no entry).
-	WMEs []WMEInfo
+	WMEs []WMEInfo `json:"wmes"`
 }
 
 // WMEInfo describes one working-memory element.
 type WMEInfo struct {
-	Tag   int
-	Class string
-	Attrs map[string]ops5.Value
+	Tag   int                   `json:"tag"`
+	Class string                `json:"class"`
+	Attrs map[string]ops5.Value `json:"attrs"`
 }
 
 // Typed service errors, mapped onto HTTP statuses by the handler layer.
@@ -441,7 +495,9 @@ func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult,
 		return StreamResult{}, err
 	}
 	return StreamResult{
+		SessionID:    s.id,
 		Events:       len(changes),
+		Batches:      1,
 		Fired:        eng.Fired - firedBefore,
 		Cycles:       eng.Cycles - cyclesBefore,
 		Expired:      eng.Expired - expiredBefore,
@@ -501,7 +557,7 @@ func (s *session) lossDeltas() (phases map[string]float64, buckets map[string]in
 	if p == nil {
 		return nil, nil
 	}
-	lr := p.LossReport()
+	lr := p.Loss()
 	if s.lastPhaseSecs == nil {
 		s.lastPhaseSecs = make(map[string]float64, len(lr.Phases)+2)
 		s.lastTaskCounts = make(map[string]int64, len(lr.TaskSizes))
@@ -551,7 +607,7 @@ func (s *session) info(shard int, now time.Time) SessionInfo {
 		TotalChanges:    s.sys.TotalChanges,
 		Halted:          s.sys.Halted,
 		Requests:        s.requests,
-		Age:             now.Sub(s.created),
+		AgeSeconds:      now.Sub(s.created).Seconds(),
 		Clock:           s.sys.Engine.Clock,
 		Expired:         s.sys.Engine.Expired,
 		PendingExpiries: s.sys.Engine.PendingExpiries(),
@@ -560,7 +616,7 @@ func (s *session) info(shard int, now time.Time) SessionInfo {
 		info.TraceSpans = s.trace.Len()
 		info.TraceTotal = s.trace.Total()
 		if sp, ok := s.trace.Last(); ok {
-			info.LastCycle = sp.Total()
+			info.LastCycleSeconds = sp.Total().Seconds()
 		}
 	}
 	if s.log != nil {
@@ -574,7 +630,7 @@ func (s *session) info(shard int, now time.Time) SessionInfo {
 	return info
 }
 
-// wmeInfo converts one WME for the wire.
+// wmeInfo describes one WME by attribute name.
 func wmeInfo(w *ops5.WME) WMEInfo {
 	fields := w.Fields()
 	attrs := make(map[string]ops5.Value, len(fields))

@@ -26,8 +26,8 @@ func (c *client) postStream(id string, body []byte) *http.Response {
 
 func TestStreamIngestFraud(t *testing.T) {
 	srv, c := newTestServer(t, server.Config{Shards: 2})
-	var sess server.SessionResponse
-	c.must("POST", "/sessions", server.CreateRequest{
+	var sess server.SessionInfo
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "fraud", Program: workload.FraudRules, Matcher: "rete",
 	}, &sess, http.StatusCreated)
 
@@ -38,7 +38,7 @@ func TestStreamIngestFraud(t *testing.T) {
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("stream: status %d: %s", resp.StatusCode, raw)
 	}
-	var res server.StreamResponse
+	var res server.StreamResult
 	if err := jsonDecode(resp.Body, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestStreamIngestFraud(t *testing.T) {
 		t.Fatalf("WM size %d did not shrink below %d ingested events", res.WMSize, len(events))
 	}
 
-	var info server.SessionResponse
+	var info server.SessionInfo
 	c.must("GET", "/sessions/fraud", nil, &info, http.StatusOK)
 	if info.Clock != res.Clock || info.Expired != res.Expired {
 		t.Fatalf("session stats clock/expired = %d/%d, stream reported %d/%d",
@@ -85,7 +85,7 @@ func TestStreamIngestFraud(t *testing.T) {
 	}
 
 	// A stream batch span landed in the trace ring.
-	var tr server.TraceResponse
+	var tr server.TraceResult
 	c.must("GET", "/sessions/fraud/trace", nil, &tr, http.StatusOK)
 	var sawStream bool
 	for _, sp := range tr.Spans {
@@ -100,14 +100,14 @@ func TestStreamIngestFraud(t *testing.T) {
 
 func TestStreamIngestMonitor(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
-	var sess server.SessionResponse
-	c.must("POST", "/sessions", server.CreateRequest{
+	var sess server.SessionInfo
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "mon", Program: workload.MonitorRules, Matcher: "rete",
 	}, &sess, http.StatusCreated)
 	events := workload.MonitorEvents(workload.DefaultMonitorParams())
 	resp := c.postStream("mon", workload.NDJSON(events))
 	defer resp.Body.Close()
-	var res server.StreamResponse
+	var res server.StreamResult
 	if err := jsonDecode(resp.Body, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -117,27 +117,35 @@ func TestStreamIngestMonitor(t *testing.T) {
 }
 
 func TestStreamBadLineReportsProgress(t *testing.T) {
-	_, c := newTestServer(t, server.Config{Shards: 1})
-	c.must("POST", "/sessions", server.CreateRequest{
-		ID: "fraud", Program: workload.FraudRules, Matcher: "rete",
-	}, nil, http.StatusCreated)
-
-	// 300 good events (one full 256-batch applies) then a broken line.
+	// 300 good events (one full 256-batch applies) then a broken line: not
+	// JSON at all, or a line holding more than its one event.
 	events := workload.FraudEvents(workload.FraudParams{Cards: 10, Events: 300, Window: 20, Seed: 1})
-	body := append(workload.NDJSON(events), []byte("{not json}\n")...)
-	resp := c.postStream("fraud", body)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Stream-Events-Applied"); got != "256" {
-		t.Fatalf("X-Stream-Events-Applied = %q, want 256", got)
+	for _, bad := range []string{
+		"{not json}\n",
+		`{"class":"txn","attrs":{"card":"c1"}} {"class":"txn","attrs":{"card":"c2"}}` + "\n",
+	} {
+		_, c := newTestServer(t, server.Config{Shards: 1})
+		c.must("POST", "/sessions", server.CreateSpec{
+			ID: "fraud", Program: workload.FraudRules, Matcher: "rete",
+		}, nil, http.StatusCreated)
+		resp := c.postStream("fraud", append(workload.NDJSON(events), bad...))
+		var env server.ErrorResponse
+		if err := jsonDecode(resp.Body, &env); err != nil {
+			t.Errorf("%q: error body is not the envelope: %v", bad, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || env.Code != "bad_request" {
+			t.Errorf("%q: status %d code %q, want 400 bad_request", bad, resp.StatusCode, env.Code)
+		}
+		if got := resp.Header.Get("X-Stream-Events-Applied"); got != "256" {
+			t.Errorf("%q: X-Stream-Events-Applied = %q, want 256", bad, got)
+		}
 	}
 }
 
 func TestStreamUnknownFieldRejected(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
-	c.must("POST", "/sessions", server.CreateRequest{
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "fraud", Program: workload.FraudRules, Matcher: "rete",
 	}, nil, http.StatusCreated)
 	resp := c.postStream("fraud", []byte(`{"class":"txn","bogus":1}`+"\n"))
@@ -161,7 +169,7 @@ func TestStreamNoSession(t *testing.T) {
 
 func TestStreamEmptyClassRejected(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
-	c.must("POST", "/sessions", server.CreateRequest{
+	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "fraud", Program: workload.FraudRules, Matcher: "rete",
 	}, nil, http.StatusCreated)
 	resp := c.postStream("fraud", []byte(`{"ttl":5}`+"\n"))
@@ -177,13 +185,13 @@ func TestStreamEmptyClassRejected(t *testing.T) {
 func TestStreamDeterministicAcrossMatchers(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 2})
 	events := workload.NDJSON(workload.FraudEvents(workload.DefaultFraudParams()))
-	results := make(map[string]server.StreamResponse)
+	results := make(map[string]server.StreamResult)
 	for _, m := range []string{"rete", "parallel-rete"} {
-		c.must("POST", "/sessions", server.CreateRequest{
+		c.must("POST", "/sessions", server.CreateSpec{
 			ID: m, Program: workload.FraudRules, Matcher: m,
 		}, nil, http.StatusCreated)
 		resp := c.postStream(m, events)
-		var res server.StreamResponse
+		var res server.StreamResult
 		if err := jsonDecode(resp.Body, &res); err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +207,7 @@ func TestStreamDeterministicAcrossMatchers(t *testing.T) {
 
 // streamInto streams NDJSON into a session and fails the test on a
 // non-200 response.
-func streamInto(t *testing.T, c *client, id string, body []byte) server.StreamResponse {
+func streamInto(t *testing.T, c *client, id string, body []byte) server.StreamResult {
 	t.Helper()
 	resp := c.postStream(id, body)
 	defer resp.Body.Close()
@@ -207,7 +215,7 @@ func streamInto(t *testing.T, c *client, id string, body []byte) server.StreamRe
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("stream into %s: status %d: %s", id, resp.StatusCode, raw)
 	}
-	var res server.StreamResponse
+	var res server.StreamResult
 	if err := jsonDecode(resp.Body, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +231,10 @@ type streamState struct {
 	WMSize, ConflictSize   int
 }
 
-func captureStreamState(t *testing.T, c *client, id string) (streamState, []server.WireWME) {
+func captureStreamState(t *testing.T, c *client, id string) (streamState, []server.WMEInfo) {
 	t.Helper()
-	var info server.SessionResponse
-	var wm []server.WireWME
+	var info server.SessionInfo
+	var wm []server.WMEInfo
 	c.must("GET", "/sessions/"+id, nil, &info, http.StatusOK)
 	c.must("GET", "/sessions/"+id+"/wm", nil, &wm, http.StatusOK)
 	return streamState{
@@ -248,7 +256,7 @@ func TestStreamExpiryRecoveryParity(t *testing.T) {
 	events := workload.FraudEvents(workload.FraudParams{Cards: 20, Events: 600, Window: 15, Seed: 7})
 	half := len(events) / 2
 	first, second := workload.NDJSON(events[:half]), workload.NDJSON(events[half:])
-	create := server.CreateRequest{ID: "fraud", Program: workload.FraudRules, Matcher: "rete"}
+	create := server.CreateSpec{ID: "fraud", Program: workload.FraudRules, Matcher: "rete"}
 
 	// Control: one uninterrupted run.
 	_, control := newTestServer(t, server.Config{Shards: 1})
@@ -299,7 +307,7 @@ func TestStreamSnapshotRecoveryParity(t *testing.T) {
 	events := workload.MonitorEvents(workload.MonitorParams{Hosts: 10, Events: 400, Window: 12, Seed: 11})
 	half := len(events) / 2
 	first, second := workload.NDJSON(events[:half]), workload.NDJSON(events[half:])
-	create := server.CreateRequest{ID: "mon", Program: workload.MonitorRules, Matcher: "rete"}
+	create := server.CreateSpec{ID: "mon", Program: workload.MonitorRules, Matcher: "rete"}
 
 	_, control := newTestServer(t, server.Config{Shards: 1})
 	control.must("POST", "/sessions", create, nil, http.StatusCreated)
@@ -320,7 +328,7 @@ func TestStreamSnapshotRecoveryParity(t *testing.T) {
 	crash()
 
 	_, c2 := newTestServer(t, cfg)
-	var info server.SessionResponse
+	var info server.SessionInfo
 	c2.must("GET", "/sessions/mon", nil, &info, http.StatusOK)
 	if info.ReplayedRecords != 0 {
 		t.Fatalf("recovery replayed %d WAL records, want snapshot-only", info.ReplayedRecords)

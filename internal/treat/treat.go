@@ -7,6 +7,7 @@
 package treat
 
 import (
+	"repro/internal/obs"
 	"repro/internal/ops5"
 	"repro/internal/sym"
 )
@@ -192,28 +193,18 @@ func (m *Matcher) StateSize() int {
 	return size
 }
 
-// IndexInfo summarises the indexed alpha memories.
-type IndexInfo struct {
-	// IndexedCEs and FallbackCEs partition the per-production condition
-	// elements by whether their memory is hash-bucketed.
-	IndexedCEs  int
-	FallbackCEs int
-	// Buckets is the number of live buckets; MaxBucket the largest
-	// bucket's population.
-	Buckets   int
-	MaxBucket int
-}
-
-// IndexInfo reports current bucket occupancy.
-func (m *Matcher) IndexInfo() IndexInfo {
-	var info IndexInfo
+// IndexInfo reports the indexed alpha memories: TREAT's join points are
+// the per-production condition elements, partitioned by whether their
+// memory is hash-bucketed, plus current bucket occupancy.
+func (m *Matcher) IndexInfo() obs.IndexReport {
+	var info obs.IndexReport
 	for _, ps := range m.prods {
 		for _, mem := range ps.mems {
 			if mem.buckets == nil {
-				info.FallbackCEs++
+				info.FallbackNodes++
 				continue
 			}
-			info.IndexedCEs++
+			info.IndexedNodes++
 			info.Buckets += len(mem.buckets)
 			for _, b := range mem.buckets {
 				if len(b) > info.MaxBucket {
