@@ -8,10 +8,11 @@
 // hook) plus periodic snapshots of the full engine state (working
 // memory with time tags, the tag counter, engine counters and the
 // conflict set's refraction marks), written atomically via
-// temp-file-then-rename. Recovery loads the latest snapshot, replays
-// the WAL tail through the engine's apply path, and truncates at the
-// first torn or corrupt record instead of failing — exactly the state
-// every acknowledged request observed is reconstructed, byte for byte.
+// temp-file-then-rename. Both files are one binary format written and
+// read by one codec (codec.go). Recovery loads the latest snapshot,
+// replays the WAL tail through the engine's apply path, and truncates a
+// torn tail instead of failing — exactly the state every acknowledged
+// request observed is reconstructed, byte for byte.
 package durable
 
 import (
@@ -26,7 +27,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/ops5"
-	"repro/internal/sym"
 )
 
 // FsyncPolicy says when WAL appends reach stable storage.
@@ -96,63 +96,6 @@ const (
 	snapshotFile = "snapshot.json"
 	walFile      = "wal.log"
 )
-
-// record is one WAL entry: the committed change batch plus the engine
-// counters and refraction marks after it. Counters are absolute, so
-// recovery sets rather than accumulates them.
-type record struct {
-	Seq          int64 `json:"seq"`
-	Cycles       int   `json:"cycles"`
-	Fired        int   `json:"fired"`
-	TotalChanges int   `json:"total_changes"`
-	// Clock is the engine's logical clock after the batch — the
-	// determinism anchor for event expiry: replay restores it before
-	// applying the batch, so TTL deadlines recompute to their original
-	// values, and expiry batches themselves are ordinary delete records.
-	// A record may carry a clock advance and no changes at all (a pure
-	// AdvanceClock with nothing due); losing such an advance would let
-	// later events compute different deadlines than the live run did.
-	Clock     int64       `json:"clock,omitempty"`
-	Expired   int         `json:"expired,omitempty"`
-	Halted    bool        `json:"halted,omitempty"`
-	FiredKeys []string    `json:"fired_keys,omitempty"`
-	Changes   []walChange `json:"changes,omitempty"`
-}
-
-// walChange is one working-memory change on disk.
-type walChange struct {
-	Op    string              `json:"op"` // "i" insert | "d" delete
-	Tag   int                 `json:"tag"`
-	Class string              `json:"class,omitempty"`
-	Attrs map[string]walValue `json:"attrs,omitempty"`
-}
-
-// walValue is an ops5.Value on disk, kind-tagged so symbols, numbers
-// and nil round-trip exactly.
-type walValue struct {
-	Kind uint8   `json:"k"`
-	Sym  string  `json:"s,omitempty"`
-	Num  float64 `json:"n,omitempty"`
-}
-
-// snapshot is the full engine state at one WAL sequence number.
-type snapshot struct {
-	Seq          int64    `json:"seq"`
-	NextTag      int      `json:"next_tag"`
-	Cycles       int      `json:"cycles"`
-	Fired        int      `json:"fired"`
-	TotalChanges int      `json:"total_changes"`
-	Halted       bool     `json:"halted,omitempty"`
-	FiredKeys    []string `json:"fired_keys,omitempty"`
-	WMEs         []walWME `json:"wmes"`
-}
-
-// walWME is one working-memory element on disk.
-type walWME struct {
-	Tag   int                 `json:"tag"`
-	Class string              `json:"class"`
-	Attrs map[string]walValue `json:"attrs,omitempty"`
-}
 
 // SnapshotInfo reports one written snapshot.
 type SnapshotInfo struct {
@@ -329,24 +272,9 @@ func (l *Log) Append(changes []ops5.Change, firedKeys []string) error {
 		l.mu.Unlock()
 		return err
 	}
-	rec := record{
-		Seq:          l.seq + 1,
-		Cycles:       l.eng.Cycles,
-		Fired:        l.eng.Fired,
-		TotalChanges: l.eng.TotalChanges,
-		Clock:        l.eng.Clock,
-		Expired:      l.eng.Expired,
-		Halted:       l.eng.Halted,
-		FiredKeys:    firedKeys,
-		Changes:      encodeChanges(changes),
-	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		l.err = err
-		l.mu.Unlock()
-		return err
-	}
-	frame, err := frameRecord(payload)
+	frame, err := encodeRecord(recState{
+		Seq: l.seq + 1, counters: countersOf(l.eng), FiredKeys: firedKeys, Changes: changes,
+	})
 	if err != nil {
 		l.err = err
 		l.mu.Unlock()
@@ -371,7 +299,7 @@ func (l *Log) Append(changes []ops5.Change, firedKeys []string) error {
 	l.records++
 	l.walBytes += int64(n)
 	if l.onRecord != nil {
-		// The frame was marshalled fresh for this append, so ownership
+		// The frame was encoded fresh for this append, so ownership
 		// passes to the observer.
 		l.onRecord(l.seq, frame)
 	}
@@ -402,18 +330,12 @@ func (l *Log) Snapshot() (SnapshotInfo, error) {
 	if l.closed {
 		return SnapshotInfo{}, fmt.Errorf("durable: snapshot of closed log")
 	}
-	classes := l.eng.WM.Classes()
-	nWMEs := 0
-	for _, cr := range classes {
-		nWMEs += len(cr.Rows)
+	st := snapState{
+		Seq: l.seq, NextTag: l.eng.WM.NextTag(), counters: countersOf(l.eng),
+		FiredKeys: l.eng.CS.FiredKeys(), Classes: l.eng.WM.Classes(),
 	}
-	// Format v3: binary columnar with the symbol table embedded, straight
-	// off working memory's class rows, plus the logical clock and expiry
-	// table (see snapv2.go).
-	expTags, expDeadlines := l.eng.Expiries()
-	payload := encodeSnapshotV3(l.seq, l.eng.WM.NextTag(), l.eng.Cycles,
-		l.eng.Fired, l.eng.TotalChanges, l.eng.Halted, l.eng.CS.FiredKeys(), classes,
-		l.eng.Clock, l.eng.Expired, expTags, expDeadlines)
+	st.ExpTags, st.ExpDeadlines = l.eng.Expiries()
+	payload := encodeSnapshot(st)
 	if err := writeFileAtomic(filepath.Join(l.dir, snapshotFile), payload); err != nil {
 		return SnapshotInfo{}, err
 	}
@@ -425,7 +347,7 @@ func (l *Log) Snapshot() (SnapshotInfo, error) {
 		l.records, l.walBytes = 0, 0
 	}
 	l.snapSeq = l.seq
-	info := SnapshotInfo{Seq: l.seq, Bytes: len(payload), WMEs: nWMEs}
+	info := SnapshotInfo{Seq: l.seq, Bytes: len(payload), WMEs: st.rows()}
 	if l.opts.ObserveSnapshot != nil {
 		l.opts.ObserveSnapshot(time.Since(t0), info.Bytes)
 	}
@@ -491,88 +413,6 @@ func (l *Log) Close() error {
 // when the session itself is deleted — a deleted session must not
 // resurrect at the next restart.
 func (l *Log) Remove() error { return os.RemoveAll(l.dir) }
-
-// encodeChanges converts a committed batch for the WAL. Deletes only
-// need the tag — recovery resolves the live element from working
-// memory, which also keeps pointer identity intact for the matcher.
-func encodeChanges(changes []ops5.Change) []walChange {
-	if len(changes) == 0 {
-		return nil
-	}
-	out := make([]walChange, len(changes))
-	for i, ch := range changes {
-		wc := walChange{Tag: ch.WME.TimeTag}
-		if ch.Kind == ops5.Insert {
-			wc.Op = "i"
-			wc.Class = ch.WME.Class()
-			wc.Attrs = encodeAttrs(ch.WME)
-		} else {
-			wc.Op = "d"
-		}
-		out[i] = wc
-	}
-	return out
-}
-
-// decodeChanges rebuilds a batch from the WAL for engine.Replay.
-func decodeChanges(in []walChange) ([]ops5.Change, error) {
-	if len(in) == 0 {
-		return nil, nil
-	}
-	out := make([]ops5.Change, len(in))
-	for i, wc := range in {
-		switch wc.Op {
-		case "i":
-			w := decodeWME(wc.Class, wc.Attrs)
-			w.TimeTag = wc.Tag
-			out[i] = ops5.Change{Kind: ops5.Insert, WME: w}
-		case "d":
-			out[i] = ops5.Change{Kind: ops5.Delete, WME: &ops5.WME{TimeTag: wc.Tag}}
-		default:
-			return nil, fmt.Errorf("durable: unknown change op %q", wc.Op)
-		}
-	}
-	return out, nil
-}
-
-// encodeAttrs converts an element's fields for disk. WAL records are
-// symbolic (names, not interned IDs): they must replay in a process
-// with a different interning order, including cluster replicas the
-// frames are shipped to verbatim.
-func encodeAttrs(w *ops5.WME) map[string]walValue {
-	fields := w.Fields()
-	if len(fields) == 0 {
-		return nil
-	}
-	out := make(map[string]walValue, len(fields))
-	for _, f := range fields {
-		v := f.Val
-		out[sym.Name(f.Attr)] = walValue{Kind: uint8(v.Kind), Sym: v.SymName(), Num: v.Num}
-	}
-	return out
-}
-
-// decodeWME rebuilds an untagged element from its disk form, interning
-// names into the local symbol table.
-func decodeWME(class string, attrs map[string]walValue) *ops5.WME {
-	fields := make([]ops5.Field, 0, len(attrs))
-	for k, v := range attrs {
-		fields = append(fields, ops5.Field{Attr: sym.Intern(k), Val: decodeValue(v)})
-	}
-	return ops5.NewFact(sym.Intern(class), fields)
-}
-
-// decodeValue rebuilds one attribute value from its disk form.
-func decodeValue(v walValue) ops5.Value {
-	switch ops5.ValueKind(v.Kind) {
-	case ops5.SymValue:
-		return ops5.Sym(v.Sym)
-	case ops5.NumValue:
-		return ops5.Num(v.Num)
-	default:
-		return ops5.Value{}
-	}
-}
 
 // writeFileAtomic writes data so a crash leaves either the old file or
 // the new one, never a torn mix: temp file in the same directory,

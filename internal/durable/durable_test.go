@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -19,7 +21,7 @@ import (
 
 // newManners builds a Miss Manners system. Recovery targets are built
 // with noInitialWM (the snapshot holds the post-load state).
-func newManners(t *testing.T, matcher core.MatcherKind, noInitialWM bool) *core.System {
+func newManners(t testing.TB, matcher core.MatcherKind, noInitialWM bool) *core.System {
 	t.Helper()
 	sys, err := core.NewSystem(workload.MissManners, core.Options{
 		Matcher: matcher, NoInitialWM: noInitialWM,
@@ -31,7 +33,7 @@ func newManners(t *testing.T, matcher core.MatcherKind, noInitialWM bool) *core.
 }
 
 // mannersWM generates the deterministic guest list every run shares.
-func mannersWM(t *testing.T) []*ops5.WME {
+func mannersWM(t testing.TB) []*ops5.WME {
 	t.Helper()
 	p := workload.DefaultMannersParams()
 	p.Guests = 6
@@ -287,6 +289,79 @@ func TestRecoverTruncatedWAL(t *testing.T) {
 			stepToEnd(t, r2.Engine)
 			if got := stateString(r2.Engine); got != final {
 				t.Fatalf("resumed run diverged at halt:\n--- got ---\n%s--- want ---\n%s", got, final)
+			}
+		})
+	}
+}
+
+// TestRecoverRefusesWholeFrames is the other half of the torn-tail
+// rule: a frame whose length and CRC hold was not torn by a crash, so
+// when it cannot be applied — a record of the previous, JSON format; a
+// sequence gap; a batch that does not replay — acknowledged history may
+// sit in or behind it, and Recover must fail with the offset and the
+// reason and leave wal.log byte-identical instead of cutting it away.
+func TestRecoverRefusesWholeFrames(t *testing.T) {
+	wmes := mannersWM(t)
+	const crashAt = 6
+	frame := func(payload []byte) []byte {
+		f, err := EncodeFrame(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// A well-formed next record whose batch cannot replay.
+	absent, err := encodeRecord(recState{
+		Seq:     crashAt + 1,
+		Changes: []ops5.Change{{Kind: ops5.Delete, WME: &ops5.WME{TimeTag: 9999}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(wal []byte, ends []int64) ([]byte, int64) // new WAL, offset of the refused frame
+		reason string
+		gap    bool
+	}{
+		{"whole WAL in the previous format", func(wal []byte, ends []int64) ([]byte, int64) {
+			return frame([]byte(`{"seq":1,"cycles":0,"fired":0,"total_changes":3,"changes":[{"op":"d","tag":1}]}`)), 0
+		}, "not a version-1 WAL record", false},
+		{"previous-format record after current ones", func(wal []byte, ends []int64) ([]byte, int64) {
+			return append(wal, frame([]byte(`{"seq":7,"cycles":5,"fired":5,"total_changes":20}`))...), ends[crashAt-1]
+		}, "not a version-1 WAL record", false},
+		{"sequence gap", func(wal []byte, ends []int64) ([]byte, int64) {
+			return append(bytes.Clone(wal[:ends[1]]), wal[ends[2]:]...), ends[1] // record 3 is missing
+		}, "record 4 after 2", true},
+		{"batch that does not replay", func(wal []byte, ends []int64) ([]byte, int64) {
+			return append(wal, absent...), ends[crashAt-1]
+		}, "absent tag 9999", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			crashRun(t, dir, core.SerialRete, wmes, crashAt, 0)
+			path := filepath.Join(dir, walFile)
+			wal, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutated, offset := tc.mutate(wal, walEnds(t, path))
+			if err := os.WriteFile(path, mutated, 0o666); err != nil {
+				t.Fatal(err)
+			}
+
+			rsys := newManners(t, core.SerialRete, true)
+			_, _, err = Recover(dir, rsys.Engine, Options{})
+			var rerr *RecordError
+			if !errors.As(err, &rerr) {
+				t.Fatalf("Recover = %v, want a *RecordError", err)
+			}
+			if rerr.Offset != offset || !strings.Contains(err.Error(), tc.reason) || errors.Is(err, ErrSequenceGap) != tc.gap {
+				t.Fatalf("Recover = %v (offset %d); want offset %d, reason %q, gap %v", err, rerr.Offset, offset, tc.reason, tc.gap)
+			}
+			if after, err := os.ReadFile(path); err != nil || sha256.Sum256(after) != sha256.Sum256(mutated) {
+				t.Fatalf("refusing the WAL changed it (read err %v)", err)
 			}
 		})
 	}

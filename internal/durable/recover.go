@@ -1,14 +1,12 @@
 package durable
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/engine"
-	"repro/internal/ops5"
 )
 
 // RecoverStats reports what a recovery did.
@@ -25,32 +23,59 @@ type RecoverStats struct {
 }
 
 // Recover rebuilds a session's engine state from its durable directory:
-// load the latest snapshot (restoring working memory with original time
-// tags, matcher memories, conflict set and refraction marks), then
-// replay the WAL tail through the engine's apply path. The WAL is
-// truncated at the first torn or corrupt record — the tail of a
-// crashed append — rather than failing the whole session. The engine
-// must be freshly constructed with an empty working memory (use
-// core.Options.NoInitialWM; the snapshot already contains the
+// load the snapshot (restoring working memory with original time tags,
+// matcher memories, conflict set and refraction marks), then replay the
+// WAL tail through the engine's apply path. A torn tail — the frame a
+// crash cut short — is truncated away, since nothing in it was ever
+// acknowledged. A whole frame that cannot be applied is not: Recover
+// fails with a *RecordError and changes no file, because cutting there
+// would destroy acknowledged history (a WAL another version wrote, say).
+// The engine must be freshly constructed with an empty working memory
+// (use core.Options.NoInitialWM; the snapshot already contains the
 // program's initial state).
 func Recover(dir string, eng *engine.Engine, opts Options) (*Log, RecoverStats, error) {
 	var stats RecoverStats
-	snap, err := readSnapshot(filepath.Join(dir, snapshotFile))
+	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		return nil, stats, fmt.Errorf("durable: read snapshot: %w", err)
+	}
+	snap, err := decodeSnapshot(data)
 	if err != nil {
 		return nil, stats, err
 	}
-	if err := eng.Restore(snap.WMEs, snap.NextTag, snap.FiredKeys); err != nil {
+	if err := eng.Restore(snap.wmes(), snap.NextTag, snap.FiredKeys); err != nil {
 		return nil, stats, fmt.Errorf("durable: restore snapshot: %w", err)
 	}
-	eng.Cycles, eng.Fired = snap.Cycles, snap.Fired
-	eng.TotalChanges, eng.Halted = snap.TotalChanges, snap.Halted
-	eng.Clock, eng.Expired = snap.Clock, snap.Expired
+	snap.counters.restore(eng)
 	eng.RestoreExpiries(snap.ExpTags, snap.ExpDeadlines)
 	stats.SnapshotSeq = snap.Seq
 
-	seq, err := replayWAL(filepath.Join(dir, walFile), eng, snap.Seq, &stats)
+	walPath := filepath.Join(dir, walFile)
+	wal, err := os.OpenFile(walPath, os.O_CREATE|os.O_RDWR, 0o666)
 	if err != nil {
 		return nil, stats, err
+	}
+	defer wal.Close()
+	seq, offset, err := scanWAL(wal, snap.Seq, func(_ int64, payload []byte) error {
+		rec, err := decodeRecord(payload)
+		if err == nil {
+			err = applyRecord(eng, rec)
+		}
+		if err == nil {
+			stats.Replayed++
+		}
+		return err
+	})
+	if errors.Is(err, errTornRecord) {
+		// Everything from here on was never acknowledged as durable. Cut
+		// it off so the next append starts at a clean boundary.
+		stats.Truncated, stats.TruncatedAt = true, offset
+		if err = wal.Truncate(offset); err == nil {
+			err = wal.Sync()
+		}
+	}
+	if err != nil {
+		return nil, stats, fmt.Errorf("durable: recover %s: %w", walPath, err)
 	}
 
 	l, err := newLog(dir, eng, opts)
@@ -59,117 +84,23 @@ func Recover(dir string, eng *engine.Engine, opts Options) (*Log, RecoverStats, 
 	}
 	l.seq, l.snapSeq = seq, snap.Seq
 	l.records = seq - snap.Seq
-	if fi, statErr := os.Stat(filepath.Join(dir, walFile)); statErr == nil {
+	if fi, statErr := wal.Stat(); statErr == nil {
 		l.walBytes = fi.Size()
 	}
 	l.recovered, l.replayed = true, stats.Replayed
 	return l, stats, nil
 }
 
-// readSnapshot loads and decodes a snapshot file of either format.
-func readSnapshot(path string) (snapState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return snapState{}, fmt.Errorf("durable: read snapshot: %w", err)
-	}
-	return decodeSnapshot(data)
-}
-
-// decodeSnapshotV1 decodes the legacy JSON snapshot document — the
-// format every pre-v2 session directory holds. It stays supported so
-// existing durable state recovers through the v2 loader unchanged.
-func decodeSnapshotV1(data []byte) (snapState, error) {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return snapState{}, fmt.Errorf("durable: decode snapshot: %w", err)
-	}
-	st := snapState{
-		Seq:          snap.Seq,
-		NextTag:      snap.NextTag,
-		Cycles:       snap.Cycles,
-		Fired:        snap.Fired,
-		TotalChanges: snap.TotalChanges,
-		Halted:       snap.Halted,
-		FiredKeys:    snap.FiredKeys,
-		WMEs:         make([]*ops5.WME, len(snap.WMEs)),
-	}
-	for i, sw := range snap.WMEs {
-		w := decodeWME(sw.Class, sw.Attrs)
-		w.TimeTag = sw.Tag
-		st.WMEs[i] = w
-	}
-	return st, nil
-}
-
-// replayWAL applies every decodable record after snapSeq to the engine,
-// in order, and truncates the file at the first record that is torn,
-// corrupt, out of sequence, or inconsistent with the rebuilt state. It
-// returns the last applied sequence.
-func replayWAL(path string, eng *engine.Engine, snapSeq int64, stats *RecoverStats) (int64, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o666)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	seq := snapSeq
-	var offset int64
-	for {
-		payload, err := readFrame(f)
-		if err == io.EOF {
-			return seq, nil
-		}
-		recLen := int64(headerSize + len(payload))
-		if err == nil {
-			var rec record
-			if jsonErr := json.Unmarshal(payload, &rec); jsonErr != nil {
-				err = errTornRecord
-			} else if rec.Seq <= snapSeq {
-				// A crash between snapshot rename and WAL truncate
-				// leaves records the snapshot already covers; skip.
-				offset += recLen
-				continue
-			} else if rec.Seq != seq+1 {
-				err = errTornRecord // gap: history after this is unusable
-			} else if applyErr := applyRecord(eng, rec); applyErr != nil {
-				err = errTornRecord
-			} else {
-				seq = rec.Seq
-				offset += recLen
-				stats.Replayed++
-				continue
-			}
-		}
-		// First undecodable or inconsistent record: everything from
-		// here on was never acknowledged as durable. Cut it off so the
-		// next append starts at a clean boundary.
-		stats.Truncated, stats.TruncatedAt = true, offset
-		if err := f.Truncate(offset); err != nil {
-			return seq, fmt.Errorf("durable: truncate torn WAL: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return seq, err
-		}
-		return seq, nil
-	}
-}
-
 // applyRecord replays one record: the change batch through the engine,
 // then the counters (absolute values) and refraction marks. The logical
 // clock is restored BEFORE the batch applies — TTL deadlines of
 // replayed inserts recompute from it, and they must land on the values
-// the live run computed (the expiry-determinism rule; see engine/ttl.go
-// and the format comment on record.Clock).
-func applyRecord(eng *engine.Engine, rec record) error {
-	changes, err := decodeChanges(rec.Changes)
-	if err != nil {
-		return err
-	}
+// the live run computed (the expiry-determinism rule; see engine/ttl.go).
+func applyRecord(eng *engine.Engine, rec recState) error {
 	eng.Clock = rec.Clock
-	if err := eng.Replay(changes, rec.FiredKeys); err != nil {
+	if err := eng.Replay(rec.Changes, rec.FiredKeys); err != nil {
 		return err
 	}
-	eng.Cycles, eng.Fired = rec.Cycles, rec.Fired
-	eng.TotalChanges, eng.Halted = rec.TotalChanges, rec.Halted
-	eng.Expired = rec.Expired
+	rec.counters.restore(eng)
 	return nil
 }

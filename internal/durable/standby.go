@@ -14,11 +14,11 @@ import (
 // missing history and needs a snapshot catch-up; a stale snapshot means
 // the follower already holds newer state than the sender.
 var (
-	// ErrSequenceGap reports a shipped record whose sequence does not
-	// extend the standby's history — records were lost in transit (or
-	// the standby has no snapshot yet) and the sender must re-ship a
-	// snapshot before any further records can land.
-	ErrSequenceGap = errors.New("durable: replicated record out of sequence")
+	// ErrSequenceGap reports a record whose sequence does not extend the
+	// history before it. For a shipped record that means records were
+	// lost in transit (or the standby has no snapshot yet) and the sender
+	// must re-ship a snapshot before any further records can land.
+	ErrSequenceGap = errors.New("durable: record out of sequence")
 	// ErrStaleSnapshot reports a shipped snapshot older than the state
 	// the standby already holds; installing it would lose history.
 	ErrStaleSnapshot = errors.New("durable: replicated snapshot older than standby state")
@@ -45,7 +45,7 @@ type Standby struct {
 
 // OpenStandby opens (or initialises) a standby directory, scanning any
 // existing shipped WAL for its last contiguous sequence and truncating
-// a torn or out-of-order tail — the same tolerance Recover applies.
+// whatever follows it.
 func OpenStandby(dir string) (*Standby, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
@@ -67,38 +67,18 @@ func OpenStandby(dir string) (*Standby, error) {
 		return nil, err
 	}
 	st.wal = wal
-	var offset int64
-	for {
-		payload, err := readFrame(wal)
-		if err == io.EOF {
-			break
-		}
-		bad := err != nil
-		if !bad {
-			var rec struct {
-				Seq int64 `json:"seq"`
-			}
-			switch {
-			case json.Unmarshal(payload, &rec) != nil:
-				bad = true
-			case rec.Seq <= st.snapSeq:
-				offset += int64(headerSize + len(payload)) // covered by the snapshot
-				continue
-			case rec.Seq != st.seq+1:
-				bad = true // gap: shipped history after this is unusable
-			default:
-				st.seq = rec.Seq
-				st.records++
-				offset += int64(headerSize + len(payload))
-				continue
-			}
-		}
-		if bad {
-			if err := wal.Truncate(offset); err != nil {
-				wal.Close()
-				return nil, fmt.Errorf("durable: truncate torn standby WAL: %w", err)
-			}
-			break
+	seq, offset, err := scanWAL(wal, st.snapSeq, func(int64, []byte) error {
+		st.records++
+		return nil
+	})
+	st.seq = seq
+	if err != nil {
+		// Torn, foreign or out of sequence alike: a replica is rebuilt
+		// from its owner, so it keeps what extends its history and drops
+		// the rest for the next shipment or resync to replace.
+		if err := wal.Truncate(offset); err != nil {
+			wal.Close()
+			return nil, fmt.Errorf("durable: truncate standby WAL: %w", err)
 		}
 	}
 	return st, nil
@@ -160,10 +140,11 @@ func (st *Standby) InstallSnapshot(manifest, snap []byte) (int64, error) {
 
 // AppendRecords ingests a stream of framed WAL records shipped by the
 // session's owner. Records at or below the standby's position are
-// duplicates and skipped; a record that does not extend the position by
-// exactly one aborts with ErrSequenceGap (the sender re-ships a
-// snapshot). Returns the standby's position after the stream and the
-// number of records appended.
+// duplicates of an earlier shipment and skipped; a record that does not
+// extend the position by exactly one aborts with ErrSequenceGap (the
+// sender re-ships a snapshot), and a record of another format version
+// is refused, never stored. Returns the standby's position after the
+// stream and the number of records appended.
 func (st *Standby) AppendRecords(stream io.Reader) (seq int64, appended int, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -173,36 +154,16 @@ func (st *Standby) AppendRecords(stream io.Reader) (seq int64, appended int, err
 	if !st.hasSnap {
 		return st.seq, 0, ErrSequenceGap
 	}
-	for {
-		payload, ferr := readFrame(stream)
-		if ferr == io.EOF {
-			break
+	st.seq, _, err = scanWAL(stream, st.seq, func(_ int64, payload []byte) error {
+		if _, err := appendFrame(st.wal, payload); err != nil {
+			return err
 		}
-		if ferr != nil {
-			err = fmt.Errorf("durable: shipped record stream: %w", ferr)
-			break
-		}
-		var rec struct {
-			Seq int64 `json:"seq"`
-		}
-		if jerr := json.Unmarshal(payload, &rec); jerr != nil {
-			err = fmt.Errorf("durable: shipped record: %w", jerr)
-			break
-		}
-		if rec.Seq <= st.seq {
-			continue // duplicate resend
-		}
-		if rec.Seq != st.seq+1 {
-			err = ErrSequenceGap
-			break
-		}
-		if _, werr := appendFrame(st.wal, payload); werr != nil {
-			err = werr
-			break
-		}
-		st.seq = rec.Seq
 		st.records++
 		appended++
+		return nil
+	})
+	if errors.Is(err, errTornRecord) {
+		err = fmt.Errorf("durable: shipped record stream: %w", err)
 	}
 	if appended > 0 {
 		if serr := st.wal.Sync(); serr != nil && err == nil {

@@ -14,9 +14,9 @@
 // engine goroutine interning new ones.
 //
 // IDs are process-local. Anything that crosses a process boundary
-// (WAL records shipped to replicas, the HTTP JSON surface) stays in
-// strings; snapshot format v2 embeds the table it was written with and
-// the loader re-interns through it (internal/durable).
+// carries names: the HTTP JSON surface as strings, and a durable
+// snapshot or WAL record (shipped verbatim to replicas) as a table of
+// the names it uses, which the loader re-interns (internal/durable).
 package sym
 
 import (
@@ -108,8 +108,7 @@ func (t *Table) Len() int { return len(*t.names.Load()) }
 // Names returns the current table contents indexed by ID, with
 // Names()[0] the None placeholder. The returned slice is a consistent
 // snapshot and must be treated as read-only — it is the live published
-// header, which is how snapshot serialization (durable format v2) gets
-// the table without stopping interning.
+// header, so reading the table never stops interning.
 func (t *Table) Names() []string { return *t.names.Load() }
 
 // Default is the process-global table used by ops5 values and working
