@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/matchtest"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/ops5"
 	"repro/internal/partition"
 	"repro/internal/prete"
@@ -304,34 +306,6 @@ func BenchmarkSerialReteApply(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatch measures §2.2's interpreted-vs-compiled node
-// dispatch step: the same Rete network with switch-interpreted tests
-// and with closure-compiled tests.
-func BenchmarkDispatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	params := matchtest.DefaultGenParams()
-	params.Productions = 80
-	prods := matchtest.RandomProgram(rng, params)
-	script := matchtest.RandomScript(rng, params, 80, 6)
-
-	run := func(b *testing.B, compiled bool) {
-		for i := 0; i < b.N; i++ {
-			net, err := rete.Compile(prods)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if compiled {
-				net.EnableCompiledDispatch()
-			}
-			for _, batch := range script.Batches {
-				net.Apply(cloneBatch(batch))
-			}
-		}
-	}
-	b.Run("interpreted", func(b *testing.B) { run(b, false) })
-	b.Run("compiled", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkE11Hierarchy reports the flat-vs-hierarchical throughput at
 // 256 processors (the §5 hierarchical-multiprocessor extension).
 func BenchmarkE11Hierarchy(b *testing.B) {
@@ -407,14 +381,14 @@ func BenchmarkE16NodeExclusive(b *testing.B) {
 // out to 30 sibling joins below one beta memory — and request-sized
 // batches: 64 arrivals (192 elements) asserted, the 192 from eight
 // batches earlier retracted.
-func dispatchScript(b *testing.B, batches int) ([]*ops5.Production, [][]ops5.Change) {
+func dispatchScript(tb testing.TB, batches int) ([]*ops5.Production, [][]ops5.Change) {
 	src, err := os.ReadFile("benchmark/rules/dispatch.ops")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	prog, err := ops5.Parse(string(src))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(17))
 	pick := func(prefix string, n int) string { return prefix + strconv.Itoa(rng.Intn(n)) }
@@ -441,51 +415,87 @@ func dispatchScript(b *testing.B, batches int) ([]*ops5.Production, [][]ops5.Cha
 	return prog.Productions, script
 }
 
-// BenchmarkPreteApply measures the parallel matcher against the serial
-// one across worker counts, on two script shapes: "random" (40
-// index-stress productions, batches of 1-6 changes — every batch under
-// the serial bypass) and "fanout" (dispatchScript: 384-change batches
-// whose job changes each reach 30 sibling joins). Each iteration
-// replays the script through a fresh rete.Network, untimed, and then
-// through a fresh prete.Matcher, so ns/op, B/op and allocs/op (run with
-// -benchmem; the allocation columns are tracked) cover the whole
-// parallel activation path: scheduler submit/steal, join probes,
-// token-memory churn and conflict-set flush. true-speedup is the
-// paper's §6 definition — serial Rete's wall time over the parallel
-// matcher's, the two replays interleaved so machine drift cancels;
-// est-speedup is the matcher's own self-relative estimate
-// (LossReport.TrueSpeedup).
-func BenchmarkPreteApply(b *testing.B) {
+// preteShape is one change script BenchmarkPreteApply and
+// TestPreteSpeedupFloor replay through both Rete executors.
+type preteShape struct {
+	name     string
+	prods    []*ops5.Production
+	script   [][]ops5.Change
+	nChanges int
+}
+
+// preteShapes builds the two scripts: "random" (40 index-stress
+// productions, batches of 1-6 changes — every batch under the serial
+// bypass) and "fanout" (dispatchScript: 384-change batches whose job
+// changes each reach 30 sibling joins).
+func preteShapes(tb testing.TB) []preteShape {
 	rng := rand.New(rand.NewSource(17))
 	params := matchtest.IndexStressGenParams()
 	params.Productions = 40
 	randomProds := matchtest.RandomProgram(rng, params)
-	fanoutProds, fanoutScript := dispatchScript(b, 24)
-	shapes := []struct {
-		name   string
-		prods  []*ops5.Production
-		script [][]ops5.Change
-	}{
-		{"random", randomProds, matchtest.RandomScript(rng, params, 60, 6).Batches},
-		{"fanout", fanoutProds, fanoutScript},
+	fanoutProds, fanoutScript := dispatchScript(tb, 24)
+	shapes := []preteShape{
+		{name: "random", prods: randomProds, script: matchtest.RandomScript(rng, params, 60, 6).Batches},
+		{name: "fanout", prods: fanoutProds, script: fanoutScript},
 	}
+	for i := range shapes {
+		for _, batch := range shapes[i].script {
+			shapes[i].nChanges += len(batch)
+		}
+	}
+	return shapes
+}
+
+// replaySerial replays a shape through a fresh rete.Network and
+// returns the wall time of the replay alone, not the compile.
+func replaySerial(tb testing.TB, sh preteShape) time.Duration {
+	net, err := rete.Compile(sh.prods)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net.OnInsert, net.OnRemove = nopInst, nopInst
+	return replay(net.Apply, sh.script)
+}
+
+// replayParallel replays a shape through a fresh prete.Matcher with the
+// given lane count and returns the replay's wall time and the matcher,
+// which the caller closes.
+func replayParallel(tb testing.TB, sh preteShape, workers int) (time.Duration, *prete.Matcher) {
+	m, err := prete.New(sh.prods, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.OnInsert, m.OnRemove = nopInst, nopInst
+	return replay(m.Apply, sh.script), m
+}
+
+func nopInst(*ops5.Instantiation) {}
+
+func replay(apply func([]ops5.Change), script [][]ops5.Change) time.Duration {
+	t0 := time.Now()
+	for _, batch := range script {
+		apply(batch)
+	}
+	return time.Since(t0)
+}
+
+// BenchmarkPreteApply measures the parallel matcher against the serial
+// one across worker counts on the two preteShapes. Each iteration
+// replays the script through a fresh rete.Network, untimed, and then
+// through a fresh prete.Matcher, so ns/op, B/op and allocs/op (run with
+// -benchmem) cover the whole parallel activation path: scheduler
+// submit/steal, join probes, token-memory churn and conflict-set flush.
+// true-speedup is the paper's §6 definition — serial Rete's wall time
+// over the parallel matcher's, the two replays interleaved so machine
+// drift cancels; est-speedup is the matcher's own self-relative
+// estimate (LossReport.TrueSpeedup). TestPreteSpeedupFloor gates the
+// same ratio.
+func BenchmarkPreteApply(b *testing.B) {
 	counts := []int{1, 4, 16}
 	if g := runtime.GOMAXPROCS(0); g != 1 && g != 4 && g != 16 {
 		counts = append(counts, g)
 	}
-	nop := func(*ops5.Instantiation) {}
-	replay := func(apply func([]ops5.Change), script [][]ops5.Change) time.Duration {
-		t0 := time.Now()
-		for _, batch := range script {
-			apply(batch)
-		}
-		return time.Since(t0)
-	}
-	for _, sh := range shapes {
-		var nChanges int
-		for _, batch := range sh.script {
-			nChanges += len(batch)
-		}
+	for _, sh := range preteShapes(b) {
 		for _, workers := range counts {
 			b.Run(fmt.Sprintf("%s/workers-%d", sh.name, workers), func(b *testing.B) {
 				var serial, parallel time.Duration
@@ -495,29 +505,17 @@ func BenchmarkPreteApply(b *testing.B) {
 					if last != nil {
 						last.Close()
 					}
-					net, err := rete.Compile(sh.prods)
-					if err != nil {
-						b.Fatal(err)
-					}
-					net.OnInsert, net.OnRemove = nop, nop
-					serial += replay(net.Apply, sh.script)
+					serial += replaySerial(b, sh)
 					b.StartTimer()
-					m, err := prete.New(sh.prods, workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					m.OnInsert, m.OnRemove = nop, nop
-					parallel += replay(m.Apply, sh.script)
-					last = m
+					p, m := replayParallel(b, sh, workers)
+					parallel, last = parallel+p, m
 				}
 				defer last.Close()
-				b.ReportMetric(float64(nChanges*b.N)/parallel.Seconds(), "wme-changes/s")
+				b.ReportMetric(float64(sh.nChanges*b.N)/parallel.Seconds(), "wme-changes/s")
 				b.ReportMetric(serial.Seconds()/parallel.Seconds(), "true-speedup")
 				// Loss-factor accounting from the final iteration's matcher
 				// (one full script): the paper-§6 numbers plus the budget
-				// share of each loss component. benchcmp records these as
-				// informational metrics in BENCH_prete.json, so the scaling
-				// behaviour is diffable PR-over-PR without being gated.
+				// share of each loss component.
 				l := last.Loss()
 				b.ReportMetric(l.LossFactor, "loss-factor")
 				b.ReportMetric(l.TrueSpeedup, "est-speedup")
@@ -541,22 +539,81 @@ func BenchmarkPreteApply(b *testing.B) {
 	}
 }
 
-// BenchmarkMissManners runs the canonical join-heavy OPS5 benchmark
-// through the real serial matcher.
+// TestPreteSpeedupFloor is the paper's §6 claim as an absolute gate:
+// on two or more CPUs the parallel matcher must not lose to serial Rete
+// on either preteShape, with one lane or with GOMAXPROCS lanes. Each
+// row replays five interleaved (serial, parallel) pairs and gates the
+// median true speed-up at 1.0; the log carries each row's loss
+// decomposition. On one CPU extra lanes can only add overhead, so the
+// test skips there, and under -short.
+func TestPreteSpeedupFloor(t *testing.T) {
+	const pairs, floor = 5, 1.0
+	procs := runtime.GOMAXPROCS(0)
+	if testing.Short() || procs < 2 {
+		t.Skipf("needs two or more CPUs and no -short (GOMAXPROCS=%d)", procs)
+	}
+	for _, sh := range preteShapes(t) {
+		for _, workers := range []int{1, procs} {
+			speedups := make([]float64, pairs)
+			var l obs.LossReport // the final pair's
+			for i := range speedups {
+				serial := replaySerial(t, sh)
+				parallel, m := replayParallel(t, sh, workers)
+				speedups[i] = serial.Seconds() / parallel.Seconds()
+				l = m.Loss()
+				m.Close()
+			}
+			sort.Float64s(speedups)
+			median := speedups[pairs/2]
+			t.Logf("%s/workers-%d: true-speedup median %.2f (pairs %.2f); est-speedup %.2f, nominal-conc %.2f, loss-factor %.2f",
+				sh.name, workers, median, speedups, l.TrueSpeedup, l.NominalConcurrency, l.LossFactor)
+			for _, c := range l.Decomposition {
+				t.Logf("    %-18s %6.3f", c.Name, c.Share)
+			}
+			if median < floor {
+				t.Errorf("%s/workers-%d: median true-speedup %.2f below the floor %.1f", sh.name, workers, median, floor)
+			}
+		}
+	}
+}
+
+// mannersSolve runs the canonical join-heavy OPS5 benchmark, Miss
+// Manners, to its halt through the real serial matcher.
+func mannersSolve(tb testing.TB) {
+	wmes, err := workload.MannersWM(workload.DefaultMannersParams())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, eng, err := workload.Capture("manners", workload.MissManners, wmes,
+		workload.RunConfig{MaxCycles: 5000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !eng.Halted {
+		tb.Fatal("manners did not finish")
+	}
+}
+
+// BenchmarkMissManners times one Manners solve.
 func BenchmarkMissManners(b *testing.B) {
-	p := workload.DefaultMannersParams()
 	for i := 0; i < b.N; i++ {
-		wmes, err := workload.MannersWM(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, eng, err := workload.Capture("manners", workload.MissManners, wmes,
-			workload.RunConfig{MaxCycles: 5000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !eng.Halted {
-			b.Fatal("manners did not finish")
-		}
+		mannersSolve(b)
+	}
+}
+
+// mannersAllocsCeiling is the allocation count of one Manners solve.
+// Go's allocation counts are deterministic, so any rise is a code
+// change, not noise. It was 2,594 while rete.Plan also held every test
+// as a closure; deleting the closures took it to 2,567. A change that
+// lowers the count lowers this number in the same diff.
+const mannersAllocsCeiling = 2567
+
+// TestMannersAllocs gates the serial matcher's allocations per Manners
+// solve at mannersAllocsCeiling.
+func TestMannersAllocs(t *testing.T) {
+	got := testing.AllocsPerRun(5, func() { mannersSolve(t) })
+	t.Logf("%.0f allocs per Manners solve (ceiling %d)", got, mannersAllocsCeiling)
+	if got > mannersAllocsCeiling {
+		t.Errorf("%.0f allocs per Manners solve, above the ceiling of %d", got, mannersAllocsCeiling)
 	}
 }

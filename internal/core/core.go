@@ -90,7 +90,7 @@ type Options struct {
 	// GOMAXPROCS); ignored by the other matchers.
 	Workers int
 	// NoSteal disables the parallel matcher's work stealing (workers
-	// then only drain their own deques and the shared overflow list);
+	// then only drain their own deques);
 	// ignored by the other matchers.
 	NoSteal bool
 	// Output receives write-action output (default: discarded).

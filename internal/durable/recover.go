@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/engine"
+	"repro/internal/ops5"
 )
 
 // RecoverStats reports what a recovery did.
@@ -25,7 +26,8 @@ type RecoverStats struct {
 // Recover rebuilds a session's engine state from its durable directory:
 // load the snapshot (restoring working memory with original time tags,
 // matcher memories, conflict set and refraction marks), then replay the
-// WAL tail through the engine's apply path. A torn tail — the frame a
+// WAL tail through the engine's apply path, then finish the logical
+// tick the last record left open (below). A torn tail — the frame a
 // crash cut short — is truncated away, since nothing in it was ever
 // acknowledged. A whole frame that cannot be applied is not: Recover
 // fails with a *RecordError and changes no file, because cutting there
@@ -88,6 +90,19 @@ func Recover(dir string, eng *engine.Engine, opts Options) (*Log, RecoverStats, 
 		l.walBytes = fi.Size()
 	}
 	l.recovered, l.replayed = true, stats.Replayed
+
+	// A cycle logs its firing batch and then its expiry batch as two
+	// records, so a crash between them recovers with expiries already
+	// due. Retract them now, as the interrupted cycle would have, and log
+	// the batch like any other; anywhere else this finds nothing due.
+	sink := eng.Sink
+	eng.Sink = func(changes []ops5.Change, firedKeys []string) { err = l.Append(changes, firedKeys) }
+	eng.ExpireDue()
+	eng.Sink = sink
+	if err != nil {
+		l.Close()
+		return nil, stats, fmt.Errorf("durable: log recovered expiries: %w", err)
+	}
 	return l, stats, nil
 }
 

@@ -365,9 +365,9 @@ func TestStealsUnderSkewedWorkload(t *testing.T) {
 	}
 }
 
-// TestNoStealDrainsViaOverflow pins the NoSteal mode: same result, no
-// steals recorded.
-func TestNoStealDrainsViaOverflow(t *testing.T) {
+// TestNoStealSameResultZeroSteals pins the NoSteal mode: same result,
+// no steals recorded.
+func TestNoStealSameResultZeroSteals(t *testing.T) {
 	prods := skewedProgram(t)
 	m, err := prete.NewWithConfig(prods, prete.Config{Workers: 8, NoSteal: true, SerialThreshold: -1})
 	if err != nil {

@@ -139,7 +139,7 @@ type LossReport struct {
 
 	// Decomposition partitions the total processor budget
 	// (Workers x ApplySeconds): useful_match, memory_contention
-	// (lock wait), scheduling (submit + steal hits + overflow), idle
+	// (lock wait), scheduling (submit + steal hits), idle
 	// (fruitless steals + parking, including lanes a bypassed batch
 	// left parked), spawn (pool wake latency), serial_seed_merge (all
 	// lanes during the serial regions) and other (exit skew, loop

@@ -50,12 +50,10 @@ const (
 	// producing side).
 	phaseSubmit
 	// phaseStealHit is time spent in steal attempts that found work;
-	// phaseStealMiss covers fruitless victim scans and empty overflow
-	// checks — the busy-wait component of load imbalance.
+	// phaseStealMiss covers fruitless victim scans — the busy-wait
+	// component of load imbalance.
 	phaseStealHit
 	phaseStealMiss
-	// phaseOverflow is time draining the shared overflow list.
-	phaseOverflow
 	// phasePark is time blocked on the scheduler condvar (plus the
 	// park bookkeeping around it) — idle waiting for work or batch end.
 	phasePark
@@ -76,7 +74,7 @@ const (
 
 // phaseNames are the wire/metric spellings, indexed by phase.
 var phaseNames = [numPhases]string{
-	"match", "lock_wait", "submit", "steal_hit", "steal_miss", "overflow", "park", "spawn",
+	"match", "lock_wait", "submit", "steal_hit", "steal_miss", "park", "spawn",
 }
 
 // clockBase anchors nanotime: time.Since on a monotonic base compiles
@@ -181,7 +179,7 @@ func (m *Matcher) Loss() obs.LossReport {
 
 	matchNs := phaseTot[phaseMatch]
 	lockNs := phaseTot[phaseLockWait]
-	schedNs := phaseTot[phaseSubmit] + phaseTot[phaseStealHit] + phaseTot[phaseOverflow]
+	schedNs := phaseTot[phaseSubmit] + phaseTot[phaseStealHit]
 	idleNs := phaseTot[phaseStealMiss] + phaseTot[phasePark]
 	spawnNs := phaseTot[phaseSpawn]
 	busyNs := matchNs + lockNs + schedNs

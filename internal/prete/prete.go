@@ -5,7 +5,7 @@
 // The matcher is the parallel executor of a rete.Plan — the same
 // immutable compiled network the serial matcher of internal/rete runs.
 // It reads the plan's constant-test tree, node descriptors, memory keys,
-// join-key hashes and compiled test chains as they are, and owns only
+// join-key hashes and test chains as they are, and owns only
 // what executing them in parallel needs: lock-striped counted-multiset
 // memories and a scheduler.
 //
@@ -198,14 +198,13 @@ func (g *group) stripeOf(key uint64) int {
 
 // pnode is the state of one two-input node of the plan: its right
 // memory (one table per stripe of its group, guarded by that stripe's
-// lock) and where its output goes. idx, tests, rightHash and terminals
+// lock) and where its output goes. idx, rightHash and terminals
 // repeat what join says, so that an activation reads one struct instead
 // of chasing the plan's descriptors.
 type pnode struct {
-	idx   int // join.Index: position in Matcher.nodes and in the per-lane profiles
-	join  *rete.JoinNode
-	grp   *group
-	tests func(*rete.Token, *ops5.WME) bool
+	idx  int // join.Index: position in Matcher.nodes and in the per-lane profiles
+	join *rete.JoinNode
+	grp  *group
 	// rightHash computes a WME's join-key hash; nil in an unkeyed group.
 	rightHash func(*ops5.WME) uint64
 	right     []bucket.Buckets[rightEntry]
@@ -268,7 +267,7 @@ type Config struct {
 	// Workers is the scheduler lane count; <= 0 selects GOMAXPROCS.
 	Workers int
 	// NoSteal disables work stealing: an idle worker then only drains
-	// its own deque and the shared overflow list. Useful for measuring
+	// its own deque. Useful for measuring
 	// what stealing buys (the paper's §6 load-balance decomposition).
 	NoSteal bool
 	// SerialThreshold overrides the seeded-activation count below which
@@ -383,7 +382,7 @@ func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
 			}
 			pn := &pnode{
 				idx: j.Index, join: j, grp: g,
-				tests: j.Match, rightHash: j.RightHash, terminals: j.Out.Terminals,
+				rightHash: j.RightHash, terminals: j.Out.Terminals,
 				right: make([]bucket.Buckets[rightEntry], len(g.stripes)),
 			}
 			m.nodes[j.Index] = pn
@@ -602,9 +601,6 @@ func (m *Matcher) drainInline(t1 int64) (inOrder bool) {
 	inOrder = true
 	for {
 		t, ok := w.dq.popTail()
-		if !ok {
-			t, ok = s.popOverflow()
-		}
 		if ok {
 			inOrder = false
 		} else if t, ok = s.claimSeed(w); !ok {
@@ -615,9 +611,9 @@ func (m *Matcher) drainInline(t1 int64) (inOrder bool) {
 }
 
 // batchLoop is one scheduler lane's run loop for a single batch: drain
-// the own deque LIFO, then claim a seed, then steal or take overflow,
-// then park. The worker that retires the batch's last task wakes every
-// parked lane and all loops return to the epoch gate.
+// the own deque LIFO, then claim a seed, then steal, then park. The
+// worker that retires the batch's last task wakes every parked lane and
+// all loops return to the epoch gate.
 func (m *Matcher) batchLoop(wi int) {
 	s := m.sched
 	w := &s.workers[wi]
@@ -707,7 +703,7 @@ func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *work
 				continue
 			}
 			tested++
-			if !n.tests(e.tok, wme) {
+			if !n.join.Eval(e.tok, wme) {
 				continue
 			}
 			// A token present c times stands for c copies: every copy
@@ -776,7 +772,7 @@ func (m *Matcher) runLeft(g *group, tok *rete.Token, dir ops5.ChangeKind, w *wor
 						continue
 					}
 					tested++
-					if !n.tests(tok, re.wme) {
+					if !n.join.Eval(tok, re.wme) {
 						continue
 					}
 					matches += re.count

@@ -11,7 +11,7 @@ package prete
 // accounting measured at 64-76% of the processor budget. Both are
 // exactly the overheads the paper warns about.
 //
-// The scheduler here keeps one bounded deque per worker, serviced by a
+// The scheduler here keeps one growable deque per worker, serviced by a
 // pool of resident worker goroutines:
 //
 //   - Workers are long-lived: they are spawned once, on the first batch
@@ -35,14 +35,14 @@ package prete
 //     end, at most stealGrain tasks) — the classic work-stealing split
 //     that moves large, stale subtrees to idle workers while the victim
 //     keeps its hot tail.
-//   - Deque overflow spills to a shared overflow list; it is drained
-//     after steals fail and before parking.
-//   - Only when every deque and the overflow list drain does a worker
-//     park on the in-batch condvar; pushers signal it only when
-//     sleepers are registered, so the hot path pays one atomic load. An
-//     outstanding-task count provides termination: the worker that
-//     retires the last task broadcasts batch completion, and the lanes
-//     return to the epoch gate.
+//   - A full deque doubles under its own lock, which thieves already
+//     take.
+//   - Only when every deque drains does a worker park on the in-batch
+//     condvar; pushers signal it only when sleepers are registered, so
+//     the hot path pays one atomic load. An outstanding-task count
+//     provides termination: the worker that retires the last task
+//     broadcasts batch completion, and the lanes return to the epoch
+//     gate.
 //
 // A lane counts its work (executed/stolen/parked, comparisons,
 // cancellations, phase time, the per-node profile) in plain fields only
@@ -60,33 +60,37 @@ import (
 	"repro/internal/rete"
 )
 
-// deqCap bounds each worker-local deque. Tasks are small, so 256 slots
-// keep a worker's window under a few KB while still letting steal-half
-// move meaningful chunks of work.
-const deqCap = 256
+// deqMin is a worker deque's first ring size. Tasks are small, so 256
+// slots keep a worker's window under a few KB.
+const deqMin = 256
 
-// wdeque is one worker's bounded ring deque. The owner pushes and pops
-// at the tail; thieves take from the head. A mutex per deque is cheap
-// here: the owner's lock is uncontended unless a thief is active, and
-// activations do 50-100 instructions of work per lock acquisition.
+// wdeque is one worker's ring deque, a power-of-two slice grown by
+// doubling. The owner pushes and pops at the tail; thieves take from the
+// head. A mutex per deque is cheap here: the owner's lock is
+// uncontended unless a thief is active, and activations do 50-100
+// instructions of work per lock acquisition.
 type wdeque struct {
 	mu   sync.Mutex
-	buf  [deqCap]task
+	buf  []task
 	head int // index of the oldest task (steal end)
 	n    int // population
 }
 
-// pushTail adds a task at the tail, reporting false when full.
-func (d *wdeque) pushTail(t task) bool {
-	d.mu.Lock()
-	if d.n == deqCap {
-		d.mu.Unlock()
-		return false
+// reserve makes room for k more tasks, doubling the ring and unwrapping
+// it to start at 0 when it is too small. The caller holds mu.
+func (d *wdeque) reserve(k int) {
+	if d.n+k <= len(d.buf) {
+		return
 	}
-	d.buf[(d.head+d.n)%deqCap] = t
-	d.n++
-	d.mu.Unlock()
-	return true
+	size := max(len(d.buf), deqMin)
+	for size < d.n+k {
+		size *= 2
+	}
+	buf := make([]task, size)
+	for i := 0; i < d.n; i++ {
+		buf[i] = d.buf[(d.head+i)&(len(d.buf)-1)]
+	}
+	d.buf, d.head = buf, 0
 }
 
 // popTail removes the newest task (owner side, LIFO).
@@ -97,24 +101,22 @@ func (d *wdeque) popTail() (task, bool) {
 		return task{}, false
 	}
 	d.n--
-	i := (d.head + d.n) % deqCap
+	i := (d.head + d.n) & (len(d.buf) - 1)
 	t := d.buf[i]
 	d.buf[i] = task{} // release token/WME references
 	d.mu.Unlock()
 	return t, true
 }
 
-// pushAll adds tasks at the tail under one lock acquisition and returns
-// how many fitted.
-func (d *wdeque) pushAll(ts []task) int {
+// pushAll adds tasks at the tail under one lock acquisition.
+func (d *wdeque) pushAll(ts []task) {
 	d.mu.Lock()
-	k := min(len(ts), deqCap-d.n)
-	for _, t := range ts[:k] {
-		d.buf[(d.head+d.n)%deqCap] = t
+	d.reserve(len(ts))
+	for _, t := range ts {
+		d.buf[(d.head+d.n)&(len(d.buf)-1)] = t
 		d.n++
 	}
 	d.mu.Unlock()
-	return k
 }
 
 // stealHalf removes the older half of the deque (at least one task,
@@ -125,7 +127,7 @@ func (d *wdeque) stealHalf(out []task) int {
 	for i := 0; i < k; i++ {
 		out[i] = d.buf[d.head]
 		d.buf[d.head] = task{}
-		d.head = (d.head + 1) % deqCap
+		d.head = (d.head + 1) & (len(d.buf) - 1)
 	}
 	d.n -= k
 	d.mu.Unlock()
@@ -221,10 +223,10 @@ func (w *worker) nextRand() uint32 {
 	return x
 }
 
-// scheduler owns the workers, the overflow list, the parking state and
-// the resident-pool gate for one Matcher. It persists across Apply
-// batches so deques, scratch buffers, counters — and now the worker
-// goroutines themselves — are reused.
+// scheduler owns the workers, the parking state and the resident-pool
+// gate for one Matcher. It persists across Apply batches so deques,
+// scratch buffers, counters — and now the worker goroutines themselves
+// — are reused.
 type scheduler struct {
 	workers []worker
 	steal   bool
@@ -240,11 +242,6 @@ type scheduler struct {
 	// that takes it to zero ends the batch. Only Apply (seeding) and
 	// retire touch it.
 	outstanding atomic.Int64
-
-	overflow struct {
-		mu    sync.Mutex
-		items []task
-	}
 
 	// In-batch parking: a worker that finds no work registers in
 	// sleepers and waits on cond; pushers signal only when sleepers > 0,
@@ -415,9 +412,9 @@ func (s *scheduler) shed() bool {
 }
 
 // retire ends the task worker w just ran: the tasks it spawned go onto
-// w's deque (spilling to overflow when full), an in-batch sleeper is
-// woken if any lane is parked, and the outstanding count moves from the
-// task to its children in one step — none at all for a single child.
+// w's deque, an in-batch sleeper is woken if any lane is parked, and
+// the outstanding count moves from the task to its children in one step
+// — none at all for a single child.
 // The children are counted before they are pushed, so no thief can
 // retire one early and end the batch. It reports whether the batch's
 // last task just retired.
@@ -429,9 +426,7 @@ func (s *scheduler) retire(w *worker) (last bool) {
 	if n > 1 {
 		s.outstanding.Add(int64(n - 1))
 	}
-	for _, t := range w.spawned[w.dq.pushAll(w.spawned):] {
-		s.spill(t)
-	}
+	w.dq.pushAll(w.spawned)
 	clear(w.spawned) // release token references
 	w.spawned = w.spawned[:0]
 	s.wakeSleeper()
@@ -458,28 +453,6 @@ func (s *scheduler) wakeSleeper() {
 	s.parkMu.Unlock()
 }
 
-// spill pushes a task onto the shared overflow list.
-func (s *scheduler) spill(t task) {
-	s.overflow.mu.Lock()
-	s.overflow.items = append(s.overflow.items, t)
-	s.overflow.mu.Unlock()
-}
-
-// popOverflow takes one task from the shared overflow list.
-func (s *scheduler) popOverflow() (task, bool) {
-	s.overflow.mu.Lock()
-	n := len(s.overflow.items)
-	if n == 0 {
-		s.overflow.mu.Unlock()
-		return task{}, false
-	}
-	t := s.overflow.items[n-1]
-	s.overflow.items[n-1] = task{}
-	s.overflow.items = s.overflow.items[:n-1]
-	s.overflow.mu.Unlock()
-	return t, true
-}
-
 // stealGrain caps one steal. Deques now hold only spawned downstream
 // activations (seeds are claimed from the shared list), a few hundred
 // nanoseconds to a few microseconds each by the task-size histogram, so
@@ -489,10 +462,8 @@ func (s *scheduler) popOverflow() (task, bool) {
 const stealGrain = 16
 
 // findWork is the slow path for a worker with an empty deque and no
-// seed left to claim: steal half of a random victim's deque, else drain
-// overflow. Its time is charged to steal_hit (successful scan),
-// overflow (a task from the shared list) or steal_miss (nothing found;
-// also the fruitless prefix of a scan that ends at the overflow list).
+// seed left to claim: steal half of a random victim's deque. Its time is
+// charged to steal_hit (successful scan) or steal_miss (nothing found).
 func (s *scheduler) findWork(wi int) (task, bool) {
 	w := &s.workers[wi]
 	if s.steal && len(s.workers) > 1 {
@@ -512,36 +483,22 @@ func (s *scheduler) findWork(wi int) (task, bool) {
 			}
 			w.stolen += int64(k)
 			if k > 1 {
-				for _, t := range buf[1:k][w.dq.pushAll(buf[1:k]):] {
-					s.spill(t)
-				}
+				w.dq.pushAll(buf[1:k])
 				// More than this lane will run at once: pass the wake on.
 				s.wakeSleeper()
 			}
 			w.clock.stamp(phaseStealHit)
 			return buf[0], true
 		}
-		w.clock.stamp(phaseStealMiss)
-	}
-	if t, ok := s.popOverflow(); ok {
-		w.clock.stamp(phaseOverflow)
-		return t, true
 	}
 	w.clock.stamp(phaseStealMiss)
 	return task{}, false
 }
 
 // usableWork reports whether worker wi could obtain a task right now:
-// its own deque, an unclaimed seed, the overflow list, or (with stealing
-// on) any victim.
+// its own deque, an unclaimed seed, or (with stealing on) any victim.
 func (s *scheduler) usableWork(wi int) bool {
 	if s.workers[wi].dq.size() > 0 || int(s.nextSeed.Load()) < len(s.seeds) {
-		return true
-	}
-	s.overflow.mu.Lock()
-	n := len(s.overflow.items)
-	s.overflow.mu.Unlock()
-	if n > 0 {
 		return true
 	}
 	if s.steal {

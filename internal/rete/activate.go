@@ -216,7 +216,7 @@ func (n *Network) emit(ev ActivationEvent) {
 // visitConst walks the constant-test chain below node for the WME.
 func (n *Network) visitConst(node *ConstNode, w *ops5.WME, ctx *applyCtx, parent int64, tests *int) {
 	*tests++
-	if !n.evalConst(node, w) {
+	if !node.Test.Eval(w) {
 		return
 	}
 	if node.Mem != nil {
@@ -278,7 +278,7 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCt
 		}
 		for _, tok := range toks {
 			tested++
-			if n.evalJoin(j, tok, w) {
+			if j.Eval(tok, w) {
 				emitted++
 				if ctx.dir == ops5.Insert {
 					n.betaInsert(j.Out, tok.Extend(w), ctx, seq)
@@ -300,7 +300,7 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCt
 		indexed := j.RightHash != nil
 		adjust := func(rec *negRecord) {
 			tested++
-			if !n.evalJoin(j, rec.tok, w) {
+			if !j.Eval(rec.tok, w) {
 				return
 			}
 			switch ctx.dir {
@@ -362,7 +362,7 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 		}
 		for _, w := range items {
 			tested++
-			if n.evalJoin(j, tok, w) {
+			if j.Eval(tok, w) {
 				emitted++
 				if dir == ops5.Insert {
 					n.betaInsert(j.Out, tok.Extend(w), ctx, seq)
@@ -392,7 +392,7 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 			}
 			for _, w := range items {
 				tested++
-				if n.evalJoin(j, tok, w) {
+				if j.Eval(tok, w) {
 					count++
 				}
 			}

@@ -234,11 +234,8 @@ type Network struct {
 	// Stats accumulates match statistics across Apply calls.
 	Stats Stats
 
-	// compiled selects the plan's closure-specialised tests over
-	// per-test switch dispatch (see EnableCompiledDispatch).
-	compiled bool
-	seq      int64
-	ctx      applyCtx // Apply's per-change bookkeeping, reused
+	seq int64
+	ctx applyCtx // Apply's per-change bookkeeping, reused
 }
 
 // Compile builds a plan for the productions and a network to run it.

@@ -8,7 +8,7 @@
 // fixed program that one processor or many execute. A Plan (this file)
 // is the compiled program: the constant-test tree, the node descriptors
 // with node sharing between productions, and per two-input node its
-// equality key, key hashes and compiled test chain. CompilePlan is the
+// equality key, key hashes and test chain. CompilePlan is the
 // only thing that builds or writes one; afterwards it is immutable and
 // may be shared by any number of executors on any number of goroutines.
 // A Network (network.go, activate.go) is the serial executor: a Plan
@@ -122,8 +122,6 @@ type ConstNode struct {
 	Mem      *AlphaNode
 	// testKey caches Test.key() for node sharing during compilation.
 	testKey string
-	// compiled is the closure-specialised test (compiled.go).
-	compiled func(*ops5.WME) bool
 	// SharedBy counts the condition elements compiled onto this node;
 	// >1 means the node is shared between CEs (possibly across
 	// productions), the sharing the paper says is lost under production
@@ -230,10 +228,21 @@ type JoinNode struct {
 	RightHash func(*ops5.WME) uint64
 	LeftKey   int
 	RightKey  int
-	// Match is Tests specialised into one closure (compiled.go).
-	Match func(*Token, *ops5.WME) bool
 	// SharedBy counts the productions compiled onto this node.
 	SharedBy int
+}
+
+// Eval applies the node's tests to a (token, WME) pair: both executors
+// run this one switch-interpreted loop. Specialising the chain into
+// closures — the Go counterpart of §2.2's compile step — measured no
+// faster (EXPERIMENTS.md E8), so the plan holds each test once.
+func (j *JoinNode) Eval(tok *Token, w *ops5.WME) bool {
+	for i := range j.Tests {
+		if !j.Tests[i].Eval(tok, w) {
+			return false
+		}
+	}
+	return true
 }
 
 // Terminal announces conflict-set changes for one production.
@@ -427,7 +436,7 @@ func (c *compiler) buildAlpha(p *ops5.Production, ceIdx int, ce *ops5.CondElemen
 }
 
 func (c *compiler) newConst(test ConstTest, key string) *ConstNode {
-	return &ConstNode{ID: c.id(), Test: test, testKey: key, compiled: compileConstTest(&test)}
+	return &ConstNode{ID: c.id(), Test: test, testKey: key}
 }
 
 // buildJoinTests compiles the inter-element variable tests of a CE.
@@ -469,9 +478,9 @@ func buildJoinTests(ce *ops5.CondElement, outer map[string]binder) []JoinTest {
 }
 
 // findOrAddJoin returns a shared or fresh two-input node. A fresh node
-// gets everything an executor needs of it here, once: its compiled test
-// chain, its canonical equality key with both sides' hashes, and their
-// place among the keys of its two input memories.
+// gets everything an executor needs of it here, once: its canonical
+// equality key with both sides' hashes, and their place among the keys
+// of its two input memories.
 func (c *compiler) findOrAddJoin(kind JoinKind, left *BetaNode, right *AlphaNode, tests []JoinTest) *JoinNode {
 	key := strconv.Itoa(int(kind)) + "|" + strconv.Itoa(left.ID) + "|" + strconv.Itoa(right.ID)
 	tkeys := make([]string, len(tests))
@@ -493,7 +502,6 @@ func (c *compiler) findOrAddJoin(kind JoinKind, left *BetaNode, right *AlphaNode
 		Tests:    tests,
 		Out:      c.newBeta(),
 		Key:      SplitJoinTests(tests),
-		Match:    CompileJoinTests(tests),
 		LeftKey:  -1,
 		RightKey: -1,
 		SharedBy: 1,

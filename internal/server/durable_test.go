@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/server"
 )
 
@@ -360,5 +362,79 @@ func TestComputeOverflowLeavesSessionDurable(t *testing.T) {
 	c.must("GET", "/sessions/big", nil, &info, http.StatusOK)
 	if info.WALError != "" || info.WALSeq != 2 {
 		t.Errorf("wal_error = %q, wal_seq = %d; want both asserts logged and no error", info.WALError, info.WALSeq)
+	}
+}
+
+// TestRecoveryFinishesInterruptedTick kills the server between the two
+// WAL records of one cycle — its firing batch and its expiry batch — by
+// cutting the second from the log. The recovered session must expire
+// the due event at once, as the interrupted cycle would have, and serve
+// the uninterrupted run's working memory, conflict set and counters.
+func TestRecoveryFinishesInterruptedTick(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := server.Config{Shards: 1, DataDir: dataDir}
+	c1, crash := crashableServer(t, cfg)
+	c1.must("POST", "/sessions", server.CreateSpec{ID: "tick", Program: `
+(p fire (go) --> (remove 1))
+(p watch (ev ^k <k>) -(go) --> (remove 1))
+`}, nil, http.StatusCreated)
+	// One batch: ev (due at tick 1) and go. Cycle 1 fires `fire`, logs
+	// that, ticks the clock to 1 and logs ev's expiry; `watch`, which
+	// the firing enabled, leaves the conflict set with ev.
+	resp := c1.postStream("tick", []byte(`{"class":"ev","attrs":{"k":1},"ttl":1}`+"\n"+`{"class":"go"}`))
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: status %d", resp.StatusCode)
+	}
+	var want server.SessionInfo
+	var wantWM []server.WMEInfo
+	var wantCS []server.InstInfo
+	c1.must("GET", "/sessions/tick", nil, &want, http.StatusOK)
+	c1.must("GET", "/sessions/tick/wm", nil, &wantWM, http.StatusOK)
+	c1.must("GET", "/sessions/tick/conflicts", nil, &wantCS, http.StatusOK)
+	if want.Cycles != 1 || want.Expired != 1 || want.Clock != 1 || want.WALSeq != 3 {
+		t.Fatalf("uninterrupted run: %+v, want 1 cycle, 1 expiry, clock 1, 3 WAL records", want)
+	}
+	crash()
+
+	dirs, err := os.ReadDir(dataDir)
+	if err != nil || len(dirs) != 1 {
+		t.Fatalf("session dirs: %v err=%v", dirs, err)
+	}
+	walPath := filepath.Join(dataDir, dirs[0].Name(), "wal.log")
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int
+	for rd := bytes.NewReader(data); ; ends = append(ends, len(data)-rd.Len()) {
+		if _, err := durable.DecodeFrame(rd); err != nil {
+			break
+		}
+	}
+	if len(ends) != 3 {
+		t.Fatalf("WAL holds %d records, want 3", len(ends))
+	}
+	if err := os.Truncate(walPath, int64(ends[1])); err != nil {
+		t.Fatal(err)
+	}
+
+	_, c2 := newTestServer(t, cfg)
+	var got server.SessionInfo
+	var gotWM []server.WMEInfo
+	var gotCS []server.InstInfo
+	c2.must("GET", "/sessions/tick", nil, &got, http.StatusOK)
+	c2.must("GET", "/sessions/tick/wm", nil, &gotWM, http.StatusOK)
+	c2.must("GET", "/sessions/tick/conflicts", nil, &gotCS, http.StatusOK)
+	if !got.Recovered || got.Expired != want.Expired || got.Clock != want.Clock || got.TotalChanges != want.TotalChanges ||
+		got.PendingExpiries != want.PendingExpiries || got.WALSeq != want.WALSeq {
+		t.Fatalf("recovered session:\n got  %+v\n want %+v", got, want)
+	}
+	if !reflect.DeepEqual(gotWM, wantWM) {
+		t.Fatalf("recovered WM:\n got  %+v\n want %+v", gotWM, wantWM)
+	}
+	if !reflect.DeepEqual(gotCS, wantCS) {
+		t.Fatalf("recovered conflict set:\n got  %+v\n want %+v", gotCS, wantCS)
 	}
 }
