@@ -210,11 +210,6 @@ func TestRandomizedCrossCheck(t *testing.T) {
 		script := matchtest.RandomScript(rng, params, 30, 4)
 		runScript(t, prods, script)
 	}
-	for seed := int64(500); seed < 510; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		prods := matchtest.RandomProgram(rng, params)
-		runScript(t, prods, matchtest.RandomScript(rng, params, 20, 4))
-	}
 }
 
 func TestRandomizedCrossCheckHeavyNegation(t *testing.T) {
@@ -326,6 +321,44 @@ func TestStatsAffectedProductions(t *testing.T) {
 	// The goal WME affects a1 and a2 but not a3.
 	if got := n.Stats.AffectedProductions; got != 2 {
 		t.Errorf("affected productions = %d, want 2", got)
+	}
+}
+
+func TestCompiledDispatchEquivalent(t *testing.T) {
+	// The one test dispatch form, JoinNode.Eval, must produce exactly the
+	// brute-force conflict sets on randomized programs.
+	params := matchtest.DefaultGenParams()
+	for seed := int64(500); seed < 510; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prods := matchtest.RandomProgram(rng, params)
+		script := matchtest.RandomScript(rng, params, 20, 4)
+
+		n, err := rete.Compile(prods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := matchtest.NewTracker()
+		n.OnInsert = tr.Insert
+		n.OnRemove = tr.Remove
+		live := map[int]*ops5.WME{}
+		for bi, batch := range script.Batches {
+			for _, ch := range batch {
+				if ch.Kind == ops5.Insert {
+					live[ch.WME.TimeTag] = ch.WME
+				} else {
+					delete(live, ch.WME.TimeTag)
+				}
+			}
+			n.Apply(batch)
+			wmes := make([]*ops5.WME, 0, len(live))
+			for _, w := range live {
+				wmes = append(wmes, w)
+			}
+			want := matchtest.BruteForceKeys(prods, wmes)
+			if d := matchtest.Diff(want, tr.Keys()); d != "" {
+				t.Fatalf("seed %d batch %d:\n%s", seed, bi, d)
+			}
+		}
 	}
 }
 
