@@ -60,6 +60,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -107,7 +108,7 @@ func main() {
 	}
 	flag.Parse()
 	if *showVersion {
-		fmt.Printf("psmd %s %s\n", version, cluster.GoVersion())
+		fmt.Printf("psmd %s %s\n", version, runtime.Version())
 		return
 	}
 	if flag.NArg() > 0 {
@@ -155,7 +156,6 @@ func main() {
 			Replicas:  *replicas,
 			Forward:   *forward,
 			Heartbeat: *heartbeat,
-			Logger:    logger,
 			Version:   version,
 		})
 		if err != nil {
@@ -187,7 +187,7 @@ func main() {
 	}
 	srv := server.New(cfg)
 	srv.Registry().Gauge(fmt.Sprintf("psmd_build_info{version=%q,go=%q,node=%q}",
-		version, cluster.GoVersion(), *nodeID),
+		version, runtime.Version(), *nodeID),
 		"build identity; constant 1").Set(1)
 	if node != nil {
 		if err := node.Start(srv); err != nil {
@@ -195,14 +195,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	handler := srv.HandlerWith(server.HandlerConfig{
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.HandlerWith(server.HandlerConfig{
 		RequestTimeout: *timeout,
 		DisablePprof:   *noPprof,
-	})
-	if node != nil {
-		handler = node.Handler(handler)
-	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	})}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()

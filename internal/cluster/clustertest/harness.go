@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,14 +26,11 @@ import (
 	"repro/internal/server"
 )
 
-// Timings: aggressive so a full kill/failover round trips in well
-// under a second of wall clock, yet coarse enough not to flap under
-// -race on a loaded CI machine.
-const (
-	Heartbeat    = 25 * time.Millisecond
-	SuspectAfter = 100 * time.Millisecond
-	DeadAfter    = 250 * time.Millisecond
-)
+// Heartbeat is aggressive so a full kill/failover round trips in well
+// under a second of wall clock (a peer is suspect after 4 heartbeats,
+// dead after 10), yet coarse enough not to flap under -race on a loaded
+// CI machine.
+const Heartbeat = 25 * time.Millisecond
 
 // Node is one in-process psmd node.
 type Node struct {
@@ -60,14 +58,27 @@ type Cluster struct {
 
 	peers   map[string]string
 	forward bool
+	logw    io.Writer
+
+	mu  sync.Mutex
+	cut map[[2]string]bool // severed (from, to) address pairs
 }
 
 // Start brings up n nodes. Listeners are created first so every node
 // knows every peer's URL before any node starts — the static -peers
-// model. forward selects proxy-forwarding (true) or 307 redirects.
+// model. forward selects proxy-forwarding (true) or 307 redirects. It
+// returns once every node has heard every peer's inventory.
 func Start(t *testing.T, n int, forward bool) *Cluster {
 	t.Helper()
-	c := &Cluster{T: t, forward: forward, peers: make(map[string]string, n)}
+	return StartLogging(t, n, forward, nil)
+}
+
+// StartLogging is Start with every node's info-level log written to w
+// as JSON lines, each carrying the node's ID (nil discards, as Start).
+func StartLogging(t *testing.T, n int, forward bool, w io.Writer) *Cluster {
+	t.Helper()
+	c := &Cluster{T: t, forward: forward, logw: w,
+		peers: make(map[string]string, n), cut: make(map[[2]string]bool)}
 	root := t.TempDir()
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -88,6 +99,14 @@ func Start(t *testing.T, n int, forward bool) *Cluster {
 		c.boot(node)
 	}
 	t.Cleanup(c.Close)
+	// A node answers 503 for sessions it does not serve until it has
+	// heard every peer's inventory; a probe for a session no node holds
+	// reads 404 once that is true everywhere.
+	for i, tn := range c.Nodes {
+		c.WaitFor(5*time.Second, tn.ID+" heard from every peer", func() bool {
+			return c.JSON(i, "GET", "/v1/sessions/clustertest-probe", nil, nil) == http.StatusNotFound
+		})
+	}
 	return c
 }
 
@@ -95,21 +114,21 @@ func Start(t *testing.T, n int, forward bool) *Cluster {
 func (c *Cluster) boot(tn *Node) {
 	c.T.Helper()
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	if os.Getenv("CLUSTERTEST_VERBOSE") != "" {
+	switch {
+	case c.logw != nil:
+		logger = slog.New(slog.NewJSONHandler(c.logw, nil)).With("node", tn.ID)
+	case os.Getenv("CLUSTERTEST_VERBOSE") != "":
 		logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug})).
 			With("node", tn.ID)
 	}
 	node, err := cluster.New(cluster.Config{
-		Self:         tn.ID,
-		Peers:        c.peers,
-		Replicas:     2,
-		Forward:      c.forward,
-		Heartbeat:    Heartbeat,
-		SuspectAfter: SuspectAfter,
-		DeadAfter:    DeadAfter,
-		Client:       &http.Client{Timeout: 2 * time.Second},
-		Logger:       logger,
-		Version:      "clustertest",
+		Self:      tn.ID,
+		Peers:     c.peers,
+		Replicas:  2,
+		Forward:   c.forward,
+		Heartbeat: Heartbeat,
+		Client:    &http.Client{Timeout: 2 * time.Second, Transport: cutTransport{c, tn.Addr}},
+		Version:   "clustertest",
 	})
 	if err != nil {
 		c.T.Fatalf("cluster.New(%s): %v", tn.ID, err)
@@ -126,7 +145,7 @@ func (c *Cluster) boot(tn *Node) {
 	}
 	tn.node = node
 	tn.srv = srv
-	tn.http = &http.Server{Handler: node.Handler(srv.HandlerWith(server.HandlerConfig{DisablePprof: true}))}
+	tn.http = &http.Server{Handler: srv.HandlerWith(server.HandlerConfig{DisablePprof: true})}
 	go tn.http.Serve(tn.ln)
 	tn.up = true
 }
@@ -205,6 +224,48 @@ func (c *Cluster) Exit(i int) {
 	tn.node.Drain(ctx)
 	tn.node.Stop()
 	tn.srv.Close()
+}
+
+// Partition cuts the intra-cluster traffic between nodes i and j both
+// ways — heartbeats, shipping, proxy hops — while clients still reach
+// both.
+func (c *Cluster) Partition(i, j int) { c.setCut(i, j, true) }
+
+// Heal undoes Partition(i, j).
+func (c *Cluster) Heal(i, j int) { c.setCut(i, j, false) }
+
+// HealAll undoes every Partition.
+func (c *Cluster) HealAll() {
+	c.mu.Lock()
+	clear(c.cut)
+	c.mu.Unlock()
+}
+
+func (c *Cluster) setCut(i, j int, cut bool) {
+	a, b := c.Nodes[i].Addr, c.Nodes[j].Addr
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cut[[2]string{a, b}], c.cut[[2]string{b, a}] = cut, cut
+}
+
+// cutTransport is one node's intra-cluster transport: a request across
+// a cut fails as a dropped connection would.
+type cutTransport struct {
+	c    *Cluster
+	from string // the node's own address
+}
+
+func (t cutTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	t.c.mu.Lock()
+	cut := t.c.cut[[2]string{t.from, req.URL.Host}]
+	t.c.mu.Unlock()
+	if cut {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, fmt.Errorf("clustertest: %s is cut off from %s", t.from, req.URL.Host)
+	}
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 // Close tears the whole cluster down.

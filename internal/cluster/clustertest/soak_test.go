@@ -17,7 +17,7 @@ import (
 // TestClusterStreamSoak is the nightly soak: continuous fraud-event
 // ingest against a three-node cluster with abrupt owner kills, standby
 // promotion and rejoin happening mid-stream. Each batch retries through
-// failover windows (connection drops, 404 while the standby promotes,
+// failover windows (connection drops, 503 while the standby promotes,
 // 429 backpressure); the run fails if a batch cannot land within its
 // retry budget or the cluster stops serving the session. A short run
 // (3s, a single kill/promote round) executes on every `go test`; the
@@ -84,7 +84,7 @@ func TestClusterStreamSoak(t *testing.T) {
 				sent = true
 			case http.StatusTooManyRequests:
 				time.Sleep(20 * time.Millisecond) // backpressure: retry the batch
-			default: // 0 (conn dropped), 404/503 during promotion
+			default: // 0 (conn dropped), 502/503 during promotion
 				time.Sleep(20 * time.Millisecond)
 			}
 		}
@@ -118,10 +118,10 @@ func TestClusterStreamSoak(t *testing.T) {
 		t.Error("soak finished without a kill/promote round — duration too short")
 	}
 
-	// The node restarted last recovers its stale copy of the session and
-	// holds it until its first heartbeat learns of the promoted owner and
-	// demotes it, so for that long OwnerOf can name a node that answers
-	// 404 a moment later: resolve the owner afresh for every attempt.
+	// The node restarted last holds its copy as a standby, and when it is
+	// the ring owner the session is handed back to it, so OwnerOf can
+	// name a node that gives the session up a moment later: resolve the
+	// owner afresh for every attempt.
 	var info server.SessionInfo
 	c.WaitFor(10*time.Second, "a live owner answering at soak end", func() bool {
 		owner := c.OwnerOf(id)

@@ -2,14 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
-	"strings"
+	"slices"
 	"time"
 
 	"repro/internal/durable"
@@ -17,23 +16,32 @@ import (
 )
 
 // The intra-cluster wire protocol, all under /v1/internal (never
-// routed, never proxied):
+// placed, never proxied):
 //
 //	GET    /v1/internal/ping?from={node}        heartbeat; responds with this
 //	                                            node's session/seq table
-//	POST   /v1/internal/replicate/{id}/snapshot install a shipped snapshot
+//	POST   /v1/internal/replicate/{id}/snapshot?from={node}
+//	                                            install a shipped snapshot
 //	                                            (body: frame(manifest)+frame(snapshot))
-//	POST   /v1/internal/replicate/{id}/records  append shipped WAL records
+//	POST   /v1/internal/replicate/{id}/records?from={node}
+//	                                            append shipped WAL records
 //	                                            (body: concatenated CRC frames)
 //	DELETE /v1/internal/replicate/{id}          drop the standby replica
 //	POST   /v1/internal/promote/{id}            promote the standby to live
 //
-// Replication acks are {"seq":N}; protocol conflicts answer 409 with
-// the standard error envelope plus the sequence — {"seq":N,
-// "code":"gap"|"stale", "message":..., "retryable":false} — and the
-// sender resyncs. Plus one public endpoint:
+// plus one public endpoint:
 //
 //	GET    /v1/cluster/status                   membership, sessions, replication
+//
+// The routes are declared in server.HandlerWith's table beside the
+// sessions API, so they share its request deadline, X-Request-Id echo,
+// request log line and writeError envelope. Replication acks are
+// {"seq":N}. A 409 "gap" makes the sender resync the follower from a
+// snapshot; a 409 "stale" says the receiver serves the session live or
+// holds newer state. Sessions API clients see 307 "wrong_node" (with
+// Location), 502 "bad_gateway" when a proxy hop fails and 503
+// "unavailable" while a session may fail over — all retryable — and 404
+// only when no node knows the session.
 //
 // forwardedHeader marks a proxied request so a misconfigured ring can
 // never bounce a request in a forwarding loop.
@@ -46,22 +54,10 @@ type pingResponse struct {
 	Sessions map[string]sessionReport `json:"sessions,omitempty"`
 }
 
-// ackResponse acknowledges a replication push. On a 409 conflict it
-// doubles as the standard {code,message,retryable} error envelope with
-// the sequence alongside, so internal endpoints speak the same error
-// shape as the public API.
+// ackResponse acknowledges a replication push with the standby's
+// position.
 type ackResponse struct {
-	Seq       int64  `json:"seq"`
-	Code      string `json:"code,omitempty"`
-	Message   string `json:"message,omitempty"`
-	Retryable bool   `json:"retryable,omitempty"`
-}
-
-// ackConflict builds the 409 ack envelope for a protocol conflict.
-// Conflicts are not retryable as-is: the sender must resync (gap) or
-// stop shipping (stale), not repeat the identical request.
-func ackConflict(seq int64, code, msg string) ackResponse {
-	return ackResponse{Seq: seq, Code: code, Message: msg}
+	Seq int64 `json:"seq"`
 }
 
 // SessionStatus is one live session on /v1/cluster/status.
@@ -90,279 +86,203 @@ type StatusResponse struct {
 	Standbys  []StandbyStatus `json:"standbys"`
 	Failovers int64           `json:"failovers"`
 	Handoffs  int64           `json:"handoffs"`
-	// SchedPhaseSeconds is this node's accumulated parallel-matcher
-	// scheduler time by phase (the §6 loss-factor series), summed over
-	// every hosted session; absent until a loss-capable matcher runs.
-	SchedPhaseSeconds map[string]float64 `json:"sched_phase_seconds,omitempty"`
 }
 
-// Handler wraps the server's HTTP API with the cluster layer: the
-// /v1/internal wire protocol and /v1/cluster/status are served here;
-// every other request passes through session routing, which serves
-// locally, proxies, or 307-redirects by consistent-hash placement.
-func (n *Node) Handler(inner http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/internal/ping", n.handlePing)
-	mux.HandleFunc("POST /v1/internal/replicate/{id}/snapshot", n.handleReplicateSnapshot)
-	mux.HandleFunc("POST /v1/internal/replicate/{id}/records", n.handleReplicateRecords)
-	mux.HandleFunc("DELETE /v1/internal/replicate/{id}", n.handleReplicateDelete)
-	mux.HandleFunc("POST /v1/internal/promote/{id}", n.handlePromote)
-	mux.HandleFunc("GET /v1/cluster/status", n.handleStatus)
-	mux.Handle("/", n.route(inner))
-	return mux
+// reply is the error a cluster handler answers with; 307, 502 and 503
+// are retryable, conflicts and bad requests are not.
+func reply(status int, code, msg string) *server.ReplyError {
+	retryable := status == http.StatusTemporaryRedirect ||
+		status == http.StatusBadGateway || status == http.StatusServiceUnavailable
+	return &server.ReplyError{Status: status,
+		ErrorResponse: server.ErrorResponse{Code: code, Message: msg, Retryable: retryable}}
 }
 
-// route is the placement middleware in front of the sessions API.
-func (n *Node) route(inner http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// A forwarded request is served here no matter what this
-		// node's ring says — the forwarding peer made the placement
-		// decision, and one hop is all the protocol allows.
-		if r.Header.Get(forwardedHeader) != "" {
-			inner.ServeHTTP(w, r)
-			return
-		}
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/sessions" {
-			n.routeCreate(w, r, inner)
-			return
-		}
-		id := sessionIDFromPath(r.URL.Path)
-		if id == "" {
-			inner.ServeHTTP(w, r) // list, operational endpoints, etc.
-			return
-		}
-		target := n.target(id)
-		if target == nil {
-			inner.ServeHTTP(w, r)
-			return
-		}
-		if n.cfg.Forward {
-			n.proxy(w, r, target, nil)
-			return
-		}
-		writeRedirect(w, target, r)
-	})
-}
-
-// routeCreate handles POST /sessions: the session ID decides placement,
-// and when the client did not pick one, this node generates it — then
-// the request must be proxied, never redirected, or the generated ID
-// would be lost and re-rolled by the next node.
-func (n *Node) routeCreate(w http.ResponseWriter, r *http.Request, inner http.Handler) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 32<<20))
-	if err != nil {
-		writeClusterError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("read create body: %v", err))
-		return
-	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(body, &fields); err != nil {
-		writeClusterError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad create body: %v", err))
-		return
-	}
-	var id string
-	if raw, ok := fields["id"]; ok {
-		json.Unmarshal(raw, &id)
-	}
-	generated := false
-	if id == "" {
-		id = fmt.Sprintf("s-%s-%06d", n.cfg.Self, n.createSeq.Add(1))
-		fields["id"], _ = json.Marshal(id)
-		body, _ = json.Marshal(fields)
-		generated = true
-	}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	r.ContentLength = int64(len(body))
-	target := n.target(id)
-	if target == nil {
-		inner.ServeHTTP(w, r)
-		return
-	}
-	if n.cfg.Forward || generated {
-		n.proxy(w, r, target, body)
-		return
-	}
-	writeRedirect(w, target, r)
-}
-
-// target decides where a session's request belongs: nil to serve
-// locally, else the peer to forward to. Locally live sessions are
-// served here unconditionally (sticky ownership); otherwise a peer
-// claiming the session live wins over ring placement, so requests keep
-// landing on a failed-over owner even while the ring disagrees.
-func (n *Node) target(id string) *peer {
+// Place implements server.Replicator. A session live here is served
+// here; one that leaves while the request waits for its shard (a
+// handoff, a demotion) answers 503, not 404. Any other request goes
+// where target says: a peer gets it by proxy under -forward, and
+// always for a pinned ID, which a client redirected elsewhere could not
+// know; otherwise the client gets a 307.
+func (n *Node) Place(w http.ResponseWriter, r *http.Request, id string, pinned bool, serve func() error) error {
 	if n.srv.HasSession(id) {
-		return nil
-	}
-	now := time.Now()
-	if holder, _ := n.liveClaim(id, now); holder != "" {
-		if p := n.alivePeer(holder, now); p != nil {
-			return p
+		if err := serve(); !errors.Is(err, server.ErrNoSession) {
+			return err
 		}
+		return reply(http.StatusServiceUnavailable, "unavailable", "session "+id+" moved off this node; retry")
 	}
-	for _, nodeID := range n.ring(now).Prefer(id, len(n.cfg.Peers)) {
-		if nodeID == n.cfg.Self {
-			return nil
-		}
-		if p := n.alivePeer(nodeID, now); p != nil {
-			return p
-		}
+	target, err := n.target(id, r.Header.Get(forwardedHeader) != "")
+	switch {
+	case err != nil:
+		return err
+	case target == nil:
+		return serve()
+	case n.cfg.Forward || pinned:
+		return n.proxy(w, r, target)
 	}
-	return nil
+	w.Header().Set("Location", target.url+r.URL.RequestURI())
+	return reply(http.StatusTemporaryRedirect, "wrong_node",
+		"session is owned by "+target.id+"; retry at the Location header")
 }
 
-// proxy forwards the request to a peer and relays the response. body
-// is the already-read request body (nil to stream r.Body).
-func (n *Node) proxy(w http.ResponseWriter, r *http.Request, target *peer, body []byte) {
-	url := target.url + r.URL.RequestURI()
-	var reader io.Reader = r.Body
-	if body != nil {
-		reader = bytes.NewReader(body)
+// NewSessionID implements server.Replicator: the node ID prefix keeps
+// the IDs it generates collision-free across the cluster.
+func (n *Node) NewSessionID() string {
+	return fmt.Sprintf("s-%s-%06d", n.cfg.Self, n.createSeq.Add(1))
+}
+
+// target picks the peer a request for a session not live here belongs
+// to: an alive peer claiming it live, else the first alive node of its
+// ring preference (nil: this node). A forwarded request was placed by
+// the peer that sent it, and one hop is all the protocol allows, so it
+// stays here. A request that stays answers 503 while some copy of the
+// session may still come live — a standby here, a copy a non-dead peer
+// reports, or a peer not yet heard from since startup — and reaches
+// the sessions API (404, or a create) only when no node knows the
+// session.
+func (n *Node) target(id string, forwarded bool) (*peer, error) {
+	now := time.Now()
+	unavailable := reply(http.StatusServiceUnavailable, "unavailable",
+		"session "+id+" is not live on any reachable node yet")
+	if !n.mem.allReported(now) {
+		return nil, unavailable
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, reader)
+	if !forwarded {
+		if holder, _ := n.liveClaim(id, now); holder != "" {
+			if p := n.alivePeer(holder, now); p != nil {
+				return p, nil
+			}
+		}
+		for _, nodeID := range n.ring(now).Prefer(id, len(n.cfg.Peers)) {
+			if nodeID == n.cfg.Self {
+				break
+			}
+			if p := n.alivePeer(nodeID, now); p != nil {
+				return p, nil
+			}
+		}
+	}
+	known := n.standby(id) != nil
+	n.mem.reports(id, now, func(*peer, sessionReport) { known = true })
+	if known {
+		return nil, unavailable
+	}
+	return nil, nil
+}
+
+// proxy forwards the request to a peer and relays the response.
+func (n *Node) proxy(w http.ResponseWriter, r *http.Request, target *peer) error {
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, target.url+r.URL.RequestURI(), r.Body)
 	if err != nil {
-		writeClusterError(w, http.StatusInternalServerError, "internal", err.Error())
-		return
+		return err
 	}
 	req.Header = r.Header.Clone()
 	req.Header.Set(forwardedHeader, n.cfg.Self)
 	resp, err := n.client.Do(req)
 	if err != nil {
-		writeClusterError(w, http.StatusBadGateway, "bad_gateway",
-			fmt.Sprintf("forward to %s: %v", target.id, err))
-		return
+		return reply(http.StatusBadGateway, "bad_gateway", fmt.Sprintf("forward to %s: %v", target.id, err))
 	}
 	defer resp.Body.Close()
 	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
+		w.Header()[k] = vs
 	}
 	w.Header().Set("X-Psmd-Served-By", target.id)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
+	return nil
 }
 
-func (n *Node) handlePing(w http.ResponseWriter, r *http.Request) {
+// ServePing implements server.Replicator.
+func (n *Node) ServePing(w http.ResponseWriter, r *http.Request) error {
 	// The ping itself proves the sender is up; its session table
 	// arrives when we ping it back.
 	if from := r.URL.Query().Get("from"); from != "" {
 		n.mem.markAlive(from, nil, false, time.Now())
 	}
-	writeJSON(w, http.StatusOK, pingResponse{
+	return server.WriteJSON(w, http.StatusOK, pingResponse{
 		Node:     n.cfg.Self,
 		Draining: n.Draining(),
 		Sessions: n.sessionsReport(),
 	})
 }
 
-// standbyFor returns the session's standby, creating it when the
-// sender is attaching this node as a new follower.
-func (n *Node) standbyFor(id string, create bool) (*durable.Standby, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if st := n.standbys[id]; st != nil {
-		return st, nil
+// refuseLive answers 409 stale when this node serves the session live:
+// whoever is shipping to it holds a stale copy.
+func (n *Node) refuseLive(id string) error {
+	if n.srv.HasSession(id) {
+		return reply(http.StatusConflict, "stale", "session is live on this node; the sender's copy is stale")
 	}
-	if !create {
-		return nil, nil
-	}
-	dir := n.replicaDir(id)
-	if err := os.MkdirAll(filepath.Dir(dir), 0o777); err != nil {
-		return nil, err
-	}
-	st, err := durable.OpenStandby(dir)
-	if err != nil {
-		return nil, err
-	}
-	n.standbys[id] = st
-	n.standbyG.Set(int64(len(n.standbys)))
-	return st, nil
+	return nil
 }
 
-func (n *Node) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request) {
+// ack answers a replication push: the standby's new position, or the
+// conflict that makes the sender resync (gap) or stand down (stale). A
+// push that lands proves its sender holds the session, ahead of any
+// heartbeat: reconcile must not promote this standby in the meantime.
+func (n *Node) ack(w http.ResponseWriter, r *http.Request, id string, seq int64, err error) error {
+	switch {
+	case errors.Is(err, durable.ErrSequenceGap):
+		return reply(http.StatusConflict, "gap", err.Error())
+	case errors.Is(err, durable.ErrStaleSnapshot):
+		return reply(http.StatusConflict, "stale", err.Error())
+	case err != nil:
+		return err
+	}
+	n.mem.claim(r.URL.Query().Get("from"), id, seq)
+	return server.WriteJSON(w, http.StatusOK, ackResponse{Seq: seq})
+}
+
+// ServeReplicaSnapshot implements server.Replicator.
+func (n *Node) ServeReplicaSnapshot(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
-	if n.srv.HasSession(id) {
-		// This node serves the session live: whoever is shipping to us
-		// holds a stale copy (e.g. a rejoined crashed owner).
-		seq := n.srv.DurableSeqs()[id]
-		writeJSON(w, http.StatusConflict, ackConflict(seq, "stale",
-			"session is live on this node; the sender's copy is stale"))
-		return
+	if err := n.refuseLive(id); err != nil {
+		return err
 	}
 	manifest, err := durable.DecodeFrame(r.Body)
 	if err != nil {
-		writeClusterError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("manifest frame: %v", err))
-		return
+		return reply(http.StatusBadRequest, "bad_request", fmt.Sprintf("manifest frame: %v", err))
 	}
 	snap, err := durable.DecodeFrame(r.Body)
 	if err != nil {
-		writeClusterError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("snapshot frame: %v", err))
-		return
+		return reply(http.StatusBadRequest, "bad_request", fmt.Sprintf("snapshot frame: %v", err))
 	}
-	st, err := n.standbyFor(id, true)
+	st, err := n.putStandby(id)
 	if err != nil {
-		writeClusterError(w, http.StatusInternalServerError, "internal", err.Error())
-		return
+		return err
 	}
 	seq, err := st.InstallSnapshot(manifest, snap)
 	n.logger.Debug("replica snapshot installed", "session", id, "seq", seq, "err", err)
-	switch {
-	case errors.Is(err, durable.ErrStaleSnapshot):
-		writeJSON(w, http.StatusConflict, ackConflict(seq, "stale", err.Error()))
-	case err != nil:
-		writeClusterError(w, http.StatusInternalServerError, "internal", err.Error())
-	default:
-		writeJSON(w, http.StatusOK, ackResponse{Seq: seq})
-	}
+	return n.ack(w, r, id, seq, err)
 }
 
-func (n *Node) handleReplicateRecords(w http.ResponseWriter, r *http.Request) {
+// ServeReplicaRecords implements server.Replicator.
+func (n *Node) ServeReplicaRecords(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
-	if n.srv.HasSession(id) {
-		seq := n.srv.DurableSeqs()[id]
-		writeJSON(w, http.StatusConflict, ackConflict(seq, "stale",
-			"session is live on this node; the sender's copy is stale"))
-		return
+	if err := n.refuseLive(id); err != nil {
+		return err
 	}
-	st, err := n.standbyFor(id, false)
-	if err != nil {
-		writeClusterError(w, http.StatusInternalServerError, "internal", err.Error())
-		return
-	}
+	st := n.standby(id)
 	if st == nil {
-		// No replica here yet: the sender must ship a snapshot first.
-		writeJSON(w, http.StatusConflict, ackConflict(0, "gap",
-			"no replica for this session; ship a snapshot first"))
-		return
+		return reply(http.StatusConflict, "gap", "no replica for this session; ship a snapshot first")
 	}
 	seq, _, err := st.AppendRecords(r.Body)
 	n.logger.Debug("replica records appended", "session", id, "seq", seq, "err", err)
-	switch {
-	case errors.Is(err, durable.ErrSequenceGap):
-		writeJSON(w, http.StatusConflict, ackConflict(seq, "gap", err.Error()))
-	case err != nil:
-		writeClusterError(w, http.StatusInternalServerError, "internal", err.Error())
-	default:
-		writeJSON(w, http.StatusOK, ackResponse{Seq: seq})
-	}
+	return n.ack(w, r, id, seq, err)
 }
 
-func (n *Node) handleReplicateDelete(w http.ResponseWriter, r *http.Request) {
+// ServeReplicaDelete implements server.Replicator.
+func (n *Node) ServeReplicaDelete(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
-	n.mu.Lock()
-	st := n.standbys[id]
-	delete(n.standbys, id)
-	n.standbyG.Set(int64(len(n.standbys)))
-	n.mu.Unlock()
-	if st != nil {
+	if st := n.takeStandby(id); st != nil {
 		if err := st.Remove(); err != nil {
 			n.logger.Warn("standby removal", "session", id, "err", err)
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
-func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
+// ServePromote implements server.Replicator.
+func (n *Node) ServePromote(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	// The request itself is fresher evidence than any heartbeat: the
 	// sender demoted its copy before asking (handoff pushes state
@@ -379,21 +299,18 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if n.Draining() {
 		// A draining node is about to exit; adopting a session now
 		// would immediately orphan it again.
-		writeClusterError(w, http.StatusServiceUnavailable, "draining", "node is draining")
-		return
+		return reply(http.StatusServiceUnavailable, "draining", "node is draining")
 	}
-	if n.srv.HasSession(id) {
-		writeJSON(w, http.StatusOK, ackResponse{Seq: n.srv.DurableSeqs()[id]})
-		return
+	if !n.srv.HasSession(id) {
+		if err := n.promoteStandby(id); err != nil {
+			return reply(http.StatusConflict, "promote_failed", err.Error())
+		}
 	}
-	if err := n.promoteStandby(id); err != nil {
-		writeClusterError(w, http.StatusConflict, "promote_failed", err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, ackResponse{Seq: n.srv.DurableSeqs()[id]})
+	return server.WriteJSON(w, http.StatusOK, ackResponse{Seq: n.srv.DurableSeqs()[id]})
 }
 
-func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
+// ServeStatus implements server.Replicator.
+func (n *Node) ServeStatus(w http.ResponseWriter, r *http.Request) error {
 	now := time.Now()
 	live := n.srv.DurableSeqs()
 	out := StatusResponse{
@@ -407,13 +324,7 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Sessions:  []SessionStatus{},
 		Standbys:  []StandbyStatus{},
 		Failovers: n.failovers.Value(),
-		SchedPhaseSeconds: func() map[string]float64 {
-			if m := n.srv.SchedPhaseSeconds(); len(m) > 0 {
-				return m
-			}
-			return nil
-		}(),
-		Handoffs: n.handoffs.Value(),
+		Handoffs:  n.handoffs.Value(),
 	}
 	n.mu.Lock()
 	for id, seq := range live {
@@ -427,28 +338,51 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 		out.Standbys = append(out.Standbys, StandbyStatus{ID: id, Seq: st.Seq()})
 	}
 	n.mu.Unlock()
-	sortStatus(out.Sessions, out.Standbys)
-	writeJSON(w, http.StatusOK, out)
+	slices.SortFunc(out.Sessions, func(a, b SessionStatus) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(out.Standbys, func(a, b StandbyStatus) int { return cmp.Compare(a.ID, b.ID) })
+	return server.WriteJSON(w, http.StatusOK, out)
 }
 
 // --- client side of the wire protocol ---
 
+// call sends one intra-cluster request to a peer and decodes a 2xx
+// JSON reply into out (when non-nil). Any other reply comes back as the
+// peer's error envelope, a *server.ReplyError.
+func (n *Node) call(p *peer, method, path string, body []byte, out any) error {
+	req, err := http.NewRequest(method, p.url+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	resp, err := n.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer drainBody(resp)
+	dec := json.NewDecoder(io.LimitReader(resp.Body, 8<<20))
+	if resp.StatusCode/100 != 2 {
+		e := &server.ReplyError{Status: resp.StatusCode}
+		dec.Decode(&e.ErrorResponse)
+		return fmt.Errorf("%s %s on %s: %w", method, path, p.id, e)
+	}
+	if out == nil {
+		return nil
+	}
+	return dec.Decode(out)
+}
+
+// isGap reports a follower's 409 gap: it misses history and needs a
+// snapshot.
+func isGap(err error) bool {
+	var e *server.ReplyError
+	return errors.As(err, &e) && e.Code == "gap"
+}
+
 // ping heartbeats one peer and returns its session table and draining
 // state.
 func (n *Node) ping(p *peer) (map[string]sessionReport, bool, error) {
-	resp, err := n.client.Get(p.url + "/v1/internal/ping?from=" + n.cfg.Self)
-	if err != nil {
-		return nil, false, err
-	}
-	defer drainBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("ping %s: status %d", p.id, resp.StatusCode)
-	}
 	var pr pingResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&pr); err != nil {
-		return nil, false, fmt.Errorf("ping %s: %w", p.id, err)
-	}
-	return pr.Sessions, pr.Draining, nil
+	err := n.call(p, http.MethodGet, "/v1/internal/ping?from="+n.cfg.Self, nil, &pr)
+	return pr.Sessions, pr.Draining, err
 }
 
 // pushSnapshot ships a manifest+snapshot pair to a peer's standby and
@@ -462,129 +396,34 @@ func (n *Node) pushSnapshot(p *peer, id string, manifest, snap []byte) (int64, e
 	if err != nil {
 		return 0, err
 	}
-	ack, status, err := n.post(p, "/v1/internal/replicate/"+id+"/snapshot", append(mf, sf...))
-	if err != nil {
-		return 0, err
-	}
-	if status != http.StatusOK {
-		return 0, fmt.Errorf("snapshot push to %s: status %d code %q", p.id, status, ack.Code)
-	}
-	return ack.Seq, nil
+	var a ackResponse
+	err = n.call(p, http.MethodPost, "/v1/internal/replicate/"+id+"/snapshot?from="+n.cfg.Self, append(mf, sf...), &a)
+	return a.Seq, err
 }
 
-// pushRecords ships framed WAL records; gap reports the follower needs
-// a snapshot resync.
-func (n *Node) pushRecords(p *peer, id string, frames []byte) (seq int64, gap bool, err error) {
-	ack, status, err := n.post(p, "/v1/internal/replicate/"+id+"/records", frames)
-	if err != nil {
-		return 0, false, err
-	}
-	switch {
-	case status == http.StatusOK:
-		return ack.Seq, false, nil
-	case status == http.StatusConflict && ack.Code == "gap":
-		return ack.Seq, true, nil
-	default:
-		return 0, false, fmt.Errorf("record push to %s: status %d code %q", p.id, status, ack.Code)
-	}
+// pushRecords ships framed WAL records and returns the standby's new
+// sequence.
+func (n *Node) pushRecords(p *peer, id string, frames []byte) (int64, error) {
+	var a ackResponse
+	err := n.call(p, http.MethodPost, "/v1/internal/replicate/"+id+"/records?from="+n.cfg.Self, frames, &a)
+	return a.Seq, err
 }
 
-// requestPromote asks a peer to promote its standby to live. The
-// sender identifies itself (and whether it is draining) so the peer
-// can retire the sender's live claim without waiting for a heartbeat.
-func (n *Node) requestPromote(p *peer, id string) error {
+// requestPromote asks a peer to promote its standby to live and
+// returns the session's sequence there. The sender identifies itself
+// (and whether it is draining) so the peer can retire the sender's
+// live claim without waiting for a heartbeat.
+func (n *Node) requestPromote(p *peer, id string) (int64, error) {
 	path := "/v1/internal/promote/" + id + "?from=" + n.cfg.Self
 	if n.Draining() {
 		path += "&draining=1"
 	}
-	_, status, err := n.post(p, path, nil)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("promote on %s: status %d", p.id, status)
-	}
-	return nil
+	var a ackResponse
+	err := n.call(p, http.MethodPost, path, nil, &a)
+	return a.Seq, err
 }
 
 // deleteReplica tears down a peer's standby after session deletion.
 func (n *Node) deleteReplica(p *peer, id string) error {
-	req, err := http.NewRequest(http.MethodDelete, p.url+"/v1/internal/replicate/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return err
-	}
-	drainBody(resp)
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("replica delete on %s: status %d", p.id, resp.StatusCode)
-	}
-	return nil
-}
-
-// post sends a replication POST and decodes the ack envelope.
-func (n *Node) post(p *peer, path string, body []byte) (ackResponse, int, error) {
-	resp, err := n.client.Post(p.url+path, "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		return ackResponse{}, 0, err
-	}
-	defer drainBody(resp)
-	var ack ackResponse
-	json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ack)
-	return ack, resp.StatusCode, nil
-}
-
-// --- small helpers ---
-
-// sessionIDFromPath extracts the {id} of a sessions API path ("" for
-// non-session paths).
-func sessionIDFromPath(path string) string {
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	for i, p := range parts {
-		if p == "sessions" && i+1 < len(parts) {
-			return parts[i+1]
-		}
-	}
-	return ""
-}
-
-// writeRedirect answers 307 to the owning peer with the standard error
-// envelope as body — a bare redirect's empty body left non-following
-// clients without the {code,message,retryable} shape every other error
-// path speaks.
-func writeRedirect(w http.ResponseWriter, target *peer, r *http.Request) {
-	w.Header().Set("Location", target.url+r.URL.RequestURI())
-	writeJSON(w, http.StatusTemporaryRedirect, server.ErrorResponse{
-		Code:      "wrong_node",
-		Message:   "session is owned by " + target.id + "; retry at the Location header",
-		Retryable: true,
-	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-// writeClusterError answers in the server's error envelope.
-func writeClusterError(w http.ResponseWriter, status int, code, msg string) {
-	retryable := status == http.StatusBadGateway || status == http.StatusServiceUnavailable
-	writeJSON(w, status, server.ErrorResponse{Code: code, Message: msg, Retryable: retryable})
-}
-
-// sortStatus orders status slices for deterministic output.
-func sortStatus(sessions []SessionStatus, standbys []StandbyStatus) {
-	sortBy(sessions, func(a, b SessionStatus) bool { return a.ID < b.ID })
-	sortBy(standbys, func(a, b StandbyStatus) bool { return a.ID < b.ID })
-}
-
-func sortBy[T any](s []T, less func(a, b T) bool) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return n.call(p, http.MethodDelete, "/v1/internal/replicate/"+id, nil, nil)
 }

@@ -52,6 +52,11 @@ type peer struct {
 	// draining mirrors the peer's own draining flag: such a peer still
 	// serves and replicates, but must not be handed new sessions.
 	draining bool
+	// noted is when out-of-band evidence (a promote request, an
+	// acknowledged handoff, a landed replication push) last edited
+	// sessions or draining: a heartbeat table asked for before then is
+	// older than that evidence.
+	noted time.Time
 }
 
 // sessionReport is one durable session copy in a heartbeat payload.
@@ -90,19 +95,22 @@ func newMembership(self string, peers map[string]string, suspectAfter, deadAfter
 	return m
 }
 
-// markAlive records a successful heartbeat and the peer's piggybacked
-// session table (nil sessions refreshes liveness without touching the
-// table — e.g. receiving the peer's own ping proves it is up; draining
-// is only trusted alongside an authoritative table).
+// markAlive records a successful heartbeat asked for at now and the
+// peer's piggybacked session table (nil sessions refreshes liveness
+// without touching the table — e.g. receiving the peer's own ping
+// proves it is up; draining is only trusted alongside an authoritative
+// table). A table older than the last out-of-band evidence is dropped.
 func (m *membership) markAlive(id string, sessions map[string]sessionReport, draining bool, now time.Time) {
 	p := m.peers[id]
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.lastSeen = now
+	if now.After(p.lastSeen) {
+		p.lastSeen = now
+	}
 	p.lastErr = ""
-	if sessions != nil {
+	if sessions != nil && now.After(p.noted) {
 		p.sessions = sessions
 		p.reported = true
 		p.draining = draining
@@ -158,6 +166,23 @@ func (m *membership) allReported(now time.Time) bool {
 	return true
 }
 
+// reports calls fn with every copy of a session a non-dead peer
+// reported on its last heartbeat, live or standby: the evidence
+// placement and failover decide from.
+func (m *membership) reports(session string, now time.Time, fn func(p *peer, rep sessionReport)) {
+	for _, p := range m.peers {
+		if m.state(p, now) == StateDead {
+			continue
+		}
+		p.mu.Lock()
+		rep, ok := p.sessions[session]
+		p.mu.Unlock()
+		if ok {
+			fn(p, rep)
+		}
+	}
+}
+
 // releaseClaim retires a live claim the peer reported: the promote
 // request that just arrived proves the peer demoted that session (a
 // handoff demotes before pushing), so its last heartbeat table is
@@ -173,6 +198,24 @@ func (m *membership) releaseClaim(peerID, session string) {
 		rep.Live = false
 		p.sessions[session] = rep
 	}
+	p.noted = time.Now()
+	p.mu.Unlock()
+}
+
+// claim records the peer serving a session live at seq: a handoff the
+// peer just acknowledged, or a replication push it just sent, proves it
+// ahead of the peer's next heartbeat.
+func (m *membership) claim(peerID, session string, seq int64) {
+	p := m.peers[peerID]
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	if p.sessions == nil {
+		p.sessions = make(map[string]sessionReport)
+	}
+	p.sessions[session] = sessionReport{Seq: seq, Live: true}
+	p.noted = time.Now()
 	p.mu.Unlock()
 }
 
@@ -186,6 +229,7 @@ func (m *membership) setDraining(id string) {
 	}
 	p.mu.Lock()
 	p.draining = true
+	p.noted = time.Now()
 	p.mu.Unlock()
 }
 

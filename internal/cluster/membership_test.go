@@ -49,6 +49,13 @@ func TestMembershipReleaseClaim(t *testing.T) {
 	p.mu.Lock()
 	rep = p.sessions["s"]
 	p.mu.Unlock()
+	if rep.Live {
+		t.Fatal("a table asked for before the release overrode it")
+	}
+	m.markAlive("c", map[string]sessionReport{"s": {Seq: 9, Live: true}}, false, time.Now())
+	p.mu.Lock()
+	rep = p.sessions["s"]
+	p.mu.Unlock()
 	if !rep.Live || rep.Seq != 9 {
 		t.Fatalf("fresh heartbeat table did not replace the release: %+v", rep)
 	}

@@ -9,8 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,21 +29,15 @@ type Config struct {
 	// Replicas is the total copies per session, owner included
 	// (default 2: one owner, one follower).
 	Replicas int
-	// VNodes is the ring's virtual nodes per member (default 64).
-	VNodes int
 	// Forward proxies misrouted requests to the owner instead of
 	// answering 307 (the -forward flag).
 	Forward bool
-	// Heartbeat is the ping/reconcile period (default 1s).
+	// Heartbeat is the ping/reconcile period (default 1s). A peer
+	// silent for 4 heartbeats is suspect, for 10 dead: dead peers leave
+	// the ring and their sessions fail over.
 	Heartbeat time.Duration
-	// SuspectAfter / DeadAfter are heartbeat-silence thresholds
-	// (defaults 3x and 10x Heartbeat). Dead peers leave the ring and
-	// their sessions fail over.
-	SuspectAfter, DeadAfter time.Duration
 	// Client performs intra-cluster HTTP (default: 5s timeout).
 	Client *http.Client
-	// Logger receives cluster events (default: the server's logger).
-	Logger *slog.Logger
 	// Version is the build version reported on /v1/cluster/status.
 	Version string
 }
@@ -52,7 +45,8 @@ type Config struct {
 // Node is the cluster runtime bound to one server: membership and
 // heartbeats, WAL shippers for owned sessions, standby replicas for
 // peers' sessions, and the reconcile loop that moves ownership. It is
-// the server's Replicator and wraps its HTTP handler (see Handler).
+// the server's Replicator: it places session requests and serves the
+// cluster's routes from the server's route table (handler.go).
 type Node struct {
 	cfg    Config
 	srv    *server.Server
@@ -63,7 +57,6 @@ type Node struct {
 	mu       sync.Mutex
 	shippers map[string]*shipper
 	standbys map[string]*durable.Standby
-	started  bool
 
 	stop     chan struct{}
 	loopDone chan struct{}
@@ -83,11 +76,9 @@ type Node struct {
 }
 
 // New validates the config and builds the node. Pass the node as
-// server.Config.Replicator, build the server, then call Start — the
-// split exists because the server recovers sessions inside server.New
-// (firing SessionUp) before the node can possibly hold a server
-// reference. SessionUp before Start only records the session; shipping
-// begins at Start.
+// server.Config.Replicator, build the server, then call Start. A server
+// with a Replicator recovers no session itself: Start reopens every
+// durable copy on disk as a standby.
 func New(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: -node is required")
@@ -104,18 +95,12 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 3 * cfg.Heartbeat
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 10 * cfg.Heartbeat
-	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 5 * time.Second}
 	}
 	return &Node{
 		cfg:      cfg,
-		mem:      newMembership(cfg.Self, cfg.Peers, cfg.SuspectAfter, cfg.DeadAfter, time.Now()),
+		mem:      newMembership(cfg.Self, cfg.Peers, 4*cfg.Heartbeat, 10*cfg.Heartbeat, time.Now()),
 		client:   cfg.Client,
 		shippers: make(map[string]*shipper),
 		standbys: make(map[string]*durable.Standby),
@@ -125,18 +110,14 @@ func New(cfg Config) (*Node, error) {
 }
 
 // Start binds the node to its server, registers cluster metrics,
-// reopens standby replicas left on disk by an earlier run, launches
-// shippers for sessions recovered before Start, and starts the
+// reopens the durable copies on disk as standbys, and starts the
 // heartbeat/reconcile loop.
 func (n *Node) Start(srv *server.Server) error {
 	if srv.DataDir() == "" {
 		return fmt.Errorf("cluster: cluster mode requires -data-dir (WAL shipping replicates durable state)")
 	}
 	n.srv = srv
-	if n.cfg.Logger == nil {
-		n.cfg.Logger = srv.Logger()
-	}
-	n.logger = n.cfg.Logger
+	n.logger = srv.Logger()
 	r := srv.Registry()
 	n.shipRecords = r.Counter("psmd_ship_records_total", "WAL records shipped to follower replicas")
 	n.shipBytes = r.Counter("psmd_ship_bytes_total", "bytes shipped to follower replicas (records and snapshots)")
@@ -157,17 +138,6 @@ func (n *Node) Start(srv *server.Server) error {
 	if err := n.reopenStandbys(); err != nil {
 		return err
 	}
-	n.mu.Lock()
-	n.started = true
-	shippers := make([]*shipper, 0, len(n.shippers))
-	for _, sp := range n.shippers {
-		shippers = append(shippers, sp)
-	}
-	n.mu.Unlock()
-	for _, sp := range shippers {
-		n.shipWG.Add(1)
-		go func(sp *shipper) { defer n.shipWG.Done(); sp.run() }(sp)
-	}
 	go n.loop()
 	n.logger.Info("cluster node started",
 		"node", n.cfg.Self, "peers", len(n.cfg.Peers)-1,
@@ -177,14 +147,11 @@ func (n *Node) Start(srv *server.Server) error {
 
 // Stop halts the heartbeat loop and every shipper, then closes
 // standbys. It does not touch live sessions — the server's own
-// Close/Abort handles those.
+// Close/Abort handles those. Call it once, after Start.
 func (n *Node) Stop() {
+	close(n.stop)
+	<-n.loopDone
 	n.mu.Lock()
-	if !n.started {
-		n.mu.Unlock()
-		return
-	}
-	n.started = false
 	for id, sp := range n.shippers {
 		close(sp.stop)
 		delete(n.shippers, id)
@@ -192,8 +159,6 @@ func (n *Node) Stop() {
 	standbys := n.standbys
 	n.standbys = make(map[string]*durable.Standby)
 	n.mu.Unlock()
-	close(n.stop)
-	<-n.loopDone
 	n.shipWG.Wait()
 	for _, st := range standbys {
 		st.Close()
@@ -201,69 +166,125 @@ func (n *Node) Stop() {
 	n.standbyG.Set(0)
 }
 
-// replicaDir is where this node keeps its standby copy of a session.
-// It lives under dataDir/replica so the server's startup recovery
-// (which scans only dataDir's direct children) never resurrects a
-// standby as a live session.
+// replicaDir is where this node keeps its standby copy of a session:
+// under dataDir/replica, beside the live directories the server names
+// the same way.
 func (n *Node) replicaDir(id string) string {
 	return filepath.Join(n.srv.DataDir(), "replica", hex.EncodeToString([]byte(id)))
 }
 
-// reopenStandbys reattaches standby directories a previous run left on
-// disk, so a restarted node rejoins as a follower at its old positions.
+// intoReplicaArea moves a session's live durable directory to the path
+// its standby lives at, replacing any copy there.
+func (n *Node) intoReplicaArea(dir string) error {
+	dst := filepath.Join(n.srv.DataDir(), "replica", filepath.Base(dir))
+	if err := os.MkdirAll(filepath.Dir(dst), 0o777); err != nil {
+		return err
+	}
+	if err := os.RemoveAll(dst); err != nil {
+		return err
+	}
+	if err := os.Rename(dir, dst); err != nil {
+		return fmt.Errorf("cluster: move session into the replica area: %w", err)
+	}
+	return nil
+}
+
+// reopenStandbys reopens every durable copy an earlier run left on
+// disk as a standby — the sessions it served too, whose directories
+// move into the replica area first. A restarted node cannot know
+// whether a peer promoted one of them while it was down, so it serves
+// none: reconcile promotes a copy only once every peer has reported and
+// none serves the session or holds a fresher copy. That is what keeps
+// a rejoining owner from overwriting what its successor acknowledged.
 func (n *Node) reopenStandbys() error {
-	root := filepath.Join(n.srv.DataDir(), "replica")
-	entries, err := os.ReadDir(root)
+	live, err := durable.SessionDirs(n.srv.DataDir())
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
+		return err
+	}
+	for _, dir := range live {
+		if err := n.intoReplicaArea(dir); err != nil {
+			return err
 		}
+	}
+	entries, err := os.ReadDir(filepath.Join(n.srv.DataDir(), "replica"))
+	if os.IsNotExist(err) {
+		return nil
+	} else if err != nil {
 		return err
 	}
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
 		raw, err := hex.DecodeString(e.Name())
-		if err != nil {
+		if !e.IsDir() || err != nil {
 			n.logger.Warn("skipping unrecognised replica dir", "dir", e.Name())
 			continue
 		}
 		id := string(raw)
-		st, err := durable.OpenStandby(filepath.Join(root, e.Name()))
+		st, err := n.putStandby(id)
 		if err != nil {
 			n.logger.Warn("reopening standby failed", "session", id, "err", err)
 			continue
 		}
-		n.mu.Lock()
-		n.standbys[id] = st
-		n.mu.Unlock()
 		n.logger.Info("standby reopened", "session", id, "seq", st.Seq())
 	}
-	n.mu.Lock()
-	n.standbyG.Set(int64(len(n.standbys)))
-	n.mu.Unlock()
 	return nil
 }
 
+// putStandby opens the session's replica directory as its standby and
+// registers it, unless one is registered already; it returns the
+// registered standby.
+func (n *Node) putStandby(id string) (*durable.Standby, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if st := n.standbys[id]; st != nil {
+		return st, nil
+	}
+	st, err := durable.OpenStandby(n.replicaDir(id))
+	if err != nil {
+		return nil, err
+	}
+	n.standbys[id] = st
+	n.standbyG.Set(int64(len(n.standbys)))
+	return st, nil
+}
+
+// takeStandby unregisters a session's standby and returns it (nil if
+// there is none).
+func (n *Node) takeStandby(id string) *durable.Standby {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	st := n.standbys[id]
+	delete(n.standbys, id)
+	n.standbyG.Set(int64(len(n.standbys)))
+	return st
+}
+
+// standby returns a session's standby (nil if there is none).
+func (n *Node) standby(id string) *durable.Standby {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.standbys[id]
+}
+
 // SessionUp implements server.Replicator: a durable session became
-// live here, so it needs a shipper. Runs on a shard goroutine (or
-// single-threaded startup recovery) and never blocks.
+// live here, so it needs a shipper. Runs on a shard goroutine and never
+// blocks; once Stop has begun it starts nothing.
 func (n *Node) SessionUp(id string, log *durable.Log) {
 	seq, _, _, _ := log.Stats()
 	sp := newShipper(n, id, seq)
-	log.SetOnRecord(sp.enqueue)
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	select {
+	case <-n.stop:
+		return
+	default:
+	}
+	log.SetOnRecord(sp.enqueue)
 	if old := n.shippers[id]; old != nil {
 		close(old.stop)
 	}
 	n.shippers[id] = sp
-	started := n.started
-	n.mu.Unlock()
-	if started {
-		n.shipWG.Add(1)
-		go func() { defer n.shipWG.Done(); sp.run() }()
-	}
+	n.shipWG.Add(1)
+	go func() { defer n.shipWG.Done(); sp.run() }()
 }
 
 // SessionDown implements server.Replicator: the session stopped being
@@ -293,27 +314,27 @@ func (n *Node) SessionDown(id string, deleted bool) {
 
 // ring builds placement from the current health view.
 func (n *Node) ring(now time.Time) *Ring {
-	return NewRing(n.mem.ringMembers(now), n.cfg.VNodes)
+	return NewRing(n.mem.ringMembers(now))
 }
 
 // followersFor returns the non-dead peers that should hold replicas of
 // a session this node owns: the ring's preference list after self,
-// truncated to Replicas−1 copies.
+// truncated to Replicas−1 copies, plus every other peer that reports a
+// standby of it. A copy the ring moved away from (its holder was down
+// a while) keeps being shipped to rather than falling behind for good.
 func (n *Node) followersFor(id string) []*peer {
 	now := time.Now()
-	pref := n.ring(now).Prefer(id, n.cfg.Replicas)
 	var out []*peer
-	for _, nodeID := range pref {
-		if nodeID == n.cfg.Self {
-			continue
-		}
-		if p := n.mem.peers[nodeID]; p != nil && n.mem.state(p, now) != StateDead {
+	for _, nodeID := range n.ring(now).Prefer(id, n.cfg.Replicas) {
+		if p := n.mem.peers[nodeID]; p != nil && n.mem.state(p, now) != StateDead && len(out) < n.cfg.Replicas-1 {
 			out = append(out, p)
 		}
 	}
-	if len(out) > n.cfg.Replicas-1 {
-		out = out[:n.cfg.Replicas-1]
-	}
+	n.mem.reports(id, now, func(p *peer, rep sessionReport) {
+		if !rep.Live && !slices.Contains(out, p) {
+			out = append(out, p)
+		}
+	})
 	return out
 }
 
@@ -367,6 +388,7 @@ func (n *Node) pingAll() {
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()
+			asked := time.Now()
 			sessions, draining, err := n.ping(p)
 			if err != nil {
 				n.mem.markFailed(p.id, err)
@@ -378,7 +400,7 @@ func (n *Node) pingAll() {
 				// "liveness only" on the receive path.
 				sessions = map[string]sessionReport{}
 			}
-			n.mem.markAlive(p.id, sessions, draining, time.Now())
+			n.mem.markAlive(p.id, sessions, draining, asked)
 		}(p)
 	}
 	wg.Wait()
@@ -411,9 +433,9 @@ func (n *Node) reconcile(now time.Time) {
 		rank := ring.Prefer(id, len(members))
 		if holder, hseq := n.liveClaim(id, now); holder != "" {
 			// Someone else also serves this session — the split a
-			// crashed owner's rejoin creates. Newest state wins; a tie
-			// goes to preference order — unless the holder is draining:
-			// a drained process reports its inventory one last time and
+			// healed partition leaves. Newest state wins; a tie goes to
+			// preference order — unless the holder is draining: a
+			// drained process reports its inventory one last time and
 			// exits, so its claim is stale the moment it hands the
 			// session here, and losing the tie to it would strand the
 			// session until the dead timer clears the ghost claim.
@@ -422,7 +444,7 @@ func (n *Node) reconcile(now time.Time) {
 			if stale {
 				n.logger.Warn("demoting stale duplicate session",
 					"session", id, "local_seq", seq, "holder", holder, "holder_seq", hseq)
-				if err := n.demoteToStandby(id); err != nil {
+				if _, err := n.demoteToStandby(id); err != nil {
 					n.logger.Error("demote failed", "session", id, "err", err)
 				}
 			}
@@ -457,7 +479,7 @@ func (n *Node) reconcile(now time.Time) {
 		seqs[id] = st.Seq()
 	}
 	n.mu.Unlock()
-	sort.Strings(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		if n.srv.HasSession(id) {
 			continue // already live here; the shipper covers followers
@@ -467,20 +489,11 @@ func (n *Node) reconcile(now time.Time) {
 		}
 		rank := ring.Prefer(id, len(members))
 		best, bestSeq := n.cfg.Self, seqs[id]
-		for _, p := range n.mem.peers {
-			if n.mem.state(p, now) == StateDead {
-				continue
-			}
-			p.mu.Lock()
-			rep, ok := p.sessions[id]
-			p.mu.Unlock()
-			if !ok {
-				continue
-			}
+		n.mem.reports(id, now, func(p *peer, rep sessionReport) {
 			if rep.Seq > bestSeq || (rep.Seq == bestSeq && indexOf(rank, p.id) < indexOf(rank, best)) {
 				best, bestSeq = p.id, rep.Seq
 			}
-		}
+		})
 		if best != n.cfg.Self {
 			continue // a fresher (or better-placed equal) copy exists
 		}
@@ -496,20 +509,14 @@ func (n *Node) reconcile(now time.Time) {
 
 // liveClaim reports a non-dead peer currently claiming the session
 // live, preferring the highest sequence ("" if none). Suspect peers
-// count: their claim is stale by at most DeadAfter, and honouring it
-// prevents premature double-ownership.
+// count: their claim is stale by at most the dead timer, and honouring
+// it prevents premature double-ownership.
 func (n *Node) liveClaim(id string, now time.Time) (holder string, seq int64) {
-	for _, p := range n.mem.peers {
-		if n.mem.state(p, now) == StateDead {
-			continue
-		}
-		p.mu.Lock()
-		rep, ok := p.sessions[id]
-		p.mu.Unlock()
-		if ok && rep.Live && (holder == "" || rep.Seq > seq) {
+	n.mem.reports(id, now, func(p *peer, rep sessionReport) {
+		if rep.Live && (holder == "" || rep.Seq > seq) {
 			holder, seq = p.id, rep.Seq
 		}
-	}
+	})
 	return holder, seq
 }
 
@@ -528,13 +535,7 @@ func (n *Node) alivePeer(id string, now time.Time) *peer {
 // peer would orphan it when that peer exits moments later.
 func (n *Node) handoffTarget(id string, now time.Time) *peer {
 	p := n.alivePeer(id, now)
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	draining := p.draining
-	p.mu.Unlock()
-	if draining {
+	if p == nil || n.mem.peerDraining(id) {
 		return nil
 	}
 	return p
@@ -543,46 +544,26 @@ func (n *Node) handoffTarget(id string, now time.Time) *peer {
 // demoteToStandby takes a local live session out of service and keeps
 // its state as a standby replica (the stale-duplicate and handoff
 // path). The live durable directory moves into the replica area.
-func (n *Node) demoteToStandby(id string) (err error) {
+func (n *Node) demoteToStandby(id string) (*durable.Standby, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	dir, err := n.srv.Demote(ctx, id)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	dst := n.replicaDir(id)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o777); err != nil {
-		return err
+	if err := n.intoReplicaArea(dir); err != nil {
+		return nil, err
 	}
-	if err := os.RemoveAll(dst); err != nil {
-		return err
-	}
-	if err := os.Rename(dir, dst); err != nil {
-		return fmt.Errorf("cluster: move demoted session to replica area: %w", err)
-	}
-	st, err := durable.OpenStandby(dst)
-	if err != nil {
-		return fmt.Errorf("cluster: reopen demoted session as standby: %w", err)
-	}
-	n.mu.Lock()
-	n.standbys[id] = st
-	n.standbyG.Set(int64(len(n.standbys)))
-	n.mu.Unlock()
-	return nil
+	return n.putStandby(id)
 }
 
 // handoff moves ownership of a local session to its preferred node:
 // demote locally (final snapshot), keep the state as a standby, push
 // the full state to the target, and ask it to promote.
 func (n *Node) handoff(id string, target *peer) error {
-	if err := n.demoteToStandby(id); err != nil {
+	st, err := n.demoteToStandby(id)
+	if err != nil {
 		return err
-	}
-	n.mu.Lock()
-	st := n.standbys[id]
-	n.mu.Unlock()
-	if st == nil {
-		return fmt.Errorf("cluster: handoff %q: standby vanished", id)
 	}
 	manifest, snap, tail, err := st.Export()
 	if err != nil {
@@ -592,13 +573,18 @@ func (n *Node) handoff(id string, target *peer) error {
 		return fmt.Errorf("cluster: handoff %q: push snapshot: %w", id, err)
 	}
 	if len(tail) > 0 {
-		if _, gap, err := n.pushRecords(target, id, tail); err != nil || gap {
-			return fmt.Errorf("cluster: handoff %q: push tail (gap=%v): %v", id, gap, err)
+		if _, err := n.pushRecords(target, id, tail); err != nil {
+			return fmt.Errorf("cluster: handoff %q: push tail: %w", id, err)
 		}
 	}
-	if err := n.requestPromote(target, id); err != nil {
+	seq, err := n.requestPromote(target, id)
+	if err != nil {
 		return fmt.Errorf("cluster: handoff %q: promote on %s: %w", id, target.id, err)
 	}
+	// The target's heartbeat still shows its old copy; without its claim
+	// the standby loop of this very reconcile pass would promote ours
+	// back and serve the session twice.
+	n.mem.claim(target.id, id, seq)
 	n.handoffs.Inc()
 	n.logger.Info("session handed off", "session", id, "target", target.id)
 	return nil
@@ -609,11 +595,7 @@ func (n *Node) handoff(id string, target *peer) error {
 // ordinary crash recovery. On failure the directory moves back and the
 // standby reopens.
 func (n *Node) promoteStandby(id string) error {
-	n.mu.Lock()
-	st := n.standbys[id]
-	delete(n.standbys, id)
-	n.standbyG.Set(int64(len(n.standbys)))
-	n.mu.Unlock()
+	st := n.takeStandby(id)
 	if st == nil {
 		return fmt.Errorf("cluster: no standby for session %q", id)
 	}
@@ -621,32 +603,21 @@ func (n *Node) promoteStandby(id string) error {
 		return err
 	}
 	liveDir := n.srv.SessionDir(id)
-	if err := os.Rename(st.Dir(), liveDir); err != nil {
-		n.restoreStandby(id, st.Dir())
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := n.srv.AdoptSession(ctx, id); err != nil {
-		if rerr := os.Rename(liveDir, st.Dir()); rerr == nil {
-			n.restoreStandby(id, st.Dir())
+	err := os.Rename(st.Dir(), liveDir)
+	if err == nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err = n.srv.AdoptSession(ctx, id); err == nil {
+			return nil
 		}
-		return err
+		if os.Rename(liveDir, st.Dir()) != nil {
+			return err
+		}
 	}
-	return nil
-}
-
-// restoreStandby reopens a standby after a failed promotion.
-func (n *Node) restoreStandby(id, dir string) {
-	st, err := durable.OpenStandby(dir)
-	if err != nil {
-		n.logger.Error("standby reopen after failed promotion", "session", id, "err", err)
-		return
+	if _, rerr := n.putStandby(id); rerr != nil {
+		n.logger.Error("standby reopen after failed promotion", "session", id, "err", rerr)
 	}
-	n.mu.Lock()
-	n.standbys[id] = st
-	n.standbyG.Set(int64(len(n.standbys)))
-	n.mu.Unlock()
+	return err
 }
 
 // Drain prepares this node for shutdown: stop taking new placement,
@@ -691,10 +662,8 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 // indexOf returns s's position in list (len(list) when absent), the
 // preference rank used for tie-breaks.
 func indexOf(list []string, s string) int {
-	for i, v := range list {
-		if v == s {
-			return i
-		}
+	if i := slices.Index(list, s); i >= 0 {
+		return i
 	}
 	return len(list)
 }
@@ -704,6 +673,3 @@ func drainBody(resp *http.Response) {
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 	resp.Body.Close()
 }
-
-// GoVersion is the runtime's version string (for build info).
-func GoVersion() string { return runtime.Version() }

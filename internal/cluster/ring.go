@@ -14,7 +14,8 @@
 //   - membership.go static peer table + heartbeat (alive/suspect/dead)
 //   - ship.go       per-session WAL shipping to followers
 //   - node.go       the reconcile loop: handoff, promotion, drain
-//   - handler.go    routing middleware + the /v1/internal wire protocol
+//   - handler.go    placement + the /v1/internal wire protocol (routes
+//     declared in the server's table)
 package cluster
 
 import (
@@ -24,7 +25,7 @@ import (
 )
 
 // Ring places session IDs onto node IDs by consistent hashing with
-// virtual nodes: each node is hashed onto the circle VNodes times, a
+// virtual nodes: each node is hashed onto the circle vnodes times, a
 // key's owner is the first vnode clockwise from the key's hash, and the
 // preference list continues clockwise skipping vnodes of nodes already
 // chosen. Placement depends only on the member set, so every node
@@ -36,16 +37,14 @@ type Ring struct {
 	nodes  []string
 }
 
-// DefaultVNodes balances placement within a few percent for small
-// clusters without making ring construction measurable.
-const DefaultVNodes = 64
+// vnodes is the virtual nodes per member: it balances placement within
+// a few percent for small clusters without making ring construction
+// measurable.
+const vnodes = 64
 
 // NewRing builds a ring over nodes (order-insensitive; duplicates are
-// collapsed). vnodes <= 0 uses DefaultVNodes.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// collapsed).
+func NewRing(nodes []string) *Ring {
 	uniq := make([]string, 0, len(nodes))
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {

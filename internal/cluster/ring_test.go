@@ -7,8 +7,8 @@ import (
 
 func TestRingDeterministicAndComplete(t *testing.T) {
 	nodes := []string{"c", "a", "b"}
-	r1 := NewRing(nodes, 0)
-	r2 := NewRing([]string{"b", "c", "a", "a"}, 0) // order/dups must not matter
+	r1 := NewRing(nodes)
+	r2 := NewRing([]string{"b", "c", "a", "a"}) // order/dups must not matter
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("session-%d", i)
 		if r1.Owner(key) != r2.Owner(key) {
@@ -32,7 +32,7 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 }
 
 func TestRingSpread(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 0)
+	r := NewRing([]string{"a", "b", "c"})
 	counts := map[string]int{}
 	const keys = 3000
 	for i := 0; i < keys; i++ {
@@ -48,8 +48,8 @@ func TestRingSpread(t *testing.T) {
 }
 
 func TestRingStabilityUnderMemberLoss(t *testing.T) {
-	full := NewRing([]string{"a", "b", "c"}, 0)
-	reduced := NewRing([]string{"a", "b"}, 0)
+	full := NewRing([]string{"a", "b", "c"})
+	reduced := NewRing([]string{"a", "b"})
 	moved := 0
 	const keys = 1000
 	for i := 0; i < keys; i++ {
@@ -70,14 +70,14 @@ func TestRingStabilityUnderMemberLoss(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if got := empty.Owner("x"); got != "" {
 		t.Fatalf("empty ring owner = %q", got)
 	}
 	if got := empty.Prefer("x", 2); got != nil {
 		t.Fatalf("empty ring prefer = %v", got)
 	}
-	one := NewRing([]string{"solo"}, 0)
+	one := NewRing([]string{"solo"})
 	if got := one.Owner("x"); got != "solo" {
 		t.Fatalf("single ring owner = %q", got)
 	}

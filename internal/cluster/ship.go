@@ -177,32 +177,23 @@ func (sp *shipper) ship(batch []shipFrame) {
 			l.seq, l.needs = seq, false
 			sp.n.shipBytes.Add(int64(len(exp.manifest) + len(exp.snap)))
 		}
-		// Incremental records: the batch slice past the follower's
-		// position must extend it contiguously, else it resyncs.
+		// Incremental records: every queued frame past the follower's
+		// acked position. The standby sorts them into covered, next
+		// and gap; a gap answers 409 and the follower resyncs.
 		var body bytes.Buffer
-		var first, last int64
 		count := 0
 		for _, f := range batch {
-			if f.seq <= l.seq {
-				continue
+			if f.seq > l.seq {
+				body.Write(f.data)
+				count++
 			}
-			if count == 0 {
-				first = f.seq
-			}
-			body.Write(f.data)
-			last = f.seq
-			count++
 		}
 		if count == 0 {
 			continue
 		}
-		if first != l.seq+1 {
-			l.needs = true // hole between follower position and batch
-			continue
-		}
-		seq, gap, err := sp.n.pushRecords(p, sp.id, body.Bytes())
+		seq, err := sp.n.pushRecords(p, sp.id, body.Bytes())
 		switch {
-		case gap:
+		case isGap(err):
 			l.needs = true
 		case err != nil:
 			sp.n.shipErrors.Inc()
@@ -212,9 +203,6 @@ func (sp *shipper) ship(batch []shipFrame) {
 			l.cooldown = failCooldown
 		default:
 			l.seq = seq
-			if seq < last {
-				l.needs = true
-			}
 			sp.n.shipRecords.Add(int64(count))
 			sp.n.shipBytes.Add(int64(body.Len()))
 		}
@@ -240,10 +228,7 @@ func (sp *shipper) ship(batch []shipFrame) {
 
 // exportedState is one session snapshot export, shared by every
 // follower resyncing in the same round.
-type exportedState struct {
-	manifest, snap []byte
-	seq            int64
-}
+type exportedState struct{ manifest, snap []byte }
 
 // export snapshots the session inline on its shard. The dispatch fails
 // fast if the shard is busy — the shipper retries next round rather
@@ -251,9 +236,9 @@ type exportedState struct {
 func (sp *shipper) export() (*exportedState, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	manifest, snap, seq, err := sp.n.srv.ExportDurable(ctx, sp.id)
+	manifest, snap, err := sp.n.srv.ExportDurable(ctx, sp.id)
 	if err != nil {
 		return nil, err
 	}
-	return &exportedState{manifest, snap, seq}, nil
+	return &exportedState{manifest, snap}, nil
 }

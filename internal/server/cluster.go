@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"time"
 )
 
-// Cluster-facing surface: the hooks internal/cluster uses to route
+// Cluster-facing surface: the hooks internal/cluster uses to place
 // requests (HasSession), ship WAL state (ExportDurable, DurableSeqs),
 // and move session ownership between nodes (AdoptSession, Demote).
 
@@ -20,7 +19,7 @@ func (s *Server) DataDir() string { return s.cfg.DataDir }
 func (s *Server) SessionDir(id string) string { return s.sessionDir(id) }
 
 // HasSession reports whether the session is live on this server. It is
-// lock-free — the routing middleware calls it on every request.
+// lock-free — placement calls it on every request.
 func (s *Server) HasSession(id string) bool {
 	_, ok := s.index.Load(id)
 	return ok
@@ -41,15 +40,12 @@ func (s *Server) DurableSeqs() map[string]int64 {
 	return out
 }
 
-// ExportDurable snapshots one session inline and returns its manifest,
-// snapshot and WAL sequence — the shipper's catch-up payload for a
-// follower that is missing history. Runs on the session's shard, so the
-// exported state is batch-consistent.
-func (s *Server) ExportDurable(ctx context.Context, id string) (manifest, snap []byte, seq int64, err error) {
-	type export struct {
-		manifest, snap []byte
-		seq            int64
-	}
+// ExportDurable snapshots one session inline and returns its manifest
+// and snapshot — the shipper's catch-up payload for a follower that is
+// missing history (the follower's ack names the sequence). Runs on the
+// session's shard, so the exported state is batch-consistent.
+func (s *Server) ExportDurable(ctx context.Context, id string) (manifest, snap []byte, err error) {
+	type export struct{ manifest, snap []byte }
 	out, err := dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (export, error) {
 		sess, err := sh.get(id)
 		if err != nil {
@@ -58,10 +54,10 @@ func (s *Server) ExportDurable(ctx context.Context, id string) (manifest, snap [
 		if sess.log == nil {
 			return export{}, badReqf("server: session %q is not durable", id)
 		}
-		m, sn, sq, err := sess.log.ExportState()
-		return export{m, sn, sq}, err
+		m, sn, _, err := sess.log.ExportState()
+		return export{m, sn}, err
 	})
-	return out.manifest, out.snap, out.seq, err
+	return out.manifest, out.snap, err
 }
 
 // AdoptSession brings a session to life from its durable directory —
@@ -111,26 +107,13 @@ func (s *Server) Demote(ctx context.Context, id string) (string, error) {
 		if sess.log == nil {
 			return "", badReqf("server: session %q is not durable", id)
 		}
-		sess.sys.Engine.Sink = nil
-		if s.cfg.Replicator != nil {
-			s.cfg.Replicator.SessionDown(id, false)
-		}
 		if _, err := sess.log.Snapshot(); err != nil {
 			return "", fmt.Errorf("server: demote %q: final snapshot: %w", id, err)
 		}
+		s.unregister(sh, sess, false)
 		if err := sess.log.Close(); err != nil {
 			s.logger.Warn("wal close on demote", "session", id, "err", err)
 		}
-		s.archive.put(TraceResult{
-			SessionID: id,
-			Evicted:   true,
-			Total:     sess.trace.Total(),
-			Spans:     sess.trace.Snapshot(),
-		})
-		delete(sh.sessions, id)
-		s.index.Delete(id)
-		s.sessions.Add(-1)
-		s.closeSession(sess)
 		return sess.log.Dir(), nil
 	})
 }
@@ -143,9 +126,6 @@ func (s *Server) SetDraining() { s.state.Store(stateDraining) }
 // Ready reports whether the server is past startup recovery and not
 // draining (the /readyz contract).
 func (s *Server) Ready() bool { return s.state.Load() == stateServing }
-
-// Uptime reports time since the server started (for cluster status).
-func (s *Server) Uptime() time.Duration { return time.Since(s.start) }
 
 // Logger exposes the server's structured logger so the cluster layer
 // shares one log stream.

@@ -162,9 +162,9 @@ func (h *headerCounter) WriteHeader(status int) {
 func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
 	rec := httptest.NewRecorder()
 	w := &headerCounter{ResponseWriter: rec}
-	err := writeJSON(w, http.StatusOK, map[string]float64{"v": math.Inf(1)})
+	err := WriteJSON(w, http.StatusOK, map[string]float64{"v": math.Inf(1)})
 	if err == nil || w.calls != 0 || rec.Body.Len() != 0 {
-		t.Fatalf("writeJSON(+Inf) = %v after %d WriteHeader calls and %q", err, w.calls, rec.Body)
+		t.Fatalf("WriteJSON(+Inf) = %v after %d WriteHeader calls and %q", err, w.calls, rec.Body)
 	}
 	writeError(w, err)
 	var env ErrorResponse

@@ -146,8 +146,8 @@ func TestV1SurfaceGolden(t *testing.T) {
 }
 
 // TestErrorEnvelopeShape pins the envelope contract itself: exactly
-// three fields, code/message/retryable, matching what writeError and
-// the cluster package emit.
+// three fields, code/message/retryable, matching what writeError emits
+// for every non-2xx reply, the cluster's included.
 func TestErrorEnvelopeShape(t *testing.T) {
 	lines := shapeOf(ErrorResponse{})
 	want := []string{

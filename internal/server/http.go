@@ -51,6 +51,23 @@ type ErrorResponse struct {
 	Retryable bool   `json:"retryable"`
 }
 
+// ReplyError is an error that names its own reply: the status and
+// envelope the cluster layer answers with (a 307 to the owning node, a
+// failed proxy hop, a replication conflict, a session failing over),
+// and what a node reads back from a peer's non-2xx reply.
+type ReplyError struct {
+	Status int
+	ErrorResponse
+}
+
+func (e *ReplyError) Error() string {
+	return fmt.Sprintf("%d %s: %s", e.Status, e.Code, e.Message)
+}
+
+// apiFunc is a route handler; a returned error becomes the reply
+// through writeError.
+type apiFunc func(w http.ResponseWriter, r *http.Request) error
+
 // HandlerConfig tunes the HTTP layer.
 type HandlerConfig struct {
 	// RequestTimeout is the per-request deadline threaded through the
@@ -85,9 +102,13 @@ func (s *Server) Handler() http.Handler { return s.HandlerWith(HandlerConfig{}) 
 //	GET    /healthz                    liveness
 //	GET    /readyz                     readiness (503 while recovering or draining)
 //	GET    /debug/pprof/...            runtime profiles (unless disabled)
+//	GET    /v1/cluster/status          membership and replication (cluster mode)
+//	...    /v1/internal/...            the intra-cluster protocol (cluster mode)
 //
 // /metrics, /statusz, /healthz and /debug/pprof are operational
-// endpoints and stay unversioned.
+// endpoints and stay unversioned. With a Replicator (internal/cluster)
+// every session route is placed first, and the cluster routes are the
+// Replicator's.
 //
 // Every request is traced: the X-Request-Id header (or a generated ID)
 // becomes the request's trace ID, echoed in the response header,
@@ -98,7 +119,7 @@ func (s *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 		cfg.RequestTimeout = 30 * time.Second
 	}
 	mux := http.NewServeMux()
-	h := func(fn func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
+	h := func(fn apiFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			ctx := r.Context()
 			if cfg.RequestTimeout > 0 {
@@ -111,13 +132,13 @@ func (s *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 			}
 		}
 	}
-	// api registers pattern ("METHOD /path") under /v1.
-	api := func(pattern string, fn func(w http.ResponseWriter, r *http.Request) error) {
+	// api registers pattern ("METHOD /path") under /v1, placed.
+	api := func(pattern string, fn apiFunc) {
 		method, path, ok := strings.Cut(pattern, " ")
 		if !ok {
 			panic("server: route pattern must be \"METHOD /path\": " + pattern)
 		}
-		mux.HandleFunc(method+" "+APIVersion+path, h(fn))
+		mux.HandleFunc(method+" "+APIVersion+path, h(s.placed(fn)))
 	}
 
 	api("POST /sessions", s.handleCreate)
@@ -133,6 +154,16 @@ func (s *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 	api("GET /sessions/{id}/profile", s.handleProfile)
 	api("GET /sessions/{id}/loss", s.handleLoss)
 	api("POST /sessions/{id}/snapshot", s.handleSnapshot)
+	// The cluster's own routes name replicas or the node, not sessions
+	// to place.
+	if rep := s.cfg.Replicator; rep != nil {
+		mux.HandleFunc("GET /v1/cluster/status", h(rep.ServeStatus))
+		mux.HandleFunc("GET /v1/internal/ping", h(rep.ServePing))
+		mux.HandleFunc("POST /v1/internal/replicate/{id}/snapshot", h(rep.ServeReplicaSnapshot))
+		mux.HandleFunc("POST /v1/internal/replicate/{id}/records", h(rep.ServeReplicaRecords))
+		mux.HandleFunc("DELETE /v1/internal/replicate/{id}", h(rep.ServeReplicaDelete))
+		mux.HandleFunc("POST /v1/internal/promote/{id}", h(rep.ServePromote))
+	}
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.registry.WriteText(w)
@@ -161,6 +192,24 @@ func (s *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 	return s.observeHTTP(mux)
 }
 
+// placed puts cluster placement in front of a session route: a request
+// naming a session this node does not serve is redirected or proxied
+// to the node that does, or refused while the session fails over
+// (Replicator.Place). Without a Replicator it is fn itself.
+func (s *Server) placed(fn apiFunc) apiFunc {
+	rep := s.cfg.Replicator
+	if rep == nil {
+		return fn
+	}
+	return func(w http.ResponseWriter, r *http.Request) error {
+		id := r.PathValue("id")
+		if id == "" {
+			return fn(w, r)
+		}
+		return rep.Place(w, r, id, false, func() error { return fn(w, r) })
+	}
+}
+
 // observeHTTP wraps the API with per-request tracing and structured
 // logging: the X-Request-Id header (or a fresh ID) becomes the
 // request's trace ID — propagated via context into the engine and
@@ -177,7 +226,10 @@ func (s *Server) observeHTTP(next http.Handler) http.Handler {
 		ctx := obs.WithTraceID(r.Context(), traceID)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		t0 := time.Now()
-		next.ServeHTTP(rec, r.WithContext(ctx))
+		// The mux fills the matched route's path values into the request
+		// it is handed, so the log line names the session the route did.
+		r = r.WithContext(ctx)
+		next.ServeHTTP(rec, r)
 
 		level := slog.LevelInfo
 		if operational(r.URL.Path) {
@@ -190,7 +242,7 @@ func (s *Server) observeHTTP(next http.Handler) http.Handler {
 			slog.Int("status", rec.status),
 			slog.Duration("latency", time.Since(t0)),
 		}
-		if id := sessionFromPath(r.URL.Path); id != "" {
+		if id := r.PathValue("id"); id != "" {
 			attrs = append(attrs,
 				slog.String("session", id),
 				slog.Int("shard", s.shardFor(id).id))
@@ -212,22 +264,10 @@ func (r *statusRecorder) WriteHeader(status int) {
 }
 
 // operational reports whether a path is a scrape/probe endpoint whose
-// request logs belong at debug level.
+// request logs belong at debug level (the cluster heartbeat included).
 func operational(path string) bool {
 	return path == "/metrics" || path == "/healthz" || path == "/readyz" ||
-		path == "/statusz" || strings.HasPrefix(path, "/debug/pprof")
-}
-
-// sessionFromPath extracts the session ID from a sessions API path
-// (best-effort, for log attribution only).
-func sessionFromPath(path string) string {
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	for i, p := range parts {
-		if p == "sessions" && i+1 < len(parts) {
-			return parts[i+1]
-		}
-	}
-	return ""
+		path == "/statusz" || path == "/v1/internal/ping" || strings.HasPrefix(path, "/debug/pprof")
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
@@ -235,11 +275,27 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeJSON(w, r, &spec); err != nil {
 		return err
 	}
-	info, err := s.CreateSession(r.Context(), spec)
-	if err != nil {
-		return err
+	create := func() error {
+		info, err := s.CreateSession(r.Context(), spec)
+		if err != nil {
+			return err
+		}
+		return WriteJSON(w, http.StatusCreated, info)
 	}
-	return writeJSON(w, http.StatusCreated, info)
+	rep := s.cfg.Replicator
+	if rep == nil {
+		return create()
+	}
+	// Placement needs the ID, so it follows the strict decode; the body
+	// is re-encoded for a proxy hop. An ID generated here is pinned to a
+	// proxy hop: a redirected client could not know it.
+	pinned := spec.ID == ""
+	if pinned {
+		spec.ID = rep.NewSessionID()
+	}
+	body, _ := json.Marshal(spec) // strings, ints and bools always encode
+	r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	return rep.Place(w, r, spec.ID, pinned, create)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) error {
@@ -247,7 +303,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, infos)
+	return WriteJSON(w, http.StatusOK, infos)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
@@ -255,7 +311,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, info)
+	return WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
@@ -275,7 +331,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, res)
+	return WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
@@ -287,7 +343,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, res)
+	return WriteJSON(w, http.StatusOK, res)
 }
 
 // streamBatchSize is how many NDJSON events one shard dispatch carries:
@@ -362,7 +418,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	if err := flush(); err != nil {
 		return fail(err)
 	}
-	return writeJSON(w, http.StatusOK, out)
+	return WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
@@ -370,7 +426,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, res)
+	return WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleConflicts(w http.ResponseWriter, r *http.Request) error {
@@ -378,7 +434,7 @@ func (s *Server) handleConflicts(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, insts)
+	return WriteJSON(w, http.StatusOK, insts)
 }
 
 func (s *Server) handleWM(w http.ResponseWriter, r *http.Request) error {
@@ -386,7 +442,7 @@ func (s *Server) handleWM(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, wmes)
+	return WriteJSON(w, http.StatusOK, wmes)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) error {
@@ -394,7 +450,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, tr)
+	return WriteJSON(w, http.StatusOK, tr)
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) error {
@@ -412,7 +468,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) error {
 			res.Nodes = res.Nodes[:top]
 		}
 	}
-	return writeJSON(w, http.StatusOK, res)
+	return WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleLoss(w http.ResponseWriter, r *http.Request) error {
@@ -420,7 +476,7 @@ func (s *Server) handleLoss(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, http.StatusOK, res)
+	return WriteJSON(w, http.StatusOK, res)
 }
 
 // handleStatusz renders the live sessions as an aligned table.
@@ -482,10 +538,10 @@ func decodeStrict(rd io.Reader, dst any) error {
 	}
 }
 
-// writeJSON writes a JSON response. The body is encoded before the
+// WriteJSON writes a JSON response. The body is encoded before the
 // status line goes out, so a value that cannot be encoded is reported as
 // an error envelope instead of following a 200.
-func writeJSON(w http.ResponseWriter, status int, body any) error {
+func WriteJSON(w http.ResponseWriter, status int, body any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
 		return err
@@ -505,13 +561,18 @@ func writeJSON(w http.ResponseWriter, status int, body any) error {
 //	413 wm_quota, too_large      503 unavailable (retryable)
 //	504 deadline (retryable)     408 canceled
 //	500 internal
+//
+// plus whatever a *ReplyError names (the cluster's 307, 409, 502, 503).
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
-	code := "internal"
+	code, msg := "internal", err.Error()
 	retryable := false
 	var busy *BusyError
 	var badReq *BadRequestError
+	var reply *ReplyError
 	switch {
+	case errors.As(err, &reply):
+		status, code, msg, retryable = reply.Status, reply.Code, reply.Message, reply.Retryable
 	case errors.As(err, &busy):
 		w.Header().Set("Retry-After", strconv.Itoa(int(busy.RetryAfter.Seconds())))
 		status, code, retryable = http.StatusTooManyRequests, "busy", true
@@ -532,5 +593,5 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.Canceled):
 		status, code = http.StatusRequestTimeout, "canceled"
 	}
-	writeJSON(w, status, ErrorResponse{Code: code, Message: err.Error(), Retryable: retryable})
+	WriteJSON(w, status, ErrorResponse{Code: code, Message: msg, Retryable: retryable})
 }

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"log/slog"
+	"net/http"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -52,7 +53,7 @@ type Config struct {
 	// DataDir, when set, makes sessions durable: each gets a
 	// write-ahead log and periodic snapshots under this directory
 	// (internal/durable), and the server recovers every session found
-	// there at startup.
+	// there at startup (unless a Replicator is set).
 	DataDir string
 	// Fsync selects the WAL sync policy for durable sessions (default
 	// always).
@@ -64,23 +65,40 @@ type Config struct {
 	// records, bounding replay work at recovery (default 1024; <0
 	// disables automatic snapshots).
 	SnapshotEvery int
-	// Replicator, when set, observes session lifecycle for WAL shipping
-	// (internal/cluster): SessionUp as each durable session becomes
-	// live, SessionDown as it is deleted or demoted.
+	// Replicator, when set, makes this server a cluster node
+	// (internal/cluster): it places session requests, serves the
+	// cluster routes and observes session lifecycle for WAL shipping.
 	Replicator Replicator
 }
 
-// Replicator is the cluster layer's view of session lifecycle. SessionUp
-// fires when a durable session becomes live on this server (created,
-// recovered at startup, or adopted after promotion) — before it serves
-// its first request — handing over the log so the replicator can tee
-// WAL records. SessionDown fires when the session stops being live
-// here; deleted distinguishes API deletion (replicas must be removed)
-// from demotion (replicas live on). Both are called from shard
-// goroutines and must not block.
+// Replicator is the cluster layer's hook into the server.
+//
+// SessionUp fires when a durable session becomes live on this server
+// (created, or adopted after promotion) — before it serves its first
+// request — handing over the log so the replicator can tee WAL records.
+// SessionDown fires when the session stops being live here; deleted
+// distinguishes API deletion (replicas must be removed) from demotion
+// (replicas live on). Both are called from shard goroutines and must
+// not block. A server with a Replicator recovers no session at startup:
+// the durable directories are the replicator's to reopen as copies, so
+// a session becomes live only by create or by adoption.
+//
+// Place runs every /v1/sessions/{id} route, and a create once its body
+// is decoded: it calls serve to answer here, proxies the request, or
+// returns the error to answer with. pinned marks a create whose ID
+// NewSessionID just generated. The Serve methods are the cluster's own
+// routes in HandlerWith's table.
 type Replicator interface {
 	SessionUp(id string, log *durable.Log)
 	SessionDown(id string, deleted bool)
+	Place(w http.ResponseWriter, r *http.Request, id string, pinned bool, serve func() error) error
+	NewSessionID() string
+	ServeStatus(w http.ResponseWriter, r *http.Request) error
+	ServePing(w http.ResponseWriter, r *http.Request) error
+	ServeReplicaSnapshot(w http.ResponseWriter, r *http.Request) error
+	ServeReplicaRecords(w http.ResponseWriter, r *http.Request) error
+	ServeReplicaDelete(w http.ResponseWriter, r *http.Request) error
+	ServePromote(w http.ResponseWriter, r *http.Request) error
 }
 
 // Server readiness states for /readyz: recovery in progress, serving,
@@ -105,7 +123,7 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	// index mirrors shard session registration (id -> *session) for
-	// lock-free liveness checks from the routing middleware; state is
+	// lock-free liveness checks from cluster placement; state is
 	// the /readyz lifecycle (starting -> serving -> draining).
 	index sync.Map
 	state atomic.Int32
@@ -235,8 +253,9 @@ func New(cfg Config) *Server {
 	}
 	// Recover durable sessions before any shard goroutine starts: the
 	// session maps are still single-threaded here, so recovered
-	// sessions register without dispatching.
-	if cfg.DataDir != "" {
+	// sessions register without dispatching. A cluster node's copies
+	// are its Replicator's.
+	if cfg.DataDir != "" && cfg.Replicator == nil {
 		s.recoverSessions()
 	}
 	for i := range s.shards {
@@ -552,27 +571,17 @@ func (s *Server) observeCycle(sess *session) func(obs.CycleSpan) {
 	}
 }
 
-// DeleteSession removes a session. Its trace window moves to the
-// archive so /trace keeps answering for recently evicted sessions, and
-// its durable state is deleted — a deleted session must not resurrect
-// at the next restart.
+// DeleteSession removes a session (see unregister), and its durable
+// state with it — a deleted session must not resurrect at the next
+// restart.
 func (s *Server) DeleteSession(ctx context.Context, id string) error {
 	return s.dispatch(ctx, id, func(sh *shard) error {
-		sess, ok := sh.sessions[id]
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrNoSession, id)
+		sess, err := sh.get(id)
+		if err != nil {
+			return err
 		}
-		s.archive.put(TraceResult{
-			SessionID: id,
-			Evicted:   true,
-			Total:     sess.trace.Total(),
-			Spans:     sess.trace.Snapshot(),
-		})
+		s.unregister(sh, sess, true)
 		if sess.log != nil {
-			sess.sys.Engine.Sink = nil
-			if s.cfg.Replicator != nil {
-				s.cfg.Replicator.SessionDown(id, true)
-			}
 			if err := sess.log.Close(); err != nil {
 				s.logger.Warn("wal close on delete", "session", id, "err", err)
 			}
@@ -580,12 +589,33 @@ func (s *Server) DeleteSession(ctx context.Context, id string) error {
 				s.logger.Warn("durable state removal", "session", id, "err", err)
 			}
 		}
-		delete(sh.sessions, id)
-		s.index.Delete(id)
-		s.sessions.Add(-1)
-		s.closeSession(sess)
 		return nil
 	})
+}
+
+// unregister takes a session out of service on its shard, the sequence
+// deletion and demotion share: its trace window moves to the archive
+// (so /trace keeps answering for recently evicted sessions), the WAL
+// sink and the replicator let go of it (deleted says whether its
+// replicas go too), it leaves the maps, and its matcher resources are
+// released. Its durable log is the caller's to close.
+func (s *Server) unregister(sh *shard, sess *session, deleted bool) {
+	s.archive.put(TraceResult{
+		SessionID: sess.id,
+		Evicted:   true,
+		Total:     sess.trace.Total(),
+		Spans:     sess.trace.Snapshot(),
+	})
+	if sess.log != nil {
+		sess.sys.Engine.Sink = nil
+		if s.cfg.Replicator != nil {
+			s.cfg.Replicator.SessionDown(sess.id, deleted)
+		}
+	}
+	delete(sh.sessions, sess.id)
+	s.index.Delete(sess.id)
+	s.sessions.Add(-1)
+	s.closeSession(sess)
 }
 
 // Apply commits a batch of working-memory changes to a session and runs
@@ -721,19 +751,6 @@ func (s *Server) taskCounter(le string) *stats.Counter {
 		s.taskCounts[le] = c
 	}
 	return c
-}
-
-// SchedPhaseSeconds snapshots the node's accumulated scheduler phase
-// seconds across all sessions — the cluster status endpoint uses it for
-// node-level loss visibility.
-func (s *Server) SchedPhaseSeconds() map[string]float64 {
-	s.lossMu.Lock()
-	defer s.lossMu.Unlock()
-	out := make(map[string]float64, len(s.phaseSecs))
-	for name, c := range s.phaseSecs {
-		out[name] = c.Value()
-	}
-	return out
 }
 
 // RunCycles executes up to maxCycles recognize-act cycles (0 = until
