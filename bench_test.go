@@ -458,8 +458,7 @@ func replaySerial(tb testing.TB, sh preteShape) time.Duration {
 }
 
 // replayParallel replays a shape through a fresh prete.Matcher with the
-// given lane count and returns the replay's wall time and the matcher,
-// which the caller closes.
+// given lane count and returns the replay's wall time and the matcher.
 func replayParallel(tb testing.TB, sh preteShape, workers int) (time.Duration, *prete.Matcher) {
 	m, err := prete.New(sh.prods, workers)
 	if err != nil {
@@ -502,15 +501,11 @@ func BenchmarkPreteApply(b *testing.B) {
 				var last *prete.Matcher
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					if last != nil {
-						last.Close()
-					}
 					serial += replaySerial(b, sh)
 					b.StartTimer()
 					p, m := replayParallel(b, sh, workers)
 					parallel, last = parallel+p, m
 				}
-				defer last.Close()
 				b.ReportMetric(float64(sh.nChanges*b.N)/parallel.Seconds(), "wme-changes/s")
 				b.ReportMetric(serial.Seconds()/parallel.Seconds(), "true-speedup")
 				// Loss-factor accounting from the final iteration's matcher
@@ -561,7 +556,6 @@ func TestPreteSpeedupFloor(t *testing.T) {
 				parallel, m := replayParallel(t, sh, workers)
 				speedups[i] = serial.Seconds() / parallel.Seconds()
 				l = m.Loss()
-				m.Close()
 			}
 			sort.Float64s(speedups)
 			median := speedups[pairs/2]

@@ -10,11 +10,10 @@
 // (make ...) forms for the initial working memory.
 //
 // With -matcher parallel-rete, -loss prints the paper-§6 loss-factor
-// table after the run. Example (Miss Manners, 16 guests, 4 workers on
-// a single-CPU host; the spawn row is the resident pool's wake
-// latency — the gap between Apply's epoch broadcast and the first
-// lane entering its batch loop — so it is near zero, where the old
-// per-batch goroutine-startup model charged most of the budget here):
+// table after the run. Example (Miss Manners, 16 guests, 4 lanes; the
+// spawn row is the hand-off of lanes to idle helpers of the process's
+// lane pool, so it is near zero; -workers is a lane cap, clamped to
+// GOMAXPROCS):
 //
 //	loss-factor accounting (paper §6):
 //	  workers:             4
@@ -90,7 +89,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer sys.Close()
 	if *network {
 		net := sys.Network()
 		if net == nil {

@@ -59,12 +59,12 @@ func main() {
 			serial.Seconds()/d.Seconds())
 	}
 	if runtime.GOMAXPROCS(0) == 1 {
-		fmt.Println("\n(This host has a single CPU: the worker pool cannot run activations")
-		fmt.Println("in parallel, so what you see is the pure scheduling/locking overhead of")
-		fmt.Println("fine-grain tasking — the paper's §6 'lost factor' isolated. On a")
-		fmt.Println("multi-core host the w>1 rows show real speed-up against the same")
-		fmt.Println("overhead; the PSM simulator (cmd/psmsim) reproduces the paper's")
-		fmt.Println("32-processor scaling either way.)")
+		fmt.Println("\n(This host has a single CPU: the matcher caps its lanes at GOMAXPROCS,")
+		fmt.Println("so every row runs one lane on the caller and what you see is the cost")
+		fmt.Println("of fine-grain tasking without parallelism. On a multi-core host the")
+		fmt.Println("w>1 rows show real speed-up against the §6 'lost factor'; the PSM")
+		fmt.Println("simulator (cmd/psmsim) reproduces the paper's 32-processor scaling")
+		fmt.Println("either way.)")
 	} else {
 		fmt.Println("\n(The paper's point holds on real hardware too: fine-grain speed-up is")
 		fmt.Println("real but bounded — the per-activation scheduling and locking overhead")
@@ -109,7 +109,6 @@ func measureParallel(prods []*ops5.Production, script *matchtest.Script, workers
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer m.Close()
 	batches := cloneScript(script)
 	start := time.Now()
 	for _, b := range batches {

@@ -86,8 +86,8 @@ type Options struct {
 	Matcher MatcherKind
 	// Strategy selects conflict resolution (default LEX).
 	Strategy conflict.Strategy
-	// Workers sets the parallel matcher's goroutine count (default
-	// GOMAXPROCS); ignored by the other matchers.
+	// Workers caps the parallel matcher's lanes (default and upper
+	// bound GOMAXPROCS); ignored by the other matchers.
 	Workers int
 	// NoSteal disables the parallel matcher's work stealing (workers
 	// then only drain their own deques);
@@ -190,8 +190,8 @@ func NewSystemFromProgram(prog *ops5.Program, opts Options) (*System, error) {
 	return sys, nil
 }
 
-// The matchers satisfy engine.Matcher and the profile, index, loss and
-// close capabilities as they stand. What differs between them is where
+// The matchers satisfy engine.Matcher and the profile, index and loss
+// capabilities as they stand. What differs between them is where
 // the work counters live — rete.Network.Stats is a field,
 // prete.Matcher.Stats a method, and each matcher counts its own unit of
 // match work — so each gets one adapter whose only method is MatchStats,
@@ -225,7 +225,6 @@ func (m preteMatcher) MatchStats() obs.MatchStats {
 		Parks:           s.Parks,
 		Wakeups:         s.Wakeups,
 		InlineBatches:   s.InlineBatches,
-		ResidentWorkers: s.ResidentWorkers,
 		Workers:         s.PerWorker,
 	}
 }

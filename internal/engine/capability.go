@@ -6,8 +6,8 @@ import "repro/internal/obs"
 // core Matcher contract stays the single Apply method; matchers (or
 // their adapters in internal/core) may additionally implement the
 // provider interfaces below, whose methods are the matchers' own —
-// rete.Network and prete.Matcher satisfy Profile, Index, Loss and Close
-// as they stand — and whose results are the report types of
+// rete.Network and prete.Matcher satisfy Profile, Index and Loss as
+// they stand — and whose results are the report types of
 // internal/obs. Callers discover them through the single Capabilities
 // accessor — the engine, the server and tools such as cmd/ops5run
 // -stats all read capabilities from the returned Caps bundle instead of
@@ -16,14 +16,6 @@ import "repro/internal/obs"
 // StatsProvider is the optional capability of reporting match work.
 type StatsProvider interface {
 	MatchStats() obs.MatchStats
-}
-
-// Closer is the optional capability of releasing matcher-owned
-// resources — for the parallel Rete, its resident worker pool. Close
-// must be idempotent and must leave the matcher usable (it may fall
-// back to a serial path).
-type Closer interface {
-	Close()
 }
 
 // LossProvider is the optional capability of reporting loss-factor
@@ -60,9 +52,6 @@ type Caps struct {
 	// Loss reports loss-factor accounting (nil: no phase-instrumented
 	// scheduler).
 	Loss LossProvider
-	// Close releases matcher resources such as resident worker pools
-	// (nil: nothing to release).
-	Close Closer
 }
 
 // Capabilities discovers the optional capabilities of a matcher. It is
@@ -75,19 +64,7 @@ func Capabilities(m Matcher) Caps {
 	c.Profile, _ = m.(ProfileProvider)
 	c.Index, _ = m.(IndexProvider)
 	c.Loss, _ = m.(LossProvider)
-	c.Close, _ = m.(Closer)
 	return c
-}
-
-// Close releases matcher-owned resources — for the parallel matcher,
-// its resident worker pool. Idempotent; the engine stays usable (the
-// matcher falls back to its serial path). Every owner of an engine with
-// a resident-pool matcher must call it when retiring the engine, or the
-// pool goroutines leak.
-func (e *Engine) Close() {
-	if c := e.Capabilities().Close; c != nil {
-		c.Close()
-	}
 }
 
 // Capabilities returns the capability bundle of the engine's matcher.

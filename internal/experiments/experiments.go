@@ -313,7 +313,6 @@ func e8(w io.Writer, _ int) error {
 		if err != nil {
 			return 0, "", err
 		}
-		defer sys.Close()
 		start := time.Now()
 		for _, batch := range script.Batches {
 			cp := make([]ops5.Change, len(batch))

@@ -34,7 +34,6 @@ func replayPrete(t *testing.T, prods []*ops5.Production, script *matchtest.Scrip
 	if err != nil {
 		t.Fatalf("prete new: %v", err)
 	}
-	t.Cleanup(m.Close)
 	tr := matchtest.NewTracker()
 	m.OnInsert = tr.Insert
 	m.OnRemove = tr.Remove
@@ -66,8 +65,9 @@ func diffBatches(t *testing.T, label string, want, got [][]string) {
 }
 
 // schedulerMatrix is every combination the shared left memories must be
-// right under: one lane (inline on the caller), as many lanes as CPUs,
-// more lanes than CPUs, stealing on and off, serial bypass on and off.
+// right under: one lane (inline on the caller), two and four lanes, a
+// cap above GOMAXPROCS (clamped to it), stealing on and off, serial
+// bypass on and off.
 func schedulerMatrix() []prete.Config {
 	var cfgs []prete.Config
 	for _, workers := range []int{1, 2, 4, 16} {
@@ -233,7 +233,6 @@ func TestOnePlanManyExecutors(t *testing.T) {
 			t.Fatal(err)
 		}
 		pm := prete.NewOnPlan(plan, prete.Config{Workers: 4, SerialThreshold: -1})
-		t.Cleanup(pm.Close)
 		trackers := [3]*matchtest.Tracker{matchtest.NewTracker(), matchtest.NewTracker(), matchtest.NewTracker()}
 		var executors [3]matchtest.ApplyMatcher
 		for i := 0; i < 2; i++ {
@@ -323,7 +322,6 @@ func TestStealsUnderSkewedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
 	tr := matchtest.NewTracker()
 	m.OnInsert = tr.Insert
 	m.OnRemove = tr.Remove
@@ -373,7 +371,6 @@ func TestNoStealSameResultZeroSteals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
 	tr := matchtest.NewTracker()
 	m.OnInsert = tr.Insert
 	m.OnRemove = tr.Remove

@@ -24,13 +24,11 @@ type MatchStats struct {
 	Tasks  int64 `json:"tasks,omitempty"`
 	Steals int64 `json:"steals,omitempty"`
 	Parks  int64 `json:"parks,omitempty"`
-	// Wakeups counts resident-pool wake broadcasts (batches run on the
-	// pool); InlineBatches counts batches the scheduler's serial bypass
-	// ran on the caller; ResidentWorkers is the number of live pool
-	// goroutines right now. All zero for serial matchers.
-	Wakeups         int64 `json:"wakeups,omitempty"`
-	InlineBatches   int64 `json:"inline_batches,omitempty"`
-	ResidentWorkers int   `json:"resident_workers,omitempty"`
+	// Wakeups counts batches that borrowed at least one helper from the
+	// process's lane pool; InlineBatches counts batches the caller ran
+	// alone. Both zero for serial matchers.
+	Wakeups       int64 `json:"wakeups,omitempty"`
+	InlineBatches int64 `json:"inline_batches,omitempty"`
 	// Workers breaks the scheduler counters down per worker lane; nil
 	// for matchers without a scheduler.
 	Workers []WorkerStat `json:"workers,omitempty"`

@@ -57,16 +57,10 @@ const (
 	// phasePark is time blocked on the scheduler condvar (plus the
 	// park bookkeeping around it) — idle waiting for work or batch end.
 	phasePark
-	// phaseSpawn is the wake latency of the resident pool: the gap
-	// between Apply publishing a batch's epoch and the FIRST lane
-	// entering its batch loop — the software analogue of the paper's
-	// processor-allocation overhead. Before the resident pool this was
-	// a per-batch goroutine startup charged to every lane and dominated
-	// the budget (64-76%); now it is one condvar broadcast, plus the
-	// one-off goroutine creation charged to the first woken batch. The
-	// other lanes charge the same gap to park: on an oversubscribed
-	// host they were queued for a CPU, which is idle time, not
-	// dispatch cost.
+	// phaseSpawn is the hand-off of lanes to the lane pool — the
+	// software analogue of the paper's processor-allocation overhead:
+	// lane 0 charges its offers to idle helpers, and each borrowed lane
+	// the gap from the hand-off to its entry into the batch loop.
 	phaseSpawn
 
 	numPhases
@@ -86,8 +80,8 @@ func nanotime() int64 { return int64(time.Since(clockBase)) }
 
 // phaseClock is one worker's phase accumulator. It is owner-only: a
 // lane's successive batches, and Apply's end-of-batch close and fold
-// into the matcher's totals, are ordered by the epoch gate and the
-// batch barrier.
+// into the matcher's totals, are ordered by the hand-off and the batch
+// barrier.
 type phaseClock struct {
 	last int64
 	ns   [numPhases]int64

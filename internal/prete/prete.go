@@ -28,10 +28,10 @@
 //     the same memory contents via distinct nodes, and multiple working
 //     memory changes are all processed in parallel (§4, the two
 //     relaxations over naive node parallelism).
-//   - Activations are dispatched by a per-worker work-stealing
+//   - Activations are dispatched by a per-lane work-stealing
 //     scheduler (sched.go) standing in for the paper's hardware task
-//     scheduler: a pool of resident worker goroutines parked between
-//     batches on an epoch gate, woken by one broadcast per Apply. The
+//     scheduler: Apply's caller runs lane 0 and hands the other lanes
+//     to idle helpers of one process-wide pool, borrowed per batch. The
 //     per-activation path is allocation-free: join keys and token
 //     identities are uint64 hashes (shared with the serial matcher's
 //     indexes), memory entries are pooled, and conflict-set deltas
@@ -43,7 +43,7 @@
 //     (below inlineFanout/maxInlineDepth) instead of paying deque
 //     traffic; and a whole batch whose seeded activation count is under
 //     the profitability threshold runs inline on the caller without
-//     waking the pool at all — the §6 lesson that dispatch must cost
+//     borrowing a helper at all — the §6 lesson that dispatch must cost
 //     less than the ~50-100 instructions of work it dispatches.
 //   - Within one Apply batch, activations may arrive at a node out of
 //     order (a token's deletion may be processed before its insertion
@@ -103,7 +103,7 @@ const (
 const seedGrain = 16
 
 // serialBypassThreshold is the default seeded-activation count below
-// which a batch runs inline on the caller instead of waking the pool.
+// which a batch runs inline on the caller instead of borrowing helpers.
 // Re-derived on the 2-CPU box by re-cutting the fan-out script into
 // batches of 1 to 384 changes (see README, "Match performance"): a wake
 // round-trip plus the barrier costs about 30µs there and one seeded
@@ -251,30 +251,30 @@ type Stats struct {
 	// Steals and Parks total the per-worker scheduler counters.
 	Steals int64
 	Parks  int64
-	// Wakeups counts pool wake broadcasts (batches run on the resident
-	// workers); InlineBatches counts batches the serial bypass ran on
-	// the caller; ResidentWorkers is the number of live pool goroutines
-	// (0 before the first woken batch and after Close).
-	Wakeups         int64
-	InlineBatches   int64
-	ResidentWorkers int
+	// Wakeups counts batches that borrowed at least one helper from the
+	// lane pool; InlineBatches counts batches the caller ran alone
+	// (under the bypass threshold, one lane, or no helper idle).
+	Wakeups       int64
+	InlineBatches int64
 	// PerWorker breaks the scheduler counters down by lane.
 	PerWorker []obs.WorkerStat
 }
 
 // Config configures a parallel matcher.
 type Config struct {
-	// Workers is the scheduler lane count; <= 0 selects GOMAXPROCS.
+	// Workers caps the scheduler's lanes; <= 0 selects GOMAXPROCS, and
+	// no more than GOMAXPROCS lanes are ever built, since no more could
+	// run at once.
 	Workers int
 	// NoSteal disables work stealing: an idle worker then only drains
 	// its own deque. Useful for measuring
 	// what stealing buys (the paper's §6 load-balance decomposition).
 	NoSteal bool
 	// SerialThreshold overrides the seeded-activation count below which
-	// a batch runs inline on the caller instead of waking the resident
-	// pool: 0 selects the default (serialBypassThreshold), a negative
-	// value disables the bypass so every batch wakes the pool (used by
-	// scheduler tests and measurements).
+	// a batch runs inline on the caller instead of borrowing helpers
+	// from the lane pool: 0 selects the default (serialBypassThreshold),
+	// a negative value disables the bypass so every multi-lane batch
+	// offers its lanes (used by scheduler tests and measurements).
 	SerialThreshold int
 }
 
@@ -338,11 +338,15 @@ func NewWithConfig(prods []*ops5.Production, cfg Config) (*Matcher, error) {
 
 // NewOnPlan builds a parallel matcher with empty memories over an
 // already compiled plan, which it only reads: any number of matchers
-// (and serial networks) may run one plan.
+// (and serial networks) may run one plan. The first matcher with more
+// than one lane starts the process's lane pool.
 func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	workers := runtime.GOMAXPROCS(0)
+	if cfg.Workers > 0 {
+		workers = min(cfg.Workers, workers)
+	}
+	if workers > 1 {
+		startLanePool()
 	}
 	bypass := cfg.SerialThreshold
 	switch {
@@ -412,12 +416,10 @@ func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
 // Workers returns the scheduler lane count.
 func (m *Matcher) Workers() int { return len(m.sched.workers) }
 
-// Close retires the resident worker pool, blocking until every pool
-// goroutine has exited. It is idempotent and safe to call concurrently
-// with Apply: a batch already published to the pool completes first. A
-// closed matcher remains fully usable — every later batch simply runs
-// inline on the caller, as the serial bypass does.
-func (m *Matcher) Close() { m.sched.close() }
+// Close does nothing: a matcher owns no goroutine (its extra lanes are
+// borrowed per batch from the process's lane pool), so there is nothing
+// to release. It exists only because benchmark/layers calls it.
+func (m *Matcher) Close() {}
 
 // Stats returns a snapshot of the work counters as of the last
 // completed batch (the pool counters are live).
@@ -442,7 +444,6 @@ func (m *Matcher) Stats() Stats {
 	m.mu.Unlock()
 	st.Wakeups = m.sched.wakeups.Load()
 	st.InlineBatches = m.sched.bypasses.Load()
-	st.ResidentWorkers = int(m.sched.resident.Load())
 	return st
 }
 
@@ -503,10 +504,10 @@ func (m *Matcher) NodeProfile() []obs.NodeProfileEntry {
 }
 
 // Apply processes a batch of WM changes in parallel and flushes the net
-// conflict-set deltas through OnInsert/OnRemove before returning. A
-// batch too small to amortise the pool wake runs inline on the caller.
-// Apply must not be called concurrently with itself; concurrent Close
-// is fine.
+// conflict-set deltas through OnInsert/OnRemove before returning. The
+// caller runs lane 0; a batch big enough to amortise the hand-off
+// offers the other lanes to idle helpers of the process's lane pool.
+// Apply must not be called concurrently with itself.
 func (m *Matcher) Apply(changes []ops5.Change) {
 	t0 := nanotime()
 	s := m.sched
@@ -539,26 +540,31 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 	if len(seeds) > 0 {
 		s.nextSeed.Store(0)
 		s.outstanding.Store(int64(len(seeds)))
+		s.workers[0].clock.last = t1
 		s.solo = len(s.workers) == 1 || activations < m.bypassBelow
-		// A pool closed under us refuses the wake: the caller drains.
-		if !s.solo && s.wake(m, t1) {
-			s.batchWG.Wait()
-		} else {
-			s.solo = true
-			s.bypasses.Add(1)
-			inOrder = m.drainInline(t1)
+		if !s.solo {
+			if s.borrow(m, t1) == 0 {
+				s.solo = true // no helper took a lane, so none reads solo
+			}
+			s.workers[0].clock.stamp(phaseSpawn)
 		}
+		if s.solo {
+			s.bypasses.Add(1)
+		} else {
+			s.wakeups.Add(1)
+		}
+		inOrder = m.batchLoop(0) && s.solo
+		s.batchWG.Wait()
 		t2 = nanotime()
 		// Close each lane's books to the barrier: a lane's own stamps
 		// stop at its batch-loop exit, but the active window ends only
 		// when the last lane is through the barrier. Charging the
 		// straggler gap to park makes the phase totals cover the whole
 		// window, so seed + merge + phases/workers reconstructs Apply
-		// wall time. A lane the batch never woke (the bypass path, or a
-		// pool that was never started) still owes its whole [t1, t2]
+		// wall time. A lane no helper took still owes its whole [t1, t2]
 		// share of the processor budget — that idle time is charged to
-		// park too. batchWG.Wait orders these writes after every woken
-		// lane's last stamp.
+		// park too. batchWG.Wait orders these writes after every
+		// borrowed lane's last stamp.
 		for i := range s.workers {
 			c := &s.workers[i].clock
 			c.ns[phasePark] += t2 - max(c.last, t1)
@@ -585,55 +591,39 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 	m.mu.Unlock()
 }
 
-// drainInline runs an already-seeded batch on the calling goroutine as
-// lane 0 — the serial bypass. With no pool woken there is no wake
-// round-trip, no barrier and no cross-lane traffic to pay for; the
-// caller simply retires tasks (its own deque's spawned children first,
-// then the next seed) until the batch is empty. It reports whether the
-// batch ran in the serial matcher's order: every task a seed, taken in
-// change order, each activation's downstream activations run depth-first
-// inside it. One activation queued for later (past maxInlineDepth) and
-// a delete may reach a node before the insert it undoes.
-func (m *Matcher) drainInline(t1 int64) (inOrder bool) {
+// batchLoop is one scheduler lane's run loop for a single batch: drain
+// the own deque LIFO, then claim a seed, then steal, then park. The
+// worker that retires the batch's last task wakes every parked lane and
+// all loops return. It reports whether the lane took every task as a
+// seed, in change order. For a batch the caller ran alone that is the
+// serial matcher's order — each activation's downstream activations ran
+// depth-first inside its seed — and flush may skip the merge; one
+// activation queued for later (past maxInlineDepth) and a delete may
+// reach a node before the insert it undoes.
+func (m *Matcher) batchLoop(wi int) (inOrder bool) {
 	s := m.sched
-	w := &s.workers[0]
-	w.clock.last = t1
+	w := &s.workers[wi]
 	inOrder = true
 	for {
 		t, ok := w.dq.popTail()
 		if ok {
 			inOrder = false
-		} else if t, ok = s.claimSeed(w); !ok {
-			return inOrder
-		}
-		m.runTask(t, w)
-	}
-}
-
-// batchLoop is one scheduler lane's run loop for a single batch: drain
-// the own deque LIFO, then claim a seed, then steal, then park. The
-// worker that retires the batch's last task wakes every parked lane and
-// all loops return to the epoch gate.
-func (m *Matcher) batchLoop(wi int) {
-	s := m.sched
-	w := &s.workers[wi]
-	for {
-		t, ok := w.dq.popTail()
-		if !ok {
+		} else {
 			t, ok = s.claimSeed(w)
 		}
 		if !ok {
 			t, ok = s.findWork(wi)
+			inOrder = false
 		}
 		if !ok {
 			if !s.park(wi) {
-				return
+				return inOrder
 			}
 			continue
 		}
 		if m.runTask(t, w) {
 			s.wakeAll()
-			return
+			return inOrder
 		}
 	}
 }
@@ -927,7 +917,7 @@ func deltaCmp(a, b pendingDelta) int {
 // OnRemove and returns how many instantiations entered and left the
 // conflict set.
 //
-// A batch that ran in order on the caller (drainInline) produced its
+// A batch the caller ran alone and in order (batchLoop) produced its
 // deltas as the serial matcher would have, each instantiation's insert
 // ahead of its delete, so they are announced one by one as they stand.
 // Any other batch may hold a delete ahead of the insert it undoes, or

@@ -197,7 +197,6 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(m.Close)
 		cycle := func() {
 			m.Apply(ins)
 			m.Apply(del)
@@ -268,7 +267,6 @@ func TestInlineBatchAnnouncesInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(m.Close)
 		var order []ops5.ChangeKind
 		tr := matchtest.NewTracker()
 		m.OnInsert = func(in *ops5.Instantiation) { order = append(order, ops5.Insert); tr.Insert(in) }
@@ -311,7 +309,6 @@ func TestInlineBatchPastInlineDepthIsMerged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(m.Close)
 		tr := matchtest.NewTracker()
 		m.OnInsert, m.OnRemove = tr.Insert, tr.Remove
 		live := map[*ops5.WME]bool{}

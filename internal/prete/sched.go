@@ -5,55 +5,52 @@ package prete
 // between nominal and true speedup (§6) to scheduling and
 // synchronisation overhead, and argues parallel Rete only pays off when
 // dispatching one node activation costs about one bus cycle. A single
-// shared queue — the original design — serialises every push and pop on
-// one mutex; per-batch goroutine spawning — the second design — charges
-// a goroutine startup to every lane on every Apply, which PR 8's loss
-// accounting measured at 64-76% of the processor budget. Both are
-// exactly the overheads the paper warns about.
+// shared queue serialises every push and pop on one mutex, and spawning
+// goroutines per batch charges a goroutine startup to every lane on
+// every Apply — exactly the overheads the paper warns about.
 //
-// The scheduler here keeps one growable deque per worker, serviced by a
-// pool of resident worker goroutines:
+// The paper's machine has one pool of processors that every activation
+// of every production competes for. So does this process: one pool of
+// GOMAXPROCS−1 helper goroutines (lanePool) serves every matcher, and a
+// matcher owns no goroutine of its own. Each matcher keeps one growable
+// deque per lane:
 //
-//   - Workers are long-lived: they are spawned once, on the first batch
-//     big enough to parallelise, and then park between batches on an
-//     epoch gate (gateMu/gateCond). Apply seeds the deques, publishes a
-//     new epoch and broadcasts; the first lane to run charges the
-//     broadcast-to-entry latency to the spawn phase — spawn collapses
-//     from goroutine startup to wake latency — while late lanes charge
-//     their CPU-queueing to park. A per-epoch WaitGroup is the
-//     batch barrier. Close retires the pool; a closed matcher still
-//     works, running every batch inline on the caller.
+//   - Lane 0 is Apply's caller. Lanes 1… are offered to the pool with a
+//     non-blocking send, so only a helper idle at that instant takes
+//     one and a busy pool is never waited for; with no idle helper the
+//     caller runs the batch alone. A per-batch WaitGroup over the
+//     borrowed helpers is the barrier. Each borrowed lane charges its
+//     hand-off-to-entry gap to the spawn phase.
 //   - A batch's seed tasks stay in one list that the lanes claim from
 //     through a shared cursor (claimSeed): nothing is pushed while
 //     seeding, and a lane that finishes early simply claims more.
-//   - A worker pushes the activations it generates onto its own deque
+//   - A lane pushes the activations it generates onto its own deque
 //     tail and pops from the tail (LIFO), so a token's downstream
-//     activations run depth-first on the producing worker while their
+//     activations run depth-first on the producing lane while their
 //     inputs are cache-hot. No lock is contended in steady state.
-//   - A worker with an empty deque and no seed left steals the older
+//   - A lane with an empty deque and no seed left steals the older
 //     half of a random victim's deque from the head (steal-half, FIFO
 //     end, at most stealGrain tasks) — the classic work-stealing split
-//     that moves large, stale subtrees to idle workers while the victim
+//     that moves large, stale subtrees to idle lanes while the victim
 //     keeps its hot tail.
 //   - A full deque doubles under its own lock, which thieves already
 //     take.
-//   - Only when every deque drains does a worker park on the in-batch
+//   - Only when every deque drains does a lane park on the in-batch
 //     condvar; pushers signal it only when sleepers are registered, so
 //     the hot path pays one atomic load. An outstanding-task count
-//     provides termination: the worker that retires the last task
-//     broadcasts batch completion, and the lanes return to the epoch
-//     gate.
+//     provides termination: the lane that retires the last task
+//     broadcasts batch completion, and every lane leaves the batch.
 //
 // A lane counts its work (executed/stolen/parked, comparisons,
 // cancellations, phase time, the per-node profile) in plain fields only
 // it writes; Apply folds every lane's books into the matcher's totals
 // after the batch barrier, so the activation path shares no counter
-// cache line between lanes. With the pool's wakeups/inline-batches/
-// resident counters they make the paper's scheduling-overhead
-// decomposition a measurable series (exported via Stats,
-// engine.MatchStats and psmd's /metrics).
+// cache line between lanes. With the wakeups/inline-batches counters
+// they make the paper's scheduling-overhead decomposition a measurable
+// series (exported via Stats, engine.MatchStats and psmd's /metrics).
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -223,17 +220,17 @@ func (w *worker) nextRand() uint32 {
 	return x
 }
 
-// scheduler owns the workers, the parking state and the resident-pool
-// gate for one Matcher. It persists across Apply batches so deques,
-// scratch buffers, counters — and now the worker goroutines themselves
-// — are reused.
+// scheduler owns the lanes and the in-batch parking state of one
+// Matcher. It persists across Apply batches so deques, scratch buffers
+// and counters are reused; the goroutines that run lanes 1… are the
+// pool's, borrowed per batch.
 type scheduler struct {
 	workers []worker
 	steal   bool
 
-	// seeds is the batch's seed tasks and solo whether the batch runs
-	// inline on the caller; Apply writes both before the wake and they
-	// are read-only until the barrier. nextSeed is the claim cursor.
+	// seeds is the batch's seed tasks and solo whether the caller runs
+	// the batch alone; Apply writes both before handing out any lane and
+	// they are read-only until the barrier. nextSeed is the claim cursor.
 	seeds    []task
 	solo     bool
 	nextSeed atomic.Int64
@@ -250,45 +247,20 @@ type scheduler struct {
 	cond     *sync.Cond
 	sleepers atomic.Int32
 
-	// Between-batch parking: the epoch gate. Apply publishes a new epoch
-	// under gateMu and broadcasts gateCond; each resident worker waits
-	// for an epoch it has not seen (or closed). started flips when the
-	// pool is lazily spawned on the first non-bypassed batch; closed is
-	// set once by close(). wakeNs is the publish instant — the lanes'
-	// books for the batch open there (spawn for the first runner, park
-	// for the rest; see firstRun).
-	gateMu   sync.Mutex
-	gateCond *sync.Cond
-	epoch    int64
-	wakeNs   int64
-	started  bool
-	closed   bool
+	// batchWG is the per-batch barrier over the borrowed helpers: one
+	// Add per lane offered, Done when a helper leaves the lane's batch
+	// loop (or at once for an offer no helper took).
+	batchWG sync.WaitGroup
 
-	// batchWG is the per-epoch barrier: Add(lanes) before the epoch is
-	// published, Done per lane at batch end, Wait in Apply. workerWG
-	// tracks the resident goroutines themselves, for close().
-	batchWG  sync.WaitGroup
-	workerWG sync.WaitGroup
-
-	// firstRun holds the newest epoch whose wake latency has been
-	// claimed: the first lane to start running an epoch charges
-	// [wakeNs, entry] to spawn — that is the pool's actual wake latency
-	// — while the other lanes charge the same interval to park, since
-	// they were runnable but waiting for a CPU their peers were using
-	// (idle time, not dispatch cost).
-	firstRun atomic.Int64
-
-	// wakeups counts epoch broadcasts; bypasses counts batches run
-	// inline on the caller; resident counts live pool goroutines.
+	// wakeups counts batches that borrowed at least one helper;
+	// bypasses counts batches the caller ran alone.
 	wakeups  atomic.Int64
 	bypasses atomic.Int64
-	resident atomic.Int32
 }
 
 func newScheduler(workers int, steal bool, nodes int) *scheduler {
 	s := &scheduler{workers: make([]worker, workers), steal: steal}
 	s.cond = sync.NewCond(&s.parkMu)
-	s.gateCond = sync.NewCond(&s.gateMu)
 	for i := range s.workers {
 		s.workers[i].rng = uint32(i)*2654435761 + 1
 		s.workers[i].prof = make([]rete.NodeProf, nodes)
@@ -296,89 +268,73 @@ func newScheduler(workers int, steal bool, nodes int) *scheduler {
 	return s
 }
 
-// wake publishes a new epoch at instant now and broadcasts the resident
-// lanes awake, lazily spawning them on the first call. It returns false
-// when the pool is closed — the caller then drains the already-seeded
-// deques inline. On success the caller must wait on batchWG.
-func (s *scheduler) wake(m *Matcher, now int64) bool {
-	s.gateMu.Lock()
-	if s.closed {
-		s.gateMu.Unlock()
-		return false
-	}
-	if !s.started {
-		s.started = true
-		for i := range s.workers {
-			s.workerWG.Add(1)
-			s.resident.Add(1)
-			go m.residentLoop(i)
+// lanePool is the process's one set of helper goroutines, GOMAXPROCS−1
+// of them so that with the caller as lane 0 one batch can occupy every
+// processor. The first multi-lane matcher starts it; it is never
+// stopped. An idle helper blocks receiving on lanes.
+var lanePool struct {
+	once  sync.Once
+	lanes chan laneJob
+}
+
+// laneJob hands lane wi of m's current batch to a helper; from is the
+// instant the batch's hand-off began.
+type laneJob struct {
+	m    *Matcher
+	wi   int
+	from int64
+}
+
+// startLanePool starts the helpers once per process and returns when
+// each has reached its receive loop, so the first batch finds them idle.
+func startLanePool() {
+	lanePool.once.Do(func() {
+		lanePool.lanes = make(chan laneJob)
+		var ready sync.WaitGroup
+		for range runtime.GOMAXPROCS(0) - 1 {
+			ready.Add(1)
+			go func() {
+				ready.Done()
+				for j := range lanePool.lanes {
+					j.m.runLane(j.wi, j.from)
+				}
+			}()
+		}
+		ready.Wait()
+	})
+}
+
+// borrow offers lanes 1… of the seeded batch to idle helpers, stopping
+// at the first offer none takes, and returns how many were taken. solo
+// must already be false: a helper reads it as soon as it has its lane.
+func (s *scheduler) borrow(m *Matcher, from int64) int {
+	n := 0
+	for wi := 1; wi < len(s.workers); wi++ {
+		s.batchWG.Add(1)
+		select {
+		case lanePool.lanes <- laneJob{m, wi, from}:
+			n++
+		default:
+			s.batchWG.Done()
+			return n
 		}
 	}
-	s.batchWG.Add(len(s.workers))
-	s.epoch++
-	s.wakeNs = now
-	s.gateCond.Broadcast()
-	s.gateMu.Unlock()
-	s.wakeups.Add(1)
-	return true
+	return n
 }
 
-// close retires the resident pool: lanes finish any published epoch,
-// then exit. Idempotent; blocks until every lane is gone.
-func (s *scheduler) close() {
-	s.gateMu.Lock()
-	if s.closed {
-		s.gateMu.Unlock()
-		return
-	}
-	s.closed = true
-	s.gateCond.Broadcast()
-	s.gateMu.Unlock()
-	s.workerWG.Wait()
-}
-
-// residentLoop is one pool goroutine: park at the epoch gate, run the
-// published batch, signal the barrier, repeat until closed. A pending
-// epoch is always processed before exiting, so close() cannot strand a
-// batch Apply is waiting on.
-func (m *Matcher) residentLoop(wi int) {
+// runLane runs lane wi of the current batch on a borrowed helper. The
+// gap from the hand-off to the lane's entry is its spawn cost; the exit
+// tail (retiring the last task's bookkeeping, or the final park
+// wake-up) is charged to park so the lane's phase totals cover its
+// whole time in the batch.
+func (m *Matcher) runLane(wi int, from int64) {
 	s := m.sched
 	w := &s.workers[wi]
-	defer s.workerWG.Done()
-	defer s.resident.Add(-1)
-	var seen int64
-	for {
-		s.gateMu.Lock()
-		for s.epoch == seen && !s.closed {
-			s.gateCond.Wait()
-		}
-		if s.epoch == seen {
-			s.gateMu.Unlock()
-			return
-		}
-		seen = s.epoch
-		wakeNs := s.wakeNs
-		s.gateMu.Unlock()
-		// Every lane's books start at the epoch publish instant, but only
-		// the first lane to run charges the gap to spawn: that gap is the
-		// pool's wake latency, the residue of what used to be a goroutine
-		// startup. The remaining lanes were merely queued for a CPU while
-		// their peers (or the caller) ran — on an oversubscribed host that
-		// queueing can span most of the batch, and it is idle time (park),
-		// not dispatch cost.
-		w.clock.last = wakeNs
-		if f := s.firstRun.Load(); f < seen && s.firstRun.CompareAndSwap(f, seen) {
-			w.clock.stamp(phaseSpawn)
-		} else {
-			w.clock.stamp(phasePark)
-		}
-		m.batchLoop(wi)
-		// The exit tail (retiring the last task's bookkeeping, or the
-		// final park wake-up) is charged to park so the lane's phase
-		// totals cover its whole time in the batch.
-		w.clock.stamp(phasePark)
-		s.batchWG.Done()
-	}
+	w.clock.last = from
+	w.clock.stamp(phaseSpawn)
+	m.batchLoop(wi)
+	w.clock.stamp(phasePark)
+	s.batchWG.Done()
 }
 
 // claimSeed takes worker w's next seed task, claiming a fresh run of

@@ -78,7 +78,6 @@ func (s *Server) AdoptSession(ctx context.Context, id string) error {
 			return fmt.Errorf("server: adopt %q: %w", id, err)
 		}
 		if sess.id != id {
-			sess.sys.Engine.Close()
 			return fmt.Errorf("server: adopt %q: directory holds session %q", id, sess.id)
 		}
 		sh.sessions[id] = sess

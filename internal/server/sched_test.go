@@ -3,6 +3,7 @@ package server_test
 import (
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -48,6 +49,9 @@ func metricValue(text, name string) float64 {
 // the /metrics exposition (psmd_steals_total, psmd_sched_park_total)
 // and the per-session profile (tasks, steals, per-worker lanes).
 func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("one lane has no one to steal from (GOMAXPROCS=1)")
+	}
 	_, c := newTestServer(t, server.Config{Shards: 1})
 
 	c.must("POST", "/sessions", server.CreateSpec{
@@ -101,8 +105,8 @@ func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
 	if prof.MatchStats.Steals <= 0 {
 		t.Errorf("profile match_stats.steals = %d, want > 0", prof.MatchStats.Steals)
 	}
-	if len(prof.MatchStats.Workers) != 8 {
-		t.Fatalf("profile reports %d worker lanes, want 8", len(prof.MatchStats.Workers))
+	if want := min(8, runtime.GOMAXPROCS(0)); len(prof.MatchStats.Workers) != want {
+		t.Fatalf("profile reports %d worker lanes, want %d", len(prof.MatchStats.Workers), want)
 	}
 	var executed int64
 	for _, w := range prof.MatchStats.Workers {
@@ -153,7 +157,7 @@ func TestNoStealConfigDisablesStealing(t *testing.T) {
 	if prof.MatchStats == nil || prof.MatchStats.Tasks == 0 {
 		t.Fatalf("profile match_stats = %+v, want tasks > 0", prof.MatchStats)
 	}
-	if got := len(prof.MatchStats.Workers); got != 8 {
-		t.Errorf("DefaultWorkers not applied: %d worker lanes, want 8", got)
+	if got, want := len(prof.MatchStats.Workers), min(8, runtime.GOMAXPROCS(0)); got != want {
+		t.Errorf("DefaultWorkers not applied: %d worker lanes, want %d", got, want)
 	}
 }

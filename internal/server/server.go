@@ -141,7 +141,6 @@ type Server struct {
 	steals       *stats.Counter
 	parks        *stats.Counter
 	wakeups      *stats.Counter
-	residents    *stats.Gauge
 	matchSeconds *stats.Histogram
 	runSeconds   *stats.Histogram
 	queueDepth   []*stats.Gauge
@@ -203,9 +202,7 @@ func New(cfg Config) *Server {
 		parks: r.Counter("psmd_sched_park_total",
 			"parallel-matcher worker parks (condvar waits for work)"),
 		wakeups: r.Counter("psmd_sched_wakeups_total",
-			"parallel-matcher resident-pool wake broadcasts (batches not run inline)"),
-		residents: r.Gauge("psmd_sched_resident_workers",
-			"live resident pool-worker goroutines across all sessions"),
+			"parallel-matcher batches that borrowed a helper lane (batches not run inline)"),
 		matchSeconds: r.Histogram("psmd_match_seconds",
 			"latency of one change batch through the matcher", nil),
 		runSeconds: r.Histogram("psmd_run_seconds",
@@ -371,7 +368,6 @@ func (s *Server) recoverSession(dir string) (*session, durable.RecoverStats, err
 	}
 	log, rstats, err := durable.Recover(dir, sess.sys.Engine, s.durableOpts())
 	if err != nil {
-		sess.sys.Engine.Close()
 		return nil, rstats, err
 	}
 	sess.trace = obs.NewRing(s.cfg.TraceDepth)
@@ -412,15 +408,14 @@ func (s *Server) close(snapshot bool) {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
+	if !snapshot {
+		return
+	}
 	// Shard goroutines have exited; session maps are single-threaded
-	// again (same license Close has always used). Matcher pools stop on
-	// both paths — Abort simulates a crash of the durable state, not a
-	// goroutine leak in the surviving process (the in-process cluster
-	// test harness keeps running after aborting a node).
+	// again (same license Close has always used).
 	for _, sh := range s.shards {
 		for _, sess := range sh.sessions {
-			s.closeSession(sess)
-			if sess.log == nil || !snapshot {
+			if sess.log == nil {
 				continue
 			}
 			if _, err := sess.log.Snapshot(); err != nil {
@@ -509,7 +504,6 @@ func (s *Server) CreateSession(ctx context.Context, spec CreateSpec) (SessionInf
 	sess.sys.Engine.OnCycle = s.observeCycle(sess)
 	return dispatchShard(s, ctx, s.shardFor(spec.ID), func(sh *shard) (SessionInfo, error) {
 		if _, dup := sh.sessions[spec.ID]; dup {
-			sess.sys.Engine.Close()
 			return SessionInfo{}, fmt.Errorf("%w: %q", ErrSessionExists, spec.ID)
 		}
 		if s.cfg.DataDir != "" {
@@ -518,12 +512,10 @@ func (s *Server) CreateSession(ctx context.Context, spec CreateSpec) (SessionInf
 			// session exactly as created.
 			manifest, err := encodeManifest(spec)
 			if err != nil {
-				sess.sys.Engine.Close()
 				return SessionInfo{}, err
 			}
 			log, err := durable.Create(s.sessionDir(spec.ID), manifest, sess.sys.Engine, s.durableOpts())
 			if err != nil {
-				sess.sys.Engine.Close()
 				return SessionInfo{}, fmt.Errorf("server: create durable log: %w", err)
 			}
 			s.attachDurable(sess, log)
@@ -597,8 +589,8 @@ func (s *Server) DeleteSession(ctx context.Context, id string) error {
 // deletion and demotion share: its trace window moves to the archive
 // (so /trace keeps answering for recently evicted sessions), the WAL
 // sink and the replicator let go of it (deleted says whether its
-// replicas go too), it leaves the maps, and its matcher resources are
-// released. Its durable log is the caller's to close.
+// replicas go too), and it leaves the maps. Its durable log is the
+// caller's to close.
 func (s *Server) unregister(sh *shard, sess *session, deleted bool) {
 	s.archive.put(TraceResult{
 		SessionID: sess.id,
@@ -615,7 +607,6 @@ func (s *Server) unregister(sh *shard, sess *session, deleted bool) {
 	delete(sh.sessions, sess.id)
 	s.index.Delete(sess.id)
 	s.sessions.Add(-1)
-	s.closeSession(sess)
 }
 
 // Apply commits a batch of working-memory changes to a session and runs
@@ -634,9 +625,7 @@ func (s *Server) Apply(ctx context.Context, id string, specs []ChangeSpec) (Appl
 		}
 		s.matchSeconds.Observe(time.Since(t0).Seconds())
 		s.wmeChanges.Add(int64(res.Applied))
-		s.expiredWMEs.Add(sess.expiredDelta())
-		s.recordSched(sess)
-		s.recordLoss(sess)
+		s.account(sess)
 		return res, nil
 	})
 }
@@ -667,9 +656,7 @@ func (s *Server) StreamApply(ctx context.Context, id string, events []EventSpec)
 		s.cycles.Add(int64(res.Cycles))
 		s.firings.Add(int64(res.Fired))
 		s.wmeChanges.Add(int64(res.Events + res.Expired))
-		s.expiredWMEs.Add(sess.expiredDelta())
-		s.recordSched(sess)
-		s.recordLoss(sess)
+		s.account(sess)
 		sess.trace.Add(obs.CycleSpan{
 			TraceID: obs.TraceID(ctx), Kind: obs.SpanStream, Cycle: sess.sys.Cycles,
 			Start: t0, Match: time.Since(t0),
@@ -685,33 +672,18 @@ func (s *Server) StreamApply(ctx context.Context, id string, events []EventSpec)
 // off the wire, before their batch reaches a shard.
 func (s *Server) StreamLagAdd(n int64) { s.streamLag.Add(n) }
 
-// recordSched advances the server-wide scheduler metrics by the session
-// matcher's deltas since the previous request, including the resident
-// worker gauge.
-func (s *Server) recordSched(sess *session) {
-	st, pk, wk, rd := sess.schedDeltas()
+// account is the post-request accounting every session operation that
+// runs the engine ends with: the server-wide TTL-expiry, scheduler and
+// loss metrics advance by what the session's engine and matcher counted
+// since its previous request. Labelled loss series appear on first
+// observation — the phase vocabulary belongs to the matcher, not the
+// server. Owned-goroutine only.
+func (s *Server) account(sess *session) {
+	s.expiredWMEs.Add(sess.expiredDelta())
+	st, pk, wk := sess.schedDeltas()
 	s.steals.Add(st)
 	s.parks.Add(pk)
 	s.wakeups.Add(wk)
-	s.residents.Add(rd)
-}
-
-// closeSession releases a session's matcher resources on teardown: the
-// engine's resident worker pool stops, and the pool's contribution to
-// the resident-workers gauge is returned. Owned-goroutine only (or
-// post-shutdown, when the session maps are single-threaded again).
-func (s *Server) closeSession(sess *session) {
-	sess.sys.Engine.Close()
-	s.residents.Add(-sess.lastResident)
-	sess.lastResident = 0
-}
-
-// recordLoss advances the server-wide loss metrics by the session
-// matcher's per-phase seconds and task-size counts accumulated since
-// the previous request (session.lossDeltas). Labelled series appear on
-// first observation — the phase vocabulary belongs to the matcher, not
-// the server.
-func (s *Server) recordLoss(sess *session) {
 	phases, buckets := sess.lossDeltas()
 	for name, secs := range phases {
 		if secs > 0 {
@@ -780,9 +752,7 @@ func (s *Server) RunCycles(ctx context.Context, id string, maxCycles int) (RunRe
 		s.cycles.Add(int64(n))
 		s.firings.Add(int64(eng.Fired - firedBefore))
 		s.wmeChanges.Add(int64(eng.TotalChanges - changesBefore))
-		s.expiredWMEs.Add(sess.expiredDelta())
-		s.recordSched(sess)
-		s.recordLoss(sess)
+		s.account(sess)
 		if err != nil && !errors.Is(err, engine.ErrCycleLimit) {
 			return RunResult{}, err
 		}

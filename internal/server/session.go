@@ -64,8 +64,8 @@ type CreateSpec struct {
 	Matcher string `json:"matcher,omitempty"`
 	// Strategy selects conflict resolution ("lex" default, or "mea").
 	Strategy string `json:"strategy,omitempty"`
-	// Workers sets the parallel matcher's goroutine count (parallel
-	// rete only; 0 = the server default, else GOMAXPROCS).
+	// Workers caps the parallel matcher's lanes (parallel rete only;
+	// 0 = the server default, else GOMAXPROCS; never above GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// NoSteal disables the parallel matcher's work stealing (parallel
 	// rete only).
@@ -138,13 +138,9 @@ type session struct {
 	// lastSteals, lastParks and lastWakeups remember the matcher's
 	// cumulative scheduler counters at the previous schedDeltas call, so
 	// the server-wide counters can be advanced by per-request deltas.
-	// lastResident mirrors the matcher's resident pool-goroutine count
-	// into the server-wide gauge the same way — and is the amount the
-	// gauge must give back when the session is torn down.
-	lastSteals   int64
-	lastParks    int64
-	lastWakeups  int64
-	lastResident int64
+	lastSteals  int64
+	lastParks   int64
+	lastWakeups int64
 
 	// lastExpired remembers the engine's cumulative TTL-retraction count
 	// at the previous expiredDelta call (same per-request delta pattern).
@@ -391,7 +387,6 @@ func newSession(spec CreateSpec, defaultQuota Quota, now time.Time, noInitialWM 
 		return nil, &BadRequestError{Err: err}
 	}
 	if quota.MaxWMEs > 0 && sys.WM.Size() > quota.MaxWMEs {
-		sys.Engine.Close()
 		return nil, badReqf("server: initial working memory (%d elements) exceeds quota %d",
 			sys.WM.Size(), quota.MaxWMEs)
 	}
@@ -507,51 +502,39 @@ func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult,
 	}, nil
 }
 
+// The delta functions below feed the server-wide counters, owned-
+// goroutine only. Every counter they read only grows: a session's
+// engine and matcher live as long as the session (session.sys is set
+// only by newSession, engine.Engine.Matcher only by engine.New).
+
 // expiredDelta returns the growth of the engine's TTL-retraction
-// counter since the previous call, owned-goroutine only (feeds
-// psmd_expired_wmes_total).
+// counter since the previous call (feeds psmd_expired_wmes_total).
 func (s *session) expiredDelta() int64 {
-	cur := s.sys.Engine.Expired
-	if cur < s.lastExpired {
-		s.lastExpired = 0
-	}
-	d := int64(cur - s.lastExpired)
-	s.lastExpired = cur
+	d := int64(s.sys.Engine.Expired - s.lastExpired)
+	s.lastExpired = s.sys.Engine.Expired
 	return d
 }
 
 // schedDeltas returns the growth of the session matcher's steal, park
-// and pool-wakeup counters since the previous call, plus the change in
-// its resident worker count, owned-goroutine only. All are zero for
-// matchers without a work-stealing scheduler. A counter regression
-// means the matcher was rebuilt (session restore from a snapshot): the
-// baseline resyncs to zero so the server-wide monotone counters advance
-// by the new matcher's full count instead of going negative. resident
-// is a gauge delta and may legitimately be negative (pool closed).
-func (s *session) schedDeltas() (steals, parks, wakeups, resident int64) {
+// and wakeup counters since the previous call; all zero for matchers
+// without a work-stealing scheduler.
+func (s *session) schedDeltas() (steals, parks, wakeups int64) {
 	p := s.sys.Engine.Capabilities().Stats
 	if p == nil {
-		return 0, 0, 0, 0
+		return 0, 0, 0
 	}
 	ms := p.MatchStats()
-	if ms.Steals < s.lastSteals || ms.Parks < s.lastParks || ms.Wakeups < s.lastWakeups {
-		s.lastSteals, s.lastParks, s.lastWakeups = 0, 0, 0
-	}
 	steals = ms.Steals - s.lastSteals
 	parks = ms.Parks - s.lastParks
 	wakeups = ms.Wakeups - s.lastWakeups
 	s.lastSteals, s.lastParks, s.lastWakeups = ms.Steals, ms.Parks, ms.Wakeups
-	resident = int64(ms.ResidentWorkers) - s.lastResident
-	s.lastResident = int64(ms.ResidentWorkers)
-	return steals, parks, wakeups, resident
+	return steals, parks, wakeups
 }
 
 // lossDeltas returns the growth of the session matcher's cumulative
 // per-phase seconds (including the serial seed/merge Apply regions) and
-// task-size histogram counts since the previous call, owned-goroutine
-// only. Nil maps for matchers without loss accounting. As with
-// schedDeltas, a regression (matcher rebuilt on restore) resyncs the
-// baseline rather than yielding negative deltas.
+// task-size histogram counts since the previous call. Nil maps for
+// matchers without loss accounting.
 func (s *session) lossDeltas() (phases map[string]float64, buckets map[string]int64) {
 	p := s.sys.Engine.Capabilities().Loss
 	if p == nil {
@@ -564,9 +547,6 @@ func (s *session) lossDeltas() (phases map[string]float64, buckets map[string]in
 	}
 	phases = make(map[string]float64, len(lr.Phases)+2)
 	add := func(name string, cum float64) {
-		if cum < s.lastPhaseSecs[name] {
-			s.lastPhaseSecs[name] = 0
-		}
 		phases[name] = cum - s.lastPhaseSecs[name]
 		s.lastPhaseSecs[name] = cum
 	}
@@ -580,9 +560,6 @@ func (s *session) lossDeltas() (phases map[string]float64, buckets map[string]in
 		le := "+Inf"
 		if b.UpToNanos > 0 {
 			le = strconv.FormatInt(b.UpToNanos, 10)
-		}
-		if b.Count < s.lastTaskCounts[le] {
-			s.lastTaskCounts[le] = 0
 		}
 		buckets[le] = b.Count - s.lastTaskCounts[le]
 		s.lastTaskCounts[le] = b.Count
