@@ -64,12 +64,10 @@ func settledGoroutines(t *testing.T, c *client) float64 {
 // TestSessionsShareOneLanePool pins that parallel-rete sessions own no
 // goroutines: sixteen of them, four lanes each, all past the bypass
 // threshold, raise psmd_goroutines by at most the process's one lane
-// pool (GOMAXPROCS−1 helpers) over the empty server, and taking them out
-// of service — DELETE for half, the cluster handoff's Demote for the
-// rest — leaves the count where it was.
+// pool (GOMAXPROCS−1 helpers) over the empty server.
 func TestSessionsShareOneLanePool(t *testing.T) {
 	const sessions = 16
-	srv, c := newTestServer(t, server.Config{Shards: 1, DataDir: t.TempDir(), Fsync: durable.FsyncNever})
+	_, c := newTestServer(t, server.Config{Shards: 1, DataDir: t.TempDir(), Fsync: durable.FsyncNever})
 	helpers := float64(runtime.GOMAXPROCS(0) - 1)
 
 	empty := settledGoroutines(t, c)
@@ -83,21 +81,61 @@ func TestSessionsShareOneLanePool(t *testing.T) {
 	if v := scrapeMetric(t, c, "psmd_sched_wakeups_total"); helpers > 0 && v <= 0 {
 		t.Fatalf("psmd_sched_wakeups_total = %v after %d over-threshold batches, want > 0", v, sessions)
 	}
-	live := settledGoroutines(t, c)
-	if live > empty+helpers {
+	if live := settledGoroutines(t, c); live > empty+helpers {
 		t.Fatalf("psmd_goroutines = %v with %d parallel-rete sessions, want at most %v (empty server %v + %v pool helpers)",
 			live, sessions, empty+helpers, empty, helpers)
 	}
+}
 
-	for i := 0; i < sessions; i++ {
-		id := fmt.Sprintf("pool-%02d", i)
-		if i%2 == 0 {
-			c.must("DELETE", "/sessions/"+id, nil, nil, http.StatusNoContent)
-		} else if _, err := srv.Demote(context.Background(), id); err != nil {
-			t.Fatalf("demote %s: %v", id, err)
+// removalLeavesNoGoroutines creates one over-threshold parallel-rete
+// session named id, takes it out of service with remove, and fails
+// unless psmd_goroutines then equals its count while the session was
+// live and is within the lane pool's helpers of its count before.
+func removalLeavesNoGoroutines(t *testing.T, c *client, id string, remove func()) {
+	t.Helper()
+	helpers := float64(runtime.GOMAXPROCS(0) - 1)
+
+	base := settledGoroutines(t, c)
+	c.must("POST", "/sessions", server.CreateSpec{
+		ID: id, Program: skewedSrc, Matcher: "parallel-rete", Workers: 4,
+	}, nil, http.StatusCreated)
+	c.must("POST", "/sessions/"+id+"/changes", skewedChanges(96), nil, http.StatusOK)
+	live := settledGoroutines(t, c)
+
+	remove()
+	c.must("GET", "/sessions/"+id, nil, nil, http.StatusNotFound)
+	after := settledGoroutines(t, c)
+	if after != live {
+		t.Fatalf("psmd_goroutines = %v after removing %s, want %v as while it was live", after, id, live)
+	}
+	if after > base+helpers {
+		t.Fatalf("psmd_goroutines = %v after removing %s, want at most %v (%v before it + %v pool helpers)",
+			after, id, base+helpers, base, helpers)
+	}
+}
+
+// TestSessionEvictionStopsResidentWorkers pins the DELETE path: evicting
+// a parallel-rete session that has run a batch on the lane pool leaves
+// no goroutine of its own behind.
+func TestSessionEvictionStopsResidentWorkers(t *testing.T) {
+	_, c := newTestServer(t, server.Config{Shards: 1})
+	removalLeavesNoGoroutines(t, c, "evict", func() {
+		c.must("DELETE", "/sessions/evict", nil, nil, http.StatusNoContent)
+	})
+}
+
+// TestDemoteStopsResidentWorkers pins the cluster-handoff path: Demote
+// keeps the durable directory and, like an eviction, leaves no goroutine
+// of the session's behind.
+func TestDemoteStopsResidentWorkers(t *testing.T) {
+	srv, c := newTestServer(t, server.Config{Shards: 1, DataDir: t.TempDir(), Fsync: durable.FsyncNever})
+	removalLeavesNoGoroutines(t, c, "demote", func() {
+		dir, err := srv.Demote(context.Background(), "demote")
+		if err != nil {
+			t.Fatalf("demote: %v", err)
 		}
-	}
-	if after := settledGoroutines(t, c); after != live {
-		t.Fatalf("psmd_goroutines = %v after removing every session, want %v as before", after, live)
-	}
+		if dir == "" {
+			t.Fatal("demote returned no durable directory")
+		}
+	})
 }
