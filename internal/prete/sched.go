@@ -285,22 +285,17 @@ type laneJob struct {
 	from int64
 }
 
-// startLanePool starts the helpers once per process and returns when
-// each has reached its receive loop, so the first batch finds them idle.
+// startLanePool starts the helpers once per process.
 func startLanePool() {
 	lanePool.once.Do(func() {
 		lanePool.lanes = make(chan laneJob)
-		var ready sync.WaitGroup
 		for range runtime.GOMAXPROCS(0) - 1 {
-			ready.Add(1)
 			go func() {
-				ready.Done()
 				for j := range lanePool.lanes {
 					j.m.runLane(j.wi, j.from)
 				}
 			}()
 		}
-		ready.Wait()
 	})
 }
 

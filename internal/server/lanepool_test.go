@@ -78,7 +78,7 @@ func TestSessionsShareOneLanePool(t *testing.T) {
 		}, nil, http.StatusCreated)
 		c.must("POST", "/sessions/"+id+"/changes", skewedChanges(96), nil, http.StatusOK)
 	}
-	if v := scrapeMetric(t, c, "psmd_sched_wakeups_total"); helpers > 0 && v <= 0 {
+	if v := scrapeMetric(t, c, "psmd_sched_wakeups_total"); v <= 0 {
 		t.Fatalf("psmd_sched_wakeups_total = %v after %d over-threshold batches, want > 0", v, sessions)
 	}
 	if live := settledGoroutines(t, c); live > empty+helpers {

@@ -7,7 +7,6 @@ package server_test
 import (
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,10 +59,9 @@ func TestLossEndpointAndMetrics(t *testing.T) {
 		t.Fatalf("loss response = %+v, want supported with a report", lr)
 	}
 	l := lr.Report
-	lanes := min(4, runtime.GOMAXPROCS(0))
-	if l.Workers != lanes || l.Batches == 0 || l.ApplySeconds <= 0 {
-		t.Fatalf("loss header = workers %d batches %d apply %gs, want %d/>0/>0",
-			l.Workers, l.Batches, l.ApplySeconds, lanes)
+	if l.Workers != 4 || l.Batches == 0 || l.ApplySeconds <= 0 {
+		t.Fatalf("loss header = workers %d batches %d apply %gs, want 4/>0/>0",
+			l.Workers, l.Batches, l.ApplySeconds)
 	}
 	var phaseSum float64
 	for _, p := range l.Phases {
@@ -88,8 +86,8 @@ func TestLossEndpointAndMetrics(t *testing.T) {
 	if tasks == 0 {
 		t.Error("task-size histogram is empty")
 	}
-	if len(l.PerWorker) != lanes {
-		t.Errorf("per-worker breakdown has %d lanes, want %d", len(l.PerWorker), lanes)
+	if len(l.PerWorker) != 4 {
+		t.Errorf("per-worker breakdown has %d lanes, want 4", len(l.PerWorker))
 	}
 
 	// The same report rides the profile endpoint.

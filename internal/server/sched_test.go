@@ -3,7 +3,6 @@ package server_test
 import (
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -49,9 +48,6 @@ func metricValue(text, name string) float64 {
 // the /metrics exposition (psmd_steals_total, psmd_sched_park_total)
 // and the per-session profile (tasks, steals, per-worker lanes).
 func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("one lane has no one to steal from (GOMAXPROCS=1)")
-	}
 	_, c := newTestServer(t, server.Config{Shards: 1})
 
 	c.must("POST", "/sessions", server.CreateSpec{
@@ -105,8 +101,8 @@ func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
 	if prof.MatchStats.Steals <= 0 {
 		t.Errorf("profile match_stats.steals = %d, want > 0", prof.MatchStats.Steals)
 	}
-	if want := min(8, runtime.GOMAXPROCS(0)); len(prof.MatchStats.Workers) != want {
-		t.Fatalf("profile reports %d worker lanes, want %d", len(prof.MatchStats.Workers), want)
+	if len(prof.MatchStats.Workers) != 8 {
+		t.Fatalf("profile reports %d worker lanes, want 8", len(prof.MatchStats.Workers))
 	}
 	var executed int64
 	for _, w := range prof.MatchStats.Workers {
@@ -121,7 +117,7 @@ func TestSchedulerMetricsSurfaceSteals(t *testing.T) {
 // with Config.NoSteal every session's scheduler runs without stealing,
 // so the steal counter stays flat while work still completes.
 func TestNoStealConfigDisablesStealing(t *testing.T) {
-	_, c := newTestServer(t, server.Config{Shards: 1, NoSteal: true, DefaultWorkers: 8})
+	_, c := newTestServer(t, server.Config{Shards: 1, NoSteal: true, DefaultWorkers: 4})
 
 	c.must("POST", "/sessions", server.CreateSpec{
 		ID: "nosteal", Program: skewedSrc, Matcher: "parallel-rete",
@@ -157,7 +153,9 @@ func TestNoStealConfigDisablesStealing(t *testing.T) {
 	if prof.MatchStats == nil || prof.MatchStats.Tasks == 0 {
 		t.Fatalf("profile match_stats = %+v, want tasks > 0", prof.MatchStats)
 	}
-	if got, want := len(prof.MatchStats.Workers), min(8, runtime.GOMAXPROCS(0)); got != want {
-		t.Errorf("DefaultWorkers not applied: %d worker lanes, want %d", got, want)
+	// TestMain makes GOMAXPROCS, the lane count without DefaultWorkers,
+	// at least 8, so 4 lanes can only come from DefaultWorkers.
+	if got := len(prof.MatchStats.Workers); got != 4 {
+		t.Errorf("DefaultWorkers not applied: %d worker lanes, want 4", got)
 	}
 }
