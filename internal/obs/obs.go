@@ -45,7 +45,9 @@ func NewTraceID() string {
 	for i := range b {
 		b[i] = byte(v >> (8 * i))
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }
 
 // WithTraceID returns a context carrying the trace ID.

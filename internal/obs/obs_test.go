@@ -32,6 +32,9 @@ func TestNewTraceIDShapeAndSpread(t *testing.T) {
 	if len(seen) < 100 {
 		t.Errorf("only %d distinct IDs out of 100", len(seen))
 	}
+	if n := testing.AllocsPerRun(100, func() { NewTraceID() }); n != 1 {
+		t.Errorf("NewTraceID: %v allocations, want 1 (the string)", n)
+	}
 }
 
 func TestRingWrapsOldestFirst(t *testing.T) {

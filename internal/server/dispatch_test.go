@@ -61,9 +61,36 @@ func TestDispatchBackpressure(t *testing.T) {
 		t.Errorf("rejected counter = %d, want 1", srv.rejected.Value())
 	}
 
+	rec := httptest.NewRecorder()
+	writeError(rec, err)
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "2" {
+		t.Errorf("busy reply: %d, Retry-After %q; want 429, \"2\"", rec.Code, rec.Header().Get("Retry-After"))
+	}
+
 	release()
 	if err := <-queued; err != nil {
 		t.Errorf("queued request err = %v", err)
+	}
+}
+
+// TestRetryAfterRoundsUp: Retry-After is whole seconds, so a sub-second
+// backoff rounds up to 1 rather than telling clients to retry at once.
+func TestRetryAfterRoundsUp(t *testing.T) {
+	for _, tc := range []struct {
+		backoff time.Duration
+		want    string
+	}{
+		{500 * time.Millisecond, "1"},
+		{time.Nanosecond, "1"},
+		{time.Second, "1"},
+		{1500 * time.Millisecond, "2"},
+		{2 * time.Second, "2"},
+	} {
+		rec := httptest.NewRecorder()
+		writeError(rec, &BusyError{RetryAfter: tc.backoff})
+		if got := rec.Header().Get("Retry-After"); got != tc.want {
+			t.Errorf("RetryAfter %v: header %q, want %q", tc.backoff, got, tc.want)
+		}
 	}
 }
 

@@ -121,13 +121,7 @@ func (s *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	h := func(fn apiFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			ctx := r.Context()
-			if cfg.RequestTimeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, cfg.RequestTimeout)
-				defer cancel()
-			}
-			if err := fn(w, r.WithContext(ctx)); err != nil {
+			if err := fn(w, r); err != nil {
 				writeError(w, err)
 			}
 		}
@@ -189,7 +183,7 @@ func (s *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	return s.observeHTTP(mux)
+	return s.observeHTTP(mux, cfg.RequestTimeout)
 }
 
 // placed puts cluster placement in front of a session route: a request
@@ -210,13 +204,18 @@ func (s *Server) placed(fn apiFunc) apiFunc {
 	}
 }
 
-// observeHTTP wraps the API with per-request tracing and structured
-// logging: the X-Request-Id header (or a fresh ID) becomes the
-// request's trace ID — propagated via context into the engine and
-// echoed in the response — and every request emits one log line with
-// trace ID, session, shard, status and latency. Operational endpoints
-// log at debug level to keep scrape noise out of info logs.
-func (s *Server) observeHTTP(next http.Handler) http.Handler {
+// observeHTTP wraps the API with per-request tracing, the request
+// deadline and structured logging: the X-Request-Id header (or a fresh
+// ID) becomes the request's trace ID — propagated via context into the
+// engine and echoed in the response — and every request emits one log
+// line with trace ID, session, shard, status and latency. Operational
+// endpoints log at debug level to keep scrape noise out of info logs.
+//
+// The trace ID and the deadline go into one context and one copy of the
+// request. The deadline (timeout > 0) covers every request but the
+// pprof endpoints, whose profile and trace run as long as the client
+// asks.
+func (s *Server) observeHTTP(next http.Handler, timeout time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		traceID := r.Header.Get("X-Request-Id")
 		if traceID == "" {
@@ -224,6 +223,11 @@ func (s *Server) observeHTTP(next http.Handler) http.Handler {
 		}
 		w.Header().Set("X-Request-Id", traceID)
 		ctx := obs.WithTraceID(r.Context(), traceID)
+		if timeout > 0 && !strings.HasPrefix(r.URL.Path, "/debug/pprof") {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+		}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		t0 := time.Now()
 		// The mux fills the matched route's path values into the request
@@ -324,26 +328,28 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 
 func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) error {
 	var req ChangesRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := readWire(w, r, func(b []byte) error { return decodeChanges(b, &req) }); err != nil {
 		return err
 	}
 	res, err := s.Apply(r.Context(), r.PathValue("id"), req.Changes)
 	if err != nil {
 		return err
 	}
-	return WriteJSON(w, http.StatusOK, res)
+	writeWire(w, res, appendApplyResult)
+	return nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	var req RunRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := readWire(w, r, func(b []byte) error { return decodeRun(b, &req) }); err != nil {
 		return err
 	}
 	res, err := s.RunCycles(r.Context(), r.PathValue("id"), req.Cycles)
 	if err != nil {
 		return err
 	}
-	return WriteJSON(w, http.StatusOK, res)
+	writeWire(w, res, appendRunResult)
+	return nil
 }
 
 // streamBatchSize is how many NDJSON events one shard dispatch carries:
@@ -361,7 +367,8 @@ const streamMaxLine = 1 << 20
 // connection-level: a full shard mailbox fails the stream with the
 // standard 429 busy envelope plus Retry-After, and any mid-stream
 // failure carries X-Stream-Events-Applied so the client can resume from
-// the first unapplied event.
+// the first unapplied event. A stream that carried no event still
+// names a session: it is answered with the session's state, or 404.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	out := StreamResult{SessionID: id}
@@ -391,8 +398,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 		out.WMSize, out.ConflictSize = res.WMSize, res.ConflictSize
 		return nil
 	}
+	buf := getBuf()
+	defer putBuf(buf)
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), streamMaxLine)
+	sc.Buffer((*buf)[:cap(*buf)], streamMaxLine)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -401,7 +410,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 			continue
 		}
 		var ev EventSpec
-		if err := decodeStrict(bytes.NewReader(raw), &ev); err != nil {
+		if err := decodeEvent(raw, &ev); err != nil {
 			return fail(badReqf("stream line %d: %v", line, err))
 		}
 		batch = append(batch, ev)
@@ -418,7 +427,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	if err := flush(); err != nil {
 		return fail(err)
 	}
-	return WriteJSON(w, http.StatusOK, out)
+	if out.Batches == 0 {
+		var err error
+		if out, err = s.streamState(r.Context(), id); err != nil {
+			return err
+		}
+	}
+	writeWire(w, out, appendStreamResult)
+	return nil
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
@@ -506,17 +522,22 @@ const maxBodyBytes = 8 << 20
 var ErrBodyTooLarge = errors.New("server: request body too large")
 
 // decodeJSON decodes a request body of at most maxBodyBytes, strictly.
+// The hot routes read theirs with readWire instead.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
-	var tooLarge *http.MaxBytesError
-	switch {
-	case err == nil:
-		return nil
-	case errors.As(err, &tooLarge):
-		return fmt.Errorf("%w: limit %d bytes", ErrBodyTooLarge, tooLarge.Limit)
-	default:
-		return badReqf("bad request body: %v", err)
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst); err != nil {
+		return bodyError(err)
 	}
+	return nil
+}
+
+// bodyError maps a failure to read or decode a request body onto its
+// reply: 413 too_large past maxBodyBytes, else 400 bad_request.
+func bodyError(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return fmt.Errorf("%w: limit %d bytes", ErrBodyTooLarge, tooLarge.Limit)
+	}
+	return badReqf("bad request body: %v", err)
 }
 
 // decodeStrict decodes exactly one JSON value from rd into dst: an
@@ -546,11 +567,21 @@ func WriteJSON(w http.ResponseWriter, status int, body any) error {
 	if err != nil {
 		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
+	writeBody(w, status, append(buf, '\n'))
+	return nil
+}
+
+// jsonContentType is the Content-Type of every JSON reply, one shared
+// slice so that setting it allocates nothing. Nothing appends to it or
+// writes into it.
+var jsonContentType = []string{"application/json"}
+
+// writeBody sends a JSON reply.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	// A write error means the client is gone; there is no one to tell.
-	w.Write(append(buf, '\n'))
-	return nil
+	w.Write(body)
 }
 
 // writeError maps service errors onto HTTP statuses and the
@@ -574,7 +605,9 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.As(err, &reply):
 		status, code, msg, retryable = reply.Status, reply.Code, reply.Message, reply.Retryable
 	case errors.As(err, &busy):
-		w.Header().Set("Retry-After", strconv.Itoa(int(busy.RetryAfter.Seconds())))
+		// Retry-After counts whole seconds: round up, and never say 0.
+		secs := max(1, (busy.RetryAfter+time.Second-1)/time.Second)
+		w.Header().Set("Retry-After", strconv.Itoa(int(secs)))
 		status, code, retryable = http.StatusTooManyRequests, "busy", true
 	case errors.As(err, &badReq):
 		status, code = http.StatusBadRequest, "bad_request"

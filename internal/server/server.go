@@ -667,6 +667,23 @@ func (s *Server) StreamApply(ctx context.Context, id string, events []EventSpec)
 	})
 }
 
+// streamState reports a session's stream state without applying
+// anything: what a stream that carried no event answers with.
+func (s *Server) streamState(ctx context.Context, id string) (StreamResult, error) {
+	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (StreamResult, error) {
+		sess, err := sh.get(id)
+		if err != nil {
+			return StreamResult{}, err
+		}
+		return StreamResult{
+			SessionID:    id,
+			Clock:        sess.sys.Engine.Clock,
+			WMSize:       sess.sys.WM.Size(),
+			ConflictSize: sess.sys.CS.Len(),
+		}, nil
+	})
+}
+
 // StreamLagAdd moves n events onto (or off, negative) the
 // psmd_stream_lag_events gauge — the handler calls it as events come
 // off the wire, before their batch reaches a shard.

@@ -167,6 +167,36 @@ func TestStreamNoSession(t *testing.T) {
 	}
 }
 
+// TestStreamWithoutEventsReportsSession: a stream that carries no event
+// still names a session. An unknown one is 404; a live one answers with
+// its real clock, working-memory and conflict-set sizes and no batch.
+func TestStreamWithoutEventsReportsSession(t *testing.T) {
+	_, c := newTestServer(t, server.Config{Shards: 1})
+	for _, body := range []string{"", "\n \n"} {
+		resp := c.postStream("nope", []byte(body))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("empty stream %q to an unknown session: status %d, want 404", body, resp.StatusCode)
+		}
+	}
+
+	c.must("POST", "/sessions", server.CreateSpec{
+		ID: "fraud", Program: workload.FraudRules, Matcher: "rete",
+	}, nil, http.StatusCreated)
+	events := workload.FraudEvents(workload.FraudParams{Cards: 5, Events: 40, Window: 20, Seed: 3})
+	fed := streamInto(t, c, "fraud", workload.NDJSON(events))
+	if fed.Clock == 0 || fed.WMSize == 0 {
+		t.Fatalf("stream left clock %d, wm %d; want both non-zero", fed.Clock, fed.WMSize)
+	}
+	for _, body := range []string{"", "\n \n"} {
+		got := streamInto(t, c, "fraud", []byte(body))
+		want := server.StreamResult{SessionID: "fraud", Clock: fed.Clock, WMSize: fed.WMSize, ConflictSize: fed.ConflictSize}
+		if got != want {
+			t.Errorf("empty stream %q: %+v, want %+v", body, got, want)
+		}
+	}
+}
+
 func TestStreamEmptyClassRejected(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
 	c.must("POST", "/sessions", server.CreateSpec{

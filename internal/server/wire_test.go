@@ -1,0 +1,261 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/ops5"
+	"repro/internal/workload"
+)
+
+// wireShapes pairs each hot-route decoder with the decodeStrict call it
+// replaced; fields are the JSON names of the shape's struct fields,
+// nested ones included.
+var wireShapes = []struct {
+	name   string
+	wire   func([]byte) (any, error)
+	strict func([]byte) (any, error)
+	fields []string
+}{
+	{
+		"changes",
+		func(b []byte) (any, error) { var v ChangesRequest; return v, decodeChanges(b, &v) },
+		func(b []byte) (any, error) {
+			var v ChangesRequest
+			return v, decodeStrict(bytes.NewReader(b), &v)
+		},
+		[]string{"changes", "op", "class", "attrs", "tag"},
+	},
+	{
+		"run",
+		func(b []byte) (any, error) { var v RunRequest; return v, decodeRun(b, &v) },
+		func(b []byte) (any, error) { var v RunRequest; return v, decodeStrict(bytes.NewReader(b), &v) },
+		[]string{"cycles"},
+	},
+	{
+		"event",
+		func(b []byte) (any, error) { var v EventSpec; return v, decodeEvent(b, &v) },
+		func(b []byte) (any, error) { var v EventSpec; return v, decodeStrict(bytes.NewReader(b), &v) },
+		[]string{"class", "attrs", "ts", "ttl"},
+	},
+}
+
+// checkWireDecode decodes data with every shape's wire decoder and with
+// decodeStrict and fails unless both accept, into equal values, or both
+// reject. The one tolerated difference: the wire decoder may refuse a
+// key that names a field only under non-ASCII case folding. The wire
+// decoder reads a copy that is scribbled over before the comparison, so
+// a decoded value pointing into the body fails too.
+func checkWireDecode(t *testing.T, data []byte) {
+	t.Helper()
+	for _, sh := range wireShapes {
+		body := bytes.Clone(data)
+		got, gotErr := sh.wire(body)
+		for i := range body {
+			body[i] = 'x'
+		}
+		want, wantErr := sh.strict(data)
+		switch {
+		case gotErr == nil && wantErr == nil:
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %q: decoded\n %#v\nwant\n %#v", sh.name, data, got, want)
+			}
+		case gotErr != nil && wantErr == nil:
+			if !foldedField(gotErr, sh.fields) {
+				t.Fatalf("%s %q: wire decoder refused (%v) what decodeStrict accepts", sh.name, data, gotErr)
+			}
+		case gotErr == nil:
+			t.Fatalf("%s %q: wire decoder accepted what decodeStrict refuses (%v)", sh.name, data, wantErr)
+		}
+	}
+}
+
+// foldedField reports whether err is an unknown-field error whose key
+// equals one of fields under Unicode case folding.
+func foldedField(err error, fields []string) bool {
+	quoted, ok := strings.CutPrefix(err.Error(), "json: unknown field ")
+	if !ok {
+		return false
+	}
+	key, uerr := strconv.Unquote(quoted)
+	if uerr != nil {
+		return false
+	}
+	for _, f := range fields {
+		if strings.EqualFold(key, f) {
+			return true
+		}
+	}
+	return false
+}
+
+// wireSeeds are the bodies every decoder comparison starts from: the
+// golden script's, the chatter, bulk and fraud shapes, and the edge cases
+// the wire decoder must get right.
+var wireSeeds = []string{
+	// The golden script's bodies.
+	`{"changes":[{"op":"assert","class":"item","attrs":{"name":"a","kind":"x"}},{"op":"assert","class":"item","attrs":{"name":"b \"q\" <&> \u00e9\u2028\\","kind":"x","w":1.5,"big":1e21,"small":1e-7,"int":42,"neg":-3,"none":null,"yes":true,"no":false}},{"op":"retract","tag":6}]}`,
+	`{"changes":[{"op":"retract","tag":5}]}`,
+	`{"cycles":2}`, `{}`, `{"cycles":`,
+	`{"class":"txn","attrs":{"card":"c1","amount":100},"ts":1,"ttl":5}`,
+	`{"class":"txn","attrs":{"card":"c2","amount":2.5e3},"ts":2,"ttl":5}`,
+	`{"class":"txn","bogus":1}`, `{"attrs":{"card":"c9"}}`,
+	`{"changes":[{"op":"upsert","class":"a"}]}`, `{"changes":[{"op":"assert"}]}`,
+	// chatter and bulk.
+	`{"changes":[{"op":"retract","tag":17},{"op":"assert","class":"reading","attrs":{"sensor":"n3","value":57,"seq":1}}]}`,
+	`{"changes":[{"op":"assert","class":"job","attrs":{"id":1,"station":"s3","kind":"k2","prio":4}},{"op":"assert","class":"part","attrs":{"job":1,"station":"s3","type":"t5","qty":12}},{"op":"retract","tag":3}]}`,
+	// Edge cases.
+	`null`, ` null `, `{"changes":null}`, `{"changes":[null]}`, `{"changes":[]}`,
+	`{"changes":[{"tag":null,"op":null,"class":null,"attrs":null}]}`,
+	`{"changes":[{"op":"assert","class":"a","class":"b","tag":1,"tag":2}]}`,
+	`{"changes":[{"attrs":{"a":1},"attrs":{"b":2,"a":3}}]}`,
+	`{"changes":[{"attrs":{"a":1},"attrs":null}]}`,
+	`{"changes":[{"op":"assert","class":"a"},{"tag":2}],"changes":[{"tag":7}]}`,
+	`{"changes":[{"class":"a"},{"class":"b"}],"changes":[{}],"changes":[{},{}]}`,
+	`{"changes":[{"class":"a"}],"changes":[],"changes":[{}]}`,
+	`{"cycles":1.0}`, `{"cycles":1e2}`, `{"cycles":-0}`, `{"cycles":9223372036854775807}`,
+	`{"cycles":9223372036854775808}`, `{"cycles":"4"}`, `{"cycles":true}`, `{"cycles":01}`,
+	`{"ts":-9223372036854775808,"ttl":-1}`, `{"ts":1.5}`,
+	`{"class":"c","attrs":{"t":true,"f":false,"n":null,"z":-0,"e":1E+2,"x":0.5e-3}}`,
+	`{"class":"c","attrs":{"v":{"x":1}}}`, `{"class":"c","attrs":{"v":[1]}}`, `{"class":"c","attrs":{"v":1e999}}`,
+	`{"class":"c\u0041","attrs":{"k\n":"\ud800","\u00e9":"\/"}}`, "{\"class\":\"\xff\xfe\",\"attrs\":{\"\xc3\":\"\xe2\x80\"}}",
+	`{"CLASS":"c","Attrs":{},"TTL":3,"Ts":1}`, `{"claſs":"c"}`, `{"\u0063lass":"c"}`,
+	`{"class":"c"} {"class":"c"}`, `{"cycles":1}]`, `{"cycles":1}x`, "{\"cycles\":1}\n \t\r\n",
+	``, ` `, `[]`, `"x"`, `3`, `true`, `{"cycles":1,}`, `{,}`, `{"cycles" 1}`, `{"cycles":tru}`,
+	`{"class":"a\tb"}`, `{"class":"a\qb"}`, `{"class":"\u12"}`, `{"class":"abc`, `{"class":"c","attrs":{"v":-}}`,
+	`{"class":"c","attrs":{"v":1.}}`, `{"class":"c","attrs":{"v":.5}}`, `{"class":"c","attrs":{"v":"x",}}`,
+}
+
+func TestWireDecodeMatchesDecodeStrict(t *testing.T) {
+	for _, s := range wireSeeds {
+		checkWireDecode(t, []byte(s))
+	}
+	for _, line := range bytes.Split(workload.NDJSON(workload.FraudEvents(workload.DefaultFraudParams()))[:4096], []byte("\n")) {
+		checkWireDecode(t, line)
+	}
+}
+
+// TestWireDecodeSemantics pins what the differential test only compares:
+// the encoding/json rules the wire decoder reproduces.
+func TestWireDecodeSemantics(t *testing.T) {
+	var req ChangesRequest
+	if err := decodeChanges([]byte(`{"changes":[{"op":"assert","class":"a","attrs":{"x":1},"attrs":{"y":"s","x":2}}]}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	if want := (map[string]ops5.Value{"x": ops5.Num(2), "y": ops5.Sym("s")}); !reflect.DeepEqual(req.Changes[0].Attrs, want) {
+		t.Errorf("repeated attrs: %v, want one merged map %v", req.Changes[0].Attrs, want)
+	}
+	req = ChangesRequest{}
+	if err := decodeChanges([]byte(`{"changes":[{"op":"assert","class":"a"}],"changes":[{"tag":3}]}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	if want := []ChangeSpec{{Op: OpAssert, Class: "a", Tag: 3}}; !reflect.DeepEqual(req.Changes, want) {
+		t.Errorf("repeated changes: %+v, want the second merged into the first %+v", req.Changes, want)
+	}
+	var ev EventSpec
+	if err := decodeEvent([]byte(`{"class":"c","attrs":{"t":true}}`), &ev); err != nil || ev.Attrs["t"] != ops5.Sym("true") {
+		t.Errorf("true: %v, %v; want the symbol true", ev.Attrs["t"], err)
+	}
+	for _, bad := range []string{`{"cycles":1.0}`, `{"cycles":1e2}`, `{"cycles":99999999999999999999}`} {
+		if err := decodeRun([]byte(bad), new(RunRequest)); err == nil {
+			t.Errorf("%s: accepted, want a type error", bad)
+		}
+	}
+	// The messages the golden replies carry.
+	for _, tc := range []struct {
+		body string
+		dec  func([]byte) error
+		want string
+	}{
+		{`{"class":"txn","bogus":1}`, func(b []byte) error { return decodeEvent(b, new(EventSpec)) }, `json: unknown field "bogus"`},
+		{`{"cycles":`, func(b []byte) error { return decodeRun(b, new(RunRequest)) }, `unexpected EOF`},
+		{``, func(b []byte) error { return decodeRun(b, new(RunRequest)) }, `EOF`},
+	} {
+		if err := tc.dec([]byte(tc.body)); err == nil || err.Error() != tc.want {
+			t.Errorf("%q: error %v, want %q", tc.body, err, tc.want)
+		}
+	}
+}
+
+func FuzzWireDecode(f *testing.F) {
+	for _, s := range wireSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(checkWireDecode)
+}
+
+// wireStrings are session IDs that exercise json.Marshal's string
+// escaping: HTML characters, the JavaScript line separators, control
+// characters, invalid UTF-8 and multi-byte runes.
+var wireStrings = []string{
+	"", "s-000001", "chatter-17", `a"b\c`, "<script>&amp;</script>", "\u2028\u2029", "line\nbreak\ttab\r",
+	"\x00\x01\x1f\x7f", "\b\f", "\xff\xfe", "\xe2\x80", "caf\u00e9", "\U0001F600", "/slash/",
+}
+
+// randomWireString builds a string from pieces of wireStrings and random
+// bytes.
+func randomWireString(rng *rand.Rand) string {
+	var b strings.Builder
+	for n := rng.Intn(4); n >= 0; n-- {
+		if rng.Intn(3) == 0 {
+			b.WriteByte(byte(rng.Intn(256)))
+		} else {
+			b.WriteString(wireStrings[rng.Intn(len(wireStrings))])
+		}
+	}
+	return b.String()
+}
+
+func TestWireEncodeMatchesMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	n := func() int { return []int{0, 1, -1, 7, 1 << 40, -1 << 62}[rng.Intn(6)] + rng.Intn(1000) }
+	check := func(name string, v any, got []byte) {
+		t.Helper()
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("%s %+v:\n got %s\nwant %s", name, v, got, want)
+		}
+	}
+	for _, id := range wireStrings {
+		check("session id", StreamResult{SessionID: id}, appendStreamResult(nil, StreamResult{SessionID: id}))
+	}
+	for i := 0; i < 2000; i++ {
+		var tags []int
+		switch rng.Intn(3) {
+		case 1:
+			tags = []int{}
+		case 2:
+			for k := rng.Intn(5) + 1; k > 0; k-- {
+				tags = append(tags, n())
+			}
+		}
+		ar := ApplyResult{Applied: n(), Tags: tags, WMSize: n(), ConflictSize: n()}
+		check("ApplyResult", ar, appendApplyResult(nil, ar))
+		rr := RunResult{Cycles: n(), Fired: n(), Halted: rng.Intn(2) == 0, Quiesced: rng.Intn(2) == 0,
+			LimitHit: rng.Intn(2) == 0, WMSize: n(), ConflictSize: n()}
+		check("RunResult", rr, appendRunResult(nil, rr))
+		sr := StreamResult{SessionID: randomWireString(rng), Events: n(), Batches: n(), Fired: n(), Cycles: n(),
+			Expired: n(), Clock: int64(n()) << 20, WMSize: n(), ConflictSize: n()}
+		check("StreamResult", sr, appendStreamResult(nil, sr))
+	}
+}
+
+// TestWireBuffersStayBounded: a body buffer that grew past maxPooledBuf
+// is not put back into the pool.
+func TestWireBuffersStayBounded(t *testing.T) {
+	big := make([]byte, 0, 2*maxPooledBuf)
+	putBuf(&big)
+	for i := 0; i < 4; i++ {
+		if b := getBuf(); cap(*b) > maxPooledBuf {
+			t.Fatalf("pool handed out a %d-byte buffer", cap(*b))
+		}
+	}
+}

@@ -82,6 +82,12 @@ func (t *Table) Lookup(s string) (ID, bool) {
 	return None, false
 }
 
+// LookupBytes is Lookup for a name held as bytes, such as a span of a
+// request body: a hit costs no allocation for names up to 32 bytes
+// (the conversion is a stack copy), and Name(id) then yields the
+// table's own string.
+func (t *Table) LookupBytes(b []byte) (ID, bool) { return t.Lookup(string(b)) }
+
 // Name returns the string for id, or "" for None or an ID the table has
 // not (yet) assigned. Lock-free.
 func (t *Table) Name(id ID) string {
@@ -121,6 +127,9 @@ func Intern(s string) ID { return Default.Intern(s) }
 
 // Lookup looks s up in the default table without interning.
 func Lookup(s string) (ID, bool) { return Default.Lookup(s) }
+
+// LookupBytes looks b up in the default table without interning.
+func LookupBytes(b []byte) (ID, bool) { return Default.LookupBytes(b) }
 
 // Name resolves id in the default table.
 func Name(id ID) string { return Default.Name(id) }

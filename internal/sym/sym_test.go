@@ -27,6 +27,16 @@ func TestInternRoundTrip(t *testing.T) {
 	if id, ok := tb.Lookup("never-seen"); ok || id != None {
 		t.Fatalf("Lookup of unknown symbol = %d, %v; want None, false", id, ok)
 	}
+	if id, ok := tb.LookupBytes([]byte("state")); !ok || id != b {
+		t.Fatalf("LookupBytes(state) = %d, %v", id, ok)
+	}
+	if id, ok := tb.LookupBytes([]byte("never-seen")); ok || id != None {
+		t.Fatalf("LookupBytes of unknown symbol = %d, %v; want None, false", id, ok)
+	}
+	name := []byte("state")
+	if n := testing.AllocsPerRun(100, func() { tb.LookupBytes(name) }); n != 0 {
+		t.Fatalf("LookupBytes hit: %v allocations, want 0", n)
+	}
 	if tb.Len() != 3 { // None slot + 2 symbols
 		t.Fatalf("Len = %d, want 3", tb.Len())
 	}
