@@ -259,7 +259,7 @@ func TestKeyIdentityMatchesIdentity(t *testing.T) {
 		in := randomInst(rng, prods)
 		for _, w := range in.WMEs {
 			if w != nil && rng.Intn(4) == 0 {
-				w.TimeTag = rng.Intn(1 << 40)
+				w.TimeTag = int(rng.Int63n(1 << 40)) // rng.Intn's draw, and compiles where int is 32 bits
 			}
 		}
 		if got, want := keyIdentity(in.Key()), identity(in); got != want {

@@ -110,18 +110,10 @@ func (e *Engine) RegisterFunc(name string, fn CallFunc) {
 }
 
 // New assembles an engine. The matcher must already have its conflict
-// callbacks wired to cs (see the matcher constructors' With* helpers or
-// Hook).
+// callbacks wired to cs (OnInsert = cs.Insert, OnRemove = cs.Remove;
+// core.NewSystemFromProgram does this for every matcher).
 func New(mem *wm.Memory, cs *conflict.Set, m Matcher) *Engine {
 	return &Engine{WM: mem, CS: cs, Matcher: m}
-}
-
-// Hook wires a matcher's conflict-set callbacks to a conflict set. It
-// works for any matcher exposing OnInsert/OnRemove fields via the
-// returned setter functions; callers that construct matchers directly
-// can assign cs.Insert / cs.Remove themselves.
-func Hook(cs *conflict.Set) (onInsert, onRemove func(*ops5.Instantiation)) {
-	return cs.Insert, cs.Remove
 }
 
 // Load applies a set of initial WMEs as one insert batch (observable

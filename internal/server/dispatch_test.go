@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -199,5 +201,27 @@ func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
 		w.calls != 1 || rec.Code != http.StatusInternalServerError {
 		t.Errorf("reply = %d %q after %d WriteHeader calls (%v), want one 500 internal envelope",
 			rec.Code, rec.Body, w.calls, jerr)
+	}
+}
+
+// TestShardForEveryID: every session ID maps onto a shard, on 32-bit
+// platforms too (run it with GOARCH=386), where reducing the hash as an
+// int once indexed below zero for about a third of all IDs.
+func TestShardForEveryID(t *testing.T) {
+	srv := New(Config{Shards: 4})
+	defer srv.Close()
+	used := map[int]int{}
+	for i := 0; i < 1000; i++ {
+		id := fmt.Sprintf("s-%06d", i)
+		h := fnv.New32a()
+		h.Write([]byte(id))
+		sh := srv.shardFor(id)
+		if want := int(h.Sum32() % 4); sh.id != want {
+			t.Fatalf("shardFor(%q) = shard %d, want %d", id, sh.id, want)
+		}
+		used[sh.id]++
+	}
+	if len(used) != 4 {
+		t.Errorf("1,000 IDs used shards %v, want all 4", used)
 	}
 }

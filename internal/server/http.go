@@ -110,7 +110,8 @@ func (s *Server) Handler() http.Handler { return s.HandlerWith(HandlerConfig{}) 
 // every session route is placed first, and the cluster routes are the
 // Replicator's.
 //
-// Every request is traced: the X-Request-Id header (or a generated ID)
+// Every request is traced: the X-Request-Id header (or a generated ID,
+// when it is absent, longer than 128 bytes or not visible ASCII)
 // becomes the request's trace ID, echoed in the response header,
 // threaded through the engine into cycle spans, and attached to the
 // structured request log line.
@@ -206,10 +207,11 @@ func (s *Server) placed(fn apiFunc) apiFunc {
 
 // observeHTTP wraps the API with per-request tracing, the request
 // deadline and structured logging: the X-Request-Id header (or a fresh
-// ID) becomes the request's trace ID — propagated via context into the
-// engine and echoed in the response — and every request emits one log
-// line with trace ID, session, shard, status and latency. Operational
-// endpoints log at debug level to keep scrape noise out of info logs.
+// ID, when it is absent or not a clientTraceID) becomes the request's
+// trace ID — propagated via context into the engine and echoed in the
+// response — and every request emits one log line with trace ID,
+// session, shard, status and latency. Operational endpoints log at
+// debug level to keep scrape noise out of info logs.
 //
 // The trace ID and the deadline go into one context and one copy of the
 // request. The deadline (timeout > 0) covers every request but the
@@ -218,7 +220,7 @@ func (s *Server) placed(fn apiFunc) apiFunc {
 func (s *Server) observeHTTP(next http.Handler, timeout time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		traceID := r.Header.Get("X-Request-Id")
-		if traceID == "" {
+		if !clientTraceID(traceID) {
 			traceID = obs.NewTraceID()
 		}
 		w.Header().Set("X-Request-Id", traceID)
@@ -253,6 +255,26 @@ func (s *Server) observeHTTP(next http.Handler, timeout time.Duration) http.Hand
 		}
 		s.logger.LogAttrs(ctx, level, "request", attrs...)
 	})
+}
+
+// maxTraceIDLen bounds a client's X-Request-Id. The ID is kept in every
+// span of the session's trace ring and the evicted-session archive and
+// written into every request log line.
+const maxTraceIDLen = 128
+
+// clientTraceID reports whether a client's X-Request-Id is used as the
+// trace ID: 1 to maxTraceIDLen bytes of visible ASCII. Any other is
+// replaced by a generated ID.
+func clientTraceID(id string) bool {
+	if id == "" || len(id) > maxTraceIDLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] < 0x21 || id[i] > 0x7e {
+			return false
+		}
+	}
+	return true
 }
 
 // statusRecorder captures the response status for the request log.

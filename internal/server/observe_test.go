@@ -3,9 +3,11 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -270,6 +272,62 @@ func TestRequestIDPropagatesToSpans(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.Header.Get("X-Request-Id") == "" {
 		t.Error("no generated request ID on response")
+	}
+}
+
+// TestClientTraceIDBounded: a client's X-Request-Id becomes the trace
+// ID only when it is at most 128 bytes of visible ASCII, because the ID
+// is kept in every span of the trace ring and the archive. A longer one,
+// or one with a space, is replaced by a generated 16-hex ID, in the
+// reply header and in /trace alike.
+func TestClientTraceIDBounded(t *testing.T) {
+	srv := server.New(server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	c := newClient(t, ts)
+	generated := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	for i, tc := range []struct {
+		id   string
+		keep bool
+	}{
+		{strings.Repeat("x", 4096), false},
+		{"req with space", false},
+		{strings.Repeat("k", 128), true},
+	} {
+		id := fmt.Sprintf("tid-%d", i)
+		c.must("POST", "/sessions", server.CreateSpec{ID: id, Program: counterSrc}, nil, http.StatusCreated)
+		body, _ := json.Marshal(server.ChangesRequest{Changes: []server.ChangeSpec{
+			{Op: server.OpAssert, Class: "counter", Attrs: attrs("n", 0.0, "limit", 1.0)},
+		}})
+		req, err := http.NewRequest("POST", ts.URL+server.APIVersion+"/sessions/"+id+"/changes", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", tc.id)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		got := resp.Header.Get("X-Request-Id")
+		switch {
+		case resp.StatusCode != http.StatusOK:
+			t.Fatalf("%d-byte ID: status %d", len(tc.id), resp.StatusCode)
+		case tc.keep && got != tc.id:
+			t.Errorf("%d-byte ID echoed as %q, want it unchanged", len(tc.id), got)
+		case !tc.keep && !generated.MatchString(got):
+			t.Errorf("%d-byte ID %.20q echoed as %.20q, want a generated 16-hex ID", len(tc.id), tc.id, got)
+		}
+		var tr server.TraceResult
+		c.must("GET", "/sessions/"+id+"/trace", nil, &tr, http.StatusOK)
+		if len(tr.Spans) == 0 {
+			t.Fatalf("session %s: no spans", id)
+		}
+		for _, sp := range tr.Spans {
+			if sp.TraceID != got {
+				t.Errorf("session %s: %s span trace ID %.20q, want the echoed %.20q", id, sp.Kind, sp.TraceID, got)
+			}
+		}
 	}
 }
 

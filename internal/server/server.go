@@ -372,10 +372,6 @@ func (s *Server) recoverSession(dir string) (*session, durable.RecoverStats, err
 	}
 	sess.trace = obs.NewRing(s.cfg.TraceDepth)
 	sess.sys.Engine.OnCycle = s.observeCycle(sess)
-	// Recovery restored the engine's absolute expiry counter; prime the
-	// delta baseline so the recovered total is not re-counted into
-	// psmd_expired_wmes_total on the next request.
-	sess.lastExpired = sess.sys.Engine.Expired
 	s.attachDurable(sess, log)
 	return sess, rstats, nil
 }
@@ -428,11 +424,13 @@ func (s *Server) close(snapshot bool) {
 	}
 }
 
-// shardFor maps a session ID onto its owning shard.
+// shardFor maps a session ID onto its owning shard. The hash is reduced
+// as a uint32: converted to a 32-bit int first, a third of all IDs
+// would index below zero.
 func (s *Server) shardFor(id string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(id))
-	return s.shards[int(h.Sum32())%len(s.shards)]
+	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
 // dispatchShard routes fn to sh and waits for completion or context
@@ -656,6 +654,7 @@ func (s *Server) StreamApply(ctx context.Context, id string, events []EventSpec)
 		s.cycles.Add(int64(res.Cycles))
 		s.firings.Add(int64(res.Fired))
 		s.wmeChanges.Add(int64(res.Events + res.Expired))
+		s.expiredWMEs.Add(int64(res.Expired))
 		s.account(sess)
 		sess.trace.Add(obs.CycleSpan{
 			TraceID: obs.TraceID(ctx), Kind: obs.SpanStream, Cycle: sess.sys.Cycles,
@@ -690,13 +689,12 @@ func (s *Server) streamState(ctx context.Context, id string) (StreamResult, erro
 func (s *Server) StreamLagAdd(n int64) { s.streamLag.Add(n) }
 
 // account is the post-request accounting every session operation that
-// runs the engine ends with: the server-wide TTL-expiry, scheduler and
-// loss metrics advance by what the session's engine and matcher counted
-// since its previous request. Labelled loss series appear on first
-// observation — the phase vocabulary belongs to the matcher, not the
-// server. Owned-goroutine only.
+// runs the engine ends with: the server-wide scheduler and loss metrics
+// advance by what the session's matcher counted since its previous
+// request. Labelled loss series appear on first observation — the
+// phase vocabulary belongs to the matcher, not the server.
+// Owned-goroutine only.
 func (s *Server) account(sess *session) {
-	s.expiredWMEs.Add(sess.expiredDelta())
 	st, pk, wk := sess.schedDeltas()
 	s.steals.Add(st)
 	s.parks.Add(pk)
@@ -762,13 +760,14 @@ func (s *Server) RunCycles(ctx context.Context, id string, maxCycles int) (RunRe
 		// RunContext's pickup, so an earlier request's ID never
 		// lingers on later spans.
 		eng.TraceID = obs.TraceID(ctx)
-		changesBefore, firedBefore := eng.TotalChanges, eng.Fired
+		changesBefore, firedBefore, expiredBefore := eng.TotalChanges, eng.Fired, eng.Expired
 		t0 := time.Now()
 		n, err := eng.RunContext(ctx, limit)
 		s.runSeconds.Observe(time.Since(t0).Seconds())
 		s.cycles.Add(int64(n))
 		s.firings.Add(int64(eng.Fired - firedBefore))
 		s.wmeChanges.Add(int64(eng.TotalChanges - changesBefore))
+		s.expiredWMEs.Add(int64(eng.Expired - expiredBefore))
 		s.account(sess)
 		if err != nil && !errors.Is(err, engine.ErrCycleLimit) {
 			return RunResult{}, err

@@ -142,12 +142,6 @@ type session struct {
 	lastParks   int64
 	lastWakeups int64
 
-	// lastExpired remembers the engine's cumulative TTL-retraction count
-	// at the previous expiredDelta call (same per-request delta pattern).
-	// Recovery primes it to the restored absolute value so a rebuilt
-	// session does not replay its history into the process counter.
-	lastExpired int
-
 	// lastPhaseSecs and lastTaskCounts do the same for the matcher's
 	// cumulative loss accounting (lossDeltas); nil until the first call
 	// on a loss-capable matcher.
@@ -506,14 +500,6 @@ func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult,
 // goroutine only. Every counter they read only grows: a session's
 // engine and matcher live as long as the session (session.sys is set
 // only by newSession, engine.Engine.Matcher only by engine.New).
-
-// expiredDelta returns the growth of the engine's TTL-retraction
-// counter since the previous call (feeds psmd_expired_wmes_total).
-func (s *session) expiredDelta() int64 {
-	d := int64(s.sys.Engine.Expired - s.lastExpired)
-	s.lastExpired = s.sys.Engine.Expired
-	return d
-}
 
 // schedDeltas returns the growth of the session matcher's steal, park
 // and wakeup counters since the previous call; all zero for matchers

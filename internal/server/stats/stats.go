@@ -114,26 +114,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile returns an upper-bound estimate of the q-quantile (0..1)
-// from the bucket boundaries: the smallest bound whose cumulative count
-// covers q. It returns +Inf when the sample lands past the last bound,
-// and 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	var cum int64
-	for i := range h.bounds {
-		cum += h.counts[i].Load()
-		if cum >= target {
-			return h.bounds[i]
-		}
-	}
-	return math.Inf(1)
-}
-
 // metric is anything the registry can render.
 type metric interface {
 	metricName() string

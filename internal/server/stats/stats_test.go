@@ -23,7 +23,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketsAndQuantile(t *testing.T) {
+func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", "latency", []float64{0.01, 0.1, 1})
 	for _, v := range []float64{0.005, 0.02, 0.02, 0.5, 2} {
@@ -34,12 +34,6 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	}
 	if math.Abs(h.Sum()-2.545) > 1e-9 {
 		t.Errorf("sum = %g, want 2.545", h.Sum())
-	}
-	if q := h.Quantile(0.5); q != 0.1 {
-		t.Errorf("p50 = %g, want 0.1", q)
-	}
-	if q := h.Quantile(0.99); !math.IsInf(q, 1) {
-		t.Errorf("p99 = %g, want +Inf", q)
 	}
 	var b strings.Builder
 	r.WriteText(&b)

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
+	"repro/internal/ops5"
 	"repro/internal/server"
 	"repro/internal/workload"
 )
@@ -384,4 +386,55 @@ func jsonDecode(r io.Reader, dst any) error {
 		return err
 	}
 	return json.Unmarshal(raw, dst)
+}
+
+// TestExpiredCounterCountsOperations: psmd_expired_wmes_total advances
+// by the expiries each /stream reply reports and each /run performs,
+// and a recovered session's restored expiry count is not counted again.
+func TestExpiredCounterCountsOperations(t *testing.T) {
+	events := workload.FraudEvents(workload.FraudParams{Cards: 20, Events: 600, Window: 15, Seed: 7})
+	half := len(events) / 2
+	cfg := server.Config{Shards: 1, DataDir: t.TempDir()}
+	start := func() (*server.Server, *client, func()) {
+		srv := server.New(cfg)
+		ts := httptest.NewServer(srv.Handler())
+		return srv, newClient(t, ts), ts.Close
+	}
+	counter := func(srv *server.Server) int {
+		var buf bytes.Buffer
+		srv.Registry().WriteText(&buf)
+		return int(metricValue(buf.String(), "psmd_expired_wmes_total"))
+	}
+
+	srv1, c1, crash := start()
+	c1.must("POST", "/sessions", server.CreateSpec{ID: "fraud", Program: workload.FraudRules, Matcher: "rete"}, nil, http.StatusCreated)
+	want := streamInto(t, c1, "fraud", workload.NDJSON(events[:half])).Expired
+	// A /run expires too: a fact with a one-tick TTL leaves at the first
+	// cycle's clock tick.
+	c1.must("POST", "/sessions", server.CreateSpec{ID: "count", Program: counterSrc}, nil, http.StatusCreated)
+	c1.must("POST", "/sessions/count/changes", server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "counter", Attrs: attrs("n", 0.0, "limit", 3.0)},
+		{Op: server.OpAssert, Class: "tmp", Attrs: attrs(ops5.TTLAttrName, 1.0)},
+	}}, nil, http.StatusOK)
+	c1.must("POST", "/sessions/count/run", server.RunRequest{}, nil, http.StatusOK)
+	var info server.SessionInfo
+	c1.must("GET", "/sessions/count", nil, &info, http.StatusOK)
+	if want == 0 || info.Expired != 1 {
+		t.Fatalf("stream expired %d, run expired %d; want both > 0", want, info.Expired)
+	}
+	if got := counter(srv1); got != want+info.Expired {
+		t.Fatalf("psmd_expired_wmes_total = %d, want %d (stream) + %d (run)", got, want, info.Expired)
+	}
+	crash()
+
+	srv2, c2, _ := start()
+	t.Cleanup(func() { srv2.Close() })
+	c2.must("GET", "/sessions/fraud", nil, &info, http.StatusOK)
+	if !info.Recovered || info.Expired < want {
+		t.Fatalf("recovered session: recovered %v, expired %d; want true, >= %d", info.Recovered, info.Expired, want)
+	}
+	res := streamInto(t, c2, "fraud", workload.NDJSON(events[half:]))
+	if got := counter(srv2); got != res.Expired {
+		t.Errorf("after recovery psmd_expired_wmes_total = %d, want the %d the stream reported", got, res.Expired)
+	}
 }

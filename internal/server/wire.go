@@ -1,27 +1,32 @@
 package server
 
 // The wire codec of the three hot routes. POST .../changes, .../run and
-// .../stream decode their bodies with the single-pass readers below
-// instead of encoding/json's reflection, and their replies (ApplyResult,
-// RunResult, StreamResult) are appended into pooled buffers. The
-// contract is decodeStrict's: the same bodies are accepted, into the same
-// values, and the replies are json.Marshal's bytes plus a newline
-// (FuzzWireDecode and TestWireEncodeMatchesMarshal hold both). The one
-// permitted difference is that a key naming a field only under
-// non-ASCII case folding ("claſs" for "class") is an unknown field here.
+// .../stream read their bodies with the recogniser below instead of
+// encoding/json's reflection, and their replies (ApplyResult, RunResult,
+// StreamResult) are appended into pooled buffers.
+//
+// The recogniser takes only plain bodies: one object whose keys are the
+// exact lower-case field names, each at most once, whose strings are
+// printable ASCII without a backslash, whose integers fit their field,
+// and whose attribute values are such strings or numbers. Every body
+// psmd's clients and benchmark send is plain. Any other body (null,
+// true/false, escapes, non-ASCII, a case variant or repeat of a key,
+// trailing data, a syntax error) is decoded by decodeStrict instead, so
+// the accepted bodies, their values and every error are encoding/json's
+// own (FuzzWireDecode). A plain string is appended to a reply as it is
+// and any other goes through json.Marshal, so the replies are
+// json.Marshal's bytes plus a newline (TestWireEncodeMatchesMarshal).
 // Every other body, and every other reply, stays on encoding/json.
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"repro/internal/ops5"
 	"repro/internal/sym"
@@ -87,368 +92,224 @@ func writeWire[T any](w http.ResponseWriter, v T, enc func([]byte, T) []byte) {
 // decodeChanges decodes a /changes body.
 func decodeChanges(data []byte, req *ChangesRequest) error {
 	d := wireDecoder{data: data}
-	if d.open("server.ChangesRequest") {
-		for n := 0; ; n++ {
-			key, ok := d.member(n)
-			if !ok {
-				break
-			}
-			if fieldIs(key, "changes") {
-				d.changes(&req.Changes)
-			} else {
-				d.fail(unknownField(key))
-			}
-		}
-	}
-	return d.close()
+	readChanges(&d, req)
+	return settle(&d, req)
 }
 
 // decodeRun decodes a /run body.
 func decodeRun(data []byte, req *RunRequest) error {
 	d := wireDecoder{data: data}
-	if d.open("server.RunRequest") {
-		for n := 0; ; n++ {
-			key, ok := d.member(n)
-			if !ok {
-				break
-			}
-			if !fieldIs(key, "cycles") {
-				d.fail(unknownField(key))
-			} else if v, ok := d.integer("RunRequest.cycles", "int", strconv.IntSize); ok {
-				req.Cycles = int(v)
-			}
-		}
-	}
-	return d.close()
+	readRun(&d, req)
+	return settle(&d, req)
 }
 
 // decodeEvent decodes one /stream line.
 func decodeEvent(data []byte, ev *EventSpec) error {
 	d := wireDecoder{data: data}
-	if d.open("server.EventSpec") {
-		for n := 0; ; n++ {
-			key, ok := d.member(n)
-			if !ok {
-				break
-			}
-			switch {
-			case fieldIs(key, "class"):
-				d.name("EventSpec.class", &ev.Class)
-			case fieldIs(key, "attrs"):
-				d.attrs("EventSpec.attrs", &ev.Attrs)
-			case fieldIs(key, "ts"):
-				if v, ok := d.integer("EventSpec.ts", "int64", 64); ok {
-					ev.TS = v
-				}
-			case fieldIs(key, "ttl"):
-				if v, ok := d.integer("EventSpec.ttl", "int", strconv.IntSize); ok {
-					ev.TTL = int(v)
-				}
-			default:
-				d.fail(unknownField(key))
-			}
-		}
+	readEvent(&d, ev)
+	return settle(&d, ev)
+}
+
+// settle ends a decoding into dst: nil when d read a plain body, and
+// otherwise decodeStrict's verdict on the body, with dst overwritten by
+// what decodeStrict decodes into a zero value. (The zero value is a
+// fresh one, so that dst itself never escapes to encoding/json.)
+func settle[T any](d *wireDecoder, dst *T) error {
+	if d.plain() {
+		return nil
 	}
-	return d.close()
+	v := new(T)
+	err := decodeStrict(bytes.NewReader(d.data), v)
+	*dst = *v
+	return err
 }
 
-// wireDecoder reads one JSON value from data in a single pass,
-// validating as it goes. Its readers are entered at the first byte of
-// their value and leave off just past it. The first error sticks: every
-// later reader is a no-op, and member and element report no more.
-type wireDecoder struct {
-	data []byte
-	off  int
-	err  error
-}
+// readChanges, readRun and readEvent read a plain body of their shape.
 
-// fail records err unless an error is already recorded.
-func (d *wireDecoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
+func readChanges(d *wireDecoder, req *ChangesRequest) {
+	var seen uint
+	for n := 0; d.field(n, &seen, "changes") == 0; n++ {
+		req.Changes = d.changes()
 	}
 }
 
-// open starts the top-level value of the struct type typ and reports
-// whether it is an object, with d past its brace. A json.Decoder's io.EOF
-// for a body holding no value is recorded here, and so is null, which
-// leaves the struct as it is.
-func (d *wireDecoder) open(typ string) bool {
-	d.ws()
-	switch {
-	case d.off == len(d.data):
-		d.fail(io.EOF)
-	case d.data[d.off] == 'n':
-		d.literal("null")
-	case d.data[d.off] == '{':
-		d.off++
-		return true
-	default:
-		d.mismatch("", typ)
+func readRun(d *wireDecoder, req *RunRequest) {
+	var seen uint
+	for n := 0; d.field(n, &seen, "cycles") == 0; n++ {
+		req.Cycles = int(d.integer(strconv.IntSize))
 	}
-	return false
 }
 
-// close ends the top-level value, which nothing but whitespace may
-// follow, and returns the decoding error.
-func (d *wireDecoder) close() error {
-	if d.ws(); d.err == nil && d.off < len(d.data) {
-		d.fail(errors.New("unexpected data after the JSON value"))
-	}
-	return d.err
-}
-
-// ws skips JSON whitespace.
-func (d *wireDecoder) ws() {
-	for d.off < len(d.data) {
-		switch d.data[d.off] {
-		case ' ', '\t', '\n', '\r':
-			d.off++
+func readEvent(d *wireDecoder, ev *EventSpec) {
+	var seen uint
+	for n := 0; ; n++ {
+		switch d.field(n, &seen, "class", "attrs", "ts", "ttl") {
+		case 0:
+			ev.Class = nameOf(d.str())
+		case 1:
+			ev.Attrs = d.attrs()
+		case 2:
+			ev.TS = d.integer(64)
+		case 3:
+			ev.TTL = int(d.integer(strconv.IntSize))
 		default:
 			return
 		}
 	}
 }
 
-// next skips whitespace and returns the byte there; 0 at the end of the
-// data, which is an error, or after one.
-func (d *wireDecoder) next() byte {
-	if d.ws(); d.err != nil || d.off == len(d.data) {
-		d.fail(io.ErrUnexpectedEOF)
-		return 0
-	}
-	return d.data[d.off]
+// wireDecoder recognises a plain body in one pass. Each reader skips the
+// whitespace before its value and leaves off just past it. A reader
+// that meets anything a plain body does not hold sets bad; from then on
+// every reader returns at once, and what was read is thrown away.
+type wireDecoder struct {
+	data []byte
+	off  int
+	bad  bool
 }
 
-// syntaxError records a syntax error at data[i], or io.ErrUnexpectedEOF
-// at the end of the data; context says what was wanted there.
-func (d *wireDecoder) syntaxError(i int, context string) {
-	if i >= len(d.data) {
-		d.fail(io.ErrUnexpectedEOF)
-		return
-	}
-	d.fail(fmt.Errorf("invalid character %q %s", rune(d.data[i]), context))
+// plain reports whether the body read so far is plain and nothing but
+// whitespace follows it.
+func (d *wireDecoder) plain() bool {
+	d.peek()
+	return !d.bad && d.off == len(d.data)
 }
 
-// mismatch records a value of the wrong JSON kind for a field of Go type
-// typ, or for the top-level value when field is "".
-func (d *wireDecoder) mismatch(field, typ string) {
-	var kind string
-	switch c := d.data[d.off]; {
-	case c == '{':
-		kind = "object"
-	case c == '[':
-		kind = "array"
-	case c == '"':
-		kind = "string"
-	case c == 't' || c == 'f':
-		kind = "bool"
-	case c == '-' || isDigit(c):
-		kind = "number"
-	default:
-		d.syntaxError(d.off, "looking for beginning of value")
-		return
+// peek skips whitespace and returns the byte there; 0 at the end of the
+// data and once bad.
+func (d *wireDecoder) peek() byte {
+	for ; !d.bad && d.off < len(d.data); d.off++ {
+		switch c := d.data[d.off]; c {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return c
+		}
 	}
-	if field == "" {
-		d.fail(fmt.Errorf("json: cannot unmarshal %s into Go value of type %s", kind, typ))
-		return
-	}
-	d.fail(fmt.Errorf("json: cannot unmarshal %s into Go struct field %s of type %s", kind, field, typ))
+	return 0
 }
 
-// unknownField is decodeStrict's error for a key that names no field.
-func unknownField(key []byte) error { return fmt.Errorf("json: unknown field %q", key) }
-
-// fieldIs reports whether an object key names the field whose JSON name
-// is name (lower case), matching ASCII letters in either case as
-// encoding/json does.
-func fieldIs(key []byte, name string) bool {
-	if len(key) != len(name) {
+// expect reads the byte c, or sets bad.
+func (d *wireDecoder) expect(c byte) bool {
+	if d.peek() != c {
+		d.bad = true
 		return false
 	}
-	for i, c := range key {
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != name[i] {
-			return false
+	d.off++
+	return true
+}
+
+// member advances to member n (from 0) of an object, reading its opening
+// brace when n is 0, and returns the member's key with d before its
+// value. ok is false past the closing brace and once bad.
+func (d *wireDecoder) member(n int) (key []byte, ok bool) {
+	if n == 0 && !d.expect('{') {
+		return nil, false
+	}
+	if d.peek() == '}' {
+		d.off++
+		return nil, false
+	}
+	if n > 0 && !d.expect(',') {
+		return nil, false
+	}
+	key = d.str()
+	return key, d.expect(':')
+}
+
+// field advances to member n of an object whose keys are names and
+// returns its key's index in names, marking it in seen; -1 past the
+// closing brace and once bad. A key that is not exactly one of names, or
+// that seen already holds, sets bad.
+func (d *wireDecoder) field(n int, seen *uint, names ...string) int {
+	key, ok := d.member(n)
+	if !ok {
+		return -1
+	}
+	for i, name := range names {
+		if string(key) == name && *seen&(1<<i) == 0 {
+			*seen |= 1 << i
+			return i
 		}
 	}
-	return true
+	d.bad = true
+	return -1
+}
+
+// str reads a plain string and returns its content, which is data's own
+// bytes.
+func (d *wireDecoder) str() []byte {
+	if !d.expect('"') {
+		return nil
+	}
+	for i := d.off; i < len(d.data); i++ {
+		switch c := d.data[i]; {
+		case c == '"':
+			s := d.data[d.off:i]
+			d.off = i + 1
+			return s
+		case c < 0x20 || c > 0x7e || c == '\\':
+			d.bad = true
+			return nil
+		}
+	}
+	d.bad = true
+	return nil
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-func isHex(c byte) bool { return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F' }
-
-// member advances to member n (from 0) of the object being read and
-// returns its key, with d at the member's value. ok is false past the
-// closing brace and after an error.
-func (d *wireDecoder) member(n int) (key []byte, ok bool) {
-	c := d.next()
-	if c == '}' {
-		d.off++
-		return nil, false
-	}
-	if n > 0 {
-		if c != ',' {
-			d.syntaxError(d.off, "after object key:value pair")
-			return nil, false
-		}
-		d.off++
-		c = d.next()
-	}
-	if c != '"' {
-		d.syntaxError(d.off, "looking for beginning of object key string")
-		return nil, false
-	}
-	key = d.text()
-	if d.next() != ':' {
-		d.syntaxError(d.off, "after object key")
-		return nil, false
-	}
-	d.off++
-	d.next()
-	return key, d.err == nil
-}
-
-// element advances to element i (from 0) of the array being read, with d
-// at the element. It reports false past the closing bracket and after an
-// error.
-func (d *wireDecoder) element(i int) bool {
-	c := d.next()
-	if c == ']' {
-		d.off++
-		return false
-	}
-	if i > 0 {
-		if c != ',' {
-			d.syntaxError(d.off, "after array element")
-			return false
-		}
-		d.off++
-		d.next()
-	}
-	return d.err == nil
-}
-
-// literal reads the literal lit (true, false or null).
-func (d *wireDecoder) literal(lit string) {
-	for i := 0; i < len(lit); i++ {
-		if d.off+i == len(d.data) || d.data[d.off+i] != lit[i] {
-			d.syntaxError(d.off+i, "in literal "+lit)
-			return
-		}
-	}
-	d.off += len(lit)
-}
-
-// str reads a string and returns its token, quotes included. plain
-// reports that the content is its own bytes: no escapes, valid UTF-8.
-func (d *wireDecoder) str() (raw []byte, plain bool) {
-	start, ascii := d.off, true
-	plain = true
-	for i := d.off + 1; i < len(d.data); {
-		switch c := d.data[i]; {
-		case c == '"':
-			d.off = i + 1
-			raw = d.data[start:d.off]
-			if plain && !ascii {
-				plain = utf8.Valid(raw[1 : len(raw)-1])
-			}
-			return raw, plain
-		case c == '\\':
-			plain = false
-			switch {
-			case i+1 == len(d.data):
-				d.fail(io.ErrUnexpectedEOF)
-				return nil, false
-			case strings.IndexByte(`"\/bfnrt`, d.data[i+1]) >= 0:
-				i += 2
-			case d.data[i+1] == 'u':
-				for j := i + 2; j < i+6; j++ {
-					if j == len(d.data) || !isHex(d.data[j]) {
-						d.syntaxError(j, `in \u hexadecimal character escape`)
-						return nil, false
-					}
-				}
-				i += 6
-			default:
-				d.syntaxError(i+1, "in string escape code")
-				return nil, false
-			}
-		case c < 0x20:
-			d.syntaxError(i, "in string literal")
-			return nil, false
-		default:
-			if c >= utf8.RuneSelf {
-				ascii = false
-			}
-			i++
-		}
-	}
-	d.fail(io.ErrUnexpectedEOF)
-	return nil, false
-}
-
-// text reads a string and returns its decoded bytes: a plain string's
-// are data's own, any other is unquoted by encoding/json.
-func (d *wireDecoder) text() []byte {
-	raw, plain := d.str()
-	if d.err != nil {
+// number reads a number of the JSON grammar and returns its bytes.
+func (d *wireDecoder) number() []byte {
+	if c := d.peek(); c != '-' && !isDigit(c) {
+		d.bad = true
 		return nil
 	}
-	if plain {
-		return raw[1 : len(raw)-1]
-	}
-	var s string
-	d.fail(json.Unmarshal(raw, &s))
-	return []byte(s)
-}
-
-// number reads a number and returns its bytes.
-func (d *wireDecoder) number() []byte {
 	start, i := d.off, d.off
-	digits := func() bool {
+	digits := func() {
 		if i == len(d.data) || !isDigit(d.data[i]) {
-			d.syntaxError(i, "in numeric literal")
-			return false
+			d.bad = true
 		}
 		for i < len(d.data) && isDigit(d.data[i]) {
 			i++
 		}
-		return true
 	}
 	if d.data[i] == '-' {
 		i++
 	}
 	if i < len(d.data) && d.data[i] == '0' {
 		i++
-	} else if !digits() {
-		return nil
+	} else {
+		digits()
 	}
 	if i < len(d.data) && d.data[i] == '.' {
 		i++
-		if !digits() {
-			return nil
-		}
+		digits()
 	}
 	if i < len(d.data) && (d.data[i] == 'e' || d.data[i] == 'E') {
 		i++
 		if i < len(d.data) && (d.data[i] == '+' || d.data[i] == '-') {
 			i++
 		}
-		if !digits() {
-			return nil
-		}
+		digits()
 	}
 	d.off = i
 	return d.data[start:i]
 }
 
+// integer reads an integer that fits in bits bits; a fraction or an
+// exponent sets bad.
+func (d *wireDecoder) integer(bits int) int64 {
+	n, err := strconv.ParseInt(string(d.number()), 10, bits)
+	if err != nil {
+		d.bad = true
+	}
+	return n
+}
+
 // nameOf returns b as a string: the symbol table's own copy when b is an
 // interned name (a class or attribute the program mentions), otherwise
-// a copy. Nothing is interned for a request that may yet be rejected.
+// a copy. Names are never interned here; symbol values are (symOf), so
+// a request refused after decoding may leave new symbols behind.
 func nameOf(b []byte) string {
 	if id, ok := sym.LookupBytes(b); ok {
 		return sym.Name(id)
@@ -464,192 +325,85 @@ func symOf(b []byte) ops5.Value {
 	return ops5.Sym(string(b))
 }
 
-// name reads a string field; null leaves it as it is.
-func (d *wireDecoder) name(field string, dst *string) {
-	switch d.data[d.off] {
-	case 'n':
-		d.literal("null")
-	case '"':
-		if b := d.text(); d.err == nil {
-			*dst = nameOf(b)
+// atom reads an attribute value: a plain string is a symbol and a
+// number is a float64, as ops5.Value.UnmarshalJSON reads them.
+func (d *wireDecoder) atom() ops5.Value {
+	if d.peek() == '"' {
+		if b := d.str(); !d.bad {
+			return symOf(b)
 		}
-	default:
-		d.mismatch(field, "string")
+		return ops5.Value{}
+	}
+	n, err := strconv.ParseFloat(string(d.number()), 64)
+	if err != nil {
+		d.bad = true
+	}
+	return ops5.Num(n)
+}
+
+// attrs reads an attribute map; a repeated key keeps its last value.
+func (d *wireDecoder) attrs() map[string]ops5.Value {
+	m := make(map[string]ops5.Value)
+	for n := 0; ; n++ {
+		key, ok := d.member(n)
+		if !ok {
+			return m
+		}
+		m[nameOf(key)] = d.atom()
 	}
 }
 
-// op reads ChangeSpec.op; null leaves it as it is.
-func (d *wireDecoder) op(dst *ChangeOp) {
-	switch d.data[d.off] {
-	case 'n':
-		d.literal("null")
-	case '"':
-		switch b := d.text(); {
-		case d.err != nil:
-		case string(b) == string(OpAssert):
-			*dst = OpAssert
-		case string(b) == string(OpRetract):
-			*dst = OpRetract
-		default:
-			*dst = ChangeOp(b)
-		}
-	default:
-		d.mismatch("ChangesRequest.changes.op", "server.ChangeOp")
-	}
-}
-
-// integer reads an integer field of Go type typ, bits wide. ok is false
-// for null, which leaves the field as it is, and on error: a fraction,
-// an exponent or a value out of range is one, as in encoding/json.
-func (d *wireDecoder) integer(field, typ string, bits int) (n int64, ok bool) {
-	switch c := d.data[d.off]; {
-	case c == 'n':
-		d.literal("null")
-	case c == '-' || isDigit(c):
-		tok := d.number()
-		if d.err != nil {
-			return 0, false
-		}
-		n, err := strconv.ParseInt(string(tok), 10, bits)
-		if err != nil {
-			d.fail(fmt.Errorf("json: cannot unmarshal number %s into Go struct field %s of type %s", tok, field, typ))
-			return 0, false
-		}
-		return n, true
-	default:
-		d.mismatch(field, typ)
-	}
-	return 0, false
-}
-
-// atom reads one attribute value as ops5.Value.UnmarshalJSON does:
-// strings and true/false are symbols, numbers float64, null is nil, and
-// an object or array is refused. UnmarshalJSON itself reads the numbers
-// and the strings that are not plain, and words the refusal.
-func (d *wireDecoder) atom() (v ops5.Value) {
-	start := d.off
-	switch c := d.data[d.off]; c {
-	case '"':
-		raw, plain := d.str()
-		switch {
-		case d.err != nil:
-		case plain:
-			v = symOf(raw[1 : len(raw)-1])
-		default:
-			d.fail(v.UnmarshalJSON(raw))
-		}
-	case 't', 'f':
-		lit := "true"
-		if c == 'f' {
-			lit = "false"
-		}
-		if d.literal(lit); d.err == nil {
-			v = symOf(d.data[start:d.off])
-		}
-	case 'n':
-		d.literal("null")
-	case '{', '[':
-		d.fail(v.UnmarshalJSON(d.data[start : start+1]))
-	default:
-		if tok := d.number(); d.err == nil {
-			d.fail(v.UnmarshalJSON(tok))
-		}
-	}
-	return v
-}
-
-// attrs reads an attribute map. An object is merged into the map (a
-// repeated "attrs" key adds to the first one's map); null clears it.
-func (d *wireDecoder) attrs(field string, dst *map[string]ops5.Value) {
-	switch d.data[d.off] {
-	case 'n':
-		*dst = nil
-		d.literal("null")
-	case '{':
+// changes reads ChangesRequest.changes; an empty array is an empty
+// slice, as encoding/json makes it.
+func (d *wireDecoder) changes() []ChangeSpec {
+	list := []ChangeSpec{}
+	if d.expect('['); d.peek() == ']' {
 		d.off++
-		if *dst == nil {
-			*dst = make(map[string]ops5.Value)
-		}
-		for n := 0; ; n++ {
-			key, ok := d.member(n)
-			if !ok {
-				return
-			}
-			if v := d.atom(); d.err == nil {
-				(*dst)[nameOf(key)] = v
-			}
-		}
-	default:
-		d.mismatch(field, "map[string]ops5.Value")
+		return list
 	}
-}
-
-// changes reads ChangesRequest.changes the way encoding/json fills a
-// slice: element i is decoded into the slice's element i when there is
-// one (so a repeated "changes" key merges into the first one's
-// elements), the slice is cut to the array's length, an empty array is
-// an empty slice and null is nil.
-func (d *wireDecoder) changes(dst *[]ChangeSpec) {
-	switch d.data[d.off] {
-	case 'n':
-		*dst = nil
-		d.literal("null")
-		return
-	case '[':
-		d.off++
-	default:
-		d.mismatch("ChangesRequest.changes", "[]server.ChangeSpec")
-		return
-	}
-	list := *dst
-	n := 0
-	for ; d.element(n); n++ {
-		if n == cap(list) {
+	for !d.bad {
+		if len(list) == cap(list) {
 			list = slices.Grow(list, 4) // most bodies carry a few changes
 		}
-		if n >= len(list) {
-			list = list[:n+1]
+		list = list[:len(list)+1]
+		d.change(&list[len(list)-1])
+		if d.peek() != ',' {
+			d.expect(']')
+			break
 		}
-		d.change(&list[n])
+		d.off++
 	}
-	switch {
-	case d.err != nil:
-	case n == 0:
-		*dst = []ChangeSpec{}
-	default:
-		*dst = list[:n]
+	return list
+}
+
+// change reads one element of changes.
+func (d *wireDecoder) change(c *ChangeSpec) {
+	var seen uint
+	for n := 0; ; n++ {
+		switch d.field(n, &seen, "op", "class", "attrs", "tag") {
+		case 0:
+			c.Op = d.op()
+		case 1:
+			c.Class = nameOf(d.str())
+		case 2:
+			c.Attrs = d.attrs()
+		case 3:
+			c.Tag = int(d.integer(strconv.IntSize))
+		default:
+			return
+		}
 	}
 }
 
-// change reads one element of changes into c; null leaves it as it is.
-func (d *wireDecoder) change(c *ChangeSpec) {
-	switch d.data[d.off] {
-	case 'n':
-		d.literal("null")
-	case '{':
-		d.off++
-		for n := 0; ; n++ {
-			key, ok := d.member(n)
-			if !ok {
-				return
-			}
-			switch {
-			case fieldIs(key, "op"):
-				d.op(&c.Op)
-			case fieldIs(key, "class"):
-				d.name("ChangesRequest.changes.class", &c.Class)
-			case fieldIs(key, "attrs"):
-				d.attrs("ChangesRequest.changes.attrs", &c.Attrs)
-			case fieldIs(key, "tag"):
-				if v, ok := d.integer("ChangesRequest.changes.tag", "int", strconv.IntSize); ok {
-					c.Tag = int(v)
-				}
-			default:
-				d.fail(unknownField(key))
-			}
-		}
+// op reads ChangeSpec.op, sharing the constants for the two known ops.
+func (d *wireDecoder) op() ChangeOp {
+	switch b := d.str(); string(b) {
+	case string(OpAssert):
+		return OpAssert
+	case string(OpRetract):
+		return OpRetract
 	default:
-		d.mismatch("ChangesRequest.changes", "server.ChangeSpec")
+		return ChangeOp(b)
 	}
 }
 
@@ -716,56 +470,17 @@ func appendStreamResult(b []byte, res StreamResult) []byte {
 	return append(b, "}\n"...)
 }
 
-// appendJSONString appends s as json.Marshal quotes a string: HTML
-// characters, U+2028 and U+2029 escaped, and invalid UTF-8 replaced by
-// U+FFFD.
+// appendJSONString appends s quoted as json.Marshal quotes it: a plain
+// string (printable ASCII without '"', '\\' or the HTML characters
+// json.Marshal escapes) as it is, and any other through json.Marshal.
 func appendJSONString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || strings.IndexByte(`"\<>&`, c) >= 0 {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
 	}
-	b = append(b, s[start:]...)
+	b = append(b, '"')
+	b = append(b, s...)
 	return append(b, '"')
 }
