@@ -611,3 +611,54 @@ func TestMannersAllocs(t *testing.T) {
 		t.Errorf("%.0f allocs per Manners solve, above the ceiling of %d", got, mannersAllocsCeiling)
 	}
 }
+
+// preteAllocsCeiling is the allocation count per WM change of a one-lane
+// parallel matcher replaying dispatchScript into a fresh matcher,
+// instantiations included (one lane, so the count is exact). It was
+// 27.92 while a delete built the token it retracts; naming the stored
+// token instead took it to 19.15. A change that lowers the count lowers
+// this number in the same diff.
+const preteAllocsCeiling = 19.15
+
+// TestPreteAllocs gates the parallel matcher's allocations per change on
+// the bulk_prete shape at preteAllocsCeiling and logs the serial
+// matcher's count, and on more than one CPU the GOMAXPROCS-lane one,
+// beside it.
+func TestPreteAllocs(t *testing.T) {
+	prods, script := dispatchScript(t, 24)
+	changes := 0
+	for _, batch := range script {
+		changes += len(batch)
+	}
+	perChange := func(apply func([]ops5.Change)) float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		replay(apply, script)
+		runtime.ReadMemStats(&ms)
+		return float64(ms.Mallocs-before) / float64(changes)
+	}
+	preteAllocs := func(workers int) float64 {
+		m, err := prete.New(prods, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.OnInsert, m.OnRemove = nopInst, nopInst
+		return perChange(m.Apply)
+	}
+	net, err := rete.Compile(prods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.OnInsert, net.OnRemove = nopInst, nopInst
+	t.Logf("serial rete: %.2f allocs per change", perChange(net.Apply))
+	if lanes := runtime.GOMAXPROCS(0); lanes > 1 {
+		t.Logf("prete, %d lanes: %.2f allocs per change", lanes, preteAllocs(lanes))
+	}
+	got := preteAllocs(1)
+	t.Logf("prete, one lane: %.3f allocs per change (ceiling %.2f)", got, preteAllocsCeiling)
+	if got > preteAllocsCeiling {
+		t.Errorf("%.3f allocs per change on one lane, above the ceiling of %.2f", got, preteAllocsCeiling)
+	}
+}

@@ -31,11 +31,18 @@
 //   - Activations are dispatched by a per-lane work-stealing
 //     scheduler (sched.go) standing in for the paper's hardware task
 //     scheduler: Apply's caller runs lane 0 and hands the other lanes
-//     to idle helpers of one process-wide pool, borrowed per batch. The
-//     per-activation path is allocation-free: join keys and token
+//     to idle helpers of one process-wide pool, borrowed per batch.
+//   - An activation allocates only the tokens its inserts emit, one per
+//     (token, WME) pair that passes a join. Join keys and token
 //     identities are uint64 hashes (shared with the serial matcher's
 //     indexes), memory entries are pooled, and conflict-set deltas
-//     batch per worker until the flush merge.
+//     batch per worker until the flush merge. A delete allocates
+//     nothing: it names the token it retracts as (base token, WME) and
+//     each memory below resolves that pair to the token it stored, as
+//     the serial matcher's betaDeleteExt does. The one exception is a
+//     delete that reaches a memory ahead of the insert it undoes, on
+//     another lane: it builds the token, for the pending cancel must
+//     hold one for that insert to find.
 //   - Task granularity is adaptive. Sibling right-activations of one
 //     WME (the successors of one alpha memory) seed as a single
 //     multi-activation task; an activation's downstream activations run
@@ -78,7 +85,10 @@ type task struct {
 	mems []*rete.AlphaNode
 	dir  ops5.ChangeKind
 	tok  *rete.Token // left activations
-	wme  *ops5.WME   // seeds
+	// wme is a seed's WM element; in a left activation, when non-nil,
+	// the token is tok extended by wme (a delete names its token so; see
+	// emit).
+	wme *ops5.WME
 }
 
 // maxInlineDepth and inlineFanout bound depth-first inlining of
@@ -115,10 +125,16 @@ const seedGrain = 16
 const serialBypassThreshold = 128
 
 // emit is one output of an activation: a token leaving node for its
-// downstream left memories and terminals.
+// downstream left memories and terminals. A join's delete output names
+// its token as the pair (tok, wme) — tok extended by wme — and never
+// builds it: the memories below resolve the pair to the token they
+// stored (runLeft), the conflict set instantiates straight from it. An
+// insert, and a not-node's output in either direction, is tok itself
+// (wme nil).
 type emit struct {
 	node *pnode
 	tok  *rete.Token
+	wme  *ops5.WME
 	dir  ops5.ChangeKind
 }
 
@@ -128,8 +144,25 @@ type emit struct {
 type pendingDelta struct {
 	term *rete.Terminal
 	tok  *rete.Token
-	key  uint64 // mergeKey(term, tok): the merge sorts on it without touching either
+	wme  *ops5.WME // non-nil: the instantiation's token is tok extended by wme (see emit)
+	key  uint64    // mergeKey: the merge sorts on it without touching the tokens
 	dir  ops5.ChangeKind
+}
+
+// size and at read the delta's token as one WME sequence, whichever
+// form names it.
+func (d *pendingDelta) size() int {
+	if d.wme != nil {
+		return len(d.tok.WMEs) + 1
+	}
+	return len(d.tok.WMEs)
+}
+
+func (d *pendingDelta) at(i int) *ops5.WME {
+	if i < len(d.tok.WMEs) {
+		return d.tok.WMEs[i]
+	}
+	return d.wme
 }
 
 // leftEntry is a counted multiset entry for a token. For not-nodes,
@@ -640,7 +673,7 @@ func (m *Matcher) batchLoop(wi int) (inOrder bool) {
 func (m *Matcher) runTask(t task, w *worker) (last bool) {
 	start := w.clock.last
 	if t.left != nil {
-		m.runLeft(t.left, t.tok, t.dir, w, 0)
+		m.runLeft(t.left, t.tok, t.wme, t.dir, w, 0)
 	} else {
 		for _, am := range t.mems {
 			for _, n := range m.roots[am.Index] {
@@ -701,18 +734,18 @@ func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *work
 			switch {
 			case !negated:
 				for c := e.count; c > 0; c-- {
-					emits = append(emits, emit{n, e.tok.Extend(wme), dir})
+					emits = append(emits, joined(n, e.tok, wme, dir))
 				}
 			case dir == ops5.Insert:
 				if e.matches++; e.matches == 1 {
 					for c := e.count; c > 0; c-- {
-						emits = append(emits, emit{n, e.tok, ops5.Delete})
+						emits = append(emits, emit{node: n, tok: e.tok, dir: ops5.Delete})
 					}
 				}
 			default:
 				if e.matches--; e.matches == 0 {
 					for c := e.count; c > 0; c-- {
-						emits = append(emits, emit{n, e.tok, ops5.Insert})
+						emits = append(emits, emit{node: n, tok: e.tok, dir: ops5.Insert})
 					}
 				}
 			}
@@ -727,21 +760,41 @@ func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *work
 	m.propagate(emits, w, depth)
 }
 
-// runLeft executes the left activation of group g by token tok: update
-// the shared left bucket once, then scan each member's right bucket for
-// the token's join key, all under the one stripe lock.
-func (m *Matcher) runLeft(g *group, tok *rete.Token, dir ops5.ChangeKind, w *worker, depth int) {
+// joined is a join's output for a token and a WME that pass it: an
+// insert builds the extended token, a delete names it by the pair.
+func joined(n *pnode, tok *rete.Token, wme *ops5.WME, dir ops5.ChangeKind) emit {
+	if dir == ops5.Insert {
+		return emit{node: n, tok: tok.Extend(wme), dir: dir}
+	}
+	return emit{node: n, tok: tok, wme: wme, dir: dir}
+}
+
+// runLeft executes the left activation of group g by token tok, or by
+// tok extended by ext when ext is non-nil: update the shared left bucket
+// once, then scan each member's right bucket for the token's join key,
+// all under the one stripe lock. A pair's join key is hashed from the
+// lane's scratch token; from the update on, the activation runs on the
+// token the bucket holds.
+func (m *Matcher) runLeft(g *group, tok *rete.Token, ext *ops5.WME, dir ops5.ChangeKind, w *worker, depth int) {
 	keyed := g.leftHash != nil
-	key, own := uint64(0), tok.IDHash()
+	id, probe := tok.IDHash(), tok
+	if ext != nil {
+		id = tok.ExtIDHash(ext)
+		if keyed {
+			tok.ExtendInto(&w.scratch, ext)
+			probe = &w.scratch
+		}
+	}
+	key, own := uint64(0), id
 	if keyed {
-		key = g.leftHash(tok)
+		key = g.leftHash(probe)
 		own = key
 	}
 	si := g.stripeOf(key)
 	st := &g.stripes[si]
 	emits := w.emits[depth][:0]
 	w.lock(st)
-	e, hadMatches, cancelled := updateLeft(&st.left, own, tok, dir)
+	tok, e, hadMatches, cancelled := updateLeft(&st.left, own, id, tok, ext, dir)
 	if cancelled {
 		w.cancellations++
 	}
@@ -767,7 +820,7 @@ func (m *Matcher) runLeft(g *group, tok *rete.Token, dir ops5.ChangeKind, w *wor
 					}
 					matches += re.count
 					for c := re.count; c > 0 && !negated; c-- {
-						emits = append(emits, emit{n, tok.Extend(re.wme), dir})
+						emits = append(emits, joined(n, tok, re.wme, dir))
 					}
 				}
 			}
@@ -776,7 +829,7 @@ func (m *Matcher) runLeft(g *group, tok *rete.Token, dir ops5.ChangeKind, w *wor
 					e.matches = matches
 				}
 				if matches == 0 {
-					emits = append(emits, emit{n, tok, dir})
+					emits = append(emits, emit{node: n, tok: tok, dir: dir})
 				}
 			}
 		}
@@ -798,7 +851,7 @@ func (m *Matcher) propagate(emits []emit, w *worker, depth int) {
 	fan := 0
 	for _, e := range emits {
 		for _, term := range e.node.terminals {
-			w.pending = append(w.pending, pendingDelta{term: term, tok: e.tok, key: mergeKey(term, e.tok), dir: e.dir})
+			w.pending = append(w.pending, pendingDelta{term: term, tok: e.tok, wme: e.wme, key: mergeKey(term, e.tok, e.wme), dir: e.dir})
 		}
 		fan += len(e.node.down)
 	}
@@ -806,42 +859,57 @@ func (m *Matcher) propagate(emits []emit, w *worker, depth int) {
 	for _, e := range emits {
 		for _, g := range e.node.down {
 			if inline {
-				m.runLeft(g, e.tok, e.dir, w, depth+1)
+				m.runLeft(g, e.tok, e.wme, e.dir, w, depth+1)
 			} else {
-				w.spawned = append(w.spawned, task{left: g, dir: e.dir, tok: e.tok})
+				w.spawned = append(w.spawned, task{left: g, dir: e.dir, tok: e.tok, wme: e.wme})
 			}
 		}
 	}
 	w.emits[depth] = emits[:0]
 }
 
-// updateLeft applies a counted insert or delete of tok to a left table
-// under lookup key k. It reports whether the operation was annihilated
-// by an earlier opposite one (then neither propagates), the entry's
-// matches count before the update, and the entry itself when it remains
-// in the table (valid until the table's next Add).
-func updateLeft(b *bucket.Buckets[leftEntry], k uint64, tok *rete.Token, dir ops5.ChangeKind) (e *leftEntry, hadMatches int32, cancelled bool) {
+// updateLeft applies a counted insert or delete to a left table under
+// lookup key k. The token is tok, or tok extended by ext when ext is
+// non-nil; id is its identity hash. It returns the token the table
+// holds for it, and reports whether the operation was annihilated by an
+// earlier opposite one (then neither propagates), the entry's matches
+// count before the update, and the entry itself when it remains in the
+// table (valid until the table's next Add). A pair is built into a token
+// only when no entry holds it — a delete ahead of its insert, whose
+// pending cancel must hold the token that insert will look for.
+func updateLeft(b *bucket.Buckets[leftEntry], k, id uint64, tok *rete.Token, ext *ops5.WME, dir ops5.ChangeKind) (stored *rete.Token, e *leftEntry, hadMatches int32, cancelled bool) {
 	delta := int32(1)
 	if dir == ops5.Delete {
 		delta = -1
 	}
-	id := tok.IDHash()
 	prev := int32(-1)
 	for i := b.Head(k); i >= 0; prev, i = i, b.Next(i) {
 		e = b.At(i)
-		if e.id != id || !e.tok.EqualTo(tok) {
+		if e.id != id || !sameToken(e.tok, tok, ext) {
 			continue
 		}
-		hadMatches = e.matches
+		stored, hadMatches = e.tok, e.matches
 		cancelled = annihilated(&e.count, delta)
 		if e.count == 0 {
 			b.Unlink(k, prev, i)
 			e = nil
 		}
-		return e, hadMatches, cancelled
+		return stored, e, hadMatches, cancelled
+	}
+	if ext != nil {
+		tok = tok.Extend(ext)
 	}
 	i := b.Add(k, leftEntry{tok: tok, id: id, count: delta})
-	return b.At(i), 0, delta < 0
+	return tok, b.At(i), 0, delta < 0
+}
+
+// sameToken reports whether t is tok — tok extended by ext, when ext is
+// non-nil.
+func sameToken(t, tok *rete.Token, ext *ops5.WME) bool {
+	if ext != nil {
+		return rete.ExtEqual(t, tok, ext)
+	}
+	return t.EqualTo(tok)
 }
 
 // annihilated applies delta to a multiset count and reports whether the
@@ -879,11 +947,16 @@ func updateRight(b *bucket.Buckets[rightEntry], k uint64, wme *ops5.WME, dir ops
 	return delta < 0
 }
 
-// mergeKey folds a terminal into a token's identity hash: one word that
-// differs between any two deltas of different instantiations, hash
-// collisions apart.
-func mergeKey(term *rete.Terminal, tok *rete.Token) uint64 {
-	return tok.IDHash() ^ uint64(term.ID)
+// mergeKey folds a terminal into the identity hash of tok — of tok
+// extended by wme, when wme is non-nil: one word that differs between
+// any two deltas of different instantiations, hash collisions apart, and
+// is the same whichever form names the token.
+func mergeKey(term *rete.Terminal, tok *rete.Token, wme *ops5.WME) uint64 {
+	id := tok.IDHash()
+	if wme != nil {
+		id = tok.ExtIDHash(wme)
+	}
+	return id ^ uint64(term.ID)
 }
 
 // deltaCmp orders pending deltas by (merge key, terminal, token identity)
@@ -901,12 +974,12 @@ func deltaCmp(a, b pendingDelta) int {
 	if c := cmp.Compare(a.term.ID, b.term.ID); c != 0 {
 		return c
 	}
-	aw, bw := a.tok.WMEs, b.tok.WMEs
-	if c := cmp.Compare(len(aw), len(bw)); c != 0 {
+	n := a.size()
+	if c := cmp.Compare(n, b.size()); c != 0 {
 		return c
 	}
-	for i := range aw {
-		if c := cmp.Compare(aw[i].TimeTag, bw[i].TimeTag); c != 0 {
+	for i := 0; i < n; i++ {
+		if c := cmp.Compare(a.at(i).TimeTag, b.at(i).TimeTag); c != 0 {
 			return c
 		}
 	}
@@ -980,6 +1053,6 @@ func (m *Matcher) announce(d pendingDelta, dir ops5.ChangeKind) {
 		on = m.OnRemove
 	}
 	if on != nil {
-		on(d.term.Instantiate(d.tok))
+		on(d.term.InstantiateExt(d.tok, d.wme))
 	}
 }

@@ -3,6 +3,7 @@ package prete_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/matchtest"
@@ -10,9 +11,9 @@ import (
 	"repro/internal/prete"
 )
 
-func runScript(t *testing.T, prods []*ops5.Production, script *matchtest.Script, workers int) *prete.Matcher {
+func runScript(t *testing.T, prods []*ops5.Production, script *matchtest.Script, cfg prete.Config) *prete.Matcher {
 	t.Helper()
-	m, err := prete.New(prods, workers)
+	m, err := prete.NewWithConfig(prods, cfg)
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
@@ -37,7 +38,7 @@ func runScript(t *testing.T, prods []*ops5.Production, script *matchtest.Script,
 		want := matchtest.BruteForceKeys(prods, wmes)
 		got := tr.Keys()
 		if d := matchtest.Diff(want, got); d != "" {
-			t.Fatalf("batch %d (workers=%d): conflict set mismatch:\n%s", bi, workers, d)
+			t.Fatalf("batch %d (%+v): conflict set mismatch:\n%s", bi, cfg, d)
 		}
 	}
 	return m
@@ -50,7 +51,7 @@ func TestRandomizedCrossCheck(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			prods := matchtest.RandomProgram(rng, params)
 			script := matchtest.RandomScript(rng, params, 20, 6)
-			runScript(t, prods, script, workers)
+			runScript(t, prods, script, prete.Config{Workers: workers})
 		}
 	}
 }
@@ -63,41 +64,57 @@ func TestRandomizedCrossCheckNegation(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		prods := matchtest.RandomProgram(rng, params)
 		script := matchtest.RandomScript(rng, params, 18, 5)
-		runScript(t, prods, script, 8)
+		runScript(t, prods, script, prete.Config{Workers: 8})
 	}
 }
 
+// pooled is the multi-lane configuration of the cross-checks that claim
+// the parallel path: with the serial bypass off, every batch offers its
+// lanes to the pool instead of running inline on the caller, as the
+// default threshold would run these small batches.
+var pooled = prete.Config{Workers: 8, SerialThreshold: -1}
+
 // TestRandomizedCrossCheckIndexStress covers the striped hash-bucket
 // path under parallelism: equality-join-heavy programs with predicate
-// and negated joins, on several worker counts, cross-checked against
+// and negated joins, on one lane and on the pool, cross-checked against
 // brute force after every batch.
 func TestRandomizedCrossCheckIndexStress(t *testing.T) {
 	params := matchtest.IndexStressGenParams()
 	indexed := 0
-	for _, workers := range []int{1, 8} {
+	var wakeups int64
+	for _, cfg := range []prete.Config{{Workers: 1}, pooled} {
 		for seed := int64(300); seed < 310; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			prods := matchtest.RandomProgram(rng, params)
 			script := matchtest.RandomScript(rng, params, 24, 5)
-			m := runScript(t, prods, script, workers)
+			m := runScript(t, prods, script, cfg)
 			indexed += m.IndexInfo().IndexedNodes
+			wakeups += m.Stats().Wakeups
 		}
 	}
 	if indexed == 0 {
 		t.Error("index-stress programs produced no indexed joins; generator drifted")
 	}
+	if wakeups == 0 {
+		t.Errorf("%+v: no batch borrowed a lane; the parallel path went untested", pooled)
+	}
 }
 
 func TestLargeBatches(t *testing.T) {
 	// Large batches maximise in-flight parallel activations and
-	// out-of-order arrivals (the counted-cancellation path).
+	// out-of-order arrivals (the counted-cancellation path), so they run
+	// on the pool.
 	params := matchtest.DefaultGenParams()
 	params.Productions = 12
+	var wakeups int64
 	for seed := int64(300); seed < 306; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		prods := matchtest.RandomProgram(rng, params)
 		script := matchtest.RandomScript(rng, params, 8, 25)
-		runScript(t, prods, script, 8)
+		wakeups += runScript(t, prods, script, pooled).Stats().Wakeups
+	}
+	if wakeups == 0 {
+		t.Errorf("%+v: no batch borrowed a lane; the parallel path went untested", pooled)
 	}
 }
 
@@ -174,12 +191,14 @@ func TestWorkerCountIndependence(t *testing.T) {
 }
 
 // TestApplySteadyStateAllocs bounds what Apply allocates once its tables
-// and scratch have grown: on a fan-out program (siblings sharing left
-// memories) a batch may allocate the tokens its joins emit and nothing
-// else — no memory entry, bucket, task, seed list or counter. With no
+// and scratch have grown, on a fan-out program (siblings sharing left
+// memories): an insert batch may allocate the tokens its joins emit and
+// nothing else — no memory entry, bucket, task, seed list or counter —
+// and a delete batch nothing at all, for a delete names the token it
+// retracts by its base token and WME instead of building it. With no
 // conflict-set callbacks wired, flush builds no instantiation, so the
-// per-node PairsEmitted count is the whole allowance (not-node emits pass
-// their input token on, which only leaves slack).
+// insert batch's per-node PairsEmitted count is its whole allowance
+// (not-node emits pass their input token on, which only leaves slack).
 func TestApplySteadyStateAllocs(t *testing.T) {
 	params := matchtest.FanOutGenParams(8)
 	params.Productions = 16
@@ -197,10 +216,6 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cycle := func() {
-			m.Apply(ins)
-			m.Apply(del)
-		}
 		emitted := func() (n int64) {
 			for _, e := range m.NodeProfile() {
 				n += e.PairsEmitted
@@ -208,20 +223,40 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 			return n
 		}
 		for i := 0; i < 3; i++ {
-			cycle()
+			m.Apply(ins)
+			m.Apply(del)
 		}
 		const runs = 10
-		before := emitted()
-		allocs := testing.AllocsPerRun(runs, cycle)
-		tokens := float64(emitted()-before) / (runs + 1) // AllocsPerRun warms up with one extra call
+		var insAllocs, delAllocs, tokens float64
+		for i := 0; i < runs; i++ {
+			before := emitted()
+			insAllocs += allocsOf(func() { m.Apply(ins) }) / runs
+			tokens += float64(emitted()-before) / runs
+			delAllocs += allocsOf(func() { m.Apply(del) }) / runs
+		}
 		if tokens == 0 {
-			t.Fatalf("%+v: the script emitted no tokens", cfg)
+			t.Fatalf("%+v: the insert batch emitted no tokens", cfg)
 		}
-		if allocs > tokens+2 {
-			t.Errorf("%+v: %.0f allocs per insert+delete cycle, want at most the %.0f tokens emitted", cfg, allocs, tokens)
+		if insAllocs > tokens+2 {
+			t.Errorf("%+v: %.1f allocs per insert batch, want at most the %.0f tokens emitted + 2", cfg, insAllocs, tokens)
 		}
-		t.Logf("%+v: %.0f allocs, %.0f tokens per cycle", cfg, allocs, tokens)
+		if delAllocs > 2 {
+			t.Errorf("%+v: %.1f allocs per delete batch, want at most 2", cfg, delAllocs)
+		}
+		t.Logf("%+v: insert batch %.1f allocs for %.0f tokens emitted, delete batch %.1f allocs", cfg, insAllocs, tokens, delAllocs)
 	}
+}
+
+// allocsOf returns the heap allocations one call of f makes, counted as
+// testing.AllocsPerRun counts them (GOMAXPROCS at 1 for the call).
+func allocsOf(f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	f()
+	runtime.ReadMemStats(&ms)
+	return float64(ms.Mallocs - before)
 }
 
 // deepChain returns a production joining `depth` classes c0..c<depth-1>

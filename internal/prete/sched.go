@@ -174,6 +174,9 @@ type worker struct {
 	emits   [maxInlineDepth + 1][]emit
 	spawned []task
 	pending []pendingDelta
+	// scratch holds the token a delete names as a pair while runLeft
+	// hashes its join key; it is never stored.
+	scratch rete.Token
 
 	// seedLo and seedHi bound the run of seeds this lane has claimed
 	// and not yet run (claimSeed).

@@ -468,8 +468,8 @@ func (n *Network) betaDelete(b *BetaNode, tok *Token, ctx *applyCtx, parent int6
 // the removal using the stored token: the delete-path counterpart of
 // betaInsert(base.Extend(w)), without the token allocation.
 func (n *Network) betaDeleteExt(b *BetaNode, base *Token, w *ops5.WME, ctx *applyCtx, parent int64) {
-	stored, ok := n.betas[b.Index].remove(hashTag(base.id, w.TimeTag),
-		func(t *Token) bool { return extEqual(t, base, w) }, (*Token).IDHash)
+	stored, ok := n.betas[b.Index].remove(base.ExtIDHash(w),
+		func(t *Token) bool { return ExtEqual(t, base, w) }, (*Token).IDHash)
 	n.betaRemoved(b, stored, ok, ctx, parent)
 }
 

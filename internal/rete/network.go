@@ -36,6 +36,22 @@ func (t *Token) Extend(w *ops5.WME) *Token {
 	return nt
 }
 
+// ExtendInto makes *dst the token t.Extend(w) would return, in dst's
+// own storage: the allocation-free form of Extend for a token that is
+// only looked up, never stored. dst must not be t.
+func (t *Token) ExtendInto(dst *Token, w *ops5.WME) {
+	buf := dst.WMEs[:0]
+	if cap(buf) == 0 {
+		buf = dst.arr[:0]
+	}
+	dst.WMEs = append(append(buf, t.WMEs...), w)
+	dst.id = hashTag(t.id, w.TimeTag)
+}
+
+// ExtIDHash returns the identity hash of t extended by w, without
+// building that token.
+func (t *Token) ExtIDHash(w *ops5.WME) uint64 { return hashTag(t.id, w.TimeTag) }
+
 // IDHash returns the token's identity hash, the key of every structural
 // token lookup in the serial and the parallel matcher. Equal tokens
 // (same WME sequence) always hash equal; collisions are possible, so
@@ -128,8 +144,8 @@ func (m *memory[E]) remove(id uint64, equal func(E) bool, idOf func(E) uint64) (
 	return zero, false
 }
 
-// extEqual reports whether t equals base extended by w.
-func extEqual(t, base *Token, w *ops5.WME) bool {
+// ExtEqual reports whether t equals base extended by w.
+func ExtEqual(t, base *Token, w *ops5.WME) bool {
 	n := len(base.WMEs)
 	if len(t.WMEs) != n+1 || t.WMEs[n] != w {
 		return false

@@ -258,10 +258,19 @@ type Terminal struct {
 // bindings are deferred: most instantiations enter and leave the
 // conflict set without firing, so the LHS binding walk happens lazily in
 // ops5.Instantiation.EvalBindings only when the RHS is evaluated.
-func (t *Terminal) Instantiate(tok *Token) *ops5.Instantiation {
+func (t *Terminal) Instantiate(tok *Token) *ops5.Instantiation { return t.InstantiateExt(tok, nil) }
+
+// InstantiateExt builds the instantiation for base extended by w — for
+// base itself when w is nil — without building the extended token.
+func (t *Terminal) InstantiateExt(base *Token, w *ops5.WME) *ops5.Instantiation {
 	inst := ops5.NewInstantiation(t.Production, len(t.Production.LHS))
+	n := len(base.WMEs)
 	for pos, lhsIdx := range t.posIndex {
-		inst.WMEs[lhsIdx] = tok.WMEs[pos]
+		if pos < n {
+			inst.WMEs[lhsIdx] = base.WMEs[pos]
+		} else {
+			inst.WMEs[lhsIdx] = w
+		}
 	}
 	return inst
 }
