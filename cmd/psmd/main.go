@@ -1,6 +1,7 @@
 // Command psmd serves the rule-engine as a long-lived daemon: many
-// independent OPS5 sessions behind one HTTP JSON API, sharded across
-// engine goroutines by session ID (see internal/server).
+// independent OPS5 sessions behind one HTTP JSON API, sharded by session
+// ID over engine shards that each request holds in turn (see
+// internal/server).
 //
 // Usage examples:
 //
@@ -79,7 +80,7 @@ var version = "0.6.0-dev"
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 128, "per-shard mailbox depth before 429 backpressure")
+	queue := flag.Int("queue", 128, "callers that may wait for one shard's turn before 429 backpressure")
 	retryAfter := flag.Duration("retry-after", time.Second, "backoff suggested on 429 responses")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline (0 = default, negative = none)")
 	maxWMEs := flag.Int("max-wmes", 0, "default per-session working-memory quota (0 = unlimited)")

@@ -266,8 +266,8 @@ func (n *Node) standby(id string) *durable.Standby {
 }
 
 // SessionUp implements server.Replicator: a durable session became
-// live here, so it needs a shipper. Runs on a shard goroutine and never
-// blocks; once Stop has begun it starts nothing.
+// live here, so it needs a shipper. Runs under the session's shard turn
+// and never blocks; once Stop has begun it starts nothing.
 func (n *Node) SessionUp(id string, log *durable.Log) {
 	seq, _, _, _ := log.Stats()
 	sp := newShipper(n, id, seq)
@@ -288,9 +288,9 @@ func (n *Node) SessionUp(id string, log *durable.Log) {
 }
 
 // SessionDown implements server.Replicator: the session stopped being
-// live here. Runs on a shard goroutine — it signals the shipper and
-// returns without waiting (the shipper's export dispatch may be queued
-// behind this very call). On API deletion the follower replicas are
+// live here. Runs under the session's shard turn — it signals the
+// shipper and returns without waiting (the shipper's export dispatch
+// may be waiting for the turn this very call holds). On API deletion the follower replicas are
 // torn down too, asynchronously.
 func (n *Node) SessionDown(id string, deleted bool) {
 	n.mu.Lock()

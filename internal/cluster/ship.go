@@ -19,8 +19,8 @@ type shipFrame struct {
 const shipQueueDepth = 256
 
 // shipper streams one owned session's WAL to its follower replicas.
-// The durable log's onRecord tee enqueues frames (non-blocking, from
-// the session's shard goroutine); a dedicated goroutine drains the
+// The durable log's onRecord tee enqueues frames (non-blocking, under
+// the session's shard turn); a dedicated goroutine drains the
 // queue and pushes records — or, after any loss or divergence, a full
 // snapshot — to each follower, tracking per-follower positions.
 type shipper struct {
@@ -67,7 +67,7 @@ func newShipper(n *Node, id string, seq int64) *shipper {
 }
 
 // enqueue is the durable log's onRecord tee. It runs under the log's
-// mutex on the session's shard goroutine, so it must never block: when
+// mutex and the session's shard turn, so it must never block: when
 // the queue is full the frame is dropped and the shipper resyncs every
 // follower from a snapshot instead.
 func (sp *shipper) enqueue(seq int64, frame []byte) {

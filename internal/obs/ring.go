@@ -8,9 +8,9 @@ const DefaultRingDepth = 256
 // Ring is a bounded buffer of the most recent CycleSpans. Writers
 // overwrite the oldest span once the buffer is full, so a long-lived
 // session's trace stays a fixed-size window over its latest activity.
-// All methods are safe for concurrent use: spans are added on the
-// session's shard goroutine while snapshots may be taken from archive
-// or test code.
+// All methods are safe for concurrent use: spans are added by the
+// holder of the session's shard turn while snapshots may be taken from
+// archive or test code.
 type Ring struct {
 	mu    sync.Mutex
 	spans []CycleSpan

@@ -205,8 +205,8 @@ func TestV1RepliesGolden(t *testing.T) {
 	g.call(srv.HandlerWith(HandlerConfig{RequestTimeout: 50 * time.Millisecond}), bg, "POST", "/v1/sessions/g-spin/run", `{}`)
 	do("DELETE", "/v1/sessions/g-spin", "")
 
-	// busy and canceled: the one shard is occupied, its one mailbox slot
-	// is taken by a request whose caller then gives up.
+	// busy and canceled: the one shard's turn is held, its one waiting
+	// slot is taken by a request whose caller then gives up.
 	release := blockShard(t, srv)
 	ctx, cancel := context.WithCancel(bg)
 	queued := make(chan struct{})
@@ -214,7 +214,7 @@ func TestV1RepliesGolden(t *testing.T) {
 		defer close(queued)
 		g.call(h, ctx, "GET", "/v1/sessions/g-rete", "")
 	}()
-	waitFor(t, func() bool { return len(srv.shards[0].mailbox) == 1 })
+	waitFor(t, func() bool { return srv.shards[0].waiting.Load() == 1 })
 	busy := &goldenRecorder{t: t, n: 100}
 	busy.call(h, bg, "GET", "/v1/sessions/g-rete", "")
 	cancel()

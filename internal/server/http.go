@@ -71,8 +71,8 @@ type apiFunc func(w http.ResponseWriter, r *http.Request) error
 // HandlerConfig tunes the HTTP layer.
 type HandlerConfig struct {
 	// RequestTimeout is the per-request deadline threaded through the
-	// shard mailbox into the engine's cycle loop (default 30s; <0
-	// disables).
+	// wait for a shard's turn into the engine's cycle loop (default 30s;
+	// <0 disables).
 	RequestTimeout time.Duration
 	// DisablePprof leaves the /debug/pprof endpoints unmounted.
 	DisablePprof bool
@@ -375,7 +375,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 }
 
 // streamBatchSize is how many NDJSON events one shard dispatch carries:
-// large enough to amortize the mailbox round trip, small enough that a
+// large enough to amortize taking the shard's turn, small enough that a
 // slow rule pack yields the shard to other tenants between batches.
 const streamBatchSize = 256
 
@@ -386,8 +386,8 @@ const streamMaxLine = 1 << 20
 // per line (EventSpec), applied in batches of streamBatchSize, each
 // batch one shard dispatch that advances the clock, expires due events,
 // asserts the new ones, and cycles to quiescence. Backpressure is
-// connection-level: a full shard mailbox fails the stream with the
-// standard 429 busy envelope plus Retry-After, and any mid-stream
+// connection-level: a shard with QueueDepth callers already waiting
+// fails the stream with the standard 429 busy envelope plus Retry-After, and any mid-stream
 // failure carries X-Stream-Events-Applied so the client can resume from
 // the first unapplied event. A stream that carried no event still
 // names a session: it is answered with the session's state, or 404.

@@ -64,7 +64,8 @@ func settledGoroutines(t *testing.T, c *client) float64 {
 // TestSessionsShareOneLanePool pins that parallel-rete sessions own no
 // goroutines: sixteen of them, four lanes each, all past the bypass
 // threshold, raise psmd_goroutines by at most the process's one lane
-// pool (GOMAXPROCS−1 helpers) over the empty server.
+// pool (GOMAXPROCS−1 helpers) over the empty server, which owns no
+// goroutine of its own (TestNewStartsNoGoroutine).
 func TestSessionsShareOneLanePool(t *testing.T) {
 	const sessions = 16
 	_, c := newTestServer(t, server.Config{Shards: 1, DataDir: t.TempDir(), Fsync: durable.FsyncNever})

@@ -34,7 +34,7 @@ const archiveDepth = 64
 
 // traceArchive retains the final trace of recently deleted sessions,
 // FIFO-evicted at archiveDepth. It has its own lock because deletes
-// happen on shard goroutines while reads come from any request.
+// happen under each shard's own turn while reads come from any request.
 type traceArchive struct {
 	mu      sync.Mutex
 	entries map[string]TraceResult

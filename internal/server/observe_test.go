@@ -16,7 +16,7 @@ import (
 	"repro/internal/server"
 )
 
-// syncBuffer is a goroutine-safe log sink: shard goroutines write log
+// syncBuffer is a goroutine-safe log sink: request goroutines write log
 // lines while the test reads them.
 type syncBuffer struct {
 	mu  sync.Mutex

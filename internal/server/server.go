@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,9 +28,9 @@ type Config struct {
 	// Shards is the engine-shard count; sessions are distributed by
 	// hash(sessionID) (default GOMAXPROCS).
 	Shards int
-	// QueueDepth bounds each shard's mailbox; a full mailbox rejects
-	// requests with BusyError — backpressure instead of unbounded
-	// queueing (default 128).
+	// QueueDepth bounds the callers waiting for each shard's turn; a
+	// caller past the bound is rejected with BusyError — backpressure
+	// instead of unbounded queueing (default 128).
 	QueueDepth int
 	// RetryAfter is the backoff suggested with BusyError (default 1s).
 	RetryAfter time.Duration
@@ -78,10 +79,10 @@ type Config struct {
 // request — handing over the log so the replicator can tee WAL records.
 // SessionDown fires when the session stops being live here; deleted
 // distinguishes API deletion (replicas must be removed) from demotion
-// (replicas live on). Both are called from shard goroutines and must
-// not block. A server with a Replicator recovers no session at startup:
-// the durable directories are the replicator's to reopen as copies, so
-// a session becomes live only by create or by adoption.
+// (replicas live on). Both are called while a shard's turn is held
+// and must not block. A server with a Replicator recovers no session
+// at startup: the durable directories are the replicator's to reopen
+// as copies, so a session becomes live only by create or by adoption.
 //
 // Place runs every /v1/sessions/{id} route, and a create once its body
 // is decoded: it calls serve to answer here, proxies the request, or
@@ -143,7 +144,6 @@ type Server struct {
 	wakeups      *stats.Counter
 	matchSeconds *stats.Histogram
 	runSeconds   *stats.Histogram
-	queueDepth   []*stats.Gauge
 
 	// Streaming-ingest metrics (the /v1/sessions/{id}/stream endpoint).
 	streamEvents  *stats.Counter
@@ -165,8 +165,9 @@ type Server struct {
 	recovered       *stats.Counter
 }
 
-// New starts a server: one goroutine per shard, draining its mailbox.
-// Close releases them.
+// New returns a server ready to serve. It starts no goroutine: every
+// session operation runs on its caller's goroutine while it holds its
+// shard's turn (dispatchShard).
 func New(cfg Config) *Server {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -242,28 +243,19 @@ func New(cfg Config) *Server {
 		return float64(ms.HeapAlloc)
 	})
 	s.shards = make([]*shard, cfg.Shards)
-	s.queueDepth = make([]*stats.Gauge, cfg.Shards)
 	for i := range s.shards {
-		s.shards[i] = newShard(i, s, cfg.QueueDepth)
-		s.queueDepth[i] = r.Gauge(fmt.Sprintf("psmd_shard_queue_depth{shard=%q}", fmt.Sprint(i)),
-			"requests queued per shard mailbox")
+		sh := newShard(i)
+		s.shards[i] = sh
+		r.GaugeFunc(fmt.Sprintf("psmd_shard_queue_depth{shard=%q}", fmt.Sprint(i)),
+			"callers waiting for a shard's turn", func() float64 { return float64(sh.waiting.Load()) })
 	}
-	// Recover durable sessions before any shard goroutine starts: the
-	// session maps are still single-threaded here, so recovered
-	// sessions register without dispatching. A cluster node's copies
-	// are its Replicator's.
+	// Recover durable sessions before New returns: nothing can dispatch
+	// yet, so recovered sessions register without taking a turn. A
+	// cluster node's copies are its Replicator's. The server is ready
+	// the moment New returns.
 	if cfg.DataDir != "" && cfg.Replicator == nil {
 		s.recoverSessions()
 	}
-	for i := range s.shards {
-		s.wg.Add(1)
-		go func(sh *shard) {
-			defer s.wg.Done()
-			sh.loop()
-		}(s.shards[i])
-	}
-	// Recovery ran synchronously above, so the server is ready the
-	// moment New returns.
 	s.state.Store(stateServing)
 	return s
 }
@@ -379,8 +371,8 @@ func (s *Server) recoverSession(dir string) (*session, durable.RecoverStats, err
 // Registry exposes the serving metrics (for /metrics and tests).
 func (s *Server) Registry() *stats.Registry { return s.registry }
 
-// Close stops every shard goroutine and waits for in-flight requests to
-// drain. Queued requests still execute; new dispatches fail with
+// Close waits for in-flight dispatches to drain: operations already
+// running or waiting for a turn still execute; new dispatches fail with
 // ErrServerClosed. Durable sessions then take a final snapshot and
 // close their logs — the graceful-shutdown path behind psmd's SIGTERM
 // handling, so a clean restart replays no WAL at all.
@@ -399,16 +391,13 @@ func (s *Server) close(snapshot bool) {
 		return
 	}
 	s.closed = true
-	for _, sh := range s.shards {
-		close(sh.mailbox)
-	}
 	s.mu.Unlock()
 	s.wg.Wait()
 	if !snapshot {
 		return
 	}
-	// Shard goroutines have exited; session maps are single-threaded
-	// again (same license Close has always used).
+	// Every dispatch has returned and no new one is admitted, so the
+	// session maps are single-threaded again.
 	for _, sh := range s.shards {
 		for _, sess := range sh.sessions {
 			if sess.log == nil {
@@ -433,44 +422,57 @@ func (s *Server) shardFor(id string) *shard {
 	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
-// dispatchShard routes fn to sh and waits for completion or context
-// expiry. A full mailbox fails fast with BusyError; the caller never
-// blocks behind another tenant's queue. The result travels back through
-// the request's done channel — never through a variable shared with the
-// caller — so a caller that gives up at its deadline cannot race with
-// the shard still finishing the work.
-func dispatchShard[T any](s *Server, ctx context.Context, sh *shard, fn func(sh *shard) (T, error)) (T, error) {
-	var zero T
-	req := &request{ctx: ctx, done: make(chan outcome, 1)}
-	req.fn = func(sh *shard) (any, error) { return fn(sh) }
-
+// dispatchShard runs fn on the calling goroutine once it holds sh's
+// turn. A caller that would make more than QueueDepth waiters fails fast
+// with BusyError, so it never queues without bound behind another
+// tenant's work; one whose context ends while it waits returns
+// ctx.Err() without running fn. An fn already running answers when it
+// returns: the engine's cycle loop and stream ingest stop at the
+// deadline on their own. A panic in fn becomes an error, so a bug in
+// one session's program cannot take down the process or wedge the
+// shard of every other tenant hashed to it.
+func dispatchShard[T any](s *Server, ctx context.Context, sh *shard, fn func(sh *shard) (T, error)) (val T, err error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		return zero, ErrServerClosed
+		return val, ErrServerClosed
 	}
-	select {
-	case sh.mailbox <- req:
-		s.mu.RUnlock()
-		s.requests.Inc()
-		s.queueDepth[sh.id].Add(1)
-	default:
+	if sh.waiting.Add(1) > int64(s.cfg.QueueDepth) {
+		sh.waiting.Add(-1)
 		s.mu.RUnlock()
 		s.rejected.Inc()
-		return zero, &BusyError{Shard: sh.id, RetryAfter: s.cfg.RetryAfter}
+		return val, &BusyError{Shard: sh.id, RetryAfter: s.cfg.RetryAfter}
 	}
+	s.wg.Add(1)
+	s.mu.RUnlock()
+	defer s.wg.Done()
+	s.requests.Inc()
 
+	// A free turn is taken without touching ctx.Done, which would
+	// allocate the context's done channel.
 	select {
-	case out := <-req.done:
-		if out.err != nil {
-			return zero, out.err
+	case sh.turn <- struct{}{}:
+	default:
+		select {
+		case sh.turn <- struct{}{}:
+		case <-ctx.Done():
+			sh.waiting.Add(-1)
+			return val, ctx.Err()
 		}
-		return out.val.(T), nil
-	case <-ctx.Done():
-		// The shard will skip or finish the request on its own; the
-		// buffered done channel keeps that send from blocking.
-		return zero, ctx.Err()
 	}
+	sh.waiting.Add(-1)
+	defer func() { <-sh.turn }()
+	if err = ctx.Err(); err != nil {
+		return val, err
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Inc()
+			var zero T
+			val, err = zero, fmt.Errorf("server: internal error: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return fn(sh)
 }
 
 // dispatch routes a result-less fn to the session's shard (see
@@ -630,11 +632,12 @@ func (s *Server) Apply(ctx context.Context, id string, specs []ChangeSpec) (Appl
 
 // StreamApply commits one streaming event batch to a session: clock
 // advance, TTL expiries, asserts, then recognize-act cycles to
-// quiescence (see session.ingest). It is one shard dispatch — a full
-// mailbox surfaces BusyError, the stream handler's connection-level
-// backpressure signal. The caller moved the batch onto the
-// psmd_stream_lag_events gauge when it was read; the gauge is given
-// back here whether the batch applies or fails.
+// quiescence (see session.ingest). It is one shard dispatch — a shard
+// with QueueDepth callers already waiting surfaces BusyError, the
+// stream handler's connection-level backpressure signal. The caller
+// moved the batch onto the psmd_stream_lag_events gauge when it was
+// read; the gauge is given back here whether the batch applies or
+// fails.
 func (s *Server) StreamApply(ctx context.Context, id string, events []EventSpec) (StreamResult, error) {
 	defer s.streamLag.Add(-int64(len(events)))
 	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (StreamResult, error) {

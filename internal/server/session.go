@@ -3,8 +3,9 @@
 // paper's Production System Machine. Each session is one compiled OPS5
 // program with its own working memory, matcher and conflict set;
 // sessions are distributed over a fixed pool of engine shards by
-// hash(sessionID), and each shard is owned by exactly one goroutine, so
-// all engine and working-memory code runs single-threaded per session
+// hash(sessionID), and a request runs a session operation on its own
+// goroutine only while it holds its shard's one turn, so all engine and
+// working-memory code runs single-threaded per session
 // and the paper's per-memory-lock discipline stays inside the parallel
 // matcher (internal/prete).
 //
@@ -128,8 +129,8 @@ type session struct {
 	created time.Time
 
 	// trace retains the session's most recent cycle spans. The ring is
-	// internally locked: spans are added on the shard goroutine, but the
-	// server archives a snapshot at deletion.
+	// internally locked: spans are added by the shard's turn holder, but
+	// the server archives a snapshot at deletion.
 	trace *obs.Ring
 
 	// requests counts every operation routed to this session.
@@ -314,8 +315,9 @@ var (
 	ErrServerClosed = errors.New("server: closed")
 )
 
-// BusyError reports a shard whose mailbox is full — the backpressure
-// signal behind HTTP 429.
+// BusyError reports a shard that already has Config.QueueDepth callers
+// waiting for its turn — the backpressure signal behind HTTP 429. Its
+// message text is part of the frozen /v1 replies.
 type BusyError struct {
 	// Shard is the full shard's index.
 	Shard int

@@ -1,80 +1,38 @@
 package server
 
 import (
-	"context"
 	"fmt"
-	"runtime/debug"
+	"sync/atomic"
 )
 
-// outcome carries a request's result back to its caller. Results travel
-// through the channel, never through variables shared with the caller:
-// a caller that abandons a request at its deadline must not race with
-// the shard still finishing it.
-type outcome struct {
-	val any
-	err error
-}
-
-// request is one unit of work routed to a shard: a closure executed on
-// the shard's goroutine.
-type request struct {
-	ctx  context.Context
-	fn   func(sh *shard) (any, error)
-	done chan outcome
-}
-
-// shard owns a disjoint subset of the server's sessions. Exactly one
-// goroutine (loop) executes requests, so sessions need no locking — the
-// serving analogue of the paper's one-owner-per-memory discipline, with
-// fine-grain parallelism living below this level inside the parallel
-// matcher.
+// shard owns a disjoint subset of the server's sessions and one turn. A
+// caller runs a session operation on its own goroutine, and only while
+// it holds its shard's turn, so exactly one goroutine at a time touches
+// a shard's sessions and they need no locking — the serving analogue of
+// the paper's one-owner-per-memory discipline, with fine-grain
+// parallelism living below this level inside the parallel matcher. The
+// turn is a channel of capacity one: each holder's release happens
+// before the next holder's acquire, which orders their session writes.
 type shard struct {
-	id      int
-	srv     *Server
-	mailbox chan *request
-	// sessions is touched only by loop (and by Server.Close after loop
-	// exits).
+	id   int
+	turn chan struct{}
+	// waiting counts admitted callers that do not hold the turn yet;
+	// dispatchShard bounds it by Config.QueueDepth.
+	waiting atomic.Int64
+	// sessions is touched only by the turn holder (and by Server.close
+	// once every dispatch has returned).
 	sessions map[string]*session
 }
 
-func newShard(id int, srv *Server, queueDepth int) *shard {
+func newShard(id int) *shard {
 	return &shard{
 		id:       id,
-		srv:      srv,
-		mailbox:  make(chan *request, queueDepth),
+		turn:     make(chan struct{}, 1),
 		sessions: make(map[string]*session),
 	}
 }
 
-// loop drains the mailbox until the server closes it. Requests whose
-// context expired while queued are answered without touching any
-// session — the deadline threads all the way into the shard.
-func (sh *shard) loop() {
-	for req := range sh.mailbox {
-		sh.srv.queueDepth[sh.id].Add(-1)
-		if err := req.ctx.Err(); err != nil {
-			req.done <- outcome{err: err}
-			continue
-		}
-		req.done <- sh.serve(req)
-	}
-}
-
-// serve runs one request, converting panics into errors so a bug in one
-// session's program cannot take down the shard (or the sessions of
-// every other tenant hashed to it).
-func (sh *shard) serve(req *request) (out outcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			sh.srv.panics.Inc()
-			out = outcome{err: fmt.Errorf("server: internal error: %v\n%s", r, debug.Stack())}
-		}
-	}()
-	val, err := req.fn(sh)
-	return outcome{val: val, err: err}
-}
-
-// get resolves a session on the shard goroutine.
+// get resolves a session for the turn holder.
 func (sh *shard) get(id string) (*session, error) {
 	s, ok := sh.sessions[id]
 	if !ok {
