@@ -8,15 +8,15 @@ import (
 
 // The service links the matchers, the engine and the serving layers —
 // not the paper-reproduction packages (simulator, architecture models,
-// Soar, experiments and their ASCII tables and charts in
-// internal/metrics), the workload generators or test helpers.
+// Soar, experiments with their ASCII tables and charts), the workload
+// generators or test helpers.
 func TestServicePathImportsNoReproductionPackage(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", ".").Output()
 	if err != nil {
 		t.Fatalf("go list -deps: %v", err)
 	}
 	banned := map[string]bool{}
-	for _, pkg := range []string{"psm", "archcmp", "model", "partition", "soar", "experiments", "metrics", "workload", "trace", "matchtest"} {
+	for _, pkg := range []string{"psm", "archcmp", "model", "partition", "soar", "experiments", "workload", "trace", "matchtest"} {
 		banned["repro/internal/"+pkg] = true
 	}
 	sawServer := false

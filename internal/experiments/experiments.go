@@ -18,7 +18,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/fullstate"
 	"repro/internal/matchtest"
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/ops5"
 	"repro/internal/partition"
@@ -112,7 +111,7 @@ func e1(w io.Writer, _ int) error {
 			verdict,
 		})
 	}
-	fmt.Fprint(w, metrics.Table(
+	fmt.Fprint(w, Table(
 		[]string{"(i+d)/s", "state-saving instr/cycle", "non-state-saving instr/cycle", "advantage", "verdict"},
 		rows))
 	fmt.Fprintf(w, "\nAt the measured OPS5 turnover of 0.5%% per cycle the advantage is %.0fx;\n", m.Advantage(0.005))
@@ -148,15 +147,15 @@ func e2(w io.Writer, cycles int) error {
 		sumNode += node.TrueSpeedup
 		rows = append(rows, []string{
 			tr.Name,
-			metrics.F(prod.TrueSpeedup, 2),
-			metrics.F(node.TrueSpeedup, 2),
-			metrics.F(node.TrueSpeedup/prod.TrueSpeedup, 2),
+			F(prod.TrueSpeedup, 2),
+			F(node.TrueSpeedup, 2),
+			F(node.TrueSpeedup/prod.TrueSpeedup, 2),
 		})
 	}
 	n := float64(len(rows))
-	rows = append(rows, []string{"AVERAGE", metrics.F(sumProd/n, 2), metrics.F(sumNode/n, 2),
-		metrics.F(sumNode/sumProd, 2)})
-	fmt.Fprint(w, metrics.Table(
+	rows = append(rows, []string{"AVERAGE", F(sumProd/n, 2), F(sumNode/n, 2),
+		F(sumNode/sumProd, 2)})
+	fmt.Fprint(w, Table(
 		[]string{"workload", "production-level speed-up", "node-level speed-up", "gain"},
 		rows))
 	fmt.Fprintln(w, "\nPaper: production parallelism yields only ~5-fold even with unbounded")
@@ -166,11 +165,11 @@ func e2(w io.Writer, cycles int) error {
 
 // sweepSeries simulates every workload across the processor sweep and
 // extracts a metric.
-func sweepSeries(cycles int, metric func(psm.Result) float64) []metrics.Series {
-	var out []metrics.Series
+func sweepSeries(cycles int, metric func(psm.Result) float64) []Series {
+	var out []Series
 	for _, tr := range systems(cycles) {
 		res := psm.Sweep(tr, psm.DefaultConfig(0), sweepProcs)
-		s := metrics.Series{Name: tr.Name, X: sweepProcs}
+		s := Series{Name: tr.Name, X: sweepProcs}
 		for _, r := range res {
 			s.Y = append(s.Y, metric(r))
 		}
@@ -181,9 +180,9 @@ func sweepSeries(cycles int, metric func(psm.Result) float64) []metrics.Series {
 
 func fig61(w io.Writer, cycles int) error {
 	series := sweepSeries(cycles, func(r psm.Result) float64 { return r.Concurrency })
-	fmt.Fprint(w, metrics.SeriesTable("processors", series, "%.2f"))
+	fmt.Fprint(w, SeriesTable("processors", series, "%.2f"))
 	fmt.Fprintln(w)
-	fmt.Fprint(w, metrics.Chart("Figure 6-1: Concurrency", "processors", "avg busy processors", series, 72, 20))
+	fmt.Fprint(w, Chart("Figure 6-1: Concurrency", "processors", "avg busy processors", series, 72, 20))
 	fmt.Fprintln(w, "\nPaper: for most systems 32 processors are more than sufficient; the")
 	fmt.Fprintln(w, "average concurrency on 32 processors is 15.92 (§6).")
 	return nil
@@ -191,9 +190,9 @@ func fig61(w io.Writer, cycles int) error {
 
 func fig62(w io.Writer, cycles int) error {
 	series := sweepSeries(cycles, func(r psm.Result) float64 { return r.WMChangesPerSec })
-	fmt.Fprint(w, metrics.SeriesTable("processors", series, "%.0f"))
+	fmt.Fprint(w, SeriesTable("processors", series, "%.0f"))
 	fmt.Fprintln(w)
-	fmt.Fprint(w, metrics.Chart("Figure 6-2: Execution speed", "processors", "wme-changes/sec", series, 72, 20))
+	fmt.Fprint(w, Chart("Figure 6-2: Execution speed", "processors", "wme-changes/sec", series, 72, 20))
 	fmt.Fprintln(w, "\nPaper: average execution speed on 32 processors is 9400 wme-changes/sec,")
 	fmt.Fprintln(w, "or about 3800 production firings per second (§6).")
 	return nil
@@ -210,14 +209,14 @@ func e5(w io.Writer, cycles int) error {
 		sumL += r.LostFactor
 		sumS += r.WMChangesPerSec
 		sumF += r.FiringsPerSec
-		rows = append(rows, []string{tr.Name, metrics.F(r.Concurrency, 2), metrics.F(r.TrueSpeedup, 2),
-			metrics.F(r.LostFactor, 2), metrics.F(r.WMChangesPerSec, 0), metrics.F(r.FiringsPerSec, 0)})
+		rows = append(rows, []string{tr.Name, F(r.Concurrency, 2), F(r.TrueSpeedup, 2),
+			F(r.LostFactor, 2), F(r.WMChangesPerSec, 0), F(r.FiringsPerSec, 0)})
 	}
 	n := float64(len(trs))
-	rows = append(rows, []string{"AVERAGE", metrics.F(sumC/n, 2), metrics.F(sumT/n, 2),
-		metrics.F(sumL/n, 2), metrics.F(sumS/n, 0), metrics.F(sumF/n, 0)})
+	rows = append(rows, []string{"AVERAGE", F(sumC/n, 2), F(sumT/n, 2),
+		F(sumL/n, 2), F(sumS/n, 0), F(sumF/n, 0)})
 	rows = append(rows, []string{"PAPER", "15.92", "8.25", "1.93", "9400", "3800"})
-	fmt.Fprint(w, metrics.Table(
+	fmt.Fprint(w, Table(
 		[]string{"workload (32 procs)", "concurrency", "true speed-up", "lost factor", "wme-changes/s", "firings/s"},
 		rows))
 	// Decompose the average lost factor into the paper's three causes:
@@ -249,12 +248,12 @@ func e6(w io.Writer, cycles int) error {
 	for _, r := range archcmp.Compare(psmSpeed, 32, 2.0) {
 		reported := "n/a"
 		if r.ReportedWMEPerSec > 0 {
-			reported = metrics.F(r.ReportedWMEPerSec, 0)
+			reported = F(r.ReportedWMEPerSec, 0)
 		}
 		rows = append(rows, []string{r.Machine, fmt.Sprint(r.Processors),
-			metrics.F(r.MIPSPerProc, 1), r.Algorithm, reported, metrics.F(r.ModelWMEPerSec, 0)})
+			F(r.MIPSPerProc, 1), r.Algorithm, reported, F(r.ModelWMEPerSec, 0)})
 	}
-	fmt.Fprint(w, metrics.Table(
+	fmt.Fprint(w, Table(
 		[]string{"machine", "processors", "MIPS/proc", "algorithm", "paper wme/s", "model wme/s"},
 		rows))
 	fmt.Fprintln(w, "\nPaper ranking: PSM > Oflazer > NON-VON > DADO; small numbers of powerful")
@@ -277,11 +276,11 @@ func e7(w io.Writer, cycles int) error {
 		sw4 := swSpeed(tr, 4)
 		sw16 := swSpeed(tr, 16)
 		rows = append(rows, []string{tr.Name,
-			metrics.F(hw.WMChangesPerSec, 0), metrics.F(sw1, 0),
-			metrics.F(sw4, 0), metrics.F(sw16, 0),
-			metrics.F(hw.WMChangesPerSec/sw1, 2)})
+			F(hw.WMChangesPerSec, 0), F(sw1, 0),
+			F(sw4, 0), F(sw16, 0),
+			F(hw.WMChangesPerSec/sw1, 2)})
 	}
-	fmt.Fprint(w, metrics.Table(
+	fmt.Fprint(w, Table(
 		[]string{"workload (32 procs)", "hardware", "software x1", "software x4", "software x16", "hw/sw1"},
 		rows))
 	fmt.Fprintln(w, "\nPaper (§5): without a hardware task scheduler, serial enqueueing and")
@@ -342,9 +341,9 @@ func e8(w io.Writer, _ int) error {
 		if baseline == 0 {
 			baseline = speed
 		}
-		rows = append(rows, []string{kind.String(), metrics.F(speed, 0), metrics.F(speed/baseline, 1) + "x", comparisons})
+		rows = append(rows, []string{kind.String(), F(speed, 0), F(speed/baseline, 1) + "x", comparisons})
 	}
-	fmt.Fprint(w, metrics.Table([]string{"matcher", "wme-changes/sec (real)", "vs naive", "comparisons"}, rows))
+	fmt.Fprint(w, Table([]string{"matcher", "wme-changes/sec (real)", "vs naive", "comparisons"}, rows))
 	fmt.Fprintf(w, "\n(%d productions, %d WM changes, GOMAXPROCS=%d; the paper's ladder was\n",
 		len(prods), nChanges, runtime.GOMAXPROCS(0))
 	fmt.Fprintln(w, "Lisp 8 -> Bliss 40 -> compiled 200 wme-changes/sec on a VAX-11/780, §2.2.")
@@ -365,9 +364,9 @@ func e9(w io.Writer, _ int) error {
 		rows = append(rows, []string{
 			name,
 			fmt.Sprint(st.Changes),
-			metrics.F(st.AvgAffected(), 1),
-			metrics.F(float64(st.TotalActivations())/float64(maxI(st.Changes, 1)), 1),
-			metrics.F(rec.Trace.CostPerChange(), 0),
+			F(st.AvgAffected(), 1),
+			F(float64(st.TotalActivations())/float64(maxI(st.Changes, 1)), 1),
+			F(rec.Trace.CostPerChange(), 0),
 		})
 		return nil
 	}
@@ -411,9 +410,9 @@ func e9(w io.Writer, _ int) error {
 	rows = append(rows, []string{
 		"task-dispatch-300 (generated)",
 		fmt.Sprint(net.Stats.Changes),
-		metrics.F(net.Stats.AvgAffected(), 1),
-		metrics.F(float64(net.Stats.TotalActivations())/float64(maxI(net.Stats.Changes, 1)), 1),
-		metrics.F(rec2.Trace.CostPerChange(), 0),
+		F(net.Stats.AvgAffected(), 1),
+		F(float64(net.Stats.TotalActivations())/float64(maxI(net.Stats.Changes, 1)), 1),
+		F(rec2.Trace.CostPerChange(), 0),
 	})
 	// Synthetic systems: the configured affected-production means.
 	for _, p := range workload.Systems() {
@@ -429,12 +428,12 @@ func e9(w io.Writer, _ int) error {
 		}
 		rows = append(rows, []string{
 			p.Name, fmt.Sprint(tr.Changes),
-			metrics.F(float64(chains)/float64(tr.Changes), 1),
-			metrics.F(float64(len(tr.Tasks))/float64(tr.Changes), 1),
-			metrics.F(tr.CostPerChange(), 0),
+			F(float64(chains)/float64(tr.Changes), 1),
+			F(float64(len(tr.Tasks))/float64(tr.Changes), 1),
+			F(tr.CostPerChange(), 0),
 		})
 	}
-	fmt.Fprint(w, metrics.Table(
+	fmt.Fprint(w, Table(
 		[]string{"workload", "wm changes", "affected prods/change", "activations/change", "instr/change"},
 		rows))
 	fmt.Fprintln(w, "\nPaper: ~30 productions are affected per change regardless of program size,")
@@ -457,17 +456,17 @@ func e10(w io.Writer, cycles int) error {
 	var rows [][]string
 	for _, c := range []float64{1, 2, 4, 6, 8, 12} {
 		conc := runWith(func(p *workload.Params) { p.ChangesPerFiring = c })
-		rows = append(rows, []string{metrics.F(c, 0), metrics.F(conc, 2)})
+		rows = append(rows, []string{F(c, 0), F(conc, 2)})
 	}
-	fmt.Fprint(w, metrics.Table([]string{"changes/firing", "concurrency @32"}, rows))
+	fmt.Fprint(w, Table([]string{"changes/firing", "concurrency @32"}, rows))
 
 	fmt.Fprintln(w, "\nFactor 2: affected productions per change:")
 	rows = nil
 	for _, a := range []float64{5, 10, 20, 30, 45, 60} {
 		conc := runWith(func(p *workload.Params) { p.AffectedMean = a })
-		rows = append(rows, []string{metrics.F(a, 0), metrics.F(conc, 2)})
+		rows = append(rows, []string{F(a, 0), F(conc, 2)})
 	}
-	fmt.Fprint(w, metrics.Table([]string{"affected/change", "concurrency @32"}, rows))
+	fmt.Fprint(w, Table([]string{"affected/change", "concurrency @32"}, rows))
 
 	fmt.Fprintln(w, "\nFactor 3: processing-cost variance (heavy-production chain depth,")
 	fmt.Fprintln(w, "total match cost per change held constant):")
@@ -487,9 +486,9 @@ func e10(w io.Writer, cycles int) error {
 			tr.Tasks[i].Cost *= scale
 		}
 		r := psm.Simulate(tr, psm.DefaultConfig(32))
-		rows = append(rows, []string{metrics.F(depth, 0), metrics.F(r.Concurrency, 2), metrics.F(r.TrueSpeedup, 2)})
+		rows = append(rows, []string{F(depth, 0), F(r.Concurrency, 2), F(r.TrueSpeedup, 2)})
 	}
-	fmt.Fprint(w, metrics.Table([]string{"heavy chain depth", "concurrency @32", "speed-up @32"}, rows))
+	fmt.Fprint(w, Table([]string{"heavy chain depth", "concurrency @32", "speed-up @32"}, rows))
 
 	fmt.Fprintln(w, "\nPaper (§8): the number of changes per cycle, the number of affected")
 	fmt.Fprintln(w, "productions, and the cost variance are the three factors bounding")
@@ -524,13 +523,13 @@ func e11(w io.Writer, _ int) error {
 		hier := psm.SimulateHierarchical(tr, psm.DefaultHierConfig(clusters, 32))
 		rows = append(rows, []string{
 			fmt.Sprint(procs),
-			metrics.F(flat.WMChangesPerSec, 0),
-			metrics.F(flat.BusWaitSec/flat.Makespan, 1),
+			F(flat.WMChangesPerSec, 0),
+			F(flat.BusWaitSec/flat.Makespan, 1),
 			fmt.Sprintf("%dx32", clusters),
-			metrics.F(hier.WMChangesPerSec, 0),
+			F(hier.WMChangesPerSec, 0),
 		})
 	}
-	fmt.Fprint(w, metrics.Table(
+	fmt.Fprint(w, Table(
 		[]string{"processors", "flat wme/s", "flat bus-wait (proc-sec/sec)", "hierarchy", "hier wme/s"},
 		rows))
 	fmt.Fprintln(w, "\nPaper (§5): a single bus handles about 32 processors; beyond that the")
@@ -553,11 +552,11 @@ func e12(w io.Writer, cycles int) error {
 		cfg.CacheHitRatio = hit
 		r := psm.Simulate(tr, cfg)
 		rows = append(rows, []string{
-			metrics.F(hit, 2), metrics.F(r.WMChangesPerSec, 0),
-			metrics.F(r.Concurrency, 2), metrics.F(r.BusWaitSec/r.Makespan, 2),
+			F(hit, 2), F(r.WMChangesPerSec, 0),
+			F(r.Concurrency, 2), F(r.BusWaitSec/r.Makespan, 2),
 		})
 	}
-	fmt.Fprint(w, metrics.Table(
+	fmt.Fprint(w, Table(
 		[]string{"cache hit", "wme/s", "concurrency", "bus wait (proc-sec/sec)"}, rows))
 
 	fmt.Fprintln(w, "\nBus-speed sensitivity (32 processors, 90% cache hits):")
@@ -567,11 +566,11 @@ func e12(w io.Writer, cycles int) error {
 		cfg.BusCycle = ns * 1e-9
 		r := psm.Simulate(tr, cfg)
 		rows = append(rows, []string{
-			metrics.F(ns, 0), metrics.F(r.WMChangesPerSec, 0),
-			metrics.F(r.BusWaitSec/r.Makespan, 2),
+			F(ns, 0), F(r.WMChangesPerSec, 0),
+			F(r.BusWaitSec/r.Makespan, 2),
 		})
 	}
-	fmt.Fprint(w, metrics.Table([]string{"bus cycle (ns)", "wme/s", "bus wait (proc-sec/sec)"}, rows))
+	fmt.Fprint(w, Table([]string{"bus cycle (ns)", "wme/s", "bus wait (proc-sec/sec)"}, rows))
 
 	fmt.Fprintln(w, "\nMemory-module interleaving (32 processors, 150ns module service):")
 	rows = nil
@@ -580,10 +579,10 @@ func e12(w io.Writer, cycles int) error {
 		cfg.MemoryModules = mods
 		r := psm.Simulate(tr, cfg)
 		rows = append(rows, []string{
-			fmt.Sprint(mods), metrics.F(r.WMChangesPerSec, 0),
+			fmt.Sprint(mods), F(r.WMChangesPerSec, 0),
 		})
 	}
-	fmt.Fprint(w, metrics.Table([]string{"memory modules", "wme/s"}, rows))
+	fmt.Fprint(w, Table([]string{"memory modules", "wme/s"}, rows))
 	fmt.Fprintln(w, "\nPaper (§5): \"a single high-speed bus should be able to handle the load")
 	fmt.Fprintln(w, "put on it by about 32 processors, provided that reasonable cache-hit")
 	fmt.Fprintln(w, "ratios are obtained\".")
@@ -653,7 +652,7 @@ func e13(w io.Writer, _ int) error {
 	for pi, pr := range probes {
 		rows = append(rows, []string{pr.name, fmt.Sprint(pr.state()), fmt.Sprint(peaks[pi])})
 	}
-	fmt.Fprint(w, metrics.Table([]string{"algorithm", "final state (entries)", "peak state"}, rows))
+	fmt.Fprint(w, Table([]string{"algorithm", "final state (entries)", "peak state"}, rows))
 	fmt.Fprintf(w, "\nfull-state tuples created: %d, deleted: %d, consistency checks: %d\n",
 		fs.Stats.TuplesCreated, fs.Stats.TuplesDeleted, fs.Stats.ConsistencyChecks)
 	fmt.Fprintf(w, "TREAT join tuples recomputed: %d\n", tm.Stats.JoinTuplesTested)
@@ -703,7 +702,7 @@ func e14(w io.Writer, _ int) error {
 			rows = append(rows, []string{fmt.Sprint(n), fmt.Sprint(hist[n])})
 		}
 	}
-	fmt.Fprint(w, metrics.Table([]string{"WM changes in batch", "batches"}, rows))
+	fmt.Fprint(w, Table([]string{"WM changes in batch", "batches"}, rows))
 
 	// Serialise: every change becomes its own batch (no parallel
 	// firings), keeping intra-change dependencies.
@@ -713,11 +712,11 @@ func e14(w io.Writer, _ int) error {
 	par := psm.Simulate(tr, psm.DefaultConfig(32))
 	seq := psm.Simulate(ser, psm.DefaultConfig(32))
 	rows = [][]string{
-		{"parallel firings (elaboration waves)", metrics.F(par.Concurrency, 2), metrics.F(par.TrueSpeedup, 2)},
-		{"serialized (1 change per step)", metrics.F(seq.Concurrency, 2), metrics.F(seq.TrueSpeedup, 2)},
+		{"parallel firings (elaboration waves)", F(par.Concurrency, 2), F(par.TrueSpeedup, 2)},
+		{"serialized (1 change per step)", F(seq.Concurrency, 2), F(seq.TrueSpeedup, 2)},
 	}
 	fmt.Fprintln(w)
-	fmt.Fprint(w, metrics.Table([]string{"execution mode (32 procs)", "concurrency", "true speed-up"}, rows))
+	fmt.Fprint(w, Table([]string{"execution mode (32 procs)", "concurrency", "true speed-up"}, rows))
 	fmt.Fprintln(w, "\nPaper (§8): application-level parallelism multiplies the WM changes per")
 	fmt.Fprintln(w, "synchronization step and is the one factor that can raise exploitable")
 	fmt.Fprintln(w, "parallelism — when the task decomposes, as Soar elaboration phases do.")
@@ -743,13 +742,13 @@ func e15(w io.Writer, cycles int) error {
 		static := psm.Simulate(tr, cfg)
 		rows = append(rows, []string{
 			tr.Name,
-			metrics.F(im, 2),
-			metrics.F(static.TrueSpeedup, 2),
-			metrics.F(dynamic.TrueSpeedup, 2),
-			metrics.F(dynamic.TrueSpeedup/static.TrueSpeedup, 2),
+			F(im, 2),
+			F(static.TrueSpeedup, 2),
+			F(dynamic.TrueSpeedup, 2),
+			F(dynamic.TrueSpeedup/static.TrueSpeedup, 2),
 		})
 	}
-	fmt.Fprint(w, metrics.Table(
+	fmt.Fprint(w, Table(
 		[]string{"workload (32 procs)", "oracle aggregate imbalance", "static speed-up", "dynamic speed-up", "dynamic/static"},
 		rows))
 	fmt.Fprintln(w, "\nPaper (§5): \"this partitioning of nodes amongst the processors is a very")
@@ -806,10 +805,10 @@ func e16(w io.Writer, cycles int) error {
 
 		rows = append(rows, []string{
 			tr.Name,
-			metrics.F(full.Concurrency, 2),
-			metrics.F(oneTokenPerNode.Concurrency, 2),
-			metrics.F(oneChange.Concurrency, 2),
-			metrics.F(neither.Concurrency, 2),
+			F(full.Concurrency, 2),
+			F(oneTokenPerNode.Concurrency, 2),
+			F(oneChange.Concurrency, 2),
+			F(neither.Concurrency, 2),
 		})
 		sums[0] += full.Concurrency
 		sums[1] += oneTokenPerNode.Concurrency
@@ -818,9 +817,9 @@ func e16(w io.Writer, cycles int) error {
 	}
 	n := float64(len(rows))
 	rows = append(rows, []string{"AVERAGE",
-		metrics.F(sums[0]/n, 2), metrics.F(sums[1]/n, 2),
-		metrics.F(sums[2]/n, 2), metrics.F(sums[3]/n, 2)})
-	fmt.Fprint(w, metrics.Table(
+		F(sums[0]/n, 2), F(sums[1]/n, 2),
+		F(sums[2]/n, 2), F(sums[3]/n, 2)})
+	fmt.Fprint(w, Table(
 		[]string{"workload (32 procs, concurrency)", "both relaxations", "one token per node", "one change at a time", "neither"},
 		rows))
 	fmt.Fprintln(w, "\nPaper (§4): \"in the proposed parallel implementation, both of these")

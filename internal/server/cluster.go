@@ -46,11 +46,7 @@ func (s *Server) DurableSeqs() map[string]int64 {
 // session's shard, so the exported state is batch-consistent.
 func (s *Server) ExportDurable(ctx context.Context, id string) (manifest, snap []byte, err error) {
 	type export struct{ manifest, snap []byte }
-	out, err := dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (export, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return export{}, err
-		}
+	out, err := dispatchSession(s, ctx, id, func(sess *session) (export, error) {
 		if sess.log == nil {
 			return export{}, badReqf("server: session %q is not durable", id)
 		}
@@ -69,26 +65,26 @@ func (s *Server) AdoptSession(ctx context.Context, id string) error {
 	if s.cfg.DataDir == "" {
 		return badReqf("server: adopt %q: server is not durable", id)
 	}
-	return s.dispatch(ctx, id, func(sh *shard) error {
-		if _, dup := sh.sessions[id]; dup {
-			return fmt.Errorf("%w: %q", ErrSessionExists, id)
+	_, err := dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (struct{}, error) {
+		if _, dup := s.index.Load(id); dup {
+			return struct{}{}, fmt.Errorf("%w: %q", ErrSessionExists, id)
 		}
 		sess, rstats, err := s.recoverSession(s.sessionDir(id))
 		if err != nil {
-			return fmt.Errorf("server: adopt %q: %w", id, err)
+			return struct{}{}, fmt.Errorf("server: adopt %q: %w", id, err)
 		}
 		if sess.id != id {
-			return fmt.Errorf("server: adopt %q: directory holds session %q", id, sess.id)
+			return struct{}{}, fmt.Errorf("server: adopt %q: directory holds session %q", id, sess.id)
 		}
-		sh.sessions[id] = sess
 		s.index.Store(id, sess)
 		s.sessions.Add(1)
 		s.logger.Info("session adopted",
 			"session", id, "shard", sh.id,
 			"snapshot_seq", rstats.SnapshotSeq, "replayed", rstats.Replayed,
 			"wm_size", sess.sys.WM.Size(), "conflicts", sess.sys.CS.Len())
-		return nil
+		return struct{}{}, nil
 	})
+	return err
 }
 
 // Demote takes a session out of service on this node: a final snapshot
@@ -98,18 +94,14 @@ func (s *Server) AdoptSession(ctx context.Context, id string) error {
 // as a follower. The ownership-handoff path when the ring says another
 // node should serve the session.
 func (s *Server) Demote(ctx context.Context, id string) (string, error) {
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (string, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return "", err
-		}
+	return dispatchSession(s, ctx, id, func(sess *session) (string, error) {
 		if sess.log == nil {
 			return "", badReqf("server: session %q is not durable", id)
 		}
 		if _, err := sess.log.Snapshot(); err != nil {
 			return "", fmt.Errorf("server: demote %q: final snapshot: %w", id, err)
 		}
-		s.unregister(sh, sess, false)
+		s.unregister(sess, false)
 		if err := sess.log.Close(); err != nil {
 			s.logger.Warn("wal close on demote", "session", id, "err", err)
 		}

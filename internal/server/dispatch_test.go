@@ -17,6 +17,15 @@ import (
 	"time"
 )
 
+// dispatch runs a result-less fn under the turn of sessionID's shard
+// (see dispatchShard); the session need not exist.
+func (s *Server) dispatch(ctx context.Context, sessionID string, fn func(sh *shard) error) error {
+	_, err := dispatchShard(s, ctx, s.shardFor(sessionID), func(sh *shard) (struct{}, error) {
+		return struct{}{}, fn(sh)
+	})
+	return err
+}
+
 // blockShard occupies the single shard of srv with a request that
 // blocks until the returned release func is called.
 func blockShard(t *testing.T, srv *Server) (release func()) {

@@ -406,11 +406,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 		if len(batch) == 0 {
 			return nil
 		}
+		// A batch committed before its error still counts as applied.
 		res, err := s.StreamApply(r.Context(), id, batch)
 		batch = batch[:0]
-		if err != nil {
-			return err
-		}
 		out.Events += res.Events
 		out.Batches += res.Batches
 		out.Fired += res.Fired
@@ -418,7 +416,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 		out.Expired += res.Expired
 		out.Clock = res.Clock
 		out.WMSize, out.ConflictSize = res.WMSize, res.ConflictSize
-		return nil
+		return err
 	}
 	buf := getBuf()
 	defer putBuf(buf)

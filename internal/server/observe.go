@@ -71,11 +71,7 @@ func (a *traceArchive) get(id string) (TraceResult, bool) {
 // back to the archive (Evicted true), so a trace can be pulled after
 // the session that produced it is gone.
 func (s *Server) Trace(ctx context.Context, id string) (TraceResult, error) {
-	tr, err := dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (TraceResult, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return TraceResult{}, err
-		}
+	tr, err := dispatchSession(s, ctx, id, func(sess *session) (TraceResult, error) {
 		return TraceResult{
 			SessionID: id,
 			Total:     sess.trace.Total(),
@@ -120,11 +116,7 @@ type ProfileResult struct {
 // activation counters priced by the paper's cost model, ranked by
 // cumulative cost.
 func (s *Server) Profile(ctx context.Context, id string) (ProfileResult, error) {
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (ProfileResult, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return ProfileResult{}, err
-		}
+	return dispatchSession(s, ctx, id, func(sess *session) (ProfileResult, error) {
 		eng := sess.sys.Engine
 		res := ProfileResult{
 			SessionID:    id,
@@ -190,11 +182,7 @@ type LossResult struct {
 // matcher's per-worker phase times, task-size histogram, and the
 // paper-§6 nominal-concurrency / true-speedup / loss-factor numbers.
 func (s *Server) Loss(ctx context.Context, id string) (LossResult, error) {
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (LossResult, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return LossResult{}, err
-		}
+	return dispatchSession(s, ctx, id, func(sess *session) (LossResult, error) {
 		res := LossResult{
 			SessionID: id,
 			Matcher:   sess.sys.MatcherKind().String(),

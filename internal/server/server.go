@@ -123,9 +123,12 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// index mirrors shard session registration (id -> *session) for
-	// lock-free liveness checks from cluster placement; state is
-	// the /readyz lifecycle (starting -> serving -> draining).
+	// index is the one session table (id -> *session). Only the holder
+	// of a session's shard turn writes its entry — apart from startup
+	// recovery before New returns and close once every dispatch has
+	// drained — while cluster placement and heartbeats read it without
+	// a lock. state is the /readyz lifecycle (starting -> serving ->
+	// draining).
 	index sync.Map
 	state atomic.Int32
 
@@ -244,7 +247,7 @@ func New(cfg Config) *Server {
 	})
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		sh := newShard(i)
+		sh := &shard{id: i, turn: make(chan struct{}, 1)}
 		s.shards[i] = sh
 		r.GaugeFunc(fmt.Sprintf("psmd_shard_queue_depth{shard=%q}", fmt.Sprint(i)),
 			"callers waiting for a shard's turn", func() float64 { return float64(sh.waiting.Load()) })
@@ -320,8 +323,6 @@ func (s *Server) recoverSessions() {
 			s.logger.Error("durable recovery failed; skipping session", "dir", dir, "err", err)
 			continue
 		}
-		sh := s.shardFor(sess.id)
-		sh.sessions[sess.id] = sess
 		s.index.Store(sess.id, sess)
 		s.sessions.Add(1)
 		s.recovered.Inc()
@@ -331,7 +332,7 @@ func (s *Server) recoverSessions() {
 			maxAuto = n
 		}
 		s.logger.Info("session recovered",
-			"session", sess.id, "shard", sh.id,
+			"session", sess.id, "shard", s.shardFor(sess.id).id,
 			"snapshot_seq", rstats.SnapshotSeq, "replayed", rstats.Replayed,
 			"wal_truncated", rstats.Truncated,
 			"wm_size", sess.sys.WM.Size(), "conflicts", sess.sys.CS.Len())
@@ -397,20 +398,20 @@ func (s *Server) close(snapshot bool) {
 		return
 	}
 	// Every dispatch has returned and no new one is admitted, so the
-	// session maps are single-threaded again.
-	for _, sh := range s.shards {
-		for _, sess := range sh.sessions {
-			if sess.log == nil {
-				continue
-			}
-			if _, err := sess.log.Snapshot(); err != nil {
-				s.logger.Error("final snapshot failed", "session", sess.id, "err", err)
-			}
-			if err := sess.log.Close(); err != nil {
-				s.logger.Error("wal close failed", "session", sess.id, "err", err)
-			}
+	// sessions are single-threaded again.
+	s.index.Range(func(_, v any) bool {
+		sess := v.(*session)
+		if sess.log == nil {
+			return true
 		}
-	}
+		if _, err := sess.log.Snapshot(); err != nil {
+			s.logger.Error("final snapshot failed", "session", sess.id, "err", err)
+		}
+		if err := sess.log.Close(); err != nil {
+			s.logger.Error("wal close failed", "session", sess.id, "err", err)
+		}
+		return true
+	})
 }
 
 // shardFor maps a session ID onto its owning shard. The hash is reduced
@@ -475,13 +476,27 @@ func dispatchShard[T any](s *Server, ctx context.Context, sh *shard, fn func(sh 
 	return fn(sh)
 }
 
-// dispatch routes a result-less fn to the session's shard (see
-// dispatchShard).
-func (s *Server) dispatch(ctx context.Context, sessionID string, fn func(sh *shard) error) error {
-	_, err := dispatchShard(s, ctx, s.shardFor(sessionID), func(sh *shard) (struct{}, error) {
-		return struct{}{}, fn(sh)
+// dispatchSession runs fn on session id while holding its shard's
+// turn: the one path of every per-session operation. It resolves the
+// session (or fails with ErrNoSession), counts the request, labels the
+// engine's spans with the request's trace ID, and afterwards accounts
+// whatever the engine committed — whether or not fn failed, since a
+// deadline or a bad input after a commit leaves that work in place.
+func dispatchSession[T any](s *Server, ctx context.Context, id string, fn func(sess *session) (T, error)) (T, error) {
+	return dispatchShard(s, ctx, s.shardFor(id), func(*shard) (T, error) {
+		v, ok := s.index.Load(id)
+		if !ok {
+			var zero T
+			return zero, fmt.Errorf("%w: %q", ErrNoSession, id)
+		}
+		sess := v.(*session)
+		sess.requests++
+		sess.sys.Engine.TraceID = obs.TraceID(ctx)
+		before := countsOf(sess.sys.Engine)
+		val, err := fn(sess)
+		s.account(sess, before)
+		return val, err
 	})
-	return err
 }
 
 // CreateSession compiles spec (on the calling goroutine, so compilation
@@ -503,7 +518,7 @@ func (s *Server) CreateSession(ctx context.Context, spec CreateSpec) (SessionInf
 	sess.trace = obs.NewRing(s.cfg.TraceDepth)
 	sess.sys.Engine.OnCycle = s.observeCycle(sess)
 	return dispatchShard(s, ctx, s.shardFor(spec.ID), func(sh *shard) (SessionInfo, error) {
-		if _, dup := sh.sessions[spec.ID]; dup {
+		if _, dup := s.index.Load(spec.ID); dup {
 			return SessionInfo{}, fmt.Errorf("%w: %q", ErrSessionExists, spec.ID)
 		}
 		if s.cfg.DataDir != "" {
@@ -520,7 +535,6 @@ func (s *Server) CreateSession(ctx context.Context, spec CreateSpec) (SessionInf
 			}
 			s.attachDurable(sess, log)
 		}
-		sh.sessions[spec.ID] = sess
 		s.index.Store(spec.ID, sess)
 		s.sessions.Add(1)
 		s.wmeChanges.Add(int64(sess.sys.TotalChanges)) // initial (make ...) forms
@@ -537,11 +551,7 @@ type SnapshotResult struct {
 // Snapshot forces a durable checkpoint of one session: the WAL resets
 // and recovery restarts from the state at this moment.
 func (s *Server) Snapshot(ctx context.Context, id string) (SnapshotResult, error) {
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (SnapshotResult, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return SnapshotResult{}, err
-		}
+	return dispatchSession(s, ctx, id, func(sess *session) (SnapshotResult, error) {
 		if sess.log == nil {
 			return SnapshotResult{}, badReqf("server: session %q is not durable (start psmd with -data-dir)", id)
 		}
@@ -567,12 +577,8 @@ func (s *Server) observeCycle(sess *session) func(obs.CycleSpan) {
 // state with it — a deleted session must not resurrect at the next
 // restart.
 func (s *Server) DeleteSession(ctx context.Context, id string) error {
-	return s.dispatch(ctx, id, func(sh *shard) error {
-		sess, err := sh.get(id)
-		if err != nil {
-			return err
-		}
-		s.unregister(sh, sess, true)
+	_, err := dispatchSession(s, ctx, id, func(sess *session) (struct{}, error) {
+		s.unregister(sess, true)
 		if sess.log != nil {
 			if err := sess.log.Close(); err != nil {
 				s.logger.Warn("wal close on delete", "session", id, "err", err)
@@ -581,17 +587,18 @@ func (s *Server) DeleteSession(ctx context.Context, id string) error {
 				s.logger.Warn("durable state removal", "session", id, "err", err)
 			}
 		}
-		return nil
+		return struct{}{}, nil
 	})
+	return err
 }
 
-// unregister takes a session out of service on its shard, the sequence
-// deletion and demotion share: its trace window moves to the archive
-// (so /trace keeps answering for recently evicted sessions), the WAL
-// sink and the replicator let go of it (deleted says whether its
-// replicas go too), and it leaves the maps. Its durable log is the
-// caller's to close.
-func (s *Server) unregister(sh *shard, sess *session, deleted bool) {
+// unregister takes a session out of service, the sequence deletion and
+// demotion share: its trace window moves to the archive (so /trace
+// keeps answering for recently evicted sessions), the WAL sink and the
+// replicator let go of it (deleted says whether its replicas go too),
+// and it leaves the session table. Its durable log is the caller's to
+// close.
+func (s *Server) unregister(sess *session, deleted bool) {
 	s.archive.put(TraceResult{
 		SessionID: sess.id,
 		Evicted:   true,
@@ -604,7 +611,6 @@ func (s *Server) unregister(sh *shard, sess *session, deleted bool) {
 			s.cfg.Replicator.SessionDown(sess.id, deleted)
 		}
 	}
-	delete(sh.sessions, sess.id)
 	s.index.Delete(sess.id)
 	s.sessions.Add(-1)
 }
@@ -612,20 +618,13 @@ func (s *Server) unregister(sh *shard, sess *session, deleted bool) {
 // Apply commits a batch of working-memory changes to a session and runs
 // its matcher once (one synchronization step).
 func (s *Server) Apply(ctx context.Context, id string, specs []ChangeSpec) (ApplyResult, error) {
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (ApplyResult, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return ApplyResult{}, err
-		}
-		sess.sys.Engine.TraceID = obs.TraceID(ctx)
+	return dispatchSession(s, ctx, id, func(sess *session) (ApplyResult, error) {
 		t0 := time.Now()
 		res, err := sess.apply(specs)
 		if err != nil {
 			return ApplyResult{}, err
 		}
 		s.matchSeconds.Observe(time.Since(t0).Seconds())
-		s.wmeChanges.Add(int64(res.Applied))
-		s.account(sess)
 		return res, nil
 	})
 }
@@ -634,49 +633,36 @@ func (s *Server) Apply(ctx context.Context, id string, specs []ChangeSpec) (Appl
 // advance, TTL expiries, asserts, then recognize-act cycles to
 // quiescence (see session.ingest). It is one shard dispatch — a shard
 // with QueueDepth callers already waiting surfaces BusyError, the
-// stream handler's connection-level backpressure signal. The caller
-// moved the batch onto the psmd_stream_lag_events gauge when it was
-// read; the gauge is given back here whether the batch applies or
-// fails.
+// stream handler's connection-level backpressure signal. A batch whose
+// events were committed counts as applied even when its cycles end in
+// an error (Batches is 1 beside the error). The caller moved the batch
+// onto the psmd_stream_lag_events gauge when it was read; the gauge is
+// given back here whether the batch applies or fails.
 func (s *Server) StreamApply(ctx context.Context, id string, events []EventSpec) (StreamResult, error) {
 	defer s.streamLag.Add(-int64(len(events)))
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (StreamResult, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return StreamResult{}, err
-		}
-		sess.sys.Engine.TraceID = obs.TraceID(ctx)
+	return dispatchSession(s, ctx, id, func(sess *session) (StreamResult, error) {
 		t0 := time.Now()
 		res, err := sess.ingest(ctx, events)
-		if err != nil {
-			return StreamResult{}, err
+		if res.Batches == 0 {
+			return res, err
 		}
 		s.matchSeconds.Observe(time.Since(t0).Seconds())
 		s.streamEvents.Add(int64(res.Events))
 		s.streamBatches.Inc()
-		s.cycles.Add(int64(res.Cycles))
-		s.firings.Add(int64(res.Fired))
-		s.wmeChanges.Add(int64(res.Events + res.Expired))
-		s.expiredWMEs.Add(int64(res.Expired))
-		s.account(sess)
 		sess.trace.Add(obs.CycleSpan{
 			TraceID: obs.TraceID(ctx), Kind: obs.SpanStream, Cycle: sess.sys.Cycles,
 			Start: t0, Match: time.Since(t0),
 			Fired: res.Fired, Changes: res.Events,
 			WMSize: res.WMSize, ConflictSize: res.ConflictSize,
 		})
-		return res, nil
+		return res, err
 	})
 }
 
 // streamState reports a session's stream state without applying
 // anything: what a stream that carried no event answers with.
 func (s *Server) streamState(ctx context.Context, id string) (StreamResult, error) {
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (StreamResult, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return StreamResult{}, err
-		}
+	return dispatchSession(s, ctx, id, func(sess *session) (StreamResult, error) {
 		return StreamResult{
 			SessionID:    id,
 			Clock:        sess.sys.Engine.Clock,
@@ -691,13 +677,29 @@ func (s *Server) streamState(ctx context.Context, id string) (StreamResult, erro
 // off the wire, before their batch reaches a shard.
 func (s *Server) StreamLagAdd(n int64) { s.streamLag.Add(n) }
 
-// account is the post-request accounting every session operation that
-// runs the engine ends with: the server-wide scheduler and loss metrics
-// advance by what the session's matcher counted since its previous
-// request. Labelled loss series appear on first observation — the
-// phase vocabulary belongs to the matcher, not the server.
-// Owned-goroutine only.
-func (s *Server) account(sess *session) {
+// engineCounts are the engine's four cumulative counters that the
+// server-wide totals follow.
+type engineCounts struct{ changes, fired, cycles, expired int }
+
+func countsOf(eng *engine.Engine) engineCounts {
+	return engineCounts{eng.TotalChanges, eng.Fired, eng.Cycles, eng.Expired}
+}
+
+// account ends every session operation (dispatchSession): the four
+// server-wide engine counters advance by what the session's engine
+// committed since before, and, when any of them moved, the scheduler
+// and loss metrics by what its matcher counted since the previous
+// account. Labelled loss series appear on first observation — the phase
+// vocabulary belongs to the matcher, not the server. Turn holder only.
+func (s *Server) account(sess *session, before engineCounts) {
+	now := countsOf(sess.sys.Engine)
+	if now == before {
+		return
+	}
+	s.wmeChanges.Add(int64(now.changes - before.changes))
+	s.firings.Add(int64(now.fired - before.fired))
+	s.cycles.Add(int64(now.cycles - before.cycles))
+	s.expiredWMEs.Add(int64(now.expired - before.expired))
 	st, pk, wk := sess.schedDeltas()
 	s.steals.Add(st)
 	s.parks.Add(pk)
@@ -749,29 +751,16 @@ func (s *Server) taskCounter(le string) *stats.Counter {
 // degradation, reported through RunResult.LimitHit rather than an
 // error.
 func (s *Server) RunCycles(ctx context.Context, id string, maxCycles int) (RunResult, error) {
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (RunResult, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return RunResult{}, err
-		}
+	return dispatchSession(s, ctx, id, func(sess *session) (RunResult, error) {
 		limit := maxCycles
 		if q := sess.quota.MaxCyclesPerRequest; q > 0 && (limit <= 0 || limit > q) {
 			limit = q
 		}
 		eng := sess.sys.Engine
-		// Stamp (or clear) the span label here rather than relying on
-		// RunContext's pickup, so an earlier request's ID never
-		// lingers on later spans.
-		eng.TraceID = obs.TraceID(ctx)
-		changesBefore, firedBefore, expiredBefore := eng.TotalChanges, eng.Fired, eng.Expired
+		firedBefore := eng.Fired
 		t0 := time.Now()
 		n, err := eng.RunContext(ctx, limit)
 		s.runSeconds.Observe(time.Since(t0).Seconds())
-		s.cycles.Add(int64(n))
-		s.firings.Add(int64(eng.Fired - firedBefore))
-		s.wmeChanges.Add(int64(eng.TotalChanges - changesBefore))
-		s.expiredWMEs.Add(int64(eng.Expired - expiredBefore))
-		s.account(sess)
 		if err != nil && !errors.Is(err, engine.ErrCycleLimit) {
 			return RunResult{}, err
 		}
@@ -791,11 +780,7 @@ func (s *Server) RunCycles(ctx context.Context, id string, maxCycles int) (RunRe
 // Conflicts returns the session's conflict set in deterministic (LEX)
 // order.
 func (s *Server) Conflicts(ctx context.Context, id string) ([]InstInfo, error) {
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) ([]InstInfo, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return nil, err
-		}
+	return dispatchSession(s, ctx, id, func(sess *session) ([]InstInfo, error) {
 		insts := sess.sys.CS.Instantiations()
 		out := make([]InstInfo, 0, len(insts))
 		for _, inst := range insts {
@@ -814,11 +799,7 @@ func (s *Server) Conflicts(ctx context.Context, id string) ([]InstInfo, error) {
 // WM returns the session's working memory, optionally filtered by
 // class, ordered by time tag.
 func (s *Server) WM(ctx context.Context, id, class string) ([]WMEInfo, error) {
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) ([]WMEInfo, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return nil, err
-		}
+	return dispatchSession(s, ctx, id, func(sess *session) ([]WMEInfo, error) {
 		wmes := sess.sys.WM.Elements()
 		if class != "" {
 			wmes = sess.sys.WM.OfClass(class)
@@ -833,25 +814,24 @@ func (s *Server) WM(ctx context.Context, id, class string) ([]WMEInfo, error) {
 
 // SessionStats snapshots one session.
 func (s *Server) SessionStats(ctx context.Context, id string) (SessionInfo, error) {
-	return dispatchShard(s, ctx, s.shardFor(id), func(sh *shard) (SessionInfo, error) {
-		sess, err := sh.get(id)
-		if err != nil {
-			return SessionInfo{}, err
-		}
-		return sess.info(sh.id, time.Now()), nil
+	return dispatchSession(s, ctx, id, func(sess *session) (SessionInfo, error) {
+		return sess.info(s.shardFor(id).id, time.Now()), nil
 	})
 }
 
-// Sessions snapshots every live session, shard by shard.
+// Sessions snapshots every live session, shard by shard: each shard's
+// sessions are read while its turn is held.
 func (s *Server) Sessions(ctx context.Context) ([]SessionInfo, error) {
 	out := []SessionInfo{} // no sessions lists as [], not null
 	for _, sh := range s.shards {
-		infos, err := dispatchShard(s, ctx, sh, func(sh *shard) ([]SessionInfo, error) {
+		infos, err := dispatchShard(s, ctx, sh, func(sh *shard) (infos []SessionInfo, _ error) {
 			now := time.Now()
-			infos := make([]SessionInfo, 0, len(sh.sessions))
-			for _, sess := range sh.sessions {
-				infos = append(infos, sess.info(sh.id, now))
-			}
+			s.index.Range(func(_, v any) bool {
+				if sess := v.(*session); s.shardFor(sess.id) == sh {
+					infos = append(infos, sess.info(sh.id, now))
+				}
+				return true
+			})
 			return infos, nil
 		})
 		if err != nil {

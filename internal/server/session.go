@@ -453,7 +453,9 @@ func (s *session) apply(specs []ChangeSpec) (ApplyResult, error) {
 // run recognize-act cycles to quiescence (bounded by the session's
 // per-request cycle quota and the request deadline). One batch is one
 // continuous Apply wave — the traffic shape streaming adds over the
-// batch API.
+// batch API. Once the events are committed, the result (Batches 1)
+// comes back even beside an error from the cycles: the batch stays
+// applied.
 func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult, error) {
 	eng := s.sys.Engine
 	var maxTS int64
@@ -481,9 +483,9 @@ func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult,
 	firedBefore, cyclesBefore, expiredBefore := eng.Fired, eng.Cycles, eng.Expired
 	eng.AdvanceClock(maxTS)
 	s.sys.ApplyChanges(changes)
-	if _, err := eng.RunContext(ctx, s.quota.MaxCyclesPerRequest); err != nil &&
-		!errors.Is(err, engine.ErrCycleLimit) {
-		return StreamResult{}, err
+	_, err := eng.RunContext(ctx, s.quota.MaxCyclesPerRequest)
+	if errors.Is(err, engine.ErrCycleLimit) {
+		err = nil
 	}
 	return StreamResult{
 		SessionID:    s.id,
@@ -495,7 +497,7 @@ func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult,
 		Clock:        eng.Clock,
 		WMSize:       s.sys.WM.Size(),
 		ConflictSize: s.sys.CS.Len(),
-	}, nil
+	}, err
 }
 
 // The delta functions below feed the server-wide counters, owned-
