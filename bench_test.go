@@ -598,17 +598,55 @@ func BenchmarkMissManners(b *testing.B) {
 // mannersAllocsCeiling is the allocation count of one Manners solve.
 // Go's allocation counts are deterministic, so any rise is a code
 // change, not noise. It was 2,594 while rete.Plan also held every test
-// as a closure; deleting the closures took it to 2,567. A change that
-// lowers the count lowers this number in the same diff.
-const mannersAllocsCeiling = 2567
+// as a closure; deleting the closures took it to 2,567, and building
+// join outputs into the tokens deletes freed took it to 2,042. A change
+// that lowers the count lowers this number in the same diff.
+const mannersAllocsCeiling = 2042
+
+// mannersPreteAllocsCeiling is the allocation count of one Manners solve
+// through core.NewSystem on a one-lane parallel matcher, parse and
+// compile included. It was set at the count measured when the parallel
+// matcher began to recycle tokens and hand back the instantiation an
+// insert announced; lower it in the change that lowers the count.
+const mannersPreteAllocsCeiling = 2312
+
+// mannersSystemSolve runs one Manners solve through core.NewSystem on
+// the given matcher (one lane, for the parallel one), as psmd builds a
+// session: parse and compile included.
+func mannersSystemSolve(tb testing.TB, kind core.MatcherKind) {
+	wmes, err := workload.MannersWM(workload.DefaultMannersParams())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := core.NewSystem(workload.MissManners, core.Options{Matcher: kind, Workers: 1, MaxCycles: 5000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys.Assert(wmes...)
+	if _, err := sys.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	if !sys.Halted {
+		tb.Fatal("manners did not finish")
+	}
+}
 
 // TestMannersAllocs gates the serial matcher's allocations per Manners
-// solve at mannersAllocsCeiling.
+// solve at mannersAllocsCeiling and a one-lane parallel matcher's at
+// mannersPreteAllocsCeiling, and logs the latter's ratio to serial Rete
+// solving through the same harness.
 func TestMannersAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(5, func() { mannersSolve(t) })
 	t.Logf("%.0f allocs per Manners solve (ceiling %d)", got, mannersAllocsCeiling)
 	if got > mannersAllocsCeiling {
 		t.Errorf("%.0f allocs per Manners solve, above the ceiling of %d", got, mannersAllocsCeiling)
+	}
+	serial := testing.AllocsPerRun(5, func() { mannersSystemSolve(t, core.SerialRete) })
+	lane := testing.AllocsPerRun(5, func() { mannersSystemSolve(t, core.ParallelRete) })
+	t.Logf("core.NewSystem: serial Rete %.0f, one-lane prete %.0f allocs per Manners solve (ratio %.3f, ceiling %d)",
+		serial, lane, lane/serial, mannersPreteAllocsCeiling)
+	if lane > mannersPreteAllocsCeiling {
+		t.Errorf("%.0f allocs per Manners solve on one-lane prete, above the ceiling of %d", lane, mannersPreteAllocsCeiling)
 	}
 }
 
@@ -616,9 +654,11 @@ func TestMannersAllocs(t *testing.T) {
 // parallel matcher replaying dispatchScript into a fresh matcher,
 // instantiations included (one lane, so the count is exact). It was
 // 27.92 while a delete built the token it retracts; naming the stored
-// token instead took it to 19.15. A change that lowers the count lowers
+// token instead took it to 19.15, and building join outputs into
+// recycled tokens and handing removals the instantiation their insert
+// announced took it to 9.281. A change that lowers the count lowers
 // this number in the same diff.
-const preteAllocsCeiling = 19.15
+const preteAllocsCeiling = 9.29
 
 // TestPreteAllocs gates the parallel matcher's allocations per change on
 // the bulk_prete shape at preteAllocsCeiling and logs the serial

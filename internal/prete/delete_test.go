@@ -66,9 +66,14 @@ func TestEarlyDeleteAnnihilatesLateInsert(t *testing.T) {
 	if got := f.leftBuckets(); got != 1 {
 		t.Fatalf("after the early delete: %d live left buckets, want the pending cancel's 1", got)
 	}
-	m.runLeft(f.g, base.Extend(f.wb), nil, ops5.Insert, w, 0)
+	late := base.Extend(f.wb)
+	late.Hold(1) // the reference propagate's emit would carry
+	m.runLeft(f.g, late, nil, ops5.Insert, w, 0)
 	if got := f.leftBuckets(); got != 0 {
 		t.Errorf("after the late insert: %d live left buckets, want 0", got)
+	}
+	if len(w.retired) != 2 || w.retired[0] != late || w.retired[1] == late {
+		t.Errorf("retired %v, want the late insert's token and then the pending cancel's", w.retired)
 	}
 	if len(w.pending) != 0 {
 		t.Errorf("%d conflict-set deltas emitted, want none", len(w.pending))
@@ -91,16 +96,20 @@ func TestDeleteResolvesStoredToken(t *testing.T) {
 	m.runRight(f.last, f.wc, ops5.Insert, w, 0)
 	base := (&rete.Token{}).Extend(f.wa)
 	stored := base.Extend(f.wb)
-	// One cycle first, so that the lane's delta buffer has grown.
+	// One cycle first, so that the lane's delta and retired buffers have
+	// grown. Each insert carries the reference propagate's emit would.
+	stored.Hold(1)
 	m.runLeft(f.g, stored, nil, ops5.Insert, w, 0)
 	m.runLeft(f.g, base, f.wb, ops5.Delete, w, 0)
 	w.pending = w.pending[:0]
+	w.retired = w.retired[:0]
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
 	const runs = 20
 	var allocs uint64
 	for i := 0; i < runs; i++ {
+		stored.Hold(1)
 		m.runLeft(f.g, stored, nil, ops5.Insert, w, 0)
 		if len(w.pending) != 1 {
 			t.Fatalf("insert emitted %d deltas, want 1", len(w.pending))
@@ -124,8 +133,12 @@ func TestDeleteResolvesStoredToken(t *testing.T) {
 		if got := f.leftBuckets(); got != 0 {
 			t.Fatalf("%d live left buckets after the delete, want 0", got)
 		}
+		if len(w.retired) != 1 || w.retired[0] != stored {
+			t.Fatalf("retired %v, want the stored token once", w.retired)
+		}
 		clear(w.pending)
 		w.pending = w.pending[:0]
+		w.retired = w.retired[:0]
 	}
 	if allocs != 0 {
 		t.Errorf("%d allocations over %d deletes of a stored token, want 0", allocs, runs)

@@ -32,17 +32,21 @@
 //     scheduler (sched.go) standing in for the paper's hardware task
 //     scheduler: Apply's caller runs lane 0 and hands the other lanes
 //     to idle helpers of one process-wide pool, borrowed per batch.
-//   - An activation allocates only the tokens its inserts emit, one per
-//     (token, WME) pair that passes a join. Join keys and token
-//     identities are uint64 hashes (shared with the serial matcher's
-//     indexes), memory entries are pooled, and conflict-set deltas
-//     batch per worker until the flush merge. A delete allocates
-//     nothing: it names the token it retracts as (base token, WME) and
-//     each memory below resolves that pair to the token it stored, as
-//     the serial matcher's betaDeleteExt does. The one exception is a
-//     delete that reaches a memory ahead of the insert it undoes, on
-//     another lane: it builds the token, for the pending cancel must
-//     hold one for that insert to find.
+//   - An activation allocates nothing once the matcher has warmed up.
+//     Join keys and token identities are uint64 hashes (shared with the
+//     serial matcher's indexes), memory entries are pooled, and
+//     conflict-set deltas batch per worker until the flush merge. A
+//     delete names the token it retracts as (base token, WME) and each
+//     memory below resolves that pair to the token it stored, as the
+//     serial matcher's betaDelete does; so does an insert that only
+//     terminals read. An insert that left memories read is built into a
+//     recycled token: a token counts the memory entries and emits that
+//     hold it, and one no longer held returns to the matcher's pool at
+//     the next batch barrier (tokens.go). The only other token built is
+//     for a delete that reaches a memory ahead of the insert it undoes,
+//     on another lane: its pending cancel must hold one for that insert
+//     to find. A removal hands the conflict set the instantiation its
+//     insert announced (rete.Live).
 //   - Task granularity is adaptive. Sibling right-activations of one
 //     WME (the successors of one alpha memory) seed as a single
 //     multi-activation task; an activation's downstream activations run
@@ -348,6 +352,11 @@ type Matcher struct {
 
 	// bypassBelow is the resolved serial-bypass threshold (0 disables).
 	bypassBelow int
+	// pool holds the tokens no memory holds, for the lanes to build join
+	// outputs into (tokens.go); live holds the instantiations in the
+	// conflict set, for flush to hand back on removal.
+	pool tokenPool
+	live rete.Live
 	// seedMems and flushBuf are Apply-only scratch, reused across
 	// batches so seeding and flushing allocate nothing steady-state.
 	seedMems []*rete.AlphaNode
@@ -394,8 +403,9 @@ func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
 		prof:        make([]rete.NodeProf, len(plan.Joins)),
 		lanes:       make([]laneBooks, workers),
 		bypassBelow: bypass,
+		live:        make(rete.Live, len(plan.Terminals)),
 	}
-	m.sched = newScheduler(workers, !cfg.NoSteal, len(m.nodes))
+	m.sched = newScheduler(workers, !cfg.NoSteal, len(m.nodes), &m.pool)
 
 	// One left memory per key of each beta memory (and one for its
 	// unkeyed readers) for the positive joins; a private one for each
@@ -435,6 +445,7 @@ func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
 	// zero against its empty right memory.
 	for _, g := range groupsOf[0] {
 		empty := &rete.Token{}
+		empty.Hold(1) // the entry's, never released
 		g.stripes[0].left.Add(empty.IDHash(), leftEntry{tok: empty, id: empty.IDHash(), count: 1})
 	}
 	m.roots = make([][]*pnode, len(plan.Alphas))
@@ -608,6 +619,7 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 	clear(mems)
 	m.seedMems = mems[:0]
 	ins, rem := m.flush(inOrder)
+	m.pool.reclaim(s.workers)
 	t3 := nanotime()
 	m.mu.Lock()
 	for i := range s.workers {
@@ -734,18 +746,18 @@ func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *work
 			switch {
 			case !negated:
 				for c := e.count; c > 0; c-- {
-					emits = append(emits, joined(n, e.tok, wme, dir))
+					emits = append(emits, w.joined(n, e.tok, wme, dir))
 				}
 			case dir == ops5.Insert:
 				if e.matches++; e.matches == 1 {
 					for c := e.count; c > 0; c-- {
-						emits = append(emits, emit{node: n, tok: e.tok, dir: ops5.Delete})
+						emits = append(emits, passed(n, e.tok, ops5.Delete))
 					}
 				}
 			default:
 				if e.matches--; e.matches == 0 {
 					for c := e.count; c > 0; c-- {
-						emits = append(emits, emit{node: n, tok: e.tok, dir: ops5.Insert})
+						emits = append(emits, passed(n, e.tok, ops5.Insert))
 					}
 				}
 			}
@@ -760,13 +772,29 @@ func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *work
 	m.propagate(emits, w, depth)
 }
 
-// joined is a join's output for a token and a WME that pass it: an
-// insert builds the extended token, a delete names it by the pair.
-func joined(n *pnode, tok *rete.Token, wme *ops5.WME, dir ops5.ChangeKind) emit {
-	if dir == ops5.Insert {
-		return emit{node: n, tok: tok.Extend(wme), dir: dir}
+// joined is a join's output for a token and a WME that pass it. A
+// delete names its token by the pair, and so does an insert that only
+// terminals read; an insert feeding left memories builds the extended
+// token on the lane, holding a reference for each of them.
+func (w *worker) joined(n *pnode, tok *rete.Token, wme *ops5.WME, dir ops5.ChangeKind) emit {
+	if dir == ops5.Delete || len(n.down) == 0 {
+		return emit{node: n, tok: tok, wme: wme, dir: dir}
 	}
-	return emit{node: n, tok: tok, wme: wme, dir: dir}
+	nt := w.token()
+	tok.ExtendInto(nt, wme)
+	nt.Hold(len(n.down))
+	return emit{node: n, tok: nt, dir: dir}
+}
+
+// passed is a not-node's output: its left token, passed on in either
+// direction, holding a reference for each left memory below. It is
+// called under the stripe lock of the entry that holds the token, so the
+// token cannot be retired before the references are taken.
+func passed(n *pnode, tok *rete.Token, dir ops5.ChangeKind) emit {
+	if len(n.down) > 0 {
+		tok.Hold(len(n.down))
+	}
+	return emit{node: n, tok: tok, dir: dir}
 }
 
 // runLeft executes the left activation of group g by token tok, or by
@@ -777,13 +805,10 @@ func joined(n *pnode, tok *rete.Token, wme *ops5.WME, dir ops5.ChangeKind) emit 
 // token the bucket holds.
 func (m *Matcher) runLeft(g *group, tok *rete.Token, ext *ops5.WME, dir ops5.ChangeKind, w *worker, depth int) {
 	keyed := g.leftHash != nil
-	id, probe := tok.IDHash(), tok
-	if ext != nil {
-		id = tok.ExtIDHash(ext)
-		if keyed {
-			tok.ExtendInto(&w.scratch, ext)
-			probe = &w.scratch
-		}
+	id, probe := tok.ExtIDHash(ext), tok
+	if ext != nil && keyed {
+		tok.ExtendInto(&w.scratch, ext)
+		probe = &w.scratch
 	}
 	key, own := uint64(0), id
 	if keyed {
@@ -794,7 +819,7 @@ func (m *Matcher) runLeft(g *group, tok *rete.Token, ext *ops5.WME, dir ops5.Cha
 	st := &g.stripes[si]
 	emits := w.emits[depth][:0]
 	w.lock(st)
-	tok, e, hadMatches, cancelled := updateLeft(&st.left, own, id, tok, ext, dir)
+	tok, e, hadMatches, cancelled := w.updateLeft(&st.left, own, id, tok, ext, dir)
 	if cancelled {
 		w.cancellations++
 	}
@@ -820,7 +845,7 @@ func (m *Matcher) runLeft(g *group, tok *rete.Token, ext *ops5.WME, dir ops5.Cha
 					}
 					matches += re.count
 					for c := re.count; c > 0 && !negated; c-- {
-						emits = append(emits, joined(n, tok, re.wme, dir))
+						emits = append(emits, w.joined(n, tok, re.wme, dir))
 					}
 				}
 			}
@@ -829,7 +854,7 @@ func (m *Matcher) runLeft(g *group, tok *rete.Token, ext *ops5.WME, dir ops5.Cha
 					e.matches = matches
 				}
 				if matches == 0 {
-					emits = append(emits, emit{node: n, tok: tok, dir: dir})
+					emits = append(emits, passed(n, tok, dir))
 				}
 			}
 		}
@@ -841,6 +866,9 @@ func (m *Matcher) runLeft(g *group, tok *rete.Token, ext *ops5.WME, dir ops5.Cha
 	st.mu.Unlock()
 	w.executed++
 	m.propagate(emits, w, depth)
+	if e == nil {
+		w.release(tok) // the unlinked entry's reference, once what it forwarded is on its way
+	}
 }
 
 // propagate hands an activation's outputs on: conflict deltas batch on
@@ -869,15 +897,18 @@ func (m *Matcher) propagate(emits []emit, w *worker, depth int) {
 }
 
 // updateLeft applies a counted insert or delete to a left table under
-// lookup key k. The token is tok, or tok extended by ext when ext is
-// non-nil; id is its identity hash. It returns the token the table
-// holds for it, and reports whether the operation was annihilated by an
-// earlier opposite one (then neither propagates), the entry's matches
-// count before the update, and the entry itself when it remains in the
-// table (valid until the table's next Add). A pair is built into a token
-// only when no entry holds it — a delete ahead of its insert, whose
-// pending cancel must hold the token that insert will look for.
-func updateLeft(b *bucket.Buckets[leftEntry], k, id uint64, tok *rete.Token, ext *ops5.WME, dir ops5.ChangeKind) (stored *rete.Token, e *leftEntry, hadMatches int32, cancelled bool) {
+// lookup key k on lane w. The token is tok, or tok extended by ext when
+// ext is non-nil; id is its identity hash. It returns the token the
+// table holds for it, and reports whether the operation was annihilated
+// by an earlier opposite one (then neither propagates), the entry's
+// matches count before the update, and the entry itself when it remains
+// in the table (valid until the table's next Add) — nil when the update
+// unlinked it, and the caller owes the stored token's reference. A pair
+// is built into a token only when no entry holds it — a delete ahead of
+// its insert, whose pending cancel must hold the token that insert will
+// look for. A token-form tok brings a reference: a new entry keeps it,
+// anything else releases it.
+func (w *worker) updateLeft(b *bucket.Buckets[leftEntry], k, id uint64, tok *rete.Token, ext *ops5.WME, dir ops5.ChangeKind) (stored *rete.Token, e *leftEntry, hadMatches int32, cancelled bool) {
 	delta := int32(1)
 	if dir == ops5.Delete {
 		delta = -1
@@ -885,10 +916,13 @@ func updateLeft(b *bucket.Buckets[leftEntry], k, id uint64, tok *rete.Token, ext
 	prev := int32(-1)
 	for i := b.Head(k); i >= 0; prev, i = i, b.Next(i) {
 		e = b.At(i)
-		if e.id != id || !sameToken(e.tok, tok, ext) {
+		if e.id != id || !rete.ExtEqual(e.tok, tok, ext) {
 			continue
 		}
 		stored, hadMatches = e.tok, e.matches
+		if ext == nil {
+			w.release(tok)
+		}
 		cancelled = annihilated(&e.count, delta)
 		if e.count == 0 {
 			b.Unlink(k, prev, i)
@@ -897,19 +931,13 @@ func updateLeft(b *bucket.Buckets[leftEntry], k, id uint64, tok *rete.Token, ext
 		return stored, e, hadMatches, cancelled
 	}
 	if ext != nil {
-		tok = tok.Extend(ext)
+		nt := w.token()
+		tok.ExtendInto(nt, ext)
+		nt.Hold(1)
+		tok = nt
 	}
 	i := b.Add(k, leftEntry{tok: tok, id: id, count: delta})
 	return tok, b.At(i), 0, delta < 0
-}
-
-// sameToken reports whether t is tok — tok extended by ext, when ext is
-// non-nil.
-func sameToken(t, tok *rete.Token, ext *ops5.WME) bool {
-	if ext != nil {
-		return rete.ExtEqual(t, tok, ext)
-	}
-	return t.EqualTo(tok)
 }
 
 // annihilated applies delta to a multiset count and reports whether the
@@ -952,11 +980,7 @@ func updateRight(b *bucket.Buckets[rightEntry], k uint64, wme *ops5.WME, dir ops
 // any two deltas of different instantiations, hash collisions apart, and
 // is the same whichever form names the token.
 func mergeKey(term *rete.Terminal, tok *rete.Token, wme *ops5.WME) uint64 {
-	id := tok.IDHash()
-	if wme != nil {
-		id = tok.ExtIDHash(wme)
-	}
-	return id ^ uint64(term.ID)
+	return tok.ExtIDHash(wme) ^ uint64(term.ID)
 }
 
 // deltaCmp orders pending deltas by (merge key, terminal, token identity)
@@ -1046,13 +1070,14 @@ func (m *Matcher) flush(inOrder bool) (ins, rem int64) {
 	return ins, rem
 }
 
-// announce hands one conflict-set delta to its callback.
+// announce hands one conflict-set delta to its callback: an insert's
+// instantiation is built and filed in the live table, a removal's is
+// the one its insert filed.
 func (m *Matcher) announce(d pendingDelta, dir ops5.ChangeKind) {
-	on := m.OnInsert
-	if dir == ops5.Delete {
-		on = m.OnRemove
-	}
-	if on != nil {
-		on(d.term.InstantiateExt(d.tok, d.wme))
+	switch {
+	case dir == ops5.Insert && m.OnInsert != nil:
+		m.OnInsert(m.live.Insert(d.term, d.tok, d.wme))
+	case dir == ops5.Delete && m.OnRemove != nil:
+		m.OnRemove(m.live.Take(d.term, d.tok, d.wme))
 	}
 }

@@ -190,15 +190,16 @@ func TestWorkerCountIndependence(t *testing.T) {
 	}
 }
 
-// TestApplySteadyStateAllocs bounds what Apply allocates once its tables
-// and scratch have grown, on a fan-out program (siblings sharing left
-// memories): an insert batch may allocate the tokens its joins emit and
-// nothing else — no memory entry, bucket, task, seed list or counter —
-// and a delete batch nothing at all, for a delete names the token it
-// retracts by its base token and WME instead of building it. With no
-// conflict-set callbacks wired, flush builds no instantiation, so the
-// insert batch's per-node PairsEmitted count is its whole allowance
-// (not-node emits pass their input token on, which only leaves slack).
+// TestApplySteadyStateAllocs bounds what Apply allocates once its tables,
+// scratch and token pool have grown, on a fan-out program (siblings
+// sharing left memories): nothing — no memory entry, bucket, task, seed
+// list or counter — in an insert batch or a delete batch. A delete names
+// the token it retracts by its base token and WME instead of building
+// it, and the tokens an insert batch's joins emit are built into the ones
+// the previous delete batch freed. With no conflict-set callbacks wired,
+// flush builds no instantiation. It was "tokens emitted + 2" per insert
+// batch while every emitted token was a new allocation; it is 2 on one
+// lane, and on more lanes a refill chunk per extra lane may be stranded.
 func TestApplySteadyStateAllocs(t *testing.T) {
 	params := matchtest.FanOutGenParams(8)
 	params.Productions = 16
@@ -237,8 +238,12 @@ func TestApplySteadyStateAllocs(t *testing.T) {
 		if tokens == 0 {
 			t.Fatalf("%+v: the insert batch emitted no tokens", cfg)
 		}
-		if insAllocs > tokens+2 {
-			t.Errorf("%+v: %.1f allocs per insert batch, want at most the %.0f tokens emitted + 2", cfg, insAllocs, tokens)
+		// A lane may keep a refill chunk it does not use while another
+		// finds the pool empty and builds new tokens, so a batch on
+		// several lanes may still add a chunk per extra lane to the pool.
+		budget := 2 + float64((m.Workers()-1)*prete.PoolChunk)
+		if insAllocs > budget {
+			t.Errorf("%+v: %.1f allocs per insert batch of %.0f emitted tokens, want at most %.0f", cfg, insAllocs, tokens, budget)
 		}
 		if delAllocs > 2 {
 			t.Errorf("%+v: %.1f allocs per delete batch, want at most 2", cfg, delAllocs)

@@ -177,6 +177,12 @@ type worker struct {
 	// scratch holds the token a delete names as a pair while runLeft
 	// hashes its join key; it is never stored.
 	scratch rete.Token
+	// pool, cache, retired and dry are the lane's side of the token
+	// pool (tokens.go).
+	pool    *tokenPool
+	cache   []*rete.Token
+	retired []*rete.Token
+	dry     bool
 
 	// seedLo and seedHi bound the run of seeds this lane has claimed
 	// and not yet run (claimSeed).
@@ -261,12 +267,13 @@ type scheduler struct {
 	bypasses atomic.Int64
 }
 
-func newScheduler(workers int, steal bool, nodes int) *scheduler {
+func newScheduler(workers int, steal bool, nodes int, pool *tokenPool) *scheduler {
 	s := &scheduler{workers: make([]worker, workers), steal: steal}
 	s.cond = sync.NewCond(&s.parkMu)
 	for i := range s.workers {
 		s.workers[i].rng = uint32(i)*2654435761 + 1
 		s.workers[i].prof = make([]rete.NodeProf, nodes)
+		s.workers[i].pool = pool
 	}
 	return s
 }

@@ -281,9 +281,9 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCt
 			if j.Eval(tok, w) {
 				emitted++
 				if ctx.dir == ops5.Insert {
-					n.betaInsert(j.Out, tok.Extend(w), ctx, seq)
+					n.betaInsert(j.Out, n.extend(tok, w), ctx, seq)
 				} else {
-					n.betaDeleteExt(j.Out, tok, w, ctx, seq)
+					n.betaDelete(j.Out, tok, w, ctx, seq)
 				}
 			}
 		}
@@ -308,7 +308,7 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCt
 				rec.count++
 				if rec.count == 1 {
 					emitted++
-					n.betaDelete(j.Out, rec.tok, ctx, seq)
+					n.betaDelete(j.Out, rec.tok, nil, ctx, seq)
 				}
 			case ops5.Delete:
 				rec.count--
@@ -365,9 +365,9 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 			if j.Eval(tok, w) {
 				emitted++
 				if dir == ops5.Insert {
-					n.betaInsert(j.Out, tok.Extend(w), ctx, seq)
+					n.betaInsert(j.Out, n.extend(tok, w), ctx, seq)
 				} else {
-					n.betaDeleteExt(j.Out, tok, w, ctx, seq)
+					n.betaDelete(j.Out, tok, w, ctx, seq)
 				}
 			}
 		}
@@ -414,7 +414,7 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 					st.negCount--
 					if count == 0 {
 						emitted++
-						n.betaDelete(j.Out, tok, ctx, seq)
+						n.betaDelete(j.Out, tok, nil, ctx, seq)
 					}
 					found = true
 				}
@@ -426,7 +426,7 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 						st.negRecords = append(st.negRecords[:idx], st.negRecords[idx+1:]...)
 						if count == 0 {
 							emitted++
-							n.betaDelete(j.Out, tok, ctx, seq)
+							n.betaDelete(j.Out, tok, nil, ctx, seq)
 						}
 						found = true
 						break
@@ -458,35 +458,42 @@ func (n *Network) betaInsert(b *BetaNode, tok *Token, ctx *applyCtx, parent int6
 	n.propagate(b, &m, ops5.Insert, ctx, parent)
 }
 
-// betaDelete removes a token and propagates the removal.
-func (n *Network) betaDelete(b *BetaNode, tok *Token, ctx *applyCtx, parent int64) {
-	stored, ok := n.betas[b.Index].remove(tok.id, tok.EqualTo, (*Token).IDHash)
-	n.betaRemoved(b, stored, ok, ctx, parent)
-}
-
-// betaDeleteExt removes the token formed by base plus w and propagates
-// the removal using the stored token: the delete-path counterpart of
-// betaInsert(base.Extend(w)), without the token allocation.
-func (n *Network) betaDeleteExt(b *BetaNode, base *Token, w *ops5.WME, ctx *applyCtx, parent int64) {
-	stored, ok := n.betas[b.Index].remove(base.ExtIDHash(w),
-		func(t *Token) bool { return ExtEqual(t, base, w) }, (*Token).IDHash)
-	n.betaRemoved(b, stored, ok, ctx, parent)
-}
-
-// betaRemoved finishes a token removal: the stored token leaves the
-// memory's indexes — by the pointer they hold — and the removal
-// propagates.
-func (n *Network) betaRemoved(b *BetaNode, stored *Token, ok bool, ctx *applyCtx, parent int64) {
+// betaDelete removes the token formed by base plus w (base itself when
+// w is nil) — the delete-path counterpart of betaInsert(base.Extend(w)),
+// without building the token. The stored token leaves the memory's
+// indexes, by the pointer they hold, and the removal propagates. A
+// memory that owns the token then frees it: by now every not-node
+// record, pass-through memory and conflict-set entry below has let go of
+// it.
+func (n *Network) betaDelete(b *BetaNode, base *Token, w *ops5.WME, ctx *applyCtx, parent int64) {
+	bm := &n.betas[b.Index]
+	stored, ok := bm.remove(base.ExtIDHash(w), func(t *Token) bool { return ExtEqual(t, base, w) }, (*Token).IDHash)
 	if !ok {
 		n.Stats.Anomalies++
 		return
 	}
 	m := keyMemo[*Token]{x: stored, keys: b.Keys}
-	indexes := n.betas[b.Index].indexes
-	for i := range indexes {
-		indexes[i].remove(&m, i)
+	for i := range bm.indexes {
+		bm.indexes[i].remove(&m, i)
 	}
 	n.propagate(b, &m, ops5.Delete, ctx, parent)
+	if b.Owns {
+		n.free = append(n.free, stored.Recycle())
+	}
+}
+
+// extend returns tok extended by w, built into a freed token when there
+// is one.
+func (n *Network) extend(tok *Token, w *ops5.WME) *Token {
+	k := len(n.free) - 1
+	if k < 0 {
+		n.built++
+		return tok.Extend(w)
+	}
+	nt := n.free[k]
+	n.free = n.free[:k]
+	tok.ExtendInto(nt, w)
+	return nt
 }
 
 // propagate left-activates the joins and terminals below a beta memory.
@@ -503,20 +510,14 @@ func (n *Network) propagate(b *BetaNode, m *keyMemo[*Token], dir ops5.ChangeKind
 func (n *Network) terminalActivate(t *Terminal, tok *Token, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
 	n.Stats.Activations[KindTerm]++
-	live := &n.live[t.Index]
-	var inst *ops5.Instantiation
 	if dir == ops5.Insert {
-		inst = t.Instantiate(tok)
-		live.Add(tok.id, liveInst{tok: tok, inst: inst})
+		inst := n.live.Insert(t, tok, nil)
 		n.Stats.ConflictInserts++
 		if n.OnInsert != nil {
 			n.OnInsert(inst)
 		}
 	} else {
-		inst = liveTake(live, tok)
-		if inst == nil {
-			inst = t.Instantiate(tok)
-		}
+		inst := n.live.Take(t, tok, nil)
 		n.Stats.ConflictRemoves++
 		if n.OnRemove != nil {
 			n.OnRemove(inst)

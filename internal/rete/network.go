@@ -3,42 +3,42 @@ package rete
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/bucket"
 	"repro/internal/ops5"
 )
 
 // Token is a sequence of WMEs matching the positive condition elements
-// processed so far, in LHS order. Tokens are immutable; extension copies.
-// Short tokens (the overwhelmingly common case) store their WMEs in the
-// inline arr, so extension is a single allocation (the struct fills the
-// 80-byte size class exactly).
+// processed so far, in LHS order. A token is immutable while any memory
+// holds it; a matcher recycles it only once none does, by building the
+// next join output into it (ExtendInto). Short tokens (the overwhelmingly
+// common case) store their WMEs in the inline arr, so a fresh token is a
+// single allocation (the struct fills the 80-byte size class exactly)
+// and a recycled one keeps whatever storage it grew.
 type Token struct {
 	WMEs []*ops5.WME
-	arr  [6]*ops5.WME
+	arr  [5]*ops5.WME
 	// id is the identity hash: the WMEs' time tags folded in order, the
 	// parent's id extended by one tag at Extend, so no lookup ever walks
 	// the tag list again. The zero Token is the empty token.
 	id uint64
+	// refs counts the parallel matcher's holders of the token: memory
+	// entries and emits in flight (Hold, Release). The serial network
+	// does not use it.
+	refs atomic.Int32
 }
 
 // Extend returns a new token with w appended.
 func (t *Token) Extend(w *ops5.WME) *Token {
-	n := len(t.WMEs) + 1
-	nt := &Token{id: hashTag(t.id, w.TimeTag)}
-	if n <= len(nt.arr) {
-		nt.WMEs = nt.arr[:n]
-	} else {
-		nt.WMEs = make([]*ops5.WME, n)
-	}
-	copy(nt.WMEs, t.WMEs)
-	nt.WMEs[n-1] = w
+	nt := &Token{}
+	t.ExtendInto(nt, w)
 	return nt
 }
 
 // ExtendInto makes *dst the token t.Extend(w) would return, in dst's
-// own storage: the allocation-free form of Extend for a token that is
-// only looked up, never stored. dst must not be t.
+// own storage: the allocation-free form of Extend for a scratch token
+// or a recycled one. dst must not be t.
 func (t *Token) ExtendInto(dst *Token, w *ops5.WME) {
 	buf := dst.WMEs[:0]
 	if cap(buf) == 0 {
@@ -48,9 +48,28 @@ func (t *Token) ExtendInto(dst *Token, w *ops5.WME) {
 	dst.id = hashTag(t.id, w.TimeTag)
 }
 
+// Recycle clears the token's WME slots, keeping their storage, so that a
+// free list holds no WME alive.
+func (t *Token) Recycle() *Token {
+	clear(t.WMEs)
+	t.WMEs = t.WMEs[:0]
+	return t
+}
+
+// Hold adds n references to the token.
+func (t *Token) Hold(n int) { t.refs.Add(int32(n)) }
+
+// Release drops one reference and reports whether it was the last.
+func (t *Token) Release() bool { return t.refs.Add(-1) == 0 }
+
 // ExtIDHash returns the identity hash of t extended by w, without
-// building that token.
-func (t *Token) ExtIDHash(w *ops5.WME) uint64 { return hashTag(t.id, w.TimeTag) }
+// building that token; t's own when w is nil.
+func (t *Token) ExtIDHash(w *ops5.WME) uint64 {
+	if w == nil {
+		return t.id
+	}
+	return hashTag(t.id, w.TimeTag)
+}
 
 // IDHash returns the token's identity hash, the key of every structural
 // token lookup in the serial and the parallel matcher. Equal tokens
@@ -144,8 +163,12 @@ func (m *memory[E]) remove(id uint64, equal func(E) bool, idOf func(E) uint64) (
 	return zero, false
 }
 
-// ExtEqual reports whether t equals base extended by w.
+// ExtEqual reports whether t equals base extended by w, base itself when
+// w is nil.
 func ExtEqual(t, base *Token, w *ops5.WME) bool {
+	if w == nil {
+		return t.EqualTo(base)
+	}
 	n := len(base.WMEs)
 	if len(t.WMEs) != n+1 || t.WMEs[n] != w {
 		return false
@@ -206,24 +229,35 @@ func (j *joinState) negDelete(k uint64, tok *Token) (count int, found bool) {
 	return 0, false
 }
 
-// liveInst pairs a live token with its cached instantiation.
-type liveInst struct {
-	tok  *Token
-	inst *ops5.Instantiation
+// Live is a matcher's table of the instantiations it announced into the
+// conflict set: per terminal, keyed by the identity hash of the token
+// each came from and verified with Terminal.Holds. A removal takes back
+// the instantiation its insert announced instead of building another,
+// and the table holds no token, so a matcher may recycle tokens freely.
+// It is indexed by Terminal.Index.
+type Live []bucket.Buckets[*ops5.Instantiation]
+
+// Insert builds the instantiation of base extended by w (of base when w
+// is nil) for t, files it and returns it.
+func (l Live) Insert(t *Terminal, base *Token, w *ops5.WME) *ops5.Instantiation {
+	inst := t.InstantiateExt(base, w)
+	l[t.Index].Add(base.ExtIDHash(w), inst)
+	return inst
 }
 
-// liveTake removes and returns the cached instantiation for tok, or nil
-// when none is cached.
-func liveTake(live *bucket.Buckets[liveInst], tok *Token) *ops5.Instantiation {
+// Take removes and returns the instantiation Insert filed for the same
+// terminal and token, building one when none is filed.
+func (l Live) Take(t *Terminal, base *Token, w *ops5.WME) *ops5.Instantiation {
+	b := &l[t.Index]
+	id := base.ExtIDHash(w)
 	prev := int32(-1)
-	for i := live.Head(tok.id); i >= 0; prev, i = i, live.Next(i) {
-		if e := live.At(i); e.tok.EqualTo(tok) {
-			inst := e.inst
-			live.Unlink(tok.id, prev, i)
+	for i := b.Head(id); i >= 0; prev, i = i, b.Next(i) {
+		if inst := *b.At(i); t.Holds(inst, base, w) {
+			b.Unlink(id, prev, i)
 			return inst
 		}
 	}
-	return nil
+	return t.InstantiateExt(base, w)
 }
 
 // Network is the serial executor of a Plan: the plan's memories held
@@ -234,10 +268,12 @@ type Network struct {
 	alphas []memory[*ops5.WME] // by AlphaNode.Index
 	betas  []memory[*Token]    // by BetaNode.Index
 	joins  []joinState
-	// live caches, per terminal, the instantiation of each token
-	// currently in the conflict set, keyed by token identity hash (chains
-	// re-verified with EqualTo), so removals don't rebuild them.
-	live []bucket.Buckets[liveInst]
+	live   Live
+	// free holds the tokens that left the memories owning them, for the
+	// next join output to be built into (extend); built counts the
+	// tokens ever allocated.
+	free  []*Token
+	built int
 
 	// OnInsert and OnRemove receive conflict-set deltas. They must be
 	// set before Apply.
@@ -270,7 +306,7 @@ func NewNetwork(p *Plan) *Network {
 		alphas: make([]memory[*ops5.WME], len(p.Alphas)),
 		betas:  make([]memory[*Token], len(p.Betas)),
 		joins:  make([]joinState, len(p.Joins)),
-		live:   make([]bucket.Buckets[liveInst], len(p.Terminals)),
+		live:   make(Live, len(p.Terminals)),
 		ctx:    applyCtx{credits: make([]int32, len(p.Productions))},
 	}
 	n.betas[0].insert(0, &Token{}) // the dummy top's permanent empty token

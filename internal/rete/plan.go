@@ -165,6 +165,11 @@ type BetaNode struct {
 	Joins []*JoinNode
 	// Terminals fire when tokens reach this memory.
 	Terminals []*Terminal
+	// Owns is set on the output memory of a positive join: the join
+	// built every token the memory stores, so a token leaving it leaves
+	// the network. A not-node's output and the dummy top store tokens
+	// another memory owns.
+	Owns bool
 	// Keys are the distinct left-side join-key hashes of Joins, as
 	// AlphaNode.Keys; JoinNode.LeftKey indexes it. One hash index over
 	// the memory — in the parallel matcher, one shared left memory —
@@ -254,14 +259,12 @@ type Terminal struct {
 	posIndex []int
 }
 
-// Instantiate builds the instantiation for a complete token. Variable
-// bindings are deferred: most instantiations enter and leave the
-// conflict set without firing, so the LHS binding walk happens lazily in
-// ops5.Instantiation.EvalBindings only when the RHS is evaluated.
-func (t *Terminal) Instantiate(tok *Token) *ops5.Instantiation { return t.InstantiateExt(tok, nil) }
-
 // InstantiateExt builds the instantiation for base extended by w — for
 // base itself when w is nil — without building the extended token.
+// Variable bindings are deferred: most instantiations enter and leave
+// the conflict set without firing, so the LHS binding walk happens
+// lazily in ops5.Instantiation.EvalBindings only when the RHS is
+// evaluated.
 func (t *Terminal) InstantiateExt(base *Token, w *ops5.WME) *ops5.Instantiation {
 	inst := ops5.NewInstantiation(t.Production, len(t.Production.LHS))
 	n := len(base.WMEs)
@@ -273,6 +276,22 @@ func (t *Terminal) InstantiateExt(base *Token, w *ops5.WME) *ops5.Instantiation 
 		}
 	}
 	return inst
+}
+
+// Holds reports whether inst is the instantiation InstantiateExt builds
+// for base extended by w (for base when w is nil).
+func (t *Terminal) Holds(inst *ops5.Instantiation, base *Token, w *ops5.WME) bool {
+	n := len(base.WMEs)
+	for pos, lhsIdx := range t.posIndex {
+		x := w
+		if pos < n {
+			x = base.WMEs[pos]
+		}
+		if inst.WMEs[lhsIdx] != x {
+			return false
+		}
+	}
+	return true
 }
 
 // Plan is a compiled Rete network over a fixed set of productions:
@@ -515,6 +534,7 @@ func (c *compiler) findOrAddJoin(kind JoinKind, left *BetaNode, right *AlphaNode
 		RightKey: -1,
 		SharedBy: 1,
 	}
+	j.Out.Owns = kind == JoinPositive
 	if len(j.Key) > 0 {
 		j.LeftHash, j.RightHash = JoinHashFuncs(j.Key)
 		j.LeftKey, j.RightKey = len(left.Keys), len(right.Keys)

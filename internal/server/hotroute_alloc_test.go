@@ -13,16 +13,17 @@ import (
 // Allocation ceilings of the three hot routes, measured through
 // Handler() in process: request log, tracing, deadline, decode, shard
 // dispatch, apply and match, and reply encode. Each is the count
-// measured when the ceiling was set (21, 13 and 5,166) plus headroom
+// measured when the ceiling was set (20, 13 and 3,005) plus headroom
 // for a -race build, which counts up to four more; lower it in the
 // change that lowers the count. Before the routes had their own wire
-// codec the same requests took 59, 34 and 10,045, and before a shard
+// codec the same requests took 59, 34 and 10,045; before a shard
 // became a turn that the request's own goroutine holds, 28, 20 and
-// 5,174.
+// 5,174; and before the serial matcher built join outputs into the
+// tokens deletes freed, 21, 13 and 5,166.
 const (
-	changesAllocCeiling = 25
+	changesAllocCeiling = 24
 	runAllocCeiling     = 17
-	streamAllocCeiling  = 5200
+	streamAllocCeiling  = 3009
 )
 
 // chatterPack is a small monitoring pack in the shape psmbench's
