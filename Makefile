@@ -16,7 +16,7 @@ test:
 # cluster subsystem (heartbeats, WAL shipping, failover) with its
 # in-process multi-node integration tests — plus the cross-matcher
 # differential tests, which drive the parallel matcher's shared
-# memories through every worker/steal/bypass combination.
+# memories through every worker/bypass combination.
 # Both `race` and `check` use it, so the two can never disagree.
 RACE_PKGS = ./internal/server/... ./internal/prete/... ./internal/matchtest ./internal/engine ./internal/durable/... ./internal/cluster/...
 

@@ -86,7 +86,6 @@ func main() {
 	maxWMEs := flag.Int("max-wmes", 0, "default per-session working-memory quota (0 = unlimited)")
 	maxCycles := flag.Int("max-cycles", 0, "default per-session cycles-per-run quota (0 = unlimited)")
 	workers := flag.Int("workers", 0, "default parallel-matcher workers per session (0 = GOMAXPROCS)")
-	steal := flag.Bool("steal", true, "enable work stealing in parallel-matcher schedulers")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	logFormat := flag.String("log-format", "text", "structured log format (text|json)")
 	logLevel := flag.String("log-level", "info", "minimum log level (debug|info|warn|error)")
@@ -174,7 +173,6 @@ func main() {
 			MaxCyclesPerRequest: *maxCycles,
 		},
 		DefaultWorkers: *workers,
-		NoSteal:        !*steal,
 		Logger:         logger,
 		TraceDepth:     *traceDepth,
 		SlowCycle:      *slowCycle,

@@ -138,8 +138,6 @@ func main() {
 		float64(changes)/elapsed.Seconds(), float64(fired)/elapsed.Seconds())
 	fmt.Printf("request latency: p50 %v  p95 %v  p99 %v (%d requests)\n",
 		lat.percentile(50), lat.percentile(95), lat.percentile(99), len(lat.ds))
-	steals, parks := scrapeSchedCounters(base)
-	fmt.Printf("scheduler: %d steals, %d parks (parallel matchers only)\n", steals, parks)
 	phaseSecs := scrapePhaseSeconds(base)
 	if len(phaseSecs) > 0 {
 		names := make([]string, 0, len(phaseSecs))
@@ -165,8 +163,6 @@ func main() {
 			LatencyP50Seconds: lat.percentile(50).Seconds(),
 			LatencyP95Seconds: lat.percentile(95).Seconds(),
 			LatencyP99Seconds: lat.percentile(99).Seconds(),
-			Steals:            steals,
-			Parks:             parks,
 			PhaseSeconds:      phaseSecs,
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "client: %v\n", err)
@@ -216,11 +212,6 @@ type results struct {
 	LatencyP50Seconds float64 `json:"latency_p50_seconds"`
 	LatencyP95Seconds float64 `json:"latency_p95_seconds"`
 	LatencyP99Seconds float64 `json:"latency_p99_seconds"`
-	// Steals and Parks echo the daemon's work-stealing scheduler
-	// counters (psmd_steals_total, psmd_sched_park_total); zero unless
-	// sessions use the parallel matcher.
-	Steals int64 `json:"steals"`
-	Parks  int64 `json:"parks"`
 	// PhaseSeconds echoes psmd_sched_phase_seconds_total{phase=...} —
 	// the loss-factor accounting series; absent unless sessions use the
 	// parallel matcher.
@@ -601,34 +592,6 @@ func decode(resp *http.Response, out any) error {
 		return nil
 	}
 	return json.Unmarshal(data, out)
-}
-
-// scrapeSchedCounters reads the daemon's work-stealing scheduler
-// counters from /metrics (zero when absent or unreachable).
-func scrapeSchedCounters(base string) (steals, parks int64) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return 0, 0
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) != 2 {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			continue
-		}
-		switch fields[0] {
-		case "psmd_steals_total":
-			steals = int64(v)
-		case "psmd_sched_park_total":
-			parks = int64(v)
-		}
-	}
-	return steals, parks
 }
 
 // scrapePhaseSeconds reads the daemon's per-phase scheduler seconds

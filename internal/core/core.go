@@ -89,10 +89,6 @@ type Options struct {
 	// Workers caps the parallel matcher's lanes (default and upper
 	// bound GOMAXPROCS); ignored by the other matchers.
 	Workers int
-	// NoSteal disables the parallel matcher's work stealing (workers
-	// then only drain their own deques);
-	// ignored by the other matchers.
-	NoSteal bool
 	// Output receives write-action output (default: discarded).
 	Output io.Writer
 	// MaxCycles bounds Run (default: unbounded).
@@ -143,7 +139,7 @@ func NewSystemFromProgram(prog *ops5.Program, opts Options) (*System, error) {
 		sys.net = net
 		m = netMatcher{net}
 	case ParallelRete:
-		pm, err := prete.NewWithConfig(prog.Productions, prete.Config{Workers: opts.Workers, NoSteal: opts.NoSteal})
+		pm, err := prete.New(prog.Productions, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +208,7 @@ func (m netMatcher) MatchStats() obs.MatchStats {
 
 type preteMatcher struct{ *prete.Matcher }
 
-// MatchStats includes the work-stealing scheduler's counters.
+// MatchStats includes the scheduler's counters.
 func (m preteMatcher) MatchStats() obs.MatchStats {
 	s := m.Matcher.Stats()
 	return obs.MatchStats{
@@ -221,8 +217,6 @@ func (m preteMatcher) MatchStats() obs.MatchStats {
 		ConflictInserts: s.ConflictInserts,
 		ConflictRemoves: s.ConflictRemoves,
 		Tasks:           s.Tasks,
-		Steals:          s.Steals,
-		Parks:           s.Parks,
 		Wakeups:         s.Wakeups,
 		InlineBatches:   s.InlineBatches,
 		Workers:         s.PerWorker,

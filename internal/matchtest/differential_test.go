@@ -66,15 +66,12 @@ func diffBatches(t *testing.T, label string, want, got [][]string) {
 
 // schedulerMatrix is every combination the shared left memories must be
 // right under: one lane (inline on the caller), two and four lanes, a
-// cap above GOMAXPROCS (clamped to it), stealing on and off, serial
-// bypass on and off.
+// cap above GOMAXPROCS (clamped to it), serial bypass on and off.
 func schedulerMatrix() []prete.Config {
 	var cfgs []prete.Config
 	for _, workers := range []int{1, 2, 4, 16} {
-		for _, noSteal := range []bool{false, true} {
-			for _, threshold := range []int{0, -1} {
-				cfgs = append(cfgs, prete.Config{Workers: workers, NoSteal: noSteal, SerialThreshold: threshold})
-			}
+		for _, threshold := range []int{0, -1} {
+			cfgs = append(cfgs, prete.Config{Workers: workers, SerialThreshold: threshold})
 		}
 	}
 	return cfgs
@@ -119,7 +116,7 @@ func TestDifferentialPreteVsRete(t *testing.T) {
 		cfgs    []prete.Config
 	}{
 		{"default", matchtest.DefaultGenParams(), 40, []prete.Config{{Workers: 4}}},
-		{"index-stress", matchtest.IndexStressGenParams(), 40, []prete.Config{{Workers: 8}, {Workers: 8, NoSteal: true}}},
+		{"index-stress", matchtest.IndexStressGenParams(), 40, []prete.Config{{Workers: 8}, {Workers: 8, SerialThreshold: -1}}},
 		{"fan-out", matchtest.FanOutGenParams(8), 16, schedulerMatrix()},
 	}
 	for _, tc := range cases {
@@ -143,8 +140,8 @@ func TestDifferentialPreteVsRete(t *testing.T) {
 // FuzzDifferentialPreteVsRete explores the same property from fuzzed
 // seeds and shape parameters: any (program, script) pair the generators
 // can produce must match between the serial and parallel matchers.
-// fanOut sets the sibling run length (0 and 1: none); flags bit 0 turns
-// stealing off, bit 1 the serial bypass.
+// fanOut sets the sibling run length (0 and 1: none); flags bit 1 turns
+// the serial bypass off (bit 0 is unused).
 func FuzzDifferentialPreteVsRete(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint8(8), uint8(0), uint8(0))
 	f.Add(int64(42), uint8(4), uint8(3), uint8(1), uint8(6), uint8(2))
@@ -155,7 +152,7 @@ func FuzzDifferentialPreteVsRete(f *testing.F) {
 		params.Values = 2 + int(values)%5
 		params.NegProb = 0.3
 		params.FanOut = int(fanOut) % 9
-		cfg := prete.Config{Workers: 1 + int(workers)%16, NoSteal: flags&1 != 0}
+		cfg := prete.Config{Workers: 1 + int(workers)%16}
 		if flags&2 != 0 {
 			cfg.SerialThreshold = -1
 		}
@@ -259,9 +256,8 @@ func TestOnePlanManyExecutors(t *testing.T) {
 }
 
 // skewedProgram returns a program whose activations concentrate on one
-// join (a goal joined against every block), so one worker's deque fills
-// while others idle — the load-imbalance shape work stealing exists to
-// fix.
+// join (a goal joined against every block), so one lane works while the
+// others idle — the paper's load-imbalance shape.
 func skewedProgram(t testing.TB) []*ops5.Production {
 	t.Helper()
 	src := []string{`
@@ -291,9 +287,8 @@ func skewedProgram(t testing.TB) []*ops5.Production {
 // skewedBatches builds two insert batches for skewedProgram: first many
 // same-colored blocks and a few markers, then the goal. The goal's one
 // change fans out into a token per block, each with a block-count scan
-// of hot-pair's second join behind it (quadratic work from a single
-// seed) — with no other seed to claim, the lane that runs it sheds those
-// activations onto its deque and the idle lanes must steal them.
+// of hot-pair's second join behind it — quadratic work from a single
+// seed, all of it on the lane that claims the goal.
 func skewedBatches(blocks int) [][]ops5.Change {
 	tag := 1
 	add := func(batch []ops5.Change, w *ops5.WME) []ops5.Change {
@@ -312,10 +307,10 @@ func skewedBatches(blocks int) [][]ops5.Change {
 	return [][]ops5.Change{memory, goal}
 }
 
-// TestStealsUnderSkewedWorkload asserts the scheduler counters surface
-// real stealing: a skewed batch on many workers must record steals, and
-// the per-worker executed counts must sum to the task total.
-func TestStealsUnderSkewedWorkload(t *testing.T) {
+// TestSkewedWorkloadOnEightLanes runs a skewed batch on eight lanes:
+// the conflict set must be right whichever lane ran what, and the
+// per-worker executed counts must sum to the task total.
+func TestSkewedWorkloadOnEightLanes(t *testing.T) {
 	prods := skewedProgram(t)
 	// The goal batch seeds one activation: keep it off the serial bypass.
 	m, err := prete.NewWithConfig(prods, prete.Config{Workers: 8, SerialThreshold: -1})
@@ -333,55 +328,21 @@ func TestStealsUnderSkewedWorkload(t *testing.T) {
 	if st.Tasks == 0 {
 		t.Fatal("no tasks executed")
 	}
-	if st.Steals == 0 {
-		t.Errorf("skewed workload on %d workers recorded no steals (tasks=%d)", m.Workers(), st.Tasks)
-	}
 	if len(st.PerWorker) != 8 {
 		t.Fatalf("PerWorker has %d lanes, want 8", len(st.PerWorker))
 	}
-	var executed, stolen, parked int64
+	var executed int64
 	for _, ws := range st.PerWorker {
 		executed += ws.Executed
-		stolen += ws.Stolen
-		parked += ws.Parked
 	}
 	if executed != st.Tasks {
 		t.Errorf("per-worker executed sums to %d, want Tasks=%d", executed, st.Tasks)
-	}
-	if stolen != st.Steals {
-		t.Errorf("per-worker stolen sums to %d, want Steals=%d", stolen, st.Steals)
-	}
-	if parked != st.Parks {
-		t.Errorf("per-worker parked sums to %d, want Parks=%d", parked, st.Parks)
 	}
 
 	// The conflict set must be right regardless of who ran what:
 	// hot-pair matches every ordered red (i, j) pair incl. i == j, and
 	// cold matches each marker.
 	if got, want := len(tr.Keys()), 256*256+4; got != want {
-		t.Errorf("conflict set size = %d, want %d", got, want)
-	}
-}
-
-// TestNoStealSameResultZeroSteals pins the NoSteal mode: same result,
-// no steals recorded.
-func TestNoStealSameResultZeroSteals(t *testing.T) {
-	prods := skewedProgram(t)
-	m, err := prete.NewWithConfig(prods, prete.Config{Workers: 8, NoSteal: true, SerialThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := matchtest.NewTracker()
-	m.OnInsert = tr.Insert
-	m.OnRemove = tr.Remove
-	for _, batch := range skewedBatches(32) {
-		m.Apply(batch)
-	}
-	st := m.Stats()
-	if st.Steals != 0 {
-		t.Errorf("NoSteal matcher recorded %d steals", st.Steals)
-	}
-	if got, want := len(tr.Keys()), 32*32+4; got != want {
 		t.Errorf("conflict set size = %d, want %d", got, want)
 	}
 }

@@ -16,14 +16,10 @@ type MatchStats struct {
 	// ConflictInserts and ConflictRemoves count conflict-set deltas.
 	ConflictInserts int64 `json:"conflict_inserts"`
 	ConflictRemoves int64 `json:"conflict_removes"`
-	// Tasks, Steals and Parks are scheduler counters, populated only by
-	// matchers with a work-stealing activation scheduler (the parallel
-	// Rete): activations executed, tasks moved between workers, and
-	// condvar waits. They decompose the paper's §6 scheduling overhead;
-	// zero for serial matchers.
-	Tasks  int64 `json:"tasks,omitempty"`
-	Steals int64 `json:"steals,omitempty"`
-	Parks  int64 `json:"parks,omitempty"`
+	// Tasks counts the activations executed, populated only by matchers
+	// with an activation scheduler (the parallel Rete); zero for serial
+	// matchers.
+	Tasks int64 `json:"tasks,omitempty"`
 	// Wakeups counts batches that borrowed at least one helper from the
 	// process's lane pool; InlineBatches counts batches the caller ran
 	// alone. Both zero for serial matchers.
@@ -34,15 +30,11 @@ type MatchStats struct {
 	Workers []WorkerStat `json:"workers,omitempty"`
 }
 
-// WorkerStat is one scheduler lane's counters: activations it executed,
-// tasks it stole from other lanes, and times it parked on the condvar.
-// Together they decompose the paper's §6 scheduling overhead — executed
-// skew shows load imbalance, stolen shows how much the scheduler moved
-// to fix it, parked counts the synchronisation stalls that remained.
+// WorkerStat is one scheduler lane's counters: the activations it
+// executed. Skew across lanes shows the load imbalance of the paper's
+// §6 decomposition.
 type WorkerStat struct {
 	Executed int64 `json:"executed"`
-	Stolen   int64 `json:"stolen"`
-	Parked   int64 `json:"parked"`
 }
 
 // IndexReport summarises a matcher's equality-join hash indexes.
@@ -137,11 +129,10 @@ type LossReport struct {
 
 	// Decomposition partitions the total processor budget
 	// (Workers x ApplySeconds): useful_match, memory_contention
-	// (lock wait), scheduling (submit + steal hits), idle
-	// (fruitless steals + parking, including lanes a bypassed batch
-	// left parked), spawn (pool wake latency), serial_seed_merge (all
-	// lanes during the serial regions) and other (exit skew, loop
-	// tails). Shares sum to 1.
+	// (lock wait), idle (lanes waiting at the batch barrier, including
+	// lanes a bypassed batch left unused), spawn (pool wake latency),
+	// serial_seed_merge (all lanes during the serial regions) and other
+	// (what no phase covers). Shares sum to 1.
 	Decomposition []LossComponent `json:"decomposition"`
 }
 

@@ -59,16 +59,16 @@ func (f *chainFixture) leftBuckets() (n int) {
 func TestEarlyDeleteAnnihilatesLateInsert(t *testing.T) {
 	f := newChainFixture(t)
 	m, w := f.m, f.w
-	m.runRight(f.last, f.wc, ops5.Insert, w, 0)
+	m.runRight(f.last, f.wc, ops5.Insert, w)
 	base := (&rete.Token{}).Extend(f.wa)
 
-	m.runLeft(f.g, base, f.wb, ops5.Delete, w, 0)
+	m.runLeft(f.g, base, f.wb, ops5.Delete, w)
 	if got := f.leftBuckets(); got != 1 {
 		t.Fatalf("after the early delete: %d live left buckets, want the pending cancel's 1", got)
 	}
 	late := base.Extend(f.wb)
 	late.Hold(1) // the reference propagate's emit would carry
-	m.runLeft(f.g, late, nil, ops5.Insert, w, 0)
+	m.runLeft(f.g, late, nil, ops5.Insert, w)
 	if got := f.leftBuckets(); got != 0 {
 		t.Errorf("after the late insert: %d live left buckets, want 0", got)
 	}
@@ -93,14 +93,14 @@ func TestEarlyDeleteAnnihilatesLateInsert(t *testing.T) {
 func TestDeleteResolvesStoredToken(t *testing.T) {
 	f := newChainFixture(t)
 	m, w := f.m, f.w
-	m.runRight(f.last, f.wc, ops5.Insert, w, 0)
+	m.runRight(f.last, f.wc, ops5.Insert, w)
 	base := (&rete.Token{}).Extend(f.wa)
 	stored := base.Extend(f.wb)
 	// One cycle first, so that the lane's delta and retired buffers have
 	// grown. Each insert carries the reference propagate's emit would.
 	stored.Hold(1)
-	m.runLeft(f.g, stored, nil, ops5.Insert, w, 0)
-	m.runLeft(f.g, base, f.wb, ops5.Delete, w, 0)
+	m.runLeft(f.g, stored, nil, ops5.Insert, w)
+	m.runLeft(f.g, base, f.wb, ops5.Delete, w)
 	w.pending = w.pending[:0]
 	w.retired = w.retired[:0]
 
@@ -110,13 +110,13 @@ func TestDeleteResolvesStoredToken(t *testing.T) {
 	var allocs uint64
 	for i := 0; i < runs; i++ {
 		stored.Hold(1)
-		m.runLeft(f.g, stored, nil, ops5.Insert, w, 0)
+		m.runLeft(f.g, stored, nil, ops5.Insert, w)
 		if len(w.pending) != 1 {
 			t.Fatalf("insert emitted %d deltas, want 1", len(w.pending))
 		}
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
-		m.runLeft(f.g, base, f.wb, ops5.Delete, w, 0)
+		m.runLeft(f.g, base, f.wb, ops5.Delete, w)
 		runtime.ReadMemStats(&ms)
 		allocs += ms.Mallocs - before
 

@@ -15,14 +15,13 @@ package prete
 // The stamping discipline: each worker's phaseClock carries `last`, the
 // instant through which its time has been accounted. stamp(p) charges
 // the interval [last, now] to phase p and advances last. The clock is
-// read at task boundaries, not per activation: runTask stamps match
-// after a task's activations (inlined ones included) and submit after
-// its spawned tasks are pushed, a stripe lock stamps lock_wait only
-// when TryLock fails, and findWork/park stamp before they hand off. So
-// a worker's phase totals sum (exactly, minus the final sub-microsecond
-// loop tail) to its time inside the batch loop — which is how the
-// report can promise that phases + seed + merge reconstruct Apply wall
-// time.
+// read at seed boundaries, not per activation: batchLoop stamps match
+// after a seed's activations (every downstream one included), a stripe
+// lock stamps lock_wait only when TryLock fails, a borrowed lane stamps
+// spawn on entry and park on exit, and Apply charges every lane's wait
+// at the barrier to park. So a worker's phase totals sum exactly to its
+// share of the batch's active window — which is how the report can
+// promise that phases + seed + merge reconstruct Apply wall time.
 
 import (
 	"math"
@@ -35,27 +34,19 @@ import (
 type phase uint8
 
 const (
-	// phaseMatch is useful match work: executing a task's node
+	// phaseMatch is useful match work: executing a seed's node
 	// activations — memory update plus opposite-memory scan — excluding
 	// contended lock waits. This is the work a serial matcher would
-	// also perform (a claim from the seed list or a pop from the own
-	// deque rides along; both are a few nanoseconds).
+	// also perform (the claim from the seed list rides along; it is a
+	// few nanoseconds).
 	phaseMatch phase = iota
 	// phaseLockWait is time blocked on a contended memory stripe lock
 	// (the paper's memory contention). An uncontended acquisition is a
 	// TryLock that succeeds and is not timed apart from match.
 	phaseLockWait
-	// phaseSubmit is time retiring a task: pushing its spawned
-	// downstream tasks and waking a sleeper (scheduling overhead on the
-	// producing side).
-	phaseSubmit
-	// phaseStealHit is time spent in steal attempts that found work;
-	// phaseStealMiss covers fruitless victim scans — the busy-wait
-	// component of load imbalance.
-	phaseStealHit
-	phaseStealMiss
-	// phasePark is time blocked on the scheduler condvar (plus the
-	// park bookkeeping around it) — idle waiting for work or batch end.
+	// phasePark is a lane's idle time at the batch barrier: from the
+	// moment it finds no seed left to the moment the last lane is
+	// through — the load-imbalance component.
 	phasePark
 	// phaseSpawn is the hand-off of lanes to the lane pool — the
 	// software analogue of the paper's processor-allocation overhead:
@@ -68,7 +59,7 @@ const (
 
 // phaseNames are the wire/metric spellings, indexed by phase.
 var phaseNames = [numPhases]string{
-	"match", "lock_wait", "submit", "steal_hit", "steal_miss", "park", "spawn",
+	"match", "lock_wait", "park", "spawn",
 }
 
 // clockBase anchors nanotime: time.Since on a monotonic base compiles
@@ -94,13 +85,13 @@ func (c *phaseClock) stamp(p phase) {
 	c.last = now
 }
 
-// Task-size histogram: scheduler tasks — an activation with the
-// downstream activations inlined into it — bucketed by execution time.
-// The paper's premise is ~50-100 instructions per activation; tasks in
-// the lowest buckets are below the grain where stealing or even deque
-// traffic pays, so the histogram shows how much of the workload is too
-// fine to parallelise profitably. inlineFanout, seedGrain, stealGrain
-// and serialBypassThreshold are read off it.
+// Task-size histogram: seeds — a change's right activations with every
+// downstream activation they cause — bucketed by execution time. The
+// paper's premise is ~50-100 instructions per activation; seeds in the
+// lowest buckets are below the grain where handing work to another lane
+// pays, so the histogram shows how much of the workload is too fine to
+// parallelise profitably. seedGrain and serialBypassThreshold are read
+// off it.
 var taskBucketNanos = [...]int64{256, 1024, 4096, 16384, 65536, 262144}
 
 // numTaskBuckets adds the open top bucket (> 262144ns).
@@ -173,10 +164,9 @@ func (m *Matcher) Loss() obs.LossReport {
 
 	matchNs := phaseTot[phaseMatch]
 	lockNs := phaseTot[phaseLockWait]
-	schedNs := phaseTot[phaseSubmit] + phaseTot[phaseStealHit]
-	idleNs := phaseTot[phaseStealMiss] + phaseTot[phasePark]
+	idleNs := phaseTot[phasePark]
 	spawnNs := phaseTot[phaseSpawn]
-	busyNs := matchNs + lockNs + schedNs
+	busyNs := matchNs + lockNs
 
 	serialNs := seedNs + mergeNs + matchNs
 	r.SerialEstimateSeconds = secs(serialNs)
@@ -192,14 +182,13 @@ func (m *Matcher) Loss() obs.LossReport {
 
 	budgetNs := int64(workers) * applyNs
 	serialRegionNs := int64(workers) * (seedNs + mergeNs)
-	otherNs := budgetNs - matchNs - lockNs - schedNs - idleNs - spawnNs - serialRegionNs
+	otherNs := budgetNs - matchNs - lockNs - idleNs - spawnNs - serialRegionNs
 	if otherNs < 0 {
 		otherNs = 0
 	}
 	comps := []obs.LossComponent{
 		{Name: "useful_match", Seconds: secs(matchNs)},
 		{Name: "memory_contention", Seconds: secs(lockNs)},
-		{Name: "scheduling", Seconds: secs(schedNs)},
 		{Name: "idle", Seconds: secs(idleNs)},
 		{Name: "spawn", Seconds: secs(spawnNs)},
 		{Name: "serial_seed_merge", Seconds: secs(serialRegionNs)},

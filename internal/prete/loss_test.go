@@ -131,7 +131,7 @@ func TestPhaseStampZeroAlloc(t *testing.T) {
 	c.last = nanotime()
 	if n := testing.AllocsPerRun(1000, func() {
 		c.stamp(phaseMatch)
-		c.stamp(phaseSubmit)
+		c.stamp(phasePark)
 	}); n != 0 {
 		t.Fatalf("phaseClock.stamp allocates %v per run, want 0", n)
 	}

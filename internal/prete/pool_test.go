@@ -18,7 +18,7 @@ import (
 // A matcher builds at most GOMAXPROCS lanes and the lane pool holds
 // GOMAXPROCS−1 helpers, both fixed when they are made, so on a two-CPU
 // machine every test here would otherwise run two lanes at most: the 4-,
-// 8- and 16-worker cases would not steal, park or cancel across the
+// 8- and 16-worker cases would not claim seeds or cancel across the
 // lane counts they name.
 func TestMain(m *testing.M) {
 	runtime.GOMAXPROCS(max(8, runtime.GOMAXPROCS(0)))

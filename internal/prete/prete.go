@@ -28,10 +28,12 @@
 //     the same memory contents via distinct nodes, and multiple working
 //     memory changes are all processed in parallel (§4, the two
 //     relaxations over naive node parallelism).
-//   - Activations are dispatched by a per-lane work-stealing
-//     scheduler (sched.go) standing in for the paper's hardware task
-//     scheduler: Apply's caller runs lane 0 and hands the other lanes
-//     to idle helpers of one process-wide pool, borrowed per batch.
+//   - Work is dispatched as seeds (sched.go), standing in for the
+//     paper's hardware task scheduler: a seed is one WM change's right
+//     activations, the lanes claim seeds from one list, and every
+//     activation a seed causes runs depth-first on the lane that claimed
+//     it. Apply's caller runs lane 0 and hands the other lanes to idle
+//     helpers of one process-wide pool, borrowed per batch.
 //   - An activation allocates nothing once the matcher has warmed up.
 //     Join keys and token identities are uint64 hashes (shared with the
 //     serial matcher's indexes), memory entries are pooled, and
@@ -47,15 +49,14 @@
 //     on another lane: its pending cancel must hold one for that insert
 //     to find. A removal hands the conflict set the instantiation its
 //     insert announced (rete.Live).
-//   - Task granularity is adaptive. Sibling right-activations of one
-//     WME (the successors of one alpha memory) seed as a single
-//     multi-activation task; an activation's downstream activations run
-//     inline on the producing worker when they are few and shallow
-//     (below inlineFanout/maxInlineDepth) instead of paying deque
-//     traffic; and a whole batch whose seeded activation count is under
-//     the profitability threshold runs inline on the caller without
-//     borrowing a helper at all — the §6 lesson that dispatch must cost
-//     less than the ~50-100 instructions of work it dispatches.
+//   - Task granularity is coarse. Sibling right-activations of one WME
+//     (the successors of up to seedGrain alpha memories) seed as a
+//     single multi-activation task, whose downstream activations never
+//     leave its lane; and a whole batch whose seeded activation count is
+//     under the profitability threshold runs inline on the caller
+//     without borrowing a helper at all — the §6 lesson that dispatch
+//     must cost less than the ~50-100 instructions of work it
+//     dispatches.
 //   - Within one Apply batch, activations may arrive at a node out of
 //     order (a token's deletion may be processed before its insertion
 //     reaches a downstream node). Memories therefore use counted
@@ -64,8 +65,8 @@
 //     conflict set is likewise updated with counted deltas and flushed
 //     at the end of the batch — the batch boundary is the paper's
 //     synchronization step between recognize-act phases. A batch the
-//     caller ran alone and in order has nothing to cancel: its deltas
-//     are the serial matcher's and are announced as they stand (flush).
+//     caller ran alone ran in the serial matcher's order and has nothing
+//     to cancel: its deltas are announced as they stand (flush).
 package prete
 
 import (
@@ -80,36 +81,14 @@ import (
 	"repro/internal/rete"
 )
 
-// task is one unit of scheduler work: the left activation of one shared
-// left memory by a token (left non-nil), or a seed — one WM change's
-// right activations of every successor of the alpha memories in mems
+// task is the one unit of scheduler work, a seed: one WM change's right
+// activations of every successor of the alpha memories in mems
 // (aliasing Apply's per-batch scratch; no per-task allocation).
 type task struct {
-	left *group
 	mems []*rete.AlphaNode
 	dir  ops5.ChangeKind
-	tok  *rete.Token // left activations
-	// wme is a seed's WM element; in a left activation, when non-nil,
-	// the token is tok extended by wme (a delete names its token so; see
-	// emit).
-	wme *ops5.WME
+	wme  *ops5.WME
 }
-
-// maxInlineDepth and inlineFanout bound depth-first inlining of
-// downstream activations. The task-size histogram puts a single
-// activation at a few hundred nanoseconds — below the grain where a
-// deque round-trip, two clock reads and a retire pay — so the producing
-// worker runs an activation's downstream activations itself, up to
-// maxInlineDepth deep (the bound keeps the recursion and its per-depth
-// emit scratch small). It sheds them onto its deque, for thieves to
-// share, only when that can shorten the batch: the batch runs on the
-// pool, no unclaimed seed is left to keep an idle lane busy
-// (scheduler.shed), and the activation fans out to more than
-// inlineFanout of them.
-const (
-	maxInlineDepth = 8
-	inlineFanout   = 8
-)
 
 // seedGrain is the largest number of alpha memories one seed task
 // right-activates; a change that reaches more is split, so a single
@@ -143,8 +122,8 @@ type emit struct {
 }
 
 // pendingDelta is one conflict-set delta, batched per worker during a
-// batch and instantiated at flush — every one of an in-order inline
-// batch, the net survivors of the merge otherwise.
+// batch and instantiated at flush — every one of a batch the caller ran
+// alone, the net survivors of the merge otherwise.
 type pendingDelta struct {
 	term *rete.Terminal
 	tok  *rete.Token
@@ -285,9 +264,9 @@ type Stats struct {
 	// ConflictInserts and ConflictRemoves count flushed deltas.
 	ConflictInserts int64
 	ConflictRemoves int64
-	// Steals and Parks total the per-worker scheduler counters.
+	// Steals is always zero: no lane takes another's work. It stays
+	// because benchmark/layers reads it, as Close stays for its calls.
 	Steals int64
-	Parks  int64
 	// Wakeups counts batches that borrowed at least one helper from the
 	// lane pool; InlineBatches counts batches the caller ran alone
 	// (under the bypass threshold, one lane, or no helper idle).
@@ -303,10 +282,6 @@ type Config struct {
 	// no more than GOMAXPROCS lanes are ever built, since no more could
 	// run at once.
 	Workers int
-	// NoSteal disables work stealing: an idle worker then only drains
-	// its own deque. Useful for measuring
-	// what stealing buys (the paper's §6 load-balance decomposition).
-	NoSteal bool
 	// SerialThreshold overrides the seeded-activation count below which
 	// a batch runs inline on the caller instead of borrowing helpers
 	// from the lane pool: 0 selects the default (serialBypassThreshold),
@@ -405,7 +380,7 @@ func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
 		bypassBelow: bypass,
 		live:        make(rete.Live, len(plan.Terminals)),
 	}
-	m.sched = newScheduler(workers, !cfg.NoSteal, len(m.nodes), &m.pool)
+	m.sched = newScheduler(workers, len(m.nodes), &m.pool)
 
 	// One left memory per key of each beta memory (and one for its
 	// unkeyed readers) for the positive joins; a private one for each
@@ -478,10 +453,8 @@ func (m *Matcher) Stats() Stats {
 	}
 	for i := range m.lanes {
 		l := &m.lanes[i]
-		st.PerWorker[i] = obs.WorkerStat{Executed: l.executed, Stolen: l.stolen, Parked: l.parked}
+		st.PerWorker[i] = obs.WorkerStat{Executed: l.executed}
 		st.Tasks += l.executed
-		st.Steals += l.stolen
-		st.Parks += l.parked
 		st.Comparisons += l.comparisons
 		st.Cancellations += l.cancellations
 	}
@@ -580,24 +553,20 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 	s.seeds = seeds
 	t1 := nanotime()
 	t2 := t1
-	inOrder := false
+	solo := len(s.workers) == 1 || activations < m.bypassBelow
 	if len(seeds) > 0 {
 		s.nextSeed.Store(0)
-		s.outstanding.Store(int64(len(seeds)))
 		s.workers[0].clock.last = t1
-		s.solo = len(s.workers) == 1 || activations < m.bypassBelow
-		if !s.solo {
-			if s.borrow(m, t1) == 0 {
-				s.solo = true // no helper took a lane, so none reads solo
-			}
+		if !solo {
+			solo = s.borrow(m, t1) == 0
 			s.workers[0].clock.stamp(phaseSpawn)
 		}
-		if s.solo {
+		if solo {
 			s.bypasses.Add(1)
 		} else {
 			s.wakeups.Add(1)
 		}
-		inOrder = m.batchLoop(0) && s.solo
+		m.batchLoop(&s.workers[0])
 		s.batchWG.Wait()
 		t2 = nanotime()
 		// Close each lane's books to the barrier: a lane's own stamps
@@ -618,7 +587,7 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 	clear(seeds) // release WME references
 	clear(mems)
 	m.seedMems = mems[:0]
-	ins, rem := m.flush(inOrder)
+	ins, rem := m.flush(solo)
 	m.pool.reclaim(s.workers)
 	t3 := nanotime()
 	m.mu.Lock()
@@ -636,68 +605,30 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 	m.mu.Unlock()
 }
 
-// batchLoop is one scheduler lane's run loop for a single batch: drain
-// the own deque LIFO, then claim a seed, then steal, then park. The
-// worker that retires the batch's last task wakes every parked lane and
-// all loops return. It reports whether the lane took every task as a
-// seed, in change order. For a batch the caller ran alone that is the
-// serial matcher's order — each activation's downstream activations ran
-// depth-first inside its seed — and flush may skip the merge; one
-// activation queued for later (past maxInlineDepth) and a delete may
-// reach a node before the insert it undoes.
-func (m *Matcher) batchLoop(wi int) (inOrder bool) {
-	s := m.sched
-	w := &s.workers[wi]
-	inOrder = true
+// batchLoop is one scheduler lane's run loop for a single batch: claim
+// seeds until none is left, running each seed's right activations and,
+// depth-first, every activation they cause. A lane that runs the batch
+// alone claims every seed in change order — the serial matcher's order.
+// The lane's clock is read at seed boundaries only: everything from the
+// previous stamp through the activations (the claim, key hashes, guarded
+// sections, profile counts) is match work; a stripe lock costs a stamp
+// only when it is contended (lock). The match stamp also sizes the seed
+// for the histogram.
+func (m *Matcher) batchLoop(w *worker) {
 	for {
-		t, ok := w.dq.popTail()
-		if ok {
-			inOrder = false
-		} else {
-			t, ok = s.claimSeed(w)
-		}
+		t, ok := m.sched.claimSeed(w)
 		if !ok {
-			t, ok = s.findWork(wi)
-			inOrder = false
+			return
 		}
-		if !ok {
-			if !s.park(wi) {
-				return inOrder
-			}
-			continue
-		}
-		if m.runTask(t, w) {
-			s.wakeAll()
-			return inOrder
-		}
-	}
-}
-
-// runTask executes one scheduler task on lane w — the activation, every
-// downstream activation small enough to inline, then the submission of
-// the rest — and reports whether it retired the batch's last task. The
-// lane's clock is read at the task's boundaries only: everything from
-// the previous stamp through the activations (deque pop, key hashes,
-// guarded sections, profile counts) is match work, the pushes that
-// follow are submit; a stripe lock costs a stamp only when it is
-// contended (lock). The match stamp also sizes the task for the
-// histogram.
-func (m *Matcher) runTask(t task, w *worker) (last bool) {
-	start := w.clock.last
-	if t.left != nil {
-		m.runLeft(t.left, t.tok, t.wme, t.dir, w, 0)
-	} else {
+		start := w.clock.last
 		for _, am := range t.mems {
 			for _, n := range m.roots[am.Index] {
-				m.runRight(n, t.wme, t.dir, w, 0)
+				m.runRight(n, t.wme, t.dir, w)
 			}
 		}
+		w.clock.stamp(phaseMatch)
+		w.taskSizes[taskBucket(w.clock.last-start)]++
 	}
-	w.clock.stamp(phaseMatch)
-	w.taskSizes[taskBucket(w.clock.last-start)]++
-	last = m.sched.retire(w)
-	w.clock.stamp(phaseSubmit)
-	return last
 }
 
 // lock takes a stripe lock, stamping the lane's clock only when the
@@ -715,7 +646,7 @@ func (w *worker) lock(st *stripe) {
 // n's right bucket for the WME's join key and scan the shared left
 // bucket under the same stripe lock. A matching pair always shares the
 // key, so that bucket is the complete candidate set.
-func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *worker, depth int) {
+func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *worker) {
 	g := n.grp
 	keyed := n.rightHash != nil
 	key, own := uint64(0), uint64(wme.TimeTag)
@@ -725,7 +656,7 @@ func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *work
 	}
 	si := g.stripeOf(key)
 	st := &g.stripes[si]
-	emits := w.emits[depth][:0]
+	emits, out := w.emits, len(w.emits)
 	tested := 0
 	w.lock(st)
 	if updateRight(&n.right[si], own, wme, dir) {
@@ -768,8 +699,9 @@ func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *work
 	w.comparisons += int64(tested)
 	w.prof[n.idx].Activations++
 	w.prof[n.idx].TokensTested += int64(tested)
-	w.prof[n.idx].PairsEmitted += int64(len(emits))
-	m.propagate(emits, w, depth)
+	w.prof[n.idx].PairsEmitted += int64(len(emits) - out)
+	w.emits = emits
+	m.propagate(w, out)
 }
 
 // joined is a join's output for a token and a WME that pass it. A
@@ -803,7 +735,7 @@ func passed(n *pnode, tok *rete.Token, dir ops5.ChangeKind) emit {
 // all under the one stripe lock. A pair's join key is hashed from the
 // lane's scratch token; from the update on, the activation runs on the
 // token the bucket holds.
-func (m *Matcher) runLeft(g *group, tok *rete.Token, ext *ops5.WME, dir ops5.ChangeKind, w *worker, depth int) {
+func (m *Matcher) runLeft(g *group, tok *rete.Token, ext *ops5.WME, dir ops5.ChangeKind, w *worker) {
 	keyed := g.leftHash != nil
 	id, probe := tok.ExtIDHash(ext), tok
 	if ext != nil && keyed {
@@ -817,7 +749,7 @@ func (m *Matcher) runLeft(g *group, tok *rete.Token, ext *ops5.WME, dir ops5.Cha
 	}
 	si := g.stripeOf(key)
 	st := &g.stripes[si]
-	emits := w.emits[depth][:0]
+	emits, out := w.emits, len(w.emits)
 	w.lock(st)
 	tok, e, hadMatches, cancelled := w.updateLeft(&st.left, own, id, tok, ext, dir)
 	if cancelled {
@@ -865,35 +797,33 @@ func (m *Matcher) runLeft(g *group, tok *rete.Token, ext *ops5.WME, dir ops5.Cha
 	}
 	st.mu.Unlock()
 	w.executed++
-	m.propagate(emits, w, depth)
+	w.emits = emits
+	m.propagate(w, out)
 	if e == nil {
 		w.release(tok) // the unlinked entry's reference, once what it forwarded is on its way
 	}
 }
 
-// propagate hands an activation's outputs on: conflict deltas batch on
-// the lane; downstream left activations either run depth-first right
-// here (small fan-out, shallow recursion — see inlineFanout and
-// maxInlineDepth) or queue on the lane for runTask to submit.
-func (m *Matcher) propagate(emits []emit, w *worker, depth int) {
-	fan := 0
-	for _, e := range emits {
+// propagate hands on the outputs the lane's current activation pushed
+// onto w.emits from out on: conflict deltas batch on the lane, and the
+// downstream left activations run depth-first right here. Each of those
+// pushes its outputs above these and pops them before it returns, so
+// w.emits is a stack of the outputs in flight along the current chain.
+// A push may move the stack, so it is indexed afresh on every read.
+func (m *Matcher) propagate(w *worker, out int) {
+	top := len(w.emits)
+	for _, e := range w.emits[out:] {
 		for _, term := range e.node.terminals {
 			w.pending = append(w.pending, pendingDelta{term: term, tok: e.tok, wme: e.wme, key: mergeKey(term, e.tok, e.wme), dir: e.dir})
 		}
-		fan += len(e.node.down)
 	}
-	inline := depth < maxInlineDepth && (fan <= inlineFanout || !m.sched.shed())
-	for _, e := range emits {
+	for i := out; i < top; i++ {
+		e := w.emits[i]
 		for _, g := range e.node.down {
-			if inline {
-				m.runLeft(g, e.tok, e.wme, e.dir, w, depth+1)
-			} else {
-				w.spawned = append(w.spawned, task{left: g, dir: e.dir, tok: e.tok, wme: e.wme})
-			}
+			m.runLeft(g, e.tok, e.wme, e.dir, w)
 		}
 	}
-	w.emits[depth] = emits[:0]
+	w.emits = w.emits[:out]
 }
 
 // updateLeft applies a counted insert or delete to a left table under
@@ -1014,16 +944,16 @@ func deltaCmp(a, b pendingDelta) int {
 // OnRemove and returns how many instantiations entered and left the
 // conflict set.
 //
-// A batch the caller ran alone and in order (batchLoop) produced its
-// deltas as the serial matcher would have, each instantiation's insert
-// ahead of its delete, so they are announced one by one as they stand.
+// A batch the caller ran alone (batchLoop) produced its deltas as the
+// serial matcher would have, each instantiation's insert ahead of its
+// delete, so they are announced one by one as they stand.
 // Any other batch may hold a delete ahead of the insert it undoes, or
 // the two on different lanes: the lanes' deltas are merged — sorted, so
 // that equal instantiations sit together and the order is the same on
 // every run — and only the net survivors are instantiated; insert/delete
 // churn within the batch never materialises one.
-func (m *Matcher) flush(inOrder bool) (ins, rem int64) {
-	if inOrder {
+func (m *Matcher) flush(solo bool) (ins, rem int64) {
+	if solo {
 		w := &m.sched.workers[0]
 		for _, d := range w.pending {
 			if d.dir == ops5.Insert {

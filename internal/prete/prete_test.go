@@ -9,6 +9,7 @@ import (
 	"repro/internal/matchtest"
 	"repro/internal/ops5"
 	"repro/internal/prete"
+	"repro/internal/rete"
 )
 
 func runScript(t *testing.T, prods []*ops5.Production, script *matchtest.Script, cfg prete.Config) *prete.Matcher {
@@ -325,13 +326,14 @@ func TestInlineBatchAnnouncesInOrder(t *testing.T) {
 	}
 }
 
-// TestInlineBatchPastInlineDepthIsMerged runs a join chain deeper than
-// the depth-first inlining bound inline on the caller: the activations
-// past the bound are queued, the batch is no longer in the serial order,
-// and its deltas must go through the merge like a pool batch's. The
-// second batch deletes and re-inserts the head of the chain twice over;
-// merged, it nets to nothing, so the counters show which way it went.
-func TestInlineBatchPastInlineDepthIsMerged(t *testing.T) {
+// TestDeepChainRunsSoloInOrder runs a twelve-join chain inline on the
+// caller, on one lane and on four: however deep an activation's
+// downstream chain, it runs depth-first inside its seed, so the batch
+// keeps the serial order and its deltas are announced one by one — the
+// serial matcher's OnInsert/OnRemove sequence, not the merged net
+// effect. The second batch deletes and re-inserts the head of the chain
+// twice over, so the two differ.
+func TestDeepChainRunsSoloInOrder(t *testing.T) {
 	const depth = 12
 	p, batch := deepChain(t, depth)
 	prods := []*ops5.Production{p}
@@ -344,17 +346,31 @@ func TestInlineBatchPastInlineDepthIsMerged(t *testing.T) {
 		{Kind: ops5.Delete, WME: again},
 		{Kind: ops5.Insert, WME: head},
 	}
+	record := func(log *[]string, kind string) func(*ops5.Instantiation) {
+		return func(in *ops5.Instantiation) { *log = append(*log, kind+" "+in.Key()) }
+	}
+	net, err := rete.Compile(prods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	net.OnInsert, net.OnRemove = record(&want, "+"), record(&want, "-")
 	for _, workers := range []int{1, 4} {
 		m, err := prete.New(prods, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr := matchtest.NewTracker()
-		m.OnInsert, m.OnRemove = tr.Insert, tr.Remove
+		var got []string
+		m.OnInsert = func(in *ops5.Instantiation) { record(&got, "+")(in); tr.Insert(in) }
+		m.OnRemove = func(in *ops5.Instantiation) { record(&got, "-")(in); tr.Remove(in) }
 		live := map[*ops5.WME]bool{}
 		for bi, b := range [][]ops5.Change{batch, second} {
 			for _, ch := range b {
 				live[ch.WME] = ch.Kind == ops5.Insert
+			}
+			if workers == 1 {
+				net.Apply(b)
 			}
 			m.Apply(b)
 			var wmes []*ops5.WME
@@ -367,13 +383,14 @@ func TestInlineBatchPastInlineDepthIsMerged(t *testing.T) {
 				t.Fatalf("workers=%d batch %d: conflict set mismatch:\n%s", workers, bi, d)
 			}
 		}
-		st := m.Stats()
-		if st.InlineBatches != 2 {
+		if st := m.Stats(); st.InlineBatches != 2 {
 			t.Fatalf("workers=%d: %d inline batches, want 2", workers, st.InlineBatches)
 		}
-		if st.ConflictInserts != 1 || st.ConflictRemoves != 0 {
-			t.Errorf("workers=%d: %d inserts, %d removes announced, want the merged 1 and 0",
-				workers, st.ConflictInserts, st.ConflictRemoves)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("workers=%d: deltas announced as %v, want serial Rete's %v", workers, got, want)
 		}
+	}
+	if len(want) != 5 {
+		t.Fatalf("serial Rete announced %v, want 3 inserts and 2 removes", want)
 	}
 }

@@ -12,13 +12,12 @@ package prete
 // activation's own emits are on their way.
 //
 // A token whose last reference goes is retired on the releasing lane. A
-// pair-form emit, a queued task or a pending conflict-set delta may
-// still read it, so a retired token is reused only after the batch's
-// flush: at the barrier every lane's retired and unused tokens go back
-// to one matcher-wide pool, and a lane refills its own cache from that
-// pool a chunk at a time. Tokens therefore cannot pile up on a lane that
-// retires many and builds few; the pool holds at most the high-water
-// mark of live tokens.
+// pair-form emit or a pending conflict-set delta may still read it, so a
+// retired token is reused only after the batch's flush: at the barrier
+// every lane's retired and unused tokens go back to one matcher-wide
+// pool, and a lane refills its own cache from that pool a chunk at a
+// time. Tokens therefore cannot pile up on a lane that retires many and
+// builds few; the pool holds at most the high-water mark of live tokens.
 
 import (
 	"sync"

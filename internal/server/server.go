@@ -39,9 +39,6 @@ type Config struct {
 	// DefaultWorkers is the parallel-matcher worker count for sessions
 	// that do not set their own (0 = GOMAXPROCS).
 	DefaultWorkers int
-	// NoSteal disables work stealing in every session's parallel
-	// matcher (sessions cannot override; for overhead experiments).
-	NoSteal bool
 	// Logger receives structured request and slow-cycle logs (default:
 	// discard).
 	Logger *slog.Logger
@@ -142,8 +139,6 @@ type Server struct {
 	wmeChanges   *stats.Counter
 	firings      *stats.Counter
 	cycles       *stats.Counter
-	steals       *stats.Counter
-	parks        *stats.Counter
 	wakeups      *stats.Counter
 	matchSeconds *stats.Histogram
 	runSeconds   *stats.Histogram
@@ -201,10 +196,6 @@ func New(cfg Config) *Server {
 			"working-memory changes processed (submitted and fired)"),
 		firings: r.Counter("psmd_firings_total", "production firings"),
 		cycles:  r.Counter("psmd_cycles_total", "recognize-act cycles executed"),
-		steals: r.Counter("psmd_steals_total",
-			"parallel-matcher activations moved between workers by stealing"),
-		parks: r.Counter("psmd_sched_park_total",
-			"parallel-matcher worker parks (condvar waits for work)"),
 		wakeups: r.Counter("psmd_sched_wakeups_total",
 			"parallel-matcher batches that borrowed a helper lane (batches not run inline)"),
 		matchSeconds: r.Histogram("psmd_match_seconds",
@@ -508,9 +499,6 @@ func (s *Server) CreateSession(ctx context.Context, spec CreateSpec) (SessionInf
 	if spec.Workers == 0 {
 		spec.Workers = s.cfg.DefaultWorkers
 	}
-	if s.cfg.NoSteal {
-		spec.NoSteal = true
-	}
 	sess, err := newSession(spec, s.cfg.DefaultQuota, time.Now(), false)
 	if err != nil {
 		return SessionInfo{}, err
@@ -700,10 +688,7 @@ func (s *Server) account(sess *session, before engineCounts) {
 	s.firings.Add(int64(now.fired - before.fired))
 	s.cycles.Add(int64(now.cycles - before.cycles))
 	s.expiredWMEs.Add(int64(now.expired - before.expired))
-	st, pk, wk := sess.schedDeltas()
-	s.steals.Add(st)
-	s.parks.Add(pk)
-	s.wakeups.Add(wk)
+	s.wakeups.Add(sess.wakeupDelta())
 	phases, buckets := sess.lossDeltas()
 	for name, secs := range phases {
 		if secs > 0 {

@@ -68,9 +68,6 @@ type CreateSpec struct {
 	// Workers caps the parallel matcher's lanes (parallel rete only;
 	// 0 = the server default, else GOMAXPROCS; never above GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// NoSteal disables the parallel matcher's work stealing (parallel
-	// rete only).
-	NoSteal bool `json:"no_steal,omitempty"`
 	// ParallelFirings fires up to N non-conflicting instantiations per
 	// cycle (default 1).
 	ParallelFirings int `json:"parallel_firings,omitempty"`
@@ -83,11 +80,15 @@ type CreateSpec struct {
 // field names in this order, which data directories and cluster peers
 // written before CreateSpec carried the /v1 tags already hold.
 type manifest struct {
-	ID              string
-	Program         string
-	Matcher         string
-	Strategy        string
-	Workers         int
+	ID       string
+	Program  string
+	Matcher  string
+	Strategy string
+	Workers  int
+	// NoSteal turned off work stealing in a scheduler the parallel
+	// matcher no longer has. It is decoded and ignored, and written as
+	// false, so that older data directories recover and the manifest's
+	// bytes do not change.
 	NoSteal         bool
 	ParallelFirings int
 	Quota           struct{ MaxWMEs, MaxCyclesPerRequest int }
@@ -97,7 +98,7 @@ type manifest struct {
 func encodeManifest(spec CreateSpec) ([]byte, error) {
 	m := manifest{
 		ID: spec.ID, Program: spec.Program, Matcher: spec.Matcher, Strategy: spec.Strategy,
-		Workers: spec.Workers, NoSteal: spec.NoSteal, ParallelFirings: spec.ParallelFirings,
+		Workers: spec.Workers, ParallelFirings: spec.ParallelFirings,
 	}
 	m.Quota.MaxWMEs, m.Quota.MaxCyclesPerRequest = spec.MaxWMEs, spec.MaxCyclesPerRequest
 	return json.Marshal(m)
@@ -113,7 +114,7 @@ func decodeManifest(data []byte) (CreateSpec, error) {
 	}
 	return CreateSpec{
 		ID: m.ID, Program: m.Program, Matcher: m.Matcher, Strategy: m.Strategy,
-		Workers: m.Workers, NoSteal: m.NoSteal, ParallelFirings: m.ParallelFirings,
+		Workers: m.Workers, ParallelFirings: m.ParallelFirings,
 		Quota: Quota{MaxWMEs: m.Quota.MaxWMEs, MaxCyclesPerRequest: m.Quota.MaxCyclesPerRequest},
 	}, nil
 }
@@ -136,11 +137,9 @@ type session struct {
 	// requests counts every operation routed to this session.
 	requests int64
 
-	// lastSteals, lastParks and lastWakeups remember the matcher's
-	// cumulative scheduler counters at the previous schedDeltas call, so
-	// the server-wide counters can be advanced by per-request deltas.
-	lastSteals  int64
-	lastParks   int64
+	// lastWakeups remembers the matcher's cumulative wakeup count at the
+	// previous wakeupDelta call, so the server-wide counter can be
+	// advanced by per-request deltas.
 	lastWakeups int64
 
 	// lastPhaseSecs and lastTaskCounts do the same for the matcher's
@@ -375,7 +374,6 @@ func newSession(spec CreateSpec, defaultQuota Quota, now time.Time, noInitialWM 
 		Matcher:         kind,
 		Strategy:        strategy,
 		Workers:         spec.Workers,
-		NoSteal:         spec.NoSteal,
 		ParallelFirings: spec.ParallelFirings,
 		NoInitialWM:     noInitialWM,
 	})
@@ -505,20 +503,18 @@ func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult,
 // engine and matcher live as long as the session (session.sys is set
 // only by newSession, engine.Engine.Matcher only by engine.New).
 
-// schedDeltas returns the growth of the session matcher's steal, park
-// and wakeup counters since the previous call; all zero for matchers
-// without a work-stealing scheduler.
-func (s *session) schedDeltas() (steals, parks, wakeups int64) {
+// wakeupDelta returns the growth of the session matcher's wakeup
+// counter since the previous call; zero for matchers without a lane
+// scheduler.
+func (s *session) wakeupDelta() int64 {
 	p := s.sys.Engine.Capabilities().Stats
 	if p == nil {
-		return 0, 0, 0
+		return 0
 	}
 	ms := p.MatchStats()
-	steals = ms.Steals - s.lastSteals
-	parks = ms.Parks - s.lastParks
-	wakeups = ms.Wakeups - s.lastWakeups
-	s.lastSteals, s.lastParks, s.lastWakeups = ms.Steals, ms.Parks, ms.Wakeups
-	return steals, parks, wakeups
+	d := ms.Wakeups - s.lastWakeups
+	s.lastWakeups = ms.Wakeups
+	return d
 }
 
 // lossDeltas returns the growth of the session matcher's cumulative
