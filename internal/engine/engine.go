@@ -40,7 +40,9 @@ type Matcher interface {
 // firedKeys holds the conflict-set keys Select marked fired during the
 // cycle that produced the batch (nil for external applies); together
 // the two streams are a complete log of the session's evolution, which
-// is what internal/durable persists for crash recovery.
+// is what internal/durable persists for crash recovery. The changes
+// slice is only lent for the call (the engine reuses its expiry
+// batch's): a sink that keeps it copies it.
 type ChangeLogSink func(changes []ops5.Change, firedKeys []string)
 
 // Engine drives the recognize-act cycle.

@@ -171,6 +171,10 @@ type ChangeSpec struct {
 	Class string                `json:"class,omitempty"`
 	Attrs map[string]ops5.Value `json:"attrs,omitempty"`
 	Tag   int                   `json:"tag,omitempty"`
+
+	// fields holds the attributes when the wire decoder read them (see
+	// factFields); the fact asserted from the change takes it over.
+	fields []ops5.Field
 }
 
 // EventSpec is one streaming-ingest event — one NDJSON line of
@@ -185,6 +189,27 @@ type EventSpec struct {
 	Attrs map[string]ops5.Value `json:"attrs,omitempty"`
 	TS    int64                 `json:"ts,omitempty"`
 	TTL   int                   `json:"ttl,omitempty"`
+
+	// fields is ChangeSpec.fields for an event.
+	fields []ops5.Field
+}
+
+// factFields returns the fields of the fact a decoded change or event
+// asserts: decoded, the attributes as the wire decoder read them, or
+// when it did not, attrs's; then extra. ops5.NewFact sorts the fields
+// and keeps the last of a repeated attribute, so extra overrides an
+// attribute of its name, and decoded makes the fact attrs would. The
+// fact owns the returned slice, which may be decoded's own array: a
+// decoded spec asserts one fact.
+func factFields(decoded []ops5.Field, attrs map[string]ops5.Value, extra []ops5.Field) []ops5.Field {
+	fields := decoded
+	if fields == nil {
+		fields = make([]ops5.Field, 0, len(attrs)+len(extra))
+		for k, v := range attrs {
+			fields = append(fields, ops5.Field{Attr: sym.Intern(k), Val: v})
+		}
+	}
+	return append(fields, extra...)
 }
 
 // StreamResult reports applied stream batches: one (StreamApply) or a
@@ -404,11 +429,7 @@ func (s *session) apply(specs []ChangeSpec) (ApplyResult, error) {
 			if c.Class == "" {
 				return ApplyResult{}, badReqf("server: change %d: assert needs a class", i)
 			}
-			fields := make([]ops5.Field, 0, len(c.Attrs))
-			for k, v := range c.Attrs {
-				fields = append(fields, ops5.Field{Attr: sym.Intern(k), Val: v})
-			}
-			w := ops5.NewFact(sym.Intern(c.Class), fields)
+			w := ops5.NewFact(sym.Intern(c.Class), factFields(c.fields, c.Attrs, nil))
 			pending[nextTag] = w
 			nextTag++
 			changes = append(changes, ops5.Change{Kind: ops5.Insert, WME: w})
@@ -465,14 +486,12 @@ func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult,
 		if ev.TS > maxTS {
 			maxTS = ev.TS
 		}
-		fields := make([]ops5.Field, 0, len(ev.Attrs)+1)
-		for k, v := range ev.Attrs {
-			fields = append(fields, ops5.Field{Attr: sym.Intern(k), Val: v})
-		}
+		var ttl []ops5.Field
 		if ev.TTL > 0 {
-			fields = append(fields, ops5.Field{Attr: ops5.TTLAttr, Val: ops5.Num(float64(ev.TTL))})
+			ttl = []ops5.Field{{Attr: ops5.TTLAttr, Val: ops5.Num(float64(ev.TTL))}}
 		}
-		changes = append(changes, ops5.Change{Kind: ops5.Insert, WME: ops5.NewFact(sym.Intern(ev.Class), fields)})
+		w := ops5.NewFact(sym.Intern(ev.Class), factFields(ev.fields, ev.Attrs, ttl))
+		changes = append(changes, ops5.Change{Kind: ops5.Insert, WME: w})
 	}
 	if s.quota.MaxWMEs > 0 && s.sys.WM.Size()+len(changes) > s.quota.MaxWMEs {
 		return StreamResult{}, fmt.Errorf("%w: %d elements + %d events > %d",

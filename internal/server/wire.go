@@ -12,10 +12,16 @@ package server
 // psmd's clients and benchmark send is plain. Any other body (null,
 // true/false, escapes, non-ASCII, a case variant or repeat of a key,
 // trailing data, a syntax error) is decoded by decodeStrict instead, so
-// the accepted bodies, their values and every error are encoding/json's
-// own (FuzzWireDecode). A plain string is appended to a reply as it is
-// and any other goes through json.Marshal, so the replies are
-// json.Marshal's bytes plus a newline (TestWireEncodeMatchesMarshal).
+// the accepted bodies and every error are encoding/json's own, and the
+// decoded values mean what encoding/json's do (FuzzWireDecode). They
+// differ in one representation: a plain attrs object is read straight
+// into the unexported fields of ChangeSpec or EventSpec, the fact's own
+// field list, with its attribute names interned as symbol values are,
+// where decodeStrict fills the Attrs map. So a plain body refused after
+// decoding may leave new names, as well as new values, in the symbol
+// table. A plain string is appended to a reply as it is and any other
+// goes through json.Marshal, so the replies are json.Marshal's bytes
+// plus a newline (TestWireEncodeMatchesMarshal).
 // Every other body, and every other reply, stays on encoding/json.
 
 import (
@@ -147,7 +153,7 @@ func readEvent(d *wireDecoder, ev *EventSpec) {
 		case 0:
 			ev.Class = nameOf(d.str())
 		case 1:
-			ev.Attrs = d.attrs()
+			ev.fields = d.fields()
 		case 2:
 			ev.TS = d.integer(64)
 		case 3:
@@ -306,10 +312,11 @@ func (d *wireDecoder) integer(bits int) int64 {
 	return n
 }
 
-// nameOf returns b as a string: the symbol table's own copy when b is an
-// interned name (a class or attribute the program mentions), otherwise
-// a copy. Names are never interned here; symbol values are (symOf), so
-// a request refused after decoding may leave new symbols behind.
+// nameOf returns a class name as a string: the symbol table's own copy
+// when b is interned (a class the program mentions), otherwise a copy.
+// Class names are not interned here, but attribute names and symbol
+// values are (internOf), so a request refused after decoding may leave
+// new symbols behind.
 func nameOf(b []byte) string {
 	if id, ok := sym.LookupBytes(b); ok {
 		return sym.Name(id)
@@ -317,12 +324,12 @@ func nameOf(b []byte) string {
 	return string(b)
 }
 
-// symOf returns the symbol value spelled b, interning it on first sight.
-func symOf(b []byte) ops5.Value {
+// internOf returns the symbol spelled b, interning it on first sight.
+func internOf(b []byte) sym.ID {
 	if id, ok := sym.LookupBytes(b); ok {
-		return ops5.SymID(id)
+		return id
 	}
-	return ops5.Sym(string(b))
+	return sym.Intern(string(b))
 }
 
 // atom reads an attribute value: a plain string is a symbol and a
@@ -330,7 +337,7 @@ func symOf(b []byte) ops5.Value {
 func (d *wireDecoder) atom() ops5.Value {
 	if d.peek() == '"' {
 		if b := d.str(); !d.bad {
-			return symOf(b)
+			return ops5.SymID(internOf(b))
 		}
 		return ops5.Value{}
 	}
@@ -341,16 +348,23 @@ func (d *wireDecoder) atom() ops5.Value {
 	return ops5.Num(n)
 }
 
-// attrs reads an attribute map; a repeated key keeps its last value.
-func (d *wireDecoder) attrs() map[string]ops5.Value {
-	m := make(map[string]ops5.Value)
+// fields reads an attribute object into fields in document order, in
+// one allocation with room for one more field (an event's ^__ttl).
+// ops5.NewFact sorts them and keeps the last of a repeated name, so they
+// make the fact the Attrs map decodeStrict fills would make.
+func (d *wireDecoder) fields() []ops5.Field {
+	var onStack [16]ops5.Field // more attributes than this spill to the heap
+	fs := onStack[:0]
 	for n := 0; ; n++ {
 		key, ok := d.member(n)
 		if !ok {
-			return m
+			break
 		}
-		m[nameOf(key)] = d.atom()
+		fs = append(fs, ops5.Field{Attr: internOf(key), Val: d.atom()})
 	}
+	out := make([]ops5.Field, len(fs), len(fs)+1)
+	copy(out, fs)
+	return out
 }
 
 // changes reads ChangesRequest.changes; an empty array is an empty
@@ -386,7 +400,7 @@ func (d *wireDecoder) change(c *ChangeSpec) {
 		case 1:
 			c.Class = nameOf(d.str())
 		case 2:
-			c.Attrs = d.attrs()
+			c.fields = d.fields()
 		case 3:
 			c.Tag = int(d.integer(strconv.IntSize))
 		default:

@@ -2,18 +2,22 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ops5"
+	"repro/internal/sym"
 	"repro/internal/workload"
 )
 
 // wireShapes pairs each hot-route decoder with the decodeStrict call it
-// stands in for.
+// stands in for. Both return a pointer to the decoded request.
 var wireShapes = []struct {
 	name   string
 	wire   func([]byte) (any, error)
@@ -21,29 +25,82 @@ var wireShapes = []struct {
 }{
 	{
 		"changes",
-		func(b []byte) (any, error) { var v ChangesRequest; return v, decodeChanges(b, &v) },
-		func(b []byte) (any, error) {
-			var v ChangesRequest
-			return v, decodeStrict(bytes.NewReader(b), &v)
-		},
+		func(b []byte) (any, error) { v := new(ChangesRequest); return v, decodeChanges(b, v) },
+		func(b []byte) (any, error) { v := new(ChangesRequest); return v, decodeStrict(bytes.NewReader(b), v) },
 	},
 	{
 		"run",
-		func(b []byte) (any, error) { var v RunRequest; return v, decodeRun(b, &v) },
-		func(b []byte) (any, error) { var v RunRequest; return v, decodeStrict(bytes.NewReader(b), &v) },
+		func(b []byte) (any, error) { v := new(RunRequest); return v, decodeRun(b, v) },
+		func(b []byte) (any, error) { v := new(RunRequest); return v, decodeStrict(bytes.NewReader(b), v) },
 	},
 	{
 		"event",
-		func(b []byte) (any, error) { var v EventSpec; return v, decodeEvent(b, &v) },
-		func(b []byte) (any, error) { var v EventSpec; return v, decodeStrict(bytes.NewReader(b), &v) },
+		func(b []byte) (any, error) { v := new(EventSpec); return v, decodeEvent(b, v) },
+		func(b []byte) (any, error) { v := new(EventSpec); return v, decodeStrict(bytes.NewReader(b), v) },
 	},
 }
 
+// changeMeaning and eventMeaning are what a decoded change or event
+// means to the session that applies it: its scalars, and the fields of
+// the fact that factFields and ops5.NewFact build from it, normalized.
+type changeMeaning struct {
+	Op     ChangeOp
+	Class  string
+	Tag    int
+	Fields []ops5.Field
+}
+
+type eventMeaning struct {
+	Class  string
+	TS     int64
+	TTL    int
+	Fields []ops5.Field
+}
+
+// factOf returns the normalized fields of the fact built from decoded,
+// attrs and extra, nil when there are none. It takes decoded over, as
+// the fact would.
+func factOf(decoded []ops5.Field, attrs map[string]ops5.Value, extra []ops5.Field) []ops5.Field {
+	if fs := ops5.NewFact(sym.None, factFields(decoded, attrs, extra)).Fields(); len(fs) > 0 {
+		return fs
+	}
+	return nil
+}
+
+// wireMeaning returns what the request v decoded into means: a run
+// request's cycles; a changes request's list (nil or not, as decoded)
+// of changeMeaning; an event's eventMeaning, its fields extended by its
+// ttl as session.ingest extends them.
+func wireMeaning(v any) any {
+	switch v := v.(type) {
+	case *RunRequest:
+		return *v
+	case *ChangesRequest:
+		if v.Changes == nil {
+			return []changeMeaning(nil)
+		}
+		out := []changeMeaning{}
+		for _, c := range v.Changes {
+			out = append(out, changeMeaning{c.Op, c.Class, c.Tag, factOf(c.fields, c.Attrs, nil)})
+		}
+		return out
+	case *EventSpec:
+		var ttl []ops5.Field
+		if v.TTL > 0 {
+			ttl = []ops5.Field{{Attr: ops5.TTLAttr, Val: ops5.Num(float64(v.TTL))}}
+		}
+		return eventMeaning{v.Class, v.TS, v.TTL, factOf(v.fields, v.Attrs, ttl)}
+	}
+	panic(fmt.Sprintf("wireMeaning: %T", v))
+}
+
 // checkWireDecode decodes data with every shape's wire decoder and with
-// decodeStrict and fails unless both accept, into equal values, or both
-// reject with the same error text. The wire decoder reads a copy that is
-// scribbled over before the comparison, so a decoded value pointing into
-// the body fails too.
+// decodeStrict and fails unless both accept, into values that mean the
+// same (wireMeaning), or both reject with the same error text. The two
+// may differ in representation only: the wire decoder reads a plain
+// attrs object into fields where decodeStrict fills Attrs. The wire
+// decoder reads a copy that is scribbled over before the comparison, so
+// a decoded value pointing into the body fails too.
 func checkWireDecode(t *testing.T, data []byte) {
 	t.Helper()
 	for _, sh := range wireShapes {
@@ -55,8 +112,8 @@ func checkWireDecode(t *testing.T, data []byte) {
 		want, wantErr := sh.strict(data)
 		switch {
 		case gotErr == nil && wantErr == nil:
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s %q: decoded\n %#v\nwant\n %#v", sh.name, data, got, want)
+			if g, w := wireMeaning(got), wireMeaning(want); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s %q: decoded\n %#v\nwant\n %#v", sh.name, data, g, w)
 			}
 		case gotErr == nil || wantErr == nil:
 			t.Fatalf("%s %q: wire decoder error %v, decodeStrict error %v", sh.name, data, gotErr, wantErr)
@@ -105,6 +162,10 @@ var wireSeeds = []string{
 	// key, the HTML characters and DEL, a repeated struct key.
 	" {\t\"cycles\" :\r\n4 } ", `{"class":"c","attrs":{"k":"a","k":-0.5e+2}}`, `{"class":"<&>","attrs":{"k":"~\u007f"}}`,
 	`{"changes":[{"op":"assert","class":"a","attrs":{"k":"v"}}],"changes":[]}`, `{"class":"c","ts":1,"ts":2}`,
+	// An event's ttl overrides an attrs "__ttl"; a repeated attribute
+	// key in one assert keeps its last value on either path.
+	`{"class":"txn","attrs":{"__ttl":3,"card":"c1"},"ttl":9}`,
+	`{"changes":[{"op":"assert","class":"a","attrs":{"k":1,"j":"x","k":"two","j":-1,"k":3}}]}`,
 }
 
 func TestWireDecodeMatchesDecodeStrict(t *testing.T) {
@@ -136,6 +197,30 @@ func TestWireDecodeSemantics(t *testing.T) {
 	var ev EventSpec
 	if err := decodeEvent([]byte(`{"class":"c","attrs":{"t":true}}`), &ev); err != nil || ev.Attrs["t"] != ops5.Sym("true") {
 		t.Errorf("true: %v, %v; want the symbol true", ev.Attrs["t"], err)
+	}
+	// What a plain body asserts: the last value of a repeated attribute,
+	// and an event's ttl over its attrs "__ttl".
+	sess, err := newSession(CreateSpec{Program: `(literalize c k __ttl)`}, Quota{}, time.Now(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev = EventSpec{}
+	if err := decodeEvent([]byte(`{"class":"c","attrs":{"k":1,"__ttl":3,"k":2},"ttl":9}`), &ev); err != nil || ev.fields == nil {
+		t.Fatalf("plain event: fields %v, error %v", ev.fields, err)
+	}
+	if _, err := sess.ingest(context.Background(), []EventSpec{ev}); err != nil {
+		t.Fatal(err)
+	}
+	req = ChangesRequest{}
+	if err := decodeChanges([]byte(`{"changes":[{"op":"assert","class":"c","attrs":{"k":"a","k":5}}]}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.apply(req.Changes); err != nil {
+		t.Fatal(err)
+	}
+	facts := sess.sys.WM.OfClass("c")
+	if len(facts) != 2 || facts[0].Get("k") != ops5.Num(2) || facts[0].Get("__ttl") != ops5.Num(9) || facts[1].Get("k") != ops5.Num(5) {
+		t.Errorf("asserted %v, want k 2 and __ttl 9, then k 5", facts)
 	}
 	for _, bad := range []string{`{"cycles":1.0}`, `{"cycles":1e2}`, `{"cycles":99999999999999999999}`} {
 		if err := decodeRun([]byte(bad), new(RunRequest)); err == nil {
