@@ -62,16 +62,16 @@ bench-smoke:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test -short ./...
 
-# loc prints, per directory under internal/ and cmd/, the number of
-# non-test .go lines that are neither blank nor comment-only, then the
-# subtotals the ROADMAP sets targets on (whole trees, so internal/server
-# includes internal/server/stats): the matchers, the serving stack, and
-# the packages a fact or a report crosses between a matcher and the
-# wire. CI prints it for a PR's base and head, so a simplicity change is
-# judged on a number the pipeline produced.
+# loc prints, per directory under internal/, cmd/ and examples/, the
+# number of non-test .go lines that are neither blank nor comment-only,
+# then the subtotals the ROADMAP sets targets on (whole trees, so
+# internal/server includes internal/server/stats): the matchers, the
+# serving stack, and the packages a fact or a report crosses between a
+# matcher and the wire. CI prints it for a PR's base and head, so a
+# simplicity change is judged on a number the pipeline produced.
 LOC_COUNT = xargs -r cat | grep -v '^\s*//' | grep -cv '^\s*$$'
 loc:
-	@for d in $$(find internal cmd -type d | sort); do \
+	@for d in $$(find internal cmd examples -type d | sort); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | $(LOC_COUNT)); \
 		[ "$$n" -eq 0 ] || printf '%7d  %s\n' "$$n" "$$d"; \
 	done; \

@@ -98,7 +98,7 @@ const seedGrain = 16
 // serialBypassThreshold is the default seeded-activation count below
 // which a batch runs inline on the caller instead of borrowing helpers.
 // Re-derived on the 2-CPU box by re-cutting the fan-out script into
-// batches of 1 to 384 changes (see README, "Match performance"): a wake
+// batches of 1 to 384 changes (EXPERIMENTS.md E28): a wake
 // round-trip plus the barrier costs about 30µs there and one seeded
 // activation with its downstream work 1-2µs, so two lanes draw level
 // with the caller running the batch alone between 70 and 150 seeded

@@ -318,17 +318,21 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCt
 				}
 			}
 		}
+		// Propagation from j.Out flows strictly downstream, so the
+		// records are never appended to (entries never move) while we
+		// hold pointers into them.
 		if indexed {
 			n.Stats.IndexedProbes++
-			// Propagation from j.Out flows strictly downstream, so the
-			// chain is never appended to (entries never move) while we
-			// hold pointers into it.
 			for e := st.negIndex.Head(m.key(j.RightKey)); e >= 0; e = st.negIndex.Next(e) {
 				adjust(st.negIndex.At(e))
 			}
 		} else {
-			for _, rec := range st.negRecords {
-				adjust(rec)
+			// Unkeyed records are bucketed by token identity: every
+			// live slot is a candidate (a free-listed one has no token).
+			for e := int32(0); e < st.negIndex.Slots(); e++ {
+				if rec := st.negIndex.At(e); rec.tok != nil {
+					adjust(rec)
+				}
 			}
 		}
 		n.Stats.TokenComparisons += int64(tested)
@@ -336,7 +340,7 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCt
 		n.emit(ActivationEvent{
 			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindNegRight,
 			NodeID: j.ID, Dir: ctx.dir, TokensTested: tested, PairsEmitted: emitted,
-			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(st.negRecords) + st.negCount,
+			SharedBy: j.SharedBy, Indexed: indexed, OppSize: st.negCount,
 		})
 	}
 }
@@ -396,44 +400,21 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 					count++
 				}
 			}
-			if indexed {
-				st.negIndex.Add(m.key(j.LeftKey), negRecord{tok: tok, count: count})
-				st.negCount++
-			} else {
-				st.negRecords = append(st.negRecords, &negRecord{tok: tok, count: count})
-			}
+			st.negIndex.Add(j.negKey(m), negRecord{tok: tok, count: count})
+			st.negCount++
 			if count == 0 {
 				emitted++
 				n.betaInsert(j.Out, tok, ctx, seq)
 			}
 		case ops5.Delete:
-			found := false
-			if indexed {
-				if count, ok := st.negDelete(m.key(j.LeftKey), tok); ok {
-					tested++
-					st.negCount--
-					if count == 0 {
-						emitted++
-						n.betaDelete(j.Out, tok, nil, ctx, seq)
-					}
-					found = true
+			if count, ok := st.negDelete(j.negKey(m), tok); ok {
+				tested++
+				st.negCount--
+				if count == 0 {
+					emitted++
+					n.betaDelete(j.Out, tok, nil, ctx, seq)
 				}
 			} else {
-				for idx, rec := range st.negRecords {
-					tested++
-					if rec.tok.EqualTo(tok) {
-						count := rec.count
-						st.negRecords = append(st.negRecords[:idx], st.negRecords[idx+1:]...)
-						if count == 0 {
-							emitted++
-							n.betaDelete(j.Out, tok, nil, ctx, seq)
-						}
-						found = true
-						break
-					}
-				}
-			}
-			if !found {
 				n.Stats.Anomalies++
 			}
 		}

@@ -143,10 +143,10 @@ func (n *Network) IndexInfo() obs.IndexReport {
 	for _, j := range n.Joins {
 		if j.LeftHash != nil {
 			info.IndexedNodes++
+			add(n.joins[j.Index].negIndex.Stats())
 		} else {
 			info.FallbackNodes++
 		}
-		add(n.joins[j.Index].negIndex.Stats())
 	}
 	for i := range n.alphas {
 		for k := range n.alphas[i].indexes {

@@ -51,12 +51,8 @@ func bucketSnapshot(t *testing.T, n *Network) string {
 	}
 	for _, j := range n.Joins {
 		st := &n.joins[j.Index]
-		if j.Kind == JoinNegative && j.LeftHash != nil {
-			lines = append(lines, fmt.Sprintf("join%d negCount=%d", j.ID, st.negCount))
-			render(fmt.Sprintf("join%d", j.ID), chainCounts(&st.negIndex))
-		} else {
-			lines = append(lines, fmt.Sprintf("join%d negRecords=%d", j.ID, len(st.negRecords)))
-		}
+		lines = append(lines, fmt.Sprintf("join%d negCount=%d", j.ID, st.negCount))
+		render(fmt.Sprintf("join%d", j.ID), chainCounts(&st.negIndex))
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")

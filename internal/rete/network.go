@@ -200,23 +200,31 @@ type joinState struct {
 	// while one of its own probes is still being iterated.
 	leftScratch  []*Token
 	rightScratch []*ops5.WME
-	// A not-node holds its left tokens with match counts: in negRecords
-	// when it has no equality key, by value in negIndex bucketed by join
-	// key hash when it has (negCount tracks their number for StateSize).
-	// Records are only added on this node's own left activation, which
-	// never nests inside an iteration of the same node's chains
-	// (propagation flows strictly downstream), so pointers into the
-	// buckets taken during a walk stay valid.
-	negRecords []*negRecord
-	negIndex   bucket.Buckets[negRecord]
-	negCount   int
+	// A not-node holds its left tokens with match counts by value in
+	// negIndex, bucketed by join key hash when the node has an equality
+	// key and by token identity hash when it has none (negCount tracks
+	// their number for StateSize). Records are only added on this node's
+	// own left activation, which never nests inside an iteration of the
+	// same node's chains (propagation flows strictly downstream), so
+	// pointers into the buckets taken during a walk stay valid.
+	negIndex bucket.Buckets[negRecord]
+	negCount int
 	// prof accumulates the node's activation work for live hot-node
 	// profiling.
 	prof NodeProf
 }
 
-// negDelete unlinks the record for a token equal to tok under join-key
-// hash k in the indexed not-node state, returning its match count.
+// negKey is the negIndex key of the left token in m: its join-key hash
+// at a keyed not-node, its identity hash at an unkeyed one.
+func (j *JoinNode) negKey(m *keyMemo[*Token]) uint64 {
+	if j.LeftHash != nil {
+		return m.key(j.LeftKey)
+	}
+	return m.x.IDHash()
+}
+
+// negDelete unlinks the record for a token equal to tok under key k in
+// the not-node state, returning its match count.
 func (j *joinState) negDelete(k uint64, tok *Token) (count int, found bool) {
 	prev := int32(-1)
 	for i := j.negIndex.Head(k); i >= 0; prev, i = i, j.negIndex.Next(i) {

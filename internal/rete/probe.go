@@ -104,7 +104,7 @@ func (n *Network) StateSize() int {
 		size += len(n.betas[i].items)
 	}
 	for i := range n.joins {
-		size += n.joins[i].negCount + len(n.joins[i].negRecords)
+		size += n.joins[i].negCount
 	}
 	// The dummy top's permanent empty token is not match state.
 	return size - 1

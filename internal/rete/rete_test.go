@@ -431,3 +431,45 @@ func TestSameKeyColumnsShareAKey(t *testing.T) {
 	}
 	t.Fatal("no beta memory with two readers; the productions no longer share their first CE")
 }
+
+// TestUnkeyedNotNodeDeleteTestsOneRecord churns one left token through
+// an unkeyed not-node that holds 64 others. Its records are bucketed by
+// token identity, so an insert+delete round allocates nothing and the
+// delete tests only the record it removes, however many are live.
+func TestUnkeyedNotNodeDeleteTestsOneRecord(t *testing.T) {
+	p, err := ops5.ParseProduction(`(p x (a ^v <v>) - (b) (c ^v <v>) --> (halt))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := rete.Compile([]*ops5.Production{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const live = 64
+	for i := 0; i < live; i++ {
+		w := ops5.NewWME("a", "v", i)
+		w.TimeTag = i + 1
+		n.Apply([]ops5.Change{{Kind: ops5.Insert, WME: w}})
+	}
+	w := ops5.NewWME("a", "v", live)
+	w.TimeTag = live + 1
+	insert := []ops5.Change{{Kind: ops5.Insert, WME: w}}
+	remove := []ops5.Change{{Kind: ops5.Delete, WME: w}}
+	round := func() { n.Apply(insert); n.Apply(remove) }
+	round() // warm the free lists
+
+	before := n.Stats.TokenComparisons
+	const rounds = 100
+	allocs := testing.AllocsPerRun(rounds, round)
+	perRound := float64(n.Stats.TokenComparisons-before) / (rounds + 1)
+	t.Logf("%.0f allocations, %.1f token comparisons per round with %d live records", allocs, perRound, live)
+	if allocs != 0 {
+		t.Errorf("%.0f allocations per insert+delete round, want 0", allocs)
+	}
+	if perRound > 3 {
+		t.Errorf("%.1f token comparisons per round, want at most 3: a delete must not scan the %d live records", perRound, live)
+	}
+	if n.Stats.Anomalies != 0 {
+		t.Errorf("anomalies = %d", n.Stats.Anomalies)
+	}
+}

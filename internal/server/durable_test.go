@@ -139,6 +139,28 @@ func TestServerCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoveredWideAutoIDNotReused reopens a durable server holding a
+// client-chosen ID in the server-assigned form but wider than six
+// digits: the next server-assigned ID must follow it, not collide with
+// it.
+func TestRecoveredWideAutoIDNotReused(t *testing.T) {
+	cfg := server.Config{Shards: 1, DataDir: t.TempDir()}
+	srv := server.New(cfg)
+	ts := httptest.NewServer(srv.Handler())
+	newClient(t, ts).must("POST", "/sessions", server.CreateSpec{
+		ID: "s-1234567", Program: counterSrc,
+	}, nil, http.StatusCreated)
+	ts.Close()
+	srv.Close()
+
+	_, c := newTestServer(t, cfg)
+	var auto server.SessionInfo
+	c.must("POST", "/sessions", server.CreateSpec{Program: counterSrc}, &auto, http.StatusCreated)
+	if auto.ID != "s-1234568" {
+		t.Fatalf("server-assigned ID after recovering s-1234567 = %q, want s-1234568", auto.ID)
+	}
+}
+
 // TestServerGracefulShutdownSnapshots checks Close drains every session
 // with a final snapshot, so the next start replays no WAL records.
 func TestServerGracefulShutdownSnapshots(t *testing.T) {

@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -318,8 +320,7 @@ func (s *Server) recoverSessions() {
 		s.sessions.Add(1)
 		s.recovered.Inc()
 		// Keep server-assigned IDs from colliding with recovered ones.
-		var n int64
-		if _, err := fmt.Sscanf(sess.id, "s-%06d", &n); err == nil && n > maxAuto {
+		if n, ok := autoIDNumber(sess.id); ok && n > maxAuto {
 			maxAuto = n
 		}
 		s.logger.Info("session recovered",
@@ -334,6 +335,19 @@ func (s *Server) recoverSessions() {
 			return
 		}
 	}
+}
+
+// autoIDNumber reads the number of an ID in the server-assigned form
+// "s-" followed by decimal digits. The whole suffix is read: the
+// assigned form is zero-padded to six digits, but IDs past 999999 (or
+// chosen by a client) are wider.
+func autoIDNumber(id string) (int64, bool) {
+	digits, ok := strings.CutPrefix(id, "s-")
+	if !ok || digits == "" || strings.TrimLeft(digits, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(digits, 10, 64)
+	return n, err == nil
 }
 
 // recoverSession rebuilds one session from its durable directory.
