@@ -67,7 +67,9 @@ bench-smoke:
 # then the subtotals the ROADMAP sets targets on (whole trees, so
 # internal/server includes internal/server/stats): the matchers, the
 # serving stack, and the packages a fact or a report crosses between a
-# matcher and the wire. CI prints it for a PR's base and head, so a
+# matcher and the wire. The last line counts the same way every repro/...
+# package psmd links (go list -deps ./cmd/psmd): how much code the
+# service carries. CI prints it for a PR's base and head, so a
 # simplicity change is judged on a number the pipeline produced.
 LOC_COUNT = xargs -r cat | grep -v '^\s*//' | grep -cv '^\s*$$'
 loc:
@@ -78,7 +80,10 @@ loc:
 	for set in "rete prete treat" "server durable rete prete" "core engine obs ops5"; do \
 		n=$$(for p in $$set; do find internal/$$p -name '*.go' ! -name '*_test.go'; done | $(LOC_COUNT)); \
 		printf '%7d  internal/{%s}\n' "$$n" "$$(echo $$set | tr ' ' ,)"; \
-	done
+	done; \
+	n=$$($(GO) list -deps -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./cmd/psmd | \
+		grep '^repro/' | cut -s -d' ' -f2- | tr ' ' '\n' | $(LOC_COUNT)); \
+	printf '%7d  go list -deps ./cmd/psmd (repro/...)\n' "$$n"
 
 # soak runs the kill/promote streaming soak (see
 # internal/cluster/clustertest/soak_test.go) under the race detector.

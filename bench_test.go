@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/archcmp"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/matchtest"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -226,17 +227,15 @@ func BenchmarkE8MatcherLadder(b *testing.B) {
 	for _, batch := range script.Batches {
 		nChanges += len(batch)
 	}
-	kinds := []core.MatcherKind{core.Naive, core.TREAT, core.SerialRete, core.ParallelRete}
-	for _, kind := range kinds {
-		b.Run(kind.String(), func(b *testing.B) {
+	for _, name := range experiments.Ladder {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sys, err := core.NewSystemFromProgram(&ops5.Program{Productions: prods},
-					core.Options{Matcher: kind, Workers: runtime.GOMAXPROCS(0)})
+				e, err := experiments.LadderEngine(name, prods)
 				if err != nil {
 					b.Fatal(err)
 				}
 				for _, batch := range script.Batches {
-					sys.Matcher.Apply(cloneBatch(batch))
+					e.Matcher.Apply(cloneBatch(batch))
 				}
 			}
 			b.ReportMetric(float64(nChanges*b.N)/b.Elapsed().Seconds(), "wme-changes/s")

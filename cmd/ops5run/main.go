@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	ops5run [-matcher rete|parallel-rete|treat|full-state|naive] [-strategy lex|mea]
+//	ops5run [-matcher rete|parallel-rete|naive] [-strategy lex|mea]
 //	        [-cycles N] [-firings N] [-workers N] [-stats] [-loss] program.ops
 //
 // The program file contains (p ...) productions and optional top-level
@@ -50,7 +50,7 @@ import (
 )
 
 func main() {
-	matcherName := flag.String("matcher", "rete", "match algorithm: rete, parallel-rete, treat, full-state, naive")
+	matcherName := flag.String("matcher", "rete", "match algorithm: rete, parallel-rete, naive")
 	strategyName := flag.String("strategy", "lex", "conflict resolution: lex or mea")
 	cycles := flag.Int("cycles", 0, "maximum recognize-act cycles (0 = unbounded)")
 	firings := flag.Int("firings", 1, "parallel firings per cycle")

@@ -6,17 +6,18 @@ import (
 	"testing"
 )
 
-// The service links the matchers, the engine and the serving layers —
-// not the paper-reproduction packages (simulator, architecture models,
-// Soar, experiments with their ASCII tables and charts), the workload
-// generators or test helpers.
+// The service links the three served matchers, the engine and the
+// serving layers — not the paper-reproduction packages (simulator,
+// architecture models, Soar, experiments with their ASCII tables and
+// charts, the §3.2 baseline matchers TREAT and full-state), the
+// workload generators or test helpers.
 func TestServicePathImportsNoReproductionPackage(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", ".").Output()
 	if err != nil {
 		t.Fatalf("go list -deps: %v", err)
 	}
 	banned := map[string]bool{}
-	for _, pkg := range []string{"psm", "archcmp", "model", "partition", "soar", "experiments", "workload", "trace", "matchtest"} {
+	for _, pkg := range []string{"psm", "archcmp", "model", "partition", "soar", "experiments", "workload", "trace", "matchtest", "treat", "fullstate"} {
 		banned["repro/internal/"+pkg] = true
 	}
 	sawServer := false

@@ -1,8 +1,12 @@
 // Package core is the top-level API of the production-system library:
-// it assembles a parser-fed rule system from an OPS5 source text, a
-// matcher (serial Rete, the paper's fine-grain parallel Rete, TREAT, or
-// the naive rematcher), a conflict-resolution strategy and the
-// recognize-act engine, behind one constructor.
+// it assembles a parser-fed rule system from an OPS5 source text, one
+// of the three served matchers (serial Rete, the paper's fine-grain
+// parallel Rete, or the naive rematcher), a conflict-resolution
+// strategy and the recognize-act engine, behind one constructor. Each
+// matcher reports its own work (engine.StatsProvider), so the engine
+// holds the matcher itself. TREAT and Oflazer's full-state scheme, the
+// §3.2 analysis baselines, are not served; the reproduction builds them
+// through internal/matchtest.
 //
 // Quickstart:
 //
@@ -17,13 +21,10 @@ import (
 
 	"repro/internal/conflict"
 	"repro/internal/engine"
-	"repro/internal/fullstate"
 	"repro/internal/naive"
-	"repro/internal/obs"
 	"repro/internal/ops5"
 	"repro/internal/prete"
 	"repro/internal/rete"
-	"repro/internal/treat"
 	"repro/internal/wm"
 )
 
@@ -37,12 +38,8 @@ const (
 	// ParallelRete is the paper's fine-grain parallel Rete (§4-5),
 	// running node activations on a goroutine worker pool.
 	ParallelRete
-	// TREAT stores only alpha memories and recomputes joins (§3.2).
-	TREAT
-	// FullState stores tuples for all CE combinations (Oflazer's
-	// scheme, the high end of §3.2).
-	FullState
-	// Naive rematches the whole working memory every cycle (§3.1).
+	// Naive rematches the whole working memory every cycle (§3.1); it
+	// is the reference the other two are checked against.
 	Naive
 )
 
@@ -51,10 +48,6 @@ func (k MatcherKind) String() string {
 	switch k {
 	case ParallelRete:
 		return "parallel-rete"
-	case TREAT:
-		return "treat"
-	case FullState:
-		return "full-state"
 	case Naive:
 		return "naive"
 	default:
@@ -69,14 +62,10 @@ func ParseMatcherKind(s string) (MatcherKind, error) {
 		return SerialRete, nil
 	case "parallel", "parallel-rete", "prete":
 		return ParallelRete, nil
-	case "treat":
-		return TREAT, nil
-	case "full-state", "fullstate", "oflazer":
-		return FullState, nil
 	case "naive":
 		return Naive, nil
 	default:
-		return SerialRete, fmt.Errorf("core: unknown matcher %q (rete|parallel-rete|treat|full-state|naive)", s)
+		return SerialRete, fmt.Errorf("core: unknown matcher %q (rete|parallel-rete|naive)", s)
 	}
 }
 
@@ -136,8 +125,7 @@ func NewSystemFromProgram(prog *ops5.Program, opts Options) (*System, error) {
 		}
 		net.OnInsert = cs.Insert
 		net.OnRemove = cs.Remove
-		sys.net = net
-		m = netMatcher{net}
+		sys.net, m = net, net
 	case ParallelRete:
 		pm, err := prete.New(prog.Productions, opts.Workers)
 		if err != nil {
@@ -145,24 +133,7 @@ func NewSystemFromProgram(prog *ops5.Program, opts Options) (*System, error) {
 		}
 		pm.OnInsert = cs.Insert
 		pm.OnRemove = cs.Remove
-		sys.pm = pm
-		m = preteMatcher{pm}
-	case TREAT:
-		tm, err := treat.New(prog.Productions)
-		if err != nil {
-			return nil, err
-		}
-		tm.OnInsert = cs.Insert
-		tm.OnRemove = cs.Remove
-		m = treatMatcher{tm}
-	case FullState:
-		fm, err := fullstate.New(prog.Productions)
-		if err != nil {
-			return nil, err
-		}
-		fm.OnInsert = cs.Insert
-		fm.OnRemove = cs.Remove
-		m = fullstateMatcher{fm}
+		sys.pm, m = pm, pm
 	case Naive:
 		nm, err := naive.New(prog.Productions)
 		if err != nil {
@@ -170,7 +141,7 @@ func NewSystemFromProgram(prog *ops5.Program, opts Options) (*System, error) {
 		}
 		nm.OnInsert = cs.Insert
 		nm.OnRemove = cs.Remove
-		m = naiveMatcher{nm}
+		m = nm
 	default:
 		return nil, fmt.Errorf("core: unknown matcher kind %d", opts.Matcher)
 	}
@@ -184,74 +155,6 @@ func NewSystemFromProgram(prog *ops5.Program, opts Options) (*System, error) {
 		e.Load(prog.InitialWM)
 	}
 	return sys, nil
-}
-
-// The matchers satisfy engine.Matcher and the profile, index and loss
-// capabilities as they stand. What differs between them is where
-// the work counters live — rete.Network.Stats is a field,
-// prete.Matcher.Stats a method, and each matcher counts its own unit of
-// match work — so each gets one adapter whose only method is MatchStats,
-// translating the native counters into the matcher-neutral report. The
-// matcher packages stay free of engine imports.
-
-type netMatcher struct{ *rete.Network }
-
-func (m netMatcher) MatchStats() obs.MatchStats {
-	s := m.Network.Stats
-	return obs.MatchStats{
-		Changes:         int64(s.Changes),
-		Comparisons:     s.TokenComparisons,
-		ConflictInserts: s.ConflictInserts,
-		ConflictRemoves: s.ConflictRemoves,
-	}
-}
-
-type preteMatcher struct{ *prete.Matcher }
-
-// MatchStats includes the scheduler's counters.
-func (m preteMatcher) MatchStats() obs.MatchStats {
-	s := m.Matcher.Stats()
-	return obs.MatchStats{
-		Changes:         s.Changes,
-		Comparisons:     s.Comparisons,
-		ConflictInserts: s.ConflictInserts,
-		ConflictRemoves: s.ConflictRemoves,
-		Tasks:           s.Tasks,
-		Wakeups:         s.Wakeups,
-		InlineBatches:   s.InlineBatches,
-		Workers:         s.PerWorker,
-	}
-}
-
-type treatMatcher struct{ *treat.Matcher }
-
-func (m treatMatcher) MatchStats() obs.MatchStats {
-	s := m.Matcher.Stats
-	return obs.MatchStats{
-		Changes:         int64(s.Changes),
-		Comparisons:     s.JoinTuplesTested,
-		ConflictInserts: s.ConflictInserts,
-		ConflictRemoves: s.ConflictRemoves,
-	}
-}
-
-type fullstateMatcher struct{ *fullstate.Matcher }
-
-func (m fullstateMatcher) MatchStats() obs.MatchStats {
-	s := m.Matcher.Stats
-	return obs.MatchStats{
-		Changes:         int64(s.Changes),
-		Comparisons:     s.ConsistencyChecks,
-		ConflictInserts: s.ConflictInserts,
-		ConflictRemoves: s.ConflictRemoves,
-	}
-}
-
-type naiveMatcher struct{ *naive.Matcher }
-
-func (m naiveMatcher) MatchStats() obs.MatchStats {
-	s := m.Matcher.Stats
-	return obs.MatchStats{Changes: int64(s.Changes), Comparisons: s.ElementsMatched}
 }
 
 // Productions returns the compiled productions.

@@ -1,11 +1,15 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/conflict"
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/matchtest"
+	"repro/internal/ops5"
 	"repro/internal/workload"
 )
 
@@ -13,12 +17,10 @@ func TestParseMatcherKind(t *testing.T) {
 	cases := map[string]core.MatcherKind{
 		"rete":          core.SerialRete,
 		"serial":        core.SerialRete,
+		"serial-rete":   core.SerialRete,
 		"parallel":      core.ParallelRete,
 		"parallel-rete": core.ParallelRete,
 		"prete":         core.ParallelRete,
-		"treat":         core.TREAT,
-		"full-state":    core.FullState,
-		"oflazer":       core.FullState,
 		"naive":         core.Naive,
 	}
 	for in, want := range cases {
@@ -27,16 +29,46 @@ func TestParseMatcherKind(t *testing.T) {
 			t.Errorf("ParseMatcherKind(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := core.ParseMatcherKind("quantum"); err == nil {
-		t.Error("expected error for unknown matcher name")
+	// The §3.2 baselines are not served.
+	for _, in := range []string{"quantum", "treat", "full-state", "fullstate", "oflazer"} {
+		if _, err := core.ParseMatcherKind(in); err == nil {
+			t.Errorf("ParseMatcherKind(%q): expected error", in)
+		}
 	}
 }
 
 func TestMatcherKindStringRoundTrip(t *testing.T) {
-	for _, k := range []core.MatcherKind{core.SerialRete, core.ParallelRete, core.TREAT, core.FullState, core.Naive} {
+	for _, k := range []core.MatcherKind{core.SerialRete, core.ParallelRete, core.Naive} {
 		got, err := core.ParseMatcherKind(k.String())
 		if err != nil || got != k {
 			t.Errorf("round trip %v -> %q -> %v, %v", k, k.String(), got, err)
+		}
+	}
+}
+
+// TestEngineHoldsTheMatcher: the engine's matcher is the matcher itself,
+// and it reports its own work.
+func TestEngineHoldsTheMatcher(t *testing.T) {
+	src := `(p x (a ^v 1) --> (halt))`
+	for kind, want := range map[core.MatcherKind]string{
+		core.SerialRete:   "*rete.Network",
+		core.ParallelRete: "*prete.Matcher",
+		core.Naive:        "*naive.Matcher",
+	} {
+		sys, err := core.NewSystem(src, core.Options{Matcher: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%T", sys.Matcher); got != want {
+			t.Errorf("%v: engine matcher is %s, want %s", kind, got, want)
+		}
+		p := sys.Capabilities().Stats
+		if p == nil {
+			t.Fatalf("%v: no StatsProvider", kind)
+		}
+		sys.Assert(ops5.NewWME("a", "v", 1), ops5.NewWME("a", "v", 2))
+		if st := p.MatchStats(); st.Changes != 2 || st.Comparisons == 0 {
+			t.Errorf("%v: MatchStats = %+v, want 2 changes and some comparisons", kind, st)
 		}
 	}
 }
@@ -55,24 +87,39 @@ func TestNewSystemCompileError(t *testing.T) {
 	}
 }
 
+// TestMonkeyBananasUnderEveryMatcher runs the served matchers through
+// core and the §3.2 baselines through matchtest, each behind an engine.
 func TestMonkeyBananasUnderEveryMatcher(t *testing.T) {
-	for _, kind := range []core.MatcherKind{core.SerialRete, core.ParallelRete, core.TREAT, core.FullState, core.Naive} {
+	for _, name := range []string{"rete", "parallel-rete", "naive", "treat", "full-state"} {
 		var out strings.Builder
-		sys, err := core.NewSystem(workload.MonkeyBananas, core.Options{
-			Matcher:   kind,
-			Strategy:  conflict.MEA,
-			Output:    &out,
-			MaxCycles: 50,
-			Workers:   4,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
+		var sys *engine.Engine
+		if kind, err := core.ParseMatcherKind(name); err == nil {
+			s, err := core.NewSystem(workload.MonkeyBananas, core.Options{
+				Matcher:   kind,
+				Strategy:  conflict.MEA,
+				Output:    &out,
+				MaxCycles: 50,
+				Workers:   4,
+			})
+			if err != nil {
+				t.Fatalf("%v: %v", name, err)
+			}
+			sys = s.Engine
+		} else {
+			prog, err := ops5.Parse(workload.MonkeyBananas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sys, err = matchtest.NewBaseline(name, prog, conflict.MEA); err != nil {
+				t.Fatalf("%v: %v", name, err)
+			}
+			sys.Out, sys.MaxCycles = &out, 50
 		}
 		if _, err := sys.Run(); err != nil {
-			t.Fatalf("%v: %v", kind, err)
+			t.Fatalf("%v: %v", name, err)
 		}
 		if !sys.Halted {
-			t.Errorf("%v: did not halt; output:\n%s", kind, out.String())
+			t.Errorf("%v: did not halt; output:\n%s", name, out.String())
 		}
 		want := []string{
 			"monkey walks to the ladder",
@@ -83,11 +130,11 @@ func TestMonkeyBananasUnderEveryMatcher(t *testing.T) {
 		}
 		got := strings.Split(strings.TrimSpace(out.String()), "\n")
 		if len(got) != len(want) {
-			t.Fatalf("%v: output = %q", kind, out.String())
+			t.Fatalf("%v: output = %q", name, out.String())
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("%v: step %d = %q, want %q", kind, i, got[i], want[i])
+				t.Errorf("%v: step %d = %q, want %q", name, i, got[i], want[i])
 			}
 		}
 	}

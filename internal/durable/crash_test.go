@@ -137,7 +137,7 @@ func newCrashModel(t *testing.T, seed int64) *crashModel {
 	r.opts = Options{Fsync: FsyncAlways, SnapshotEvery: []int{0, 3, 7}[rng.Intn(3)]}
 	matcher := core.SerialRete
 	if seed&4 != 0 {
-		matcher = core.TREAT
+		matcher = core.ParallelRete
 	}
 	program := workload.MissManners
 	cycles := func(max int) {
@@ -179,7 +179,7 @@ func newCrashModel(t *testing.T, seed int64) *crashModel {
 		r.inputs = append(r.inputs, crashInput{kind: 't', clock: 200})
 	}
 	r.newSys = func(noInitialWM bool) *core.System {
-		sys, err := core.NewSystem(program, core.Options{Matcher: matcher, NoInitialWM: noInitialWM})
+		sys, err := core.NewSystem(program, core.Options{Matcher: matcher, Workers: 2, NoInitialWM: noInitialWM})
 		if err != nil {
 			t.Fatalf("NewSystem: %v", err)
 		}

@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/matchtest"
 	"repro/internal/ops5"
 	"repro/internal/workload"
 )
@@ -24,12 +26,34 @@ import (
 func newManners(t testing.TB, matcher core.MatcherKind, noInitialWM bool) *core.System {
 	t.Helper()
 	sys, err := core.NewSystem(workload.MissManners, core.Options{
-		Matcher: matcher, NoInitialWM: noInitialWM,
+		Matcher: matcher, Workers: 2, NoInitialWM: noInitialWM,
 	})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	return sys
+}
+
+// mannersEngine builds a Miss Manners engine under the named matcher:
+// a served one through newManners, or a §3.2 baseline ("treat") through
+// matchtest, whose recovery is the engine's as well.
+func mannersEngine(t testing.TB, matcher string, noInitialWM bool) *engine.Engine {
+	t.Helper()
+	if kind, err := core.ParseMatcherKind(matcher); err == nil {
+		return newManners(t, kind, noInitialWM).Engine
+	}
+	prog, err := ops5.Parse(workload.MissManners)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	if noInitialWM {
+		prog.InitialWM = nil
+	}
+	e, err := matchtest.NewBaseline(matcher, prog, conflict.LEX)
+	if err != nil {
+		t.Fatalf("NewBaseline: %v", err)
+	}
+	return e
 }
 
 // mannersWM generates the deterministic guest list every run shares.
@@ -70,15 +94,15 @@ func stateString(e *engine.Engine) string {
 // engine state after every committed batch. states[i] is the state a
 // recovery must reproduce after replaying WAL record i+1; final is the
 // state at halt.
-func referenceRun(t *testing.T, matcher core.MatcherKind, wmes []*ops5.WME) (states []string, final string) {
+func referenceRun(t *testing.T, matcher string, wmes []*ops5.WME) (states []string, final string) {
 	t.Helper()
-	sys := newManners(t, matcher, false)
-	sys.Engine.Sink = func([]ops5.Change, []string) {
-		states = append(states, stateString(sys.Engine))
+	e := mannersEngine(t, matcher, false)
+	e.Sink = func([]ops5.Change, []string) {
+		states = append(states, stateString(e))
 	}
-	sys.Engine.Load(wmes)
-	stepToEnd(t, sys.Engine)
-	return states, stateString(sys.Engine)
+	e.Load(wmes)
+	stepToEnd(t, e)
+	return states, stateString(e)
 }
 
 // stepToEnd runs recognize-act cycles until quiescence or halt.
@@ -102,25 +126,25 @@ func stepToEnd(t *testing.T, e *engine.Engine) {
 // are committed, then abandons the log without Close — the on-disk
 // state is what a kill -9 leaves behind (fsync=always: every
 // acknowledged record is synced).
-func crashRun(t *testing.T, dir string, matcher core.MatcherKind, wmes []*ops5.WME, stopAfter, snapEvery int) {
+func crashRun(t *testing.T, dir string, matcher string, wmes []*ops5.WME, stopAfter, snapEvery int) {
 	t.Helper()
-	sys := newManners(t, matcher, false)
-	l, err := Create(dir, []byte(`{"program":"manners"}`), sys.Engine, Options{
+	e := mannersEngine(t, matcher, false)
+	l, err := Create(dir, []byte(`{"program":"manners"}`), e, Options{
 		Fsync: FsyncAlways, SnapshotEvery: snapEvery,
 	})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	records := 0
-	sys.Engine.Sink = func(ch []ops5.Change, fk []string) {
+	e.Sink = func(ch []ops5.Change, fk []string) {
 		if err := l.Append(ch, fk); err != nil {
 			t.Errorf("Append: %v", err)
 		}
 		records++
 	}
-	sys.Engine.Load(wmes)
+	e.Load(wmes)
 	for records < stopAfter {
-		ok, err := sys.Engine.Step()
+		ok, err := e.Step()
 		if err != nil {
 			t.Fatalf("Step: %v", err)
 		}
@@ -140,7 +164,7 @@ func crashRun(t *testing.T, dir string, matcher core.MatcherKind, wmes []*ops5.W
 // and require the final states to match too.
 func TestRecoverDifferential(t *testing.T) {
 	wmes := mannersWM(t)
-	for _, matcher := range []core.MatcherKind{core.SerialRete, core.TREAT} {
+	for _, matcher := range []string{"rete", "treat", "parallel-rete"} {
 		states, final := referenceRun(t, matcher, wmes)
 		if len(states) < 8 {
 			t.Fatalf("reference run too short: %d records", len(states))
@@ -153,8 +177,8 @@ func TestRecoverDifferential(t *testing.T) {
 					dir := t.TempDir()
 					crashRun(t, dir, matcher, wmes, crashAt, snapEvery)
 
-					rsys := newManners(t, matcher, true)
-					rlog, stats, err := Recover(dir, rsys.Engine, Options{Fsync: FsyncAlways})
+					rsys := mannersEngine(t, matcher, true)
+					rlog, stats, err := Recover(dir, rsys, Options{Fsync: FsyncAlways})
 					if err != nil {
 						t.Fatalf("Recover: %v", err)
 					}
@@ -162,7 +186,7 @@ func TestRecoverDifferential(t *testing.T) {
 					if stats.Truncated {
 						t.Fatalf("clean WAL reported truncation at %d", stats.TruncatedAt)
 					}
-					if got, want := stateString(rsys.Engine), states[crashAt-1]; got != want {
+					if got, want := stateString(rsys), states[crashAt-1]; got != want {
 						t.Fatalf("recovered state diverged from reference:\n--- got ---\n%s--- want ---\n%s", got, want)
 					}
 					seq, snapSeq, _, _ := rlog.Stats()
@@ -177,22 +201,22 @@ func TestRecoverDifferential(t *testing.T) {
 					// The recovered session must be a full citizen: keep
 					// logging, run to completion, and still match the
 					// uninterrupted run — and still be recoverable.
-					rsys.Engine.Sink = func(ch []ops5.Change, fk []string) {
+					rsys.Sink = func(ch []ops5.Change, fk []string) {
 						if err := rlog.Append(ch, fk); err != nil {
 							t.Errorf("Append after recovery: %v", err)
 						}
 					}
-					stepToEnd(t, rsys.Engine)
-					if got := stateString(rsys.Engine); got != final {
+					stepToEnd(t, rsys)
+					if got := stateString(rsys); got != final {
 						t.Fatalf("resumed run diverged at halt:\n--- got ---\n%s--- want ---\n%s", got, final)
 					}
-					r2 := newManners(t, matcher, true)
-					r2log, _, err := Recover(dir, r2.Engine, Options{})
+					r2 := mannersEngine(t, matcher, true)
+					r2log, _, err := Recover(dir, r2, Options{})
 					if err != nil {
 						t.Fatalf("second Recover: %v", err)
 					}
 					defer r2log.Close()
-					if got := stateString(r2.Engine); got != final {
+					if got := stateString(r2); got != final {
 						t.Fatalf("second recovery diverged at halt:\n--- got ---\n%s--- want ---\n%s", got, final)
 					}
 				})
@@ -208,7 +232,7 @@ func TestRecoverDifferential(t *testing.T) {
 // through.
 func TestRecoverTruncatedWAL(t *testing.T) {
 	wmes := mannersWM(t)
-	states, final := referenceRun(t, core.SerialRete, wmes)
+	states, final := referenceRun(t, "rete", wmes)
 	const crashAt = 6
 	walPath := func(dir string) string { return filepath.Join(dir, walFile) }
 
@@ -250,7 +274,7 @@ func TestRecoverTruncatedWAL(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			crashRun(t, dir, core.SerialRete, wmes, crashAt, 0)
+			crashRun(t, dir, "rete", wmes, crashAt, 0)
 			tc.mutate(t, walPath(dir))
 
 			rsys := newManners(t, core.SerialRete, true)
@@ -340,7 +364,7 @@ func TestRecoverRefusesWholeFrames(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			crashRun(t, dir, core.SerialRete, wmes, crashAt, 0)
+			crashRun(t, dir, "rete", wmes, crashAt, 0)
 			path := filepath.Join(dir, walFile)
 			wal, err := os.ReadFile(path)
 			if err != nil {
@@ -373,7 +397,7 @@ func TestRecoverRefusesWholeFrames(t *testing.T) {
 // them by sequence number, not apply them twice.
 func TestRecoverSkipsSnapshotCoveredRecords(t *testing.T) {
 	wmes := mannersWM(t)
-	states, final := referenceRun(t, core.SerialRete, wmes)
+	states, final := referenceRun(t, "rete", wmes)
 	const crashAt = 5
 
 	dir := t.TempDir()
@@ -452,7 +476,7 @@ func TestRecoverSkipsSnapshotCoveredRecords(t *testing.T) {
 // end to end through the durability layer.)
 func TestRunContextCancelSnapshotConsistent(t *testing.T) {
 	wmes := mannersWM(t)
-	_, final := referenceRun(t, core.SerialRete, wmes)
+	_, final := referenceRun(t, "rete", wmes)
 
 	dir := t.TempDir()
 	sys := newManners(t, core.SerialRete, false)
@@ -509,11 +533,11 @@ func TestRunContextCancelSnapshotConsistent(t *testing.T) {
 // resets the WAL tail, so replay work at recovery stays bounded.
 func TestAutoSnapshotBoundsWAL(t *testing.T) {
 	wmes := mannersWM(t)
-	states, _ := referenceRun(t, core.SerialRete, wmes)
+	states, _ := referenceRun(t, "rete", wmes)
 	const crashAt, snapEvery = 8, 3
 
 	dir := t.TempDir()
-	crashRun(t, dir, core.SerialRete, wmes, crashAt, snapEvery)
+	crashRun(t, dir, "rete", wmes, crashAt, snapEvery)
 	rsys := newManners(t, core.SerialRete, true)
 	rlog, stats, err := Recover(dir, rsys.Engine, Options{})
 	if err != nil {
@@ -533,7 +557,7 @@ func TestAutoSnapshotBoundsWAL(t *testing.T) {
 // sync policy (interval and never rely on Close syncing the tail).
 func TestFsyncPolicies(t *testing.T) {
 	wmes := mannersWM(t)
-	states, _ := referenceRun(t, core.SerialRete, wmes)
+	states, _ := referenceRun(t, "rete", wmes)
 	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()

@@ -3,15 +3,14 @@ package engine
 import "repro/internal/obs"
 
 // This file defines the optional matcher capability interfaces. The
-// core Matcher contract stays the single Apply method; matchers (or
-// their adapters in internal/core) may additionally implement the
-// provider interfaces below, whose methods are the matchers' own —
-// rete.Network and prete.Matcher satisfy Profile, Index and Loss as
-// they stand — and whose results are the report types of
-// internal/obs. Callers discover them through the single Capabilities
-// accessor — the engine, the server and tools such as cmd/ops5run
-// -stats all read capabilities from the returned Caps bundle instead of
-// type-asserting matcher types themselves.
+// core Matcher contract stays the single Apply method; matchers may
+// additionally implement the provider interfaces below, whose methods
+// are the matchers' own — every matcher reports its work
+// (StatsProvider) in its own unit — and whose results are the report
+// types of internal/obs. Callers discover them through the single
+// Capabilities accessor — the engine, the server and tools such as
+// cmd/ops5run -stats all read capabilities from the returned Caps
+// bundle instead of type-asserting matcher types themselves.
 
 // StatsProvider is the optional capability of reporting match work.
 type StatsProvider interface {

@@ -1,8 +1,9 @@
 // Package engine implements the OPS5 recognize-act cycle of §2.1:
 // match, conflict-resolution, act. It is parameterised over the matcher
-// (serial Rete, parallel Rete, TREAT, or naive), and supports the
-// parallel-firing mode used by the paper's "parallel firings" curves in
-// Figures 6-1 and 6-2.
+// (the served serial Rete, parallel Rete and naive matchers, or the §3.2
+// baselines TREAT and full-state, which internal/matchtest builds), and
+// supports the parallel-firing mode used by the paper's "parallel
+// firings" curves in Figures 6-1 and 6-2.
 package engine
 
 import (

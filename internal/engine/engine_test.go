@@ -9,6 +9,7 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/matchtest"
 	"repro/internal/ops5"
 )
 
@@ -201,7 +202,7 @@ func TestMEAOrdersByGoalRecency(t *testing.T) {
 
 func TestAllMatchersAgreeOnRun(t *testing.T) {
 	// The same program must produce the same final WM and firing count
-	// under every matcher.
+	// under every matcher, and every matcher reports its own work.
 	src := `
 (p promote
     (item ^rank <r> ^state raw)
@@ -217,39 +218,61 @@ func TestAllMatchersAgreeOnRun(t *testing.T) {
     (remove 1)
     (halt))
 `
-	assertWM := func(sys *core.System) {
-		sys.Assert(
-			ops5.NewWME("item", "rank", 1, "state", "raw"),
-			ops5.NewWME("item", "rank", 2, "state", "raw"),
-			ops5.NewWME("item", "rank", 3, "state", "raw"),
-			ops5.NewWME("blocked", "rank", 9),
-			ops5.NewWME("threshold", "min", 0),
-		)
+	// The three served matchers come from core, the §3.2 baselines from
+	// matchtest, each behind its own engine.
+	type run struct {
+		name string
+		e    *engine.Engine
+	}
+	var runs []run
+	for _, kind := range []core.MatcherKind{core.SerialRete, core.ParallelRete, core.Naive} {
+		runs = append(runs, run{kind.String(), newSys(t, src, core.Options{Matcher: kind}).Engine})
+	}
+	prog, err := ops5.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"treat", "full-state"} {
+		e, err := matchtest.NewBaseline(name, prog, conflict.LEX)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runs = append(runs, run{name, e})
 	}
 	type outcome struct {
 		fired int
 		wm    string
 	}
 	var ref *outcome
-	for _, kind := range []core.MatcherKind{core.SerialRete, core.ParallelRete, core.TREAT, core.FullState, core.Naive} {
-		sys := newSys(t, src, core.Options{Matcher: kind, MaxCycles: 50})
-		assertWM(sys)
-		if _, err := sys.Run(); err != nil {
-			t.Fatalf("%v: %v", kind, err)
+	for _, r := range runs {
+		name, e := r.name, r.e
+		e.MaxCycles = 50
+		e.Load([]*ops5.WME{
+			ops5.NewWME("item", "rank", 1, "state", "raw"),
+			ops5.NewWME("item", "rank", 2, "state", "raw"),
+			ops5.NewWME("item", "rank", 3, "state", "raw"),
+			ops5.NewWME("blocked", "rank", 9),
+			ops5.NewWME("threshold", "min", 0),
+		})
+		if _, err := e.Run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p := e.Capabilities().Stats; p == nil || p.MatchStats().Changes == 0 {
+			t.Errorf("%s reports no match work", name)
 		}
 		var b strings.Builder
-		for _, w := range sys.WM.Elements() {
+		for _, w := range e.WM.Elements() {
 			b.WriteString(w.String())
 			b.WriteString("\n")
 		}
-		got := &outcome{fired: sys.Fired, wm: b.String()}
+		got := &outcome{fired: e.Fired, wm: b.String()}
 		if ref == nil {
 			ref = got
 			continue
 		}
 		if got.fired != ref.fired || got.wm != ref.wm {
-			t.Errorf("%v diverges: fired %d vs %d\nwm:\n%svs:\n%s",
-				kind, got.fired, ref.fired, got.wm, ref.wm)
+			t.Errorf("%s diverges: fired %d vs %d\nwm:\n%svs:\n%s",
+				name, got.fired, ref.fired, got.wm, ref.wm)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/engine"
 	"repro/internal/fullstate"
 	"repro/internal/matchtest"
 	"repro/internal/model"
@@ -290,6 +291,26 @@ func e7(w io.Writer, cycles int) error {
 	return nil
 }
 
+// Ladder names E8's matchers in the order of the §2.2 algorithm ladder:
+// naive -> TREAT -> Rete -> parallel Rete.
+var Ladder = []string{"naive", "treat", "rete", "parallel-rete"}
+
+// LadderEngine builds an engine over prods whose matcher is the rung of
+// Ladder called name: a served matcher through core, the TREAT baseline
+// through matchtest.
+func LadderEngine(name string, prods []*ops5.Production) (*engine.Engine, error) {
+	prog := &ops5.Program{Productions: prods}
+	kind, err := core.ParseMatcherKind(name)
+	if err != nil {
+		return matchtest.NewBaseline(name, prog, conflict.LEX)
+	}
+	sys, err := core.NewSystemFromProgram(prog, core.Options{Matcher: kind, Workers: runtime.GOMAXPROCS(0)})
+	if err != nil {
+		return nil, err
+	}
+	return sys.Engine, nil
+}
+
 // e8 measures the real Go matchers' throughput on this machine,
 // echoing the §2.2 interpreter speed ladder (Lisp 8, Bliss 40, compiled
 // 200 wme-changes/sec on a VAX-11/780) with the algorithm ladder
@@ -306,9 +327,8 @@ func e8(w io.Writer, _ int) error {
 		nChanges += len(b)
 	}
 
-	run := func(kind core.MatcherKind) (float64, string, error) {
-		prog := &ops5.Program{Productions: prods}
-		sys, err := core.NewSystemFromProgram(prog, core.Options{Matcher: kind, Workers: runtime.GOMAXPROCS(0)})
+	run := func(name string) (float64, string, error) {
+		e, err := LadderEngine(name, prods)
 		if err != nil {
 			return 0, "", err
 		}
@@ -319,13 +339,13 @@ func e8(w io.Writer, _ int) error {
 				cp[i] = ops5.Change{Kind: ch.Kind, WME: ch.WME.Clone()}
 				cp[i].WME.TimeTag = ch.WME.TimeTag
 			}
-			sys.Matcher.Apply(cp)
+			e.Matcher.Apply(cp)
 		}
 		speed := float64(nChanges) / time.Since(start).Seconds()
 		// Matcher work comes through the capability interface, the same
 		// way ops5run -stats reads it; no matcher internals here.
 		comparisons := "-"
-		if p := sys.Capabilities().Stats; p != nil {
+		if p := e.Capabilities().Stats; p != nil {
 			comparisons = fmt.Sprint(p.MatchStats().Comparisons)
 		}
 		return speed, comparisons, nil
@@ -333,15 +353,15 @@ func e8(w io.Writer, _ int) error {
 
 	var rows [][]string
 	var baseline float64
-	for _, kind := range []core.MatcherKind{core.Naive, core.TREAT, core.SerialRete, core.ParallelRete} {
-		speed, comparisons, err := run(kind)
+	for _, name := range Ladder {
+		speed, comparisons, err := run(name)
 		if err != nil {
 			return err
 		}
 		if baseline == 0 {
 			baseline = speed
 		}
-		rows = append(rows, []string{kind.String(), F(speed, 0), F(speed/baseline, 1) + "x", comparisons})
+		rows = append(rows, []string{name, F(speed, 0), F(speed/baseline, 1) + "x", comparisons})
 	}
 	fmt.Fprint(w, Table([]string{"matcher", "wme-changes/sec (real)", "vs naive", "comparisons"}, rows))
 	fmt.Fprintf(w, "\n(%d productions, %d WM changes, GOMAXPROCS=%d; the paper's ladder was\n",

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/ops5"
 )
 
@@ -85,6 +86,18 @@ type Stats struct {
 	// ConflictInserts and ConflictRemoves count conflict-set deltas.
 	ConflictInserts int64
 	ConflictRemoves int64
+}
+
+// MatchStats reports the matcher's work in the matcher-neutral form;
+// its unit of match work is a binding-consistency check.
+func (m *Matcher) MatchStats() obs.MatchStats {
+	s := &m.Stats
+	return obs.MatchStats{
+		Changes:         int64(s.Changes),
+		Comparisons:     s.ConsistencyChecks,
+		ConflictInserts: s.ConflictInserts,
+		ConflictRemoves: s.ConflictRemoves,
+	}
 }
 
 // New builds a full-state matcher. Productions with more than 16

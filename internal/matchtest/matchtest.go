@@ -1,7 +1,9 @@
 // Package matchtest provides randomized program generation and a
 // cross-checking harness used to verify that every matcher in this
-// repository (serial Rete, parallel Rete, TREAT, naive) computes
-// identical conflict sets. It is a test-support package.
+// repository (serial Rete, parallel Rete, naive, TREAT, full-state)
+// computes identical conflict sets. It is a test-support package, and
+// the one place that builds the two §3.2 analysis baselines psmd does
+// not serve, TREAT and Oflazer's full-state scheme (NewBaseline).
 package matchtest
 
 import (
@@ -9,7 +11,12 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/conflict"
+	"repro/internal/engine"
+	"repro/internal/fullstate"
 	"repro/internal/ops5"
+	"repro/internal/treat"
+	"repro/internal/wm"
 )
 
 // GenParams controls random program generation.
@@ -282,6 +289,37 @@ func RandomScript(rng *rand.Rand, p GenParams, batches, maxBatch int) *Script {
 // conflict-set deltas through previously wired callbacks.
 type ApplyMatcher interface {
 	Apply(changes []ops5.Change)
+}
+
+// NewBaseline builds an engine over prog whose matcher is the §3.2
+// baseline named "treat" or "full-state", resolving conflicts by
+// strategy, with prog's initial working memory loaded. It is the
+// baselines' counterpart of core.NewSystemFromProgram, which serves only
+// the other three matchers.
+func NewBaseline(name string, prog *ops5.Program, strategy conflict.Strategy) (*engine.Engine, error) {
+	cs := conflict.NewSet(strategy)
+	var m engine.Matcher
+	switch name {
+	case "treat":
+		tm, err := treat.New(prog.Productions)
+		if err != nil {
+			return nil, err
+		}
+		tm.OnInsert, tm.OnRemove = cs.Insert, cs.Remove
+		m = tm
+	case "full-state":
+		fm, err := fullstate.New(prog.Productions)
+		if err != nil {
+			return nil, err
+		}
+		fm.OnInsert, fm.OnRemove = cs.Insert, cs.Remove
+		m = fm
+	default:
+		return nil, fmt.Errorf("matchtest: unknown baseline %q (treat|full-state)", name)
+	}
+	e := engine.New(wm.New(), cs, m)
+	e.Load(prog.InitialWM)
+	return e, nil
 }
 
 // ReplayKeys drives a matcher through a script and snapshots the

@@ -6,6 +6,7 @@
 package naive
 
 import (
+	"repro/internal/obs"
 	"repro/internal/ops5"
 )
 
@@ -33,6 +34,13 @@ type Stats struct {
 	// the "s" term of the §3.1 cost model (work proportional to stable
 	// WM size every cycle).
 	ElementsMatched int64
+}
+
+// MatchStats reports the matcher's work in the matcher-neutral form;
+// its unit of match work is an element matched in a rematch pass, and
+// it keeps no conflict-set counters.
+func (m *Matcher) MatchStats() obs.MatchStats {
+	return obs.MatchStats{Changes: int64(m.Stats.Changes), Comparisons: m.Stats.ElementsMatched}
 }
 
 // New builds a naive matcher for the productions.

@@ -464,6 +464,22 @@ func (m *Matcher) Stats() Stats {
 	return st
 }
 
+// MatchStats reports Stats in the matcher-neutral form, the
+// scheduler's counters included.
+func (m *Matcher) MatchStats() obs.MatchStats {
+	s := m.Stats()
+	return obs.MatchStats{
+		Changes:         s.Changes,
+		Comparisons:     s.Comparisons,
+		ConflictInserts: s.ConflictInserts,
+		ConflictRemoves: s.ConflictRemoves,
+		Tasks:           s.Tasks,
+		Wakeups:         s.Wakeups,
+		InlineBatches:   s.InlineBatches,
+		Workers:         s.PerWorker,
+	}
+}
+
 // IndexInfo reports the hash-bucketed node memories: the two-input
 // nodes by whether they key their memories on an equality join key, and
 // the live (key, side) buckets. It takes each stripe lock in turn —

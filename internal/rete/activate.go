@@ -3,6 +3,7 @@ package rete
 import (
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/ops5"
 )
 
@@ -133,6 +134,18 @@ func (s *Stats) AvgAffected() float64 {
 		return 0
 	}
 	return float64(s.AffectedProductions) / float64(s.Changes)
+}
+
+// MatchStats reports the network's work in the matcher-neutral form;
+// its unit of match work is the token comparison.
+func (n *Network) MatchStats() obs.MatchStats {
+	s := &n.Stats
+	return obs.MatchStats{
+		Changes:         int64(s.Changes),
+		Comparisons:     s.TokenComparisons,
+		ConflictInserts: s.ConflictInserts,
+		ConflictRemoves: s.ConflictRemoves,
+	}
 }
 
 // linearProbeMin is the opposite-memory population below which a join

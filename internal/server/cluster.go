@@ -69,12 +69,17 @@ func (s *Server) AdoptSession(ctx context.Context, id string) error {
 		if _, dup := s.index.Load(id); dup {
 			return struct{}{}, fmt.Errorf("%w: %q", ErrSessionExists, id)
 		}
-		sess, rstats, err := s.recoverSession(s.sessionDir(id))
+		dir := s.sessionDir(id)
+		spec, err := readSpec(dir)
 		if err != nil {
 			return struct{}{}, fmt.Errorf("server: adopt %q: %w", id, err)
 		}
-		if sess.id != id {
-			return struct{}{}, fmt.Errorf("server: adopt %q: directory holds session %q", id, sess.id)
+		if spec.ID != id {
+			return struct{}{}, fmt.Errorf("server: adopt %q: directory holds session %q", id, spec.ID)
+		}
+		sess, rstats, err := s.recoverSession(dir, spec)
+		if err != nil {
+			return struct{}{}, fmt.Errorf("server: adopt %q: %w", id, err)
 		}
 		s.index.Store(id, sess)
 		s.sessions.Add(1)

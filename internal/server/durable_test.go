@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -159,6 +160,120 @@ func TestRecoveredWideAutoIDNotReused(t *testing.T) {
 	if auto.ID != "s-1234568" {
 		t.Fatalf("server-assigned ID after recovering s-1234567 = %q, want s-1234568", auto.ID)
 	}
+}
+
+// TestSkippedSessionIDNotReused: a session whose snapshot no longer
+// decodes is skipped at recovery, but its directory keeps the manifest,
+// so the next server-assigned ID must not be its ID.
+func TestSkippedSessionIDNotReused(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := server.Config{Shards: 1, DataDir: dataDir}
+	srv := server.New(cfg)
+	ts := httptest.NewServer(srv.Handler())
+	var first server.SessionInfo
+	newClient(t, ts).must("POST", "/sessions", server.CreateSpec{Program: counterSrc}, &first, http.StatusCreated)
+	ts.Close()
+	srv.Close()
+	dirs, err := os.ReadDir(dataDir)
+	if err != nil || len(dirs) != 1 {
+		t.Fatalf("session dirs: %v err=%v", dirs, err)
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, dirs[0].Name(), "snapshot.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, c := newTestServer(t, cfg)
+	c.must("GET", "/sessions/"+first.ID, nil, nil, http.StatusNotFound)
+	var next server.SessionInfo
+	c.must("POST", "/sessions", server.CreateSpec{Program: counterSrc}, &next, http.StatusCreated)
+	if next.ID == first.ID {
+		t.Fatalf("server-assigned ID %q reused the skipped session's", next.ID)
+	}
+}
+
+// TestRecoverySkipsUnservedMatcher: psmd no longer serves TREAT or the
+// full-state matcher. A data directory from an earlier psmd holding
+// such sessions recovers every other session, logs each skipped one
+// with its matcher, and leaves the skipped directories as they were.
+func TestRecoverySkipsUnservedMatcher(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := server.Config{Shards: 2, DataDir: dataDir}
+	srv := server.New(cfg)
+	ts := httptest.NewServer(srv.Handler())
+	c1 := newClient(t, ts)
+	for _, id := range []string{"keep", "old-treat", "old-full-state"} {
+		c1.must("POST", "/sessions", server.CreateSpec{ID: id, Program: counterSrc, Matcher: "rete"}, nil, http.StatusCreated)
+		c1.must("POST", "/sessions/"+id+"/changes", server.ChangesRequest{Changes: []server.ChangeSpec{
+			{Op: server.OpAssert, Class: "counter", Attrs: attrs("n", 0.0, "limit", 5.0)},
+		}}, nil, http.StatusOK)
+	}
+	ts.Close()
+	srv.Close()
+
+	// Rewrite two manifests to the matchers an earlier psmd served.
+	retired := map[string]string{"old-treat": "treat", "old-full-state": "full-state"}
+	before := map[string]map[string]string{}
+	for id, matcher := range retired {
+		dir := filepath.Join(dataDir, fmt.Sprintf("%x", id))
+		path := filepath.Join(dir, "manifest.json")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := bytes.Replace(raw, []byte(`"Matcher":"rete"`), []byte(`"Matcher":"`+matcher+`"`), 1)
+		if bytes.Equal(edited, raw) {
+			t.Fatalf("manifest %s names no rete matcher: %s", path, raw)
+		}
+		if err := os.WriteFile(path, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before[id] = readDirFiles(t, dir)
+	}
+
+	var logs bytes.Buffer
+	cfg.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+	srv2 := server.New(cfg)
+	ts2 := httptest.NewServer(srv2.Handler())
+	c2 := newClient(t, ts2)
+	var kept server.SessionInfo
+	c2.must("GET", "/sessions/keep", nil, &kept, http.StatusOK)
+	if !kept.Recovered || kept.WMSize != 1 {
+		t.Fatalf("keep not recovered: %+v", kept)
+	}
+	for id, matcher := range retired {
+		c2.must("GET", "/sessions/"+id, nil, nil, http.StatusNotFound)
+		c2.must("POST", "/sessions", server.CreateSpec{ID: id + "-again", Program: counterSrc, Matcher: matcher}, nil, http.StatusBadRequest)
+	}
+	ts2.Close()
+	srv2.Close()
+
+	for id, matcher := range retired {
+		if want := fmt.Sprintf("session=%s matcher=%s", id, matcher); !strings.Contains(logs.String(), want) {
+			t.Errorf("recovery log has no %q:\n%s", want, logs.String())
+		}
+		dir := filepath.Join(dataDir, fmt.Sprintf("%x", id))
+		if after := readDirFiles(t, dir); !reflect.DeepEqual(after, before[id]) {
+			t.Errorf("skipped directory %s changed", dir)
+		}
+	}
+}
+
+// readDirFiles returns the contents of every file in dir by name.
+func readDirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(raw)
+	}
+	return files
 }
 
 // TestServerGracefulShutdownSnapshots checks Close drains every session

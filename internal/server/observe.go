@@ -95,7 +95,7 @@ type ProfileResult struct {
 	Cycles       int    `json:"cycles"`
 	TotalChanges int    `json:"total_changes"`
 	// NodesSupported reports whether the matcher exposes per-node
-	// counters (the Rete variants do; naive and full-state do not).
+	// counters (the Rete variants do; naive does not).
 	NodesSupported bool `json:"nodes_supported"`
 	// TotalCost sums the node costs under the paper's cost model.
 	TotalCost float64 `json:"total_cost"`

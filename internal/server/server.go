@@ -302,7 +302,7 @@ func (s *Server) attachDurable(sess *session, log *durable.Log) {
 // recoverSessions rebuilds every session found under DataDir: manifest
 // → compile (without the program's initial working memory) → snapshot
 // restore → WAL replay. A directory that fails to recover is logged
-// and skipped; it never takes the server down.
+// and skipped, left as it is; it never takes the server down.
 func (s *Server) recoverSessions() {
 	dirs, err := durable.SessionDirs(s.cfg.DataDir)
 	if err != nil {
@@ -311,18 +311,25 @@ func (s *Server) recoverSessions() {
 	}
 	var maxAuto int64
 	for _, dir := range dirs {
-		sess, rstats, err := s.recoverSession(dir)
+		spec, err := readSpec(dir)
 		if err != nil {
 			s.logger.Error("durable recovery failed; skipping session", "dir", dir, "err", err)
+			continue
+		}
+		// Keep server-assigned IDs from colliding with recovered ones,
+		// and with skipped ones: their directories keep the manifest.
+		if n, ok := autoIDNumber(spec.ID); ok && n > maxAuto {
+			maxAuto = n
+		}
+		sess, rstats, err := s.recoverSession(dir, spec)
+		if err != nil {
+			s.logger.Error("durable recovery failed; skipping session", "dir", dir,
+				"session", spec.ID, "matcher", spec.Matcher, "err", err)
 			continue
 		}
 		s.index.Store(sess.id, sess)
 		s.sessions.Add(1)
 		s.recovered.Inc()
-		// Keep server-assigned IDs from colliding with recovered ones.
-		if n, ok := autoIDNumber(sess.id); ok && n > maxAuto {
-			maxAuto = n
-		}
 		s.logger.Info("session recovered",
 			"session", sess.id, "shard", s.shardFor(sess.id).id,
 			"snapshot_seq", rstats.SnapshotSeq, "replayed", rstats.Replayed,
@@ -350,16 +357,23 @@ func autoIDNumber(id string) (int64, bool) {
 	return n, err == nil
 }
 
-// recoverSession rebuilds one session from its durable directory.
-func (s *Server) recoverSession(dir string) (*session, durable.RecoverStats, error) {
+// readSpec decodes the create spec a session directory's manifest
+// holds.
+func readSpec(dir string) (CreateSpec, error) {
 	manifest, err := durable.ReadManifest(dir)
 	if err != nil {
-		return nil, durable.RecoverStats{}, err
+		return CreateSpec{}, err
 	}
 	spec, err := decodeManifest(manifest)
 	if err != nil {
-		return nil, durable.RecoverStats{}, fmt.Errorf("decode manifest: %w", err)
+		return CreateSpec{}, fmt.Errorf("decode manifest: %w", err)
 	}
+	return spec, nil
+}
+
+// recoverSession rebuilds one session from its durable directory and
+// the spec its manifest holds (readSpec).
+func (s *Server) recoverSession(dir string, spec CreateSpec) (*session, durable.RecoverStats, error) {
 	sess, err := newSession(spec, s.cfg.DefaultQuota, time.Now(), true)
 	if err != nil {
 		return nil, durable.RecoverStats{}, fmt.Errorf("recompile program: %w", err)

@@ -397,7 +397,7 @@ func programSource(prods []*ops5.Production) string {
 // be semantically invisible.
 func TestConcurrentSessionsMatchSerialReplay(t *testing.T) {
 	const sessions = 9
-	matchers := []string{"rete", "parallel-rete", "treat"}
+	matchers := []string{"rete", "parallel-rete", "naive"}
 
 	_, c := newTestServer(t, server.Config{Shards: 4, QueueDepth: 256})
 

@@ -183,7 +183,8 @@ type ChangeSpec struct {
 // session's logical clock to at least that value before the event lands
 // (monotone — out-of-order timestamps never move the clock backward).
 // TTL, in logical ticks, is injected as the reserved ^__ttl attribute;
-// the engine retracts the fact once the clock passes insert + TTL.
+// the engine retracts the fact once the clock passes insert + TTL. Zero
+// means no TTL; a negative TTL fails the batch with 400.
 type EventSpec struct {
 	Class string                `json:"class"`
 	Attrs map[string]ops5.Value `json:"attrs,omitempty"`
@@ -482,6 +483,9 @@ func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult,
 	for i, ev := range events {
 		if ev.Class == "" {
 			return StreamResult{}, badReqf("server: event %d: missing class", i)
+		}
+		if ev.TTL < 0 {
+			return StreamResult{}, badReqf("server: event %d: negative ttl %d", i, ev.TTL)
 		}
 		if ev.TS > maxTS {
 			maxTS = ev.TS

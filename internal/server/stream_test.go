@@ -120,11 +120,14 @@ func TestStreamIngestMonitor(t *testing.T) {
 
 func TestStreamBadLineReportsProgress(t *testing.T) {
 	// 300 good events (one full 256-batch applies) then a broken line: not
-	// JSON at all, or a line holding more than its one event.
+	// JSON at all, a line holding more than its one event, or an event
+	// whose negative TTL would keep it forever. Nothing of the second
+	// batch applies: the session ends as one fed the first batch alone.
 	events := workload.FraudEvents(workload.FraudParams{Cards: 10, Events: 300, Window: 20, Seed: 1})
 	for _, bad := range []string{
 		"{not json}\n",
 		`{"class":"txn","attrs":{"card":"c1"}} {"class":"txn","attrs":{"card":"c2"}}` + "\n",
+		`{"class":"txn","attrs":{"card":"c1"},"ts":100000,"ttl":-1}` + "\n",
 	} {
 		_, c := newTestServer(t, server.Config{Shards: 1})
 		c.must("POST", "/sessions", server.CreateSpec{
@@ -141,6 +144,17 @@ func TestStreamBadLineReportsProgress(t *testing.T) {
 		}
 		if got := resp.Header.Get("X-Stream-Events-Applied"); got != "256" {
 			t.Errorf("%q: X-Stream-Events-Applied = %q, want 256", bad, got)
+		}
+		c.must("POST", "/sessions", server.CreateSpec{
+			ID: "ref", Program: workload.FraudRules, Matcher: "rete",
+		}, nil, http.StatusCreated)
+		streamInto(t, c, "ref", workload.NDJSON(events[:256]))
+		var got, want server.SessionInfo
+		c.must("GET", "/sessions/fraud", nil, &got, http.StatusOK)
+		c.must("GET", "/sessions/ref", nil, &want, http.StatusOK)
+		if got.Clock != want.Clock || got.WMSize != want.WMSize || got.Fired != want.Fired {
+			t.Errorf("%q: clock/wm/fired %d/%d/%d, want the first batch's %d/%d/%d",
+				bad, got.Clock, got.WMSize, got.Fired, want.Clock, want.WMSize, want.Fired)
 		}
 	}
 }

@@ -136,6 +136,18 @@ type Stats struct {
 	ConflictRemoves  int64
 }
 
+// MatchStats reports the matcher's work in the matcher-neutral form;
+// its unit of match work is a join tuple tested.
+func (m *Matcher) MatchStats() obs.MatchStats {
+	s := &m.Stats
+	return obs.MatchStats{
+		Changes:         int64(s.Changes),
+		Comparisons:     s.JoinTuplesTested,
+		ConflictInserts: s.ConflictInserts,
+		ConflictRemoves: s.ConflictRemoves,
+	}
+}
+
 // New builds a TREAT matcher for the productions.
 func New(prods []*ops5.Production) (*Matcher, error) {
 	m := &Matcher{insts: make(map[*ops5.Production]map[string]*ops5.Instantiation)}
