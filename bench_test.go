@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/archcmp"
+	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/matchtest"
@@ -452,7 +453,7 @@ func replaySerial(tb testing.TB, sh preteShape) time.Duration {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	net.OnInsert, net.OnRemove = nopInst, nopInst
+	net.Sink = discard{}
 	return replay(net.Apply, sh.script)
 }
 
@@ -463,11 +464,16 @@ func replayParallel(tb testing.TB, sh preteShape, workers int) (time.Duration, *
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m.OnInsert, m.OnRemove = nopInst, nopInst
+	m.Sink = discard{}
 	return replay(m.Apply, sh.script), m
 }
 
-func nopInst(*ops5.Instantiation) {}
+// discard is a conflict-set sink that drops every delta, so a replay
+// times the matcher alone.
+type discard struct{}
+
+func (discard) InsertMatch(*ops5.Production, []*ops5.WME) {}
+func (discard) RemoveMatch(*ops5.Production, []*ops5.WME) {}
 
 func replay(apply func([]ops5.Change), script [][]ops5.Change) time.Duration {
 	t0 := time.Now()
@@ -595,23 +601,27 @@ func BenchmarkMissManners(b *testing.B) {
 // mannersAllocsCeiling is the allocation count of one Manners solve.
 // Go's allocation counts are deterministic, so any rise is a code
 // change, not noise. It was 2,594 while rete.Plan also held every test
-// as a closure; deleting the closures took it to 2,567, and building
-// join outputs into the tokens deletes freed took it to 2,042. A change
-// that lowers the count lowers this number in the same diff.
-const mannersAllocsCeiling = 2042
+// as a closure; deleting the closures took it to 2,567, building join
+// outputs into the tokens deletes freed took it to 2,042, and a
+// conflict set that holds matches and builds an instantiation only for
+// the one that fires took it to 1,839. A change that lowers the count
+// lowers this number in the same diff.
+const mannersAllocsCeiling = 1839
 
 // mannersPreteAllocsCeiling is the allocation count of one Manners solve
 // through core.NewSystem on a one-lane parallel matcher, parse and
 // compile included. It was set at 2,312 when the parallel matcher began
 // to recycle tokens and hand back the instantiation an insert announced,
-// and lowered to 2,296 when a lane's per-depth output buffers became one
-// stack; lower it in the change that lowers the count.
-const mannersPreteAllocsCeiling = 2296
+// lowered to 2,296 when a lane's per-depth output buffers became one
+// stack, and to 2,093 when the matchers began to hand the conflict set
+// matches instead of instantiations; lower it in the change that lowers
+// the count.
+const mannersPreteAllocsCeiling = 2093
 
 // mannersSystemSolve runs one Manners solve through core.NewSystem on
 // the given matcher (one lane, for the parallel one), as psmd builds a
 // session: parse and compile included.
-func mannersSystemSolve(tb testing.TB, kind core.MatcherKind) {
+func mannersSystemSolve(tb testing.TB, kind core.MatcherKind) *core.System {
 	wmes, err := workload.MannersWM(workload.DefaultMannersParams())
 	if err != nil {
 		tb.Fatal(err)
@@ -627,6 +637,58 @@ func mannersSystemSolve(tb testing.TB, kind core.MatcherKind) {
 	if !sys.Halted {
 		tb.Fatal("manners did not finish")
 	}
+	return sys
+}
+
+// TestInstantiationsBuiltPerFiring counts, with every allocation
+// profiled, the ops5.NewInstantiation calls of one Manners solve through
+// core.NewSystem. The conflict set builds an instantiation only for the
+// entry Select picks, so the count is the number of firings, not the
+// number of conflict-set inserts.
+func TestInstantiationsBuiltPerFiring(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := profiledAllocs("repro/internal/ops5.NewInstantiation")
+	sys := mannersSystemSolve(t, core.SerialRete)
+	built := profiledAllocs("repro/internal/ops5.NewInstantiation") - before
+	inserts := sys.Network().Stats.ConflictInserts
+	t.Logf("%d instantiations built for %d firings and %d conflict-set inserts", built, sys.Fired, inserts)
+	if built != int64(sys.Fired) {
+		t.Errorf("%d instantiations built for %d firings (%d conflict-set inserts)", built, sys.Fired, inserts)
+	}
+}
+
+// profiledAllocs returns how many objects the memory profile has
+// recorded allocated under the named function (inlined calls
+// included). The profile publishes an allocation a GC cycle or two
+// after it happens, so it collects twice first.
+func profiledAllocs(function string) int64 {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	var total int64
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if f.Function == function {
+				total += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }
 
 // TestMannersAllocs gates the serial matcher's allocations per Manners
@@ -649,14 +711,15 @@ func TestMannersAllocs(t *testing.T) {
 }
 
 // preteAllocsCeiling is the allocation count per WM change of a one-lane
-// parallel matcher replaying dispatchScript into a fresh matcher,
-// instantiations included (one lane, so the count is exact). It was
-// 27.92 while a delete built the token it retracts; naming the stored
-// token instead took it to 19.15, and building join outputs into
-// recycled tokens and handing removals the instantiation their insert
-// announced took it to 9.281. A change that lowers the count lowers
-// this number in the same diff.
-const preteAllocsCeiling = 9.29
+// parallel matcher replaying dispatchScript into a fresh matcher and
+// conflict set (one lane, so the count is exact). It was 27.92 while a
+// delete built the token it retracts; naming the stored token instead
+// took it to 19.15, building join outputs into recycled tokens and
+// handing removals the instantiation their insert announced took it to
+// 9.281, and handing the conflict set matches, so that nothing builds
+// an instantiation, took it to 7.066. A change that lowers the count
+// lowers this number in the same diff.
+const preteAllocsCeiling = 7.07
 
 // TestPreteAllocs gates the parallel matcher's allocations per change on
 // the bulk_prete shape at preteAllocsCeiling and logs the serial
@@ -682,14 +745,14 @@ func TestPreteAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.OnInsert, m.OnRemove = nopInst, nopInst
+		m.Sink = conflict.NewSet(conflict.LEX)
 		return perChange(m.Apply)
 	}
 	net, err := rete.Compile(prods)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.OnInsert, net.OnRemove = nopInst, nopInst
+	net.Sink = conflict.NewSet(conflict.LEX)
 	t.Logf("serial rete: %.2f allocs per change", perChange(net.Apply))
 	if lanes := runtime.GOMAXPROCS(0); lanes > 1 {
 		t.Logf("prete, %d lanes: %.2f allocs per change", lanes, preteAllocs(lanes))

@@ -25,7 +25,7 @@
 //	DELETE /v1/sessions/{id}           delete a session
 //	POST   /v1/sessions/{id}/changes   batched assert/retract changes
 //	POST   /v1/sessions/{id}/run       run N recognize-act cycles
-//	GET    /v1/sessions/{id}/conflicts conflict set (LEX order)
+//	GET    /v1/sessions/{id}/conflicts conflict set (the session's strategy order)
 //	GET    /v1/sessions/{id}/wm        working memory (?class= filters)
 //	GET    /v1/sessions/{id}/trace     recent cycle spans (survives deletion)
 //	GET    /v1/sessions/{id}/profile   hot-node profile (?top= truncates)

@@ -5,6 +5,7 @@ package conflict
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,6 +54,12 @@ func ParseStrategy(name string) (Strategy, error) {
 // selection rules of LEX and MEA, including refraction (an instantiation
 // that has fired cannot fire again while it remains in the set).
 //
+// The set holds matches, not instantiations: a matcher hands it a
+// production and its WMEs through InsertMatch and RemoveMatch (it is an
+// ops5.MatchSink), and each entry keeps them by value. An
+// ops5.Instantiation is built only for an entry that Select picks or
+// Instantiations lists, and is then kept in the entry.
+//
 // An instantiation's identity is its production's name plus its
 // positive-CE time tags in LHS order — what Instantiation.Key spells as
 // a string. The set never builds that string on a conflict-set delta:
@@ -67,12 +74,13 @@ type Set struct {
 	n        int
 }
 
-// entry caches an instantiation's ordering features at insert time —
-// instantiations are immutable, so recency tags, the MEA goal tag and
-// specificity never need recomputing during selection. The zero entry
-// (nil inst) is a free slot of the bucket table.
+// entry is one match: the production, the WMEs in LHS order and the
+// ordering features cached at insert time (matches are immutable, so
+// recency tags, the MEA goal tag and specificity never need recomputing
+// during selection). The zero entry (nil prod) is a free slot of the
+// bucket table.
 type entry struct {
-	inst  *ops5.Instantiation
+	prod  *ops5.Production
 	fired bool
 	mea   int
 	spec  int
@@ -81,6 +89,13 @@ type entry struct {
 	ntags  int
 	tagArr [8]int
 	more   []int
+	// The WMEs are wmeArr[:nwmes], or moreWMEs when the LHS has more
+	// condition elements than wmeArr holds.
+	nwmes    int
+	wmeArr   [8]*ops5.WME
+	moreWMEs []*ops5.WME
+	// inst is the entry's instantiation, once something asked for it.
+	inst *ops5.Instantiation
 }
 
 func (e *entry) tags() []int {
@@ -89,6 +104,25 @@ func (e *entry) tags() []int {
 	}
 	return e.tagArr[:e.ntags]
 }
+
+func (e *entry) wmes() []*ops5.WME {
+	if e.moreWMEs != nil {
+		return e.moreWMEs
+	}
+	return e.wmeArr[:e.nwmes]
+}
+
+// instantiation returns the entry's instantiation, building it on the
+// first call.
+func (e *entry) instantiation() *ops5.Instantiation {
+	if e.inst == nil {
+		e.inst = ops5.NewInstantiation(e.prod, e.wmes())
+	}
+	return e.inst
+}
+
+// appendKey appends the entry's Instantiation.Key to buf.
+func (e *entry) appendKey(buf []byte) []byte { return ops5.AppendKey(buf, e.prod, e.wmes()) }
 
 // NewSet returns an empty conflict set using the given strategy.
 func NewSet(strategy Strategy) *Set {
@@ -115,11 +149,11 @@ func hashName(name string) uint64 {
 // hashTag folds one time tag into an identity hash.
 func hashTag(h uint64, tag int) uint64 { return (h ^ uint64(tag)) * fnvPrime }
 
-// identity folds an instantiation's production name and positive-CE
-// time tags, in order, into the key its entry is bucketed under.
-func identity(in *ops5.Instantiation) uint64 {
-	h := hashName(in.Production.Name)
-	for _, w := range in.WMEs {
+// identity folds a match's production name and positive-CE time tags,
+// in order, into the key its entry is bucketed under.
+func identity(p *ops5.Production, wmes []*ops5.WME) uint64 {
+	h := hashName(p.Name)
+	for _, w := range wmes {
 		if w != nil {
 			h = hashTag(h, w.TimeTag)
 		}
@@ -127,44 +161,56 @@ func identity(in *ops5.Instantiation) uint64 {
 	return h
 }
 
-// same reports whether a and b are the same instantiation, i.e. whether
-// their Keys would be equal: one production name, and position for
-// position the same time tag or the same absence of one.
-func same(a, b *ops5.Instantiation) bool {
-	if a.Production != b.Production && a.Production.Name != b.Production.Name {
+// same reports whether the entry holds the match of p over wmes, i.e.
+// whether their Keys would be equal: one production name, and position
+// for position the same time tag or the same absence of one.
+func (e *entry) same(p *ops5.Production, wmes []*ops5.WME) bool {
+	if e.prod != p && e.prod.Name != p.Name {
 		return false
 	}
-	if len(a.WMEs) != len(b.WMEs) {
+	ew := e.wmes()
+	if len(ew) != len(wmes) {
 		return false
 	}
-	for i, w := range a.WMEs {
-		if o := b.WMEs[i]; w != o && (w == nil || o == nil || w.TimeTag != o.TimeTag) {
+	for i, w := range ew {
+		if o := wmes[i]; w != o && (w == nil || o == nil || w.TimeTag != o.TimeTag) {
 			return false
 		}
 	}
 	return true
 }
 
-// find returns the bucket index of the entry for in under identity id,
-// and the entry preceding it in the chain; -1 when in is not in the set.
-func (s *Set) find(id uint64, in *ops5.Instantiation) (prev, i int32) {
+// find returns the bucket index of the entry for the match of p over
+// wmes under identity id, and the entry preceding it in the chain; -1
+// when the match is not in the set.
+func (s *Set) find(id uint64, p *ops5.Production, wmes []*ops5.WME) (prev, i int32) {
 	prev = -1
 	for i = s.items.Head(id); i >= 0; prev, i = i, s.items.Next(i) {
-		if same(s.items.At(i).inst, in) {
+		if s.items.At(i).same(p, wmes) {
 			break
 		}
 	}
 	return prev, i
 }
 
-// Insert adds an instantiation. Re-inserting an identical instantiation
-// (same production, same time tags) is a no-op that preserves its fired
-// flag, so matchers may be idempotent.
-func (s *Set) Insert(in *ops5.Instantiation) { s.insert(identity(in), in) }
+// InsertMatch adds the match of p over wmes, copying wmes. Re-inserting
+// an identical match (same production, same time tags) is a no-op that
+// preserves its fired flag, so matchers may be idempotent.
+func (s *Set) InsertMatch(p *ops5.Production, wmes []*ops5.WME) {
+	s.insert(identity(p, wmes), p, wmes)
+}
 
-// Remove deletes an instantiation by identity. Removing an absent
-// instantiation is a no-op.
-func (s *Set) Remove(in *ops5.Instantiation) { s.remove(identity(in), in) }
+// RemoveMatch deletes the match of p over wmes by identity. Removing an
+// absent match is a no-op.
+func (s *Set) RemoveMatch(p *ops5.Production, wmes []*ops5.WME) {
+	s.remove(identity(p, wmes), p, wmes)
+}
+
+// Insert adds an instantiation's match (see InsertMatch).
+func (s *Set) Insert(in *ops5.Instantiation) { s.InsertMatch(in.Production, in.WMEs) }
+
+// Remove deletes an instantiation's match (see RemoveMatch).
+func (s *Set) Remove(in *ops5.Instantiation) { s.RemoveMatch(in.Production, in.WMEs) }
 
 // MarkFired sets the refraction flag on the entry with the given key
 // (as produced by Instantiation.Key). Marking an absent key is a no-op.
@@ -179,32 +225,39 @@ func (s *Set) MarkFired(key string) { s.markFired(keyIdentity(key), key) }
 // insert, remove and markFired do the work of their exported namesakes
 // on the chain of identity hash id (which the collision tests choose
 // themselves, to put unlike instantiations on one chain).
-func (s *Set) insert(id uint64, in *ops5.Instantiation) {
-	if _, i := s.find(id, in); i >= 0 {
+func (s *Set) insert(id uint64, p *ops5.Production, wmes []*ops5.WME) {
+	if _, i := s.find(id, p, wmes); i >= 0 {
 		return
 	}
 	e := s.items.At(s.items.Add(id, entry{
-		inst: in,
-		mea:  meaTag(in),
-		spec: specificity(in.Production),
+		prod:  p,
+		mea:   meaTag(wmes),
+		spec:  specificity(p),
+		nwmes: len(wmes),
 	}))
-	tags := sortedTagsDesc(in, e.tagArr[:0])
+	if len(wmes) > len(e.wmeArr) {
+		e.moreWMEs = slices.Clone(wmes)
+	} else {
+		copy(e.wmeArr[:], wmes)
+	}
+	tags := sortedTagsDesc(wmes, e.tagArr[:0])
 	if e.ntags = len(tags); e.ntags > len(e.tagArr) {
 		e.more = tags
 	}
 	s.n++
 }
 
-func (s *Set) remove(id uint64, in *ops5.Instantiation) {
-	if prev, i := s.find(id, in); i >= 0 {
+func (s *Set) remove(id uint64, p *ops5.Production, wmes []*ops5.WME) {
+	if prev, i := s.find(id, p, wmes); i >= 0 {
 		s.items.Unlink(id, prev, i)
 		s.n--
 	}
 }
 
 func (s *Set) markFired(id uint64, key string) {
+	var buf [64]byte
 	for i := s.items.Head(id); i >= 0; i = s.items.Next(i) {
-		if e := s.items.At(i); e.inst.Key() == key {
+		if e := s.items.At(i); string(e.appendKey(buf[:0])) == key {
 			e.fired = true
 			return
 		}
@@ -236,8 +289,8 @@ func keyIdentity(key string) uint64 {
 func (s *Set) FiredKeys() []string {
 	var keys []string
 	for i := int32(0); i < s.items.Slots(); i++ {
-		if e := s.items.At(i); e.inst != nil && e.fired {
-			keys = append(keys, e.inst.Key())
+		if e := s.items.At(i); e.prod != nil && e.fired {
+			keys = append(keys, string(e.appendKey(nil)))
 		}
 	}
 	sort.Strings(keys)
@@ -246,16 +299,16 @@ func (s *Set) FiredKeys() []string {
 
 // Contains reports whether an identical instantiation is in the set.
 func (s *Set) Contains(in *ops5.Instantiation) bool {
-	_, i := s.find(identity(in), in)
+	_, i := s.find(identity(in.Production, in.WMEs), in.Production, in.WMEs)
 	return i >= 0
 }
 
-// Instantiations returns the current instantiations in a deterministic
-// order (the set's strategy order, best first).
+// Instantiations returns the current instantiations in the set's
+// strategy order, best first, building those not built before.
 func (s *Set) Instantiations() []*ops5.Instantiation {
 	entries := make([]*entry, 0, s.n)
 	for i := int32(0); i < s.items.Slots(); i++ {
-		if e := s.items.At(i); e.inst != nil {
+		if e := s.items.At(i); e.prod != nil {
 			entries = append(entries, e)
 		}
 	}
@@ -264,7 +317,7 @@ func (s *Set) Instantiations() []*ops5.Instantiation {
 	})
 	out := make([]*ops5.Instantiation, len(entries))
 	for i, e := range entries {
-		out[i] = e.inst
+		out[i] = e.instantiation()
 	}
 	return out
 }
@@ -272,15 +325,15 @@ func (s *Set) Instantiations() []*ops5.Instantiation {
 // Select picks the instantiation to fire under the set's strategy, or
 // nil if every instantiation has already fired (or the set is empty) —
 // the halting condition of the recognize-act cycle. The chosen
-// instantiation is marked fired (refraction). Selection is a linear
-// scan for the best unfired entry — better is a total order (the final
-// tie-break is the unique key), so the entries' storage order cannot
-// change the outcome.
+// instantiation is marked fired (refraction), and is the one allocation
+// of a Select. Selection is a linear scan for the best unfired entry —
+// better is a total order (the final tie-break is the unique key), so
+// the entries' storage order cannot change the outcome.
 func (s *Set) Select() *ops5.Instantiation {
 	var best *entry
 	for i := int32(0); i < s.items.Slots(); i++ {
 		e := s.items.At(i)
-		if e.inst == nil || e.fired {
+		if e.prod == nil || e.fired {
 			continue
 		}
 		if best == nil || s.better(e, best) {
@@ -291,7 +344,7 @@ func (s *Set) Select() *ops5.Instantiation {
 		return nil
 	}
 	best.fired = true
-	return best.inst
+	return best.instantiation()
 }
 
 // better reports whether a should fire before b, comparing the
@@ -317,16 +370,22 @@ func (s *Set) better(a, b *entry) bool {
 		return a.spec > b.spec
 	}
 	// Final deterministic tie-breaks: production order, then key.
-	ap, bp := a.inst.Production, b.inst.Production
-	if ap.Order != bp.Order {
-		return ap.Order < bp.Order
+	if a.prod.Order != b.prod.Order {
+		return a.prod.Order < b.prod.Order
 	}
-	return a.inst.Key() < b.inst.Key()
+	return keyLess(a, b)
+}
+
+// keyLess reports whether a's key sorts before b's, spelling both on
+// the stack.
+func keyLess(a, b *entry) bool {
+	var ab, bb [64]byte
+	return string(a.appendKey(ab[:0])) < string(b.appendKey(bb[:0]))
 }
 
 // meaTag returns the time tag of the WME matching the first positive CE.
-func meaTag(in *ops5.Instantiation) int {
-	for _, w := range in.WMEs {
+func meaTag(wmes []*ops5.WME) int {
+	for _, w := range wmes {
 		if w != nil {
 			return w.TimeTag
 		}
@@ -334,14 +393,13 @@ func meaTag(in *ops5.Instantiation) int {
 	return 0
 }
 
-// sortedTagsDesc returns the instantiation's time tags sorted
-// descending, appended to buf (the caller's inline storage, so typical
-// LHS sizes allocate nothing). Tag lists are a handful of entries, so a
-// direct insertion sort beats sort.Sort and skips its interface
-// allocation.
-func sortedTagsDesc(in *ops5.Instantiation, buf []int) []int {
+// sortedTagsDesc returns the matched WMEs' time tags sorted descending,
+// appended to buf (the caller's inline storage, so typical LHS sizes
+// allocate nothing). Tag lists are a handful of entries, so a direct
+// insertion sort beats sort.Sort and skips its interface allocation.
+func sortedTagsDesc(wmes []*ops5.WME, buf []int) []int {
 	tags := buf
-	for _, w := range in.WMEs {
+	for _, w := range wmes {
 		if w != nil {
 			tags = append(tags, w.TimeTag)
 		}

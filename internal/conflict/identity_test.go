@@ -56,10 +56,10 @@ func (r *refSet) firedKeys() []string {
 // nothing: MEA's goal tag, recency over descending tags, specificity,
 // production order, key.
 func (r *refSet) better(a, b *ops5.Instantiation) bool {
-	if r.strategy == MEA && meaTag(a) != meaTag(b) {
-		return meaTag(a) > meaTag(b)
+	if r.strategy == MEA && meaTag(a.WMEs) != meaTag(b.WMEs) {
+		return meaTag(a.WMEs) > meaTag(b.WMEs)
 	}
-	at, bt := sortedTagsDesc(a, nil), sortedTagsDesc(b, nil)
+	at, bt := sortedTagsDesc(a.WMEs, nil), sortedTagsDesc(b.WMEs, nil)
 	for i := 0; i < len(at) && i < len(bt); i++ {
 		if at[i] != bt[i] {
 			return at[i] > bt[i]
@@ -95,6 +95,9 @@ func (r *refSet) selectNext() *ops5.Instantiation {
 	}
 	return nil
 }
+
+// instIdentity is the identity hash of an instantiation's match.
+func instIdentity(in *ops5.Instantiation) uint64 { return identity(in.Production, in.WMEs) }
 
 // testProductions returns productions that differ in every feature the
 // ordering and the identity look at: LHS length (one past the inline
@@ -157,10 +160,10 @@ func TestSetAgainstStringKeyedReference(t *testing.T) {
 					in := randomInst(rng, prods)
 					switch op := rng.Intn(10); {
 					case op < 4:
-						s.insert(identity(in)&mask, in)
+						s.insert(instIdentity(in)&mask, in.Production, in.WMEs)
 						ref.insert(in)
 					case op < 7:
-						s.remove(identity(in)&mask, in)
+						s.remove(instIdentity(in)&mask, in.Production, in.WMEs)
 						ref.remove(in)
 					case op < 8:
 						s.markFired(keyIdentity(in.Key())&mask, in.Key())
@@ -172,7 +175,7 @@ func TestSetAgainstStringKeyedReference(t *testing.T) {
 						}
 					}
 					_, present := ref.items[in.Key()]
-					_, at := s.find(identity(in)&mask, in)
+					_, at := s.find(instIdentity(in)&mask, in.Production, in.WMEs)
 					if (at >= 0) != present || s.Len() != len(ref.items) {
 						t.Fatalf("step %d: %s present = %v, Len() = %d; reference %v, %d",
 							step, in.Key(), at >= 0, s.Len(), present, len(ref.items))
@@ -215,8 +218,8 @@ func TestCollidingIdentities(t *testing.T) {
 	for _, strategy := range []Strategy{LEX, MEA} {
 		const id = 42 // both on this chain
 		s := NewSet(strategy)
-		s.insert(id, older)
-		s.insert(id, newer)
+		s.insert(id, older.Production, older.WMEs)
+		s.insert(id, newer.Production, newer.WMEs)
 
 		// Marking by string key marks the entry it names, whichever end
 		// of the chain that is.
@@ -224,7 +227,7 @@ func TestCollidingIdentities(t *testing.T) {
 		if got := s.FiredKeys(); len(got) != 1 || got[0] != older.Key() {
 			t.Fatalf("%v: FiredKeys() = %v after MarkFired(%s)", strategy, got, older.Key())
 		}
-		if got := s.Select(); got != newer {
+		if got := s.Select(); got == nil || got.Key() != newer.Key() {
 			t.Fatalf("%v: Select() = %v, want the unfired %s", strategy, got, newer.Key())
 		}
 		if got := s.Select(); got != nil {
@@ -232,9 +235,9 @@ func TestCollidingIdentities(t *testing.T) {
 		}
 
 		// Removing takes one and keeps the other, fired flag included.
-		s.remove(id, newer)
-		_, gone := s.find(id, newer)
-		_, kept := s.find(id, older)
+		s.remove(id, newer.Production, newer.WMEs)
+		_, gone := s.find(id, newer.Production, newer.WMEs)
+		_, kept := s.find(id, older.Production, older.WMEs)
 		if gone >= 0 || kept < 0 || s.Len() != 1 {
 			t.Fatalf("%v: after removing %s: found at %d, the other at %d, Len = %d",
 				strategy, newer.Key(), gone, kept, s.Len())
@@ -242,7 +245,7 @@ func TestCollidingIdentities(t *testing.T) {
 		if got := s.FiredKeys(); len(got) != 1 || got[0] != older.Key() {
 			t.Fatalf("%v: FiredKeys() = %v after removing the other entry", strategy, got)
 		}
-		s.remove(id, older)
+		s.remove(id, older.Production, older.WMEs)
 		if s.Len() != 0 || s.Select() != nil {
 			t.Fatalf("%v: set not empty after removing both", strategy)
 		}
@@ -262,32 +265,129 @@ func TestKeyIdentityMatchesIdentity(t *testing.T) {
 				w.TimeTag = int(rng.Int63n(1 << 40)) // rng.Intn's draw, and compiles where int is 32 bits
 			}
 		}
-		if got, want := keyIdentity(in.Key()), identity(in); got != want {
+		if got, want := keyIdentity(in.Key()), instIdentity(in); got != want {
 			t.Fatalf("keyIdentity(%q) = %#x, identity = %#x", in.Key(), got, want)
 		}
 	}
 }
 
-// TestInsertRemoveAllocs: a conflict-set delta costs the matcher's
-// Instantiation and nothing more — no key string, no entry object.
+// TestInsertRemoveAllocs: a conflict-set delta through the sink costs
+// nothing — no instantiation, no key string, no entry object — and a
+// Select costs the one instantiation it returns.
 func TestInsertRemoveAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	prods := testProductions()[:5] // LHS within the inline tag array
+	prods := testProductions()[:5] // LHS within the inline arrays
 	s := NewSet(LEX)
 	insts := make([]*ops5.Instantiation, 64)
 	for i := range insts {
 		insts[i] = randomInst(rng, prods)
-		s.Insert(insts[i])
+		s.InsertMatch(insts[i].Production, insts[i].WMEs)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, in := range insts {
-			s.Remove(in)
+			s.RemoveMatch(in.Production, in.WMEs)
 		}
 		for _, in := range insts {
-			s.Insert(in)
+			s.InsertMatch(in.Production, in.WMEs)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%v allocations per %d Remove+Insert pairs, want 0", allocs, len(insts))
+		t.Fatalf("%v allocations per %d RemoveMatch+InsertMatch pairs, want 0", allocs, len(insts))
 	}
+	allocs = testing.AllocsPerRun(100, func() {
+		in := s.Select()
+		if in == nil {
+			panic("Select() = nil on a set refilled each run")
+		}
+		// Re-filing the match clears its fired flag and its built
+		// instantiation, so the next run selects and builds again.
+		s.RemoveMatch(in.Production, in.WMEs)
+		s.InsertMatch(in.Production, in.WMEs)
+	})
+	if allocs != 1 {
+		t.Fatalf("%v allocations per Select, want 1", allocs)
+	}
+}
+
+// FuzzConflictSet drives the set through the sink with byte-coded
+// operations — InsertMatch, RemoveMatch, Select, MarkFired of a real or
+// an arbitrary key, FiredKeys — and holds it to refSet after each: the
+// same selection, size and refraction marks, and at the end the same
+// strategy order. The first byte picks the strategy; each operation is
+// an opcode byte, a production byte and one tag byte per positive
+// condition element (tags -1..8, so re-inserts and ties are common).
+func FuzzConflictSet(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 3, 0, 2, 4, 5, 2, 0, 4, 0})
+	f.Add([]byte{1, 0, 3, 1, 2, 0, 3, 2, 2, 2, 0, 4, 1, 3, 1, 3, 2, 1, 2, 0})
+	f.Add([]byte{0, 0, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 3, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 2, 0, 4, 0})
+	f.Add([]byte{1, 0, 6, 2, 2, 0, 7, 2, 2, 2, 0, 2, 0, 5, 0, 't', 'i', 'e', '|', '2', '|', '2', 4, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		prods := testProductions()
+		strategy := Strategy(data[0] & 1)
+		s := NewSet(strategy)
+		ref := &refSet{strategy: strategy, items: make(map[string]*refEntry)}
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		for data = data[1:]; len(data) > 0; {
+			op, p := next()%6, prods[int(next())%len(prods)]
+			in := &ops5.Instantiation{Production: p, WMEs: make([]*ops5.WME, len(p.LHS))}
+			for i, ce := range p.LHS {
+				if !ce.Negated {
+					in.WMEs[i] = &ops5.WME{TimeTag: int(next()%10) - 1}
+				}
+			}
+			switch op {
+			case 0:
+				s.InsertMatch(in.Production, in.WMEs)
+				ref.insert(in)
+			case 1:
+				s.RemoveMatch(in.Production, in.WMEs)
+				ref.remove(in)
+			case 2:
+				got, want := s.Select(), ref.selectNext()
+				if (got == nil) != (want == nil) || got != nil && got.Key() != want.Key() {
+					t.Fatalf("Select() = %v, reference %v", got, want)
+				}
+			case 3:
+				s.MarkFired(in.Key())
+				ref.markFired(in.Key())
+			case 4:
+				if got, want := s.FiredKeys(), ref.firedKeys(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("FiredKeys() = %v, reference %v", got, want)
+				}
+			case 5:
+				// A key no instantiation need spell: up to 8 raw bytes.
+				key := make([]byte, 0, 8)
+				for n := next() % 9; n > 0 && len(data) > 0; n-- {
+					key = append(key, next())
+				}
+				s.MarkFired(string(key))
+				ref.markFired(string(key))
+			}
+			if s.Len() != len(ref.items) {
+				t.Fatalf("Len() = %d, reference %d", s.Len(), len(ref.items))
+			}
+		}
+		got, want := s.Instantiations(), ref.ordered(false)
+		if len(got) != len(want) {
+			t.Fatalf("%d instantiations, reference %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Key() != want[i].Key() {
+				t.Fatalf("Instantiations()[%d] = %s, reference %s", i, got[i].Key(), want[i].Key())
+			}
+		}
+		if got, want := s.FiredKeys(), ref.firedKeys(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("FiredKeys() = %v, reference %v", got, want)
+		}
+	})
 }

@@ -123,24 +123,21 @@ func NewSystemFromProgram(prog *ops5.Program, opts Options) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		net.OnInsert = cs.Insert
-		net.OnRemove = cs.Remove
+		net.Sink = cs
 		sys.net, m = net, net
 	case ParallelRete:
 		pm, err := prete.New(prog.Productions, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
-		pm.OnInsert = cs.Insert
-		pm.OnRemove = cs.Remove
+		pm.Sink = cs
 		sys.pm, m = pm, pm
 	case Naive:
 		nm, err := naive.New(prog.Productions)
 		if err != nil {
 			return nil, err
 		}
-		nm.OnInsert = cs.Insert
-		nm.OnRemove = cs.Remove
+		nm.Sink = cs
 		m = nm
 	default:
 		return nil, fmt.Errorf("core: unknown matcher kind %d", opts.Matcher)

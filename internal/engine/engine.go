@@ -112,9 +112,9 @@ func (e *Engine) RegisterFunc(name string, fn CallFunc) {
 	e.funcs[name] = fn
 }
 
-// New assembles an engine. The matcher must already have its conflict
-// callbacks wired to cs (OnInsert = cs.Insert, OnRemove = cs.Remove;
-// core.NewSystemFromProgram does this for every matcher).
+// New assembles an engine. The matcher must already send its
+// conflict-set deltas to cs (Sink = cs; core.NewSystemFromProgram does
+// this for every served matcher).
 func New(mem *wm.Memory, cs *conflict.Set, m Matcher) *Engine {
 	return &Engine{WM: mem, CS: cs, Matcher: m}
 }

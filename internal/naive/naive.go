@@ -17,9 +17,10 @@ type Matcher struct {
 	wm    map[int]*ops5.WME // by time tag
 	insts map[string]*ops5.Instantiation
 
-	// OnInsert and OnRemove receive conflict-set deltas.
-	OnInsert func(*ops5.Instantiation)
-	OnRemove func(*ops5.Instantiation)
+	// Sink receives the conflict-set deltas. It starts as the embedded
+	// Hooks, whose OnInsert and OnRemove receive them as instantiations.
+	Sink ops5.MatchSink
+	ops5.Hooks
 
 	// Stats accumulates work counters.
 	Stats Stats
@@ -50,11 +51,13 @@ func New(prods []*ops5.Production) (*Matcher, error) {
 			return nil, err
 		}
 	}
-	return &Matcher{
+	m := &Matcher{
 		prods: prods,
 		wm:    make(map[int]*ops5.WME),
 		insts: make(map[string]*ops5.Instantiation),
-	}, nil
+	}
+	m.Sink = &m.Hooks
+	return m, nil
 }
 
 // Apply updates the matcher's WM copy and recomputes every instantiation.
@@ -88,17 +91,13 @@ func (m *Matcher) rematch() {
 	for key, inst := range m.insts {
 		if _, ok := fresh[key]; !ok {
 			delete(m.insts, key)
-			if m.OnRemove != nil {
-				m.OnRemove(inst)
-			}
+			m.Sink.RemoveMatch(inst.Production, inst.WMEs)
 		}
 	}
 	for key, inst := range fresh {
 		if _, ok := m.insts[key]; !ok {
 			m.insts[key] = inst
-			if m.OnInsert != nil {
-				m.OnInsert(inst)
-			}
+			m.Sink.InsertMatch(inst.Production, inst.WMEs)
 		}
 	}
 }

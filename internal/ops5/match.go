@@ -187,17 +187,17 @@ type Instantiation struct {
 	wmeArr [8]*WME
 }
 
-// NewInstantiation returns an instantiation with WMEs sized for n
-// condition elements, stored inline when n is small — matchers create
-// one per conflict-set insertion, so this saves the slice allocation on
-// the hot path.
-func NewInstantiation(p *Production, n int) *Instantiation {
+// NewInstantiation returns the instantiation of p over a copy of wmes,
+// stored inline when the LHS is small, so building one is one
+// allocation.
+func NewInstantiation(p *Production, wmes []*WME) *Instantiation {
 	in := &Instantiation{Production: p}
-	if n <= len(in.wmeArr) {
-		in.WMEs = in.wmeArr[:n]
+	if len(wmes) <= len(in.wmeArr) {
+		in.WMEs = in.wmeArr[:len(wmes)]
 	} else {
-		in.WMEs = make([]*WME, n)
+		in.WMEs = make([]*WME, len(wmes))
 	}
+	copy(in.WMEs, wmes)
 	return in
 }
 
@@ -243,15 +243,20 @@ func (in *Instantiation) TimeTags() []int {
 
 // Key returns a canonical identity string: production name plus the
 // positive-CE time tags in order. Two instantiations with equal keys are
-// the same instantiation. The string is built once and cached — the
-// conflict set keys every insert, remove and contains on it.
+// the same instantiation. The string is built once and cached.
 func (in *Instantiation) Key() string {
-	if in.key != "" {
-		return in.key
+	if in.key == "" {
+		in.key = string(AppendKey(make([]byte, 0, len(in.Production.Name)+8*len(in.WMEs)), in.Production, in.WMEs))
 	}
-	buf := make([]byte, 0, len(in.Production.Name)+8*len(in.WMEs))
-	buf = append(buf, in.Production.Name...)
-	for _, w := range in.WMEs {
+	return in.key
+}
+
+// AppendKey appends to buf the Key of the instantiation of p over wmes:
+// the production name, then "|tag" per matched WME and "|-" per negated
+// condition element.
+func AppendKey(buf []byte, p *Production, wmes []*WME) []byte {
+	buf = append(buf, p.Name...)
+	for _, w := range wmes {
 		if w != nil {
 			buf = append(buf, '|')
 			buf = appendInt(buf, w.TimeTag)
@@ -259,8 +264,41 @@ func (in *Instantiation) Key() string {
 			buf = append(buf, '|', '-')
 		}
 	}
-	in.key = string(buf)
-	return in.key
+	return buf
+}
+
+// MatchSink receives a matcher's conflict-set deltas: a satisfied
+// production and the WMEs it matched, one per condition element in LHS
+// order (nil for a negated one). wmes is the matcher's scratch and is
+// valid only during the call, so a sink that keeps a match copies it.
+// conflict.Set is the sink psmd's matchers feed.
+type MatchSink interface {
+	InsertMatch(p *Production, wmes []*WME)
+	RemoveMatch(p *Production, wmes []*WME)
+}
+
+// Hooks adapts a pair of per-instantiation callbacks to MatchSink. Each
+// delta is built into a fresh Instantiation, and only when its callback
+// is set; a removal's is equal to, not the same as, its insert's. The
+// matchers embed Hooks, so OnInsert and OnRemove read as their fields,
+// and their Sink starts as it.
+type Hooks struct {
+	OnInsert func(*Instantiation)
+	OnRemove func(*Instantiation)
+}
+
+// InsertMatch hands OnInsert the instantiation of p over wmes.
+func (h *Hooks) InsertMatch(p *Production, wmes []*WME) {
+	if h.OnInsert != nil {
+		h.OnInsert(NewInstantiation(p, wmes))
+	}
+}
+
+// RemoveMatch hands OnRemove the instantiation of p over wmes.
+func (h *Hooks) RemoveMatch(p *Production, wmes []*WME) {
+	if h.OnRemove != nil {
+		h.OnRemove(NewInstantiation(p, wmes))
+	}
 }
 
 // appendInt appends the decimal form of n to buf without allocating.

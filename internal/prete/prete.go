@@ -47,8 +47,8 @@
 //     the next batch barrier (tokens.go). The only other token built is
 //     for a delete that reaches a memory ahead of the insert it undoes,
 //     on another lane: its pending cancel must hold one for that insert
-//     to find. A removal hands the conflict set the instantiation its
-//     insert announced (rete.Live).
+//     to find. A terminal's delta reaches the conflict set as a match
+//     spelled in scratch (rete.Terminal.Match), not an instantiation.
 //   - Task granularity is coarse. Sibling right-activations of one WME
 //     (the successors of up to seedGrain alpha memories) seed as a
 //     single multi-activation task, whose downstream activations never
@@ -122,12 +122,12 @@ type emit struct {
 }
 
 // pendingDelta is one conflict-set delta, batched per worker during a
-// batch and instantiated at flush — every one of a batch the caller ran
+// batch and announced at flush — every one of a batch the caller ran
 // alone, the net survivors of the merge otherwise.
 type pendingDelta struct {
 	term *rete.Terminal
 	tok  *rete.Token
-	wme  *ops5.WME // non-nil: the instantiation's token is tok extended by wme (see emit)
+	wme  *ops5.WME // non-nil: the match's token is tok extended by wme (see emit)
 	key  uint64    // mergeKey: the merge sorts on it without touching the tokens
 	dir  ops5.ChangeKind
 }
@@ -301,10 +301,12 @@ type Matcher struct {
 	roots  [][]*pnode
 	sched  *scheduler
 
-	// OnInsert and OnRemove receive conflict-set deltas at the end of
-	// each Apply batch, on the calling goroutine.
-	OnInsert func(*ops5.Instantiation)
-	OnRemove func(*ops5.Instantiation)
+	// Sink receives the conflict-set deltas at the end of each Apply
+	// batch, on the calling goroutine. It starts as the embedded Hooks,
+	// whose OnInsert and OnRemove receive them as instantiations. Set
+	// either before Apply.
+	Sink ops5.MatchSink
+	ops5.Hooks
 
 	// mu guards everything below: the books Apply closes at each batch
 	// barrier, which Stats, NodeProfile and Loss read. Workers never
@@ -328,14 +330,13 @@ type Matcher struct {
 	// bypassBelow is the resolved serial-bypass threshold (0 disables).
 	bypassBelow int
 	// pool holds the tokens no memory holds, for the lanes to build join
-	// outputs into (tokens.go); live holds the instantiations in the
-	// conflict set, for flush to hand back on removal.
+	// outputs into (tokens.go).
 	pool tokenPool
-	live rete.Live
-	// seedMems and flushBuf are Apply-only scratch, reused across
+	// seedMems, flushBuf and match are Apply-only scratch, reused across
 	// batches so seeding and flushing allocate nothing steady-state.
 	seedMems []*rete.AlphaNode
 	flushBuf []pendingDelta
+	match    []*ops5.WME
 }
 
 // New compiles the productions and builds the parallel node graph.
@@ -378,8 +379,8 @@ func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
 		prof:        make([]rete.NodeProf, len(plan.Joins)),
 		lanes:       make([]laneBooks, workers),
 		bypassBelow: bypass,
-		live:        make(rete.Live, len(plan.Terminals)),
 	}
+	m.Sink = &m.Hooks
 	m.sched = newScheduler(workers, len(m.nodes), &m.pool)
 
 	// One left memory per key of each beta memory (and one for its
@@ -537,7 +538,7 @@ func (m *Matcher) NodeProfile() []obs.NodeProfileEntry {
 }
 
 // Apply processes a batch of WM changes in parallel and flushes the net
-// conflict-set deltas through OnInsert/OnRemove before returning. The
+// conflict-set deltas to the Sink before returning. The
 // caller runs lane 0; a batch big enough to amortise the hand-off
 // offers the other lanes to idle helpers of the process's lane pool.
 // Apply must not be called concurrently with itself.
@@ -956,9 +957,8 @@ func deltaCmp(a, b pendingDelta) int {
 	return 0
 }
 
-// flush applies the batch's conflict-set deltas through OnInsert and
-// OnRemove and returns how many instantiations entered and left the
-// conflict set.
+// flush hands the batch's conflict-set deltas to the Sink and returns
+// how many instantiations entered and left the conflict set.
 //
 // A batch the caller ran alone (batchLoop) produced its deltas as the
 // serial matcher would have, each instantiation's insert ahead of its
@@ -966,8 +966,8 @@ func deltaCmp(a, b pendingDelta) int {
 // Any other batch may hold a delete ahead of the insert it undoes, or
 // the two on different lanes: the lanes' deltas are merged — sorted, so
 // that equal instantiations sit together and the order is the same on
-// every run — and only the net survivors are instantiated; insert/delete
-// churn within the batch never materialises one.
+// every run — and only the net survivors are announced; insert/delete
+// churn within the batch never reaches the sink.
 func (m *Matcher) flush(solo bool) (ins, rem int64) {
 	if solo {
 		w := &m.sched.workers[0]
@@ -1016,14 +1016,13 @@ func (m *Matcher) flush(solo bool) (ins, rem int64) {
 	return ins, rem
 }
 
-// announce hands one conflict-set delta to its callback: an insert's
-// instantiation is built and filed in the live table, a removal's is
-// the one its insert filed.
+// announce hands one conflict-set delta to the sink, its match spelled
+// in the matcher's scratch.
 func (m *Matcher) announce(d pendingDelta, dir ops5.ChangeKind) {
-	switch {
-	case dir == ops5.Insert && m.OnInsert != nil:
-		m.OnInsert(m.live.Insert(d.term, d.tok, d.wme))
-	case dir == ops5.Delete && m.OnRemove != nil:
-		m.OnRemove(m.live.Take(d.term, d.tok, d.wme))
+	m.match = d.term.Match(m.match, d.tok, d.wme)
+	if dir == ops5.Insert {
+		m.Sink.InsertMatch(d.term.Production, m.match)
+	} else {
+		m.Sink.RemoveMatch(d.term.Production, m.match)
 	}
 }

@@ -504,18 +504,13 @@ func (n *Network) propagate(b *BetaNode, m *keyMemo[*Token], dir ops5.ChangeKind
 func (n *Network) terminalActivate(t *Terminal, tok *Token, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
 	seq := n.nextSeq()
 	n.Stats.Activations[KindTerm]++
+	n.match = t.Match(n.match, tok, nil)
 	if dir == ops5.Insert {
-		inst := n.live.Insert(t, tok, nil)
 		n.Stats.ConflictInserts++
-		if n.OnInsert != nil {
-			n.OnInsert(inst)
-		}
+		n.Sink.InsertMatch(t.Production, n.match)
 	} else {
-		inst := n.live.Take(t, tok, nil)
 		n.Stats.ConflictRemoves++
-		if n.OnRemove != nil {
-			n.OnRemove(inst)
-		}
+		n.Sink.RemoveMatch(t.Production, n.match)
 	}
 	n.emit(ActivationEvent{
 		Seq: seq, Parent: parent, Change: ctx.change, Kind: KindTerm,

@@ -237,37 +237,6 @@ func (j *joinState) negDelete(k uint64, tok *Token) (count int, found bool) {
 	return 0, false
 }
 
-// Live is a matcher's table of the instantiations it announced into the
-// conflict set: per terminal, keyed by the identity hash of the token
-// each came from and verified with Terminal.Holds. A removal takes back
-// the instantiation its insert announced instead of building another,
-// and the table holds no token, so a matcher may recycle tokens freely.
-// It is indexed by Terminal.Index.
-type Live []bucket.Buckets[*ops5.Instantiation]
-
-// Insert builds the instantiation of base extended by w (of base when w
-// is nil) for t, files it and returns it.
-func (l Live) Insert(t *Terminal, base *Token, w *ops5.WME) *ops5.Instantiation {
-	inst := t.InstantiateExt(base, w)
-	l[t.Index].Add(base.ExtIDHash(w), inst)
-	return inst
-}
-
-// Take removes and returns the instantiation Insert filed for the same
-// terminal and token, building one when none is filed.
-func (l Live) Take(t *Terminal, base *Token, w *ops5.WME) *ops5.Instantiation {
-	b := &l[t.Index]
-	id := base.ExtIDHash(w)
-	prev := int32(-1)
-	for i := b.Head(id); i >= 0; prev, i = i, b.Next(i) {
-		if inst := *b.At(i); t.Holds(inst, base, w) {
-			b.Unlink(id, prev, i)
-			return inst
-		}
-	}
-	return t.InstantiateExt(base, w)
-}
-
 // Network is the serial executor of a Plan: the plan's memories held
 // unsynchronised, driven one WM change at a time on the caller's
 // goroutine. Any number of Networks may run one Plan.
@@ -276,17 +245,19 @@ type Network struct {
 	alphas []memory[*ops5.WME] // by AlphaNode.Index
 	betas  []memory[*Token]    // by BetaNode.Index
 	joins  []joinState
-	live   Live
+	// match is terminalActivate's scratch for the matched WMEs.
+	match []*ops5.WME
 	// free holds the tokens that left the memories owning them, for the
 	// next join output to be built into (extend); built counts the
 	// tokens ever allocated.
 	free  []*Token
 	built int
 
-	// OnInsert and OnRemove receive conflict-set deltas. They must be
-	// set before Apply.
-	OnInsert func(*ops5.Instantiation)
-	OnRemove func(*ops5.Instantiation)
+	// Sink receives the conflict-set deltas. It starts as the embedded
+	// Hooks, whose OnInsert and OnRemove receive them as instantiations.
+	// Set either before Apply.
+	Sink ops5.MatchSink
+	ops5.Hooks
 
 	// Tracer, when non-nil, receives one event per node activation.
 	Tracer TraceFunc
@@ -314,9 +285,9 @@ func NewNetwork(p *Plan) *Network {
 		alphas: make([]memory[*ops5.WME], len(p.Alphas)),
 		betas:  make([]memory[*Token], len(p.Betas)),
 		joins:  make([]joinState, len(p.Joins)),
-		live:   make(Live, len(p.Terminals)),
 		ctx:    applyCtx{credits: make([]int32, len(p.Productions))},
 	}
+	n.Sink = &n.Hooks
 	n.betas[0].insert(0, &Token{}) // the dummy top's permanent empty token
 	for _, a := range p.Alphas {
 		n.alphas[a.Index].indexes = make([]index[*ops5.WME], len(a.Keys))

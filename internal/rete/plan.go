@@ -253,45 +253,32 @@ func (j *JoinNode) Eval(tok *Token, w *ops5.WME) bool {
 // Terminal announces conflict-set changes for one production.
 type Terminal struct {
 	ID         int
-	Index      int // position in Plan.Terminals
 	Production *ops5.Production
 	// posIndex maps token position -> LHS condition-element index.
 	posIndex []int
 }
 
-// InstantiateExt builds the instantiation for base extended by w — for
-// base itself when w is nil — without building the extended token.
-// Variable bindings are deferred: most instantiations enter and leave
-// the conflict set without firing, so the LHS binding walk happens
-// lazily in ops5.Instantiation.EvalBindings only when the RHS is
-// evaluated.
-func (t *Terminal) InstantiateExt(base *Token, w *ops5.WME) *ops5.Instantiation {
-	inst := ops5.NewInstantiation(t.Production, len(t.Production.LHS))
-	n := len(base.WMEs)
+// Match fills dst with the WMEs of base extended by w (of base when w
+// is nil), one per condition element in LHS order and nil for a negated
+// one, and returns it: the match a conflict-set delta names, built in
+// the caller's scratch without building the extended token. dst grows
+// when it is too short.
+func (t *Terminal) Match(dst []*ops5.WME, base *Token, w *ops5.WME) []*ops5.WME {
+	n := len(t.Production.LHS)
+	if cap(dst) < n {
+		dst = make([]*ops5.WME, n)
+	}
+	dst = dst[:n]
+	clear(dst)
+	k := len(base.WMEs)
 	for pos, lhsIdx := range t.posIndex {
-		if pos < n {
-			inst.WMEs[lhsIdx] = base.WMEs[pos]
+		if pos < k {
+			dst[lhsIdx] = base.WMEs[pos]
 		} else {
-			inst.WMEs[lhsIdx] = w
+			dst[lhsIdx] = w
 		}
 	}
-	return inst
-}
-
-// Holds reports whether inst is the instantiation InstantiateExt builds
-// for base extended by w (for base when w is nil).
-func (t *Terminal) Holds(inst *ops5.Instantiation, base *Token, w *ops5.WME) bool {
-	n := len(base.WMEs)
-	for pos, lhsIdx := range t.posIndex {
-		x := w
-		if pos < n {
-			x = base.WMEs[pos]
-		}
-		if inst.WMEs[lhsIdx] != x {
-			return false
-		}
-	}
-	return true
+	return dst
 }
 
 // Plan is a compiled Rete network over a fixed set of productions:
@@ -356,7 +343,7 @@ func (c *compiler) addProduction(p *ops5.Production) error {
 	binders := make(map[string]binder)
 	curBeta := c.Betas[0]
 	tokenLen := 0
-	term := &Terminal{ID: c.id(), Index: len(c.Terminals), Production: p}
+	term := &Terminal{ID: c.id(), Production: p}
 
 	for ceIdx, ce := range p.LHS {
 		am, localBinders, err := c.buildAlpha(p, ceIdx, ce, binders)

@@ -91,7 +91,7 @@ func (s *Server) Handler() http.Handler { return s.HandlerWith(HandlerConfig{}) 
 //	POST   /v1/sessions/{id}/changes   submit batched assert/retract changes
 //	POST   /v1/sessions/{id}/run       run N recognize-act cycles
 //	POST   /v1/sessions/{id}/stream    ingest NDJSON event batches (TTL'd facts)
-//	GET    /v1/sessions/{id}/conflicts conflict set (LEX order)
+//	GET    /v1/sessions/{id}/conflicts conflict set (the session's strategy order)
 //	GET    /v1/sessions/{id}/wm        working memory (?class= filters)
 //	GET    /v1/sessions/{id}/trace     recent cycle spans (survives deletion)
 //	GET    /v1/sessions/{id}/profile   hot-node profile (?top= truncates)

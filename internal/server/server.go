@@ -790,8 +790,8 @@ func (s *Server) RunCycles(ctx context.Context, id string, maxCycles int) (RunRe
 	})
 }
 
-// Conflicts returns the session's conflict set in deterministic (LEX)
-// order.
+// Conflicts returns the session's conflict set in its strategy's order
+// (LEX or MEA), best first.
 func (s *Server) Conflicts(ctx context.Context, id string) ([]InstInfo, error) {
 	return dispatchSession(s, ctx, id, func(sess *session) ([]InstInfo, error) {
 		insts := sess.sys.CS.Instantiations()

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -97,6 +98,39 @@ const counterSrc = `
     (make result ^n <n>)
     (halt))
 `
+
+// TestConflictsInStrategyOrder: /conflicts lists a session's conflict
+// set in its own strategy's order. Of m|1|4 (goal 1, item 4) and m|2|3
+// (goal 2, item 3), LEX puts first the one with the most recent tag and
+// MEA the one with the most recent goal.
+func TestConflictsInStrategyOrder(t *testing.T) {
+	_, c := newTestServer(t, server.Config{Shards: 1})
+	const src = `(p m (goal ^id <g>) (item ^g <g>) --> (halt))`
+	for _, tc := range []struct {
+		strategy string
+		want     []string
+	}{
+		{"lex", []string{"m|1|4", "m|2|3"}},
+		{"mea", []string{"m|2|3", "m|1|4"}},
+	} {
+		c.must("POST", "/sessions", server.CreateSpec{ID: tc.strategy, Program: src, Strategy: tc.strategy}, nil, http.StatusCreated)
+		c.must("POST", "/sessions/"+tc.strategy+"/changes", server.ChangesRequest{Changes: []server.ChangeSpec{
+			{Op: server.OpAssert, Class: "goal", Attrs: attrs("id", "g1")},
+			{Op: server.OpAssert, Class: "goal", Attrs: attrs("id", "g2")},
+			{Op: server.OpAssert, Class: "item", Attrs: attrs("g", "g2")},
+			{Op: server.OpAssert, Class: "item", Attrs: attrs("g", "g1")},
+		}}, nil, http.StatusOK)
+		var insts []server.InstInfo
+		c.must("GET", "/sessions/"+tc.strategy+"/conflicts", nil, &insts, http.StatusOK)
+		var got []string
+		for _, in := range insts {
+			got = append(got, in.Key)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s session: /conflicts lists %v, want %v", tc.strategy, got, tc.want)
+		}
+	}
+}
 
 func TestHTTPEndToEnd(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 2})

@@ -106,8 +106,7 @@ func NewAgent(src string, opts Options) (*Agent, error) {
 		return nil, err
 	}
 	cs := conflict.NewSet(conflict.LEX)
-	net.OnInsert = cs.Insert
-	net.OnRemove = cs.Remove
+	net.Sink = cs
 
 	if opts.MaxDecisions == 0 {
 		opts.MaxDecisions = 100

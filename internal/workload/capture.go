@@ -41,8 +41,7 @@ func Capture(name, src string, extraWM []*ops5.WME, cfg RunConfig) (*trace.Recor
 		return nil, nil, err
 	}
 	cs := conflict.NewSet(cfg.Strategy)
-	net.OnInsert = cs.Insert
-	net.OnRemove = cs.Remove
+	net.Sink = cs
 	rec := trace.NewRecorder(name, net, cost.Default())
 
 	e := engine.New(wm.New(), cs, rec)
