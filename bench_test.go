@@ -602,21 +602,24 @@ func BenchmarkMissManners(b *testing.B) {
 // Go's allocation counts are deterministic, so any rise is a code
 // change, not noise. It was 2,594 while rete.Plan also held every test
 // as a closure; deleting the closures took it to 2,567, building join
-// outputs into the tokens deletes freed took it to 2,042, and a
-// conflict set that holds matches and builds an instantiation only for
-// the one that fires took it to 1,839. A change that lowers the count
+// outputs into the tokens deletes freed took it to 2,042, a conflict
+// set that holds matches and builds an instantiation only for the one
+// that fires took it to 1,839, and an act phase that reads variables
+// through compiled slots and builds changes and fields in the engine's
+// reused buffers took it to 1,498. A change that lowers the count
 // lowers this number in the same diff.
-const mannersAllocsCeiling = 1839
+const mannersAllocsCeiling = 1498
 
 // mannersPreteAllocsCeiling is the allocation count of one Manners solve
 // through core.NewSystem on a one-lane parallel matcher, parse and
 // compile included. It was set at 2,312 when the parallel matcher began
 // to recycle tokens and hand back the instantiation an insert announced,
 // lowered to 2,296 when a lane's per-depth output buffers became one
-// stack, and to 2,093 when the matchers began to hand the conflict set
-// matches instead of instantiations; lower it in the change that lowers
-// the count.
-const mannersPreteAllocsCeiling = 2093
+// stack, to 2,093 when the matchers began to hand the conflict set
+// matches instead of instantiations, and to 1,752 when the act phase
+// stopped building a binding map, field slices and change lists per
+// firing; lower it in the change that lowers the count.
+const mannersPreteAllocsCeiling = 1752
 
 // mannersSystemSolve runs one Manners solve through core.NewSystem on
 // the given matcher (one lane, for the parallel one), as psmd builds a

@@ -38,11 +38,47 @@ type Node struct {
 	Dir  string // durable data dir, survives Kill/Restart
 	Addr string // host:port, stable across Restart
 
-	ln   net.Listener
-	node *cluster.Node
-	srv  *server.Server
-	http *http.Server
-	up   bool
+	ln       net.Listener
+	node     *cluster.Node
+	srv      *server.Server
+	http     *http.Server
+	handlers *handlerGate
+	up       bool
+}
+
+// handlerGate counts one node incarnation's running HTTP handlers.
+// http.Server.Close closes the listener and the connections but does
+// not wait for the handlers already running, and a replication push in
+// flight still writes into the node's data directory (a standby opened
+// or a snapshot installed after the node stopped). Closing the gate
+// waits for them; a request that reaches a handler after that is
+// dropped, as a killed process would drop it.
+type handlerGate struct {
+	mu      sync.Mutex
+	closed  bool
+	running sync.WaitGroup
+}
+
+func (g *handlerGate) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		g.mu.Lock()
+		if g.closed {
+			g.mu.Unlock()
+			panic(http.ErrAbortHandler)
+		}
+		g.running.Add(1)
+		g.mu.Unlock()
+		defer g.running.Done()
+		h.ServeHTTP(w, r)
+	})
+}
+
+// close turns away new handlers and waits for the running ones.
+func (g *handlerGate) close() {
+	g.mu.Lock()
+	g.closed = true
+	g.mu.Unlock()
+	g.running.Wait()
 }
 
 // URL is the node's base URL.
@@ -145,13 +181,17 @@ func (c *Cluster) boot(tn *Node) {
 	}
 	tn.node = node
 	tn.srv = srv
-	tn.http = &http.Server{Handler: srv.HandlerWith(server.HandlerConfig{DisablePprof: true})}
+	tn.handlers = &handlerGate{}
+	tn.http = &http.Server{Handler: tn.handlers.wrap(srv.HandlerWith(server.HandlerConfig{DisablePprof: true}))}
 	go tn.http.Serve(tn.ln)
 	tn.up = true
 }
 
 // Kill crashes a node: connections drop, no final snapshots, the
-// durable directory is left exactly as a kill -9 would leave it.
+// durable directory is left exactly as a kill -9 would leave it. It
+// returns once nothing of the node writes there any more, so a Restart
+// or the test's TempDir cleanup never races a handler of the dead
+// incarnation.
 func (c *Cluster) Kill(i int) {
 	c.T.Helper()
 	tn := c.Nodes[i]
@@ -160,6 +200,7 @@ func (c *Cluster) Kill(i int) {
 	}
 	tn.up = false
 	tn.http.Close() // closes the listener and in-flight connections
+	tn.handlers.close()
 	tn.srv.Abort()
 	tn.node.Stop()
 }
@@ -218,6 +259,7 @@ func (c *Cluster) Exit(i int) {
 	}
 	tn.up = false
 	tn.http.Close()
+	tn.handlers.close()
 	tn.srv.SetDraining()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -268,7 +310,8 @@ func (t cutTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(req)
 }
 
-// Close tears the whole cluster down.
+// Close tears the whole cluster down. Every node has stopped writing
+// into its data directory when it returns (see Kill).
 func (c *Cluster) Close() {
 	for i, tn := range c.Nodes {
 		if tn.up {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/obs"
 	"repro/internal/ops5"
+	"repro/internal/sym"
 	"repro/internal/wm"
 )
 
@@ -41,9 +42,11 @@ type Matcher interface {
 // firedKeys holds the conflict-set keys Select marked fired during the
 // cycle that produced the batch (nil for external applies); together
 // the two streams are a complete log of the session's evolution, which
-// is what internal/durable persists for crash recovery. The changes
-// slice is only lent for the call (the engine reuses its expiry
-// batch's): a sink that keeps it copies it.
+// is what internal/durable persists for crash recovery. A cycle whose
+// act phase fails commits none of its changes but still hands the sink
+// its marks, with no changes. The changes slice is only lent for the
+// call (it is the engine's reused cycle batch or expiry batch): a sink
+// that keeps it copies it.
 type ChangeLogSink func(changes []ops5.Change, firedKeys []string)
 
 // Engine drives the recognize-act cycle.
@@ -97,11 +100,31 @@ type Engine struct {
 
 	// ttl schedules expiry of event facts inserted with ^__ttl.
 	ttl ttlIndex
+
+	// The act phase's buffers, reused from cycle to cycle: batch is
+	// Step's cycle batch; fields holds the fields of the elements a
+	// firing makes until working memory interns them (so it is reset
+	// only by a commit outside any act phase, see acting); binds holds
+	// one firing's bind-action values.
+	batch  []ops5.Change
+	fields []ops5.Field
+	binds  []ops5.Value
+	// acting is set while firings are evaluated: a host function that
+	// commits changes mid-firing must not reset fields under elements
+	// not yet committed.
+	acting bool
 }
 
 // CallFunc is a host function invokable from a production's right-hand
 // side with (call name args...). It receives the resolved argument
-// values and returns WM changes to append to the firing's batch.
+// values and returns WM changes to append to the firing's batch; the
+// engine copies them, so the slice may be reused. It may read the
+// engine and commit changes of its own with ApplyChanges: they take
+// effect before the firing's batch, so they must not retract an element
+// the firing removes or modifies. It must not run cycles (Step, Run,
+// RunContext) or call EvalRHS, which reuse the act buffers the firing
+// in progress holds, nor advance the clock (AdvanceClock, ExpireDue),
+// which may retract such an element.
 type CallFunc func(e *Engine, args []ops5.Value) ([]ops5.Change, error)
 
 // RegisterFunc makes fn available to (call name ...) actions.
@@ -160,6 +183,10 @@ func (e *Engine) applyBatch(changes []ops5.Change, firedKeys []string) {
 			// twice); they are surfaced loudly rather than silently skipped.
 			panic(fmt.Sprintf("engine: %v", err))
 		}
+		if !e.acting {
+			// Every element built in fields has now been interned.
+			e.fields = e.fields[:0]
+		}
 		e.trackTTL(changes)
 		e.Matcher.Apply(changes)
 		e.TotalChanges += len(changes)
@@ -186,10 +213,11 @@ func (e *Engine) Step() (bool, error) {
 	if observe {
 		spanStart = time.Now()
 	}
-	var batch []ops5.Change
+	batch := e.batch[:0]
 	var firedKeys []string         // refraction marks for the change-log sink
 	consumed := make(map[int]bool) // time tags removed this cycle
 	fired := 0
+	e.acting = true
 	for fired < limit {
 		if observe {
 			phase = time.Now()
@@ -218,22 +246,29 @@ func (e *Engine) Step() (bool, error) {
 		if observe {
 			phase = time.Now()
 		}
-		changes, err := e.evalRHS(inst, consumed)
+		var err error
+		batch, err = e.evalRHS(inst, consumed, batch)
 		if observe {
 			actDur += time.Since(phase)
 		}
 		if err != nil {
+			// The cycle commits none of its changes, but its selections
+			// stay marked fired, so the log records the marks.
+			e.acting = false
+			e.fields = e.fields[:0]
+			e.releaseBatch(batch)
+			e.applyBatch(nil, firedKeys)
 			return false, err
 		}
-		batch = append(batch, changes...)
 		fired++
 		e.Fired++
 		if e.Halted {
 			break
 		}
 	}
+	e.acting = false
 	if fired == 0 {
-		return false, nil
+		return false, nil // nothing was selected, so batch is empty
 	}
 	e.Cycles++
 	// One recognize-act cycle is one tick of the logical clock; the
@@ -252,8 +287,16 @@ func (e *Engine) Step() (bool, error) {
 			WMSize: e.WM.Size(), ConflictSize: e.CS.Len(),
 		})
 	}
+	e.releaseBatch(batch)
 	e.ExpireDue()
 	return true, nil
+}
+
+// releaseBatch keeps the cycle batch's storage for the next cycle
+// without pinning the elements it held.
+func (e *Engine) releaseBatch(batch []ops5.Change) {
+	clear(batch)
+	e.batch = batch[:0]
 }
 
 // usesConsumed reports whether the instantiation references a WME
@@ -386,91 +429,101 @@ func (e *Engine) Replay(changes []ops5.Change, firedKeys []string) error {
 }
 
 // EvalRHS evaluates a production's actions against an instantiation and
-// returns the resulting WM changes without applying them. Remove/modify
-// targets are recorded in consumed (time tag -> removed), letting the
-// caller batch several firings while detecting conflicts. The engine's
-// Fired counter is incremented and OnFire invoked.
-func (e *Engine) EvalRHS(inst *ops5.Instantiation, consumed map[int]bool) ([]ops5.Change, error) {
+// appends the resulting WM changes to changes without applying them.
+// Remove/modify targets are recorded in consumed (time tag -> removed),
+// letting the caller batch several firings while detecting conflicts.
+// The engine's Fired counter is incremented and OnFire invoked. The
+// elements it makes keep their fields in engine-owned storage until
+// they are committed: the caller commits the changes with ApplyChanges
+// before it commits anything else. On error, what it appended is to be
+// discarded.
+func (e *Engine) EvalRHS(inst *ops5.Instantiation, consumed map[int]bool, changes []ops5.Change) ([]ops5.Change, error) {
 	if e.OnFire != nil {
 		e.OnFire(inst)
 	}
 	e.Fired++
-	return e.evalRHS(inst, consumed)
+	e.acting = true
+	changes, err := e.evalRHS(inst, consumed, changes)
+	e.acting = false
+	return changes, err
+}
+
+// resolve returns an RHS term's value in a firing of inst: a variable
+// is read from the matched element or the bind slot its VarRef names.
+func (e *Engine) resolve(inst *ops5.Instantiation, t *ops5.RHSTerm) (ops5.Value, error) {
+	switch {
+	case t.IsVar:
+		switch r := t.Ref; {
+		case r.Bind > 0:
+			return e.binds[r.Bind-1], nil
+		case r.Attr != sym.None:
+			return inst.WMEs[r.CE].GetID(r.Attr), nil
+		}
+		return ops5.Value{}, fmt.Errorf("engine: production %s: unbound variable <%s> at fire time",
+			inst.Production.Name, t.Var)
+	case t.Compute != nil:
+		return t.Compute.Eval(func(op *ops5.RHSTerm) (ops5.Value, error) { return e.resolve(inst, op) })
+	case t.Crlf:
+		return ops5.Value{}, fmt.Errorf("engine: production %s: (crlf) is only valid in write",
+			inst.Production.Name)
+	default:
+		return t.Val, nil
+	}
+}
+
+// appendFields resolves make/modify pairs into the field buffer and
+// returns them as one capped slice of it.
+func (e *Engine) appendFields(inst *ops5.Instantiation, pairs []ops5.RHSPair) ([]ops5.Field, error) {
+	start := len(e.fields)
+	for i := range pairs {
+		v, err := e.resolve(inst, &pairs[i].Term)
+		if err != nil {
+			return nil, err
+		}
+		e.fields = append(e.fields, ops5.Field{Attr: pairs[i].AttrID, Val: v})
+	}
+	return e.fields[start:len(e.fields):len(e.fields)], nil
 }
 
 // evalRHS evaluates a production's actions against an instantiation and
-// returns the resulting WM changes. Remove/modify targets are recorded
-// in consumed.
-func (e *Engine) evalRHS(inst *ops5.Instantiation, consumed map[int]bool) ([]ops5.Change, error) {
-	var changes []ops5.Change
-	// Only a bind action mutates the binding map; without one, the
-	// instantiation's cached bindings are used directly, saving a map
-	// clone per firing.
-	b := inst.EvalBindings()
-	for _, a := range inst.Production.RHS {
-		if a.Kind == ops5.ActBind {
-			b = b.Clone()
-			break
-		}
-	}
-	var resolve func(t ops5.RHSTerm) (ops5.Value, error)
-	resolve = func(t ops5.RHSTerm) (ops5.Value, error) {
-		switch {
-		case t.IsVar:
-			v, ok := b[t.Var]
-			if !ok {
-				return ops5.Value{}, fmt.Errorf("engine: production %s: unbound variable <%s> at fire time",
-					inst.Production.Name, t.Var)
-			}
-			return v, nil
-		case t.Compute != nil:
-			return t.Compute.Eval(resolve)
-		case t.Crlf:
-			return ops5.Value{}, fmt.Errorf("engine: production %s: (crlf) is only valid in write",
-				inst.Production.Name)
-		default:
-			return t.Val, nil
-		}
+// appends the resulting WM changes to changes. Remove/modify targets are
+// recorded in consumed. New elements' fields are built in e.fields.
+func (e *Engine) evalRHS(inst *ops5.Instantiation, consumed map[int]bool, changes []ops5.Change) ([]ops5.Change, error) {
+	p := inst.Production
+	if n := p.BindSlots; n > len(e.binds) {
+		e.binds = make([]ops5.Value, n)
 	}
 	ceWME := func(a *ops5.Action) (*ops5.WME, error) {
 		w := inst.WMEs[a.CE-1]
 		if w == nil {
 			return nil, fmt.Errorf("engine: production %s: action %s references negated CE",
-				inst.Production.Name, a)
+				p.Name, a)
 		}
 		if consumed[w.TimeTag] {
 			return nil, fmt.Errorf("engine: production %s: CE %d element %d already removed this cycle",
-				inst.Production.Name, a.CE, w.TimeTag)
+				p.Name, a.CE, w.TimeTag)
 		}
 		return w, nil
 	}
-	for _, a := range inst.Production.RHS {
+	for _, a := range p.RHS {
 		switch a.Kind {
 		case ops5.ActMake:
-			fields := make([]ops5.Field, 0, len(a.Pairs))
-			for _, p := range a.Pairs {
-				v, err := resolve(p.Term)
-				if err != nil {
-					return nil, err
-				}
-				fields = append(fields, ops5.Field{Attr: p.AttrID, Val: v})
+			fields, err := e.appendFields(inst, a.Pairs)
+			if err != nil {
+				return changes, err
 			}
-			nw := ops5.NewFact(a.ClassID, fields)
-			changes = append(changes, ops5.Change{Kind: ops5.Insert, WME: nw})
+			changes = append(changes, ops5.Change{Kind: ops5.Insert, WME: ops5.NewFact(a.ClassID, fields)})
 		case ops5.ActModify:
 			old, err := ceWME(a)
 			if err != nil {
-				return nil, err
+				return changes, err
 			}
-			updates := make([]ops5.Field, 0, len(a.Pairs))
-			for _, p := range a.Pairs {
-				v, err := resolve(p.Term)
-				if err != nil {
-					return nil, err
-				}
-				updates = append(updates, ops5.Field{Attr: p.AttrID, Val: v})
+			updates, err := e.appendFields(inst, a.Pairs)
+			if err != nil {
+				return changes, err
 			}
-			nw := old.WithUpdates(updates)
+			var nw *ops5.WME
+			e.fields, nw = old.AppendWithUpdates(e.fields, updates)
 			consumed[old.TimeTag] = true
 			changes = append(changes,
 				ops5.Change{Kind: ops5.Delete, WME: old},
@@ -478,21 +531,22 @@ func (e *Engine) evalRHS(inst *ops5.Instantiation, consumed map[int]bool) ([]ops
 		case ops5.ActRemove:
 			old, err := ceWME(a)
 			if err != nil {
-				return nil, err
+				return changes, err
 			}
 			consumed[old.TimeTag] = true
 			changes = append(changes, ops5.Change{Kind: ops5.Delete, WME: old})
 		case ops5.ActWrite:
 			if e.Out != nil {
 				var line strings.Builder
-				for _, t := range a.Args {
+				for i := range a.Args {
+					t := &a.Args[i]
 					if t.Crlf {
 						line.WriteString("\n")
 						continue
 					}
-					v, err := resolve(t)
+					v, err := e.resolve(inst, t)
 					if err != nil {
-						return nil, err
+						return changes, err
 					}
 					if n := line.Len(); n > 0 && line.String()[n-1] != '\n' {
 						line.WriteString(" ")
@@ -504,29 +558,29 @@ func (e *Engine) evalRHS(inst *ops5.Instantiation, consumed map[int]bool) ([]ops
 		case ops5.ActHalt:
 			e.Halted = true
 		case ops5.ActBind:
-			v, err := resolve(a.Term)
+			v, err := e.resolve(inst, &a.Term)
 			if err != nil {
-				return nil, err
+				return changes, err
 			}
-			b[a.Var] = v
+			e.binds[a.Slot] = v
 		case ops5.ActCall:
 			fn, ok := e.funcs[a.Fn]
 			if !ok {
-				return nil, fmt.Errorf("engine: production %s calls unregistered function %q",
-					inst.Production.Name, a.Fn)
+				return changes, fmt.Errorf("engine: production %s calls unregistered function %q",
+					p.Name, a.Fn)
 			}
 			args := make([]ops5.Value, len(a.Args))
-			for i, t := range a.Args {
-				v, err := resolve(t)
+			for i := range a.Args {
+				v, err := e.resolve(inst, &a.Args[i])
 				if err != nil {
-					return nil, err
+					return changes, err
 				}
 				args[i] = v
 			}
 			extra, err := fn(e, args)
 			if err != nil {
-				return nil, fmt.Errorf("engine: production %s: call %s: %w",
-					inst.Production.Name, a.Fn, err)
+				return changes, fmt.Errorf("engine: production %s: call %s: %w",
+					p.Name, a.Fn, err)
 			}
 			changes = append(changes, extra...)
 		}

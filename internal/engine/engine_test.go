@@ -311,6 +311,41 @@ func TestCallAction(t *testing.T) {
 	}
 }
 
+// TestCallCommitMidFiring: a host function that commits changes of its
+// own in the middle of a firing must not disturb the elements the
+// firing made before the call, whose fields are still in the engine's
+// buffer, nor those it makes after.
+func TestCallCommitMidFiring(t *testing.T) {
+	src := `
+(p c
+    (a ^v <x>)
+  -->
+    (make before ^v <x> ^w 1)
+    (call commit <x>)
+    (make after ^v <x> ^w 2 ^u 3)
+    (remove 1))
+`
+	sys := newSys(t, src, core.Options{MaxCycles: 5})
+	sys.RegisterFunc("commit", func(e *engine.Engine, args []ops5.Value) ([]ops5.Change, error) {
+		e.ApplyChanges([]ops5.Change{{Kind: ops5.Insert, WME: ops5.NewWME("side", "v", args[0].Num*10, "w", 9, "u", 9)}})
+		return nil, nil
+	})
+	sys.Assert(ops5.NewWME("a", "v", 4))
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []*ops5.WME{
+		ops5.NewWME("before", "v", 4, "w", 1),
+		ops5.NewWME("side", "v", 40, "w", 9, "u", 9),
+		ops5.NewWME("after", "v", 4, "w", 2, "u", 3),
+	} {
+		got := sys.WM.OfClass(want.Class())
+		if len(got) != 1 || !got[0].Equal(want) {
+			t.Errorf("%s elements: %v, want %s", want.Class(), got, want)
+		}
+	}
+}
+
 func TestCallUnregisteredErrors(t *testing.T) {
 	src := `(p c (a ^v 1) --> (call nosuch))`
 	sys := newSys(t, src, core.Options{MaxCycles: 5})

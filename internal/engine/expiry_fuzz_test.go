@@ -284,7 +284,7 @@ func runExpiry(t *testing.T, ops []byte) {
 		case 4:
 			if evs := r.events(); len(evs) > 0 {
 				w := evs[arg%len(evs)]
-				next := w.WithUpdates([]ops5.Field{{Attr: sym.Intern("k"), Val: ops5.Num(float64((arg + 1) % 9))}})
+				_, next := w.AppendWithUpdates(nil, []ops5.Field{{Attr: sym.Intern("k"), Val: ops5.Num(float64((arg + 1) % 9))}})
 				r.apply(ops5.Change{Kind: ops5.Delete, WME: w}, ops5.Change{Kind: ops5.Insert, WME: next})
 			}
 		case 5:

@@ -371,7 +371,7 @@ func (m *Matcher) instantiate(ps *prodState, t *tuple) (*ops5.Instantiation, boo
 		wmes[lhsIdx] = w
 		ord++
 	}
-	return &ops5.Instantiation{Production: ps.prod, WMEs: wmes, Bindings: b}, true
+	return &ops5.Instantiation{Production: ps.prod, WMEs: wmes}, true
 }
 
 func popcount(x uint32) int {

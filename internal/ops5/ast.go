@@ -214,11 +214,27 @@ const (
 // variable reference substituted from the instantiation at fire time,
 // a (compute ...) arithmetic expression, or the (crlf) write control.
 type RHSTerm struct {
-	IsVar   bool
-	Var     string
+	IsVar bool
+	Var   string
+	// Ref locates a variable's value at fire time (set by Validate).
+	Ref     VarRef
 	Val     Value
 	Compute *ComputeExpr
 	Crlf    bool
+}
+
+// VarRef is where a right-hand-side variable's value lives when its
+// production fires, as Production.Validate resolves it: with Bind > 0,
+// the firing's bind slot Bind-1, which the latest earlier bind action
+// of the variable set; otherwise attribute Attr of the element matched
+// by condition element CE (0-based), the variable's binding occurrence
+// (its first equality test in a positive CE, in LHS and test order).
+// The zero VarRef is unresolved: a variable only tested by predicates
+// has no value to read.
+type VarRef struct {
+	CE   int
+	Attr sym.ID
+	Bind int
 }
 
 // String renders the term.
@@ -261,6 +277,9 @@ type Action struct {
 	Args  []RHSTerm // for write
 	Var   string    // for bind
 	Term  RHSTerm   // for bind
+	// Slot is the bind slot a bind action sets (0-based; Validate
+	// assigns one per variable a production binds).
+	Slot int
 }
 
 // String renders the action in OPS5 surface syntax.
@@ -316,6 +335,9 @@ type Production struct {
 	// Order is the load order, used by specificity tie-breaks and for
 	// deterministic iteration.
 	Order int
+	// BindSlots is the number of distinct variables the RHS binds
+	// (set by Validate): the bind slots one firing needs.
+	BindSlots int
 }
 
 // String renders the production in OPS5 surface syntax.
@@ -370,7 +392,11 @@ func (p *Production) PositiveCEs() []int {
 // names and this keeps out of hand-built ones, so that a key names one
 // production and one tag list), at least one positive CE, modify/remove
 // indices referencing positive CEs, and RHS variables bound somewhere in
-// the LHS (or by a preceding bind action).
+// the LHS (or by a preceding bind action). It also compiles every RHS
+// variable to the VarRef it reads at fire time and numbers the bind
+// slots. It writes a compiled field only when its value changes, so
+// matchers that compile one parsed program at once (each validates it)
+// do not race.
 func (p *Production) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("ops5: production has no name")
@@ -389,13 +415,25 @@ func (p *Production) Validate() error {
 	if p.LHS[0].Negated {
 		return fmt.Errorf("ops5: production %s: the first condition element must be positive", p.Name)
 	}
+	// bound holds every variable an RHS may name; refs the ones with a
+	// value to read, first from their binding occurrences, then, as the
+	// RHS walk passes each bind action, from its slot.
 	bound := make(map[string]bool)
-	for _, ce := range p.LHS {
+	refs := make(map[string]VarRef)
+	for i, ce := range p.LHS {
 		if ce.Negated {
 			continue
 		}
-		for v := range ce.Variables() {
-			bound[v] = true
+		for _, at := range ce.Tests {
+			for _, t := range at.Terms {
+				if t.Kind != TermVar {
+					continue
+				}
+				bound[t.Var] = true
+				if _, ok := refs[t.Var]; !ok && t.Pred == PredEq {
+					refs[t.Var] = VarRef{CE: i, Attr: at.AttrID}
+				}
+			}
 		}
 	}
 	// Resolve element variables to CE indices and reject collisions
@@ -427,22 +465,30 @@ func (p *Production) Validate() error {
 			return fmt.Errorf("ops5: production %s: action %s references unknown element variable <%s>",
 				p.Name, a, a.CEVar)
 		}
-		a.CE = idx
+		if a.CE != idx {
+			a.CE = idx
+		}
 	}
-	var checkTerm func(t RHSTerm) error
-	checkTerm = func(t RHSTerm) error {
-		if t.IsVar && !bound[t.Var] {
-			return fmt.Errorf("ops5: production %s uses unbound variable <%s> in RHS", p.Name, t.Var)
+	var checkTerm func(t *RHSTerm) error
+	checkTerm = func(t *RHSTerm) error {
+		if t.IsVar {
+			if !bound[t.Var] {
+				return fmt.Errorf("ops5: production %s uses unbound variable <%s> in RHS", p.Name, t.Var)
+			}
+			if ref := refs[t.Var]; t.Ref != ref {
+				t.Ref = ref
+			}
 		}
 		if t.Compute != nil {
-			for _, op := range t.Compute.Operands {
-				if err := checkTerm(op); err != nil {
+			for i := range t.Compute.Operands {
+				if err := checkTerm(&t.Compute.Operands[i]); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
 	}
+	slots := make(map[string]int)
 	for _, a := range p.RHS {
 		switch a.Kind {
 		case ActModify, ActRemove:
@@ -455,21 +501,33 @@ func (p *Production) Validate() error {
 					p.Name, a, a.CE)
 			}
 		case ActBind:
-			if err := checkTerm(a.Term); err != nil {
+			if err := checkTerm(&a.Term); err != nil {
 				return err
+			}
+			slot, ok := slots[a.Var]
+			if !ok {
+				slot = len(slots)
+				slots[a.Var] = slot
+			}
+			if a.Slot != slot {
+				a.Slot = slot
 			}
 			bound[a.Var] = true
+			refs[a.Var] = VarRef{Bind: slot + 1}
 		}
-		for _, pr := range a.Pairs {
-			if err := checkTerm(pr.Term); err != nil {
+		for i := range a.Pairs {
+			if err := checkTerm(&a.Pairs[i].Term); err != nil {
 				return err
 			}
 		}
-		for _, t := range a.Args {
-			if err := checkTerm(t); err != nil {
+		for i := range a.Args {
+			if err := checkTerm(&a.Args[i]); err != nil {
 				return err
 			}
 		}
+	}
+	if p.BindSlots != len(slots) {
+		p.BindSlots = len(slots)
 	}
 	return nil
 }

@@ -78,17 +78,19 @@ func (c *ComputeExpr) String() string {
 
 // Eval evaluates the expression right to left. resolve maps each
 // operand term to its value; every operand must resolve to a number.
-func (c *ComputeExpr) Eval(resolve func(RHSTerm) (Value, error)) (Value, error) {
+// The operand is passed in place, so a resolver that recurses into a
+// nested expression copies nothing.
+func (c *ComputeExpr) Eval(resolve func(*RHSTerm) (Value, error)) (Value, error) {
 	if len(c.Operands) != len(c.Ops)+1 {
 		return Value{}, fmt.Errorf("ops5: malformed compute expression %s", c)
 	}
 	// Right-to-left: start from the last operand and fold leftwards.
-	acc, err := c.number(resolve, c.Operands[len(c.Operands)-1])
+	acc, err := c.number(resolve, &c.Operands[len(c.Operands)-1])
 	if err != nil {
 		return Value{}, err
 	}
 	for i := len(c.Ops) - 1; i >= 0; i-- {
-		left, err := c.number(resolve, c.Operands[i])
+		left, err := c.number(resolve, &c.Operands[i])
 		if err != nil {
 			return Value{}, err
 		}
@@ -119,7 +121,7 @@ func (c *ComputeExpr) Eval(resolve func(RHSTerm) (Value, error)) (Value, error) 
 	return Num(acc), nil
 }
 
-func (c *ComputeExpr) number(resolve func(RHSTerm) (Value, error), t RHSTerm) (float64, error) {
+func (c *ComputeExpr) number(resolve func(*RHSTerm) (Value, error), t *RHSTerm) (float64, error) {
 	v, err := resolve(t)
 	if err != nil {
 		return 0, err

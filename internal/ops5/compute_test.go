@@ -17,7 +17,7 @@ func evalConst(t *testing.T, src string) Value {
 	if term.Compute == nil {
 		t.Fatalf("term %v is not a compute expression", term)
 	}
-	v, err := term.Compute.Eval(func(t RHSTerm) (Value, error) {
+	v, err := term.Compute.Eval(func(t *RHSTerm) (Value, error) {
 		if t.IsVar {
 			return Num(10), nil // all variables resolve to 10
 		}
@@ -84,7 +84,7 @@ func TestComputeRejectsUnrepresentableResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := p.RHS[0].Pairs[0].Term.Compute.Eval(func(t RHSTerm) (Value, error) {
+		v, err := p.RHS[0].Pairs[0].Term.Compute.Eval(func(t *RHSTerm) (Value, error) {
 			if t.IsVar {
 				return Num(1e308), nil
 			}
@@ -111,7 +111,7 @@ func TestComputeNonNumericOperand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = p.RHS[0].Pairs[0].Term.Compute.Eval(func(t RHSTerm) (Value, error) {
+	_, err = p.RHS[0].Pairs[0].Term.Compute.Eval(func(t *RHSTerm) (Value, error) {
 		return Sym("oops"), nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "not a number") {

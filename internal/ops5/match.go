@@ -167,17 +167,13 @@ func AlphaPass(ce *CondElement, w *WME) bool {
 
 // Instantiation is a satisfied production: the rule plus the WMEs matched
 // by its positive condition elements, in LHS order. Negated CEs
-// contribute no WME. It also carries the consistent variable bindings so
-// the RHS can be evaluated; matchers may leave Bindings nil and let
-// EvalBindings recompute them at fire time (most instantiations enter
-// the conflict set and leave without ever firing, so deferring the
-// binding walk keeps it off the match hot path).
+// contribute no WME. It carries no bindings: the RHS reads each
+// variable straight from the WME its compiled VarRef names.
 type Instantiation struct {
 	Production *Production
 	// WMEs holds one element per LHS condition element; entries for
 	// negated CEs are nil.
-	WMEs     []*WME
-	Bindings Bindings
+	WMEs []*WME
 
 	// key caches the canonical identity computed by Key. Instantiations
 	// are immutable, and every conflict-set operation keys on it.
@@ -199,34 +195,6 @@ func NewInstantiation(p *Production, wmes []*WME) *Instantiation {
 	}
 	copy(in.WMEs, wmes)
 	return in
-}
-
-// EvalBindings returns the instantiation's variable bindings, computing
-// (and caching) them by walking the LHS when the matcher deferred them.
-// Negated CEs bind nothing an RHS can use, so only positive CEs are
-// walked — the same recomputation Rete terminals used to do eagerly.
-func (in *Instantiation) EvalBindings() Bindings {
-	if in.Bindings == nil {
-		// The WMEs are known to match, so this only collects first
-		// (binding) occurrences into one owned map — no per-CE cloning.
-		b := Bindings{}
-		for i, ce := range in.Production.LHS {
-			if ce.Negated || in.WMEs[i] == nil {
-				continue
-			}
-			w := in.WMEs[i]
-			for _, at := range ce.Tests {
-				v := at.valueIn(w)
-				for _, t := range at.Terms {
-					if ok, bindVar, bindVal := MatchTerm(t, v, b); ok && bindVar != "" {
-						b[bindVar] = bindVal
-					}
-				}
-			}
-		}
-		in.Bindings = b
-	}
-	return in.Bindings
 }
 
 // TimeTags returns the time tags of the matched (positive) WMEs in LHS
@@ -330,12 +298,7 @@ func SatisfyBruteForce(p *Production, wm []*WME) []*Instantiation {
 	var rec func(ceIdx int, b Bindings)
 	rec = func(ceIdx int, b Bindings) {
 		if ceIdx == len(p.LHS) {
-			inst := &Instantiation{
-				Production: p,
-				WMEs:       append([]*WME(nil), wmes...),
-				Bindings:   b.Clone(),
-			}
-			out = append(out, inst)
+			out = append(out, &Instantiation{Production: p, WMEs: append([]*WME(nil), wmes...)})
 			return
 		}
 		ce := p.LHS[ceIdx]

@@ -164,30 +164,36 @@ func (w *WME) Clone() *WME {
 	return c
 }
 
-// WithUpdates returns a new untagged WME of the same class with the
-// given fields replacing or extending w's — the "modify" re-make.
-// updates is taken over and may be reordered; w is not changed.
-func (w *WME) WithUpdates(updates []Field) *WME {
+// AppendWithUpdates returns a new untagged WME of the same class with
+// the given fields replacing or extending w's — the "modify" re-make.
+// updates is taken over and may be reordered; w is not changed. The new
+// element's fields are built at the end of buf, which it returns
+// extended by them; they are that extension, capped so that a later
+// append to buf cannot reach them, and updates may itself lie in buf,
+// before its end. The engine builds a firing's elements in one reused
+// buffer this way, and working memory copies each into its class arena
+// at insert (InternInto).
+func (w *WME) AppendWithUpdates(buf, updates []Field) ([]Field, *WME) {
 	normalizeFields(&updates)
-	merged := make([]Field, 0, len(w.fields)+len(updates))
+	start := len(buf)
 	i, j := 0, 0
 	for i < len(w.fields) && j < len(updates) {
 		switch {
 		case w.fields[i].Attr < updates[j].Attr:
-			merged = append(merged, w.fields[i])
+			buf = append(buf, w.fields[i])
 			i++
 		case w.fields[i].Attr > updates[j].Attr:
-			merged = append(merged, updates[j])
+			buf = append(buf, updates[j])
 			j++
 		default:
-			merged = append(merged, updates[j])
+			buf = append(buf, updates[j])
 			i++
 			j++
 		}
 	}
-	merged = append(merged, w.fields[i:]...)
-	merged = append(merged, updates[j:]...)
-	return &WME{class: w.class, fields: merged}
+	buf = append(buf, w.fields[i:]...)
+	buf = append(buf, updates[j:]...)
+	return buf, &WME{class: w.class, fields: buf[start:len(buf):len(buf)]}
 }
 
 // Equal reports whether two WMEs have the same class and attributes,

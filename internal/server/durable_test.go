@@ -497,8 +497,58 @@ func TestComputeOverflowLeavesSessionDurable(t *testing.T) {
 	c.must("POST", "/sessions/big/changes", assert, nil, http.StatusOK)
 	var info server.SessionInfo
 	c.must("GET", "/sessions/big", nil, &info, http.StatusOK)
-	if info.WALError != "" || info.WALSeq != 2 {
-		t.Errorf("wal_error = %q, wal_seq = %d; want both asserts logged and no error", info.WALError, info.WALSeq)
+	// Three records: the two asserts and, between them, the failed
+	// cycle's refraction mark.
+	if info.WALError != "" || info.WALSeq != 3 {
+		t.Errorf("wal_error = %q, wal_seq = %d; want both asserts and the failed cycle logged and no error", info.WALError, info.WALSeq)
+	}
+}
+
+// TestFailedRunMarksSurviveRecovery: a firing whose act phase fails
+// commits none of its changes, but Select has already marked its
+// instantiation fired. The WAL must carry that mark, or a recovered
+// session fires the instantiation again where the uninterrupted one
+// quiesces.
+func TestFailedRunMarksSurviveRecovery(t *testing.T) {
+	const prog = `(p bad (a ^v <s>) --> (make b ^w (compute <s> + 1)))`
+	assert := server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "a", Attrs: attrs("v", "sym")},
+	}}
+	type runReply struct {
+		Status int
+		Result server.RunResult
+	}
+	// failedRun creates the session, asserts and runs into the failing
+	// firing; nextRun runs again.
+	failedRun := func(c *client) {
+		c.must("POST", "/sessions", server.CreateSpec{ID: "bad", Program: prog}, nil, http.StatusCreated)
+		c.must("POST", "/sessions/bad/changes", assert, nil, http.StatusOK)
+		c.must("POST", "/sessions/bad/run", server.RunRequest{}, nil, http.StatusInternalServerError)
+	}
+	nextRun := func(c *client) (cs []server.InstInfo, run runReply) {
+		c.must("GET", "/sessions/bad/conflicts", nil, &cs, http.StatusOK)
+		run.Status = c.do("POST", "/sessions/bad/run", server.RunRequest{}, &run.Result)
+		return cs, run
+	}
+
+	_, ref := newTestServer(t, server.Config{Shards: 1, DataDir: t.TempDir()})
+	failedRun(ref)
+	wantCS, wantRun := nextRun(ref)
+	if wantRun.Status != http.StatusOK || !wantRun.Result.Quiesced || wantRun.Result.Fired != 0 {
+		t.Fatalf("uninterrupted run after the failed firing: %+v, want a quiescent 200", wantRun)
+	}
+
+	cfg := server.Config{Shards: 1, DataDir: t.TempDir()}
+	c1, crash := crashableServer(t, cfg)
+	failedRun(c1)
+	crash()
+	_, c2 := newTestServer(t, cfg)
+	gotCS, gotRun := nextRun(c2)
+	if !reflect.DeepEqual(gotCS, wantCS) {
+		t.Errorf("recovered conflict set:\n got  %+v\n want %+v", gotCS, wantCS)
+	}
+	if gotRun != wantRun {
+		t.Errorf("recovered session's next run: %+v, want %+v", gotRun, wantRun)
 	}
 }
 

@@ -13,20 +13,22 @@ import (
 // Allocation ceilings of the three hot routes, measured through
 // Handler() in process: request log, tracing, deadline, decode, shard
 // dispatch, apply and match, and reply encode. Each is the count
-// measured when the ceiling was set (18, 13 and 691) plus headroom for
+// measured when the ceiling was set (18, 13 and 591) plus headroom for
 // a -race build, which counts up to four more; lower it in the change
 // that lowers the count. Before the routes had their own wire codec the
 // same requests took 59, 34 and 10,045; before a shard became a turn
 // that the request's own goroutine holds, 28, 20 and 5,174; before the
 // serial matcher built join outputs into the tokens deletes freed, 21,
 // 13 and 5,166; before attributes were decoded straight into a fact's
-// fields and expiries were kept in a typed heap, 20, 13 and 3,005; and
+// fields and expiries were kept in a typed heap, 20, 13 and 3,005;
 // before the conflict set held matches and built an instantiation only
-// for the one that fires, 18, 13 and 1,912.
+// for the one that fires, 18, 13 and 1,912; and before the act phase
+// read variables through compiled slots and built changes and fields
+// in the engine's reused buffers, 18, 13 and 691.
 const (
 	changesAllocCeiling = 22
 	runAllocCeiling     = 17
-	streamAllocCeiling  = 695
+	streamAllocCeiling  = 595
 )
 
 // chatterPack is a small monitoring pack in the shape psmbench's

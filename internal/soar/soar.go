@@ -185,11 +185,11 @@ func (a *Agent) wave(apply bool) (int, error) {
 			continue
 		}
 		a.fired[key] = true
-		changes, err := a.eng.EvalRHS(inst, consumed)
+		var err error
+		batch, err = a.eng.EvalRHS(inst, consumed, batch)
 		if err != nil {
 			return fired, err
 		}
-		batch = append(batch, changes...)
 		fired++
 		if a.eng.Halted {
 			a.Halted = true

@@ -279,12 +279,7 @@ func (m *Matcher) seedJoin(ps *prodState, seedIdx int, w *ops5.WME) {
 	var rec func(ceIdx int, b ops5.Bindings)
 	rec = func(ceIdx int, b ops5.Bindings) {
 		if ceIdx == len(ps.prod.LHS) {
-			inst := &ops5.Instantiation{
-				Production: ps.prod,
-				WMEs:       append([]*ops5.WME(nil), wmes...),
-				Bindings:   b.Clone(),
-			}
-			m.insert(inst)
+			m.insert(ops5.NewInstantiation(ps.prod, wmes))
 			return
 		}
 		ce := ps.prod.LHS[ceIdx]
@@ -354,11 +349,7 @@ func (m *Matcher) recompute(ps *prodState) {
 	var rec func(ceIdx int, b ops5.Bindings)
 	rec = func(ceIdx int, b ops5.Bindings) {
 		if ceIdx == len(ps.prod.LHS) {
-			inst := &ops5.Instantiation{
-				Production: ps.prod,
-				WMEs:       append([]*ops5.WME(nil), wmes...),
-				Bindings:   b.Clone(),
-			}
+			inst := ops5.NewInstantiation(ps.prod, wmes)
 			fresh[inst.Key()] = inst
 			return
 		}
