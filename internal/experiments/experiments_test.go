@@ -2,6 +2,9 @@ package experiments_test
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -25,13 +28,32 @@ func runExp(t *testing.T, id string, cycles int) string {
 	return buf.String()
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/<id>.golden from the current experiments")
+
+// TestAllExperimentsRun runs every experiment at 30 cycles and compares
+// its output byte for byte with testdata/<id>.golden. E8 times real
+// matchers against the wall clock, so only its running is checked.
 func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range experiments.All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			out := runExp(t, e.ID, 30)
-			if len(out) < 100 {
-				t.Errorf("suspiciously short output:\n%s", out)
+			if e.ID == "e8" {
+				return
+			}
+			path := filepath.Join("testdata", e.ID+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if out != string(want) {
+				t.Errorf("output differs from %s (regenerate with -update):\n%s", path, out)
 			}
 		})
 	}
