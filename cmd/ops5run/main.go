@@ -47,6 +47,8 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/ops5"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -78,25 +80,37 @@ func main() {
 		fatal(err)
 	}
 
-	sys, err := core.NewSystem(string(src), core.Options{
+	prog, err := ops5.Parse(string(src))
+	if err != nil {
+		fatal(err)
+	}
+	sys, err := core.NewSystemFromProgram(prog, core.Options{
 		Matcher:         kind,
 		Strategy:        strategy,
 		Workers:         *workers,
 		Output:          os.Stdout,
 		MaxCycles:       *cycles,
 		ParallelFirings: *firings,
+		NoInitialWM:     true,
 	})
 	if err != nil {
 		fatal(err)
 	}
+	net := sys.Network()
 	if *network {
-		net := sys.Network()
 		if net == nil {
 			fatal(fmt.Errorf("-network requires the serial rete matcher"))
 		}
 		net.Dump(os.Stdout)
 		return
 	}
+	// The paper's per-change counts come from the serial network's
+	// activation events, observed from the initial WM on.
+	var counts *trace.Counts
+	if *stats && net != nil {
+		counts = trace.Count(net)
+	}
+	sys.Load(prog.InitialWM)
 	start := time.Now()
 	ran, err := sys.Run()
 	if err != nil {
@@ -116,7 +130,8 @@ func main() {
 				float64(sys.TotalChanges)/elapsed.Seconds())
 		}
 		// Matcher-specific detail comes through the optional capability
-		// interfaces, not matcher internals.
+		// interfaces, and the per-change counts from the activation
+		// trace: none of it from matcher internals.
 		caps := sys.Capabilities()
 		if p := caps.Stats; p != nil {
 			st := p.MatchStats()
@@ -128,9 +143,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "indexed joins:         %d (%d fallback)\n", ix.IndexedNodes, ix.FallbackNodes)
 			fmt.Fprintf(os.Stderr, "hash buckets:          %d (max depth %d)\n", ix.Buckets, ix.MaxBucket)
 		}
-		if net := sys.Network(); net != nil {
-			fmt.Fprintf(os.Stderr, "affected productions/change: %.1f\n", net.Stats.AvgAffected())
-			fmt.Fprintf(os.Stderr, "node activations:            %d\n", net.Stats.TotalActivations())
+		if counts != nil {
+			fmt.Fprintf(os.Stderr, "affected productions/change: %.1f\n", counts.PerChange(counts.Affected))
+			fmt.Fprintf(os.Stderr, "node activations:            %d\n", counts.Activations)
 		}
 		if pm := sys.ParallelMatcher(); pm != nil {
 			st := pm.Stats()

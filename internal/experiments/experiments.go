@@ -380,12 +380,12 @@ func e9(w io.Writer, _ int) error {
 		if err != nil {
 			return err
 		}
-		st := rec.Net.Stats
+		c := &rec.Counts
 		rows = append(rows, []string{
 			name,
-			fmt.Sprint(st.Changes),
-			F(st.AvgAffected(), 1),
-			F(float64(st.TotalActivations())/float64(maxI(st.Changes, 1)), 1),
+			fmt.Sprint(c.Changes),
+			F(c.PerChange(c.Affected), 1),
+			F(c.PerChange(c.Activations), 1),
 			F(rec.Trace.CostPerChange(), 0),
 		})
 		return nil
@@ -429,9 +429,9 @@ func e9(w io.Writer, _ int) error {
 	}
 	rows = append(rows, []string{
 		"task-dispatch-300 (generated)",
-		fmt.Sprint(net.Stats.Changes),
-		F(net.Stats.AvgAffected(), 1),
-		F(float64(net.Stats.TotalActivations())/float64(maxI(net.Stats.Changes, 1)), 1),
+		fmt.Sprint(rec2.Counts.Changes),
+		F(rec2.Counts.PerChange(rec2.Counts.Affected), 1),
+		F(rec2.Counts.PerChange(rec2.Counts.Activations), 1),
 		F(rec2.Trace.CostPerChange(), 0),
 	})
 	// Synthetic systems: the configured affected-production means.
@@ -514,13 +514,6 @@ func e10(w io.Writer, cycles int) error {
 	fmt.Fprintln(w, "productions, and the cost variance are the three factors bounding")
 	fmt.Fprintln(w, "exploitable parallelism, and none is likely to change much.")
 	return nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // e11 compares the flat shared-bus machine against the hierarchical

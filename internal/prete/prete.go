@@ -66,7 +66,8 @@
 //     at the end of the batch — the batch boundary is the paper's
 //     synchronization step between recognize-act phases. A batch the
 //     caller ran alone ran in the serial matcher's order and has nothing
-//     to cancel: its deltas are announced as they stand (flush).
+//     to cancel: it takes no stripe lock, and its deltas are announced
+//     as they stand (flush).
 package prete
 
 import (
@@ -337,6 +338,9 @@ type Matcher struct {
 	seedMems []*rete.AlphaNode
 	flushBuf []pendingDelta
 	match    []*ops5.WME
+	// inline is held by Apply while the caller runs a batch alone, in
+	// place of the stripe locks it then skips, and by IndexInfo.
+	inline sync.Mutex
 }
 
 // New compiles the productions and builds the parallel node graph.
@@ -483,11 +487,14 @@ func (m *Matcher) MatchStats() obs.MatchStats {
 
 // IndexInfo reports the hash-bucketed node memories: the two-input
 // nodes by whether they key their memories on an equality join key, and
-// the live (key, side) buckets. It takes each stripe lock in turn —
-// never more than one at a time — so it is safe to call concurrently
-// with Apply; the numbers are then a point-in-time sample of a moving
-// target, not a consistent snapshot.
+// the live (key, side) buckets. It holds the inline lock, so no batch
+// runs alone meanwhile, and takes each stripe lock in turn — never more
+// than one at a time — so it is safe to call concurrently with Apply;
+// the numbers are then a point-in-time sample of a moving target, not a
+// consistent snapshot.
 func (m *Matcher) IndexInfo() obs.IndexReport {
+	m.inline.Lock()
+	defer m.inline.Unlock()
 	var info obs.IndexReport
 	add := func(buckets, maxChain int) {
 		info.Buckets += buckets
@@ -580,10 +587,15 @@ func (m *Matcher) Apply(changes []ops5.Change) {
 		}
 		if solo {
 			s.bypasses.Add(1)
+			m.inline.Lock()
 		} else {
 			s.wakeups.Add(1)
 		}
+		s.workers[0].solo = solo
 		m.batchLoop(&s.workers[0])
+		if solo {
+			m.inline.Unlock()
+		}
 		s.batchWG.Wait()
 		t2 = nanotime()
 		// Close each lane's books to the barrier: a lane's own stamps
@@ -649,14 +661,21 @@ func (m *Matcher) batchLoop(w *worker) {
 }
 
 // lock takes a stripe lock, stamping the lane's clock only when the
-// lock is contended.
+// lock is contended; a lane running the batch alone takes none.
 func (w *worker) lock(st *stripe) {
-	if st.mu.TryLock() {
+	if w.solo || st.mu.TryLock() {
 		return
 	}
 	w.clock.stamp(phaseMatch)
 	st.mu.Lock()
 	w.clock.stamp(phaseLockWait)
+}
+
+// unlock releases a stripe lock that lock took.
+func (w *worker) unlock(st *stripe) {
+	if !w.solo {
+		st.mu.Unlock()
+	}
 }
 
 // runRight executes the right activation of node n by WME wme: update
@@ -676,7 +695,7 @@ func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *work
 	emits, out := w.emits, len(w.emits)
 	tested := 0
 	w.lock(st)
-	if updateRight(&n.right[si], own, wme, dir) {
+	if w.updateRight(&n.right[si], own, wme, dir) {
 		w.cancellations++
 	} else {
 		negated := n.join.Kind == rete.JoinNegative
@@ -711,7 +730,7 @@ func (m *Matcher) runRight(n *pnode, wme *ops5.WME, dir ops5.ChangeKind, w *work
 			}
 		}
 	}
-	st.mu.Unlock()
+	w.unlock(st)
 	w.executed++
 	w.comparisons += int64(tested)
 	w.prof[n.idx].Activations++
@@ -812,7 +831,7 @@ func (m *Matcher) runLeft(g *group, tok *rete.Token, ext *ops5.WME, dir ops5.Cha
 		w.prof[n.idx].TokensTested += int64(tested)
 		w.prof[n.idx].PairsEmitted += int64(len(emits) - from)
 	}
-	st.mu.Unlock()
+	w.unlock(st)
 	w.executed++
 	w.emits = emits
 	m.propagate(w, out)
@@ -854,14 +873,19 @@ func (m *Matcher) propagate(w *worker, out int) {
 // is built into a token only when no entry holds it — a delete ahead of
 // its insert, whose pending cancel must hold the token that insert will
 // look for. A token-form tok brings a reference: a new entry keeps it,
-// anything else releases it.
+// anything else releases it. Only a lane sharing the batch can meet a
+// pending cancel, and a live token is never inserted twice, so an
+// insert on a lane running the batch alone goes straight in.
 func (w *worker) updateLeft(b *bucket.Buckets[leftEntry], k, id uint64, tok *rete.Token, ext *ops5.WME, dir ops5.ChangeKind) (stored *rete.Token, e *leftEntry, hadMatches int32, cancelled bool) {
 	delta := int32(1)
 	if dir == ops5.Delete {
 		delta = -1
 	}
-	prev := int32(-1)
-	for i := b.Head(k); i >= 0; prev, i = i, b.Next(i) {
+	prev, i := int32(-1), int32(-1)
+	if delta < 0 || !w.solo {
+		i = b.Head(k)
+	}
+	for ; i >= 0; prev, i = i, b.Next(i) {
 		e = b.At(i)
 		if e.id != id || !rete.ExtEqual(e.tok, tok, ext) {
 			continue
@@ -883,7 +907,7 @@ func (w *worker) updateLeft(b *bucket.Buckets[leftEntry], k, id uint64, tok *ret
 		nt.Hold(1)
 		tok = nt
 	}
-	i := b.Add(k, leftEntry{tok: tok, id: id, count: delta})
+	i = b.Add(k, leftEntry{tok: tok, id: id, count: delta})
 	return tok, b.At(i), 0, delta < 0
 }
 
@@ -901,13 +925,16 @@ func annihilated(count *int32, delta int32) bool {
 
 // updateRight is updateLeft for a right table: WMEs are identified by
 // time tag.
-func updateRight(b *bucket.Buckets[rightEntry], k uint64, wme *ops5.WME, dir ops5.ChangeKind) (cancelled bool) {
+func (w *worker) updateRight(b *bucket.Buckets[rightEntry], k uint64, wme *ops5.WME, dir ops5.ChangeKind) (cancelled bool) {
 	delta := int32(1)
 	if dir == ops5.Delete {
 		delta = -1
 	}
-	prev := int32(-1)
-	for i := b.Head(k); i >= 0; prev, i = i, b.Next(i) {
+	prev, i := int32(-1), int32(-1)
+	if delta < 0 || !w.solo {
+		i = b.Head(k)
+	}
+	for ; i >= 0; prev, i = i, b.Next(i) {
 		e := b.At(i)
 		if e.wme.TimeTag != wme.TimeTag {
 			continue

@@ -84,6 +84,11 @@ type worker struct {
 	// seedLo and seedHi bound the run of seeds this lane has claimed
 	// and not yet run (claimSeed).
 	seedLo, seedHi int
+	// solo is set while the lane runs the batch alone, in the serial
+	// matcher's order: no other lane touches the memories and no delete
+	// overtakes its insert, so the lane takes no stripe lock and an
+	// insert does not look for a pending cancel.
+	solo bool
 }
 
 // foldInto moves the lane's books into the matcher's totals for the

@@ -90,50 +90,21 @@ type ActivationEvent struct {
 // TraceFunc receives activation events during Apply.
 type TraceFunc func(ev ActivationEvent)
 
-// Stats accumulates match statistics over all Apply calls.
+// Stats accumulates the match work psmd reports, over all Apply calls.
+// The paper's per-change counts (affected productions, activations)
+// are derived from the activation trace, in internal/trace.
 type Stats struct {
 	// Changes is the number of WM changes processed.
 	Changes int
-	// Activations counts node activations by kind.
-	Activations [KindTerm + 1]int64
-	// ConstTests is the total number of constant tests evaluated.
-	ConstTests int64
 	// TokenComparisons is the total number of (token, wme) pairs tested
 	// at two-input nodes (bucket candidates only, for indexed nodes).
 	TokenComparisons int64
-	// IndexedProbes counts two-input activations answered from a hash
-	// bucket instead of a linear scan.
-	IndexedProbes int64
 	// ConflictInserts and ConflictRemoves count conflict-set deltas.
 	ConflictInserts int64
 	// ConflictRemoves counts conflict-set removals.
 	ConflictRemoves int64
-	// AffectedProductions is the total over changes of the number of
-	// productions with at least one alpha memory touched by the change
-	// (the paper's "affected productions", ~30 per change).
-	AffectedProductions int64
-	// TwoInputPerProduction histograms two-input activations per
-	// affected production per change (index clamped at 15).
-	TwoInputPerProduction [16]int64
 	// Anomalies counts removal requests for absent tokens (should be 0).
 	Anomalies int64
-}
-
-// TotalActivations returns the number of node activations of all kinds.
-func (s *Stats) TotalActivations() int64 {
-	var t int64
-	for _, v := range s.Activations {
-		t += v
-	}
-	return t
-}
-
-// AvgAffected returns the mean number of affected productions per change.
-func (s *Stats) AvgAffected() float64 {
-	if s.Changes == 0 {
-		return 0
-	}
-	return float64(s.AffectedProductions) / float64(s.Changes)
 }
 
 // MatchStats reports the network's work in the matcher-neutral form;
@@ -159,55 +130,19 @@ func (n *Network) MatchStats() obs.MatchStats {
 // trace and Stats.TokenComparisons count.
 const linearProbeMin = 16
 
-// applyCtx is the per-change bookkeeping threaded through the
-// propagation. A network owns one and reuses it for every change.
-type applyCtx struct {
-	change int
-	dir    ops5.ChangeKind
-	// credits[p] is one more than the number of two-input activations
-	// the change in flight has caused for Plan.Productions[p], zero
-	// while the change has not reached p. touched lists the non-zero
-	// ones, so closing a change costs its affected productions, not the
-	// program's.
-	credits []int32
-	touched []int32
-}
-
-// credit marks the productions reading an alpha memory as affected by
-// the change in flight and attributes n two-input activations to each,
-// for the per-production variance histogram.
-func (ctx *applyCtx) credit(refs []ProdRef, n int32) {
-	for _, ref := range refs {
-		if ctx.credits[ref.Prod] == 0 {
-			ctx.credits[ref.Prod] = 1
-			ctx.touched = append(ctx.touched, int32(ref.Prod))
-		}
-		ctx.credits[ref.Prod] += n
-	}
-}
-
 // Apply processes a batch of working-memory changes through the network
 // serially, in order. Insert WMEs must already carry their time tags
 // (working memory assigns them).
 func (n *Network) Apply(changes []ops5.Change) {
-	ctx := &n.ctx
 	for i, ch := range changes {
-		ctx.change, ctx.dir = i, ch.Kind
+		n.change, n.dir = i, ch.Kind
 		root := n.roots[ch.WME.ClassID()]
 		tests := 0
 		rootSeq := n.nextSeq()
 		if root != nil {
-			n.visitConst(root, ch.WME, ctx, rootSeq, &tests)
+			n.visitConst(root, ch.WME, rootSeq, &tests)
 		}
-		n.Stats.ConstTests += int64(tests)
 		n.Stats.Changes++
-		n.Stats.Activations[KindRoot]++
-		n.Stats.AffectedProductions += int64(len(ctx.touched))
-		for _, p := range ctx.touched {
-			n.Stats.TwoInputPerProduction[min(ctx.credits[p]-1, 15)]++
-			ctx.credits[p] = 0
-		}
-		ctx.touched = ctx.touched[:0]
 		n.emit(ActivationEvent{
 			Seq: rootSeq, Parent: 0, Change: i, Kind: KindRoot, NodeID: 0,
 			Dir: ch.Kind, TestsRun: tests,
@@ -227,27 +162,25 @@ func (n *Network) emit(ev ActivationEvent) {
 }
 
 // visitConst walks the constant-test chain below node for the WME.
-func (n *Network) visitConst(node *ConstNode, w *ops5.WME, ctx *applyCtx, parent int64, tests *int) {
+func (n *Network) visitConst(node *ConstNode, w *ops5.WME, parent int64, tests *int) {
 	*tests++
 	if !node.Test.Eval(w) {
 		return
 	}
 	if node.Mem != nil {
-		n.alphaActivate(node.Mem, w, ctx, parent)
+		n.alphaActivate(node.Mem, w, parent)
 	}
 	for _, c := range node.Children {
-		n.visitConst(c, w, ctx, parent, tests)
+		n.visitConst(c, w, parent, tests)
 	}
 }
 
 // alphaActivate updates an alpha memory and right-activates successors.
-func (n *Network) alphaActivate(a *AlphaNode, w *ops5.WME, ctx *applyCtx, parent int64) {
+func (n *Network) alphaActivate(a *AlphaNode, w *ops5.WME, parent int64) {
 	seq := n.nextSeq()
-	n.Stats.Activations[KindAlpha]++
-	ctx.credit(a.ProdRefs, 0)
 	am := &n.alphas[a.Index]
 	m := keyMemo[*ops5.WME]{x: w, keys: a.Keys}
-	switch ctx.dir {
+	switch n.dir {
 	case ops5.Insert:
 		am.insert(wmeID(w), w)
 		for i := range am.indexes {
@@ -263,52 +196,48 @@ func (n *Network) alphaActivate(a *AlphaNode, w *ops5.WME, ctx *applyCtx, parent
 		}
 	}
 	n.emit(ActivationEvent{
-		Seq: seq, Parent: parent, Change: ctx.change, Kind: KindAlpha,
-		NodeID: a.ID, Dir: ctx.dir, SharedBy: len(a.ProdRefs),
+		Seq: seq, Parent: parent, Change: n.change, Kind: KindAlpha,
+		NodeID: a.ID, Dir: n.dir, SharedBy: len(a.ProdRefs),
 	})
 	for _, j := range a.Succs {
-		n.rightActivate(j, &m, ctx, seq)
+		n.rightActivate(j, &m, seq)
 	}
 }
 
 // rightActivate processes a WME arriving on the right input of a
 // two-input node, on its way through the node's right memory (m).
-func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCtx, parent int64) {
+func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], parent int64) {
 	seq := n.nextSeq()
-	ctx.credit(j.Right.ProdRefs, 1)
 	w := m.x
 	st := &n.joins[j.Index]
 	switch j.Kind {
 	case JoinPositive:
-		n.Stats.Activations[KindJoinRight]++
 		tested, emitted := 0, 0
 		left := &n.betas[j.Left.Index]
 		toks := left.items
 		indexed := st.leftIdx != nil && len(toks) >= linearProbeMin
 		if indexed {
 			toks = st.leftIdx.probe(m.key(j.RightKey), &st.leftScratch)
-			n.Stats.IndexedProbes++
 		}
 		for _, tok := range toks {
 			tested++
 			if j.Eval(tok, w) {
 				emitted++
-				if ctx.dir == ops5.Insert {
-					n.betaInsert(j.Out, n.extend(tok, w), ctx, seq)
+				if n.dir == ops5.Insert {
+					n.betaInsert(j.Out, n.extend(tok, w), seq)
 				} else {
-					n.betaDelete(j.Out, tok, w, ctx, seq)
+					n.betaDelete(j.Out, tok, w, seq)
 				}
 			}
 		}
 		n.Stats.TokenComparisons += int64(tested)
 		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
-			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindJoinRight,
-			NodeID: j.ID, Dir: ctx.dir, TokensTested: tested, PairsEmitted: emitted,
+			Seq: seq, Parent: parent, Change: n.change, Kind: KindJoinRight,
+			NodeID: j.ID, Dir: n.dir, TokensTested: tested, PairsEmitted: emitted,
 			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(left.items),
 		})
 	case JoinNegative:
-		n.Stats.Activations[KindNegRight]++
 		tested, emitted := 0, 0
 		indexed := j.RightHash != nil
 		adjust := func(rec *negRecord) {
@@ -316,18 +245,18 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCt
 			if !j.Eval(rec.tok, w) {
 				return
 			}
-			switch ctx.dir {
+			switch n.dir {
 			case ops5.Insert:
 				rec.count++
 				if rec.count == 1 {
 					emitted++
-					n.betaDelete(j.Out, rec.tok, nil, ctx, seq)
+					n.betaDelete(j.Out, rec.tok, nil, seq)
 				}
 			case ops5.Delete:
 				rec.count--
 				if rec.count == 0 {
 					emitted++
-					n.betaInsert(j.Out, rec.tok, ctx, seq)
+					n.betaInsert(j.Out, rec.tok, seq)
 				}
 			}
 		}
@@ -335,7 +264,6 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCt
 		// records are never appended to (entries never move) while we
 		// hold pointers into them.
 		if indexed {
-			n.Stats.IndexedProbes++
 			for e := st.negIndex.Head(m.key(j.RightKey)); e >= 0; e = st.negIndex.Next(e) {
 				adjust(st.negIndex.At(e))
 			}
@@ -351,8 +279,8 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCt
 		n.Stats.TokenComparisons += int64(tested)
 		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
-			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindNegRight,
-			NodeID: j.ID, Dir: ctx.dir, TokensTested: tested, PairsEmitted: emitted,
+			Seq: seq, Parent: parent, Change: n.change, Kind: KindNegRight,
+			NodeID: j.ID, Dir: n.dir, TokensTested: tested, PairsEmitted: emitted,
 			SharedBy: j.SharedBy, Indexed: indexed, OppSize: st.negCount,
 		})
 	}
@@ -361,42 +289,38 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], ctx *applyCt
 // leftActivate processes a token arriving on the left input of a
 // two-input node, on its way through the node's left memory (m). dir
 // gives whether the token is being added or removed.
-func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
+func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeKind, parent int64) {
 	seq := n.nextSeq()
-	ctx.credit(j.Right.ProdRefs, 1)
 	tok := m.x
 	st := &n.joins[j.Index]
 	right := &n.alphas[j.Right.Index]
 	switch j.Kind {
 	case JoinPositive:
-		n.Stats.Activations[KindJoinLeft]++
 		tested, emitted := 0, 0
 		items := right.items
 		indexed := st.rightIdx != nil && len(items) >= linearProbeMin
 		if indexed {
 			items = st.rightIdx.probe(m.key(j.LeftKey), &st.rightScratch)
-			n.Stats.IndexedProbes++
 		}
 		for _, w := range items {
 			tested++
 			if j.Eval(tok, w) {
 				emitted++
 				if dir == ops5.Insert {
-					n.betaInsert(j.Out, n.extend(tok, w), ctx, seq)
+					n.betaInsert(j.Out, n.extend(tok, w), seq)
 				} else {
-					n.betaDelete(j.Out, tok, w, ctx, seq)
+					n.betaDelete(j.Out, tok, w, seq)
 				}
 			}
 		}
 		n.Stats.TokenComparisons += int64(tested)
 		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
-			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindJoinLeft,
+			Seq: seq, Parent: parent, Change: n.change, Kind: KindJoinLeft,
 			NodeID: j.ID, Dir: dir, TokensTested: tested, PairsEmitted: emitted,
 			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(right.items),
 		})
 	case JoinNegative:
-		n.Stats.Activations[KindNegLeft]++
 		tested, emitted := 0, 0
 		indexed := j.LeftHash != nil
 		switch dir {
@@ -405,7 +329,6 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 			items := right.items
 			if st.rightIdx != nil && len(items) >= linearProbeMin {
 				items = st.rightIdx.probe(m.key(j.LeftKey), &st.rightScratch)
-				n.Stats.IndexedProbes++
 			}
 			for _, w := range items {
 				tested++
@@ -417,7 +340,7 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 			st.negCount++
 			if count == 0 {
 				emitted++
-				n.betaInsert(j.Out, tok, ctx, seq)
+				n.betaInsert(j.Out, tok, seq)
 			}
 		case ops5.Delete:
 			if count, ok := st.negDelete(j.negKey(m), tok); ok {
@@ -425,7 +348,7 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 				st.negCount--
 				if count == 0 {
 					emitted++
-					n.betaDelete(j.Out, tok, nil, ctx, seq)
+					n.betaDelete(j.Out, tok, nil, seq)
 				}
 			} else {
 				n.Stats.Anomalies++
@@ -434,7 +357,7 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 		n.Stats.TokenComparisons += int64(tested)
 		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
-			Seq: seq, Parent: parent, Change: ctx.change, Kind: KindNegLeft,
+			Seq: seq, Parent: parent, Change: n.change, Kind: KindNegLeft,
 			NodeID: j.ID, Dir: dir, TokensTested: tested, PairsEmitted: emitted,
 			SharedBy: j.SharedBy, Indexed: indexed, OppSize: len(right.items),
 		})
@@ -442,14 +365,14 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 }
 
 // betaInsert stores a token and propagates to joins and terminals.
-func (n *Network) betaInsert(b *BetaNode, tok *Token, ctx *applyCtx, parent int64) {
+func (n *Network) betaInsert(b *BetaNode, tok *Token, parent int64) {
 	bm := &n.betas[b.Index]
 	bm.insert(tok.id, tok)
 	m := keyMemo[*Token]{x: tok, keys: b.Keys}
 	for i := range bm.indexes {
 		bm.indexes[i].insert(&m, i)
 	}
-	n.propagate(b, &m, ops5.Insert, ctx, parent)
+	n.propagate(b, &m, ops5.Insert, parent)
 }
 
 // betaDelete removes the token formed by base plus w (base itself when
@@ -459,7 +382,7 @@ func (n *Network) betaInsert(b *BetaNode, tok *Token, ctx *applyCtx, parent int6
 // memory that owns the token then frees it: by now every not-node
 // record, pass-through memory and conflict-set entry below has let go of
 // it.
-func (n *Network) betaDelete(b *BetaNode, base *Token, w *ops5.WME, ctx *applyCtx, parent int64) {
+func (n *Network) betaDelete(b *BetaNode, base *Token, w *ops5.WME, parent int64) {
 	bm := &n.betas[b.Index]
 	stored, ok := bm.remove(base.ExtIDHash(w), func(t *Token) bool { return ExtEqual(t, base, w) }, (*Token).IDHash)
 	if !ok {
@@ -470,7 +393,7 @@ func (n *Network) betaDelete(b *BetaNode, base *Token, w *ops5.WME, ctx *applyCt
 	for i := range bm.indexes {
 		bm.indexes[i].remove(&m, i)
 	}
-	n.propagate(b, &m, ops5.Delete, ctx, parent)
+	n.propagate(b, &m, ops5.Delete, parent)
 	if b.Owns {
 		n.free = append(n.free, stored.Recycle())
 	}
@@ -491,19 +414,18 @@ func (n *Network) extend(tok *Token, w *ops5.WME) *Token {
 }
 
 // propagate left-activates the joins and terminals below a beta memory.
-func (n *Network) propagate(b *BetaNode, m *keyMemo[*Token], dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
+func (n *Network) propagate(b *BetaNode, m *keyMemo[*Token], dir ops5.ChangeKind, parent int64) {
 	for _, j := range b.Joins {
-		n.leftActivate(j, m, dir, ctx, parent)
+		n.leftActivate(j, m, dir, parent)
 	}
 	for _, t := range b.Terminals {
-		n.terminalActivate(t, m.x, dir, ctx, parent)
+		n.terminalActivate(t, m.x, dir, parent)
 	}
 }
 
 // terminalActivate emits a conflict-set delta.
-func (n *Network) terminalActivate(t *Terminal, tok *Token, dir ops5.ChangeKind, ctx *applyCtx, parent int64) {
+func (n *Network) terminalActivate(t *Terminal, tok *Token, dir ops5.ChangeKind, parent int64) {
 	seq := n.nextSeq()
-	n.Stats.Activations[KindTerm]++
 	n.match = t.Match(n.match, tok, nil)
 	if dir == ops5.Insert {
 		n.Stats.ConflictInserts++
@@ -513,7 +435,7 @@ func (n *Network) terminalActivate(t *Terminal, tok *Token, dir ops5.ChangeKind,
 		n.Sink.RemoveMatch(t.Production, n.match)
 	}
 	n.emit(ActivationEvent{
-		Seq: seq, Parent: parent, Change: ctx.change, Kind: KindTerm,
+		Seq: seq, Parent: parent, Change: n.change, Kind: KindTerm,
 		NodeID: t.ID, Dir: dir, PairsEmitted: 1,
 	})
 }

@@ -266,7 +266,10 @@ type Network struct {
 	Stats Stats
 
 	seq int64
-	ctx applyCtx // Apply's per-change bookkeeping, reused
+	// change and dir are the WM change in flight: its position in the
+	// Apply batch and its kind.
+	change int
+	dir    ops5.ChangeKind
 }
 
 // Compile builds a plan for the productions and a network to run it.
@@ -285,7 +288,6 @@ func NewNetwork(p *Plan) *Network {
 		alphas: make([]memory[*ops5.WME], len(p.Alphas)),
 		betas:  make([]memory[*Token], len(p.Betas)),
 		joins:  make([]joinState, len(p.Joins)),
-		ctx:    applyCtx{credits: make([]int32, len(p.Productions))},
 	}
 	n.Sink = &n.Hooks
 	n.betas[0].insert(0, &Token{}) // the dummy top's permanent empty token

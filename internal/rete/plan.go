@@ -12,9 +12,10 @@
 // only thing that builds or writes one; afterwards it is immutable and
 // may be shared by any number of executors on any number of goroutines.
 // A Network (network.go, activate.go) is the serial executor: a Plan
-// plus unsynchronised memories, statistics and the per-activation trace
-// that feeds the PSM multiprocessor simulator (internal/psm), exactly as
-// in §6 of the paper. The parallel executor over the same Plan is
+// plus unsynchronised memories, the match work psmd reports, and the
+// per-activation events from which internal/trace builds the trace that
+// feeds the PSM multiprocessor simulator (internal/psm), exactly as in
+// §6 of the paper. The parallel executor over the same Plan is
 // internal/prete.
 package rete
 
@@ -138,7 +139,9 @@ type AlphaNode struct {
 	// Succs are the two-input nodes whose right input is this memory.
 	Succs []*JoinNode
 	// ProdRefs lists the (production, LHS index) pairs reading this
-	// memory; used for affected-production statistics (§4, E9).
+	// memory. internal/trace maps an activation of this memory, or of a
+	// two-input node on its output, to these productions to count the
+	// productions a change affects (§4, E9).
 	ProdRefs []ProdRef
 	// Keys are the distinct right-side join-key hashes of Succs, one per
 	// set of nodes keying this memory by the same columns in the same
@@ -233,8 +236,10 @@ type JoinNode struct {
 	RightHash func(*ops5.WME) uint64
 	LeftKey   int
 	RightKey  int
-	// SharedBy counts the productions compiled onto this node.
+	// SharedBy counts the productions compiled onto this node, and Prod
+	// is the position in Plan.Productions of the first.
 	SharedBy int
+	Prod     int
 }
 
 // Eval applies the node's tests to a (token, WME) pair: both executors
@@ -290,7 +295,9 @@ type Plan struct {
 	Betas       []*BetaNode // Betas[0] is the dummy top
 	Joins       []*JoinNode
 	Terminals   []*Terminal
-	roots       map[sym.ID]*ConstNode
+	// IDs is one more than the largest node ID.
+	IDs   int
+	roots map[sym.ID]*ConstNode
 }
 
 // compiler is CompilePlan's working state: the plan under construction
@@ -316,6 +323,7 @@ func CompilePlan(prods []*ops5.Production) (*Plan, error) {
 			return nil, err
 		}
 	}
+	c.IDs = c.nextID + 1
 	return c.Plan, nil
 }
 
@@ -520,6 +528,7 @@ func (c *compiler) findOrAddJoin(kind JoinKind, left *BetaNode, right *AlphaNode
 		LeftKey:  -1,
 		RightKey: -1,
 		SharedBy: 1,
+		Prod:     len(c.Productions),
 	}
 	j.Out.Owns = kind == JoinPositive
 	if len(j.Key) > 0 {

@@ -301,29 +301,6 @@ func TestPredicateBeforeBindingFails(t *testing.T) {
 	}
 }
 
-func TestStatsAffectedProductions(t *testing.T) {
-	srcs := `
-(p a1 (goal ^color red) --> (remove 1))
-(p a2 (goal ^color <c>) --> (remove 1))
-(p a3 (block ^color red) --> (remove 1))
-`
-	prog, err := ops5.Parse(srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := rete.Compile(prog.Productions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := ops5.NewWME("goal", "color", "red")
-	w.TimeTag = 1
-	n.Apply([]ops5.Change{{Kind: ops5.Insert, WME: w}})
-	// The goal WME affects a1 and a2 but not a3.
-	if got := n.Stats.AffectedProductions; got != 2 {
-		t.Errorf("affected productions = %d, want 2", got)
-	}
-}
-
 func TestCompiledDispatchEquivalent(t *testing.T) {
 	// The one test dispatch form, JoinNode.Eval, must produce exactly the
 	// brute-force conflict sets on randomized programs.

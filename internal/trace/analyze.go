@@ -70,35 +70,22 @@ func Analyze(tr *Trace) Analysis {
 	var depthSum, cpShareSum float64
 	nGroups := 0
 	for _, tasks := range groups {
-		// Longest-path DP over the group's DAG (tasks reference
-		// parents by ID; parents precede children or are absent).
+		// Longest-path DP over the group's DAG. A task's ID is taken as
+		// its activation begins, so a parent's ID is below its
+		// children's — though a recorder stores most parents after
+		// their children — and in ID order every parent comes first.
+		sort.Slice(tasks, func(i, j int) bool { return tasks[i].ID < tasks[j].ID })
 		depth := map[int64]int{}
 		pathCost := map[int64]float64{}
 		var total, maxPath float64
 		maxDepth := 1
-		// Two passes in case parents appear after children in storage.
-		for pass := 0; pass < 2; pass++ {
-			for _, t := range tasks {
-				d := 1
-				pc := t.Cost
-				if pd, ok := depth[t.Parent]; ok {
-					d = pd + 1
-				}
-				if pp, ok := pathCost[t.Parent]; ok {
-					pc = pp + t.Cost
-				}
-				depth[t.ID] = d
-				pathCost[t.ID] = pc
-			}
-		}
 		for _, t := range tasks {
+			// An absent parent (the batch start) reads as depth 0, cost 0.
+			d, pc := depth[t.Parent]+1, pathCost[t.Parent]+t.Cost
+			depth[t.ID], pathCost[t.ID] = d, pc
 			total += t.Cost
-			if depth[t.ID] > maxDepth {
-				maxDepth = depth[t.ID]
-			}
-			if pathCost[t.ID] > maxPath {
-				maxPath = pathCost[t.ID]
-			}
+			maxDepth = max(maxDepth, d)
+			maxPath = max(maxPath, pc)
 		}
 		depthSum += float64(maxDepth)
 		if total > 0 {

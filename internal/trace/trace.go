@@ -4,6 +4,11 @@
 // simulator consist of a detailed trace of node activations from an
 // actual run of a production system (the trace contains information
 // about the dependencies between node activations), and a cost model".
+//
+// The same events give §4's per-change counts, and this package is the
+// one place they are derived (Counts): productions affected per WM
+// change and node activations per change. The matcher itself keeps
+// none of them.
 package trace
 
 import (
@@ -31,8 +36,9 @@ type Task struct {
 	// NodeID identifies the network node (for exclusive-access
 	// modelling); 0 means no exclusivity constraint.
 	NodeID int
-	// Prod identifies the affected production for production-level
-	// parallelism experiments; -1 when unknown or shared.
+	// Prod is the index in the plan's Productions of the one production
+	// the activated node serves, for production-level parallelism
+	// experiments; -1 for a root and a node several productions share.
 	Prod int
 	// Kind is the activation kind.
 	Kind rete.NodeKind
@@ -102,6 +108,8 @@ type Recorder struct {
 	Net   *rete.Network
 	Model cost.Model
 	Trace Trace
+	// Counts holds the recorded changes' per-change figures.
+	Counts Counts
 
 	batch int
 }
@@ -111,18 +119,16 @@ type Recorder struct {
 func NewRecorder(name string, net *rete.Network, model cost.Model) *Recorder {
 	r := &Recorder{Net: net, Model: model}
 	r.Trace.Name = name
+	r.Counts.init(net.Plan)
 	net.Tracer = func(ev rete.ActivationEvent) {
-		prod := -1
-		if ev.SharedBy == 1 {
-			prod = 0 // refined by workload harnesses when needed
-		}
+		r.Counts.Observe(ev)
 		r.Trace.Tasks = append(r.Trace.Tasks, Task{
 			ID:       ev.Seq,
 			Parent:   ev.Parent,
 			Batch:    r.batch,
 			Change:   ev.Change,
 			NodeID:   ev.NodeID,
-			Prod:     prod,
+			Prod:     r.Counts.prods[ev.NodeID] - 1,
 			Kind:     ev.Kind,
 			Cost:     model.Cost(ev),
 			SharedBy: ev.SharedBy,

@@ -155,3 +155,133 @@ func TestAnalyze(t *testing.T) {
 		t.Errorf("empty analysis: %+v", e)
 	}
 }
+
+// record compiles src and returns a recorder over its network.
+func record(t *testing.T, src string) *trace.Recorder {
+	t.Helper()
+	prog, err := ops5.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := rete.Compile(prog.Productions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace.NewRecorder("t", net, cost.Default())
+}
+
+func TestStatsAffectedProductions(t *testing.T) {
+	rec := record(t, `
+(p a1 (goal ^color red) --> (remove 1))
+(p a2 (goal ^color <c>) --> (remove 1))
+(p a3 (block ^color red) --> (remove 1))
+(p j1 (goal ^color <c>) (block ^color <c>) --> (remove 1))
+(p b1 (block) --> (remove 1))
+(p n1 (goal ^color red) -(mark) --> (remove 1))
+(p m1 (mark) --> (remove 1))
+`)
+	for i, step := range []struct {
+		class, color string
+		want         int64
+	}{
+		// The goal reaches a1, n1, a2 and j1 through their alpha
+		// memories; j1's left activation reaches b1, which reads j1's
+		// right memory, and n1's not-node left activation reaches m1.
+		// a3 reads only red blocks.
+		{"goal", "red", 6},
+		// a3 through its alpha memory; j1 and b1 read the plain block
+		// memory.
+		{"block", "red", 3},
+		// n1's not-node right activation and m1's alpha memory.
+		{"mark", "", 2},
+	} {
+		w := ops5.NewWME(step.class)
+		if step.color != "" {
+			w = ops5.NewWME(step.class, "color", step.color)
+		}
+		w.TimeTag = i + 1
+		before := rec.Counts.Affected
+		rec.Apply([]ops5.Change{{Kind: ops5.Insert, WME: w}})
+		if got := rec.Counts.Affected - before; got != step.want {
+			t.Errorf("change %d (%s): %d affected productions, want %d", i, step.class, got, step.want)
+		}
+	}
+	c := rec.Counts
+	if c.Changes != 3 || c.PerChange(c.Affected) != 11.0/3 {
+		t.Errorf("%d changes, %.2f affected per change; want 3, %.2f", c.Changes, c.PerChange(c.Affected), 11.0/3)
+	}
+	if c.Activations != int64(len(rec.Trace.Tasks)) || c.PerChange(c.Activations) != float64(len(rec.Trace.Tasks))/3 {
+		t.Errorf("%d activations (%.2f per change), trace has %d tasks",
+			c.Activations, c.PerChange(c.Activations), len(rec.Trace.Tasks))
+	}
+}
+
+// TestRecorderLabelsProductions checks Task.Prod: the index of the one
+// production a node serves, -1 for roots and shared nodes.
+func TestRecorderLabelsProductions(t *testing.T) {
+	apply := func(rec *trace.Recorder, classes ...string) {
+		for i, class := range classes {
+			w := ops5.NewWME(class, "v", 1)
+			w.TimeTag = i + 1
+			rec.Apply([]ops5.Change{{Kind: ops5.Insert, WME: w}})
+		}
+	}
+	// No node is shared: every activation but a root names its
+	// production.
+	rec := record(t, `
+(p one (a ^v <x>) (b ^v <x>) --> (remove 1))
+(p two (c ^v 1) --> (remove 1))
+`)
+	apply(rec, "a", "b", "c")
+	prods := map[int]bool{}
+	for _, task := range rec.Trace.Tasks {
+		if (task.Kind == rete.KindRoot) != (task.Prod == -1) {
+			t.Errorf("task %d (%s): prod %d", task.ID, task.Kind, task.Prod)
+		}
+		prods[task.Prod] = true
+	}
+	if len(prods) != 3 || !prods[0] || !prods[1] {
+		t.Errorf("prod values %v, want -1, 0 and 1", prods)
+	}
+
+	// The a memory and the join on it are shared; b's join and the
+	// terminals are not.
+	rec = record(t, `
+(p one (a ^v <x>) --> (remove 1))
+(p two (a ^v <x>) (b ^v <x>) --> (remove 1))
+`)
+	apply(rec, "a", "b")
+	terms := map[int]bool{}
+	for _, task := range rec.Trace.Tasks {
+		switch {
+		case task.Kind == rete.KindTerm:
+			terms[task.Prod] = true
+		case task.Kind == rete.KindAlpha && task.Change == 0 && task.Batch == 0:
+			if task.Prod != -1 {
+				t.Errorf("shared alpha memory: prod %d, want -1", task.Prod)
+			}
+		case task.Kind == rete.KindJoinLeft, task.Batch == 1 && task.Kind == rete.KindJoinRight:
+			if task.Prod != 1 {
+				t.Errorf("two's b join (%s): prod %d, want 1", task.Kind, task.Prod)
+			}
+		}
+	}
+	if len(terms) != 2 || !terms[0] || !terms[1] {
+		t.Errorf("terminal prods %v, want 0 and 1", terms)
+	}
+}
+
+// TestAnalyzeChildrenStoredFirst checks depth on a chain stored the way
+// a recorder stores it: each activation after the ones it caused, the
+// root last.
+func TestAnalyzeChildrenStoredFirst(t *testing.T) {
+	tr := &trace.Trace{Batches: 1, Changes: 1, Tasks: []trace.Task{
+		{ID: 4, Parent: 3, Kind: rete.KindTerm, Cost: 10},
+		{ID: 3, Parent: 2, Kind: rete.KindJoinLeft, Cost: 10},
+		{ID: 2, Parent: 1, Kind: rete.KindAlpha, Cost: 10},
+		{ID: 1, Kind: rete.KindRoot, Cost: 10},
+	}}
+	if a := trace.Analyze(tr); a.DepthMax != 4 || a.CriticalPathShare != 1 {
+		t.Errorf("depth max %d, critical-path share %.2f; want 4, 1", a.DepthMax, a.CriticalPathShare)
+	}
+}

@@ -36,10 +36,11 @@ func TestGeneratedProgramAffectedProductions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	counts := trace.Count(net)
 	for _, batch := range workload.GenerateDriver(p, 60) {
 		net.Apply(batch)
 	}
-	avg := net.Stats.AvgAffected()
+	avg := counts.PerChange(counts.Affected)
 	if avg < 5 || avg > 60 {
 		t.Errorf("affected productions per change = %.1f, want 5-60", avg)
 	}

@@ -253,7 +253,7 @@ func TestMissMannersSeatsEveryone(t *testing.T) {
 		t.Error("no trace captured")
 	}
 	t.Logf("manners(%d guests): %d cycles, %d WM changes, %.1f affected prods/change",
-		p.Guests, eng.Cycles, rec.Trace.Changes, rec.Net.Stats.AvgAffected())
+		p.Guests, eng.Cycles, rec.Trace.Changes, rec.Counts.PerChange(rec.Counts.Affected))
 }
 
 func TestMannersWMErrors(t *testing.T) {
