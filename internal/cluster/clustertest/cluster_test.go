@@ -316,7 +316,17 @@ func TestClusterDrain(t *testing.T) {
 		var out server.SessionInfo
 		c.MustJSON(0, "POST", "/v1/sessions",
 			server.CreateSpec{Program: counterSrc, Matcher: "rete"}, &out, http.StatusCreated)
-		c.MustJSON(0, "POST", "/v1/sessions/"+out.ID+"/changes", sessionOps{id: out.ID}.seed(), nil, http.StatusOK)
+		// A create placed while a heartbeat lags may land off the ring's
+		// first choice and move there at once; the seed then answers
+		// 503, which is retryable and applies nothing, until the move
+		// is done.
+		c.WaitFor(5*time.Second, "seed of "+out.ID, func() bool {
+			code := c.JSON(0, "POST", "/v1/sessions/"+out.ID+"/changes", sessionOps{id: out.ID}.seed(), nil)
+			if code != http.StatusOK && code != http.StatusServiceUnavailable {
+				t.Fatalf("seed of %s: status %d", out.ID, code)
+			}
+			return code == http.StatusOK
+		})
 		if c.OwnerOf(out.ID) == target {
 			moved = append(moved, out.ID)
 		}

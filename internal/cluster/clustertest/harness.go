@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,6 +96,7 @@ type Cluster struct {
 	peers   map[string]string
 	forward bool
 	logw    io.Writer
+	tlog    *testLog
 
 	mu  sync.Mutex
 	cut map[[2]string]bool // severed (from, to) address pairs
@@ -110,10 +112,11 @@ func Start(t *testing.T, n int, forward bool) *Cluster {
 }
 
 // StartLogging is Start with every node's info-level log written to w
-// as JSON lines, each carrying the node's ID (nil discards, as Start).
+// as JSON lines, each carrying the node's ID (nil: as Start, which
+// writes the nodes' warnings and errors to the test's log).
 func StartLogging(t *testing.T, n int, forward bool, w io.Writer) *Cluster {
 	t.Helper()
-	c := &Cluster{T: t, forward: forward, logw: w,
+	c := &Cluster{T: t, forward: forward, logw: w, tlog: &testLog{t: t},
 		peers: make(map[string]string, n), cut: make(map[[2]string]bool)}
 	root := t.TempDir()
 	for i := 0; i < n; i++ {
@@ -149,7 +152,7 @@ func StartLogging(t *testing.T, n int, forward bool, w io.Writer) *Cluster {
 // boot starts (or restarts) one node on its existing listener.
 func (c *Cluster) boot(tn *Node) {
 	c.T.Helper()
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	logger := slog.New(slog.NewTextHandler(c.tlog, &slog.HandlerOptions{Level: slog.LevelWarn})).With("node", tn.ID)
 	switch {
 	case c.logw != nil:
 		logger = slog.New(slog.NewJSONHandler(c.logw, nil)).With("node", tn.ID)
@@ -318,6 +321,33 @@ func (c *Cluster) Close() {
 			c.Kill(i)
 		}
 	}
+	c.tlog.close()
+}
+
+// testLog writes the nodes' warnings and errors to the test's log, so
+// a failing test says what the nodes saw. Lines written after the
+// cluster closes are dropped: t.Log panics once the test has ended,
+// and a goroutine the nodes started (a replica delete after a session
+// delete) may still log then.
+type testLog struct {
+	mu     sync.Mutex
+	t      *testing.T
+	closed bool
+}
+
+func (l *testLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.closed {
+		l.t.Log(strings.TrimSuffix(string(p), "\n"))
+	}
+	return len(p), nil
+}
+
+func (l *testLog) close() {
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
 }
 
 // Client returns an HTTP client that follows redirects (307 bodies are

@@ -117,7 +117,15 @@ func (n *Node) Place(w http.ResponseWriter, r *http.Request, id string, pinned b
 	case target == nil:
 		return serve()
 	case n.cfg.Forward || pinned:
-		return n.proxy(w, r, target)
+		status, err := n.proxy(w, r, target)
+		if status == http.StatusCreated && r.URL.Path == server.APIVersion+"/sessions" {
+			// The target serves the session it just created; record
+			// that ahead of its next heartbeat, as a replication push
+			// records its sender, or the next request here would find
+			// no owner and answer 404.
+			n.mem.claim(target.id, id, 0)
+		}
+		return err
 	}
 	w.Header().Set("Location", target.url+r.URL.RequestURI())
 	return reply(http.StatusTemporaryRedirect, "wrong_node",
@@ -147,10 +155,11 @@ func (n *Node) target(id string, forwarded bool) (*peer, error) {
 		return nil, unavailable
 	}
 	if !forwarded {
+		// A suspect holder's claim stands until the dead timer clears
+		// it: the holder is most likely slow, and a hop to one that is
+		// gone answers 502, which the client retries.
 		if holder, _ := n.liveClaim(id, now); holder != "" {
-			if p := n.alivePeer(holder, now); p != nil {
-				return p, nil
-			}
+			return n.mem.peers[holder], nil
 		}
 		for _, nodeID := range n.ring(now).Prefer(id, len(n.cfg.Peers)) {
 			if nodeID == n.cfg.Self {
@@ -169,17 +178,18 @@ func (n *Node) target(id string, forwarded bool) (*peer, error) {
 	return nil, nil
 }
 
-// proxy forwards the request to a peer and relays the response.
-func (n *Node) proxy(w http.ResponseWriter, r *http.Request, target *peer) error {
+// proxy forwards the request to a peer and relays the response,
+// returning the peer's status.
+func (n *Node) proxy(w http.ResponseWriter, r *http.Request, target *peer) (int, error) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, target.url+r.URL.RequestURI(), r.Body)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	req.Header = r.Header.Clone()
 	req.Header.Set(forwardedHeader, n.cfg.Self)
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return reply(http.StatusBadGateway, "bad_gateway", fmt.Sprintf("forward to %s: %v", target.id, err))
+		return 0, reply(http.StatusBadGateway, "bad_gateway", fmt.Sprintf("forward to %s: %v", target.id, err))
 	}
 	defer resp.Body.Close()
 	for k, vs := range resp.Header {
@@ -188,7 +198,7 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, target *peer) error
 	w.Header().Set("X-Psmd-Served-By", target.id)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-	return nil
+	return resp.StatusCode, nil
 }
 
 // ServePing implements server.Replicator.

@@ -62,6 +62,9 @@ type Node struct {
 	loopDone chan struct{}
 	shipWG   sync.WaitGroup
 	draining atomic.Bool
+	// passMu is held for each reconcile pass, which the loop starts only
+	// while draining is unset, and by Drain while it sets draining.
+	passMu sync.Mutex
 	// createSeq numbers the session IDs this node generates for create
 	// requests that did not pick one; the node ID prefix keeps them
 	// collision-free across the cluster.
@@ -374,9 +377,11 @@ func (n *Node) loop() {
 			return
 		case <-t.C:
 			n.pingAll()
+			n.passMu.Lock()
 			if !n.draining.Load() {
 				n.reconcile(time.Now())
 			}
+			n.passMu.Unlock()
 		}
 	}
 }
@@ -565,6 +570,12 @@ func (n *Node) handoff(id string, target *peer) error {
 	if err != nil {
 		return err
 	}
+	return n.transfer(id, st, target)
+}
+
+// transfer is handoff past the demote: push the standby's full state
+// to the target and ask it to promote.
+func (n *Node) transfer(id string, st *durable.Standby, target *peer) error {
 	manifest, snap, tail, err := st.Export()
 	if err != nil {
 		return err
@@ -623,37 +634,67 @@ func (n *Node) promoteStandby(id string) error {
 // Drain prepares this node for shutdown: stop taking new placement,
 // then move every live session to a successor (final snapshot push +
 // promote). Call after the HTTP server stopped accepting requests and
-// before Stop. Sessions whose handoff fails stay on disk and fail over
-// through their shipped replicas instead.
+// before Stop. A session with no successor yet, or whose handoff fails,
+// is tried again every heartbeat until it moves or ctx ends; a session
+// a failed handoff already demoted is pushed again from its standby.
+// Sessions still here when ctx ends stay on disk and fail over through
+// their shipped replicas instead.
 func (n *Node) Drain(ctx context.Context) {
+	// Set under passMu, so a reconcile pass still running has ended and
+	// none starts: it could promote a standby that a handoff below has
+	// just demoted, before the target's claim is recorded, and serve the
+	// session here again.
+	n.passMu.Lock()
 	n.draining.Store(true)
-	now := time.Now()
-	ring := n.ring(now)
-	for id := range n.srv.DurableSeqs() {
-		select {
-		case <-ctx.Done():
-			n.logger.Warn("drain cut short", "err", ctx.Err())
-			return
-		default:
-		}
-		var target *peer
-		for _, nodeID := range ring.Prefer(id, len(ring.Nodes())) {
-			if nodeID == n.cfg.Self {
+	n.passMu.Unlock()
+	pending := n.srv.DurableSeqs()
+	for {
+		now := time.Now()
+		ring := n.ring(now)
+		for id := range pending {
+			if err := n.drainOne(id, ring, now); err != nil {
+				n.logger.Warn("drain handoff failed", "session", id, "err", err)
 				continue
 			}
-			if p := n.handoffTarget(nodeID, now); p != nil {
-				target = p
-				break
-			}
+			delete(pending, id)
 		}
-		if target == nil {
-			n.logger.Warn("drain: no successor for session", "session", id)
-			continue
+		if len(pending) == 0 {
+			return
 		}
-		if err := n.handoff(id, target); err != nil {
-			n.logger.Warn("drain handoff failed", "session", id, "target", target.id, "err", err)
+		select {
+		case <-ctx.Done():
+			n.logger.Warn("drain cut short", "sessions_left", len(pending), "err", ctx.Err())
+			return
+		case <-time.After(n.cfg.Heartbeat):
 		}
 	}
+}
+
+// drainOne hands one session to its first successor in ring order that
+// can take it: from the live session, or from the standby an earlier
+// failed handoff left. A session that is neither (deleted meanwhile)
+// is done.
+func (n *Node) drainOne(id string, ring *Ring, now time.Time) error {
+	var target *peer
+	for _, nodeID := range ring.Prefer(id, len(ring.Nodes())) {
+		if nodeID == n.cfg.Self {
+			continue
+		}
+		if p := n.handoffTarget(nodeID, now); p != nil {
+			target = p
+			break
+		}
+	}
+	switch {
+	case target == nil:
+		return fmt.Errorf("cluster: drain %q: no successor", id)
+	case n.srv.HasSession(id):
+		return n.handoff(id, target)
+	}
+	if st := n.standby(id); st != nil {
+		return n.transfer(id, st, target)
+	}
+	return nil
 }
 
 // Draining reports whether Drain has begun (for /v1/cluster/status).

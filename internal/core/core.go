@@ -113,23 +113,32 @@ func NewSystem(src string, opts Options) (*System, error) {
 
 // NewSystemFromProgram assembles a system from a parsed program.
 func NewSystemFromProgram(prog *ops5.Program, opts Options) (*System, error) {
+	var plan *rete.Plan
+	if opts.Matcher != Naive {
+		var err error
+		if plan, err = rete.CompilePlan(prog.Productions); err != nil {
+			return nil, err
+		}
+	}
+	return NewSystemOnPlan(prog, plan, opts)
+}
+
+// NewSystemOnPlan assembles a system from a parsed program and its
+// compiled Rete plan, both of which it only reads, so any number of
+// systems may share one program and plan. The naive matcher ignores
+// the plan, which may then be nil.
+func NewSystemOnPlan(prog *ops5.Program, plan *rete.Plan, opts Options) (*System, error) {
 	cs := conflict.NewSet(opts.Strategy)
 	sys := &System{prods: prog.Productions, matcher: opts.Matcher}
 
 	var m engine.Matcher
 	switch opts.Matcher {
 	case SerialRete:
-		net, err := rete.Compile(prog.Productions)
-		if err != nil {
-			return nil, err
-		}
+		net := rete.NewNetwork(plan)
 		net.Sink = cs
 		sys.net, m = net, net
 	case ParallelRete:
-		pm, err := prete.New(prog.Productions, opts.Workers)
-		if err != nil {
-			return nil, err
-		}
+		pm := prete.NewOnPlan(plan, prete.Config{Workers: opts.Workers})
 		pm.Sink = cs
 		sys.pm, m = pm, pm
 	case Naive:

@@ -136,3 +136,54 @@ func TestHotRouteAllocs(t *testing.T) {
 		}
 	}
 }
+
+// cachedCreateAllocCeiling bounds the allocations of creating and then
+// deleting a serial-Rete Manners session whose source the server's
+// program table already holds, through Handler(): request decode, an
+// empty network and conflict set over the shared plan, the trace ring,
+// the reply, and the delete's trace archive. It is the count measured
+// when the ceiling was set (69) plus the hot routes' -race headroom of
+// four for each of the two requests (a -race build read 73 and 74);
+// lower it in the change that lowers the count. While every create
+// parsed and compiled its source, the pair took 760.
+const cachedCreateAllocCeiling = 77
+
+func TestCachedCreateAllocs(t *testing.T) {
+	srv := New(Config{Shards: 1})
+	defer srv.Close()
+	h := srv.Handler()
+	create := func() *http.Request {
+		return httptest.NewRequest("POST", APIVersion+"/sessions",
+			strings.NewReader(`{"id":"m","program":`+jsonString(workload.MissManners)+`}`))
+	}
+	del := func() *http.Request { return httptest.NewRequest("DELETE", APIVersion+"/sessions/m", nil) }
+	const runs = 100
+	reqs := make([]*http.Request, 0, 2*(runs+2))
+	for i := 0; i < runs+2; i++ {
+		reqs = append(reqs, create(), del())
+	}
+	w := &sinkWriter{header: http.Header{}}
+	serve := func(r *http.Request, want int) {
+		w.status = http.StatusOK
+		h.ServeHTTP(w, r)
+		if w.status != want {
+			panic(fmt.Sprintf("%s %s: status %d, want %d", r.Method, r.URL.Path, w.status, want))
+		}
+	}
+	// The first pair compiles the source into the table.
+	serve(reqs[0], http.StatusCreated)
+	serve(reqs[1], http.StatusNoContent)
+	i := 2
+	got := testing.AllocsPerRun(runs, func() {
+		serve(reqs[i], http.StatusCreated)
+		serve(reqs[i+1], http.StatusNoContent)
+		i += 2
+	})
+	t.Logf("create and delete of a cached source: %.1f allocs (ceiling %d)", got, cachedCreateAllocCeiling)
+	if got > cachedCreateAllocCeiling {
+		t.Errorf("create and delete of a cached source: %.1f allocs, ceiling %d", got, cachedCreateAllocCeiling)
+	}
+	if n := srv.programs.compiles.Value(); n != 1 {
+		t.Errorf("%d compiles of one source, want 1", n)
+	}
+}

@@ -131,6 +131,10 @@ type Server struct {
 	index sync.Map
 	state atomic.Int32
 
+	// programs holds the compiled program of every recently used rule
+	// source; sessions of one source share it.
+	programs *programTable
+
 	// Serving metrics (the §6 throughput numbers, measured at the
 	// service boundary).
 	registry     *stats.Registry
@@ -220,6 +224,7 @@ func New(cfg Config) *Server {
 			"sessions recovered from durable state at startup"),
 		phaseSecs:  make(map[string]*stats.FloatCounter),
 		taskCounts: make(map[string]*stats.Counter),
+		programs:   newProgramTable(r),
 	}
 	r.GaugeFunc("psmd_uptime_seconds", "seconds since server start", func() float64 {
 		return time.Since(s.start).Seconds()
@@ -374,9 +379,9 @@ func readSpec(dir string) (CreateSpec, error) {
 // recoverSession rebuilds one session from its durable directory and
 // the spec its manifest holds (readSpec).
 func (s *Server) recoverSession(dir string, spec CreateSpec) (*session, durable.RecoverStats, error) {
-	sess, err := newSession(spec, s.cfg.DefaultQuota, time.Now(), true)
+	sess, err := s.newSession(spec, true)
 	if err != nil {
-		return nil, durable.RecoverStats{}, fmt.Errorf("recompile program: %w", err)
+		return nil, durable.RecoverStats{}, fmt.Errorf("build program: %w", err)
 	}
 	log, rstats, err := durable.Recover(dir, sess.sys.Engine, s.durableOpts())
 	if err != nil {
@@ -527,7 +532,7 @@ func (s *Server) CreateSession(ctx context.Context, spec CreateSpec) (SessionInf
 	if spec.Workers == 0 {
 		spec.Workers = s.cfg.DefaultWorkers
 	}
-	sess, err := newSession(spec, s.cfg.DefaultQuota, time.Now(), false)
+	sess, err := s.newSession(spec, false)
 	if err != nil {
 		return SessionInfo{}, err
 	}

@@ -1,7 +1,8 @@
 // Package server hosts many independent rule-engine sessions behind a
 // sharded, concurrent service: the serving-side counterpart of the
-// paper's Production System Machine. Each session is one compiled OPS5
-// program with its own working memory, matcher and conflict set;
+// paper's Production System Machine. Each session runs one compiled
+// OPS5 program, shared by every session of the same source text, with
+// its own working memory, match memories and conflict set;
 // sessions are distributed over a fixed pool of engine shards by
 // hash(sessionID), and a request runs a session operation on its own
 // goroutine only while it holds its shard's one turn, so all engine and
@@ -371,13 +372,14 @@ func badReqf(format string, args ...any) error {
 	return &BadRequestError{Err: fmt.Errorf(format, args...)}
 }
 
-// newSession compiles a CreateSpec into a live session. It runs on the
-// caller's goroutine (program compilation is the expensive part and
+// newSession builds a live session from a CreateSpec over the compiled
+// program the server's table holds for its source. It runs on the
+// caller's goroutine (compiling a new source is the expensive part and
 // must not serialize a shard); ownership passes to the shard when the
 // session is registered. noInitialWM builds the system with an empty
 // working memory — the crash-recovery path, where the snapshot being
 // restored already contains the program's initial state.
-func newSession(spec CreateSpec, defaultQuota Quota, now time.Time, noInitialWM bool) (*session, error) {
+func (s *Server) newSession(spec CreateSpec, noInitialWM bool) (*session, error) {
 	kind := core.SerialRete
 	if spec.Matcher != "" {
 		var err error
@@ -394,15 +396,25 @@ func newSession(spec CreateSpec, defaultQuota Quota, now time.Time, noInitialWM 
 	}
 	quota := spec.Quota
 	if quota == (Quota{}) {
-		quota = defaultQuota
+		quota = s.cfg.DefaultQuota
 	}
-	sys, err := core.NewSystem(spec.Program, core.Options{
+	opts := core.Options{
 		Matcher:         kind,
 		Strategy:        strategy,
 		Workers:         spec.Workers,
 		ParallelFirings: spec.ParallelFirings,
 		NoInitialWM:     noInitialWM,
-	})
+	}
+	var sys *core.System
+	prog, plan, err := s.programs.get(spec.Program)
+	switch {
+	case err == nil:
+		sys, err = core.NewSystemOnPlan(prog, plan, opts)
+	case kind == core.Naive:
+		// The naive matcher runs some programs Rete cannot compile (a
+		// variable a predicate tests before any equality binds it).
+		sys, err = core.NewSystem(spec.Program, opts)
+	}
 	if err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
@@ -410,7 +422,7 @@ func newSession(spec CreateSpec, defaultQuota Quota, now time.Time, noInitialWM 
 		return nil, badReqf("server: initial working memory (%d elements) exceeds quota %d",
 			sys.WM.Size(), quota.MaxWMEs)
 	}
-	return &session{id: spec.ID, spec: spec, sys: sys, quota: quota, created: now}, nil
+	return &session{id: spec.ID, spec: spec, sys: sys, quota: quota, created: time.Now()}, nil
 }
 
 // apply validates and commits one change batch, owned-goroutine only.
@@ -524,7 +536,7 @@ func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult,
 // The delta functions below feed the server-wide counters, owned-
 // goroutine only. Every counter they read only grows: a session's
 // engine and matcher live as long as the session (session.sys is set
-// only by newSession, engine.Engine.Matcher only by engine.New).
+// only by Server.newSession, engine.Engine.Matcher only by engine.New).
 
 // wakeupDelta returns the growth of the session matcher's wakeup
 // counter since the previous call; zero for matchers without a lane

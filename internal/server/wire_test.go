@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/ops5"
 	"repro/internal/sym"
@@ -200,7 +199,7 @@ func TestWireDecodeSemantics(t *testing.T) {
 	}
 	// What a plain body asserts: the last value of a repeated attribute,
 	// and an event's ttl over its attrs "__ttl".
-	sess, err := newSession(CreateSpec{Program: `(literalize c k __ttl)`}, Quota{}, time.Now(), false)
+	sess, err := New(Config{}).newSession(CreateSpec{Program: `(literalize c k __ttl)`}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
