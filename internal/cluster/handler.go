@@ -117,15 +117,7 @@ func (n *Node) Place(w http.ResponseWriter, r *http.Request, id string, pinned b
 	case target == nil:
 		return serve()
 	case n.cfg.Forward || pinned:
-		status, err := n.proxy(w, r, target)
-		if status == http.StatusCreated && r.URL.Path == server.APIVersion+"/sessions" {
-			// The target serves the session it just created; record
-			// that ahead of its next heartbeat, as a replication push
-			// records its sender, or the next request here would find
-			// no owner and answer 404.
-			n.mem.claim(target.id, id, 0)
-		}
-		return err
+		return n.proxy(w, r, target)
 	}
 	w.Header().Set("Location", target.url+r.URL.RequestURI())
 	return reply(http.StatusTemporaryRedirect, "wrong_node",
@@ -139,14 +131,14 @@ func (n *Node) NewSessionID() string {
 }
 
 // target picks the peer a request for a session not live here belongs
-// to: an alive peer claiming it live, else the first alive node of its
-// ring preference (nil: this node). A forwarded request was placed by
-// the peer that sent it, and one hop is all the protocol allows, so it
-// stays here. A request that stays answers 503 while some copy of the
-// session may still come live — a standby here, a copy a non-dead peer
-// reports, or a peer not yet heard from since startup — and reaches
-// the sessions API (404, or a create) only when no node knows the
-// session.
+// to: a non-dead peer claiming it live, else the first node of its ring
+// preference that is not draining (nil: this node). A forwarded request
+// was placed by the peer that sent it, and one hop is all the protocol
+// allows, so it stays here. A request that stays answers 503 while some
+// copy of the session may still come live — a standby here (or one
+// being promoted), a copy a non-dead peer reports, or a peer not yet
+// heard from since startup — and reaches the sessions API (404, or a
+// create) only when no node knows the session.
 func (n *Node) target(id string, forwarded bool) (*peer, error) {
 	now := time.Now()
 	unavailable := reply(http.StatusServiceUnavailable, "unavailable",
@@ -155,9 +147,11 @@ func (n *Node) target(id string, forwarded bool) (*peer, error) {
 		return nil, unavailable
 	}
 	if !forwarded {
-		// A suspect holder's claim stands until the dead timer clears
-		// it: the holder is most likely slow, and a hop to one that is
-		// gone answers 502, which the client retries.
+		// A suspect peer keeps its claims and its place in the ring
+		// until its dead timer, and reconcile places by that ring:
+		// placing by it here too leaves a new session where reconcile
+		// wants it and sends a request where its session is. A proxy
+		// hop to a peer that is gone answers 502, which is retryable.
 		if holder, _ := n.liveClaim(id, now); holder != "" {
 			return n.mem.peers[holder], nil
 		}
@@ -165,12 +159,15 @@ func (n *Node) target(id string, forwarded bool) (*peer, error) {
 			if nodeID == n.cfg.Self {
 				break
 			}
-			if p := n.alivePeer(nodeID, now); p != nil {
-				return p, nil
+			// A draining peer takes no new session: reconcile never
+			// hands it one, and its drain moves only the sessions it
+			// held when the drain began.
+			if !n.mem.peerDraining(nodeID) {
+				return n.mem.peers[nodeID], nil
 			}
 		}
 	}
-	known := n.standby(id) != nil
+	known := n.holdsCopy(id)
 	n.mem.reports(id, now, func(*peer, sessionReport) { known = true })
 	if known {
 		return nil, unavailable
@@ -178,18 +175,17 @@ func (n *Node) target(id string, forwarded bool) (*peer, error) {
 	return nil, nil
 }
 
-// proxy forwards the request to a peer and relays the response,
-// returning the peer's status.
-func (n *Node) proxy(w http.ResponseWriter, r *http.Request, target *peer) (int, error) {
+// proxy forwards the request to a peer and relays the response.
+func (n *Node) proxy(w http.ResponseWriter, r *http.Request, target *peer) error {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, target.url+r.URL.RequestURI(), r.Body)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	req.Header = r.Header.Clone()
 	req.Header.Set(forwardedHeader, n.cfg.Self)
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return 0, reply(http.StatusBadGateway, "bad_gateway", fmt.Sprintf("forward to %s: %v", target.id, err))
+		return reply(http.StatusBadGateway, "bad_gateway", fmt.Sprintf("forward to %s: %v", target.id, err))
 	}
 	defer resp.Body.Close()
 	for k, vs := range resp.Header {
@@ -198,7 +194,7 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, target *peer) (int,
 	w.Header().Set("X-Psmd-Served-By", target.id)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-	return resp.StatusCode, nil
+	return nil
 }
 
 // ServePing implements server.Replicator.

@@ -57,6 +57,11 @@ type Node struct {
 	mu       sync.Mutex
 	shippers map[string]*shipper
 	standbys map[string]*durable.Standby
+	// promoting holds each session whose standby promoteStandby has
+	// taken but not yet adopted, at the standby's sequence. It is
+	// reported and placed as a standby: in between the session is
+	// neither, and a peer that heard of no copy would answer 404.
+	promoting map[string]int64
 
 	stop     chan struct{}
 	loopDone chan struct{}
@@ -102,13 +107,14 @@ func New(cfg Config) (*Node, error) {
 		cfg.Client = &http.Client{Timeout: 5 * time.Second}
 	}
 	return &Node{
-		cfg:      cfg,
-		mem:      newMembership(cfg.Self, cfg.Peers, 4*cfg.Heartbeat, 10*cfg.Heartbeat, time.Now()),
-		client:   cfg.Client,
-		shippers: make(map[string]*shipper),
-		standbys: make(map[string]*durable.Standby),
-		stop:     make(chan struct{}),
-		loopDone: make(chan struct{}),
+		cfg:       cfg,
+		mem:       newMembership(cfg.Self, cfg.Peers, 4*cfg.Heartbeat, 10*cfg.Heartbeat, time.Now()),
+		client:    cfg.Client,
+		shippers:  make(map[string]*shipper),
+		standbys:  make(map[string]*durable.Standby),
+		promoting: make(map[string]int64),
+		stop:      make(chan struct{}),
+		loopDone:  make(chan struct{}),
 	}, nil
 }
 
@@ -268,6 +274,15 @@ func (n *Node) standby(id string) *durable.Standby {
 	return n.standbys[id]
 }
 
+// holdsCopy reports whether this node holds a session's standby or is
+// promoting it.
+func (n *Node) holdsCopy(id string) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	_, promoting := n.promoting[id]
+	return n.standbys[id] != nil || promoting
+}
+
 // SessionUp implements server.Replicator: a durable session became
 // live here, so it needs a shipper. Runs under the session's shard turn
 // and never blocks; once Stop has begun it starts nothing.
@@ -419,6 +434,9 @@ func (n *Node) sessionsReport() map[string]sessionReport {
 	for id, st := range n.standbys {
 		out[id] = sessionReport{Seq: st.Seq()}
 	}
+	for id, seq := range n.promoting {
+		out[id] = sessionReport{Seq: seq}
+	}
 	n.mu.Unlock()
 	for id, seq := range n.srv.DurableSeqs() {
 		out[id] = sessionReport{Seq: seq, Live: true}
@@ -525,22 +543,12 @@ func (n *Node) liveClaim(id string, now time.Time) (holder string, seq int64) {
 	return holder, seq
 }
 
-// alivePeer returns the peer if it is currently alive. Draining peers
-// count: they keep serving until they exit.
-func (n *Node) alivePeer(id string, now time.Time) *peer {
-	p := n.mem.peers[id]
-	if p == nil || n.mem.state(p, now) != StateAlive {
-		return nil
-	}
-	return p
-}
-
 // handoffTarget returns the peer only if it can durably accept a
 // session: alive and not draining. Handing a session to a draining
 // peer would orphan it when that peer exits moments later.
 func (n *Node) handoffTarget(id string, now time.Time) *peer {
-	p := n.alivePeer(id, now)
-	if p == nil || n.mem.peerDraining(id) {
+	p := n.mem.peers[id]
+	if p == nil || n.mem.state(p, now) != StateAlive || n.mem.peerDraining(id) {
 		return nil
 	}
 	return p
@@ -606,10 +614,22 @@ func (n *Node) transfer(id string, st *durable.Standby, target *peer) error {
 // ordinary crash recovery. On failure the directory moves back and the
 // standby reopens.
 func (n *Node) promoteStandby(id string) error {
-	st := n.takeStandby(id)
+	n.mu.Lock()
+	st := n.standbys[id]
 	if st == nil {
+		n.mu.Unlock()
 		return fmt.Errorf("cluster: no standby for session %q", id)
 	}
+	delete(n.standbys, id)
+	n.standbyG.Set(int64(len(n.standbys)))
+	n.promoting[id] = st.Seq()
+	n.mu.Unlock()
+	defer func() {
+		// Adopted or a standby again by now, so always reported.
+		n.mu.Lock()
+		delete(n.promoting, id)
+		n.mu.Unlock()
+	}()
 	if err := st.Close(); err != nil {
 		return err
 	}
@@ -635,10 +655,10 @@ func (n *Node) promoteStandby(id string) error {
 // then move every live session to a successor (final snapshot push +
 // promote). Call after the HTTP server stopped accepting requests and
 // before Stop. A session with no successor yet, or whose handoff fails,
-// is tried again every heartbeat until it moves or ctx ends; a session
-// a failed handoff already demoted is pushed again from its standby.
-// Sessions still here when ctx ends stay on disk and fail over through
-// their shipped replicas instead.
+// is tried again every heartbeat until it moves, ctx ends or every peer
+// is dead; a session a failed handoff already demoted is pushed again
+// from its standby. Sessions still here when Drain returns stay on disk
+// and fail over through their shipped replicas instead.
 func (n *Node) Drain(ctx context.Context) {
 	// Set under passMu, so a reconcile pass still running has ended and
 	// none starts: it could promote a standby that a handoff below has
@@ -651,6 +671,14 @@ func (n *Node) Drain(ctx context.Context) {
 	for {
 		now := time.Now()
 		ring := n.ring(now)
+		if len(ring.Nodes()) == 1 {
+			// No peer could take a session before its dead timer
+			// clears, and the drain's budget is the server shutdown's
+			// too: a one-node cluster, or the last node of a rolling
+			// restart, closes at once.
+			n.logger.Warn("drain: every peer is dead", "sessions_left", len(pending))
+			return
+		}
 		for id := range pending {
 			if err := n.drainOne(id, ring, now); err != nil {
 				n.logger.Warn("drain handoff failed", "session", id, "err", err)

@@ -387,10 +387,6 @@ func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
 	m.Sink = &m.Hooks
 	m.sched = newScheduler(workers, len(m.nodes), &m.pool)
 
-	// The nodes and groups are built in two slabs: a matcher holds them
-	// all for its whole life, so one allocation each serves.
-	pnodes := make([]pnode, len(plan.Joins))
-	grps := make([]group, 0, len(plan.Joins)) // at most one per join; never regrown
 	// One left memory per key of each beta memory (and one for its
 	// unkeyed readers) for the positive joins; a private one for each
 	// not-node and each join below the dummy top.
@@ -401,20 +397,17 @@ func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
 			shareable := j.Kind == rete.JoinPositive && b.Index != 0
 			g := shared[j.LeftKey+1]
 			if !shareable || g == nil {
-				n := 1
+				g = &group{leftHash: j.LeftHash, stripes: make([]stripe, 1)}
 				if j.LeftHash != nil {
-					n = stripes
+					g.stripes = make([]stripe, stripes)
 				}
-				grps = append(grps, group{leftHash: j.LeftHash, stripes: make([]stripe, n)})
-				g = &grps[len(grps)-1]
 				if shareable {
 					shared[j.LeftKey+1] = g
 				}
 				m.groups = append(m.groups, g)
 				groupsOf[b.Index] = append(groupsOf[b.Index], g)
 			}
-			pn := &pnodes[j.Index]
-			*pn = pnode{
+			pn := &pnode{
 				idx: j.Index, join: j, grp: g,
 				rightHash: j.RightHash, terminals: j.Out.Terminals,
 				right: make([]bucket.Buckets[rightEntry], len(g.stripes)),

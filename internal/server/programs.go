@@ -9,13 +9,17 @@ import (
 	"repro/internal/server/stats"
 )
 
-// The bounds of a server's compiled-program table: at most
-// maxCachedPrograms sources, together at most maxCachedProgramBytes
-// long. A source longer than the byte bound alone is compiled for its
-// session and not kept.
+// The bounds of a server's compiled-program table. An entry keeps its
+// source, parsed program and Rete plan alive: for the packs under
+// benchmark/rules that is 11 to 17.5 bytes per source byte (16 KiB for
+// chatter, 9 KiB for fraud, 31 KiB for manners, 1.11 MiB for the
+// 300-rule dispatch; TestProgramTableRetainedBytes), so the byte bound
+// holds the table to about 18 MiB. The count bound caps the entries an
+// eviction scans; 64 Manners-sized entries keep 2 MiB. A source longer
+// than the byte bound alone is compiled for its session and not kept.
 const (
 	maxCachedPrograms     = 64
-	maxCachedProgramBytes = 4 << 20
+	maxCachedProgramBytes = 1 << 20
 )
 
 // programTable maps a rule source to its parsed program and compiled
@@ -29,8 +33,10 @@ const (
 // Entries are keyed by the full source text. A source is compiled once
 // however many creates ask for it at the same time: the first inserts a
 // pending entry and the others wait for it to finish. A source that
-// fails to parse or compile leaves the table. Past either bound, the
-// least recently used entry goes.
+// fails to parse leaves the table; one that parses but fails Rete
+// compilation stays, with its program for naive sessions and its
+// compile error for Rete ones. Past either bound, the least recently
+// used entry goes.
 type programTable struct {
 	mu      sync.Mutex
 	entries map[string]*compiledProgram
@@ -42,7 +48,8 @@ type programTable struct {
 }
 
 // compiledProgram is one table entry. prog, plan and err are written
-// before done closes and only read after.
+// before done closes and only read after; err with a non-nil prog is
+// the Rete compile's.
 type compiledProgram struct {
 	prog    *ops5.Program
 	plan    *rete.Plan
@@ -62,7 +69,8 @@ func newProgramTable(r *stats.Registry) *programTable {
 }
 
 // get returns src's parsed program and plan, compiling src unless the
-// table holds it.
+// table holds it. A source that parses but fails Rete compilation
+// returns its program, a nil plan and the compile error.
 func (t *programTable) get(src string) (*ops5.Program, *rete.Plan, error) {
 	t.mu.Lock()
 	t.clock++
@@ -86,7 +94,7 @@ func (t *programTable) get(src string) (*ops5.Program, *rete.Plan, error) {
 		if r := recover(); r != nil {
 			// The creates waiting for this entry must neither block on
 			// it nor build over it.
-			e.err = fmt.Errorf("server: compiling the program panicked: %v", r)
+			e.prog, e.err = nil, fmt.Errorf("server: compiling the program panicked: %v", r)
 			t.settle(src, e, keep)
 			panic(r)
 		}
@@ -100,10 +108,10 @@ func (t *programTable) get(src string) (*ops5.Program, *rete.Plan, error) {
 }
 
 // settle publishes a finished compile to the creates waiting for it,
-// and drops the entry of a source that failed.
+// and drops the entry of a source that failed to parse.
 func (t *programTable) settle(src string, e *compiledProgram, kept bool) {
 	close(e.done)
-	if e.err != nil && kept {
+	if e.prog == nil && kept {
 		t.mu.Lock()
 		if t.entries[src] == e {
 			t.remove(src)

@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ops5"
+	"repro/internal/rete"
 	"repro/internal/server/stats"
 )
 
@@ -82,10 +86,12 @@ func TestProgramTableByteBound(t *testing.T) {
 	}
 }
 
-// TestBadProgramNotCached checks that a source that fails to parse or
-// compile answers with the same 400 envelope as before the table, and
-// that the table keeps nothing of it.
-func TestBadProgramNotCached(t *testing.T) {
+// TestBadProgramSources checks that a source that fails to parse or
+// compile answers with the same 400 envelope as before the table. The
+// table keeps nothing of a source that fails to parse; one that parses
+// but fails Rete compilation is kept, so a naive session of it and
+// every later create skip the parse.
+func TestBadProgramSources(t *testing.T) {
 	srv := New(Config{Shards: 1})
 	defer srv.Close()
 	h := srv.Handler()
@@ -104,21 +110,76 @@ func TestBadProgramNotCached(t *testing.T) {
 	}
 	// predicateFirst uses <y> under > before any equality binds it: Rete
 	// cannot compile it, and the naive matcher runs it.
-	const predicateFirst = `(p x (a ^v > <y>) --> (halt))`
-	for i, src := range []string{`(p broken (a ^x 1) -->`, predicateFirst, predicateFirst} {
+	const broken, predicateFirst = `(p broken (a ^x 1) -->`, `(p x (a ^v > <y>) --> (halt))`
+	for i, src := range []string{broken, broken, predicateFirst, predicateFirst} {
 		_, want := core.NewSystem(src, core.Options{})
 		code, env := create(src, "")
 		if code != http.StatusBadRequest || env != (ErrorResponse{Code: "bad_request", Message: want.Error()}) {
 			t.Errorf("create %d: %d %+v, want 400 with %q", i, code, env, want)
 		}
 	}
-	if n := srv.programs.compiles.Value(); n != 3 {
-		t.Errorf("%d compiles of three failing creates, want 3", n)
-	}
 	if code, _ := create(predicateFirst, "naive"); code != http.StatusCreated {
 		t.Errorf("naive session of a program Rete cannot compile: %d, want 201", code)
 	}
-	if n, cached := len(srv.programs.entries), srv.programs.cached.Value(); n != 0 || cached != 0 {
-		t.Errorf("table holds %d entries (gauge %d) after failing sources", n, cached)
+	if n := srv.programs.compiles.Value(); n != 3 {
+		t.Errorf("%d compiles, want 3: two of the unparsable source, one of the other", n)
+	}
+	_, kept := srv.programs.entries[predicateFirst]
+	if n, cached := len(srv.programs.entries), srv.programs.cached.Value(); n != 1 || cached != 1 || !kept {
+		t.Errorf("table holds %d entries (gauge %d, Rete-failing source kept: %v), want only the Rete-failing source",
+			n, cached, kept)
+	}
+}
+
+// TestProgramTableRetainedBytes measures what one entry keeps alive for
+// each pack under benchmark/rules, per byte of its source: the ratio
+// the table's byte bound is chosen by. It fails when plans grow past
+// that ratio, which would leave the bound's comment wrong.
+func TestProgramTableRetainedBytes(t *testing.T) {
+	const maxPerSourceByte = 20 // the worst pack reads 17.5
+	for _, pack := range []string{"chatter", "fraud", "manners", "dispatch"} {
+		b, err := os.ReadFile("../../benchmark/rules/" + pack + ".ops")
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(b)
+		const copies = 16
+		type entry struct {
+			src  string
+			prog *ops5.Program
+			plan *rete.Plan
+		}
+		keep := make([]entry, copies)
+		// A first compile interns the pack's symbols, which every later
+		// one shares.
+		if _, err := ops5.Parse(src); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			// The key is a copy of the source, as each request body is.
+			src := strings.Clone(src)
+			prog, err := ops5.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := rete.CompilePlan(prog.Productions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep[i] = entry{src, prog, plan}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		per := float64(after.HeapAlloc-before.HeapAlloc) / copies
+		ratio := per / float64(len(src))
+		t.Logf("%-8s %6d source bytes, %8.0f retained, %.1f per source byte", pack, len(src), per, ratio)
+		if ratio > maxPerSourceByte {
+			t.Errorf("%s: an entry retains %.1f bytes per source byte, over the %d the table's bounds assume",
+				pack, ratio, maxPerSourceByte)
+		}
+		runtime.KeepAlive(keep)
 	}
 }

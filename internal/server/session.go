@@ -407,13 +407,10 @@ func (s *Server) newSession(spec CreateSpec, noInitialWM bool) (*session, error)
 	}
 	var sys *core.System
 	prog, plan, err := s.programs.get(spec.Program)
-	switch {
-	case err == nil:
-		sys, err = core.NewSystemOnPlan(prog, plan, opts)
-	case kind == core.Naive:
+	if err == nil || (prog != nil && kind == core.Naive) {
 		// The naive matcher runs some programs Rete cannot compile (a
 		// variable a predicate tests before any equality binds it).
-		sys, err = core.NewSystem(spec.Program, opts)
+		sys, err = core.NewSystemOnPlan(prog, plan, opts)
 	}
 	if err != nil {
 		return nil, &BadRequestError{Err: err}
