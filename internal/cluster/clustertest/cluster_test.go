@@ -173,7 +173,8 @@ func TestClusterFailover(t *testing.T) {
 	cl := c.Client()
 	survivor := (owner + 1) % 3
 	var wm []byte
-	c.WaitFor(10*time.Second, "failover of "+ops.id, func() bool {
+	budget := time.Now().Add(10 * time.Second)
+	c.WaitFor(time.Until(budget), "failover of "+ops.id, func() bool {
 		code, body := rawGet(t, cl, c.Nodes[survivor].URL()+"/v1/sessions/"+ops.id+"/wm")
 		if code != http.StatusOK {
 			var e server.ErrorResponse
@@ -195,20 +196,22 @@ func TestClusterFailover(t *testing.T) {
 
 	// The dead peer and the failover must be visible on status and
 	// /metrics of whichever node promoted (which may since have handed
-	// the session to the ring's new first choice).
+	// the session to the ring's new first choice). The promoting node
+	// counts the failover only after the promoted session serves, so
+	// the count may trail the reads above.
 	promoted := -1
 	var st cluster.StatusResponse
-	for i := range c.Nodes {
-		if i != owner {
-			if st = c.Status(i); st.Failovers >= 1 {
-				promoted = i
-				break
+	c.WaitFor(time.Until(budget), "a survivor to report a failover", func() bool {
+		for i := range c.Nodes {
+			if i != owner {
+				if st = c.Status(i); st.Failovers >= 1 {
+					promoted = i
+					return true
+				}
 			}
 		}
-	}
-	if promoted < 0 {
-		t.Fatal("no survivor reports a failover")
-	}
+		return false
+	})
 	deadSeen := false
 	for _, m := range st.Members {
 		if m.ID == c.Nodes[owner].ID && m.State == "dead" {

@@ -1,12 +1,12 @@
 // Package cost defines the machine-instruction cost model used to turn
 // Rete node activations into simulated execution time on the PSM.
 //
-// The constants come from the paper and from Gupta's measurements cited
-// in §3.1: a working-memory change costs on the order of c1 ≈ 1800
-// machine instructions through a serial Rete matcher, the temporary
-// state of a non-state-saving matcher costs c3 ≈ 1100 instructions per
-// working-memory element, and individual node activations — the unit of
-// parallel work — run 50-100 instructions each (§4).
+// The constants are calibrated on the paper and on Gupta's measurements
+// cited in §3.1: a working-memory change costs on the order of c1 ≈ 1800
+// machine instructions through a serial Rete matcher, and individual
+// node activations — the unit of parallel work — run 50-100
+// instructions each (§4). The §3.1 constants themselves are
+// model.PaperCosts.
 package cost
 
 import (
@@ -35,12 +35,6 @@ type Model struct {
 	HashProbe float64
 	// TermOp is the cost of a conflict-set insertion or removal.
 	TermOp float64
-
-	// C1 is the paper's measured serial-Rete cost per WM change,
-	// used by the §3.1 analytic model.
-	C1 float64
-	// C3 is the paper's measured non-state-saving cost per WM element.
-	C3 float64
 }
 
 // Default returns the paper-calibrated model.
@@ -53,8 +47,6 @@ func Default() Model {
 		PerPairEmit:  35,
 		HashProbe:    20,
 		TermOp:       60,
-		C1:           1800,
-		C3:           1100,
 	}
 }
 

@@ -95,44 +95,16 @@ type Engine struct {
 	// is installed, so the unlogged hot path pays nothing.
 	Sink ChangeLogSink
 
-	// funcs holds host functions invokable with (call name args...).
-	funcs map[string]CallFunc
-
 	// ttl schedules expiry of event facts inserted with ^__ttl.
 	ttl ttlIndex
 
 	// The act phase's buffers, reused from cycle to cycle: batch is
 	// Step's cycle batch; fields holds the fields of the elements a
-	// firing makes until working memory interns them (so it is reset
-	// only by a commit outside any act phase, see acting); binds holds
-	// one firing's bind-action values.
+	// firing makes until working memory interns them (so every commit
+	// resets it); binds holds one firing's bind-action values.
 	batch  []ops5.Change
 	fields []ops5.Field
 	binds  []ops5.Value
-	// acting is set while firings are evaluated: a host function that
-	// commits changes mid-firing must not reset fields under elements
-	// not yet committed.
-	acting bool
-}
-
-// CallFunc is a host function invokable from a production's right-hand
-// side with (call name args...). It receives the resolved argument
-// values and returns WM changes to append to the firing's batch; the
-// engine copies them, so the slice may be reused. It may read the
-// engine and commit changes of its own with ApplyChanges: they take
-// effect before the firing's batch, so they must not retract an element
-// the firing removes or modifies. It must not run cycles (Step, Run,
-// RunContext) or call EvalRHS, which reuse the act buffers the firing
-// in progress holds, nor advance the clock (AdvanceClock, ExpireDue),
-// which may retract such an element.
-type CallFunc func(e *Engine, args []ops5.Value) ([]ops5.Change, error)
-
-// RegisterFunc makes fn available to (call name ...) actions.
-func (e *Engine) RegisterFunc(name string, fn CallFunc) {
-	if e.funcs == nil {
-		e.funcs = make(map[string]CallFunc)
-	}
-	e.funcs[name] = fn
 }
 
 // New assembles an engine. The matcher must already send its
@@ -183,10 +155,8 @@ func (e *Engine) applyBatch(changes []ops5.Change, firedKeys []string) {
 			// twice); they are surfaced loudly rather than silently skipped.
 			panic(fmt.Sprintf("engine: %v", err))
 		}
-		if !e.acting {
-			// Every element built in fields has now been interned.
-			e.fields = e.fields[:0]
-		}
+		// Every element built in fields has now been interned.
+		e.fields = e.fields[:0]
 		e.trackTTL(changes)
 		e.Matcher.Apply(changes)
 		e.TotalChanges += len(changes)
@@ -217,7 +187,6 @@ func (e *Engine) Step() (bool, error) {
 	var firedKeys []string         // refraction marks for the change-log sink
 	consumed := make(map[int]bool) // time tags removed this cycle
 	fired := 0
-	e.acting = true
 	for fired < limit {
 		if observe {
 			phase = time.Now()
@@ -254,7 +223,6 @@ func (e *Engine) Step() (bool, error) {
 		if err != nil {
 			// The cycle commits none of its changes, but its selections
 			// stay marked fired, so the log records the marks.
-			e.acting = false
 			e.fields = e.fields[:0]
 			e.releaseBatch(batch)
 			e.applyBatch(nil, firedKeys)
@@ -266,7 +234,6 @@ func (e *Engine) Step() (bool, error) {
 			break
 		}
 	}
-	e.acting = false
 	if fired == 0 {
 		return false, nil // nothing was selected, so batch is empty
 	}
@@ -442,10 +409,7 @@ func (e *Engine) EvalRHS(inst *ops5.Instantiation, consumed map[int]bool, change
 		e.OnFire(inst)
 	}
 	e.Fired++
-	e.acting = true
-	changes, err := e.evalRHS(inst, consumed, changes)
-	e.acting = false
-	return changes, err
+	return e.evalRHS(inst, consumed, changes)
 }
 
 // resolve returns an RHS term's value in a firing of inst: a variable
@@ -563,26 +527,6 @@ func (e *Engine) evalRHS(inst *ops5.Instantiation, consumed map[int]bool, change
 				return changes, err
 			}
 			e.binds[a.Slot] = v
-		case ops5.ActCall:
-			fn, ok := e.funcs[a.Fn]
-			if !ok {
-				return changes, fmt.Errorf("engine: production %s calls unregistered function %q",
-					p.Name, a.Fn)
-			}
-			args := make([]ops5.Value, len(a.Args))
-			for i := range a.Args {
-				v, err := e.resolve(inst, &a.Args[i])
-				if err != nil {
-					return changes, err
-				}
-				args[i] = v
-			}
-			extra, err := fn(e, args)
-			if err != nil {
-				return changes, fmt.Errorf("engine: production %s: call %s: %w",
-					p.Name, a.Fn, err)
-			}
-			changes = append(changes, extra...)
 		}
 	}
 	return changes, nil

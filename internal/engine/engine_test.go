@@ -286,75 +286,6 @@ func TestRemoveTwiceErrors(t *testing.T) {
 	}
 }
 
-func TestCallAction(t *testing.T) {
-	src := `
-(p c (a ^v <x>) --> (call record <x> 7) (remove 1))
-`
-	sys := newSys(t, src, core.Options{MaxCycles: 5})
-	var got []float64
-	sys.RegisterFunc("record", func(e *engine.Engine, args []ops5.Value) ([]ops5.Change, error) {
-		for _, a := range args {
-			got = append(got, a.Num)
-		}
-		return []ops5.Change{{Kind: ops5.Insert, WME: ops5.NewWME("result", "sum", args[0].Num+args[1].Num)}}, nil
-	})
-	sys.Assert(ops5.NewWME("a", "v", 35))
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 35 || got[1] != 7 {
-		t.Errorf("call args = %v", got)
-	}
-	res := sys.WM.OfClass("result")
-	if len(res) != 1 || res[0].Get("sum").Num != 42 {
-		t.Errorf("call result = %v", res)
-	}
-}
-
-// TestCallCommitMidFiring: a host function that commits changes of its
-// own in the middle of a firing must not disturb the elements the
-// firing made before the call, whose fields are still in the engine's
-// buffer, nor those it makes after.
-func TestCallCommitMidFiring(t *testing.T) {
-	src := `
-(p c
-    (a ^v <x>)
-  -->
-    (make before ^v <x> ^w 1)
-    (call commit <x>)
-    (make after ^v <x> ^w 2 ^u 3)
-    (remove 1))
-`
-	sys := newSys(t, src, core.Options{MaxCycles: 5})
-	sys.RegisterFunc("commit", func(e *engine.Engine, args []ops5.Value) ([]ops5.Change, error) {
-		e.ApplyChanges([]ops5.Change{{Kind: ops5.Insert, WME: ops5.NewWME("side", "v", args[0].Num*10, "w", 9, "u", 9)}})
-		return nil, nil
-	})
-	sys.Assert(ops5.NewWME("a", "v", 4))
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []*ops5.WME{
-		ops5.NewWME("before", "v", 4, "w", 1),
-		ops5.NewWME("side", "v", 40, "w", 9, "u", 9),
-		ops5.NewWME("after", "v", 4, "w", 2, "u", 3),
-	} {
-		got := sys.WM.OfClass(want.Class())
-		if len(got) != 1 || !got[0].Equal(want) {
-			t.Errorf("%s elements: %v, want %s", want.Class(), got, want)
-		}
-	}
-}
-
-func TestCallUnregisteredErrors(t *testing.T) {
-	src := `(p c (a ^v 1) --> (call nosuch))`
-	sys := newSys(t, src, core.Options{MaxCycles: 5})
-	sys.Assert(ops5.NewWME("a", "v", 1))
-	if _, err := sys.Run(); err == nil {
-		t.Fatal("expected error for unregistered call")
-	}
-}
-
 // loopSrc is a program that never quiesces: every firing makes a fresh
 // WME that re-satisfies the production.
 const loopSrc = `

@@ -1,6 +1,5 @@
-// Package model implements the paper's analytic models: the §3.1
-// state-saving vs non-state-saving cost comparison and the §4
-// production-level parallelism bound.
+// Package model implements the paper's §3.1 analytic model: the
+// state-saving vs non-state-saving cost comparison.
 package model
 
 // CostModel holds the per-operation instruction costs of §3.1.
@@ -48,34 +47,4 @@ func (m CostModel) Advantage(r float64) float64 {
 		return 0
 	}
 	return m.C3 / (r * m.C1)
-}
-
-// ProductionParallelismSpeedup is the ideal speed-up achievable with
-// production-level parallelism and unbounded processors: the total
-// processing divided by the largest single production's processing
-// (all work for one production is serial, §4). The paper measures
-// ≈ 5-fold despite ~30 affected productions, because of the large
-// variation in per-production cost.
-func ProductionParallelismSpeedup(perProduction []float64) float64 {
-	var sum, max float64
-	for _, c := range perProduction {
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	if max == 0 {
-		return 0
-	}
-	return sum / max
-}
-
-// NodeParallelismSpeedup is the ideal speed-up when work can be split
-// at node-activation granularity: total processing divided by the
-// longest dependency chain (critical path).
-func NodeParallelismSpeedup(total, criticalPath float64) float64 {
-	if criticalPath == 0 {
-		return 0
-	}
-	return total / criticalPath
 }

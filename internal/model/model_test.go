@@ -60,63 +60,3 @@ func abs(x float64) float64 {
 	}
 	return x
 }
-
-func mod1000(x float64) float64 {
-	v := abs(x)
-	for v > 1000 {
-		v /= 1000
-	}
-	return v
-}
-
-func TestProductionParallelismSpeedup(t *testing.T) {
-	// Uniform costs: speedup equals the production count.
-	uniform := []float64{10, 10, 10, 10}
-	if got := model.ProductionParallelismSpeedup(uniform); got != 4 {
-		t.Errorf("uniform speedup = %f, want 4", got)
-	}
-	// One dominant production caps the speedup (the paper's point):
-	// 30 productions, one takes 20% of total work -> speedup ~5.
-	costs := make([]float64, 30)
-	var total float64
-	for i := range costs {
-		costs[i] = 10
-		total += 10
-	}
-	costs[0] = total / 4 // heaviest = 25% of the rest
-	got := model.ProductionParallelismSpeedup(costs)
-	if got < 4 || got > 6 {
-		t.Errorf("skewed speedup = %.2f, want ~5 despite 30 productions", got)
-	}
-	if model.ProductionParallelismSpeedup(nil) != 0 {
-		t.Error("empty input should give 0")
-	}
-}
-
-func TestNodeParallelismSpeedup(t *testing.T) {
-	if got := model.NodeParallelismSpeedup(1000, 100); got != 10 {
-		t.Errorf("speedup = %f, want 10", got)
-	}
-	if model.NodeParallelismSpeedup(1000, 0) != 0 {
-		t.Error("zero critical path should give 0 (guard)")
-	}
-}
-
-func TestQuickProductionBoundedByCount(t *testing.T) {
-	f := func(raw []float64) bool {
-		costs := make([]float64, 0, len(raw))
-		for _, c := range raw {
-			// Clamp into a sane cost range; enormous magnitudes are not
-			// meaningful instruction counts and overflow the sum.
-			costs = append(costs, mod1000(c)+1)
-		}
-		if len(costs) == 0 {
-			return true
-		}
-		s := model.ProductionParallelismSpeedup(costs)
-		return s >= 1 && s <= float64(len(costs))+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}

@@ -205,9 +205,6 @@ const (
 	ActHalt
 	// ActBind binds a variable to a computed value for later actions.
 	ActBind
-	// ActCall invokes a host function registered with the engine
-	// (OPS5's external-routine escape).
-	ActCall
 )
 
 // RHSTerm is an argument position in an RHS action: a constant, a
@@ -266,8 +263,6 @@ type Action struct {
 	Class string // for make
 	// ClassID is the interned ID of Class (set by Validate).
 	ClassID sym.ID
-	// Fn is the registered host-function name for call actions.
-	Fn string
 	// CE is the 1-based condition-element index for modify/remove.
 	// When the source used an element variable, CEVar holds its name
 	// and Validate resolves CE from it.
@@ -308,11 +303,6 @@ func (a *Action) String() string {
 		b.WriteString("halt")
 	case ActBind:
 		fmt.Fprintf(&b, "bind <%s> %s", a.Var, a.Term)
-	case ActCall:
-		b.WriteString("call " + atomString(a.Fn))
-		for _, t := range a.Args {
-			b.WriteString(" " + t.String())
-		}
 	}
 	b.WriteString(")")
 	return b.String()

@@ -374,25 +374,6 @@ func (p *parser) parseAction() (*Action, error) {
 		if _, err := p.expect(tokRParen, "')'"); err != nil {
 			return nil, err
 		}
-	case "call":
-		a.Kind = ActCall
-		fnTok, err := p.expect(tokAtom, "function name")
-		if err != nil {
-			return nil, err
-		}
-		a.Fn = fnTok.text
-		for {
-			t := p.peek()
-			if t.kind == tokRParen {
-				p.next()
-				break
-			}
-			term, err := p.parseRHSTerm()
-			if err != nil {
-				return nil, err
-			}
-			a.Args = append(a.Args, term)
-		}
 	case "bind":
 		a.Kind = ActBind
 		varTok, err := p.expect(tokAtom, "variable")

@@ -1,29 +1,27 @@
 package psm
 
-import (
-	"container/heap"
-	"math"
-
-	"repro/internal/rete"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // HierConfig specifies the hierarchical multiprocessor of §5: when more
 // than 32-64 processors are needed (100-1000), the paper proposes
 // clusters of processors, each with its own bus and task scheduler,
-// joined by a global bus.
+// joined by a global bus. The flat machine is the one-cluster case
+// whose global bus carries no transfers (Simulate).
 //
-// The model here assigns each working-memory change's activation tree
-// to one cluster (round-robin), so intra-change dependencies stay on
-// the cluster's local bus; conflict-set updates (terminal activations)
-// and the initial change broadcast cross the global bus.
+// Each working-memory change's activation tree runs on one cluster
+// (round-robin by change index), so intra-change dependencies stay on
+// the cluster's local bus; the initial change distribution and the
+// conflict-set updates (terminal activations) cross the global bus.
+//
+// Every cluster is a copy of Cluster with its own processors, local
+// bus and software task queues. Node and production exclusivity and the
+// memory modules are machine-wide: a node's state lives in one place
+// whichever cluster activates it.
 type HierConfig struct {
 	// Clusters is the number of processor clusters.
 	Clusters int
-	// PerCluster is the number of processors in each cluster.
-	PerCluster int
-	// Cluster configures each cluster's processors, local bus and
-	// scheduler (the Processors field is ignored; PerCluster is used).
+	// Cluster configures each cluster: its Processors, local bus and
+	// scheduler, and the machine-wide settings above.
 	Cluster Config
 	// GlobalBusCycle is the inter-cluster bus transaction time.
 	GlobalBusCycle float64
@@ -42,7 +40,6 @@ type HierConfig struct {
 func DefaultHierConfig(clusters, perCluster int) HierConfig {
 	return HierConfig{
 		Clusters:                  clusters,
-		PerCluster:                perCluster,
 		Cluster:                   DefaultConfig(perCluster),
 		GlobalBusCycle:            200e-9,
 		GlobalTransferPerChange:   4,
@@ -52,162 +49,5 @@ func DefaultHierConfig(clusters, perCluster int) HierConfig {
 
 // SimulateHierarchical runs the trace on the hierarchical machine.
 func SimulateHierarchical(tr *trace.Trace, cfg HierConfig) Result {
-	if cfg.Clusters < 1 {
-		cfg.Clusters = 1
-	}
-	if cfg.PerCluster < 1 {
-		cfg.PerCluster = 1
-	}
-	var res Result
-	res.Tasks = len(tr.Tasks)
-	mips := cfg.Cluster.MIPS
-	res.SerialSec = tr.TotalCost() / mips
-
-	// Per-cluster machine state persists across batches.
-	procFree := make([][]float64, cfg.Clusters)
-	for c := range procFree {
-		procFree[c] = make([]float64, cfg.PerCluster)
-	}
-	busFree := make([]float64, cfg.Clusters)
-	schedFree := make([]float64, cfg.Clusters)
-	var globalBusFree float64
-
-	now := 0.0
-	start := 0
-	for start < len(tr.Tasks) {
-		end := start
-		batch := tr.Tasks[start].Batch
-		for end < len(tr.Tasks) && tr.Tasks[end].Batch == batch {
-			end++
-		}
-		now = simulateHierBatch(tr.Tasks[start:end], cfg, now,
-			procFree, busFree, schedFree, &globalBusFree, &res)
-		for c := range procFree {
-			for i := range procFree[c] {
-				if procFree[c][i] < now {
-					procFree[c][i] = now
-				}
-			}
-		}
-		start = end
-	}
-	res.Makespan = now
-	if res.Makespan > 0 {
-		res.Concurrency = res.BusyTime / res.Makespan
-		res.TrueSpeedup = res.SerialSec / res.Makespan
-		res.WMChangesPerSec = float64(tr.Changes) / res.Makespan
-		if tr.Firings > 0 {
-			res.FiringsPerSec = float64(tr.Firings) / res.Makespan
-		}
-	}
-	if res.TrueSpeedup > 0 {
-		res.LostFactor = res.Concurrency / res.TrueSpeedup
-	}
-	res.Concurrency = math.Min(res.Concurrency, float64(cfg.Clusters*cfg.PerCluster))
-	return res
-}
-
-// simulateHierBatch list-schedules one batch across the clusters.
-func simulateHierBatch(tasks []trace.Task, cfg HierConfig, batchStart float64,
-	procFree [][]float64, busFree, schedFree []float64, globalBusFree *float64,
-	res *Result) float64 {
-
-	// Assign each change to a cluster round-robin, paying the global
-	// distribution cost once per (change, cluster).
-	clusterOf := func(change int) int { return change % cfg.Clusters }
-
-	byID := make(map[int64]int, len(tasks))
-	sims := make([]simTask, len(tasks))
-	for i := range tasks {
-		sims[i] = simTask{t: &tasks[i], ready: batchStart}
-		byID[tasks[i].ID] = i
-	}
-	distributed := map[int]bool{}
-	for i := range tasks {
-		if p, ok := byID[tasks[i].Parent]; ok && tasks[i].Parent != tasks[i].ID {
-			sims[p].children = append(sims[p].children, i)
-			sims[i].deps++
-		}
-		// Root tasks pay the global change-distribution transfer once.
-		if tasks[i].Parent == 0 && !distributed[tasks[i].Change] {
-			distributed[tasks[i].Change] = true
-			svc := float64(cfg.GlobalTransferPerChange) * cfg.GlobalBusCycle
-			wait := math.Max(0, *globalBusFree-batchStart)
-			*globalBusFree = math.Max(*globalBusFree, batchStart) + svc
-			sims[i].ready = batchStart + wait + svc
-		}
-	}
-	h := &readyHeap{}
-	for i := range sims {
-		if sims[i].deps == 0 {
-			heap.Push(h, &sims[i])
-		}
-	}
-	mips := cfg.Cluster.MIPS
-	finishMax := batchStart
-	for h.Len() > 0 {
-		st := heap.Pop(h).(*simTask)
-		t := st.t
-		cl := clusterOf(t.Change)
-
-		proc := 0
-		for i := 1; i < len(procFree[cl]); i++ {
-			if procFree[cl][i] < procFree[cl][proc] {
-				proc = i
-			}
-		}
-		startAt := math.Max(st.ready, procFree[cl][proc])
-
-		instr := t.Cost
-		if t.Kind == rete.KindRoot {
-			instr *= cfg.Cluster.SharingLossFactor
-		}
-		instr += cfg.Cluster.TaskOverheadInstr
-
-		var schedWait, dispatchBus float64
-		switch cfg.Cluster.Scheduler {
-		case HardwareScheduler:
-			dispatchBus = cfg.Cluster.BusCycle
-		case SoftwareScheduler:
-			svc := cfg.Cluster.SWDispatchInstr / mips
-			wait := math.Max(0, schedFree[cl]-startAt)
-			schedFree[cl] = math.Max(schedFree[cl], startAt) + svc
-			schedWait = wait + svc
-			instr += cfg.Cluster.SWDispatchInstr
-		}
-
-		cpu := instr / mips
-		transactions := instr * cfg.Cluster.MemRefFraction * (1 - cfg.Cluster.CacheHitRatio)
-		busSvc := dispatchBus + transactions*cfg.Cluster.BusCycle
-		busWait := math.Max(0, busFree[cl]-startAt)
-		busFree[cl] = math.Max(busFree[cl], startAt) + busSvc
-
-		// Terminal activations centralise conflict-set updates over the
-		// global bus.
-		var globalSvc, globalWait float64
-		if t.Kind == rete.KindTerm {
-			globalSvc = float64(cfg.GlobalTransferPerTerminal) * cfg.GlobalBusCycle
-			globalWait = math.Max(0, *globalBusFree-startAt)
-			*globalBusFree = math.Max(*globalBusFree, startAt) + globalSvc
-		}
-
-		finish := startAt + schedWait + cpu + busSvc + busWait + globalSvc + globalWait
-		procFree[cl][proc] = finish
-		res.BusyTime += finish - startAt
-		res.BusWaitSec += busWait + globalWait
-		res.SchedWaitSec += schedWait
-		if finish > finishMax {
-			finishMax = finish
-		}
-		for _, c := range st.children {
-			sims[c].deps--
-			if sims[c].ready < finish {
-				sims[c].ready = finish
-			}
-			if sims[c].deps == 0 {
-				heap.Push(h, &sims[c])
-			}
-		}
-	}
-	return finishMax
+	return simulate(tr, cfg)
 }

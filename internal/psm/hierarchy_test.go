@@ -18,18 +18,55 @@ func wideTrace() *trace.Trace {
 }
 
 func TestHierarchicalMatchesFlatAtOneCluster(t *testing.T) {
-	// One cluster with no global traffic must behave like the flat
-	// machine.
+	// One cluster with no global traffic is the flat machine.
 	tr := wideTrace()
 	flat := psm.Simulate(tr, psm.DefaultConfig(32))
 	h := psm.DefaultHierConfig(1, 32)
 	h.GlobalTransferPerChange = 0
 	h.GlobalTransferPerTerminal = 0
-	hier := psm.SimulateHierarchical(tr, h)
-	ratio := hier.Makespan / flat.Makespan
-	if ratio < 0.95 || ratio > 1.05 {
-		t.Errorf("single-cluster hierarchy makespan %.4fms vs flat %.4fms (ratio %.3f)",
-			hier.Makespan*1e3, flat.Makespan*1e3, ratio)
+	if hier := psm.SimulateHierarchical(tr, h); hier != flat {
+		t.Errorf("single-cluster hierarchy differs from flat:\n hier %#v\n flat %#v", hier, flat)
+	}
+}
+
+func TestHierarchyHonoursClusterSettings(t *testing.T) {
+	// Each setting of Cluster must slow a 2x32 hierarchy down, as it
+	// slows the flat machine, on a trace where it binds: with is slower
+	// than base.
+	tr := wideTrace()
+	pinned := map[int]int{}
+	for _, task := range tr.Tasks {
+		pinned[task.NodeID] = 0
+	}
+	sw := func(queues int) func(*psm.Config) {
+		return func(c *psm.Config) {
+			c.Scheduler = psm.SoftwareScheduler
+			c.SWQueues = queues
+		}
+	}
+	run := func(set func(*psm.Config)) psm.Result {
+		h := psm.DefaultHierConfig(2, 32)
+		if set != nil {
+			set(&h.Cluster)
+		}
+		return psm.SimulateHierarchical(tr, h)
+	}
+	cases := []struct {
+		name       string
+		base, with func(*psm.Config)
+	}{
+		{"NodeExclusive", nil, func(c *psm.Config) { c.NodeExclusive = true }},
+		{"ProductionLevel", nil, func(c *psm.Config) { c.ProductionLevel = true }},
+		{"NodeAssignment", nil, func(c *psm.Config) { c.NodeAssignment = pinned }},
+		{"MemoryModules", nil, func(c *psm.Config) { c.MemoryModules = 1 }},
+		{"SWQueues", sw(4), sw(1)},
+	}
+	for _, tc := range cases {
+		base, with := run(tc.base), run(tc.with)
+		if with.Makespan <= base.Makespan*1.01 {
+			t.Errorf("%s: makespan %.4fms, want over 1%% above %.4fms",
+				tc.name, with.Makespan*1e3, base.Makespan*1e3)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package psm simulates the Production System Machine of §5: a
 // bus-based shared-memory multiprocessor with 32-64 high-performance
 // processors and a hardware task scheduler, executing node-activation
-// traces produced by internal/trace or internal/workload.
+// traces produced by internal/trace or internal/workload. The hierarchy
+// of §5 for 100-1000 processors, clusters of that machine joined by a
+// global bus (HierConfig), runs on the same list scheduler: the flat
+// machine is its one-cluster case.
 //
 // The simulator mirrors the paper's own methodology (§6): its inputs are
 // (1) a trace of node activations with dependency information, (2) a
@@ -90,9 +93,10 @@ type Config struct {
 	// activations to one processor — the static partitioning a
 	// non-shared-memory machine requires (§5; see internal/partition).
 	// Tasks whose node is not in the map (e.g. root constant-test
-	// activations) run on the processor given by their change index
-	// modulo the processor count. Dynamic run-time assignment (the
-	// shared-memory advantage) is the nil default.
+	// activations) run on the processor given by their change's index
+	// among its cluster's changes modulo the processor count. Dynamic
+	// run-time assignment (the shared-memory advantage) is the nil
+	// default.
 	NodeAssignment map[int]int
 	// MemoryModules, when > 0, models interleaved shared-memory banks:
 	// each task's shared references are served by the module its
@@ -185,49 +189,68 @@ func (h *readyHeap) Pop() any {
 	return x
 }
 
-// Simulate runs the trace on the configured machine.
+// Simulate runs the trace on the flat machine: a hierarchy of one
+// cluster whose global bus carries no transfers.
 func Simulate(tr *trace.Trace, cfg Config) Result {
-	if cfg.Processors < 1 {
-		cfg.Processors = 1
+	return simulate(tr, HierConfig{Clusters: 1, Cluster: cfg})
+}
+
+// machine is the simulated machine's state; it persists across batches.
+// HierConfig says which parts are per cluster and which machine-wide.
+type machine struct {
+	cfg HierConfig
+	// Per cluster: processors, local bus, software task queues.
+	procFree  [][]float64
+	busFree   []float64
+	schedFree [][]float64
+	// Machine-wide: node and production exclusivity, memory modules,
+	// the global bus.
+	nodeFree      map[int]float64
+	prodFree      map[int64]float64
+	moduleFree    []float64
+	globalBusFree float64
+	res           Result
+}
+
+// simulate runs the trace on the hierarchical machine; every entry
+// point of the package goes through it.
+func simulate(tr *trace.Trace, cfg HierConfig) Result {
+	cfg.Clusters = max(cfg.Clusters, 1)
+	c := &cfg.Cluster
+	c.Processors = max(c.Processors, 1)
+	if c.MemoryModules > 0 && c.ModuleCycle == 0 {
+		c.ModuleCycle = 150e-9
 	}
-	var res Result
+	m := &machine{
+		cfg:        cfg,
+		procFree:   make([][]float64, cfg.Clusters),
+		busFree:    make([]float64, cfg.Clusters),
+		schedFree:  make([][]float64, cfg.Clusters),
+		nodeFree:   make(map[int]float64),
+		prodFree:   make(map[int64]float64),
+		moduleFree: make([]float64, max(c.MemoryModules, 0)),
+	}
+	for cl := range m.procFree {
+		m.procFree[cl] = make([]float64, c.Processors)
+		m.schedFree[cl] = make([]float64, max(c.SWQueues, 1))
+	}
+	res := &m.res
 	res.Tasks = len(tr.Tasks)
-
 	// Serial baseline: raw instruction total, no overheads.
-	res.SerialSec = tr.TotalCost() / cfg.MIPS
-
-	procFree := make([]float64, cfg.Processors)
-	var busFree float64
-	nq := cfg.SWQueues
-	if nq < 1 {
-		nq = 1
-	}
-	schedFree := make([]float64, nq)
-	nodeFree := make(map[int]float64)
-	prodFree := make(map[int64]float64)
-	var moduleFree []float64
-	if cfg.MemoryModules > 0 {
-		moduleFree = make([]float64, cfg.MemoryModules)
-		if cfg.ModuleCycle == 0 {
-			cfg.ModuleCycle = 150e-9
-		}
-	}
-	now := 0.0
+	res.SerialSec = tr.TotalCost() / c.MIPS
 
 	// Group tasks by batch (they are stored in batch order).
-	start := 0
-	for start < len(tr.Tasks) {
+	now := 0.0
+	for start := 0; start < len(tr.Tasks); {
 		end := start
-		batch := tr.Tasks[start].Batch
-		for end < len(tr.Tasks) && tr.Tasks[end].Batch == batch {
+		for end < len(tr.Tasks) && tr.Tasks[end].Batch == tr.Tasks[start].Batch {
 			end++
 		}
-		batchStart := now
-		now = simulateBatch(tr.Tasks[start:end], cfg, batchStart, procFree, nodeFree, prodFree, moduleFree, &busFree, schedFree, &res)
+		now = m.batch(tr.Tasks[start:end], now)
 		// Synchronisation barrier between recognize-act cycles.
-		for i := range procFree {
-			if procFree[i] < now {
-				procFree[i] = now
+		for _, procs := range m.procFree {
+			for i := range procs {
+				procs[i] = math.Max(procs[i], now)
 			}
 		}
 		start = end
@@ -245,26 +268,52 @@ func Simulate(tr *trace.Trace, cfg Config) Result {
 		res.LostFactor = res.Concurrency / res.TrueSpeedup
 	}
 	// Cap concurrency at processor count (guard against floating error).
-	res.Concurrency = math.Min(res.Concurrency, float64(cfg.Processors))
-	return res
+	res.Concurrency = math.Min(res.Concurrency, float64(cfg.Clusters*c.Processors))
+	return *res
 }
 
-// simulateBatch list-schedules one batch's task DAG and returns its
-// completion time.
-func simulateBatch(tasks []trace.Task, cfg Config, batchStart float64,
-	procFree []float64, nodeFree map[int]float64, prodFree map[int64]float64,
-	moduleFree []float64, busFree *float64, schedFree []float64, res *Result) float64 {
+// serve queues svc seconds of work arriving at time at on an FCFS
+// server next free at *free, and returns the wait.
+func serve(free *float64, at, svc float64) float64 {
+	wait := math.Max(0, *free-at)
+	*free = math.Max(*free, at) + svc
+	return wait
+}
 
+// global serves n transactions on the global bus from time at and
+// returns the wait and the service time. The bus is modelled only when
+// it carries transfers, so a one-cluster machine never touches it.
+func (m *machine) global(at float64, n int) (wait, svc float64) {
+	if n == 0 {
+		return 0, 0
+	}
+	svc = float64(n) * m.cfg.GlobalBusCycle
+	return serve(&m.globalBusFree, at, svc), svc
+}
+
+// batch list-schedules one batch's task DAG and returns its completion
+// time. Each change's activation tree runs on one cluster (round-robin
+// by change index), so intra-change dependencies stay on its local bus.
+func (m *machine) batch(tasks []trace.Task, batchStart float64) float64 {
+	cfg, res := &m.cfg.Cluster, &m.res
 	byID := make(map[int64]int, len(tasks))
 	sims := make([]simTask, len(tasks))
 	for i := range tasks {
 		sims[i] = simTask{t: &tasks[i], ready: batchStart}
 		byID[tasks[i].ID] = i
 	}
+	distributed := map[int]bool{}
 	for i := range tasks {
 		if p, ok := byID[tasks[i].Parent]; ok && tasks[i].Parent != tasks[i].ID {
 			sims[p].children = append(sims[p].children, i)
 			sims[i].deps++
+		}
+		// A change's first root task pays its distribution to a
+		// cluster over the global bus.
+		if tasks[i].Parent == 0 && !distributed[tasks[i].Change] {
+			distributed[tasks[i].Change] = true
+			wait, svc := m.global(batchStart, m.cfg.GlobalTransferPerChange)
+			sims[i].ready = batchStart + wait + svc
 		}
 	}
 	h := &readyHeap{}
@@ -277,6 +326,8 @@ func simulateBatch(tasks []trace.Task, cfg Config, batchStart float64,
 	for h.Len() > 0 {
 		st := heap.Pop(h).(*simTask)
 		t := st.t
+		cl := t.Change % m.cfg.Clusters
+		procFree := m.procFree[cl]
 
 		// The hardware scheduler ensures interfering activations are
 		// not assigned to processors simultaneously (§5): an activation
@@ -285,11 +336,11 @@ func simulateBatch(tasks []trace.Task, cfg Config, batchStart float64,
 		// ready activations run first.
 		eReady := st.ready
 		if cfg.NodeExclusive && t.NodeID != 0 {
-			eReady = math.Max(eReady, nodeFree[t.NodeID])
+			eReady = math.Max(eReady, m.nodeFree[t.NodeID])
 		}
+		prodKey := int64(t.Batch)<<32 | int64(t.Prod)
 		if cfg.ProductionLevel && t.Prod >= 0 {
-			key := int64(t.Batch)<<32 | int64(t.Prod)
-			eReady = math.Max(eReady, prodFree[key])
+			eReady = math.Max(eReady, m.prodFree[prodKey])
 		}
 		if eReady > st.ready && h.Len() > 0 && (*h)[0].ready < eReady {
 			st.ready = eReady
@@ -305,7 +356,7 @@ func simulateBatch(tasks []trace.Task, cfg Config, batchStart float64,
 			if p, ok := cfg.NodeAssignment[t.NodeID]; ok {
 				proc = p % len(procFree)
 			} else {
-				proc = t.Change % len(procFree)
+				proc = t.Change / m.cfg.Clusters % len(procFree)
 			}
 		} else {
 			for i := 1; i < len(procFree); i++ {
@@ -328,65 +379,64 @@ func simulateBatch(tasks []trace.Task, cfg Config, batchStart float64,
 		// Scheduler dispatch: the hardware scheduler takes one bus
 		// cycle (folded into the task's bus service below); a software
 		// scheduler executes ~100 instructions serialised through the
-		// shared task queue's lock.
+		// cluster's task queue's lock.
 		var schedWait, dispatchBus float64
 		switch cfg.Scheduler {
 		case HardwareScheduler:
 			dispatchBus = cfg.BusCycle
 		case SoftwareScheduler:
+			queues := m.schedFree[cl]
 			q := 0
-			if len(schedFree) > 1 {
+			if len(queues) > 1 {
 				// Fibonacci hash so structured node ids spread evenly.
-				q = int((uint64(uint32(t.NodeID)) * 2654435761 >> 16) % uint64(len(schedFree)))
+				q = int((uint64(uint32(t.NodeID)) * 2654435761 >> 16) % uint64(len(queues)))
 			}
 			svc := cfg.SWDispatchInstr / cfg.MIPS
-			wait := math.Max(0, schedFree[q]-startAt)
-			schedFree[q] = math.Max(schedFree[q], startAt) + svc
-			schedWait = wait + svc
+			schedWait = serve(&queues[q], startAt, svc) + svc
 			instr += cfg.SWDispatchInstr // the processor also executes it
 			res.OverheadSec += cfg.SWDispatchInstr / cfg.MIPS
 		}
 
 		cpu := instr / cfg.MIPS
-		// Shared-bus traffic: the dispatch cycle plus cache misses on
-		// shared references, served FCFS by the single bus.
+		// Local-bus traffic: the dispatch cycle plus cache misses on
+		// shared references, served FCFS by the cluster's bus.
 		transactions := instr * cfg.MemRefFraction * (1 - cfg.CacheHitRatio)
 		busSvc := dispatchBus + transactions*cfg.BusCycle
-		busWait := math.Max(0, *busFree-startAt)
-		*busFree = math.Max(*busFree, startAt) + busSvc
+		busWait := serve(&m.busFree[cl], startAt, busSvc)
 
 		// Interleaved memory-module contention (optional).
 		var modSvc, modWait float64
-		if len(moduleFree) > 0 {
-			mod := t.NodeID % len(moduleFree)
+		if len(m.moduleFree) > 0 {
+			mod := t.NodeID % len(m.moduleFree)
 			if mod < 0 {
 				mod = -mod
 			}
 			modSvc = transactions * cfg.ModuleCycle
-			modWait = math.Max(0, moduleFree[mod]-startAt)
-			moduleFree[mod] = math.Max(moduleFree[mod], startAt) + modSvc
+			modWait = serve(&m.moduleFree[mod], startAt, modSvc)
 		}
 
-		finish := startAt + schedWait + cpu + busSvc + busWait + modSvc + modWait
+		// Terminal activations centralise conflict-set updates over the
+		// global bus.
+		var globalWait, globalSvc float64
+		if t.Kind == rete.KindTerm {
+			globalWait, globalSvc = m.global(startAt, m.cfg.GlobalTransferPerTerminal)
+		}
+
+		finish := startAt + schedWait + cpu + busSvc + busWait + modSvc + modWait + globalSvc + globalWait
 		procFree[proc] = finish
 		if cfg.NodeExclusive && t.NodeID != 0 {
-			nodeFree[t.NodeID] = finish
+			m.nodeFree[t.NodeID] = finish
 		}
 		if cfg.ProductionLevel && t.Prod >= 0 {
-			key := int64(t.Batch)<<32 | int64(t.Prod)
-			prodFree[key] = finish
+			m.prodFree[prodKey] = finish
 		}
 		res.BusyTime += finish - startAt
-		res.BusWaitSec += busWait + modWait
+		res.BusWaitSec += busWait + modWait + globalWait
 		res.SchedWaitSec += schedWait
-		if finish > finishMax {
-			finishMax = finish
-		}
+		finishMax = math.Max(finishMax, finish)
 		for _, c := range st.children {
 			sims[c].deps--
-			if sims[c].ready < finish {
-				sims[c].ready = finish
-			}
+			sims[c].ready = math.Max(sims[c].ready, finish)
 			if sims[c].deps == 0 {
 				heap.Push(h, &sims[c])
 			}

@@ -129,6 +129,12 @@ func TestBadProgramSources(t *testing.T) {
 		t.Errorf("table holds %d entries (gauge %d, Rete-failing source kept: %v), want only the Rete-failing source",
 			n, cached, kept)
 	}
+	// A right-hand side has no host-function escape: nothing could
+	// register the function, so (call ...) is an unknown action.
+	const call = `(p c (a ^v <x>) --> (call f <x>))`
+	if code, env := create(call, ""); code != http.StatusBadRequest || !strings.Contains(env.Message, `unknown action "call"`) {
+		t.Errorf("create with (call ...): %d %+v, want 400 unknown action", code, env)
+	}
 }
 
 // TestProgramTableRetainedBytes measures what one entry keeps alive for
