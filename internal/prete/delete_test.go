@@ -41,6 +41,13 @@ func newChainFixture(t *testing.T) *chainFixture {
 	return f
 }
 
+// extend returns a new token: t with w appended.
+func extend(t *rete.Token, w *ops5.WME) *rete.Token {
+	nt := &rete.Token{}
+	t.ExtendInto(nt, w)
+	return nt
+}
+
 // leftBuckets counts the live buckets of the group's left memory.
 func (f *chainFixture) leftBuckets() (n int) {
 	for i := range f.g.stripes {
@@ -60,13 +67,13 @@ func TestEarlyDeleteAnnihilatesLateInsert(t *testing.T) {
 	f := newChainFixture(t)
 	m, w := f.m, f.w
 	m.runRight(f.last, f.wc, ops5.Insert, w)
-	base := (&rete.Token{}).Extend(f.wa)
+	base := extend(&rete.Token{}, f.wa)
 
 	m.runLeft(f.g, base, f.wb, ops5.Delete, w)
 	if got := f.leftBuckets(); got != 1 {
 		t.Fatalf("after the early delete: %d live left buckets, want the pending cancel's 1", got)
 	}
-	late := base.Extend(f.wb)
+	late := extend(base, f.wb)
 	late.Hold(1) // the reference propagate's emit would carry
 	m.runLeft(f.g, late, nil, ops5.Insert, w)
 	if got := f.leftBuckets(); got != 0 {
@@ -94,8 +101,8 @@ func TestDeleteResolvesStoredToken(t *testing.T) {
 	f := newChainFixture(t)
 	m, w := f.m, f.w
 	m.runRight(f.last, f.wc, ops5.Insert, w)
-	base := (&rete.Token{}).Extend(f.wa)
-	stored := base.Extend(f.wb)
+	base := extend(&rete.Token{}, f.wa)
+	stored := extend(base, f.wb)
 	// One cycle first, so that the lane's delta and retired buffers have
 	// grown. Each insert carries the reference propagate's emit would.
 	stored.Hold(1)

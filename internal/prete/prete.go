@@ -164,7 +164,9 @@ type rightEntry struct {
 	count int32
 }
 
-// stripes is the number of lock stripes per keyed left memory.
+// stripes is the number of lock stripes per keyed left memory of a
+// matcher with more than one lane. A one-lane matcher's memories have
+// one stripe each: no two activations ever contend for them.
 const stripes = 16
 
 // stripe is one lock stripe of a group's memories: the shared left
@@ -198,7 +200,8 @@ type group struct {
 	// leftHash computes a token's join-key hash; nil for a group with no
 	// equality tests. An unkeyed group has one stripe, files tokens under
 	// their identity hash and WMEs under their time tag (O(1) updates),
-	// and scans every slot of the opposite table.
+	// and scans every slot of the opposite table. Every group of a
+	// one-lane matcher has one stripe.
 	leftHash func(*rete.Token) uint64
 	stripes  []stripe
 }
@@ -398,7 +401,7 @@ func NewOnPlan(plan *rete.Plan, cfg Config) *Matcher {
 			g := shared[j.LeftKey+1]
 			if !shareable || g == nil {
 				g = &group{leftHash: j.LeftHash, stripes: make([]stripe, 1)}
-				if j.LeftHash != nil {
+				if j.LeftHash != nil && workers > 1 {
 					g.stripes = make([]stripe, stripes)
 				}
 				if shareable {

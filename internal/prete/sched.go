@@ -75,11 +75,12 @@ type worker struct {
 	// hashes its join key; it is never stored.
 	scratch rete.Token
 	// pool, cache, retired and dry are the lane's side of the token
-	// pool (tokens.go).
+	// pool, and slab builds the lane's fresh tokens (tokens.go).
 	pool    *tokenPool
 	cache   []*rete.Token
 	retired []*rete.Token
 	dry     bool
+	slab    rete.TokenSlab
 
 	// seedLo and seedHi bound the run of seeds this lane has claimed
 	// and not yet run (claimSeed).

@@ -18,6 +18,8 @@ package prete
 // pool, and a lane refills its own cache from that pool a chunk at a
 // time. Tokens therefore cannot pile up on a lane that retires many and
 // builds few; the pool holds at most the high-water mark of live tokens.
+// A lane that finds the pool empty builds a fresh token from its own
+// rete.TokenSlab, whose chunks the matcher keeps as long as it lives.
 
 import (
 	"sync"
@@ -35,7 +37,8 @@ type tokenPool struct {
 }
 
 // token returns a token no memory holds, with no reference, for lane w
-// to build into: from the lane's cache, refilled from the pool, or new.
+// to build into: from the lane's cache, refilled from the pool, or fresh
+// from the lane's slab.
 // Once a refill finds the pool empty the lane stops asking until the
 // next barrier, for nothing returns to the pool before it.
 func (w *worker) token() *rete.Token {
@@ -51,7 +54,7 @@ func (w *worker) token() *rete.Token {
 	}
 	k := len(w.cache) - 1
 	if k < 0 {
-		return &rete.Token{}
+		return w.slab.New()
 	}
 	t := w.cache[k]
 	w.cache = w.cache[:k]

@@ -376,7 +376,7 @@ func (n *Network) betaInsert(b *BetaNode, tok *Token, parent int64) {
 }
 
 // betaDelete removes the token formed by base plus w (base itself when
-// w is nil) — the delete-path counterpart of betaInsert(base.Extend(w)),
+// w is nil) — the delete-path counterpart of betaInsert(n.extend(base, w)),
 // without building the token. The stored token leaves the memory's
 // indexes, by the pointer they hold, and the removal propagates. A
 // memory that owns the token then frees it: by now every not-node
@@ -400,15 +400,15 @@ func (n *Network) betaDelete(b *BetaNode, base *Token, w *ops5.WME, parent int64
 }
 
 // extend returns tok extended by w, built into a freed token when there
-// is one.
+// is one and into a fresh one from the slab when there is none.
 func (n *Network) extend(tok *Token, w *ops5.WME) *Token {
-	k := len(n.free) - 1
-	if k < 0 {
-		n.built++
-		return tok.Extend(w)
+	var nt *Token
+	if k := len(n.free) - 1; k >= 0 {
+		nt = n.free[k]
+		n.free = n.free[:k]
+	} else {
+		nt = n.slab.New()
 	}
-	nt := n.free[k]
-	n.free = n.free[:k]
 	tok.ExtendInto(nt, w)
 	return nt
 }

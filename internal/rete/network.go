@@ -13,15 +13,16 @@ import (
 // processed so far, in LHS order. A token is immutable while any memory
 // holds it; a matcher recycles it only once none does, by building the
 // next join output into it (ExtendInto). Short tokens (the overwhelmingly
-// common case) store their WMEs in the inline arr, so a fresh token is a
-// single allocation (the struct fills the 80-byte size class exactly)
-// and a recycled one keeps whatever storage it grew.
+// common case) store their WMEs in the inline arr, so such a token is
+// its 80 bytes and nothing more (the struct fills that size class
+// exactly), which the executors carve out of TokenSlab chunks; a
+// recycled one keeps whatever storage it grew.
 type Token struct {
 	WMEs []*ops5.WME
 	arr  [5]*ops5.WME
 	// id is the identity hash: the WMEs' time tags folded in order, the
-	// parent's id extended by one tag at Extend, so no lookup ever walks
-	// the tag list again. The zero Token is the empty token.
+	// parent's id extended by one tag at ExtendInto, so no lookup ever
+	// walks the tag list again. The zero Token is the empty token.
 	id uint64
 	// refs counts the parallel matcher's holders of the token: memory
 	// entries and emits in flight (Hold, Release). The serial network
@@ -29,23 +30,50 @@ type Token struct {
 	refs atomic.Int32
 }
 
-// Extend returns a new token with w appended.
-func (t *Token) Extend(w *ops5.WME) *Token {
-	nt := &Token{}
-	t.ExtendInto(nt, w)
-	return nt
-}
-
-// ExtendInto makes *dst the token t.Extend(w) would return, in dst's
-// own storage: the allocation-free form of Extend for a scratch token
-// or a recycled one. dst must not be t.
+// ExtendInto builds t with w appended into *dst, in dst's own storage:
+// a fresh token from a TokenSlab, a recycled one or a scratch one. dst
+// must not be t. A token longer than arr gets a WME buffer of its own
+// and leaves arr clear, so Recycle clears every WME it holds.
 func (t *Token) ExtendInto(dst *Token, w *ops5.WME) {
+	n := len(t.WMEs) + 1
 	buf := dst.WMEs[:0]
-	if cap(buf) == 0 {
-		buf = dst.arr[:0]
+	if cap(buf) < n {
+		if n <= len(dst.arr) {
+			buf = dst.arr[:0]
+		} else {
+			buf = make([]*ops5.WME, 0, n)
+		}
 	}
 	dst.WMEs = append(append(buf, t.WMEs...), w)
 	dst.id = hashTag(t.id, w.TimeTag)
+}
+
+// TokenSlab hands out fresh tokens carved from chunks it allocates: the
+// first chunk holds slabFirst tokens, each next one twice the last, up
+// to slabMax (20 KB). A chunk lives as long as its executor does; the
+// executor's tokens go back to its free list or pool, never to the slab,
+// so they number its live high-water mark plus the rest of one chunk per
+// slab. The zero TokenSlab is ready to use.
+type TokenSlab struct {
+	chunk []Token
+	built int
+}
+
+const (
+	slabFirst = 16
+	slabMax   = 256
+)
+
+// New returns a zero token no one else holds.
+func (s *TokenSlab) New() *Token {
+	if len(s.chunk) == 0 {
+		// The tokens built so far plus slabFirst is twice the last chunk.
+		s.chunk = make([]Token, min(s.built+slabFirst, slabMax))
+	}
+	t := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	s.built++
+	return t
 }
 
 // Recycle clears the token's WME slots, keeping their storage, so that a
@@ -248,10 +276,10 @@ type Network struct {
 	// match is terminalActivate's scratch for the matched WMEs.
 	match []*ops5.WME
 	// free holds the tokens that left the memories owning them, for the
-	// next join output to be built into (extend); built counts the
-	// tokens ever allocated.
-	free  []*Token
-	built int
+	// next join output to be built into (extend); slab builds a token
+	// when free is empty.
+	free []*Token
+	slab TokenSlab
 
 	// Sink receives the conflict-set deltas. It starts as the embedded
 	// Hooks, whose OnInsert and OnRemove receive them as instantiations.

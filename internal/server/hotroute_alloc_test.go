@@ -13,7 +13,7 @@ import (
 // Allocation ceilings of the three hot routes, measured through
 // Handler() in process: request log, tracing, deadline, decode, shard
 // dispatch, apply and match, and reply encode. Each is the count
-// measured when the ceiling was set (18, 13 and 591) plus headroom for
+// measured when the ceiling was set (17, 12 and 577) plus headroom for
 // a -race build, which counts up to four more; lower it in the change
 // that lowers the count. Before the routes had their own wire codec the
 // same requests took 59, 34 and 10,045; before a shard became a turn
@@ -24,11 +24,13 @@ import (
 // before the conflict set held matches and built an instantiation only
 // for the one that fires, 18, 13 and 1,912; and before the act phase
 // read variables through compiled slots and built changes and fields
-// in the engine's reused buffers, 18, 13 and 691.
+// in the engine's reused buffers, 18, 13 and 691; and before the request
+// log built its attributes on the stack and the network carved fresh
+// tokens out of chunks, 18, 13 and 591.
 const (
-	changesAllocCeiling = 22
-	runAllocCeiling     = 17
-	streamAllocCeiling  = 595
+	changesAllocCeiling = 21
+	runAllocCeiling     = 16
+	streamAllocCeiling  = 581
 )
 
 // chatterPack is a small monitoring pack in the shape psmbench's
@@ -142,11 +144,12 @@ func TestHotRouteAllocs(t *testing.T) {
 // program table already holds, through Handler(): request decode, an
 // empty network and conflict set over the shared plan, the trace ring,
 // the reply, and the delete's trace archive. It is the count measured
-// when the ceiling was set (69) plus the hot routes' -race headroom of
-// four for each of the two requests (a -race build read 73 and 74);
-// lower it in the change that lowers the count. While every create
-// parsed and compiled its source, the pair took 760.
-const cachedCreateAllocCeiling = 77
+// when the ceiling was set (68) plus the hot routes' -race headroom of
+// four for each of the two requests (a -race build read 73); lower it
+// in the change that lowers the count. While every create parsed and
+// compiled its source, the pair took 760; before the request log built
+// its attributes on the stack, 69.
+const cachedCreateAllocCeiling = 76
 
 func TestCachedCreateAllocs(t *testing.T) {
 	srv := New(Config{Shards: 1})

@@ -241,13 +241,15 @@ func (s *Server) observeHTTP(next http.Handler, timeout time.Duration) http.Hand
 		if operational(r.URL.Path) {
 			level = slog.LevelDebug
 		}
-		attrs := []slog.Attr{
+		// The attributes are built in an array on the stack: a slice
+		// literal grown by the session's two would be two allocations.
+		var buf [7]slog.Attr
+		attrs := append(buf[:0],
 			slog.String("trace_id", traceID),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", rec.status),
-			slog.Duration("latency", time.Since(t0)),
-		}
+			slog.Duration("latency", time.Since(t0)))
 		if id := r.PathValue("id"); id != "" {
 			attrs = append(attrs,
 				slog.String("session", id),
