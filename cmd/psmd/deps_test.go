@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// The service links the three served matchers, the engine and the
-// serving layers — not the paper-reproduction packages (simulator,
-// architecture models, Soar, experiments with their ASCII tables and
-// charts, the §3.2 baseline matchers TREAT and full-state), the
-// workload generators or test helpers.
+// The service links the served matchers (parallel Rete, whose one-lane
+// case is rete, and naive), the engine and the serving layers — not the
+// paper-reproduction packages (simulator, architecture models, Soar,
+// experiments with their ASCII tables and charts, the §3.2 baseline
+// matchers TREAT and full-state), the workload generators or test
+// helpers.
 func TestServicePathImportsNoReproductionPackage(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", ".").Output()
 	if err != nil {

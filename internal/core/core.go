@@ -1,12 +1,14 @@
 // Package core is the top-level API of the production-system library:
 // it assembles a parser-fed rule system from an OPS5 source text, one
-// of the three served matchers (serial Rete, the paper's fine-grain
-// parallel Rete, or the naive rematcher), a conflict-resolution
-// strategy and the recognize-act engine, behind one constructor. Each
-// matcher reports its own work (engine.StatsProvider), so the engine
-// holds the matcher itself. TREAT and Oflazer's full-state scheme, the
-// §3.2 analysis baselines, are not served; the reproduction builds them
-// through internal/matchtest.
+// of two served executors (the paper's fine-grain parallel Rete, which
+// also runs Rete on one processor as its one-lane case, or the naive
+// rematcher), a conflict-resolution strategy and the recognize-act
+// engine, behind one constructor. Each matcher reports its own work
+// (engine.StatsProvider), so the engine holds the matcher itself. The
+// serial rete.Network is the traced reference executor of the
+// reproduction, and TREAT and Oflazer's full-state scheme, the §3.2
+// analysis baselines, are not served either; the reproduction builds
+// them through internal/matchtest.
 //
 // Quickstart:
 //
@@ -33,10 +35,11 @@ type MatcherKind uint8
 
 // The available match algorithms.
 const (
-	// SerialRete is the classic single-threaded Rete of §2.2.
+	// SerialRete is the Rete of §2.2 on one processor: the parallel
+	// matcher pinned to one lane, whatever Options.Workers says.
 	SerialRete MatcherKind = iota
 	// ParallelRete is the paper's fine-grain parallel Rete (§4-5),
-	// running node activations on a goroutine worker pool.
+	// running node activations on up to Options.Workers lanes.
 	ParallelRete
 	// Naive rematches the whole working memory every cycle (§3.1); it
 	// is the reference the other two are checked against.
@@ -76,7 +79,7 @@ type Options struct {
 	// Strategy selects conflict resolution (default LEX).
 	Strategy conflict.Strategy
 	// Workers caps the parallel matcher's lanes (default and upper
-	// bound GOMAXPROCS); ignored by the other matchers.
+	// bound GOMAXPROCS); ignored by the other kinds.
 	Workers int
 	// Output receives write-action output (default: discarded).
 	Output io.Writer
@@ -97,8 +100,7 @@ type System struct {
 	*engine.Engine
 	prods   []*ops5.Production
 	matcher MatcherKind
-	net     *rete.Network // non-nil for SerialRete
-	pm      *prete.Matcher
+	pm      *prete.Matcher // non-nil for the Rete kinds
 }
 
 // NewSystem parses src (productions plus optional top-level make forms)
@@ -133,12 +135,12 @@ func NewSystemOnPlan(prog *ops5.Program, plan *rete.Plan, opts Options) (*System
 
 	var m engine.Matcher
 	switch opts.Matcher {
-	case SerialRete:
-		net := rete.NewNetwork(plan)
-		net.Sink = cs
-		sys.net, m = net, net
-	case ParallelRete:
-		pm := prete.NewOnPlan(plan, prete.Config{Workers: opts.Workers})
+	case SerialRete, ParallelRete:
+		workers := opts.Workers
+		if opts.Matcher == SerialRete {
+			workers = 1
+		}
+		pm := prete.NewOnPlan(plan, prete.Config{Workers: workers})
 		pm.Sink = cs
 		sys.pm, m = pm, pm
 	case Naive:
@@ -169,11 +171,8 @@ func (s *System) Productions() []*ops5.Production { return s.prods }
 // MatcherKind reports which matcher the system uses.
 func (s *System) MatcherKind() MatcherKind { return s.matcher }
 
-// Network returns the compiled Rete network when the serial matcher is
-// in use (nil otherwise); useful for statistics.
-func (s *System) Network() *rete.Network { return s.net }
-
-// ParallelMatcher returns the parallel matcher when in use (else nil).
+// ParallelMatcher returns the Rete kinds' matcher, one lane for
+// SerialRete (nil for Naive).
 func (s *System) ParallelMatcher() *prete.Matcher { return s.pm }
 
 // Assert inserts WMEs built with ops5.NewWME as one batch.

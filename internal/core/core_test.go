@@ -47,15 +47,15 @@ func TestMatcherKindStringRoundTrip(t *testing.T) {
 }
 
 // TestEngineHoldsTheMatcher: the engine's matcher is the matcher itself,
-// and it reports its own work.
+// and it reports its own work. Both Rete kinds run the parallel matcher.
 func TestEngineHoldsTheMatcher(t *testing.T) {
 	src := `(p x (a ^v 1) --> (halt))`
 	for kind, want := range map[core.MatcherKind]string{
-		core.SerialRete:   "*rete.Network",
+		core.SerialRete:   "*prete.Matcher",
 		core.ParallelRete: "*prete.Matcher",
 		core.Naive:        "*naive.Matcher",
 	} {
-		sys, err := core.NewSystem(src, core.Options{Matcher: kind})
+		sys, err := core.NewSystem(src, core.Options{Matcher: kind, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,21 +157,26 @@ func TestTopLevelMakeLoadsInitialWM(t *testing.T) {
 
 func TestNetworkAccessors(t *testing.T) {
 	src := `(p x (a ^v 1) --> (halt))`
-	serial, err := core.NewSystem(src, core.Options{Matcher: core.SerialRete})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Network() == nil || serial.ParallelMatcher() != nil {
-		t.Error("serial system accessors wrong")
-	}
 	par, err := core.NewSystem(src, core.Options{Matcher: core.ParallelRete})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Network() != nil || par.ParallelMatcher() == nil {
+	if par.ParallelMatcher() == nil {
 		t.Error("parallel system accessors wrong")
 	}
-	if len(serial.Productions()) != 1 {
-		t.Errorf("productions = %d", len(serial.Productions()))
+	if len(par.Productions()) != 1 {
+		t.Errorf("productions = %d", len(par.Productions()))
+	}
+}
+
+// TestSerialReteIsOneLane: a SerialRete system runs the parallel matcher
+// on one lane, whatever Workers asks for.
+func TestSerialReteIsOneLane(t *testing.T) {
+	sys, err := core.NewSystem(`(p x (a ^v 1) --> (halt))`, core.Options{Matcher: core.SerialRete, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pm := sys.ParallelMatcher(); pm == nil || pm.Workers() != 1 {
+		t.Errorf("SerialRete matcher = %v, want a one-lane parallel matcher", pm)
 	}
 }

@@ -19,8 +19,10 @@ type StatsProvider interface {
 
 // LossProvider is the optional capability of reporting loss-factor
 // accounting; only phase-instrumented parallel matchers implement it.
+// Books reads the cumulative totals Loss folds, without allocating.
 type LossProvider interface {
 	Loss() obs.LossReport
+	Books() obs.SchedBooks
 }
 
 // ProfileProvider is the optional capability of reporting per-node

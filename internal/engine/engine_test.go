@@ -218,7 +218,7 @@ func TestAllMatchersAgreeOnRun(t *testing.T) {
     (remove 1)
     (halt))
 `
-	// The three served matchers come from core, the §3.2 baselines from
+	// The three served matcher kinds come from core, the §3.2 baselines from
 	// matchtest, each behind its own engine.
 	type run struct {
 		name string

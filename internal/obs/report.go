@@ -136,6 +136,31 @@ type LossReport struct {
 	Decomposition []LossComponent `json:"decomposition"`
 }
 
+// SchedPhases names the parallel matcher's scheduler phases in the
+// order of SchedBooks.PhaseNanos: the four phases of its lanes' time in
+// a batch's active window (match, lock_wait, park, spawn), then Apply's
+// serial seed and merge regions.
+var SchedPhases = [...]string{"match", "lock_wait", "park", "spawn", "seed", "merge"}
+
+// TaskBucketNanos are the inclusive upper bounds, in nanoseconds, of the
+// task-size histogram's buckets; SchedBooks.TaskSizes adds the open top
+// bucket.
+var TaskBucketNanos = [...]int64{256, 1024, 4096, 16384, 65536, 262144}
+
+// SchedBooks is a parallel matcher's cumulative scheduler accounting in
+// fixed-size form — the totals its LossReport is folded from — so that
+// a caller can read it once per operation and difference it against
+// its previous copy without allocating.
+type SchedBooks struct {
+	// Wakeups counts batches that borrowed a helper lane.
+	Wakeups int64
+	// PhaseNanos is the time charged to each of SchedPhases.
+	PhaseNanos [len(SchedPhases)]int64
+	// TaskSizes counts tasks by the TaskBucketNanos bucket of their
+	// execution time, the last entry the open top bucket.
+	TaskSizes [len(TaskBucketNanos) + 1]int64
+}
+
 // PhaseSeconds is one named scheduler phase's accumulated wall time.
 type PhaseSeconds struct {
 	Phase   string  `json:"phase"`

@@ -25,11 +25,11 @@ func newChainFixture(t *testing.T) *chainFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New([]*ops5.Production{p}, 1)
+	m, err := NewWithConfig([]*ops5.Production{p}, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &chainFixture{m: m, w: &m.sched.workers[0], last: m.nodes[len(m.nodes)-1]}
+	f := &chainFixture{m: m, w: &m.sched.workers[0], last: &m.nodes[len(m.nodes)-1]}
 	f.g = f.last.grp
 	if f.g.leftHash == nil || len(f.last.terminals) != 1 {
 		t.Fatal("the chain's last join is not keyed or feeds no terminal")

@@ -57,10 +57,12 @@ const (
 	numPhases
 )
 
-// phaseNames are the wire/metric spellings, indexed by phase.
-var phaseNames = [numPhases]string{
-	"match", "lock_wait", "park", "spawn",
-}
+// Apply's serial regions follow the lane phases in obs.SchedPhases, the
+// wire and metric spellings of all six.
+const (
+	phaseSeed = numPhases + iota
+	phaseMerge
+)
 
 // clockBase anchors nanotime: time.Since on a monotonic base compiles
 // to one clock read with no allocation.
@@ -91,15 +93,12 @@ func (c *phaseClock) stamp(p phase) {
 // lowest buckets are below the grain where handing work to another lane
 // pays, so the histogram shows how much of the workload is too fine to
 // parallelise profitably. seedGrain and serialBypassThreshold are read
-// off it.
-var taskBucketNanos = [...]int64{256, 1024, 4096, 16384, 65536, 262144}
-
-// numTaskBuckets adds the open top bucket (> 262144ns).
-const numTaskBuckets = len(taskBucketNanos) + 1
+// off it. The bounds are obs.TaskBucketNanos.
+const numTaskBuckets = len(obs.TaskBucketNanos) + 1 // the open top bucket adds one
 
 // taskBucket maps a task duration to its histogram bucket.
 func taskBucket(d int64) int {
-	for i, ub := range taskBucketNanos {
+	for i, ub := range obs.TaskBucketNanos {
 		if d <= ub {
 			return i
 		}
@@ -110,15 +109,45 @@ func taskBucket(d int64) int {
 // secs converts accumulated nanoseconds for the report.
 func secs(ns int64) float64 { return float64(ns) / float64(time.Second) }
 
-// Loss folds the accumulated phase clocks and Apply timings into the
-// loss report. Safe to call concurrently with Apply; the numbers then
-// stand as of the last completed batch.
+// Books returns the cumulative scheduler books: every lane's phase time
+// and task sizes summed, with Apply's seed and merge regions and the
+// wakeup count. It allocates nothing and is safe to call concurrently
+// with Apply; the numbers then stand as of the last completed batch.
+func (m *Matcher) Books() obs.SchedBooks {
+	m.mu.Lock()
+	b := m.booksLocked()
+	m.mu.Unlock()
+	return b
+}
+
+// booksLocked is Books under m.mu.
+func (m *Matcher) booksLocked() obs.SchedBooks {
+	b := obs.SchedBooks{Wakeups: m.sched.wakeups.Load()}
+	for i := range m.lanes {
+		l := &m.lanes[i]
+		for p := range l.clock.ns {
+			b.PhaseNanos[p] += l.clock.ns[p]
+		}
+		for k := range l.taskSizes {
+			b.TaskSizes[k] += l.taskSizes[k]
+		}
+	}
+	b.PhaseNanos[phaseSeed] = m.seedNs
+	b.PhaseNanos[phaseMerge] = m.mergeNs
+	return b
+}
+
+// Loss folds the books (Books, and each lane's share of them) and the
+// Apply timings into the loss report. Safe to call concurrently with
+// Apply; the numbers then stand as of the last completed batch.
 func (m *Matcher) Loss() obs.LossReport {
 	m.mu.Lock()
-	applyNs, seedNs, activeNs, mergeNs := m.applyNs, m.seedNs, m.activeNs, m.mergeNs
+	applyNs, activeNs := m.applyNs, m.activeNs
 	batches := m.batches
+	books := m.booksLocked()
 	lanes := append([]laneBooks(nil), m.lanes...)
 	m.mu.Unlock()
+	seedNs, mergeNs := books.PhaseNanos[phaseSeed], books.PhaseNanos[phaseMerge]
 
 	workers := len(lanes)
 	r := obs.LossReport{
@@ -130,8 +159,6 @@ func (m *Matcher) Loss() obs.LossReport {
 		MergeSeconds:  secs(mergeNs),
 	}
 
-	var phaseTot [numPhases]int64
-	var bucketTot [numTaskBuckets]int64
 	for wi := range lanes {
 		w := &lanes[wi]
 		wl := obs.WorkerLoss{
@@ -140,32 +167,27 @@ func (m *Matcher) Loss() obs.LossReport {
 			Phases: make([]obs.PhaseSeconds, numPhases),
 		}
 		for p := phase(0); p < numPhases; p++ {
-			v := w.clock.ns[p]
-			phaseTot[p] += v
-			wl.Phases[p] = obs.PhaseSeconds{Phase: phaseNames[p], Seconds: secs(v)}
-		}
-		for b := 0; b < numTaskBuckets; b++ {
-			bucketTot[b] += w.taskSizes[b]
+			wl.Phases[p] = obs.PhaseSeconds{Phase: obs.SchedPhases[p], Seconds: secs(w.clock.ns[p])}
 		}
 		r.PerWorker = append(r.PerWorker, wl)
 	}
 	r.Phases = make([]obs.PhaseSeconds, numPhases)
 	for p := phase(0); p < numPhases; p++ {
-		r.Phases[p] = obs.PhaseSeconds{Phase: phaseNames[p], Seconds: secs(phaseTot[p])}
+		r.Phases[p] = obs.PhaseSeconds{Phase: obs.SchedPhases[p], Seconds: secs(books.PhaseNanos[p])}
 	}
 	r.TaskSizes = make([]obs.TaskBucket, numTaskBuckets)
 	for b := 0; b < numTaskBuckets; b++ {
 		ub := int64(0) // open top bucket
-		if b < len(taskBucketNanos) {
-			ub = taskBucketNanos[b]
+		if b < len(obs.TaskBucketNanos) {
+			ub = obs.TaskBucketNanos[b]
 		}
-		r.TaskSizes[b] = obs.TaskBucket{UpToNanos: ub, Count: bucketTot[b]}
+		r.TaskSizes[b] = obs.TaskBucket{UpToNanos: ub, Count: books.TaskSizes[b]}
 	}
 
-	matchNs := phaseTot[phaseMatch]
-	lockNs := phaseTot[phaseLockWait]
-	idleNs := phaseTot[phasePark]
-	spawnNs := phaseTot[phaseSpawn]
+	matchNs := books.PhaseNanos[phaseMatch]
+	lockNs := books.PhaseNanos[phaseLockWait]
+	idleNs := books.PhaseNanos[phasePark]
+	spawnNs := books.PhaseNanos[phaseSpawn]
 	busyNs := matchNs + lockNs
 
 	serialNs := seedNs + mergeNs + matchNs

@@ -36,7 +36,7 @@ func lossMatcher(t *testing.T, workers int, batches, maxBatch int) (*Matcher, *m
 	params := matchtest.IndexStressGenParams()
 	prods := matchtest.RandomProgram(rng, params)
 	script := matchtest.RandomScript(rng, params, batches, maxBatch)
-	m, err := New(prods, workers)
+	m, err := NewWithConfig(prods, Config{Workers: workers})
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestPhaseStampZeroAlloc(t *testing.T) {
 // maps to its own bucket and anything above the last bound lands in the
 // open top bucket.
 func TestTaskBucketBounds(t *testing.T) {
-	for i, ub := range taskBucketNanos {
+	for i, ub := range obs.TaskBucketNanos {
 		if got := taskBucket(ub); got != i {
 			t.Errorf("taskBucket(%d) = %d, want %d", ub, got, i)
 		}

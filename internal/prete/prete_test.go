@@ -131,7 +131,7 @@ func TestPaperProductionParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := prete.New([]*ops5.Production{p}, 4)
+	m, err := prete.NewWithConfig([]*ops5.Production{p}, prete.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestWorkerCountIndependence(t *testing.T) {
 
 	var ref []string
 	for _, workers := range []int{1, 2, 8, 32} {
-		m, err := prete.New(prods, workers)
+		m, err := prete.NewWithConfig(prods, prete.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestDeepChainRunsSoloInOrder(t *testing.T) {
 	var want []string
 	net.OnInsert, net.OnRemove = record(&want, "+"), record(&want, "-")
 	for _, workers := range []int{1, 4} {
-		m, err := prete.New(prods, workers)
+		m, err := prete.NewWithConfig(prods, prete.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -140,15 +140,6 @@ type scheduler struct {
 	bypasses atomic.Int64
 }
 
-func newScheduler(workers, nodes int, pool *tokenPool) *scheduler {
-	s := &scheduler{workers: make([]worker, workers)}
-	for i := range s.workers {
-		s.workers[i].prof = make([]rete.NodeProf, nodes)
-		s.workers[i].pool = pool
-	}
-	return s
-}
-
 // lanePool is the process's one set of helper goroutines, GOMAXPROCS−1
 // of them so that with the caller as lane 0 one batch can occupy every
 // processor. The first multi-lane matcher starts it; it is never
@@ -202,7 +193,7 @@ func (s *scheduler) borrow(m *Matcher, from int64) int {
 // tail is charged to park so the lane's phase totals cover its whole
 // time in the batch.
 func (m *Matcher) runLane(wi int, from int64) {
-	s := m.sched
+	s := &m.sched
 	w := &s.workers[wi]
 	w.clock.last = from
 	w.clock.stamp(phaseSpawn)

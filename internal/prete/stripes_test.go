@@ -42,12 +42,12 @@ func TestStripesFollowLanes(t *testing.T) {
 		}
 	}
 
-	m, err := New(prods, 1)
+	m, err := NewWithConfig(prods, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(m, 1, 1)
-	m, err = New(prods, 2)
+	m, err = NewWithConfig(prods, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestStripesFollowLanes(t *testing.T) {
 
 	// Four workers asked for on one CPU make one lane, so one stripe.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	m, err = New(prods, 4)
+	m, err = NewWithConfig(prods, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package rete
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/ops5"
 )
 
@@ -105,18 +104,6 @@ type Stats struct {
 	ConflictRemoves int64
 	// Anomalies counts removal requests for absent tokens (should be 0).
 	Anomalies int64
-}
-
-// MatchStats reports the network's work in the matcher-neutral form;
-// its unit of match work is the token comparison.
-func (n *Network) MatchStats() obs.MatchStats {
-	s := &n.Stats
-	return obs.MatchStats{
-		Changes:         int64(s.Changes),
-		Comparisons:     s.TokenComparisons,
-		ConflictInserts: s.ConflictInserts,
-		ConflictRemoves: s.ConflictRemoves,
-	}
 }
 
 // linearProbeMin is the opposite-memory population below which a join
@@ -231,7 +218,6 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], parent int64
 			}
 		}
 		n.Stats.TokenComparisons += int64(tested)
-		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
 			Seq: seq, Parent: parent, Change: n.change, Kind: KindJoinRight,
 			NodeID: j.ID, Dir: n.dir, TokensTested: tested, PairsEmitted: emitted,
@@ -277,7 +263,6 @@ func (n *Network) rightActivate(j *JoinNode, m *keyMemo[*ops5.WME], parent int64
 			}
 		}
 		n.Stats.TokenComparisons += int64(tested)
-		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
 			Seq: seq, Parent: parent, Change: n.change, Kind: KindNegRight,
 			NodeID: j.ID, Dir: n.dir, TokensTested: tested, PairsEmitted: emitted,
@@ -314,7 +299,6 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 			}
 		}
 		n.Stats.TokenComparisons += int64(tested)
-		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
 			Seq: seq, Parent: parent, Change: n.change, Kind: KindJoinLeft,
 			NodeID: j.ID, Dir: dir, TokensTested: tested, PairsEmitted: emitted,
@@ -355,7 +339,6 @@ func (n *Network) leftActivate(j *JoinNode, m *keyMemo[*Token], dir ops5.ChangeK
 			}
 		}
 		n.Stats.TokenComparisons += int64(tested)
-		st.prof.add(tested, emitted, indexed)
 		n.emit(ActivationEvent{
 			Seq: seq, Parent: parent, Change: n.change, Kind: KindNegLeft,
 			NodeID: j.ID, Dir: dir, TokensTested: tested, PairsEmitted: emitted,

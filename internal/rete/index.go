@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/bucket"
-	"repro/internal/obs"
 	"repro/internal/ops5"
 )
 
@@ -129,34 +128,4 @@ func (ix *index[E]) probe(k uint64, scratch *[]E) []E {
 	}
 	*scratch = out
 	return out
-}
-
-// IndexInfo reports the current index topology and occupancy: the
-// two-input nodes by whether activations probe a hash bucket or scan
-// linearly, and the live buckets over every (possibly shared) index.
-func (n *Network) IndexInfo() obs.IndexReport {
-	var info obs.IndexReport
-	add := func(buckets, maxChain int) {
-		info.Buckets += buckets
-		info.MaxBucket = max(info.MaxBucket, maxChain)
-	}
-	for _, j := range n.Joins {
-		if j.LeftHash != nil {
-			info.IndexedNodes++
-			add(n.joins[j.Index].negIndex.Stats())
-		} else {
-			info.FallbackNodes++
-		}
-	}
-	for i := range n.alphas {
-		for k := range n.alphas[i].indexes {
-			add(n.alphas[i].indexes[k].buckets.Stats())
-		}
-	}
-	for i := range n.betas {
-		for k := range n.betas[i].indexes {
-			add(n.betas[i].indexes[k].buckets.Stats())
-		}
-	}
-	return info
 }

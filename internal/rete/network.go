@@ -237,9 +237,6 @@ type joinState struct {
 	// pointers into the buckets taken during a walk stay valid.
 	negIndex bucket.Buckets[negRecord]
 	negCount int
-	// prof accumulates the node's activation work for live hot-node
-	// profiling.
-	prof NodeProf
 }
 
 // negKey is the negIndex key of the left token in m: its join-key hash

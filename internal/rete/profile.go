@@ -9,9 +9,8 @@ import (
 )
 
 // NodeProf accumulates one two-input node's activation work for live
-// hot-node profiling. The serial runtime bumps the counters without
-// synchronization (it owns them); the parallel runtime (internal/prete)
-// counts per lane and reports the folded totals in the same shape.
+// hot-node profiling. The parallel runtime (internal/prete) counts it
+// per lane and reports the folded totals through Entry.
 type NodeProf struct {
 	// Activations counts node activations (left and right combined).
 	Activations int64
@@ -19,19 +18,6 @@ type NodeProf struct {
 	TokensTested int64
 	// PairsEmitted counts tokens sent downstream.
 	PairsEmitted int64
-	// IndexedProbes counts activations answered from a hash bucket
-	// rather than a linear scan.
-	IndexedProbes int64
-}
-
-// add folds an activation's counts into the profile.
-func (p *NodeProf) add(tested, emitted int, indexed bool) {
-	p.Activations++
-	p.TokensTested += int64(tested)
-	p.PairsEmitted += int64(emitted)
-	if indexed {
-		p.IndexedProbes++
-	}
 }
 
 // Entry reports the counters as node j's profile entry, with enough
@@ -39,14 +25,13 @@ func (p *NodeProf) add(tested, emitted int, indexed bool) {
 // cost.Model.NodeCost).
 func (p NodeProf) Entry(j *JoinNode) obs.NodeProfileEntry {
 	return obs.NodeProfileEntry{
-		NodeID:        j.ID,
-		Label:         j.Label(),
-		SharedBy:      j.SharedBy,
-		Productions:   j.ProductionNames(),
-		Activations:   p.Activations,
-		TokensTested:  p.TokensTested,
-		PairsEmitted:  p.PairsEmitted,
-		IndexedProbes: p.IndexedProbes,
+		NodeID:       j.ID,
+		Label:        j.Label(),
+		SharedBy:     j.SharedBy,
+		Productions:  j.ProductionNames(),
+		Activations:  p.Activations,
+		TokensTested: p.TokensTested,
+		PairsEmitted: p.PairsEmitted,
 	}
 }
 
@@ -96,17 +81,4 @@ func (j *JoinNode) ProductionNames() []string {
 		names = append(names[:maxProfileProds:maxProfileProds], fmt.Sprintf("+%d more", extra))
 	}
 	return names
-}
-
-// NodeProfile returns the accumulated per-node work of every two-input
-// node activated so far, in node-ID order. Callers rank by whatever
-// cost model they apply (see internal/cost).
-func (n *Network) NodeProfile() []obs.NodeProfileEntry {
-	var out []obs.NodeProfileEntry
-	for _, j := range n.Joins {
-		if prof := n.joins[j.Index].prof; prof.Activations > 0 {
-			out = append(out, prof.Entry(j))
-		}
-	}
-	return out
 }

@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -139,4 +141,95 @@ func TestDemoteStopsResidentWorkers(t *testing.T) {
 			t.Fatal("demote returned no durable directory")
 		}
 	})
+}
+
+// TestReteSessionIsOneLane pins what a rete session runs: the parallel
+// matcher on one lane, whatever workers asks for. A rete session
+// created with workers 4 reports one lane on /profile, and on a fixed
+// script its /changes, /run, /wm and /conflicts replies are the bytes a
+// parallel-rete session with workers 1 answers (neither names its
+// matcher). The first batch seeds more activations than the bypass
+// threshold, so a session with more lanes would offer them.
+func TestReteSessionIsOneLane(t *testing.T) {
+	_, c := newTestServer(t, server.Config{Shards: 2})
+	for _, s := range []server.CreateSpec{
+		{ID: "one-rete", Program: skewedSrc, Matcher: "rete", Workers: 4},
+		{ID: "one-prete", Program: skewedSrc, Matcher: "parallel-rete", Workers: 1},
+	} {
+		c.must("POST", "/sessions", s, nil, http.StatusCreated)
+	}
+	first := server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpAssert, Class: "goal", Attrs: attrs("type", "pick", "color", "red")},
+		{Op: server.OpAssert, Class: "marker", Attrs: attrs("id", 1.0)},
+	}}
+	colors := []string{"red", "blue", "green", "white", "black", "grey", "pink", "teal"}
+	for i := 0; i < 96; i++ {
+		first.Changes = append(first.Changes, server.ChangeSpec{
+			Op: server.OpAssert, Class: "block", Attrs: attrs("id", float64(i), "color", colors[i%len(colors)]),
+		})
+	}
+	retract := server.ChangesRequest{Changes: []server.ChangeSpec{
+		{Op: server.OpRetract, Tag: 3}, {Op: server.OpRetract, Tag: 11},
+		{Op: server.OpAssert, Class: "block", Attrs: attrs("id", 200.0, "color", "red")},
+	}}
+	script := []struct {
+		method, path string
+		body         any
+	}{
+		{"POST", "/changes", first},
+		{"POST", "/run", server.RunRequest{Cycles: 20}},
+		{"GET", "/conflicts", nil},
+		{"POST", "/changes", retract},
+		{"POST", "/run", server.RunRequest{Cycles: 0}},
+		{"GET", "/wm", nil},
+		{"GET", "/conflicts", nil},
+	}
+	for _, step := range script {
+		var replies [2]string
+		for i, id := range []string{"one-rete", "one-prete"} {
+			replies[i] = rawReply(t, c, step.method, "/sessions/"+id+step.path, step.body)
+		}
+		if replies[0] != replies[1] {
+			t.Errorf("%s %s: rete answers\n%s\nparallel-rete with one worker answers\n%s",
+				step.method, step.path, replies[0], replies[1])
+		}
+	}
+
+	var prof server.ProfileResult
+	c.must("GET", "/sessions/one-rete/profile", nil, &prof, http.StatusOK)
+	if prof.Matcher != "rete" || prof.Loss == nil || prof.Loss.Workers != 1 ||
+		prof.MatchStats == nil || len(prof.MatchStats.Workers) != 1 {
+		t.Errorf("rete profile with workers 4: matcher %q, loss %+v, match stats %+v; want rete on one lane",
+			prof.Matcher, prof.Loss, prof.MatchStats)
+	}
+	if prof.MatchStats != nil && prof.MatchStats.Wakeups != 0 {
+		t.Errorf("rete session borrowed helper lanes %d times, want never", prof.MatchStats.Wakeups)
+	}
+}
+
+// rawReply sends one request and returns its status and body as text.
+func rawReply(t *testing.T, c *client, method, path string, body any) string {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd = bytes.NewReader(buf)
+	}
+	req, err := http.NewRequest(method, c.base+path, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%d %s", resp.StatusCode, raw)
 }

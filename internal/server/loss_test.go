@@ -121,21 +121,22 @@ func TestLossEndpointAndMetrics(t *testing.T) {
 	}
 }
 
-// TestLossUnsupportedMatcher pins the serial-matcher answer: the
-// endpoint reports supported=false with no report rather than erroring,
-// so clients can probe capability with a plain GET.
+// TestLossUnsupportedMatcher pins the answer for a matcher without a
+// scheduler (naive): the endpoint reports supported=false with no
+// report rather than erroring, so clients can probe capability with a
+// plain GET.
 func TestLossUnsupportedMatcher(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Shards: 1})
 	c.must("POST", "/sessions", server.CreateSpec{
-		ID: "serial", Program: skewedSrc, Matcher: "rete",
+		ID: "naive", Program: skewedSrc, Matcher: "naive",
 	}, nil, http.StatusCreated)
 
 	var lr server.LossResult
-	c.must("GET", "/sessions/serial/loss", nil, &lr, http.StatusOK)
+	c.must("GET", "/sessions/naive/loss", nil, &lr, http.StatusOK)
 	if lr.Supported || lr.Report != nil {
-		t.Errorf("loss on serial matcher = %+v, want unsupported and empty", lr)
+		t.Errorf("loss on naive matcher = %+v, want unsupported and empty", lr)
 	}
-	if lr.Matcher != "rete" {
-		t.Errorf("matcher = %q, want rete", lr.Matcher)
+	if lr.Matcher != "naive" {
+		t.Errorf("matcher = %q, want naive", lr.Matcher)
 	}
 }

@@ -172,7 +172,7 @@ type LossResult struct {
 	SessionID string `json:"session_id"`
 	Matcher   string `json:"matcher"`
 	// Supported reports whether the matcher keeps phase accounting
-	// (only the parallel Rete does).
+	// (both Rete kinds do; naive does not).
 	Supported bool `json:"supported"`
 	// Report is the accounting; nil when unsupported.
 	Report *obs.LossReport `json:"loss,omitempty"`

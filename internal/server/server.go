@@ -155,12 +155,10 @@ type Server struct {
 	streamLag     *stats.Gauge
 	expiredWMEs   *stats.Counter
 
-	// Loss-accounting metrics: labelled series are created on first
-	// observation (the phase set comes from the matcher's loss report),
-	// guarded by lossMu; the counters themselves are lock-free.
-	lossMu     sync.Mutex
-	phaseSecs  map[string]*stats.FloatCounter
-	taskCounts map[string]*stats.Counter
+	// Loss-accounting metrics, one series per scheduler phase and per
+	// task-size bucket (obs.SchedPhases, obs.TaskBucketNanos).
+	phaseSecs  [len(obs.SchedPhases)]*stats.FloatCounter
+	taskCounts [len(obs.TaskBucketNanos) + 1]*stats.Counter
 
 	// Durability metrics (zero-valued but present even when -data-dir
 	// is unset, so dashboards never miss the series).
@@ -222,9 +220,19 @@ func New(cfg Config) *Server {
 			"latency of one durable-session snapshot", nil),
 		recovered: r.Counter("psmd_recovered_sessions",
 			"sessions recovered from durable state at startup"),
-		phaseSecs:  make(map[string]*stats.FloatCounter),
-		taskCounts: make(map[string]*stats.Counter),
-		programs:   newProgramTable(r),
+		programs: newProgramTable(r),
+	}
+	for i, phase := range obs.SchedPhases {
+		s.phaseSecs[i] = r.FloatCounter(fmt.Sprintf("psmd_sched_phase_seconds_total{phase=%q}", phase),
+			"parallel-matcher wall time by scheduler phase (plus the serial seed/merge regions)")
+	}
+	for i := range s.taskCounts {
+		le := "+Inf"
+		if i < len(obs.TaskBucketNanos) {
+			le = strconv.FormatInt(obs.TaskBucketNanos[i], 10)
+		}
+		s.taskCounts[i] = r.Counter(fmt.Sprintf("psmd_task_activations{le=%q}", le),
+			"parallel-matcher activations by execution-time bucket (nanoseconds)")
 	}
 	r.GaugeFunc("psmd_uptime_seconds", "seconds since server start", func() float64 {
 		return time.Since(s.start).Seconds()
@@ -709,9 +717,8 @@ func countsOf(eng *engine.Engine) engineCounts {
 // account ends every session operation (dispatchSession): the four
 // server-wide engine counters advance by what the session's engine
 // committed since before, and, when any of them moved, the scheduler
-// and loss metrics by what its matcher counted since the previous
-// account. Labelled loss series appear on first observation — the phase
-// vocabulary belongs to the matcher, not the server. Turn holder only.
+// series by how far its matcher's books moved since the previous
+// account. Turn holder only.
 func (s *Server) account(sess *session, before engineCounts) {
 	now := countsOf(sess.sys.Engine)
 	if now == before {
@@ -721,46 +728,23 @@ func (s *Server) account(sess *session, before engineCounts) {
 	s.firings.Add(int64(now.fired - before.fired))
 	s.cycles.Add(int64(now.cycles - before.cycles))
 	s.expiredWMEs.Add(int64(now.expired - before.expired))
-	s.wakeups.Add(sess.wakeupDelta())
-	phases, buckets := sess.lossDeltas()
-	for name, secs := range phases {
-		if secs > 0 {
-			s.phaseCounter(name).Add(secs)
+	p := sess.sys.Engine.Capabilities().Loss
+	if p == nil {
+		return
+	}
+	books, last := p.Books(), &sess.books
+	s.wakeups.Add(books.Wakeups - last.Wakeups)
+	for i, ns := range books.PhaseNanos {
+		if d := ns - last.PhaseNanos[i]; d > 0 {
+			s.phaseSecs[i].Add(float64(d) / float64(time.Second))
 		}
 	}
-	for le, n := range buckets {
-		if n > 0 {
-			s.taskCounter(le).Add(n)
+	for i, n := range books.TaskSizes {
+		if d := n - last.TaskSizes[i]; d > 0 {
+			s.taskCounts[i].Add(d)
 		}
 	}
-}
-
-// phaseCounter returns (creating on first use) the phase-seconds series
-// for one scheduler phase.
-func (s *Server) phaseCounter(phase string) *stats.FloatCounter {
-	s.lossMu.Lock()
-	defer s.lossMu.Unlock()
-	c := s.phaseSecs[phase]
-	if c == nil {
-		c = s.registry.FloatCounter(fmt.Sprintf("psmd_sched_phase_seconds_total{phase=%q}", phase),
-			"parallel-matcher wall time by scheduler phase (plus the serial seed/merge regions)")
-		s.phaseSecs[phase] = c
-	}
-	return c
-}
-
-// taskCounter returns (creating on first use) the activation-count
-// series for one task-size bucket (le = inclusive nanosecond bound).
-func (s *Server) taskCounter(le string) *stats.Counter {
-	s.lossMu.Lock()
-	defer s.lossMu.Unlock()
-	c := s.taskCounts[le]
-	if c == nil {
-		c = s.registry.Counter(fmt.Sprintf("psmd_task_activations{le=%q}", le),
-			"parallel-matcher activations by execution-time bucket (nanoseconds)")
-		s.taskCounts[le] = c
-	}
-	return c
+	*last = books
 }
 
 // RunCycles executes up to maxCycles recognize-act cycles (0 = until

@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/conflict"
@@ -62,7 +61,7 @@ type CreateSpec struct {
 	// top-level make forms).
 	Program string `json:"program"`
 	// Matcher selects the match algorithm by name (core.ParseMatcherKind
-	// spelling; empty = serial rete).
+	// spelling; empty = rete, the parallel matcher on one lane).
 	Matcher string `json:"matcher,omitempty"`
 	// Strategy selects conflict resolution ("lex" default, or "mea").
 	Strategy string `json:"strategy,omitempty"`
@@ -138,16 +137,11 @@ type session struct {
 	// requests counts every operation routed to this session.
 	requests int64
 
-	// lastWakeups remembers the matcher's cumulative wakeup count at the
-	// previous wakeupDelta call, so the server-wide counter can be
-	// advanced by per-request deltas.
-	lastWakeups int64
-
-	// lastPhaseSecs and lastTaskCounts do the same for the matcher's
-	// cumulative loss accounting (lossDeltas); nil until the first call
-	// on a loss-capable matcher.
-	lastPhaseSecs  map[string]float64
-	lastTaskCounts map[string]int64
+	// books is the matcher's scheduler books as of the previous account,
+	// so the server-wide series advance by per-operation differences.
+	// Every counter in them only grows: a session's matcher lives as
+	// long as the session.
+	books obs.SchedBooks
 
 	// log is the session's durable state (nil when the server runs
 	// without -data-dir). walErrLogged throttles the append-failure
@@ -528,61 +522,6 @@ func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult,
 		WMSize:       s.sys.WM.Size(),
 		ConflictSize: s.sys.CS.Len(),
 	}, err
-}
-
-// The delta functions below feed the server-wide counters, owned-
-// goroutine only. Every counter they read only grows: a session's
-// engine and matcher live as long as the session (session.sys is set
-// only by Server.newSession, engine.Engine.Matcher only by engine.New).
-
-// wakeupDelta returns the growth of the session matcher's wakeup
-// counter since the previous call; zero for matchers without a lane
-// scheduler.
-func (s *session) wakeupDelta() int64 {
-	p := s.sys.Engine.Capabilities().Stats
-	if p == nil {
-		return 0
-	}
-	ms := p.MatchStats()
-	d := ms.Wakeups - s.lastWakeups
-	s.lastWakeups = ms.Wakeups
-	return d
-}
-
-// lossDeltas returns the growth of the session matcher's cumulative
-// per-phase seconds (including the serial seed/merge Apply regions) and
-// task-size histogram counts since the previous call. Nil maps for
-// matchers without loss accounting.
-func (s *session) lossDeltas() (phases map[string]float64, buckets map[string]int64) {
-	p := s.sys.Engine.Capabilities().Loss
-	if p == nil {
-		return nil, nil
-	}
-	lr := p.Loss()
-	if s.lastPhaseSecs == nil {
-		s.lastPhaseSecs = make(map[string]float64, len(lr.Phases)+2)
-		s.lastTaskCounts = make(map[string]int64, len(lr.TaskSizes))
-	}
-	phases = make(map[string]float64, len(lr.Phases)+2)
-	add := func(name string, cum float64) {
-		phases[name] = cum - s.lastPhaseSecs[name]
-		s.lastPhaseSecs[name] = cum
-	}
-	for _, ps := range lr.Phases {
-		add(ps.Phase, ps.Seconds)
-	}
-	add("seed", lr.SeedSeconds)
-	add("merge", lr.MergeSeconds)
-	buckets = make(map[string]int64, len(lr.TaskSizes))
-	for _, b := range lr.TaskSizes {
-		le := "+Inf"
-		if b.UpToNanos > 0 {
-			le = strconv.FormatInt(b.UpToNanos, 10)
-		}
-		buckets[le] = b.Count - s.lastTaskCounts[le]
-		s.lastTaskCounts[le] = b.Count
-	}
-	return phases, buckets
 }
 
 // info snapshots the session, owned-goroutine only.
