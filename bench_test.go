@@ -714,7 +714,7 @@ func TestInstantiationsBuiltPerFiring(t *testing.T) {
 	before := profiledAllocs("repro/internal/ops5.NewInstantiation")
 	sys := mannersSystemSolve(t, core.SerialRete)
 	built := profiledAllocs("repro/internal/ops5.NewInstantiation") - before
-	inserts := sys.Capabilities().Stats.MatchStats().ConflictInserts
+	inserts := sys.ParallelMatcher().MatchStats().ConflictInserts
 	t.Logf("%d instantiations built for %d firings and %d conflict-set inserts", built, sys.Fired, inserts)
 	if built != int64(sys.Fired) {
 		t.Errorf("%d instantiations built for %d firings (%d conflict-set inserts)", built, sys.Fired, inserts)

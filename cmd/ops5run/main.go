@@ -46,6 +46,7 @@ import (
 
 	"repro/internal/conflict"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/ops5"
 	"repro/internal/rete"
@@ -130,10 +131,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "throughput: %.0f wme-changes/sec\n",
 				float64(sys.TotalChanges)/elapsed.Seconds())
 		}
-		// Matcher-specific detail comes through the optional capability
-		// interfaces only, none of it from matcher internals.
-		caps := sys.Capabilities()
-		if p := caps.Stats; p != nil {
+		// Match work comes through engine.StatsProvider, every
+		// matcher's one report; the index report is the parallel
+		// matcher's own (both Rete kinds, not naive).
+		if p, ok := sys.Matcher.(engine.StatsProvider); ok {
 			st := p.MatchStats()
 			fmt.Fprintf(os.Stderr, "match comparisons:     %d\n", st.Comparisons)
 			fmt.Fprintf(os.Stderr, "conflict ins/rem:      %d/%d\n", st.ConflictInserts, st.ConflictRemoves)
@@ -141,18 +142,18 @@ func main() {
 				fmt.Fprintf(os.Stderr, "node activations:      %d on %d lane(s)\n", st.Tasks, len(st.Workers))
 			}
 		}
-		if p := caps.Index; p != nil {
-			ix := p.IndexInfo()
+		if pm := sys.ParallelMatcher(); pm != nil {
+			ix := pm.IndexInfo()
 			fmt.Fprintf(os.Stderr, "indexed joins:         %d (%d fallback)\n", ix.IndexedNodes, ix.FallbackNodes)
 			fmt.Fprintf(os.Stderr, "hash buckets:          %d (max depth %d)\n", ix.Buckets, ix.MaxBucket)
 		}
 	}
 	if *loss {
-		p := sys.Capabilities().Loss
-		if p == nil {
+		pm := sys.ParallelMatcher()
+		if pm == nil {
 			fatal(fmt.Errorf("-loss requires a matcher with loss accounting (rete or parallel-rete)"))
 		}
-		printLoss(os.Stderr, p.Loss())
+		printLoss(os.Stderr, pm.Loss())
 	}
 }
 

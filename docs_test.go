@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -132,4 +133,82 @@ func goWordsAndFiles(t *testing.T) (words, files map[string]bool) {
 		t.Fatal(err)
 	}
 	return words, files
+}
+
+var (
+	// ciTestFlag is a -run or -bench flag in a CI step and its pattern,
+	// quoted or bare.
+	ciTestFlag = regexp.MustCompile(`-(run|bench)[= ]('[^']*'|"[^"]*"|[^\s'"]+)`)
+	// testFunc is a top-level test, fuzz or benchmark function.
+	testFunc = regexp.MustCompile(`(?m)^func ((Test|Fuzz|Benchmark)\w*)\(`)
+)
+
+// TestCIRunPatternsNameLiveTests fails when an alternative of a -run or
+// -bench pattern in .github/workflows/*.yml or the Makefile matches no
+// function of the repository that the flag selects (tests and fuzz
+// targets for -run, benchmarks for -bench): a CI step whose
+// pattern names a renamed or folded test runs nothing and still passes.
+// Only the top level of a pattern is checked (subtest parts after "/"
+// are not), split at every "|", and "^$", which selects nothing on
+// purpose, is exempt.
+func TestCIRunPatternsNameLiveTests(t *testing.T) {
+	funcs := map[string][]string{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			flag := "run"
+			if m[2] == "Benchmark" {
+				flag = "bench"
+			}
+			funcs[flag] = append(funcs[flag], m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(".github/workflows/*.yml")
+	checked := 0
+	for _, file := range append(files, "Makefile") {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(src)
+		if file == "Makefile" {
+			text = strings.ReplaceAll(text, "$$", "$")
+		}
+		for i, line := range strings.Split(text, "\n") {
+			for _, m := range ciTestFlag.FindAllStringSubmatch(line, -1) {
+				flag, pattern := m[1], strings.Trim(m[2], `'"`)
+				if pattern == "^$" {
+					continue
+				}
+				top, _, _ := strings.Cut(pattern, "/")
+				for _, alt := range strings.Split(top, "|") {
+					checked++
+					re, err := regexp.Compile(alt)
+					if err != nil {
+						t.Errorf("%s:%d: -%s alternative %q: %v", file, i+1, flag, alt, err)
+					} else if !slices.ContainsFunc(funcs[flag], re.MatchString) {
+						t.Errorf("%s:%d: -%s alternative %q matches no function in the repository", file, i+1, flag, alt)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run or -bench pattern in the CI files; the check is not looking at them")
+	}
 }

@@ -144,11 +144,10 @@ func NewSystemOnPlan(prog *ops5.Program, plan *rete.Plan, opts Options) (*System
 		pm.Sink = cs
 		sys.pm, m = pm, pm
 	case Naive:
-		nm, err := naive.New(prog.Productions)
+		nm, err := naive.New(prog.Productions, cs)
 		if err != nil {
 			return nil, err
 		}
-		nm.Sink = cs
 		m = nm
 	default:
 		return nil, fmt.Errorf("core: unknown matcher kind %d", opts.Matcher)

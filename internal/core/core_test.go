@@ -62,8 +62,8 @@ func TestEngineHoldsTheMatcher(t *testing.T) {
 		if got := fmt.Sprintf("%T", sys.Matcher); got != want {
 			t.Errorf("%v: engine matcher is %s, want %s", kind, got, want)
 		}
-		p := sys.Capabilities().Stats
-		if p == nil {
+		p, ok := sys.Matcher.(engine.StatsProvider)
+		if !ok {
 			t.Fatalf("%v: no StatsProvider", kind)
 		}
 		sys.Assert(ops5.NewWME("a", "v", 1), ops5.NewWME("a", "v", 2))

@@ -1,7 +1,8 @@
 // Package engine implements the OPS5 recognize-act cycle of §2.1:
 // match, conflict-resolution, act. It is parameterised over the matcher
-// (the served serial Rete, parallel Rete and naive matchers, or the §3.2
-// baselines TREAT and full-state, which internal/matchtest builds), and
+// (the served parallel Rete, on one lane or many, and naive matchers,
+// the serial reference rete.Network, or the §3.2 baselines TREAT and
+// full-state, which internal/matchtest builds), and
 // supports the parallel-firing mode used by the paper's "parallel
 // firings" curves in Figures 6-1 and 6-2.
 package engine
@@ -28,8 +29,8 @@ import (
 var ErrCycleLimit = errors.New("engine: cycle limit reached")
 
 // Matcher is the interface every match algorithm implements. Conflict
-// set deltas are delivered through callbacks configured at construction
-// time, so Apply carries no return value.
+// set deltas leave through the ops5.MatchSink the matcher was built
+// with, so Apply carries no return value.
 type Matcher interface {
 	// Apply processes a batch of working-memory changes. Insert WMEs
 	// already carry their assigned time tags.

@@ -257,7 +257,7 @@ func TestAllMatchersAgreeOnRun(t *testing.T) {
 		if _, err := e.Run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if p := e.Capabilities().Stats; p == nil || p.MatchStats().Changes == 0 {
+		if p, ok := e.Matcher.(engine.StatsProvider); !ok || p.MatchStats().Changes == 0 {
 			t.Errorf("%s reports no match work", name)
 		}
 		var b strings.Builder

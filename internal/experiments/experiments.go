@@ -342,10 +342,10 @@ func e8(w io.Writer, _ int) error {
 			e.Matcher.Apply(cp)
 		}
 		speed := float64(nChanges) / time.Since(start).Seconds()
-		// Matcher work comes through the capability interface, the same
-		// way ops5run -stats reads it; no matcher internals here.
+		// Matcher work comes through engine.StatsProvider, the same way
+		// ops5run -stats reads it; no matcher internals here.
 		comparisons := "-"
-		if p := e.Capabilities().Stats; p != nil {
+		if p, ok := e.Matcher.(engine.StatsProvider); ok {
 			comparisons = fmt.Sprint(p.MatchStats().Comparisons)
 		}
 		return speed, comparisons, nil
@@ -620,7 +620,7 @@ func e13(w io.Writer, _ int) error {
 	}
 	var probes []probe
 
-	tm, err := treat.New(prods)
+	tm, err := treat.New(prods, matchtest.NewTracker())
 	if err != nil {
 		return err
 	}
@@ -630,7 +630,7 @@ func e13(w io.Writer, _ int) error {
 		return err
 	}
 	probes = append(probes, probe{"Rete", net.StateSize, net.Apply})
-	fs, err := fullstate.New(prods)
+	fs, err := fullstate.New(prods, matchtest.NewTracker())
 	if err != nil {
 		return err
 	}

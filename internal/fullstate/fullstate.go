@@ -63,10 +63,7 @@ type prodState struct {
 // Matcher is the full-state matcher. It satisfies engine.Matcher.
 type Matcher struct {
 	prods []*prodState
-
-	// OnInsert and OnRemove receive conflict-set deltas.
-	OnInsert func(*ops5.Instantiation)
-	OnRemove func(*ops5.Instantiation)
+	sink  ops5.MatchSink // receives the conflict-set deltas
 
 	// Stats accumulates the work and state counters of §3.2.
 	Stats Stats
@@ -100,10 +97,11 @@ func (m *Matcher) MatchStats() obs.MatchStats {
 	}
 }
 
-// New builds a full-state matcher. Productions with more than 16
-// positive condition elements are rejected (2^k subsets are stored).
-func New(prods []*ops5.Production) (*Matcher, error) {
-	m := &Matcher{}
+// New builds a full-state matcher that reports its conflict-set deltas
+// to sink. Productions with more than 16 positive condition elements
+// are rejected (2^k subsets are stored).
+func New(prods []*ops5.Production, sink ops5.MatchSink) (*Matcher, error) {
+	m := &Matcher{sink: sink}
 	for _, p := range prods {
 		if err := p.Validate(); err != nil {
 			return nil, err
@@ -328,18 +326,14 @@ func (m *Matcher) refreshConflict(ps *prodState) {
 		if _, ok := fresh[key]; !ok {
 			delete(ps.inConflict, key)
 			m.Stats.ConflictRemoves++
-			if m.OnRemove != nil {
-				m.OnRemove(inst)
-			}
+			m.sink.RemoveMatch(inst.Production, inst.WMEs)
 		}
 	}
 	for key, inst := range fresh {
 		if _, ok := ps.inConflict[key]; !ok {
 			ps.inConflict[key] = inst
 			m.Stats.ConflictInserts++
-			if m.OnInsert != nil {
-				m.OnInsert(inst)
-			}
+			m.sink.InsertMatch(inst.Production, inst.WMEs)
 		}
 	}
 }

@@ -12,13 +12,11 @@ import (
 
 func runScript(t *testing.T, prods []*ops5.Production, script *matchtest.Script) *fullstate.Matcher {
 	t.Helper()
-	m, err := fullstate.New(prods)
+	tr := matchtest.NewTracker()
+	m, err := fullstate.New(prods, tr)
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
-	tr := matchtest.NewTracker()
-	m.OnInsert = tr.Insert
-	m.OnRemove = tr.Remove
 
 	live := map[int]*ops5.WME{}
 	for bi, batch := range script.Batches {
@@ -82,13 +80,11 @@ func TestDeferredConsistencyCornerCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := fullstate.New([]*ops5.Production{p})
+	tr := matchtest.NewTracker()
+	m, err := fullstate.New([]*ops5.Production{p}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := matchtest.NewTracker()
-	m.OnInsert = tr.Insert
-	m.OnRemove = tr.Remove
 
 	probe := ops5.NewWME("probe", "b", 9, "c", 1)
 	probe.TimeTag = 1
@@ -121,11 +117,11 @@ func TestStateLargerThanTREAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := fullstate.New([]*ops5.Production{p})
+	fs, err := fullstate.New([]*ops5.Production{p}, matchtest.NewTracker())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := treat.New([]*ops5.Production{p})
+	tm, err := treat.New([]*ops5.Production{p}, matchtest.NewTracker())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +154,7 @@ func TestTooManyCEsRejected(t *testing.T) {
 	}
 	p := &ops5.Production{Name: "huge", LHS: lhs,
 		RHS: []*ops5.Action{{Kind: ops5.ActHalt}}}
-	if _, err := fullstate.New([]*ops5.Production{p}); err == nil {
+	if _, err := fullstate.New([]*ops5.Production{p}, matchtest.NewTracker()); err == nil {
 		t.Error("expected rejection of 17 positive CEs")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/matchtest"
 	"repro/internal/ops5"
 	"repro/internal/prete"
@@ -22,8 +23,7 @@ func replayRete(t *testing.T, prods []*ops5.Production, script *matchtest.Script
 		t.Fatalf("rete compile: %v", err)
 	}
 	tr := matchtest.NewTracker()
-	net.OnInsert = tr.Insert
-	net.OnRemove = tr.Remove
+	net.Sink = tr
 	return matchtest.ReplayKeys(net, tr, script)
 }
 
@@ -35,21 +35,18 @@ func replayPrete(t *testing.T, prods []*ops5.Production, script *matchtest.Scrip
 		t.Fatalf("prete new: %v", err)
 	}
 	tr := matchtest.NewTracker()
-	m.OnInsert = tr.Insert
-	m.OnRemove = tr.Remove
+	m.Sink = tr
 	return matchtest.ReplayKeys(m, tr, script)
 }
 
 // replayTreat runs the same script through the TREAT matcher.
 func replayTreat(t *testing.T, prods []*ops5.Production, script *matchtest.Script) [][]string {
 	t.Helper()
-	m, err := treat.New(prods)
+	tr := matchtest.NewTracker()
+	m, err := treat.New(prods, tr)
 	if err != nil {
 		t.Fatalf("treat new: %v", err)
 	}
-	tr := matchtest.NewTracker()
-	m.OnInsert = tr.Insert
-	m.OnRemove = tr.Remove
 	return matchtest.ReplayKeys(m, tr, script)
 }
 
@@ -231,13 +228,13 @@ func TestOnePlanManyExecutors(t *testing.T) {
 		}
 		pm := prete.NewOnPlan(plan, prete.Config{Workers: 4, SerialThreshold: -1})
 		trackers := [3]*matchtest.Tracker{matchtest.NewTracker(), matchtest.NewTracker(), matchtest.NewTracker()}
-		var executors [3]matchtest.ApplyMatcher
+		var executors [3]engine.Matcher
 		for i := 0; i < 2; i++ {
 			net := rete.NewNetwork(plan)
-			net.OnInsert, net.OnRemove = trackers[i].Insert, trackers[i].Remove
+			net.Sink = trackers[i]
 			executors[i] = net
 		}
-		pm.OnInsert, pm.OnRemove = trackers[2].Insert, trackers[2].Remove
+		pm.Sink = trackers[2]
 		executors[2] = pm
 
 		var got [3][][]string
@@ -318,8 +315,7 @@ func TestSkewedWorkloadOnEightLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := matchtest.NewTracker()
-	m.OnInsert = tr.Insert
-	m.OnRemove = tr.Remove
+	m.Sink = tr
 	for _, batch := range skewedBatches(256) {
 		m.Apply(batch)
 	}

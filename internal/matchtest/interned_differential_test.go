@@ -133,8 +133,7 @@ func runInternedDifferential(t *testing.T, rng *rand.Rand, pool []string, batche
 		t.Fatalf("compile: %v", err)
 	}
 	tr := matchtest.NewTracker()
-	net.OnInsert = tr.Insert
-	net.OnRemove = tr.Remove
+	net.Sink = tr
 
 	var live []*ops5.WME
 	nextTag := 1

@@ -200,30 +200,31 @@ func RandomWME(rng *rand.Rand, p GenParams) *ops5.WME {
 	return ops5.NewWME(class(rng.Intn(p.Classes)), pairs...)
 }
 
-// Tracker is a conflict-set recorder fed by matcher callbacks. It keeps
-// counted multiset semantics so out-of-order parallel deltas settle.
+// Tracker is a conflict-set recorder: the ops5.MatchSink a matcher
+// under test reports to. It keys each match as ops5.AppendKey does and
+// keeps counted multiset semantics so out-of-order parallel deltas
+// settle.
 type Tracker struct {
 	counts map[string]int
-	insts  map[string]*ops5.Instantiation
+	buf    []byte
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{counts: map[string]int{}, insts: map[string]*ops5.Instantiation{}}
+	return &Tracker{counts: map[string]int{}}
 }
 
-// Insert records a conflict-set insertion.
-func (t *Tracker) Insert(in *ops5.Instantiation) {
-	k := in.Key()
-	t.counts[k]++
-	t.insts[k] = in
+// InsertMatch records a conflict-set insertion.
+func (t *Tracker) InsertMatch(p *ops5.Production, wmes []*ops5.WME) {
+	t.buf = ops5.AppendKey(t.buf[:0], p, wmes)
+	t.counts[string(t.buf)]++
 }
 
-// Remove records a conflict-set removal.
-func (t *Tracker) Remove(in *ops5.Instantiation) {
-	k := in.Key()
-	t.counts[k]--
-	if t.counts[k] == 0 {
+// RemoveMatch records a conflict-set removal.
+func (t *Tracker) RemoveMatch(p *ops5.Production, wmes []*ops5.WME) {
+	t.buf = ops5.AppendKey(t.buf[:0], p, wmes)
+	k := string(t.buf)
+	if t.counts[k]--; t.counts[k] == 0 {
 		delete(t.counts, k)
 	}
 }
@@ -284,13 +285,6 @@ func RandomScript(rng *rand.Rand, p GenParams, batches, maxBatch int) *Script {
 	return s
 }
 
-// ApplyMatcher is the minimal surface shared by every incremental
-// matcher in this repository: apply one batch of WM changes and report
-// conflict-set deltas through previously wired callbacks.
-type ApplyMatcher interface {
-	Apply(changes []ops5.Change)
-}
-
 // NewBaseline builds an engine over prog whose matcher is the §3.2
 // baseline named "treat" or "full-state", resolving conflicts by
 // strategy, with prog's initial working memory loaded. It is the
@@ -299,23 +293,17 @@ type ApplyMatcher interface {
 func NewBaseline(name string, prog *ops5.Program, strategy conflict.Strategy) (*engine.Engine, error) {
 	cs := conflict.NewSet(strategy)
 	var m engine.Matcher
+	var err error
 	switch name {
 	case "treat":
-		tm, err := treat.New(prog.Productions)
-		if err != nil {
-			return nil, err
-		}
-		tm.OnInsert, tm.OnRemove = cs.Insert, cs.Remove
-		m = tm
+		m, err = treat.New(prog.Productions, cs)
 	case "full-state":
-		fm, err := fullstate.New(prog.Productions)
-		if err != nil {
-			return nil, err
-		}
-		fm.OnInsert, fm.OnRemove = cs.Insert, cs.Remove
-		m = fm
+		m, err = fullstate.New(prog.Productions, cs)
 	default:
-		return nil, fmt.Errorf("matchtest: unknown baseline %q (treat|full-state)", name)
+		err = fmt.Errorf("matchtest: unknown baseline %q (treat|full-state)", name)
+	}
+	if err != nil {
+		return nil, err
 	}
 	e := engine.New(wm.New(), cs, m)
 	e.Load(prog.InitialWM)
@@ -323,11 +311,11 @@ func NewBaseline(name string, prog *ops5.Program, strategy conflict.Strategy) (*
 }
 
 // ReplayKeys drives a matcher through a script and snapshots the
-// tracker's sorted conflict-set keys after every batch. The matcher's
-// insert/remove callbacks must already be wired to tr. Two matchers
-// replaying the same script must produce identical snapshot sequences —
-// the differential property the cross-matcher tests assert.
-func ReplayKeys(m ApplyMatcher, tr *Tracker, s *Script) [][]string {
+// tracker's sorted conflict-set keys after every batch. The matcher
+// must already report to tr. Two matchers replaying the same script
+// must produce identical snapshot sequences — the differential property
+// the cross-matcher tests assert.
+func ReplayKeys(m engine.Matcher, tr *Tracker, s *Script) [][]string {
 	out := make([][]string, 0, len(s.Batches))
 	for _, batch := range s.Batches {
 		m.Apply(batch)

@@ -72,9 +72,9 @@ func TestFanOutProgramsShareABetaMemory(t *testing.T) {
 func TestTrackerPanicsOnDoubleInsert(t *testing.T) {
 	tr := matchtest.NewTracker()
 	p := &ops5.Production{Name: "p", LHS: []*ops5.CondElement{{Class: "c"}}}
-	in := &ops5.Instantiation{Production: p, WMEs: []*ops5.WME{{TimeTag: 1}}}
-	tr.Insert(in)
-	tr.Insert(in)
+	wmes := []*ops5.WME{{TimeTag: 1}}
+	tr.InsertMatch(p, wmes)
+	tr.InsertMatch(p, wmes)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on duplicate instantiation count")

@@ -17,12 +17,13 @@ import (
 )
 
 // sinkEngine builds an engine over prods whose matcher (rete, prete-1,
-// prete-2 or naive) feeds a fresh conflict set either as its Sink or
-// through the Hooks adapter (OnInsert = cs.Insert, OnRemove =
-// cs.Remove). Two lanes run with the serial bypass off, so every batch
-// goes through the flush's net merge.
+// prete-2 or naive) feeds a fresh conflict set either as its Sink or,
+// for the two Rete executors, through the Hooks adapter (OnInsert =
+// cs.Insert, OnRemove = cs.Remove). Two lanes run with the serial
+// bypass off, so every batch goes through the flush's net merge.
 func sinkEngine(t *testing.T, kind string, prods []*ops5.Production, strategy conflict.Strategy, viaHooks bool) *engine.Engine {
 	t.Helper()
+	cs := conflict.NewSet(strategy)
 	var m engine.Matcher
 	var sink *ops5.MatchSink
 	var hooks *ops5.Hooks
@@ -44,16 +45,16 @@ func sinkEngine(t *testing.T, kind string, prods []*ops5.Production, strategy co
 		}
 		m, sink, hooks = pm, &pm.Sink, &pm.Hooks
 	case "naive":
-		nm, err := naive.New(prods)
+		nm, err := naive.New(prods, cs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, sink, hooks = nm, &nm.Sink, &nm.Hooks
+		m = nm
 	}
-	cs := conflict.NewSet(strategy)
-	if viaHooks {
+	switch {
+	case viaHooks:
 		hooks.OnInsert, hooks.OnRemove = cs.Insert, cs.Remove
-	} else {
+	case sink != nil:
 		*sink = cs
 	}
 	e := engine.New(wm.New(), cs, m)
@@ -85,15 +86,16 @@ func restored(cs *conflict.Set) *conflict.Set {
 }
 
 // TestSinkAgreesWithHookAdapter feeds one random change sequence to two
-// engines per matcher and strategy, one whose matcher sends matches to
-// its conflict set as the Sink and one whose matcher sends built
-// instantiations through OnInsert/OnRemove, and fires two
+// engines per Rete executor and strategy, one whose matcher sends
+// matches to its conflict set as the Sink and one whose matcher sends
+// built instantiations through OnInsert/OnRemove, and fires two
 // instantiations per cycle in both. After every batch and every cycle
 // the two sets must list the same keys in the same order, hold as many
 // entries and carry the same refraction marks, and a set rebuilt from
-// the matches and fired keys must equal them. Each batch asserts,
-// retracts, and asserts and retracts one element within itself, which a
-// two-lane prete cancels in its net merge.
+// the matches and fired keys must equal them. Naive has no hooks, so
+// its arm runs one engine and checks only the rebuild. Each batch
+// asserts, retracts, and asserts and retracts one element within
+// itself, which a two-lane prete cancels in its net merge.
 func TestSinkAgreesWithHookAdapter(t *testing.T) {
 	params := matchtest.DefaultGenParams()
 	params.Productions = 10
@@ -103,12 +105,17 @@ func TestSinkAgreesWithHookAdapter(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(41 + strategy)))
 				prods := matchtest.RandomProgram(rng, params)
 				sink := sinkEngine(t, kind, prods, strategy, false)
-				hooks := sinkEngine(t, kind, prods, strategy, true)
+				engines := []*engine.Engine{sink}
+				if kind != "naive" {
+					engines = append(engines, sinkEngine(t, kind, prods, strategy, true))
+				}
 				check := func(at string) {
 					t.Helper()
-					got, want := setState(sink.CS), setState(hooks.CS)
-					if got != want {
-						t.Fatalf("%s: through the sink\n%s\nthrough the hooks\n%s", at, got, want)
+					got := setState(sink.CS)
+					for _, hooks := range engines[1:] {
+						if want := setState(hooks.CS); got != want {
+							t.Fatalf("%s: through the sink\n%s\nthrough the hooks\n%s", at, got, want)
+						}
 					}
 					if back := setState(restored(sink.CS)); back != got {
 						t.Fatalf("%s: rebuilt from matches and fired keys\n%s\nwant\n%s", at, back, got)
@@ -132,7 +139,7 @@ func TestSinkAgreesWithHookAdapter(t *testing.T) {
 						tags = slices.Delete(tags, k, k+1)
 					}
 					churn := matchtest.RandomWME(rng, params)
-					for _, e := range []*engine.Engine{sink, hooks} {
+					for _, e := range engines {
 						var batch []ops5.Change
 						for _, w := range tmpl {
 							batch = append(batch, ops5.Change{Kind: ops5.Insert, WME: w.Clone()})
@@ -148,9 +155,13 @@ func TestSinkAgreesWithHookAdapter(t *testing.T) {
 					check(fmt.Sprintf("batch %d", b))
 					for c := rng.Intn(3); c > 0; c-- {
 						okS, errS := sink.Step()
-						okH, errH := hooks.Step()
-						if errS != nil || errH != nil || okS != okH {
-							t.Fatalf("batch %d: Step() = %v, %v through the sink; %v, %v through the hooks", b, okS, errS, okH, errH)
+						if errS != nil {
+							t.Fatalf("batch %d: Step() through the sink: %v", b, errS)
+						}
+						for _, hooks := range engines[1:] {
+							if okH, errH := hooks.Step(); errH != nil || okS != okH {
+								t.Fatalf("batch %d: Step() = %v through the sink; %v, %v through the hooks", b, okS, okH, errH)
+							}
 						}
 						check(fmt.Sprintf("batch %d, cycle %d", b, sink.Cycles))
 					}

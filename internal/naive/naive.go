@@ -16,11 +16,7 @@ type Matcher struct {
 	prods []*ops5.Production
 	wm    map[int]*ops5.WME // by time tag
 	insts map[string]*ops5.Instantiation
-
-	// Sink receives the conflict-set deltas. It starts as the embedded
-	// Hooks, whose OnInsert and OnRemove receive them as instantiations.
-	Sink ops5.MatchSink
-	ops5.Hooks
+	sink  ops5.MatchSink // receives the conflict-set deltas
 
 	// Stats accumulates work counters.
 	Stats Stats
@@ -44,20 +40,20 @@ func (m *Matcher) MatchStats() obs.MatchStats {
 	return obs.MatchStats{Changes: int64(m.Stats.Changes), Comparisons: m.Stats.ElementsMatched}
 }
 
-// New builds a naive matcher for the productions.
-func New(prods []*ops5.Production) (*Matcher, error) {
+// New builds a naive matcher for the productions that reports its
+// conflict-set deltas to sink.
+func New(prods []*ops5.Production, sink ops5.MatchSink) (*Matcher, error) {
 	for _, p := range prods {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	m := &Matcher{
+	return &Matcher{
 		prods: prods,
 		wm:    make(map[int]*ops5.WME),
 		insts: make(map[string]*ops5.Instantiation),
-	}
-	m.Sink = &m.Hooks
-	return m, nil
+		sink:  sink,
+	}, nil
 }
 
 // Apply updates the matcher's WM copy and recomputes every instantiation.
@@ -91,13 +87,13 @@ func (m *Matcher) rematch() {
 	for key, inst := range m.insts {
 		if _, ok := fresh[key]; !ok {
 			delete(m.insts, key)
-			m.Sink.RemoveMatch(inst.Production, inst.WMEs)
+			m.sink.RemoveMatch(inst.Production, inst.WMEs)
 		}
 	}
 	for key, inst := range fresh {
 		if _, ok := m.insts[key]; !ok {
 			m.insts[key] = inst
-			m.Sink.InsertMatch(inst.Production, inst.WMEs)
+			m.sink.InsertMatch(inst.Production, inst.WMEs)
 		}
 	}
 }

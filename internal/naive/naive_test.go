@@ -17,13 +17,11 @@ func TestRandomizedCrossCheck(t *testing.T) {
 		prods := matchtest.RandomProgram(rng, params)
 		script := matchtest.RandomScript(rng, params, 15, 3)
 
-		m, err := naive.New(prods)
+		tr := matchtest.NewTracker()
+		m, err := naive.New(prods, tr)
 		if err != nil {
 			t.Fatalf("new: %v", err)
 		}
-		tr := matchtest.NewTracker()
-		m.OnInsert = tr.Insert
-		m.OnRemove = tr.Remove
 
 		live := map[int]*ops5.WME{}
 		for bi, batch := range script.Batches {
@@ -52,7 +50,7 @@ func TestWorkProportionalToWMSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := naive.New([]*ops5.Production{p})
+	m, err := naive.New([]*ops5.Production{p}, matchtest.NewTracker())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,9 @@
 //
 // It also owns the matcher report types (report.go) — match stats, index
 // report, node profile, the §6 loss table — declared once with their
-// /v1 JSON tags: the matchers fill them, the engine's capability
-// interfaces name them, the server returns them.
+// /v1 JSON tags: the matchers fill them (match stats through
+// engine.StatsProvider, the rest straight from the parallel matcher),
+// the server returns them.
 //
 // The package is a leaf: it imports only the standard library, so the
 // matchers, the engine and the server can all depend on it without

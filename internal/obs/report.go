@@ -2,8 +2,8 @@ package obs
 
 // The matcher reports: what a matcher says about its own work, in the
 // shape the /v1 API returns it. Each type is declared once, here, with
-// its JSON tags; the matchers (internal/rete, prete, treat) fill them,
-// internal/engine's capability interfaces name them, and
+// its JSON tags; every matcher fills MatchStats (engine.StatsProvider),
+// the parallel matcher (internal/prete) fills the rest, and
 // internal/server puts them in reply bodies unchanged.
 
 // MatchStats is a matcher-neutral summary of match work performed.
@@ -16,17 +16,19 @@ type MatchStats struct {
 	// ConflictInserts and ConflictRemoves count conflict-set deltas.
 	ConflictInserts int64 `json:"conflict_inserts"`
 	ConflictRemoves int64 `json:"conflict_removes"`
-	// Tasks counts the activations executed, populated only by matchers
-	// with an activation scheduler (the parallel Rete); zero for serial
-	// matchers.
+	// Tasks counts the activations executed, populated only by the
+	// matcher with an activation scheduler (the parallel Rete, a rete
+	// session's one lane included); zero for naive, TREAT and
+	// full-state.
 	Tasks int64 `json:"tasks,omitempty"`
 	// Wakeups counts batches that borrowed at least one helper from the
 	// process's lane pool; InlineBatches counts batches the caller ran
-	// alone. Both zero for serial matchers.
+	// alone. Both zero for the matchers without a scheduler; a one-lane
+	// parallel Rete runs every batch inline and borrows no helper.
 	Wakeups       int64 `json:"wakeups,omitempty"`
 	InlineBatches int64 `json:"inline_batches,omitempty"`
-	// Workers breaks the scheduler counters down per worker lane; nil
-	// for matchers without a scheduler.
+	// Workers breaks the scheduler counters down per worker lane (one
+	// for a rete session); nil for matchers without a scheduler.
 	Workers []WorkerStat `json:"workers,omitempty"`
 }
 

@@ -248,8 +248,9 @@ type MatchSink interface {
 // Hooks adapts a pair of per-instantiation callbacks to MatchSink. Each
 // delta is built into a fresh Instantiation, and only when its callback
 // is set; a removal's is equal to, not the same as, its insert's. The
-// matchers embed Hooks, so OnInsert and OnRemove read as their fields,
-// and their Sink starts as it.
+// two Rete executors (rete.Network, prete.Matcher) embed Hooks, so
+// OnInsert and OnRemove read as their fields, and their Sink starts as
+// it; the other matchers take their sink at construction.
 type Hooks struct {
 	OnInsert func(*Instantiation)
 	OnRemove func(*Instantiation)

@@ -27,8 +27,7 @@ func TestIndexInfoConcurrentWithApply(t *testing.T) {
 	// Conflict-set callbacks fire on the Apply caller's goroutine (at
 	// flush), so the tracker needs no extra locking here.
 	tr := matchtest.NewTracker()
-	m.OnInsert = tr.Insert
-	m.OnRemove = tr.Remove
+	m.Sink = tr
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/matchtest"
 	"repro/internal/obs"
-	"repro/internal/ops5"
 )
 
 // applyScript runs a generated script through a fresh-ish matcher,
@@ -23,8 +22,7 @@ import (
 // elsewhere; these tests only care about the timing books).
 func applyScript(t *testing.T, m *Matcher, script *matchtest.Script) {
 	t.Helper()
-	m.OnInsert = func(*ops5.Instantiation) {}
-	m.OnRemove = func(*ops5.Instantiation) {}
+	m.Sink = matchtest.NewTracker()
 	for _, batch := range script.Batches {
 		m.Apply(batch)
 	}

@@ -56,7 +56,7 @@ func TestMatchersShareOneLanePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := matchtest.NewTracker()
-	net.OnInsert, net.OnRemove = tr.Insert, tr.Remove
+	net.Sink = tr
 	want := matchtest.ReplayKeys(net, tr, script)
 
 	base := runtime.NumGoroutine()
@@ -79,7 +79,7 @@ func TestMatchersShareOneLanePool(t *testing.T) {
 				return
 			}
 			tr := matchtest.NewTracker()
-			m.OnInsert, m.OnRemove = tr.Insert, tr.Remove
+			m.Sink = tr
 			got[i] = matchtest.ReplayKeys(sampled{m, sample}, tr, script)
 		}()
 	}

@@ -19,8 +19,7 @@ func runScript(t *testing.T, prods []*ops5.Production, script *matchtest.Script,
 		t.Fatalf("new: %v", err)
 	}
 	tr := matchtest.NewTracker()
-	m.OnInsert = tr.Insert
-	m.OnRemove = tr.Remove
+	m.Sink = tr
 
 	live := map[int]*ops5.WME{}
 	for bi, batch := range script.Batches {
@@ -136,8 +135,7 @@ func TestPaperProductionParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := matchtest.NewTracker()
-	m.OnInsert = tr.Insert
-	m.OnRemove = tr.Remove
+	m.Sink = tr
 
 	batch := []ops5.Change{}
 	goal := ops5.NewWME("goal", "type", "find-blk", "color", "red")
@@ -175,8 +173,7 @@ func TestWorkerCountIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := matchtest.NewTracker()
-		m.OnInsert = tr.Insert
-		m.OnRemove = tr.Remove
+		m.Sink = tr
 		for _, batch := range script.Batches {
 			m.Apply(batch)
 		}
@@ -308,20 +305,18 @@ func TestInlineBatchAnnouncesInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var order []ops5.ChangeKind
-		tr := matchtest.NewTracker()
-		m.OnInsert = func(in *ops5.Instantiation) { order = append(order, ops5.Insert); tr.Insert(in) }
-		m.OnRemove = func(in *ops5.Instantiation) { order = append(order, ops5.Delete); tr.Remove(in) }
+		sink := &logSink{tr: matchtest.NewTracker()}
+		m.Sink = sink
 		m.Apply(batch)
-		if got := tr.Keys(); len(got) != 0 {
+		if got := sink.tr.Keys(); len(got) != 0 {
 			t.Errorf("%+v: conflict set %v, want empty", tc.cfg, got)
 		}
 		st := m.Stats()
 		if int(st.ConflictInserts) != tc.ins || int(st.ConflictRemoves) != tc.rem {
 			t.Errorf("%+v: %d inserts, %d removes, want %d and %d", tc.cfg, st.ConflictInserts, st.ConflictRemoves, tc.ins, tc.rem)
 		}
-		if tc.ins == 1 && (len(order) != 2 || order[0] != ops5.Insert || order[1] != ops5.Delete) {
-			t.Errorf("%+v: deltas announced as %v, want insert then delete", tc.cfg, order)
+		if tc.ins == 1 && (len(sink.log) != 2 || sink.log[0][0] != '+' || sink.log[1][0] != '-') {
+			t.Errorf("%+v: deltas announced as %v, want insert then delete", tc.cfg, sink.log)
 		}
 	}
 }
@@ -330,7 +325,7 @@ func TestInlineBatchAnnouncesInOrder(t *testing.T) {
 // caller, on one lane and on four: however deep an activation's
 // downstream chain, it runs depth-first inside its seed, so the batch
 // keeps the serial order and its deltas are announced one by one — the
-// serial matcher's OnInsert/OnRemove sequence, not the merged net
+// serial matcher's sequence of deltas, not the merged net
 // effect. The second batch deletes and re-inserts the head of the chain
 // twice over, so the two differ.
 func TestDeepChainRunsSoloInOrder(t *testing.T) {
@@ -346,24 +341,19 @@ func TestDeepChainRunsSoloInOrder(t *testing.T) {
 		{Kind: ops5.Delete, WME: again},
 		{Kind: ops5.Insert, WME: head},
 	}
-	record := func(log *[]string, kind string) func(*ops5.Instantiation) {
-		return func(in *ops5.Instantiation) { *log = append(*log, kind+" "+in.Key()) }
-	}
 	net, err := rete.Compile(prods)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []string
-	net.OnInsert, net.OnRemove = record(&want, "+"), record(&want, "-")
+	want := &logSink{}
+	net.Sink = want
 	for _, workers := range []int{1, 4} {
 		m, err := prete.NewWithConfig(prods, prete.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := matchtest.NewTracker()
-		var got []string
-		m.OnInsert = func(in *ops5.Instantiation) { record(&got, "+")(in); tr.Insert(in) }
-		m.OnRemove = func(in *ops5.Instantiation) { record(&got, "-")(in); tr.Remove(in) }
+		got := &logSink{tr: matchtest.NewTracker()}
+		m.Sink = got
 		live := map[*ops5.WME]bool{}
 		for bi, b := range [][]ops5.Change{batch, second} {
 			for _, ch := range b {
@@ -379,18 +369,39 @@ func TestDeepChainRunsSoloInOrder(t *testing.T) {
 					wmes = append(wmes, w)
 				}
 			}
-			if d := matchtest.Diff(matchtest.BruteForceKeys(prods, wmes), tr.Keys()); d != "" {
+			if d := matchtest.Diff(matchtest.BruteForceKeys(prods, wmes), got.tr.Keys()); d != "" {
 				t.Fatalf("workers=%d batch %d: conflict set mismatch:\n%s", workers, bi, d)
 			}
 		}
 		if st := m.Stats(); st.InlineBatches != 2 {
 			t.Fatalf("workers=%d: %d inline batches, want 2", workers, st.InlineBatches)
 		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("workers=%d: deltas announced as %v, want serial Rete's %v", workers, got, want)
+		if fmt.Sprint(got.log) != fmt.Sprint(want.log) {
+			t.Errorf("workers=%d: deltas announced as %v, want serial Rete's %v", workers, got.log, want.log)
 		}
 	}
-	if len(want) != 5 {
-		t.Fatalf("serial Rete announced %v, want 3 inserts and 2 removes", want)
+	if len(want.log) != 5 {
+		t.Fatalf("serial Rete announced %v, want 3 inserts and 2 removes", want.log)
+	}
+}
+
+// logSink records each delta it receives as "+ key" or "- key", in
+// order, and passes it on to tr when tr is set.
+type logSink struct {
+	log []string
+	tr  *matchtest.Tracker
+}
+
+func (s *logSink) InsertMatch(p *ops5.Production, wmes []*ops5.WME) {
+	s.log = append(s.log, string(ops5.AppendKey([]byte("+ "), p, wmes)))
+	if s.tr != nil {
+		s.tr.InsertMatch(p, wmes)
+	}
+}
+
+func (s *logSink) RemoveMatch(p *ops5.Production, wmes []*ops5.WME) {
+	s.log = append(s.log, string(ops5.AppendKey([]byte("- "), p, wmes)))
+	if s.tr != nil {
+		s.tr.RemoveMatch(p, wmes)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/matchtest"
 	"repro/internal/ops5"
 	"repro/internal/prete"
 )
@@ -24,9 +25,8 @@ func TestNodeProfileCountsParallelWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inserts := 0
-	m.OnInsert = func(inst *ops5.Instantiation) { inserts++ }
-	m.OnRemove = func(inst *ops5.Instantiation) {}
+	tr := matchtest.NewTracker()
+	m.Sink = tr
 
 	if prof := m.NodeProfile(); len(prof) != 0 {
 		t.Fatalf("profile before any activation = %v, want empty", prof)
@@ -43,8 +43,8 @@ func TestNodeProfileCountsParallelWork(t *testing.T) {
 		{Kind: ops5.Insert, WME: b1},
 		{Kind: ops5.Insert, WME: b2},
 	})
-	if inserts != 1 {
-		t.Fatalf("conflict inserts = %d, want 1", inserts)
+	if got, n := tr.Keys(), m.Stats().ConflictInserts; len(got) != 1 || n != 1 {
+		t.Fatalf("conflict set = %v after %d inserts, want one instantiation inserted once", got, n)
 	}
 
 	prof := m.NodeProfile()
@@ -87,9 +87,8 @@ func TestNodeProfileCountsJoinWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inserts := 0
-	m.OnInsert = func(inst *ops5.Instantiation) { inserts++ }
-	m.OnRemove = func(inst *ops5.Instantiation) {}
+	tr := matchtest.NewTracker()
+	m.Sink = tr
 
 	if prof := m.NodeProfile(); len(prof) != 0 {
 		t.Fatalf("profile before any activation = %v, want empty", prof)
@@ -106,8 +105,8 @@ func TestNodeProfileCountsJoinWork(t *testing.T) {
 		{Kind: ops5.Insert, WME: b1},
 		{Kind: ops5.Insert, WME: b2},
 	})
-	if inserts != 1 {
-		t.Fatalf("conflict inserts = %d, want 1", inserts)
+	if got, n := tr.Keys(), m.Stats().ConflictInserts; len(got) != 1 || n != 1 {
+		t.Fatalf("conflict set = %v after %d inserts, want one instantiation inserted once", got, n)
 	}
 
 	prof := m.NodeProfile()

@@ -88,8 +88,7 @@ func TestInsertDeleteRestoresBuckets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.OnInsert = func(*ops5.Instantiation) {}
-		n.OnRemove = func(*ops5.Instantiation) {}
+		n.Sink = matchtest.NewTracker()
 
 		var wmes []*ops5.WME
 		for i := 0; i < 40; i++ {

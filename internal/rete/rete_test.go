@@ -19,8 +19,7 @@ func runScript(t *testing.T, prods []*ops5.Production, script *matchtest.Script)
 		t.Fatalf("compile: %v", err)
 	}
 	tr := matchtest.NewTracker()
-	n.OnInsert = tr.Insert
-	n.OnRemove = tr.Remove
+	n.Sink = tr
 
 	live := map[int]*ops5.WME{}
 	for bi, batch := range script.Batches {
@@ -65,8 +64,7 @@ func TestPaperProduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := matchtest.NewTracker()
-	n.OnInsert = tr.Insert
-	n.OnRemove = tr.Remove
+	n.Sink = tr
 
 	goal := ops5.NewWME("goal", "type", "find-blk", "color", "red")
 	goal.TimeTag = 1
@@ -107,8 +105,7 @@ func TestNegatedCE(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := matchtest.NewTracker()
-	n.OnInsert = tr.Insert
-	n.OnRemove = tr.Remove
+	n.Sink = tr
 
 	task := ops5.NewWME("task", "id", 7)
 	task.TimeTag = 1
@@ -156,8 +153,7 @@ func TestSameWMETwoCEs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := matchtest.NewTracker()
-	n.OnInsert = tr.Insert
-	n.OnRemove = tr.Remove
+	n.Sink = tr
 
 	w := ops5.NewWME("c", "a", 1)
 	w.TimeTag = 1
@@ -260,8 +256,7 @@ func TestInsertDeleteRestoresMemories(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := matchtest.NewTracker()
-	n.OnInsert = tr.Insert
-	n.OnRemove = tr.Remove
+	n.Sink = tr
 
 	var wmes []*ops5.WME
 	for i := 0; i < 30; i++ {
@@ -318,8 +313,7 @@ func TestCompiledDispatchEquivalent(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := matchtest.NewTracker()
-		n.OnInsert = tr.Insert
-		n.OnRemove = tr.Remove
+		n.Sink = tr
 		live := map[int]*ops5.WME{}
 		for bi, batch := range script.Batches {
 			for _, ch := range batch {

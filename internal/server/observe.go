@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/cost"
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -125,41 +126,36 @@ func (s *Server) Profile(ctx context.Context, id string) (ProfileResult, error) 
 			TotalChanges: eng.TotalChanges,
 			Nodes:        []obs.NodeProfileEntry{}, // "nodes": [] on the wire, never null
 		}
-		caps := eng.Capabilities()
-		if p := caps.Profile; p != nil {
-			res.NodesSupported = true
-			res.Nodes = append(res.Nodes, p.NodeProfile()...)
-			nodes, model := res.Nodes, cost.Default()
-			for i := range nodes {
-				nodes[i].Cost = model.NodeCost(nodes[i])
-			}
-			sort.Slice(nodes, func(i, j int) bool {
-				if nodes[i].Cost != nodes[j].Cost {
-					return nodes[i].Cost > nodes[j].Cost
-				}
-				return nodes[i].NodeID < nodes[j].NodeID
-			})
-			for i := range nodes {
-				res.TotalCost += nodes[i].Cost
-			}
-			if res.TotalCost > 0 {
-				for i := range nodes {
-					nodes[i].CostShare = nodes[i].Cost / res.TotalCost
-				}
-			}
-		}
-		if p := caps.Stats; p != nil {
+		if p, ok := eng.Matcher.(engine.StatsProvider); ok {
 			ms := p.MatchStats()
 			res.MatchStats = &ms
 		}
-		if p := caps.Index; p != nil {
-			ix := p.IndexInfo()
-			res.Index = &ix
+		pm := sess.sys.ParallelMatcher()
+		if pm == nil {
+			return res, nil
 		}
-		if p := caps.Loss; p != nil {
-			lr := p.Loss()
-			res.Loss = &lr
+		res.NodesSupported = true
+		res.Nodes = append(res.Nodes, pm.NodeProfile()...)
+		nodes, model := res.Nodes, cost.Default()
+		for i := range nodes {
+			nodes[i].Cost = model.NodeCost(nodes[i])
 		}
+		sort.Slice(nodes, func(i, j int) bool {
+			if nodes[i].Cost != nodes[j].Cost {
+				return nodes[i].Cost > nodes[j].Cost
+			}
+			return nodes[i].NodeID < nodes[j].NodeID
+		})
+		for i := range nodes {
+			res.TotalCost += nodes[i].Cost
+		}
+		if res.TotalCost > 0 {
+			for i := range nodes {
+				nodes[i].CostShare = nodes[i].Cost / res.TotalCost
+			}
+		}
+		ix, lr := pm.IndexInfo(), pm.Loss()
+		res.Index, res.Loss = &ix, &lr
 		return res, nil
 	})
 }
@@ -187,8 +183,8 @@ func (s *Server) Loss(ctx context.Context, id string) (LossResult, error) {
 			SessionID: id,
 			Matcher:   sess.sys.MatcherKind().String(),
 		}
-		if p := sess.sys.Engine.Capabilities().Loss; p != nil {
-			lr := p.Loss()
+		if pm := sess.sys.ParallelMatcher(); pm != nil {
+			lr := pm.Loss()
 			res.Supported = true
 			res.Report = &lr
 		}

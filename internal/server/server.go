@@ -728,11 +728,11 @@ func (s *Server) account(sess *session, before engineCounts) {
 	s.firings.Add(int64(now.fired - before.fired))
 	s.cycles.Add(int64(now.cycles - before.cycles))
 	s.expiredWMEs.Add(int64(now.expired - before.expired))
-	p := sess.sys.Engine.Capabilities().Loss
-	if p == nil {
+	pm := sess.sys.ParallelMatcher()
+	if pm == nil {
 		return
 	}
-	books, last := p.Books(), &sess.books
+	books, last := pm.Books(), &sess.books
 	s.wakeups.Add(books.Wakeups - last.Wakeups)
 	for i, ns := range books.PhaseNanos {
 		if d := ns - last.PhaseNanos[i]; d > 0 {

@@ -120,7 +120,7 @@ func NewAgent(src string, opts Options) (*Agent, error) {
 		fired: make(map[string]bool),
 		opts:  opts,
 	}
-	var matcher engine.Matcher = netMatcher{net}
+	var matcher engine.Matcher = net
 	if opts.Trace {
 		a.Recorder = trace.NewRecorder("soar", net, cost.Default())
 		matcher = a.Recorder
@@ -142,12 +142,6 @@ func NewAgent(src string, opts Options) (*Agent, error) {
 	}
 	return a, nil
 }
-
-// netMatcher adapts *rete.Network to engine.Matcher.
-type netMatcher struct{ net *rete.Network }
-
-// Apply forwards the batch to the network.
-func (m netMatcher) Apply(changes []ops5.Change) { m.net.Apply(changes) }
 
 // Engine exposes the underlying engine (WM access, counters).
 func (a *Agent) Engine() *engine.Engine { return a.eng }

@@ -112,10 +112,7 @@ type prodState struct {
 // simplification of Miranker's negated-CE bookkeeping).
 type Matcher struct {
 	prods []*prodState
-
-	// OnInsert and OnRemove receive conflict-set deltas.
-	OnInsert func(*ops5.Instantiation)
-	OnRemove func(*ops5.Instantiation)
+	sink  ops5.MatchSink // receives the conflict-set deltas
 
 	// insts tracks current instantiations by key, per production, so
 	// deletions and negated-CE recomputations can emit exact deltas.
@@ -148,9 +145,10 @@ func (m *Matcher) MatchStats() obs.MatchStats {
 	}
 }
 
-// New builds a TREAT matcher for the productions.
-func New(prods []*ops5.Production) (*Matcher, error) {
-	m := &Matcher{insts: make(map[*ops5.Production]map[string]*ops5.Instantiation)}
+// New builds a TREAT matcher for the productions that reports its
+// conflict-set deltas to sink.
+func New(prods []*ops5.Production, sink ops5.MatchSink) (*Matcher, error) {
+	m := &Matcher{sink: sink, insts: make(map[*ops5.Production]map[string]*ops5.Instantiation)}
 	for _, p := range prods {
 		if err := p.Validate(); err != nil {
 			return nil, err
@@ -331,9 +329,7 @@ func (m *Matcher) removeContaining(p *ops5.Production, w *ops5.WME) {
 			if x == w {
 				delete(m.insts[p], key)
 				m.Stats.ConflictRemoves++
-				if m.OnRemove != nil {
-					m.OnRemove(inst)
-				}
+				m.sink.RemoveMatch(inst.Production, inst.WMEs)
 				break
 			}
 		}
@@ -382,18 +378,14 @@ func (m *Matcher) recompute(ps *prodState) {
 		if _, ok := fresh[key]; !ok {
 			delete(cur, key)
 			m.Stats.ConflictRemoves++
-			if m.OnRemove != nil {
-				m.OnRemove(inst)
-			}
+			m.sink.RemoveMatch(inst.Production, inst.WMEs)
 		}
 	}
 	for key, inst := range fresh {
 		if _, ok := cur[key]; !ok {
 			cur[key] = inst
 			m.Stats.ConflictInserts++
-			if m.OnInsert != nil {
-				m.OnInsert(inst)
-			}
+			m.sink.InsertMatch(inst.Production, inst.WMEs)
 		}
 	}
 }
@@ -407,7 +399,5 @@ func (m *Matcher) insert(inst *ops5.Instantiation) {
 	}
 	cur[key] = inst
 	m.Stats.ConflictInserts++
-	if m.OnInsert != nil {
-		m.OnInsert(inst)
-	}
+	m.sink.InsertMatch(inst.Production, inst.WMEs)
 }

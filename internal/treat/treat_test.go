@@ -11,13 +11,11 @@ import (
 
 func runScript(t *testing.T, prods []*ops5.Production, script *matchtest.Script) *treat.Matcher {
 	t.Helper()
-	m, err := treat.New(prods)
+	tr := matchtest.NewTracker()
+	m, err := treat.New(prods, tr)
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
-	tr := matchtest.NewTracker()
-	m.OnInsert = tr.Insert
-	m.OnRemove = tr.Remove
 
 	live := map[int]*ops5.WME{}
 	for bi, batch := range script.Batches {
@@ -87,13 +85,11 @@ func TestSeedJoinSameWMETwoCEs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := treat.New([]*ops5.Production{p})
+	tr := matchtest.NewTracker()
+	m, err := treat.New([]*ops5.Production{p}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := matchtest.NewTracker()
-	m.OnInsert = tr.Insert
-	m.OnRemove = tr.Remove
 
 	w := ops5.NewWME("c", "a", 1)
 	w.TimeTag = 1
@@ -112,7 +108,7 @@ func TestStatsCountWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := treat.New([]*ops5.Production{p})
+	m, err := treat.New([]*ops5.Production{p}, matchtest.NewTracker())
 	if err != nil {
 		t.Fatal(err)
 	}
