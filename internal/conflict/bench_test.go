@@ -39,8 +39,8 @@ func BenchmarkConflictSetInsertRemove(b *testing.B) {
 	}
 }
 
-// BenchmarkConflictSetSelect is one selection over the whole set, which
-// builds the one instantiation it returns; the selected entry is
+// BenchmarkConflictSetSelect is one selection over the whole set, into
+// the set's scratch instantiation; the selected entry is
 // replaced so the set stays at size and unfired.
 func BenchmarkConflictSetSelect(b *testing.B) {
 	s, _ := benchSet()

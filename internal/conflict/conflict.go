@@ -56,9 +56,10 @@ func ParseStrategy(name string) (Strategy, error) {
 //
 // The set holds matches, not instantiations: a matcher hands it a
 // production and its WMEs through InsertMatch and RemoveMatch (it is an
-// ops5.MatchSink), and each entry keeps them by value. An
-// ops5.Instantiation is built only for an entry that Select picks or
-// Instantiations lists, and is then kept in the entry.
+// ops5.MatchSink), and each entry keeps them by value. No delta builds
+// an ops5.Instantiation: Select refills the set's one scratch
+// instantiation with the match it picks, and Instantiations builds
+// fresh ones for its listing.
 //
 // An instantiation's identity is its production's name plus its
 // positive-CE time tags in LHS order — what Instantiation.Key spells as
@@ -72,6 +73,8 @@ type Set struct {
 	strategy Strategy
 	items    bucket.Buckets[entry]
 	n        int
+	// selected is what Select returns, refilled on every call.
+	selected ops5.Instantiation
 }
 
 // entry is one match: the production, the WMEs in LHS order and the
@@ -94,8 +97,6 @@ type entry struct {
 	nwmes    int
 	wmeArr   [8]*ops5.WME
 	moreWMEs []*ops5.WME
-	// inst is the entry's instantiation, once something asked for it.
-	inst *ops5.Instantiation
 }
 
 func (e *entry) tags() []int {
@@ -110,15 +111,6 @@ func (e *entry) wmes() []*ops5.WME {
 		return e.moreWMEs
 	}
 	return e.wmeArr[:e.nwmes]
-}
-
-// instantiation returns the entry's instantiation, building it on the
-// first call.
-func (e *entry) instantiation() *ops5.Instantiation {
-	if e.inst == nil {
-		e.inst = ops5.NewInstantiation(e.prod, e.wmes())
-	}
-	return e.inst
 }
 
 // appendKey appends the entry's Instantiation.Key to buf.
@@ -304,7 +296,7 @@ func (s *Set) Contains(in *ops5.Instantiation) bool {
 }
 
 // Instantiations returns the current instantiations in the set's
-// strategy order, best first, building those not built before.
+// strategy order, best first, each built for the caller.
 func (s *Set) Instantiations() []*ops5.Instantiation {
 	entries := make([]*entry, 0, s.n)
 	for i := int32(0); i < s.items.Slots(); i++ {
@@ -317,18 +309,20 @@ func (s *Set) Instantiations() []*ops5.Instantiation {
 	})
 	out := make([]*ops5.Instantiation, len(entries))
 	for i, e := range entries {
-		out[i] = e.instantiation()
+		out[i] = ops5.NewInstantiation(e.prod, e.wmes())
 	}
 	return out
 }
 
 // Select picks the instantiation to fire under the set's strategy, or
 // nil if every instantiation has already fired (or the set is empty) —
-// the halting condition of the recognize-act cycle. The chosen
-// instantiation is marked fired (refraction), and is the one allocation
-// of a Select. Selection is a linear scan for the best unfired entry —
-// better is a total order (the final tie-break is the unique key), so
-// the entries' storage order cannot change the outcome.
+// the halting condition of the recognize-act cycle. The chosen match is
+// marked fired (refraction) and returned in the set's one scratch
+// instantiation, which is valid until the next Select: a caller that
+// keeps it copies it. Select allocates nothing. Selection is a linear
+// scan for the best unfired entry — better is a total order (the final
+// tie-break is the unique key), so the entries' storage order cannot
+// change the outcome.
 func (s *Set) Select() *ops5.Instantiation {
 	var best *entry
 	for i := int32(0); i < s.items.Slots(); i++ {
@@ -344,7 +338,8 @@ func (s *Set) Select() *ops5.Instantiation {
 		return nil
 	}
 	best.fired = true
-	return best.instantiation()
+	s.selected.Reset(best.prod, best.wmes())
+	return &s.selected
 }
 
 // better reports whether a should fire before b, comparing the

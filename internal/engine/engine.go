@@ -80,7 +80,10 @@ type Engine struct {
 	Expired int
 	// Halted reports whether a halt action ran.
 	Halted bool
-	// OnFire, when set, observes each instantiation as it fires.
+	// OnFire, when set, observes each instantiation as it fires. The
+	// instantiation is valid during the call only (it is the conflict
+	// set's scratch, refilled by the next Select): a hook that keeps it
+	// copies it.
 	OnFire func(*ops5.Instantiation)
 	// OnCycle, when set, receives one observability span per
 	// recognize-act cycle and per externally applied change batch.
@@ -102,7 +105,9 @@ type Engine struct {
 	// The act phase's buffers, reused from cycle to cycle: batch is
 	// Step's cycle batch; fields holds the fields of the elements a
 	// firing makes until working memory interns them (so every commit
-	// resets it); binds holds one firing's bind-action values.
+	// resets it), the elements' headers being carved from working
+	// memory (wm.Memory.Carve); binds holds one firing's bind-action
+	// values.
 	batch  []ops5.Change
 	fields []ops5.Field
 	binds  []ops5.Value
@@ -116,11 +121,16 @@ func New(mem *wm.Memory, cs *conflict.Set, m Matcher) *Engine {
 }
 
 // Load applies a set of initial WMEs as one insert batch (observable
-// like any externally applied batch).
+// like any externally applied batch). Each is copied, tag included,
+// into a header carved from working memory, sharing w's fields until
+// the insert copies them into the class arena, so wmes (a program's
+// initial elements, which sessions share) are only read.
 func (e *Engine) Load(wmes []*ops5.WME) {
 	changes := make([]ops5.Change, len(wmes))
 	for i, w := range wmes {
-		changes[i] = ops5.Change{Kind: ops5.Insert, WME: w.Clone()}
+		c := e.WM.Carve().Init(w.ClassID(), w.Fields())
+		c.TimeTag = w.TimeTag
+		changes[i] = ops5.Change{Kind: ops5.Insert, WME: c}
 	}
 	e.ApplyChanges(changes)
 }
@@ -401,10 +411,10 @@ func (e *Engine) Replay(changes []ops5.Change, firedKeys []string) error {
 // Remove/modify targets are recorded in consumed (time tag -> removed),
 // letting the caller batch several firings while detecting conflicts.
 // The engine's Fired counter is incremented and OnFire invoked. The
-// elements it makes keep their fields in engine-owned storage until
-// they are committed: the caller commits the changes with ApplyChanges
-// before it commits anything else. On error, what it appended is to be
-// discarded.
+// elements it makes are carved from the engine's working memory and
+// keep their fields in engine-owned storage until they are committed:
+// the caller commits the changes with ApplyChanges before it commits
+// anything else. On error, what it appended is to be discarded.
 func (e *Engine) EvalRHS(inst *ops5.Instantiation, consumed map[int]bool, changes []ops5.Change) ([]ops5.Change, error) {
 	if e.OnFire != nil {
 		e.OnFire(inst)
@@ -452,7 +462,9 @@ func (e *Engine) appendFields(inst *ops5.Instantiation, pairs []ops5.RHSPair) ([
 
 // evalRHS evaluates a production's actions against an instantiation and
 // appends the resulting WM changes to changes. Remove/modify targets are
-// recorded in consumed. New elements' fields are built in e.fields.
+// recorded in consumed. New elements are built in headers carved from
+// working memory, their fields in e.fields, so a firing allocates
+// nothing once the buffers and the slab's chunk have room.
 func (e *Engine) evalRHS(inst *ops5.Instantiation, consumed map[int]bool, changes []ops5.Change) ([]ops5.Change, error) {
 	p := inst.Production
 	if n := p.BindSlots; n > len(e.binds) {
@@ -477,7 +489,7 @@ func (e *Engine) evalRHS(inst *ops5.Instantiation, consumed map[int]bool, change
 			if err != nil {
 				return changes, err
 			}
-			changes = append(changes, ops5.Change{Kind: ops5.Insert, WME: ops5.NewFact(a.ClassID, fields)})
+			changes = append(changes, ops5.Change{Kind: ops5.Insert, WME: e.WM.Carve().Init(a.ClassID, fields)})
 		case ops5.ActModify:
 			old, err := ceWME(a)
 			if err != nil {
@@ -487,8 +499,8 @@ func (e *Engine) evalRHS(inst *ops5.Instantiation, consumed map[int]bool, change
 			if err != nil {
 				return changes, err
 			}
-			var nw *ops5.WME
-			e.fields, nw = old.AppendWithUpdates(e.fields, updates)
+			nw := e.WM.Carve()
+			e.fields = old.AppendWithUpdates(nw, e.fields, updates)
 			consumed[old.TimeTag] = true
 			changes = append(changes,
 				ops5.Change{Kind: ops5.Delete, WME: old},

@@ -284,7 +284,8 @@ func runExpiry(t *testing.T, ops []byte) {
 		case 4:
 			if evs := r.events(); len(evs) > 0 {
 				w := evs[arg%len(evs)]
-				_, next := w.AppendWithUpdates(nil, []ops5.Field{{Attr: sym.Intern("k"), Val: ops5.Num(float64((arg + 1) % 9))}})
+				next := new(ops5.WME)
+				w.AppendWithUpdates(next, nil, []ops5.Field{{Attr: sym.Intern("k"), Val: ops5.Num(float64((arg + 1) % 9))}})
 				r.apply(ops5.Change{Kind: ops5.Delete, WME: w}, ops5.Change{Kind: ops5.Insert, WME: next})
 			}
 		case 5:

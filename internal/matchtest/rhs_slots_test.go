@@ -138,7 +138,10 @@ func checkRHSSlots(t *testing.T, seed int64, kind string, params matchtest.GenPa
 	}
 	e := sinkEngine(t, kind, prods, conflict.LEX, false)
 	var fired []*ops5.Instantiation
-	e.OnFire = func(in *ops5.Instantiation) { fired = append(fired, in) }
+	// OnFire lends the conflict set's scratch instantiation for the call.
+	e.OnFire = func(in *ops5.Instantiation) {
+		fired = append(fired, ops5.NewInstantiation(in.Production, in.WMEs))
+	}
 	var committed []*ops5.WME
 	e.Sink = func(changes []ops5.Change, _ []string) {
 		for _, ch := range changes {

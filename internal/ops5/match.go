@@ -175,8 +175,8 @@ type Instantiation struct {
 	// negated CEs are nil.
 	WMEs []*WME
 
-	// key caches the canonical identity computed by Key. Instantiations
-	// are immutable, and every conflict-set operation keys on it.
+	// key caches the canonical identity computed by Key (until the next
+	// Reset).
 	key string
 
 	// wmeArr is inline storage for WMEs (see NewInstantiation).
@@ -187,14 +187,26 @@ type Instantiation struct {
 // stored inline when the LHS is small, so building one is one
 // allocation.
 func NewInstantiation(p *Production, wmes []*WME) *Instantiation {
-	in := &Instantiation{Production: p}
-	if len(wmes) <= len(in.wmeArr) {
-		in.WMEs = in.wmeArr[:len(wmes)]
-	} else {
-		in.WMEs = make([]*WME, len(wmes))
-	}
-	copy(in.WMEs, wmes)
+	in := new(Instantiation)
+	in.Reset(p, wmes)
 	return in
+}
+
+// Reset makes in the instantiation of p over a copy of wmes, in in's
+// own storage (inline when the LHS is small, else a buffer it keeps for
+// the next Reset), and drops the cached Key. conflict.Set.Select refills
+// one instantiation this way per selection.
+func (in *Instantiation) Reset(p *Production, wmes []*WME) {
+	in.Production, in.key = p, ""
+	buf := in.WMEs[:0]
+	if cap(buf) < len(wmes) {
+		if len(wmes) <= len(in.wmeArr) {
+			buf = in.wmeArr[:0]
+		} else {
+			buf = make([]*WME, 0, len(wmes))
+		}
+	}
+	in.WMEs = append(buf, wmes...)
 }
 
 // TimeTags returns the time tags of the matched (positive) WMEs in LHS

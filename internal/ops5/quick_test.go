@@ -105,7 +105,8 @@ func TestQuickWMECloneEqual(t *testing.T) {
 			return false
 		}
 		// Extending the clone must not affect the original.
-		_, c2 := c.AppendWithUpdates(nil, []Field{{Attr: sym.Intern("zz"), Val: Num(1)}})
+		c2 := new(WME)
+		c.AppendWithUpdates(c2, nil, []Field{{Attr: sym.Intern("zz"), Val: Num(1)}})
 		return !c2.Get("zz").Nil() && w.Get("zz").Nil()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

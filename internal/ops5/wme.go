@@ -61,18 +61,34 @@ func NewWME(class string, pairs ...any) *WME {
 // NewFact builds a WME from an interned class ID and fields, taking
 // ownership of the slice (it may be re-sorted and compacted in place).
 // Repeated attributes keep the last occurrence.
-func NewFact(class sym.ID, fields []Field) *WME {
+func NewFact(class sym.ID, fields []Field) *WME { return new(WME).Init(class, fields) }
+
+// Init makes w, a zero header, the untagged fact NewFact(class, fields)
+// would build, and returns it. Working memory carves such headers from
+// its slab (wm.Memory.Carve), so every element a session makes is built
+// in place, its pointer fixed from the start.
+func (w *WME) Init(class sym.ID, fields []Field) *WME {
 	normalizeFields(&fields)
-	return &WME{class: class, fields: fields}
+	w.class, w.fields = class, fields
+	return w
 }
 
 // normalizeFields sorts fields by attribute and drops all but the last
 // occurrence of a repeated attribute, in place. Insertion sort: field
 // lists are short and often already sorted, and unlike sort.SliceStable
-// it does not allocate (this runs for every RHS make and modify).
+// it does not allocate (this runs for every RHS make and modify). A list
+// already strictly sorted is not written to, so an element's own fields
+// may be handed in (Engine.Load does).
 func normalizeFields(fields *[]Field) {
 	fs := *fields
-	for i := 1; i < len(fs); i++ {
+	i := 1
+	for i < len(fs) && fs[i-1].Attr < fs[i].Attr {
+		i++
+	}
+	if i >= len(fs) {
+		return
+	}
+	for ; i < len(fs); i++ {
 		f := fs[i]
 		j := i - 1
 		for j >= 0 && fs[j].Attr > f.Attr {
@@ -164,16 +180,17 @@ func (w *WME) Clone() *WME {
 	return c
 }
 
-// AppendWithUpdates returns a new untagged WME of the same class with
-// the given fields replacing or extending w's — the "modify" re-make.
-// updates is taken over and may be reordered; w is not changed. The new
-// element's fields are built at the end of buf, which it returns
-// extended by them; they are that extension, capped so that a later
-// append to buf cannot reach them, and updates may itself lie in buf,
-// before its end. The engine builds a firing's elements in one reused
-// buffer this way, and working memory copies each into its class arena
-// at insert (InternInto).
-func (w *WME) AppendWithUpdates(buf, updates []Field) ([]Field, *WME) {
+// AppendWithUpdates makes dst, a zero header, the untagged WME of w's
+// class with the given fields replacing or extending w's — the "modify"
+// re-make. updates is taken over and may be reordered; w is not
+// changed. The new element's fields are built at the end of buf, which
+// it returns extended by them; they are that extension, capped so that
+// a later append to buf cannot reach them, and updates may itself lie
+// in buf, before its end. The engine builds a firing's elements in one
+// reused buffer this way, in headers carved from working memory's slab,
+// and working memory copies each one's fields into its class arena at
+// insert (InternInto).
+func (w *WME) AppendWithUpdates(dst *WME, buf, updates []Field) []Field {
 	normalizeFields(&updates)
 	start := len(buf)
 	i, j := 0, 0
@@ -193,7 +210,8 @@ func (w *WME) AppendWithUpdates(buf, updates []Field) ([]Field, *WME) {
 	}
 	buf = append(buf, w.fields[i:]...)
 	buf = append(buf, updates[j:]...)
-	return buf, &WME{class: w.class, fields: buf[start:len(buf):len(buf)]}
+	dst.class, dst.fields = w.class, buf[start:len(buf):len(buf)]
+	return buf
 }
 
 // Equal reports whether two WMEs have the same class and attributes,

@@ -48,33 +48,13 @@ func (t *Token) ExtendInto(dst *Token, w *ops5.WME) {
 	dst.id = hashTag(t.id, w.TimeTag)
 }
 
-// TokenSlab hands out fresh tokens carved from chunks it allocates: the
-// first chunk holds slabFirst tokens, each next one twice the last, up
-// to slabMax (20 KB). A chunk lives as long as its executor does; the
-// executor's tokens go back to its free list or pool, never to the slab,
-// so they number its live high-water mark plus the rest of one chunk per
-// slab. The zero TokenSlab is ready to use.
-type TokenSlab struct {
-	chunk []Token
-	built int
-}
-
-const (
-	slabFirst = 16
-	slabMax   = 256
-)
-
-// New returns a zero token no one else holds.
-func (s *TokenSlab) New() *Token {
-	if len(s.chunk) == 0 {
-		// The tokens built so far plus slabFirst is twice the last chunk.
-		s.chunk = make([]Token, min(s.built+slabFirst, slabMax))
-	}
-	t := &s.chunk[0]
-	s.chunk = s.chunk[1:]
-	s.built++
-	return t
-}
+// TokenSlab hands out fresh tokens carved from chunks (ops5.Slab's
+// policy: 16 tokens first, doubling to 256, 20 KB). A chunk lives as
+// long as its executor does; the executor's tokens go back to its free
+// list or pool, never to the slab, so they number its live high-water
+// mark plus the rest of one chunk per slab. The zero TokenSlab is ready
+// to use.
+type TokenSlab = ops5.Slab[Token]
 
 // Recycle clears the token's WME slots, keeping their storage, so that a
 // free list holds no WME alive.

@@ -47,9 +47,9 @@ func TestTokensRecycledOnce(t *testing.T) {
 					t.Fatalf("seed %d batch %d: free-listed token holds WME %d", seed, bi, w.TimeTag)
 				}
 			}
-			if len(seen) != n.slab.built {
+			if len(seen) != n.slab.Built() {
 				t.Fatalf("seed %d batch %d: %d tokens built, %d in owning memories and the free list",
-					seed, bi, n.slab.built, len(seen))
+					seed, bi, n.slab.Built(), len(seen))
 			}
 		}
 		if n.Stats.Anomalies != 0 {
@@ -110,15 +110,15 @@ func TestTokenSlabChunks(t *testing.T) {
 		bound := 0
 		switch doubled := 496; { // 16+32+64+128+256, the doubling chunks
 		case n > doubled:
-			bound = 5 + (n-doubled+slabMax-1)/slabMax
+			bound = 5 + (n-doubled+ops5.SlabMax-1)/ops5.SlabMax
 		case n > 0:
-			bound = max(0, int(math.Ceil(math.Log2(float64(n)/slabFirst)))) + 1
+			bound = max(0, int(math.Ceil(math.Log2(float64(n)/ops5.SlabFirst)))) + 1
 		}
 		if int(got) > bound {
 			t.Errorf("%d tokens: %.0f allocations, want at most %d", n, got, bound)
 		}
-		if s.built != n {
-			t.Errorf("%d tokens: slab counted %d", n, s.built)
+		if s.Built() != n {
+			t.Errorf("%d tokens: slab counted %d", n, s.Built())
 		}
 	}
 	var s TokenSlab

@@ -13,7 +13,7 @@ import (
 // Allocation ceilings of the three hot routes, measured through
 // Handler() in process: request log, tracing, deadline, decode, shard
 // dispatch, apply and match, and reply encode. Each is the count
-// measured when the ceiling was set (17, 12 and 577) plus headroom for
+// measured when the ceiling was set (16, 12 and 33) plus headroom for
 // a -race build, which counts up to four more; lower it in the change
 // that lowers the count. Before the routes had their own wire codec the
 // same requests took 59, 34 and 10,045; before a shard became a turn
@@ -28,11 +28,14 @@ import (
 // log built its attributes on the stack and the network carved fresh
 // tokens out of chunks, 18, 13 and 591. Running rete sessions on the
 // parallel matcher's one lane left all three where they were (/stream
-// reads 576 or 577 at either executor, and up to 581 under -race).
+// reads 576 or 577 at either executor, and up to 581 under -race); and
+// before elements were carved out of working memory's slab and a
+// request's attributes decoded into one field buffer, 17, 12 and 577
+// (/stream now reads 32 or 33, and up to 36 under -race).
 const (
-	changesAllocCeiling = 21
+	changesAllocCeiling = 20
 	runAllocCeiling     = 16
-	streamAllocCeiling  = 581
+	streamAllocCeiling  = 37
 )
 
 // chatterPack is a small monitoring pack in the shape psmbench's

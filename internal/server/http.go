@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/ops5"
 )
 
 // The /v1 request and reply bodies are the Go API's own structs —
@@ -420,6 +421,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 		out.WMSize, out.ConflictSize = res.WMSize, res.ConflictSize
 		return err
 	}
+	// fields is the stream's field buffer (wire.go). Each batch's facts
+	// are in working memory, their fields copied out, once flush
+	// returns, so every batch reuses it from the start.
+	var fields []ops5.Field
 	buf := getBuf()
 	defer putBuf(buf)
 	sc := bufio.NewScanner(r.Body)
@@ -432,7 +437,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 			continue
 		}
 		var ev EventSpec
-		if err := decodeEvent(raw, &ev); err != nil {
+		if err := decodeEvent(raw, &ev, &fields); err != nil {
 			return fail(badReqf("stream line %d: %v", line, err))
 		}
 		batch = append(batch, ev)
@@ -441,6 +446,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 			if err := flush(); err != nil {
 				return fail(err)
 			}
+			fields = fields[:0]
 		}
 	}
 	if err := sc.Err(); err != nil {

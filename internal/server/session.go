@@ -168,7 +168,8 @@ type ChangeSpec struct {
 	Tag   int                   `json:"tag,omitempty"`
 
 	// fields holds the attributes when the wire decoder read them (see
-	// factFields); the fact asserted from the change takes it over.
+	// factFields), in the request's field buffer; the fact asserted
+	// from the change takes them over.
 	fields []ops5.Field
 }
 
@@ -192,11 +193,13 @@ type EventSpec struct {
 
 // factFields returns the fields of the fact a decoded change or event
 // asserts: decoded, the attributes as the wire decoder read them, or
-// when it did not, attrs's; then extra. ops5.NewFact sorts the fields
+// when it did not, attrs's; then extra. ops5.WME.Init sorts the fields
 // and keeps the last of a repeated attribute, so extra overrides an
 // attribute of its name, and decoded makes the fact attrs would. The
-// fact owns the returned slice, which may be decoded's own array: a
-// decoded spec asserts one fact.
+// fact owns the returned slice, which may be decoded's own run of the
+// request's field buffer, whose spare field takes an extra of one
+// without allocating: a decoded spec asserts one fact, and working
+// memory copies the fields out at insert.
 func factFields(decoded []ops5.Field, attrs map[string]ops5.Value, extra []ops5.Field) []ops5.Field {
 	fields := decoded
 	if fields == nil {
@@ -433,7 +436,7 @@ func (s *session) apply(specs []ChangeSpec) (ApplyResult, error) {
 			if c.Class == "" {
 				return ApplyResult{}, badReqf("server: change %d: assert needs a class", i)
 			}
-			w := ops5.NewFact(sym.Intern(c.Class), factFields(c.fields, c.Attrs, nil))
+			w := s.sys.WM.Carve().Init(sym.Intern(c.Class), factFields(c.fields, c.Attrs, nil))
 			pending[nextTag] = w
 			nextTag++
 			changes = append(changes, ops5.Change{Kind: ops5.Insert, WME: w})
@@ -497,7 +500,7 @@ func (s *session) ingest(ctx context.Context, events []EventSpec) (StreamResult,
 		if ev.TTL > 0 {
 			ttl = []ops5.Field{{Attr: ops5.TTLAttr, Val: ops5.Num(float64(ev.TTL))}}
 		}
-		w := ops5.NewFact(sym.Intern(ev.Class), factFields(ev.fields, ev.Attrs, ttl))
+		w := s.sys.WM.Carve().Init(sym.Intern(ev.Class), factFields(ev.fields, ev.Attrs, ttl))
 		changes = append(changes, ops5.Change{Kind: ops5.Insert, WME: w})
 	}
 	if s.quota.MaxWMEs > 0 && s.sys.WM.Size()+len(changes) > s.quota.MaxWMEs {

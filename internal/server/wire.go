@@ -19,9 +19,13 @@ package server
 // field list, with its attribute names interned as symbol values are,
 // where decodeStrict fills the Attrs map. So a plain body refused after
 // decoding may leave new names, as well as new values, in the symbol
-// table. A plain string is appended to a reply as it is and any other
-// goes through json.Marshal, so the replies are json.Marshal's bytes
-// plus a newline (TestWireEncodeMatchesMarshal).
+// table. Every attrs object of one request (of a /stream request, of
+// one dispatched batch) is read into one field buffer that grows
+// geometrically: working memory copies each fact's fields into its
+// class arena at insert, so nothing outlives the request in it. A plain
+// string is appended to a reply as it is and any other goes through
+// json.Marshal, so the replies are json.Marshal's bytes plus a newline
+// (TestWireEncodeMatchesMarshal).
 // Every other body, and every other reply, stays on encoding/json.
 
 import (
@@ -109,10 +113,12 @@ func decodeRun(data []byte, req *RunRequest) error {
 	return settle(&d, req)
 }
 
-// decodeEvent decodes one /stream line.
-func decodeEvent(data []byte, ev *EventSpec) error {
-	d := wireDecoder{data: data}
+// decodeEvent decodes one /stream line, reading its attributes into
+// fields, the stream's field buffer.
+func decodeEvent(data []byte, ev *EventSpec, fields *[]ops5.Field) error {
+	d := wireDecoder{data: data, buf: *fields}
 	readEvent(&d, ev)
+	*fields = d.buf
 	return settle(&d, ev)
 }
 
@@ -172,6 +178,8 @@ type wireDecoder struct {
 	data []byte
 	off  int
 	bad  bool
+	// buf is the request's field buffer (see fields).
+	buf []ops5.Field
 }
 
 // plain reports whether the body read so far is plain and nothing but
@@ -348,23 +356,38 @@ func (d *wireDecoder) atom() ops5.Value {
 	return ops5.Num(n)
 }
 
-// fields reads an attribute object into fields in document order, in
-// one allocation with room for one more field (an event's ^__ttl).
-// ops5.NewFact sorts them and keeps the last of a repeated name, so they
-// make the fact the Attrs map decodeStrict fills would make.
+// fields reads an attribute object in document order onto the end of
+// the request's field buffer, followed by one spare field, and returns
+// them with the spare as their capacity: room for an event's ^__ttl.
+// ops5.WME.Init sorts them and keeps the last of a repeated name, so
+// they make the fact the Attrs map decodeStrict fills would make.
 func (d *wireDecoder) fields() []ops5.Field {
-	var onStack [16]ops5.Field // more attributes than this spill to the heap
-	fs := onStack[:0]
+	fs := d.buf
+	start := len(fs)
 	for n := 0; ; n++ {
 		key, ok := d.member(n)
 		if !ok {
 			break
 		}
-		fs = append(fs, ops5.Field{Attr: internOf(key), Val: d.atom()})
+		fs = appendField(fs, ops5.Field{Attr: internOf(key), Val: d.atom()})
 	}
-	out := make([]ops5.Field, len(fs), len(fs)+1)
-	copy(out, fs)
-	return out
+	end := len(fs)
+	fs = appendField(fs, ops5.Field{})
+	d.buf = fs
+	return fs[start : end : end+1]
+}
+
+// fieldBufFirst is how many fields a request's field buffer first has
+// room for.
+const fieldBufFirst = 16
+
+// appendField appends f to a field buffer, doubling it when it is full
+// (by hand: slices.Grow allocates twice in a -race build).
+func appendField(fs []ops5.Field, f ops5.Field) []ops5.Field {
+	if len(fs) == cap(fs) {
+		fs = append(make([]ops5.Field, 0, max(2*cap(fs), fieldBufFirst)), fs...)
+	}
+	return append(fs, f)
 }
 
 // changes reads ChangesRequest.changes; an empty array is an empty

@@ -34,7 +34,7 @@ var wireShapes = []struct {
 	},
 	{
 		"event",
-		func(b []byte) (any, error) { v := new(EventSpec); return v, decodeEvent(b, v) },
+		func(b []byte) (any, error) { v := new(EventSpec); return v, decodeEvent(b, v, new([]ops5.Field)) },
 		func(b []byte) (any, error) { v := new(EventSpec); return v, decodeStrict(bytes.NewReader(b), v) },
 	},
 }
@@ -194,7 +194,7 @@ func TestWireDecodeSemantics(t *testing.T) {
 		t.Errorf("repeated changes: %+v, want the second merged into the first %+v", req.Changes, want)
 	}
 	var ev EventSpec
-	if err := decodeEvent([]byte(`{"class":"c","attrs":{"t":true}}`), &ev); err != nil || ev.Attrs["t"] != ops5.Sym("true") {
+	if err := decodeEvent([]byte(`{"class":"c","attrs":{"t":true}}`), &ev, new([]ops5.Field)); err != nil || ev.Attrs["t"] != ops5.Sym("true") {
 		t.Errorf("true: %v, %v; want the symbol true", ev.Attrs["t"], err)
 	}
 	// What a plain body asserts: the last value of a repeated attribute,
@@ -204,7 +204,7 @@ func TestWireDecodeSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev = EventSpec{}
-	if err := decodeEvent([]byte(`{"class":"c","attrs":{"k":1,"__ttl":3,"k":2},"ttl":9}`), &ev); err != nil || ev.fields == nil {
+	if err := decodeEvent([]byte(`{"class":"c","attrs":{"k":1,"__ttl":3,"k":2},"ttl":9}`), &ev, new([]ops5.Field)); err != nil || ev.fields == nil {
 		t.Fatalf("plain event: fields %v, error %v", ev.fields, err)
 	}
 	if _, err := sess.ingest(context.Background(), []EventSpec{ev}); err != nil {
@@ -232,7 +232,7 @@ func TestWireDecodeSemantics(t *testing.T) {
 		dec  func([]byte) error
 		want string
 	}{
-		{`{"class":"txn","bogus":1}`, func(b []byte) error { return decodeEvent(b, new(EventSpec)) }, `json: unknown field "bogus"`},
+		{`{"class":"txn","bogus":1}`, func(b []byte) error { return decodeEvent(b, new(EventSpec), new([]ops5.Field)) }, `json: unknown field "bogus"`},
 		{`{"cycles":`, func(b []byte) error { return decodeRun(b, new(RunRequest)) }, `unexpected EOF`},
 		{``, func(b []byte) error { return decodeRun(b, new(RunRequest)) }, `EOF`},
 	} {

@@ -203,29 +203,6 @@ func (m *Matcher) StateSize() int {
 	return size
 }
 
-// IndexInfo reports the indexed alpha memories: TREAT's join points are
-// the per-production condition elements, partitioned by whether their
-// memory is hash-bucketed, plus current bucket occupancy.
-func (m *Matcher) IndexInfo() obs.IndexReport {
-	var info obs.IndexReport
-	for _, ps := range m.prods {
-		for _, mem := range ps.mems {
-			if mem.buckets == nil {
-				info.FallbackNodes++
-				continue
-			}
-			info.IndexedNodes++
-			info.Buckets += len(mem.buckets)
-			for _, b := range mem.buckets {
-				if len(b) > info.MaxBucket {
-					info.MaxBucket = len(b)
-				}
-			}
-		}
-	}
-	return info
-}
-
 // Apply processes a batch of WM changes in order.
 func (m *Matcher) Apply(changes []ops5.Change) {
 	for _, ch := range changes {

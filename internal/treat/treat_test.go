@@ -73,7 +73,7 @@ func TestRandomizedCrossCheckIndexStress(t *testing.T) {
 		prods := matchtest.RandomProgram(rng, params)
 		script := matchtest.RandomScript(rng, params, 25, 4)
 		m := runScript(t, prods, script)
-		indexed += m.IndexInfo().IndexedNodes
+		indexed += treat.BucketedMemories(m)
 	}
 	if indexed == 0 {
 		t.Error("index-stress programs produced no indexed CEs; generator drifted")

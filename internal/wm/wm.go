@@ -1,8 +1,10 @@
 // Package wm implements OPS5 working memory as a columnar, interned
-// fact store: elements are grouped into per-class stores whose rows
-// pack their fields into class-local arena slabs (ops5.FieldArena), a
-// dense time-tag index resolves tags to rows in O(1), and deletion is
-// swap-remove — no per-element map churn anywhere on the mutation path.
+// fact store: element headers are carved from the memory's own slab
+// (Carve), elements are grouped into per-class stores whose rows pack
+// their fields into class-local arena slabs (ops5.FieldArena), a dense
+// time-tag index resolves tags to rows in O(1), and deletion is
+// swap-remove — no per-element allocation or map churn anywhere on the
+// mutation path.
 package wm
 
 import (
@@ -44,6 +46,8 @@ type Memory struct {
 	// appearance for deterministic iteration.
 	classes map[sym.ID]*classStore
 	order   []*classStore
+	// slab holds the headers of the elements the session makes (Carve).
+	slab ops5.Slab[ops5.WME]
 }
 
 // New returns an empty working memory. Time tags start at 1.
@@ -60,6 +64,16 @@ func (m *Memory) Size() int { return m.size }
 
 // NextTag returns the time tag the next insertion will receive.
 func (m *Memory) NextTag() int { return m.nextTag }
+
+// Carve returns a zero element header from the memory's slab, for an
+// element that is to be inserted into this memory: the engine's make
+// and modify, and psmd's asserts and events, build theirs in one
+// (ops5.WME.Init, AppendWithUpdates) before the batch that inserts them,
+// so the element's pointer never changes. Its fields stay in the
+// caller's buffer until insert copies them into the class arena. Insert
+// and Apply take elements from anywhere (recovery builds its own), and
+// a header carved for a batch that is refused is simply never used.
+func (m *Memory) Carve() *ops5.WME { return m.slab.New() }
 
 // store returns (creating if needed) the class store for class.
 func (m *Memory) store(class sym.ID) *classStore {
