@@ -92,7 +92,7 @@ func (c *phaseClock) stamp(p phase) {
 // paper's premise is ~50-100 instructions per activation; seeds in the
 // lowest buckets are below the grain where handing work to another lane
 // pays, so the histogram shows how much of the workload is too fine to
-// parallelise profitably. seedGrain and serialBypassThreshold are read
+// parallelise profitably. seedGrain and SerialBypassThreshold are read
 // off it. The bounds are obs.TaskBucketNanos.
 const numTaskBuckets = len(obs.TaskBucketNanos) + 1 // the open top bucket adds one
 
