@@ -15,7 +15,7 @@ type chainFixture struct {
 	m          *Matcher
 	w          *worker
 	g          *group
-	last       *pnode
+	mid, last  *pnode
 	wa, wb, wc *ops5.WME
 }
 
@@ -29,10 +29,11 @@ func newChainFixture(t *testing.T) *chainFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &chainFixture{m: m, w: &m.sched.workers[0], last: &m.nodes[len(m.nodes)-1]}
+	n := len(m.nodes)
+	f := &chainFixture{m: m, w: &m.sched.workers[0], mid: &m.nodes[n-2], last: &m.nodes[n-1]}
 	f.g = f.last.grp
-	if f.g.leftHash == nil || len(f.last.terminals) != 1 {
-		t.Fatal("the chain's last join is not keyed or feeds no terminal")
+	if f.g.leftHash == nil || len(f.last.terminals) != 1 || &f.mid.down[0] != f.g {
+		t.Fatal("the chain's last join is not keyed, feeds no terminal or is not fed by the middle one")
 	}
 	for i, w := range []**ops5.WME{&f.wa, &f.wb, &f.wc} {
 		*w = ops5.NewWME(string(rune('a'+i)), "v", 7)
@@ -41,11 +42,16 @@ func newChainFixture(t *testing.T) *chainFixture {
 	return f
 }
 
-// extend returns a new token: t with w appended.
-func extend(t *rete.Token, w *ops5.WME) *rete.Token {
-	nt := &rete.Token{}
-	t.ExtendInto(nt, w)
-	return nt
+// ab returns the token [a b] as the middle join builds it for the last
+// join's left memory, listed under no parent and no right entry.
+func (f *chainFixture) ab() *token {
+	base := &rete.Token{}
+	a := &rete.Token{}
+	base.ExtendInto(a, f.wa)
+	tok := &token{node: f.mid, ridx: -1}
+	a.ExtendInto(&tok.Token, f.wb)
+	tok.key = f.g.leftHash(&tok.Token)
+	return tok
 }
 
 // leftBuckets counts the live buckets of the group's left memory.
@@ -58,32 +64,30 @@ func (f *chainFixture) leftBuckets() (n int) {
 }
 
 // TestEarlyDeleteAnnihilatesLateInsert drives the one case in which a
-// delete builds the token it names: the pair (base, WME) reaches a left
-// memory that holds no token for it, because the insert it undoes has
-// not arrived yet. The pending cancel it files must annihilate that
-// insert — even though the insert's token would join the c element
-// already in the right memory — and leave the memory empty.
+// token's delete reaches its left memory ahead of its insert, as it can
+// when another lane removed it: the delete files nothing and marks the
+// token a pending cancel, and the late insert annihilates with it —
+// even though the token would join the c element already in the right
+// memory — leaving the memory empty and retiring the token once.
 func TestEarlyDeleteAnnihilatesLateInsert(t *testing.T) {
 	f := newChainFixture(t)
 	m, w := f.m, f.w
 	m.runRight(f.last, f.wc, ops5.Insert, w)
-	base := extend(&rete.Token{}, f.wa)
+	tok := f.ab()
 
-	m.runLeft(f.g, base, f.wb, ops5.Delete, w)
-	if got := f.leftBuckets(); got != 1 {
-		t.Fatalf("after the early delete: %d live left buckets, want the pending cancel's 1", got)
+	m.runLeft(f.g, tok, ops5.Delete, w)
+	if got := f.leftBuckets(); got != 0 || tok.slot != -1 {
+		t.Fatalf("after the early delete: %d live left buckets and slot %d, want none and the pending cancel's -1", got, tok.slot)
 	}
-	late := extend(base, f.wb)
-	late.Hold(1) // the reference propagate's emit would carry
-	m.runLeft(f.g, late, nil, ops5.Insert, w)
+	m.runLeft(f.g, tok, ops5.Insert, w)
 	if got := f.leftBuckets(); got != 0 {
 		t.Errorf("after the late insert: %d live left buckets, want 0", got)
 	}
-	if len(w.retired) != 2 || w.retired[0] != late || w.retired[1] == late {
-		t.Errorf("retired %v, want the late insert's token and then the pending cancel's", w.retired)
+	if len(w.retired) != 1 || w.retired[0] != tok {
+		t.Errorf("retired %v, want the token once", w.retired)
 	}
-	if len(w.pending) != 0 {
-		t.Errorf("%d conflict-set deltas emitted, want none", len(w.pending))
+	if len(w.pending) != 0 || tok.kids != nil {
+		t.Errorf("%d conflict-set deltas emitted and kids %v, want none", len(w.pending), tok.kids)
 	}
 	m.mu.Lock()
 	w.foldInto(&m.lanes[0], m.prof)
@@ -94,60 +98,68 @@ func TestEarlyDeleteAnnihilatesLateInsert(t *testing.T) {
 }
 
 // TestDeleteResolvesStoredToken deletes a token that the left memory
-// holds: the delete names it as (base, WME), finds the stored token, and
-// emits its own delete as the pair (stored token, c element) — without
-// allocating, once the lane's scratch has grown.
+// holds: the delete finds its entry through the token, removes the leaf
+// its insert built with the c element — announcing the instantiation
+// its insert announced — and retires both, with no join test, no chain
+// step and, once the lane's buffers have grown, no allocation.
 func TestDeleteResolvesStoredToken(t *testing.T) {
 	f := newChainFixture(t)
 	m, w := f.m, f.w
 	m.runRight(f.last, f.wc, ops5.Insert, w)
-	base := extend(&rete.Token{}, f.wa)
-	stored := extend(base, f.wb)
+	stored := f.ab()
+	cycle := func() {
+		m.runLeft(f.g, stored, ops5.Insert, w)
+		m.runLeft(f.g, stored, ops5.Delete, w)
+	}
 	// One cycle first, so that the lane's delta and retired buffers have
-	// grown. Each insert carries the reference propagate's emit would.
-	stored.Hold(1)
-	m.runLeft(f.g, stored, nil, ops5.Insert, w)
-	m.runLeft(f.g, base, f.wb, ops5.Delete, w)
-	w.pending = w.pending[:0]
-	w.retired = w.retired[:0]
+	// grown.
+	cycle()
+	w.pending, w.retired = w.pending[:0], w.retired[:0]
+	before := w.work
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
 	const runs = 20
 	var allocs uint64
 	for i := 0; i < runs; i++ {
-		stored.Hold(1)
-		m.runLeft(f.g, stored, nil, ops5.Insert, w)
-		if len(w.pending) != 1 {
-			t.Fatalf("insert emitted %d deltas, want 1", len(w.pending))
+		m.runLeft(f.g, stored, ops5.Insert, w)
+		if len(w.pending) != 1 || stored.kids == nil {
+			t.Fatalf("insert emitted %d deltas and built kids %v, want one of each", len(w.pending), stored.kids)
 		}
+		leaf := stored.kids
 		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
-		m.runLeft(f.g, base, f.wb, ops5.Delete, w)
+		was := ms.Mallocs
+		m.runLeft(f.g, stored, ops5.Delete, w)
 		runtime.ReadMemStats(&ms)
-		allocs += ms.Mallocs - before
+		allocs += ms.Mallocs - was
 
 		if len(w.pending) != 2 {
 			t.Fatalf("delete emitted %d deltas, want 1", len(w.pending)-1)
 		}
 		ins, del := w.pending[0], w.pending[1]
-		if del.tok != stored || del.wme != f.wc || del.dir != ops5.Delete {
-			t.Fatalf("delete delta names (%v, %v), want the stored token %v and the c element", del.tok, del.wme, stored)
+		if del.tok != leaf || del.dir != ops5.Delete {
+			t.Fatalf("delete delta names %v, want the leaf %v its insert built", del.tok, leaf)
 		}
 		if ins.key != del.key || deltaCmp(ins, del) != 0 {
 			t.Fatal("the insert and the delete of one instantiation do not merge")
 		}
-		if got := f.leftBuckets(); got != 0 {
-			t.Fatalf("%d live left buckets after the delete, want 0", got)
+		if got := f.leftBuckets(); got != 0 || stored.kids != nil {
+			t.Fatalf("%d live left buckets and kids %v after the delete, want none", got, stored.kids)
 		}
-		if len(w.retired) != 1 || w.retired[0] != stored {
-			t.Fatalf("retired %v, want the stored token once", w.retired)
+		if len(w.retired) != 2 || w.retired[0] != leaf || w.retired[1] != stored {
+			t.Fatalf("retired %v, want the leaf and then the stored token", w.retired)
 		}
 		clear(w.pending)
-		w.pending = w.pending[:0]
-		w.retired = w.retired[:0]
+		w.pending, w.retired = w.pending[:0], w.retired[:0]
+		stored.slot = 0 // what build does to a recycled token
 	}
 	if allocs != 0 {
 		t.Errorf("%d allocations over %d deletes of a stored token, want 0", allocs, runs)
+	}
+	if d := w.work.JoinTests[ops5.Delete] - before.JoinTests[ops5.Delete]; d != 0 {
+		t.Errorf("%d join tests on delete, want 0", d)
+	}
+	if d := w.work.LeftSteps[ops5.Delete] - before.LeftSteps[ops5.Delete]; d != 0 {
+		t.Errorf("%d left chain steps on delete, want 0", d)
 	}
 }

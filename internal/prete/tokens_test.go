@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/ops5"
-	"repro/internal/rete"
 )
 
 // PoolChunk is poolChunk, for the black-box tests.
@@ -53,13 +52,42 @@ func dispatchBatches(t *testing.T, batches, jobs int) ([]*ops5.Production, [][]o
 	return prog.Productions, script
 }
 
+// heldTokens returns every token the matcher holds between batches: the
+// tokens its left entries file, the tokens listed under them, and the
+// tokens its right entries list (leaves among them).
+func (m *Matcher) heldTokens() map[*token]bool {
+	held := make(map[*token]bool)
+	for _, g := range m.groups {
+		for si := range g.stripes {
+			b := &g.stripes[si].left
+			for i := int32(0); i < b.Slots(); i++ {
+				if e := b.At(i); e.tok != nil {
+					held[e.tok] = true
+					for c := e.tok.kids; c != nil; c = c.next {
+						held[c] = true
+					}
+				}
+			}
+			for _, pn := range g.members {
+				r := &pn.right[si]
+				for i := int32(0); i < r.Slots(); i++ {
+					for c := r.At(i).toks; c != nil; c = c.rnext {
+						held[c] = true
+					}
+				}
+			}
+		}
+	}
+	return held
+}
+
 // TestTokenPoolBounded replays 400 two-lane batches of the dispatch
 // program with the bypass off, so a token is often built on one lane and
 // retired on the other. After every batch the free tokens — the pool
-// plus any lane's cache — must hold no token twice and none a left
-// memory holds, and number at most the high-water mark of live left
-// entries plus the most tokens one batch emitted (and a refill chunk per
-// lane). Free lists kept per lane grow without bound here: the lane that
+// plus any lane's cache — must hold no token twice and none a memory or
+// a list holds, and number at most the high-water mark of held tokens
+// plus the most tokens one batch built (and a refill chunk per lane).
+// Free lists kept per lane grow without bound here: the lane that
 // retires a token is seldom the one that next needs one.
 func TestTokenPoolBounded(t *testing.T) {
 	prods, script := dispatchBatches(t, 400, 8)
@@ -70,52 +98,39 @@ func TestTokenPoolBounded(t *testing.T) {
 	if m.Workers() != 2 {
 		t.Fatalf("%d lanes, want 2", m.Workers())
 	}
-	emitted := func() (n int) {
-		for _, e := range m.NodeProfile() {
-			n += int(e.PairsEmitted)
-		}
-		return n
+	built := func() int {
+		w := m.Work()
+		return int(w.Built[ops5.Insert] + w.Built[ops5.Delete])
 	}
-	peakLive, peakEmitted, peakFree := 0, 0, 0
+	peakLive, peakBuilt, peakFree := 0, 0, 0
 	for bi, batch := range script {
-		before := emitted()
+		before := built()
 		m.Apply(batch)
-		peakEmitted = max(peakEmitted, emitted()-before)
+		peakBuilt = max(peakBuilt, built()-before)
 
-		held := make(map[*rete.Token]bool)
-		live := 0
-		for _, g := range m.groups {
-			for si := range g.stripes {
-				b := &g.stripes[si].left
-				for i := int32(0); i < b.Slots(); i++ {
-					if e := b.At(i); e.count != 0 {
-						live++
-						held[e.tok] = true
-					}
-				}
-			}
-		}
+		held := m.heldTokens()
+		live := len(held)
 		peakLive = max(peakLive, live)
 
-		free := append([]*rete.Token(nil), m.pool.toks...)
+		free := append([]*token(nil), m.pool.toks...)
 		for i := range m.sched.workers {
 			free = append(free, m.sched.workers[i].cache...)
 		}
-		seen := make(map[*rete.Token]bool, len(free))
+		seen := make(map[*token]bool, len(free))
 		for _, tok := range free {
 			if seen[tok] {
 				t.Fatalf("batch %d: token %p free twice", bi, tok)
 			}
 			if held[tok] {
-				t.Fatalf("batch %d: token %p free while a left memory holds it", bi, tok)
+				t.Fatalf("batch %d: token %p free while a memory or a list holds it", bi, tok)
 			}
 			seen[tok] = true
 		}
 		peakFree = max(peakFree, len(free))
-		if bound := peakLive + peakEmitted + 2*poolChunk; len(free) > bound {
-			t.Fatalf("batch %d: %d free tokens, above %d (live entries peaked at %d, one batch emitted at most %d)",
-				bi, len(free), bound, peakLive, peakEmitted)
+		if bound := peakLive + peakBuilt + 2*poolChunk; len(free) > bound {
+			t.Fatalf("batch %d: %d free tokens, above %d (held tokens peaked at %d, one batch built at most %d)",
+				bi, len(free), bound, peakLive, peakBuilt)
 		}
 	}
-	t.Logf("free tokens peaked at %d; live left entries at %d, one batch's emits at %d", peakFree, peakLive, peakEmitted)
+	t.Logf("free tokens peaked at %d; held tokens at %d, one batch's builds at %d", peakFree, peakLive, peakBuilt)
 }

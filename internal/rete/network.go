@@ -3,7 +3,6 @@ package rete
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/bucket"
 	"repro/internal/ops5"
@@ -14,9 +13,9 @@ import (
 // holds it; a matcher recycles it only once none does, by building the
 // next join output into it (ExtendInto). Short tokens (the overwhelmingly
 // common case) store their WMEs in the inline arr, so such a token is
-// its 80 bytes and nothing more (the struct fills that size class
-// exactly), which the executors carve out of TokenSlab chunks; a
-// recycled one keeps whatever storage it grew.
+// its 72 bytes and nothing more, carved out of a slab's chunks (the
+// serial network's TokenSlab; internal/prete embeds the Token in its
+// own token); a recycled one keeps whatever storage it grew.
 type Token struct {
 	WMEs []*ops5.WME
 	arr  [5]*ops5.WME
@@ -24,18 +23,18 @@ type Token struct {
 	// parent's id extended by one tag at ExtendInto, so no lookup ever
 	// walks the tag list again. The zero Token is the empty token.
 	id uint64
-	// refs counts the parallel matcher's holders of the token: memory
-	// entries and emits in flight (Hold, Release). The serial network
-	// does not use it.
-	refs atomic.Int32
 }
 
 // ExtendInto builds t with w appended into *dst, in dst's own storage:
-// a fresh token from a TokenSlab, a recycled one or a scratch one. dst
-// must not be t. A token longer than arr gets a WME buffer of its own
-// and leaves arr clear, so Recycle clears every WME it holds.
+// a fresh token from a TokenSlab, a recycled one or a scratch one; with
+// w nil, a copy of t. dst must not be t. A token longer than arr gets a
+// WME buffer of its own and leaves arr clear, so Recycle clears every
+// WME it holds.
 func (t *Token) ExtendInto(dst *Token, w *ops5.WME) {
-	n := len(t.WMEs) + 1
+	n := len(t.WMEs)
+	if w != nil {
+		n++
+	}
 	buf := dst.WMEs[:0]
 	if cap(buf) < n {
 		if n <= len(dst.arr) {
@@ -44,8 +43,12 @@ func (t *Token) ExtendInto(dst *Token, w *ops5.WME) {
 			buf = make([]*ops5.WME, 0, n)
 		}
 	}
-	dst.WMEs = append(append(buf, t.WMEs...), w)
-	dst.id = hashTag(t.id, w.TimeTag)
+	dst.WMEs = append(buf, t.WMEs...)
+	dst.id = t.id
+	if w != nil {
+		dst.WMEs = append(dst.WMEs, w)
+		dst.id = hashTag(t.id, w.TimeTag)
+	}
 }
 
 // TokenSlab hands out fresh tokens carved from chunks (ops5.Slab's
@@ -63,12 +66,6 @@ func (t *Token) Recycle() *Token {
 	t.WMEs = t.WMEs[:0]
 	return t
 }
-
-// Hold adds n references to the token.
-func (t *Token) Hold(n int) { t.refs.Add(int32(n)) }
-
-// Release drops one reference and reports whether it was the last.
-func (t *Token) Release() bool { return t.refs.Add(-1) == 0 }
 
 // ExtIDHash returns the identity hash of t extended by w, without
 // building that token; t's own when w is nil.

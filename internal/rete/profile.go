@@ -14,9 +14,13 @@ import (
 type NodeProf struct {
 	// Activations counts node activations (left and right combined).
 	Activations int64
-	// TokensTested counts opposite-memory entries examined.
+	// TokensTested counts opposite-memory entries examined. The parallel
+	// runtime removes what a positive join's delete undoes by walking the
+	// tokens its insert built, testing nothing, so there only inserts and
+	// not-nodes' right activations count.
 	TokensTested int64
-	// PairsEmitted counts tokens sent downstream.
+	// PairsEmitted counts the matched pairs sent downstream, in either
+	// direction.
 	PairsEmitted int64
 }
 
